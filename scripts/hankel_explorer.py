@@ -10,7 +10,7 @@ import sys
 from fractions import Fraction
 
 from detkit.exactnum import bell_poly, bernoulli, euler_even, fmt_rat, hermite_poly
-from detkit.hankel import (MomentSeq, bernoulli_shifted_moments, hankel_det,
+from detkit.hankel import (MomentSeq, bernoulli_shifted_moments, hankel_dets,
                            heilermann_product, jfraction_from_moments)
 
 SEQUENCES = {
@@ -36,7 +36,7 @@ def main() -> int:
         moments = make(2 * n)
         print(f"== {name} ==")
         print("  moments:", ", ".join(fmt_rat(moments[k]) for k in range(2 * n)))
-        dets = [hankel_det(moments, i) for i in range(1, n + 1)]
+        dets = hankel_dets(moments, n)
         print("  hankel dets:", ", ".join(fmt_rat(d) for d in dets))
         jf = jfraction_from_moments(moments, n)
         print("  a:", ", ".join(fmt_rat(x) for x in jf.a))

@@ -19,7 +19,7 @@ from . import catalog
 from .catalog.base import run_trial, trial_rng
 from .exactnum import bell_poly, bernoulli, euler_even, fmt_rat, hermite_poly, rat
 from .guess import ZeroTermError, rate_guess
-from .hankel import (DegenerateMomentsError, MomentSeq, hankel_det,
+from .hankel import (DegenerateMomentsError, MomentSeq, hankel_dets,
                      heilermann_product, jfraction_from_moments)
 
 
@@ -180,7 +180,7 @@ def cmd_hankel(config: CliConfig) -> int:
 
     shifted = MomentSeq([moments[k + offset]
                          for k in range(min(len(moments) - offset, 2 * n))])
-    dets = [hankel_det(shifted, i) for i in range(1, n + 1)]
+    dets = hankel_dets(shifted, n)
 
     def _degenerate(message: str) -> int:
         payload = {"command": "hankel", "seq": seq_spec, "offset": offset,

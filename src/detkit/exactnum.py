@@ -691,8 +691,17 @@ def _bernoulli_table(count: int) -> tuple[Fraction, ...]:
     return tuple(inv.coeff(k) * factorial(k) for k in range(count))
 
 
+def _table_size(count: int) -> int:
+    """Tables are built at power-of-two sizes (at least 16), so a process
+    builds O(log k) of them; a truncated series inverse is exact below its
+    order, so a larger table holds the same values."""
+    if count < 1:
+        raise ValueError("sequence index must be nonnegative")
+    return max(16, 1 << (count - 1).bit_length())
+
+
 def bernoulli(k: int) -> Fraction:
-    return _bernoulli_table(k + 1)[k]
+    return _bernoulli_table(_table_size(k + 1))[k]
 
 
 @lru_cache(maxsize=None)
@@ -707,7 +716,7 @@ def euler_even(k: int) -> Fraction:
     """Secant number E_{2k}' indexed by the even subscript: euler_even(2m)."""
     if k % 2 != 0:
         raise ValueError("euler_even takes an even index")
-    return _euler_even_table(k // 2 + 1)[k // 2]
+    return _euler_even_table(_table_size(k // 2 + 1))[k // 2]
 
 
 @lru_cache(maxsize=None)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exactnum import TruncSeries, bernoulli, rat
-from .linalg import MatrixR, det
+from .linalg import MatrixR, _bareiss_int, _int_rows, det
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,24 @@ def hankel_det(s: MomentSeq, n: int, offset: int = 0) -> Fraction:
     if n == 0:
         return Fraction(1)
     return det(hankel_matrix(s, n, offset), "bareiss")
+
+
+def hankel_dets(s: MomentSeq, n: int) -> list[Fraction]:
+    """The leading Hankel determinants [H_1, ..., H_n] of s from one
+    integer Bareiss elimination: pivot k of the row-scaled matrix is
+    H_{k+1} times the product of the first k+1 row scales.  From the
+    first zero pivot on, the elimination has swapped rows (or stopped),
+    so each later order is computed on its own.
+    """
+    a, scales = _int_rows(hankel_matrix(s, n).to_rows())
+    _, pivots, first_swap = _bareiss_int(a)
+    leading = len(pivots) if first_swap is None else first_swap
+    out = []
+    scale = 1
+    for k in range(leading):
+        scale *= scales[k]
+        out.append(Fraction(pivots[k], scale))
+    return out + [hankel_det(s, k) for k in range(leading + 1, n + 1)]
 
 
 def jfraction_from_moments(s: MomentSeq, depth: int) -> JFraction:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from math import lcm, prod
 from typing import Callable, Sequence
 
 from .exactnum import PolyQ, RatFn, rat
@@ -211,12 +212,70 @@ def _exquo(a, b):
     return a / b
 
 
+def _int_rows(rows) -> tuple[list[list[int]], list[int]]:
+    """Scale each row of ints/Fractions by the lcm of its denominators.
+
+    Returns the integer rows and the scale of each row.
+    """
+    out, scales = [], []
+    for row in rows:
+        d = 1
+        for e in row:
+            d = lcm(d, e.denominator)
+        out.append([e.numerator * (d // e.denominator) for e in row])
+        scales.append(d)
+    return out, scales
+
+
+def _bareiss_int(a: list[list[int]]) -> tuple[int, list[int], int | None]:
+    """Integer Bareiss elimination of the square matrix `a`, in place.
+
+    Rows are swapped only on a zero pivot.  Returns (sign, pivots,
+    first_swap): pivot k is the order-(k+1) leading minor of the row-swapped
+    matrix, so before `first_swap` (None when no swap happened) it is the
+    leading minor of `a` itself.  Fewer than len(a) pivots means `a` is
+    singular.
+    """
+    n = len(a)
+    sign, prev, pivots, first_swap = 1, 1, [], None
+    for k in range(n):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    if first_swap is None:
+                        first_swap = k
+                    break
+            else:
+                return sign, pivots, first_swap
+        p = a[k][k]
+        pivots.append(p)
+        tail = a[k][k + 1:]
+        for i in range(k + 1, n):
+            row = a[i]
+            f = row[k]
+            row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], tail)]
+        prev = p
+    return sign, pivots, first_swap
+
+
+def _is_rational(m: MatrixR) -> bool:
+    return all(isinstance(e, (int, Fraction)) for e in m.entries)
+
+
 def _det_bareiss(m: MatrixR):
     n = m.rows
     if n == 0:
         return Fraction(1)
     if isinstance(m.entries[0], RatFn):
         raise ValueError("bareiss requires an integral-domain scalar kind")
+    if _is_rational(m):
+        a, scales = _int_rows(m.to_rows())
+        sign, pivots, _ = _bareiss_int(a)
+        if len(pivots) < n:
+            return Fraction(0)
+        return Fraction(sign * pivots[-1], prod(scales))
     a = m.to_rows()
     sign = 1
     prev = _one_like(m)
@@ -290,6 +349,8 @@ def det(m: MatrixR, strategy: str = None):
         raise ValueError("laplace capped at n <= 7")
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy != "bareiss" and _is_rational(m):
+        m = m.apply(rat)  # `/` on two ints would give a float
     return _STRATEGIES[strategy](m)
 
 
@@ -465,37 +526,43 @@ def solve_linear(a: MatrixR, rhs: Sequence):
 
 
 def kernel_basis(m: MatrixR) -> list[list[Fraction]]:
-    """Basis of the right null space over Q via exact RREF."""
-    rows = [list(m.row(i)) for i in range(m.rows)]
+    """Basis of the right null space over Q: the RREF read off a
+    fraction-free Gauss-Jordan elimination on integer rows (Nakos,
+    Turner and Williams 1997).
+
+    Each row is scaled to integers first, which leaves the null space
+    unchanged.  After k pivots every pivot row holds the same pivot value
+    d at its pivot column, and the rows are d times the RREF, so each
+    basis vector has 1 at its own free column and 0 at the other free
+    columns.
+    """
+    rows, _ = _int_rows(m.to_rows())
     ncols = m.cols
     pivots = []
-    r = 0
+    prev = 1
     for c in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                piv = i
-                break
+        r = len(pivots)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        p = rows[r][c]
-        rows[r] = [e / p for e in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [e - f * rc for e, rc in zip(rows[i], rows[r])]
+        pr = rows[r]
+        p = pr[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, pr)]
         pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
+        prev = p
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for ri, pc in enumerate(pivots):
-            v[pc] = -rows[ri][fc]
+            v[pc] = Fraction(-rows[ri][fc], prev)
         basis.append(v)
     return basis
 

@@ -51,6 +51,20 @@ def test_bernoulli_euler_anchors():
     assert [euler_even(2 * k) for k in range(5)] == [1, 1, 5, 61, 1385]
 
 
+def test_bernoulli_euler_tables_match_exact_size_tables():
+    # the power-of-two tables hold the same values as a table built at
+    # exactly the size each index needs
+    from detkit.exactnum import _bernoulli_table, _euler_even_table
+    for k in range(120):
+        assert bernoulli(k) == _bernoulli_table.__wrapped__(k + 1)[k]
+    for k in range(0, 120, 2):
+        assert euler_even(k) == _euler_even_table.__wrapped__(k // 2 + 1)[k // 2]
+    with pytest.raises(ValueError):
+        bernoulli(-1)
+    with pytest.raises(ValueError):
+        euler_even(-2)
+
+
 def test_stirling_catalan_anchors():
     # [TRIVIAL] S(4,2) = 7, c(4,2) = 11, Catalan 1,1,2,5,14,42
     assert stirling2(4, 2) == 7

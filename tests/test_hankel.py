@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from detkit.exactnum import bernoulli, catalan
 from detkit.hankel import (DegenerateMomentsError, JFraction, MomentSeq,
                            bernoulli_shifted_moments, continuous_hahn_jfraction,
-                           hankel_det, hankel_matrix, hankel_x_transform,
+                           hankel_det, hankel_dets, hankel_matrix,
+                           hankel_x_transform,
                            heilermann_product, jfraction_from_moments,
                            moments_from_jfraction)
 
@@ -102,3 +103,29 @@ def test_hankel_x_transform():
 def test_hankel_x_transform_property(vals):
     s = MomentSeq(vals)
     assert hankel_x_transform(s, Fraction(-1, 2), 4) == hankel_det(s, 4)
+
+
+def test_hankel_dets_through_a_vanishing_minor():
+    # H_2 = det [[1, 1], [1, 1]] = 0 while H_3 = -1: the one-pass pivots
+    # stop being leading minors at order 2
+    s = MomentSeq([1, 1, 1, 2, 3, 5, 8, 13, 21])
+    dets = hankel_dets(s, 5)
+    assert dets[:3] == [1, 0, -1]
+    assert dets == [hankel_det(s, k) for k in range(1, 6)]
+    zero = MomentSeq([0] * 7)
+    assert hankel_dets(zero, 4) == [0] * 4
+    assert hankel_dets(s, 0) == []
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.one_of(st.just(Fraction(0)),
+                       st.fractions(min_value=-5, max_value=5, max_denominator=4)),
+             min_size=2 * n - 1, max_size=2 * n - 1))))
+@settings(max_examples=100, deadline=None)
+def test_hankel_dets_match_each_order(case):
+    n, vals = case
+    s = MomentSeq(vals)
+    dets = hankel_dets(s, n)
+    assert all(type(d) is Fraction for d in dets)
+    assert dets == [hankel_det(s, k) for k in range(1, n + 1)]

@@ -4,6 +4,7 @@ and resultants."""
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +38,79 @@ def test_det_anchors():
     assert det(m) == -2
     assert det(MatrixR.identity(5)) == 1
     assert det(MatrixR.from_rows([[Fraction(0)]])) == 0
+
+
+def test_int_matrix_det_is_exact_fraction():
+    # int entries once divided to floats under `/` (-3.0 here)
+    m = MatrixR.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
+    for strategy in ("bareiss", "gauss", "laplace", "condensation"):
+        d = det(m, strategy)
+        assert type(d) is Fraction and d == -3
+    one = MatrixR.from_rows([[7]])
+    for strategy in ("bareiss", "gauss", "laplace", "condensation"):
+        assert type(det(one, strategy)) is Fraction
+    big = MatrixR.from_rows([[10**20 + 1, 10**20], [10**20, 10**20 - 1]])
+    assert det(big, "gauss") == -1
+    for v in kernel_basis(MatrixR.from_rows([[1, 2, 3], [2, 4, 6]])):
+        assert all(type(c) is Fraction for c in v)
+
+
+@st.composite
+def rational_matrix(draw, rows=None, cols=None):
+    """Small rational matrices, often with zero pivots, and sometimes with
+    a row that is a combination of two others (rank deficiency)."""
+    r = draw(st.integers(1, 5)) if rows is None else rows
+    c = draw(st.integers(1, 5)) if cols is None else cols
+    entry = st.one_of(st.just(Fraction(0)), rationals)
+    a = draw(st.lists(st.lists(entry, min_size=c, max_size=c),
+                      min_size=r, max_size=r))
+    if r >= 3 and draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(r)))[:3]
+        x, y = draw(rationals), draw(rationals)
+        a[i] = [x * p + y * q for p, q in zip(a[j], a[k])]
+    return MatrixR.from_rows(a)
+
+
+@st.composite
+def square_rational(draw):
+    n = draw(st.integers(1, 5))
+    return draw(rational_matrix(rows=n, cols=n))
+
+
+@given(square_rational())
+@settings(max_examples=150, deadline=None)
+def test_integer_bareiss_matches_oracles(m):
+    d = det(m, "bareiss")
+    assert type(d) is Fraction
+    assert d == det_permutation_expansion(m)
+    for strategy in ("laplace", "condensation", "gauss"):
+        assert det(m, strategy) == d
+
+
+def _rank(m):
+    # largest order of a nonzero minor, by permutation expansion
+    for k in range(min(m.rows, m.cols), 0, -1):
+        for rs in combinations(range(m.rows), k):
+            for cs in combinations(range(m.cols), k):
+                if det_permutation_expansion(m.submatrix(rs, cs)) != 0:
+                    return k
+    return 0
+
+
+@given(rational_matrix())
+@settings(max_examples=150, deadline=None)
+def test_kernel_basis_is_reduced_null_space(m):
+    rank = _rank(m)
+    # RREF pivot columns are where the rank of the leading columns grows
+    free = [c for c in range(m.cols)
+            if _rank(m.submatrix(range(m.rows), range(c + 1)))
+            == _rank(m.submatrix(range(m.rows), range(c)))]
+    basis = kernel_basis(m)
+    assert len(basis) == m.cols - rank == len(free)
+    for v, own in zip(basis, free):
+        assert all(type(x) is Fraction for x in v)
+        assert all(x == 0 for x in m.mul_vector(v))
+        assert [v[c] for c in free] == [1 if c == own else 0 for c in free]
 
 
 def test_det_strategies_agree():
