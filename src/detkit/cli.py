@@ -9,6 +9,7 @@ Exit codes: 0 all-pass, 1 verification failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -274,8 +275,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # one parser per process: parsing leaves it unchanged, and each fresh
+    # one is a few hundred objects in reference cycles
+    return build_parser()
+
+
 def main(argv: Sequence[str] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -628,23 +628,6 @@ class TruncSeries:
         return f"TruncSeries({body} + O(x^{self.order}))"
 
 
-def series_arith(op: str, *operands, aux: int = None):
-    """Dispatch helper mirroring the module contract."""
-    if op == "mul":
-        return operands[0] * operands[1]
-    if op == "div":
-        return operands[0] / operands[1]
-    if op == "compose":
-        return operands[0].compose(operands[1])
-    if op == "derive":
-        return operands[0].derive()
-    if op == "pow_int":
-        return operands[0].pow_int(aux)
-    if op == "constant_term":
-        return operands[0].constant_term()
-    raise ValueError(f"unknown series op {op!r}")
-
-
 def exp_series(order: int) -> TruncSeries:
     return TruncSeries(0, [Fraction(1, factorial(k)) for k in range(order)], order)
 

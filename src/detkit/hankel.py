@@ -90,34 +90,42 @@ def hankel_dets(s: MomentSeq, n: int) -> list[Fraction]:
 def jfraction_from_moments(s: MomentSeq, depth: int) -> JFraction:
     """Extract (mu0, a_0..a_{depth-1}, b_1..b_{depth-1}) from moments.
 
+    Runs the Chebyshev algorithm (Gautschi 1982) on the first 2*depth
+    moments in O(depth^2) operations.  With sigma_{-1,l} = 0 and
+    sigma_{0,l} = mu_l, the modified moments
+
+        sigma_{k,l} = sigma_{k-1,l+1} - alpha_{k-1} sigma_{k-1,l}
+                      - beta_{k-1} sigma_{k-2,l}
+
+    give alpha_k = sigma_{k,k+1}/sigma_{k,k} - sigma_{k-1,k}/sigma_{k-1,k-1}
+    and beta_k = sigma_{k,k}/sigma_{k-1,k-1}.  In the sign convention of
+    this module a_k = -alpha_k, b_k = beta_k and mu0 = mu_0.
+
     Requires the leading Hankel determinants H_1..H_depth to be nonzero;
-    aborts with DegenerateMomentsError at the first vanishing one.
+    since sigma_{k,k} = H_{k+1}/H_k, aborts with DegenerateMomentsError
+    at the first vanishing one.
     """
     if len(s) < 2 * depth:
         raise ValueError(f"need at least {2 * depth} moments for depth {depth}")
     if s[0] == 0:
         raise DegenerateMomentsError(1)
-    order = len(s)
-    f = TruncSeries(0, [v / s[0] for v in s.values], order)
+    # row[j] = sigma_{k,k+j} and prev[j] = sigma_{k-1,k-1+j}
+    row = list(s.values[:2 * depth])
+    prev = [Fraction(0)] * len(row)
+    alpha = beta = ratio = Fraction(0)
     a: list[Fraction] = []
     b: list[Fraction] = []
     for k in range(depth):
-        # 1/f_k = 1 + a_k x - b_{k+1} x^2 f_{k+1}
-        g = f.inverse()
-        a_k = g.coeff(1) if g.order > 1 else Fraction(0)
-        a.append(a_k)
-        if k == depth - 1:
-            break
-        rem = TruncSeries(0, [1, a_k] + [0] * (g.order - 2), g.order) - g
-        # rem = b_{k+1} x^2 f_{k+1}
-        if rem.order <= 2:
-            raise ValueError("insufficient moments for requested depth")
-        b_k1 = rem.coeff(2)
-        if b_k1 == 0:
-            raise DegenerateMomentsError(k + 2)
-        coeffs = [rem.coeff(e) / b_k1 for e in range(2, rem.order)]
-        f = TruncSeries(0, coeffs, rem.order - 2)
-        b.append(b_k1)
+        if k:
+            prev, row = row, [row[j + 2] - alpha * row[j + 1] - beta * prev[j + 2]
+                              for j in range(len(row) - 2)]
+            if row[0] == 0:
+                raise DegenerateMomentsError(k + 1)
+            beta = row[0] / prev[0]
+            b.append(beta)
+        next_ratio = row[1] / row[0]
+        alpha, ratio = next_ratio - ratio, next_ratio
+        a.append(-alpha)
     return JFraction(s[0], a, b)
 
 

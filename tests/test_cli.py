@@ -1,6 +1,8 @@
 """Tests for the command-line interface: commands, flags, exit codes,
 and byte-identical deterministic reports."""
 
+import argparse
+import gc
 import json
 
 import pytest
@@ -119,3 +121,26 @@ def test_out_file_and_byte_identity(tmp_path, capsys):
                       "--seed", "9", "--format", "json", "--out", str(p))
         assert code == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def _live_parsers():
+    return sum(isinstance(o, argparse.ArgumentParser) for o in gc.get_objects())
+
+
+def test_main_reuses_one_parser(capsys):
+    main(["list"])
+    gc.collect()
+    one = _live_parsers()
+    # with the cyclic collector off, a parser built per call would stay
+    # counted until the next collection
+    gc.disable()
+    try:
+        for argv in (["list"], ["hankel", "--n", "x"]) * 10:
+            main(argv)
+        made = _live_parsers()
+    finally:
+        gc.enable()
+    gc.collect()
+    capsys.readouterr()
+    assert made == one
+    assert _live_parsers() == one

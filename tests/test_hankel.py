@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detkit.exactnum import bernoulli, catalan
+from detkit.exactnum import (TruncSeries, bell_poly, bernoulli, catalan,
+                             euler_even, hermite_poly)
 from detkit.hankel import (DegenerateMomentsError, JFraction, MomentSeq,
                            bernoulli_shifted_moments, continuous_hahn_jfraction,
                            hankel_det, hankel_dets, hankel_matrix,
@@ -129,3 +130,84 @@ def test_hankel_dets_match_each_order(case):
     dets = hankel_dets(s, n)
     assert all(type(d) is Fraction for d in dets)
     assert dets == [hankel_det(s, k) for k in range(1, n + 1)]
+
+
+def _jfraction_by_series_inversion(s: MomentSeq, depth: int) -> JFraction:
+    """Oracle: peel one level of the continued fraction per step by
+    inverting the whole remaining series, 1/f_k = 1 + a_k x - b_{k+1} x^2 f_{k+1}."""
+    if len(s) < 2 * depth:
+        raise ValueError(f"need at least {2 * depth} moments for depth {depth}")
+    if s[0] == 0:
+        raise DegenerateMomentsError(1)
+    f = TruncSeries(0, [v / s[0] for v in s.values], len(s))
+    a, b = [], []
+    for k in range(depth):
+        g = f.inverse()
+        a.append(g.coeff(1))
+        if k == depth - 1:
+            break
+        rem = TruncSeries(0, [1, a[-1]] + [0] * (g.order - 2), g.order) - g
+        b_k1 = rem.coeff(2)
+        if b_k1 == 0:
+            raise DegenerateMomentsError(k + 2)
+        f = TruncSeries(0, [rem.coeff(e) / b_k1 for e in range(2, rem.order)],
+                        rem.order - 2)
+        b.append(b_k1)
+    return JFraction(s[0], a, b)
+
+
+def _outcome(extract, s, depth):
+    try:
+        return extract(s, depth)
+    except (ValueError, IndexError) as exc:
+        return type(exc), getattr(exc, "index", None), str(exc)
+
+
+@given(st.integers(0, 8).flatmap(lambda depth: st.tuples(
+    st.just(depth),
+    st.lists(st.one_of(st.just(Fraction(0)),
+                       st.fractions(min_value=-5, max_value=5, max_denominator=4)),
+             min_size=2 * depth, max_size=2 * depth + 3))))
+@settings(max_examples=300, deadline=None)
+def test_jfraction_matches_series_inversion(case):
+    depth, vals = case
+    s = MomentSeq(vals)
+    assert (_outcome(jfraction_from_moments, s, depth)
+            == _outcome(_jfraction_by_series_inversion, s, depth))
+
+
+def test_jfraction_contract_edges():
+    s = MomentSeq([2, 3, 5])
+    assert jfraction_from_moments(s, 0) == JFraction(2, (), ())
+    with pytest.raises(ValueError, match="need at least 4 moments"):
+        jfraction_from_moments(s, 2)
+    with pytest.raises(DegenerateMomentsError) as info:
+        jfraction_from_moments(MomentSeq([0, 1]), 1)
+    assert info.value.index == 1
+    # H_1 = 1, H_2 = 0: the depth-2 extraction stops at order 2, and the
+    # moments past 2 * depth are never read
+    with pytest.raises(DegenerateMomentsError) as info:
+        jfraction_from_moments(MomentSeq([1, 1, 1, 2, 0]), 2)
+    assert info.value.index == 2
+    assert (jfraction_from_moments(MomentSeq([1, 2, 5, 7]), 2)
+            == jfraction_from_moments(MomentSeq([1, 2, 5, 7, 0, 0]), 2))
+
+
+def test_bernoulli_jfraction_is_continuous_hahn_at_depth_20():
+    # [PAPER] the shifted Bernoulli moments B_{k+2} have the continuous
+    # Hahn J-fraction
+    assert (jfraction_from_moments(bernoulli_shifted_moments(40), 20)
+            == continuous_hahn_jfraction(20))
+
+
+@pytest.mark.parametrize("moment", [
+    lambda k: bernoulli(k + 2),
+    lambda k: euler_even(2 * k),
+    lambda k: bell_poly(k)(1),
+    lambda k: hermite_poly(k)(0),
+], ids=["bernoulli-offset-2", "euler", "bell", "hermite"])
+def test_heilermann_matches_hankel_dets_at_20(moment):
+    s = MomentSeq([moment(k) for k in range(40)])
+    jf = jfraction_from_moments(s, 20)
+    dets = hankel_dets(s, 20)
+    assert [heilermann_product(jf, i) for i in range(1, 21)] == dets
