@@ -19,12 +19,8 @@ from ..exactnum import (PolyQ, TruncSeries, binomial, chebyshev_u,
                         q_binomial, q_pochhammer, rat, stirling2)
 from ..linalg import MatrixR, char_poly, det
 from .base import (IdentityRecord, Resample, Trial, VerifyReport,
-                   distinct_fracs, rand_frac, rand_nonzero, rand_q, register,
-                   trial_rng)
-
-
-def _fact(m: int) -> int:
-    return math.factorial(m)
+                   distinct_fracs, get_record, rand_frac, rand_nonzero, rand_q,
+                   register, run_trial, trial_rng)
 
 
 def _int_exp(e) -> int:
@@ -49,7 +45,7 @@ def _int_partitions(n: int, max_part: int = None):
 def _z_mu(mu) -> int:
     out = 1
     for part, mult in Counter(mu).items():
-        out *= part ** mult * _fact(mult)
+        out *= part ** mult * math.factorial(mult)
     return out
 
 
@@ -75,7 +71,8 @@ def _closed_inv(n: int, q: Fraction) -> Fraction:
     q = rat(q)
     out = Fraction(1)
     for i in range(2, n + 1):
-        e = int(binomial(n, i)) * _fact(i - 2) * _fact(n - i + 1)
+        e = (int(binomial(n, i)) * math.factorial(i - 2)
+             * math.factorial(n - i + 1))
         out *= (1 - q ** (i * (i - 1))) ** e
     return out
 
@@ -84,7 +81,7 @@ def _closed_maj(n: int, q: Fraction) -> Fraction:
     q = rat(q)
     out = Fraction(1)
     for i in range(2, n + 1):
-        out *= (1 - q ** i) ** (_fact(n) * (i - 1) // i)
+        out *= (1 - q ** i) ** (math.factorial(n) * (i - 1) // i)
     return out
 
 
@@ -112,7 +109,7 @@ def _maj_spectrum(n: int, q: Fraction) -> PolyQ:
         for part in mu:
             e_mu /= 1 - q ** part
         factor = PolyQ([-e_mu, 1])
-        for _ in range(_fact(n) // _z_mu(mu)):
+        for _ in range(math.factorial(n) // _z_mu(mu)):
             out = out * factor
     return out
 
@@ -226,13 +223,17 @@ def _meander_rhs(n: int, q: Fraction) -> Fraction:
     return out
 
 
-def _meander_trial(rng, n):
-    q = rand_q(rng)
+def _meander_det(n: int, q: Fraction) -> Fraction:
+    """det(q^{components(a, b)}) over the noncrossing matchings of 2n points."""
     matchings = nc_matchings(2 * n)
     m = len(matchings)
-    lhs = det(MatrixR.build(
+    return det(MatrixR.build(
         m, m, lambda i, j: q ** components(matchings[i], matchings[j])))
-    return {"q": q}, lhs, _meander_rhs(n, q)
+
+
+def _meander_trial(rng, n):
+    q = rand_q(rng)
+    return {"q": q}, _meander_det(n, q), _meander_rhs(n, q)
 
 
 register(IdentityRecord(id="meander", trial=_meander_trial, max_n=4))
@@ -250,10 +251,7 @@ def verify_nc_suite(n: int, q) -> VerifyReport:
     for name, left, right in zip(names, lhs, rhs):
         report.trials.append(Trial({"n": n, "q": q * q, "check": name},
                                    left, right, left == right))
-    matchings = nc_matchings(2 * n)
-    m = len(matchings)
-    left = det(MatrixR.build(
-        m, m, lambda i, j: q ** components(matchings[i], matchings[j])))
+    left = _meander_det(n, q)
     right = _meander_rhs(n, q)
     report.trials.append(Trial({"n": n, "q": q, "check": "matchings"},
                                left, right, left == right))
@@ -497,14 +495,10 @@ register(IdentityRecord(id="izergin-korepin", trial=_izkor_trial, max_n=4))
 def verify_izergin_korepin(n: int, seed: int = 0) -> VerifyReport:
     if n > 4:
         raise ValueError("n <= 4")
-    report = VerifyReport("izergin-korepin")
+    record = get_record("izergin-korepin")
+    report = VerifyReport(record.id)
     for t in range(3):
-        rng = trial_rng(seed, "izergin-korepin", t)
-        while True:
-            try:
-                params, lhs, rhs = _izkor_sides(rng, n)
-                break
-            except (Resample, ZeroDivisionError):
-                continue
-        report.trials.append(Trial({"n": n, **params}, lhs, rhs, lhs == rhs))
+        trial = run_trial(record, trial_rng(seed, record.id, t), n)
+        trial.params = {"n": n, **trial.params}
+        report.trials.append(trial)
     return report

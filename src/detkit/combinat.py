@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 
 from .exactnum import PolyQ, rat
 
@@ -73,17 +73,37 @@ def _all_partitions(n: int):
 
 
 @lru_cache(maxsize=None)
+def _nc_blocks(lo: int, hi: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Noncrossing partitions of lo..hi as block tuples, the block of lo first.
+
+    The block of lo is lo = a_0 < a_1 < ... < a_k.  Either lo is alone and
+    lo+1..hi is partitioned freely, or the gap lo+1..a_1-1 and the partition
+    of a_1..hi (whose first block, that of a_1, gains lo) are independent
+    noncrossing partitions; recursing on a_1..hi splits off the later gaps
+    and the tail after a_k the same way."""
+    if lo > hi:
+        return ((),)
+    out = [((lo,),) + rest for rest in _nc_blocks(lo + 1, hi)]
+    for a in range(lo + 1, hi + 1):
+        tails = _nc_blocks(a, hi)
+        for gap in _nc_blocks(lo + 1, a - 1):
+            out.extend(((lo,) + tail[0],) + gap + tail[1:] for tail in tails)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def enumerate_partitions(n: int, noncrossing_only: bool = False) -> tuple[SetPartition, ...]:
+    """All set partitions of {1..n} (or the noncrossing ones), sorted by blocks."""
     if n < 1:
         raise ValueError("n must be positive")
     if noncrossing_only:
         if n > 10:
             raise ValueError("noncrossing enumeration capped at n <= 10")
+        out = [SetPartition(n, blocks) for blocks in _nc_blocks(1, n)]
     elif n > 8:
         raise ValueError("full enumeration capped at n <= 8")
-    out = [SetPartition(n, blocks) for blocks in _all_partitions(n)]
-    if noncrossing_only:
-        out = [p for p in out if p.is_noncrossing()]
+    else:
+        out = [SetPartition(n, blocks) for blocks in _all_partitions(n)]
     return tuple(sorted(out, key=lambda p: p.blocks))
 
 
@@ -97,6 +117,14 @@ def partition_meet(p: SetPartition, g: SetPartition) -> SetPartition:
             if inter:
                 blocks.append(inter)
     return SetPartition(p.n, blocks)
+
+
+def _crossing(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """True if x < y < z < w for some x, z in one block and y, w in the
+    other: read in increasing order, the union changes block three times."""
+    in_a = set(a)
+    side = [x in in_a for x in sorted(a + b)]
+    return sum(s != t for s, t in zip(side, side[1:])) >= 3
 
 
 def partition_join(p: SetPartition, g: SetPartition, lattice: str = "full") -> SetPartition:
@@ -127,16 +155,17 @@ def partition_join(p: SetPartition, g: SetPartition, lattice: str = "full") -> S
     if lattice == "noncrossing":
         if not (p.is_noncrossing() and g.is_noncrossing()):
             raise ValueError("noncrossing join requires noncrossing inputs")
-        above = [
-            c
-            for c in enumerate_partitions(p.n, True)
-            if p.refines(c) and g.refines(c)
-        ]
-        # the minimum of `above` in refinement order
-        for c in above:
-            if all(c.refines(d) for d in above):
-                return c
-        raise AssertionError("noncrossing join not found")
+        # Two crossing blocks of any partition below the join must share a
+        # block of every noncrossing partition above it, so merging them is
+        # forced; what is left when nothing crosses is the least one.
+        blocks = list(partition_join(p, g, "full").blocks)
+        while True:
+            pair = next(((i, j) for i, j in combinations(range(len(blocks)), 2)
+                         if _crossing(blocks[i], blocks[j])), None)
+            if pair is None:
+                return SetPartition(p.n, blocks)
+            i, j = pair
+            blocks[i] += blocks.pop(j)
     raise ValueError(f"unknown lattice {lattice!r}")
 
 
@@ -221,16 +250,30 @@ def nc_lattice(n: int) -> PosetData:
 # noncrossing perfect matchings
 
 
+def _nc_pairings(lo: int, hi: int) -> list[tuple[tuple[int, int], ...]]:
+    """Noncrossing perfect matchings of lo..hi as pair tuples: lo pairs with
+    some p, p - lo odd, and the inside lo+1..p-1 and the outside p+1..hi
+    are matched independently."""
+    if lo > hi:
+        return [()]
+    out = []
+    for p in range(lo + 1, hi + 1, 2):
+        outside = _nc_pairings(p + 1, hi)
+        for inside in _nc_pairings(lo + 1, p - 1):
+            out.extend(((lo, p),) + inside + rest for rest in outside)
+    return out
+
+
 def nc_matchings(n2: int) -> tuple[SetPartition, ...]:
+    """The noncrossing perfect matchings of {1..n2}, sorted by blocks."""
+    if n2 < 1:
+        raise ValueError("n must be positive")
     if n2 % 2:
         raise ValueError("nc_matchings requires an even ground set")
     if n2 > 12:
         raise ValueError("capped at 12 points")
-    return tuple(
-        p
-        for p in enumerate_partitions(n2, True)
-        if all(len(b) == 2 for b in p.blocks)
-    )
+    return tuple(sorted((SetPartition(n2, m) for m in _nc_pairings(1, n2)),
+                        key=lambda p: p.blocks))
 
 
 def components(a: SetPartition, b: SetPartition) -> int:

@@ -105,8 +105,9 @@ def jfraction_from_moments(s: MomentSeq, depth: int) -> JFraction:
     since sigma_{k,k} = H_{k+1}/H_k, aborts with DegenerateMomentsError
     at the first vanishing one.
     """
-    if len(s) < 2 * depth:
-        raise ValueError(f"need at least {2 * depth} moments for depth {depth}")
+    need = max(1, 2 * depth)  # mu0 = s[0] is read even at depth 0
+    if len(s) < need:
+        raise ValueError(f"need at least {need} moments for depth {depth}")
     if s[0] == 0:
         raise DegenerateMomentsError(1)
     # row[j] = sigma_{k,k+j} and prev[j] = sigma_{k-1,k-1+j}

@@ -121,6 +121,17 @@ def test_izergin_korepin():
     assert verify_izergin_korepin(3, seed=2).overall
 
 
+def test_izergin_korepin_resampling_is_bounded(monkeypatch):
+    from detkit.catalog import structured
+
+    def never_in_domain(rng, n):
+        raise catalog.Resample
+
+    monkeypatch.setattr(structured, "_izkor_sides", never_in_domain)
+    with pytest.raises(RuntimeError, match="after 200 samples"):
+        verify_izergin_korepin(2, seed=0)
+
+
 def test_condensation_check():
     assert condensation_recurrence_check(2, 3, 4).overall
 

@@ -2,12 +2,14 @@
 functions, permutation statistics, and alternating-sign matrices."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detkit.combinat import (SetPartition, all_perms, asm_enumerate,
+from detkit.combinat import (SetPartition, _all_partitions, all_perms,
+                             asm_enumerate,
                              components, enumerate_partitions, nc_lattice,
                              nc_matchings, partition_join, partition_lattice,
                              partition_meet, perm_compose, perm_invert,
@@ -24,6 +26,21 @@ def test_partition_counts():
     assert [len(enumerate_partitions(n)) for n in range(1, 6)] == [1, 2, 5, 15, 52]
     for n in range(1, 6):
         assert len(enumerate_partitions(n, noncrossing_only=True)) == catalan(n)
+
+
+@lru_cache(maxsize=None)
+def _nc_by_filter(n: int, matchings_only: bool = False) -> tuple[SetPartition, ...]:
+    """Oracle: every set partition of {1..n} (perfect matchings only, if
+    asked), kept when noncrossing, sorted by blocks."""
+    out = [SetPartition(n, blocks) for blocks in _all_partitions(n)
+           if not matchings_only or all(len(b) == 2 for b in blocks)]
+    return tuple(sorted((p for p in out if p.is_noncrossing()),
+                        key=lambda p: p.blocks))
+
+
+def test_noncrossing_enumeration_matches_filter():
+    for n in range(1, 10):
+        assert enumerate_partitions(n, noncrossing_only=True) == _nc_by_filter(n)
 
 
 def test_noncrossing_predicate():
@@ -44,6 +61,32 @@ def test_meet_join_anchors():
     b = SetPartition(4, ((2, 4), (1,), (3,)))
     assert partition_join(a, b, lattice="full").num_blocks == 2
     assert partition_join(a, b, lattice="noncrossing").num_blocks == 1
+
+
+def test_nc_join_matches_least_upper_bound_search():
+    # the least noncrossing partition above both, read off the refinement
+    # table of NC(n), for every pair
+    for n in range(1, 7):
+        ncs = _nc_by_filter(n)
+        up = [{k for k, c in enumerate(ncs) if p.refines(c)} for p in ncs]
+        for i, p in enumerate(ncs):
+            for j, g in enumerate(ncs):
+                above = up[i] & up[j]
+                [least] = [k for k in above if above <= up[k]]
+                assert partition_join(p, g, "noncrossing") == ncs[least]
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, catalan(n) - 1), st.integers(0, catalan(n) - 1))))
+@settings(deadline=None)
+def test_nc_join_matches_upper_bound_scan(case):
+    n, i, j = case
+    ncs = _nc_by_filter(n)
+    p, g = ncs[i], ncs[j]
+    above = [c for c in ncs if p.refines(c) and g.refines(c)]
+    least = max(above, key=lambda c: c.num_blocks)
+    assert all(least.refines(c) for c in above)
+    assert partition_join(p, g, "noncrossing") == least
 
 
 def test_components():
@@ -95,11 +138,17 @@ def test_reciprocal_poly():
 
 
 def test_nc_matchings():
-    # [TRIVIAL] noncrossing perfect matchings are Catalan-many
-    assert [len(nc_matchings(2 * n)) for n in range(1, 5)] == [1, 2, 5, 14]
-    for m in nc_matchings(6):
+    # [TRIVIAL] noncrossing perfect matchings are Catalan-many, up to the
+    # 12-point cap
+    assert [len(nc_matchings(2 * n)) for n in range(1, 7)] == [1, 2, 5, 14, 42, 132]
+    for m in nc_matchings(12):
         assert all(len(b) == 2 for b in m.blocks)
         assert m.is_noncrossing()
+
+
+def test_nc_matchings_match_filter():
+    for n2 in range(2, 11, 2):
+        assert nc_matchings(n2) == _nc_by_filter(n2, matchings_only=True)
 
 
 # ---------------------------------------------------------------------------

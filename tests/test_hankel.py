@@ -135,8 +135,9 @@ def test_hankel_dets_match_each_order(case):
 def _jfraction_by_series_inversion(s: MomentSeq, depth: int) -> JFraction:
     """Oracle: peel one level of the continued fraction per step by
     inverting the whole remaining series, 1/f_k = 1 + a_k x - b_{k+1} x^2 f_{k+1}."""
-    if len(s) < 2 * depth:
-        raise ValueError(f"need at least {2 * depth} moments for depth {depth}")
+    need = max(1, 2 * depth)  # mu0 = s[0] is read even at depth 0
+    if len(s) < need:
+        raise ValueError(f"need at least {need} moments for depth {depth}")
     if s[0] == 0:
         raise DegenerateMomentsError(1)
     f = TruncSeries(0, [v / s[0] for v in s.values], len(s))
@@ -159,7 +160,7 @@ def _jfraction_by_series_inversion(s: MomentSeq, depth: int) -> JFraction:
 def _outcome(extract, s, depth):
     try:
         return extract(s, depth)
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         return type(exc), getattr(exc, "index", None), str(exc)
 
 
@@ -181,6 +182,9 @@ def test_jfraction_contract_edges():
     assert jfraction_from_moments(s, 0) == JFraction(2, (), ())
     with pytest.raises(ValueError, match="need at least 4 moments"):
         jfraction_from_moments(s, 2)
+    # mu0 is read even at depth 0
+    with pytest.raises(ValueError, match="need at least 1 moments"):
+        jfraction_from_moments(MomentSeq([]), 0)
     with pytest.raises(DegenerateMomentsError) as info:
         jfraction_from_moments(MomentSeq([0, 1]), 1)
     assert info.value.index == 1
