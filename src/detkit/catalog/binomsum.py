@@ -6,17 +6,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..exactnum import binomial, pochhammer, rat
+from ..exactnum import binomial, double_factorial, pochhammer, rat
 from ..linalg import MatrixR, det
 from .base import (IdentityRecord, det_record, prod, rand_frac, register)
-
-
-def _dfact(m: int) -> Fraction:
-    out = 1
-    while m > 0:
-        out *= m
-        m -= 2
-    return Fraction(out)
 
 
 def _sign_mod4(n: int) -> int:
@@ -125,7 +117,7 @@ def _closed_rn(n, mu):
         out *= pochhammer(mu + i, i // 2)
         out *= pochhammer(mu + 3 * n - (3 * i - 1) // 2 + Fraction(1, 2),
                           (i + 1) // 2)
-        out /= _dfact(2 * i - 1)
+        out /= double_factorial(2 * i - 1)
     return out
 
 

@@ -4,24 +4,17 @@ distinguished row."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from ..exactnum import (binomial, factorial, pochhammer, q_binomial,
+from ..exactnum import (binomial, double_factorial, pochhammer, q_binomial,
                         q_pochhammer, rat)
 from ..linalg import MatrixR
 from .base import det_record, prod, rand_nonzero, rand_q
 
 
 def _fact(m: int) -> Fraction:
-    return Fraction(factorial(m))
-
-
-def _dfact(m: int) -> Fraction:
-    out = 1
-    while m > 0:
-        out *= m
-        m -= 2
-    return Fraction(out)
+    return Fraction(math.factorial(m))
 
 
 def _qq(m: int, q) -> Fraction:
@@ -245,7 +238,7 @@ def _make_tsscpp2(m, min_n):
                 out /= _fact(x + 2 * i) * _fact(x + 2 * i + 4)
         shift = 1 if m == 0 else (3 if m in (1, 2) else 5)
         out *= prod(2 * x + 2 * i + shift for i in range(h))
-        out /= _dfact(2 * h - 1)
+        out /= double_factorial(2 * h - 1)
         if m == 2:
             out *= Fraction(x + n + 1 if n % 2 == 0 else 2 * x + n + 2, x + 1)
         elif m == 3:

@@ -6,8 +6,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..exactnum import (binomial, factorial, pochhammer, q_binomial,
-                        q_factorial, q_int, q_pochhammer, rat)
+from ..exactnum import (binomial, double_factorial, factorial, pochhammer,
+                        q_binomial, q_factorial, q_int, q_pochhammer, rat)
 from ..linalg import MatrixR
 from .base import (Resample, decreasing_ints, det_record, prod, rand_frac,
                    rand_q)
@@ -29,15 +29,6 @@ def _fact(m: int) -> Fraction:
 def _inv_fact(m: int) -> Fraction:
     """1/m!, with 1/(negative)! = 0."""
     return Fraction(0) if m < 0 else Fraction(1, factorial(m))
-
-
-def _dfact(m: int) -> Fraction:
-    """Double factorial m!! (empty product for m <= 0)."""
-    out = 1
-    while m > 0:
-        out *= m
-        m -= 2
-    return Fraction(out)
 
 
 def _increasing_ints(rng, n: int, hi: int) -> tuple[int, ...]:
@@ -404,7 +395,7 @@ def _closed_andrews(n, mu):
             base = mu + Fraction(3 * n, 2) - _ceil(3 * i, 2) + Fraction(3, 2)
             out *= pochhammer(base, _ceil(i, 2) - 1) * pochhammer(base, _ceil(i, 2))
         for i in range(1, n // 2):
-            out /= _dfact(2 * i - 1) * _dfact(2 * i + 1)
+            out /= double_factorial(2 * i - 1) * double_factorial(2 * i + 1)
     else:
         for i in range(1, n - 1):
             out *= pochhammer(mu + _ceil(i, 2) + 1, (i + 3) // 4)
@@ -414,7 +405,7 @@ def _closed_andrews(n, mu):
             out *= pochhammer(
                 mu + Fraction(3 * n, 2) - _ceil(3 * i, 2), _ceil(i, 2))
         for i in range(1, (n - 1) // 2 + 1):
-            out /= _dfact(2 * i - 1) ** 2
+            out /= double_factorial(2 * i - 1) ** 2
     return out
 
 

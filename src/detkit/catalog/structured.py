@@ -161,9 +161,15 @@ def _chi_nc(i: int) -> PolyQ:
 
 
 def _lattice_det(parts, q: Fraction, op) -> Fraction:
+    """det(q^{blocks(op(a, b))}) over parts; op is a meet or a join, so it
+    commutes and only the upper triangle is evaluated."""
     m = len(parts)
-    return det(MatrixR.build(
-        m, m, lambda i, j: q ** op(parts[i], parts[j]).num_blocks))
+    powers = [q ** k for k in range(parts[0].n + 1)]
+    entries = [[None] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            entries[i][j] = entries[j][i] = powers[op(parts[i], parts[j]).num_blocks]
+    return det(MatrixR(m, m, [e for row in entries for e in row]))
 
 
 def _nc_suite_sides(n: int, q: Fraction):
@@ -372,12 +378,22 @@ def _goja_sides(rng, n: int, trunc: int):
     def ct(series) -> Fraction:
         return series.constant_term()
 
+    # fh[i][j] = F_j * H_j^(-i), shared by both sides; each H_j is
+    # inverted once
+    invs = [h.inverse() for h in hs]
+    pws = [inv.pow_int(0) for inv in invs]
+    fh = []
+    for i in range(n):
+        if i:
+            pws = [pw * inv for pw, inv in zip(pws, invs)]
+        fh.append([f * pw for f, pw in zip(fs, pws)])
+
     def entry_lhs(i, j):
         g_of_h = TruncSeries.from_poly(gs[i], trunc).compose(hs[j])
-        return ct(fs[j] * hs[j].pow_int(-i) * g_of_h)
+        return ct(fh[i][j] * g_of_h)
 
     def entry_rhs(i, j):
-        return ct(fs[j] * hs[j].pow_int(-i)) * gs[i].coeff(0)
+        return ct(fh[i][j]) * gs[i].coeff(0)
 
     lhs = det(MatrixR.build(n, n, entry_lhs))
     rhs = det(MatrixR.build(n, n, entry_rhs))

@@ -8,6 +8,7 @@ floating point.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
@@ -39,10 +40,17 @@ def fmt_rat(x: Fraction) -> str:
 def factorial(n: int) -> int:
     if n < 0:
         raise ValueError(f"factorial of negative integer {n}")
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
+    return math.factorial(n)
+
+
+def double_factorial(m: int) -> int:
+    """m!! = m(m-2)(m-4)...; the empty product 1 for m <= 0."""
+    return math.prod(range(m, 0, -2))
+
+
+# The functions below keep an integer numerator and denominator and build
+# one Fraction at the end, so a k-factor product costs one gcd instead of
+# a few per factor.
 
 
 def binomial(x, k: int) -> Fraction:
@@ -50,50 +58,66 @@ def binomial(x, k: int) -> Fraction:
     if k < 0:
         return Fraction(0)
     x = rat(x)
-    num = Fraction(1)
+    p, d = x.numerator, x.denominator
+    if d == 1:
+        if p >= 0:
+            return Fraction(math.comb(p, k))
+        # (-m choose k) = (-1)^k (m+k-1 choose k)
+        c = math.comb(k - p - 1, k)
+        return Fraction(-c if k & 1 else c)
+    # x = p/d: (x)(x-1)...(x-k+1) = prod(p - j*d) / d^k
+    num = 1
     for j in range(k):
-        num *= x - j
-    return num / factorial(k)
+        num *= p - j * d
+    return Fraction(num, d ** k * math.factorial(k))
 
 
 def pochhammer(a, k: int) -> Fraction:
     """Shifted factorial (a)_k = a(a+1)...(a+k-1), with the reciprocal
     convention (a)_{-m} = 1/((a-1)(a-2)...(a-m)) for negative k."""
     a = rat(a)
+    p, d = a.numerator, a.denominator
+    num = 1
     if k >= 0:
-        out = Fraction(1)
         for j in range(k):
-            out *= a + j
-        return out
-    out = Fraction(1)
+            num *= p + j * d
+        return Fraction(num, d ** k)
     for j in range(1, -k + 1):
-        f = a - j
+        f = p - j * d
         if f == 0:
             raise ZeroDivisionError(f"pochhammer({a}, {k}): factor a-{j} vanishes")
-        out *= f
-    return 1 / out
+        num *= f
+    return Fraction(d ** -k, num)
 
 
 def q_pochhammer(a, q, k: int) -> Fraction:
     """q-shifted factorial (a;q)_k, with the reciprocal convention
     (a;q)_{-m} = 1/((1-a/q)(1-a/q^2)...(1-a/q^m)) for negative k."""
     a, q = rat(a), rat(q)
+    ap, ad = a.numerator, a.denominator
+    num, pp, pd = 1, 1, 1  # pp/pd is the current power of q (or of 1/q)
     if k >= 0:
-        out = Fraction(1)
-        pw = Fraction(1)
+        qp, qd = q.numerator, q.denominator
         for _ in range(k):
-            out *= 1 - a * pw
-            pw *= q
-        return out
-    out = Fraction(1)
-    pw = Fraction(1)
-    for j in range(1, -k + 1):
-        pw /= q
-        f = 1 - a * pw
+            # 1 - a*q^j = (ad*qd^j - ap*qp^j) / (ad*qd^j)
+            num *= ad * pd - ap * pp
+            pp *= qp
+            pd *= qd
+        return Fraction(num, ad ** k * qd ** (k * (k - 1) // 2))
+    js = range(1, -k + 1)
+    # q^-j = (1/q)^j swaps q's numerator and denominator; 1/q raises
+    # ZeroDivisionError for q = 0, after range has rejected a non-integer k
+    r = 1 / q
+    qp, qd = r.numerator, r.denominator
+    for j in js:
+        pp *= qp
+        pd *= qd
+        f = ad * pd - ap * pp
         if f == 0:
             raise ZeroDivisionError(f"q_pochhammer({a}, {q}, {k}): factor 1-a*q^-{j} vanishes")
-        out *= f
-    return 1 / out
+        num *= f
+    # prod over j = 1..m of ad*qd^j is ad^m * qd^(m(m+1)/2), with m = -k
+    return Fraction(ad ** -k * qd ** (k * (k - 1) // 2), num)
 
 
 def q_int(n: int, q) -> Fraction:
@@ -106,10 +130,28 @@ def q_int(n: int, q) -> Fraction:
 
 def q_factorial(n: int, q) -> Fraction:
     """[n]_q! = [n]_q [n-1]_q ... [1]_q."""
-    out = Fraction(1)
-    for j in range(1, n + 1):
-        out *= q_int(j, q)
-    return out
+    js = range(1, n + 1)
+    if not js:
+        return Fraction(1)
+    q = rat(q)
+    if q == 1:
+        return Fraction(math.factorial(n))
+    p, d = q.numerator, q.denominator
+    # [j]_q = h_j / d^(j-1), h_j = d^(j-1) + d^(j-2) p + ... + p^(j-1)
+    num, h, dj = 1, 0, 1
+    for _ in js:
+        h = p * h + dj
+        dj *= d
+        num *= h
+    return Fraction(num, d ** (n * (n - 1) // 2))
+
+
+def _one_minus_power(p: int, d: int, e: int) -> tuple[int, int]:
+    """1 - (p/d)^e as an integer numerator and denominator (p != 0)."""
+    if e < 0:
+        p, d, e = d, p, -e
+    de = d ** e
+    return de - p ** e, de
 
 
 def q_binomial(alpha: int, k: int, q) -> Fraction:
@@ -121,14 +163,17 @@ def q_binomial(alpha: int, k: int, q) -> Fraction:
         return binomial(alpha, k)
     if q == 0:
         raise ZeroDivisionError("q_binomial undefined at q = 0")
-    num = Fraction(1)
-    den = Fraction(1)
+    p, d = q.numerator, q.denominator
+    num = den = 1
     for j in range(k):
-        num *= 1 - q ** (alpha - j)
-        den *= 1 - q ** (j + 1)
+        # (1 - q^(alpha-j)) / (1 - q^(j+1))
+        a, b = _one_minus_power(p, d, alpha - j)
+        c, e = _one_minus_power(p, d, j + 1)
+        num *= a * e
+        den *= b * c
     if den == 0:
         raise ZeroDivisionError(f"q_binomial({alpha}, {k}, {q}): denominator vanishes")
-    return num / den
+    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -582,15 +627,23 @@ class TruncSeries:
         if itv is not None and itv < 1:
             raise ValueError("compose requires inner valuation >= 1")
         order = min(self.order, inner.order)
+        # inner^e is O(x^order) once e*v >= order, v the inner's true
+        # valuation, so only the outer terms below that e count, and only
+        # up to the last nonzero one
+        v = order if itv is None else itv
+        cs = [self.coeff(e) for e in range((order - 1) // v + 1)]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        if itv is not None:  # store inner from its first nonzero term
+            inner = TruncSeries(itv, inner.coeffs[itv - inner.valuation:], inner.order)
         out = TruncSeries(0, [0] * order, order)
         pw = TruncSeries(0, [1] + [0] * (order - 1), order)
-        for e in range(0, self.order):
-            c = self.coeff(e) if e >= self.valuation else Fraction(0)
+        for e, c in enumerate(cs):
+            if e:
+                pw = (pw * inner).restrict(order)
             if c != 0:
                 out = out + c * pw
-            if e + 1 < self.order:
-                pw = (pw * inner).restrict(order)
-        return out.restrict(order)
+        return out
 
     def restrict(self, order: int) -> "TruncSeries":
         """Truncate to a smaller order (padding is never invented)."""

@@ -16,7 +16,8 @@ from detkit.catalog import (UnknownIdentityError, build_matrix, closed_form,
                             verify_identity, verify_izergin_korepin,
                             verify_nc_suite, verify_okada, verify_strehl_wilf,
                             verify_turnbull)
-from detkit.linalg import det
+from detkit.catalog.base import trial_rng
+from detkit.linalg import MatrixR, det
 
 
 def test_registry_is_populated_and_ordered():
@@ -115,6 +116,60 @@ def test_turnbull_goulden_jackson_strehl_wilf():
     assert verify_turnbull(3, 4, seed=2).overall
     assert verify_goulden_jackson(3, trunc=16, seed=2).overall
     assert verify_strehl_wilf(3, trunc=16, seed=2).overall
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lattice_det_matches_full_build(n):
+    # the upper-triangle build against all m^2 entries, for every
+    # (ground set, meet/join) pair that nc-suite uses
+    from detkit.catalog.structured import _lattice_det
+    from detkit.combinat import (enumerate_partitions, partition_join,
+                                 partition_meet)
+    parts, ncs = enumerate_partitions(n), enumerate_partitions(n, True)
+    cases = [
+        (parts, partition_meet),
+        (parts, lambda a, b: partition_join(a, b, "full")),
+        (ncs, partition_meet),
+        (ncs, lambda a, b: partition_join(a, b, "noncrossing")),
+        (ncs, lambda a, b: partition_join(a, b, "full")),
+    ]
+    for q in (Fraction(2, 3), Fraction(-5, 2)):
+        for ground, op in cases:
+            m = len(ground)
+            full = MatrixR.build(
+                m, m, lambda i, j: q ** op(ground[i], ground[j]).num_blocks)
+            assert _lattice_det(ground, q, op) == det(full)
+
+
+def _goja_sides_per_entry(rng, n, trunc):
+    """The Goulden-Jackson trial with H_j^(-i) inverted for every entry."""
+    from detkit.catalog.base import rand_frac, rand_nonzero
+    from detkit.exactnum import PolyQ, TruncSeries
+    fs, hs, gs = [], [], []
+    for _ in range(n):
+        fs.append(TruncSeries(0, [rand_frac(rng) for _ in range(trunc)], trunc))
+        hs.append(TruncSeries(
+            1, [rand_nonzero(rng)] + [rand_frac(rng) for _ in range(trunc - 2)],
+            trunc))
+        gs.append(PolyQ([rand_frac(rng) for _ in range(4)]))
+
+    def entry_lhs(i, j):
+        g_of_h = TruncSeries.from_poly(gs[i], trunc).compose(hs[j])
+        return (fs[j] * hs[j].pow_int(-i) * g_of_h).constant_term()
+
+    def entry_rhs(i, j):
+        return (fs[j] * hs[j].pow_int(-i)).constant_term() * gs[i].coeff(0)
+
+    return (det(MatrixR.build(n, n, entry_lhs)),
+            det(MatrixR.build(n, n, entry_rhs)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_goja_shared_inverse_powers_match_per_entry(n):
+    from detkit.catalog.structured import _goja_sides
+    for t in range(2):
+        _, lhs, rhs = _goja_sides(trial_rng(5, "goja", t), n, 12)
+        assert (lhs, rhs) == _goja_sides_per_entry(trial_rng(5, "goja", t), n, 12)
 
 
 def test_izergin_korepin():

@@ -1,6 +1,7 @@
 """Oracle and property tests for exact scalars, polynomials, rational
 functions, and truncated series."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,10 +10,11 @@ from hypothesis import strategies as st
 
 from detkit.exactnum import (PolyQ, RatFn, TruncSeries, bell_poly, bernoulli,
                              binomial, catalan, chebyshev_u, cos_series,
-                             euler_even, exp_series, factorial, fmt_rat,
-                             hermite_poly, pochhammer, poly_gcd, q_binomial,
-                             q_factorial, q_int, q_pochhammer, rat,
-                             special_sequence, stirling1_unsigned, stirling2)
+                             double_factorial, euler_even, exp_series,
+                             factorial, fmt_rat, hermite_poly, pochhammer,
+                             poly_gcd, q_binomial, q_factorial, q_int,
+                             q_pochhammer, rat, special_sequence,
+                             stirling1_unsigned, stirling2)
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=7)
 small_ints = st.integers(min_value=0, max_value=8)
@@ -94,6 +96,181 @@ def test_q_analogues():
 @given(st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=10))
 def test_binomial_pascal(n, k):
     assert binomial(n + 1, k + 1) == binomial(n, k) + binomial(n, k + 1)
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the integer numerator/denominator evaluations against
+# the plain Fraction loops they replaced
+
+
+def _binomial_loop(x, k):
+    if k < 0:
+        return Fraction(0)
+    x = rat(x)
+    num = Fraction(1)
+    for j in range(k):
+        num *= x - j
+    return num / math.factorial(k)
+
+
+def _pochhammer_loop(a, k):
+    a = rat(a)
+    if k >= 0:
+        out = Fraction(1)
+        for j in range(k):
+            out *= a + j
+        return out
+    out = Fraction(1)
+    for j in range(1, -k + 1):
+        f = a - j
+        if f == 0:
+            raise ZeroDivisionError(f"pochhammer({a}, {k}): factor a-{j} vanishes")
+        out *= f
+    return 1 / out
+
+
+def _q_pochhammer_loop(a, q, k):
+    a, q = rat(a), rat(q)
+    if k >= 0:
+        out = Fraction(1)
+        pw = Fraction(1)
+        for _ in range(k):
+            out *= 1 - a * pw
+            pw *= q
+        return out
+    out = Fraction(1)
+    pw = Fraction(1)
+    for j in range(1, -k + 1):
+        pw /= q
+        f = 1 - a * pw
+        if f == 0:
+            raise ZeroDivisionError(f"q_pochhammer({a}, {q}, {k}): factor 1-a*q^-{j} vanishes")
+        out *= f
+    return 1 / out
+
+
+def _q_factorial_loop(n, q):
+    out = Fraction(1)
+    for j in range(1, n + 1):
+        out *= q_int(j, q)
+    return out
+
+
+def _q_binomial_loop(alpha, k, q):
+    if k < 0:
+        return Fraction(0)
+    q = rat(q)
+    if q == 1:
+        return _binomial_loop(alpha, k)
+    if q == 0:
+        raise ZeroDivisionError("q_binomial undefined at q = 0")
+    num = Fraction(1)
+    den = Fraction(1)
+    for j in range(k):
+        num *= 1 - q ** (alpha - j)
+        den *= 1 - q ** (j + 1)
+    if den == 0:
+        raise ZeroDivisionError(f"q_binomial({alpha}, {k}, {q}): denominator vanishes")
+    return num / den
+
+
+def _outcome(f, *args):
+    """The value with its type, or the exception type and message."""
+    try:
+        value = f(*args)
+    except (ZeroDivisionError, ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+uppers = st.one_of(st.integers(min_value=-20, max_value=20), rationals)
+lowers = st.integers(min_value=-4, max_value=12)
+qs = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(2)]),
+    st.integers(min_value=2, max_value=10**4).flatmap(  # q near 1
+        lambda m: st.sampled_from([Fraction(m - 1, m), Fraction(m + 1, m)])),
+    st.integers(min_value=-4, max_value=4),
+    rationals)
+
+
+@settings(max_examples=400)
+@given(uppers, lowers)
+def test_binomial_matches_fraction_loop(x, k):
+    assert _outcome(binomial, x, k) == _outcome(_binomial_loop, x, k)
+
+
+@settings(max_examples=400)
+@given(uppers, st.integers(min_value=-8, max_value=10))
+def test_pochhammer_matches_fraction_loop(a, k):
+    # integer a in 1..-k makes a factor of the reciprocal product vanish
+    assert _outcome(pochhammer, a, k) == _outcome(_pochhammer_loop, a, k)
+
+
+@st.composite
+def q_pochhammer_args(draw):
+    q = draw(qs)
+    if q != 0 and draw(st.booleans()):
+        a = rat(q) ** draw(st.integers(min_value=-4, max_value=4))  # vanishing factors
+    else:
+        a = draw(uppers)
+    return a, q, draw(st.integers(min_value=-6, max_value=10))
+
+
+@settings(max_examples=400)
+@given(q_pochhammer_args())
+def test_q_pochhammer_matches_fraction_loop(args):
+    assert _outcome(q_pochhammer, *args) == _outcome(_q_pochhammer_loop, *args)
+
+
+@settings(max_examples=300)
+@given(st.integers(min_value=-3, max_value=12), qs)
+def test_q_factorial_matches_fraction_loop(n, q):
+    assert _outcome(q_factorial, n, q) == _outcome(_q_factorial_loop, n, q)
+
+
+@settings(max_examples=400)
+@given(st.integers(min_value=-10, max_value=20), lowers, qs)
+def test_q_binomial_matches_fraction_loop(alpha, k, q):
+    # q = -1 with k >= 2 makes the denominator vanish
+    assert _outcome(q_binomial, alpha, k, q) == _outcome(_q_binomial_loop, alpha, k, q)
+
+
+def test_entry_function_errors_unchanged():
+    # the same exception types and messages as the Fraction loops, also
+    # for arguments outside the documented domain
+    cases = [
+        (binomial, _binomial_loop, (2, Fraction(2))),
+        (binomial, _binomial_loop, (-3, 2.0)),
+        (binomial, _binomial_loop, (Fraction(1, 2), Fraction(2))),
+        (binomial, _binomial_loop, ("zz", -1)),
+        (binomial, _binomial_loop, ("zz", 2)),
+        (pochhammer, _pochhammer_loop, (3, -5)),
+        (pochhammer, _pochhammer_loop, (2, Fraction(-2))),
+        (q_pochhammer, _q_pochhammer_loop, (1, 0, -2)),
+        (q_pochhammer, _q_pochhammer_loop, (1, 0, Fraction(-2))),
+        (q_pochhammer, _q_pochhammer_loop, (Fraction(1, 4), Fraction(1, 2), -3)),
+        (q_factorial, _q_factorial_loop, (0, "not a number")),
+        (q_factorial, _q_factorial_loop, (-2, 1)),
+        (q_binomial, _q_binomial_loop, (5, 3, 0)),
+        (q_binomial, _q_binomial_loop, (5, 3, -1)),
+    ]
+    for new, old, args in cases:
+        assert _outcome(new, *args) == _outcome(old, *args), (new.__name__, args)
+    assert _outcome(pochhammer, 3, -5)[0] is ZeroDivisionError
+    assert _outcome(q_pochhammer, 1, 0, -2) == (ZeroDivisionError, "Fraction(1, 0)")
+
+
+def test_factorials():
+    for m in range(-3, 25):
+        dfact = 1
+        for t in range(m, 0, -2):
+            dfact *= t
+        assert double_factorial(m) == dfact
+        if m >= 0:
+            assert factorial(m) == math.factorial(m)
+    assert double_factorial(7) == 105 and double_factorial(8) == 384
+    with pytest.raises(ValueError, match="factorial of negative integer -1"):
+        factorial(-1)
 
 
 def test_fmt_rat():
@@ -223,3 +400,72 @@ def test_series_valuation():
     assert s.true_valuation() == 2
     with pytest.raises(ZeroDivisionError):
         TruncSeries(0, [0, 0, 0]).inverse()
+
+
+def _compose_full_walk(outer, inner):
+    """The composition loop that walks all outer.order powers of inner."""
+    if outer.valuation < 0 and any(c != 0 for c in outer.coeffs[: -outer.valuation]):
+        raise ValueError("compose requires a power-series outer operand")
+    itv = inner.true_valuation()
+    if itv is not None and itv < 1:
+        raise ValueError("compose requires inner valuation >= 1")
+    order = min(outer.order, inner.order)
+    out = TruncSeries(0, [0] * order, order)
+    pw = TruncSeries(0, [1] + [0] * (order - 1), order)
+    for e in range(0, outer.order):
+        c = outer.coeff(e) if e >= outer.valuation else Fraction(0)
+        if c != 0:
+            out = out + c * pw
+        if e + 1 < outer.order:
+            pw = (pw * inner).restrict(order)
+    return out.restrict(order)
+
+
+@st.composite
+def compose_args(draw):
+    # an outer power series that is often a low-degree polynomial, and an
+    # inner series of true valuation >= 1 stored from exponent -1, 0, 1 or 2
+    head = draw(st.lists(rationals, min_size=0, max_size=4))
+    outer_order = draw(st.integers(min_value=max(1, len(head)), max_value=9))
+    outer = TruncSeries(0, head + [0] * (outer_order - len(head)), outer_order)
+    tv = draw(st.integers(min_value=1, max_value=3))
+    stored = draw(st.integers(min_value=-1, max_value=tv))
+    inner_order = draw(st.integers(min_value=max(tv, stored + 1), max_value=9))
+    tail = draw(st.lists(rationals, min_size=inner_order - tv, max_size=inner_order - tv))
+    inner = TruncSeries(stored, [0] * (tv - stored) + tail, inner_order)
+    return outer, inner
+
+
+def _series_key(s):
+    return s.valuation, s.order, s.coeffs
+
+
+@settings(max_examples=300)
+@given(compose_args())
+def test_compose_matches_polynomial_composition_and_full_walk(args):
+    outer, inner = args
+    got = outer.compose(inner)
+    # independent oracle: compose the known parts as polynomials, then
+    # truncate (the unknown tails only reach exponents >= the result order)
+    order = min(outer.order, inner.order)
+    g = PolyQ([outer.coeff(e) for e in range(outer.order)])
+    h = PolyQ([inner.coeff(e) for e in range(max(inner.valuation, 0), inner.order)]).shift(
+        max(inner.valuation, 0))
+    assert _series_key(got) == _series_key(TruncSeries.from_poly(g.compose(h), order))
+    # where the full walk is defined it gives the very same series; it
+    # raises once a power of inner leaves the window (inner shorter than
+    # outer, or stored from an exponent other than 0 or 1)
+    try:
+        walked = _compose_full_walk(outer, inner)
+    except ValueError:
+        assert inner.order < outer.order or inner.valuation not in (0, 1)
+    else:
+        assert _series_key(got) == _series_key(walked)
+
+
+def test_compose_keeps_its_domain_errors():
+    x = TruncSeries.var(6)
+    with pytest.raises(ValueError, match="inner valuation"):
+        exp_series(6).compose(x + 1)
+    with pytest.raises(ValueError, match="power-series outer"):
+        TruncSeries(-1, [1, 0, 0], 2).compose(x)
