@@ -7,9 +7,9 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
-from ..exactnum import PolyQ, fmt_rat, rat
+from ..exactnum import PolyQ, fmt_rat
 
 
 class Resample(Exception):
@@ -145,9 +145,13 @@ class VerifyReport:
 class IdentityRecord:
     """One registry entry.
 
-    `trial(rng, n) -> (params, lhs, rhs)` runs a single randomized check;
-    `builder(n, **params)` exposes the LHS matrix when the identity is a
-    plain determinant evaluation (None for structural verifiers).
+    `trial(rng, n) -> (params, lhs, rhs)` runs a single randomized check
+    at size n, for min_n <= n <= max_n; it raises `Resample` (or
+    ZeroDivisionError) when the drawn parameters are out of domain.
+    `builder(n, **params)` and `closed(n, **params)` expose the LHS
+    matrix and the RHS of a plain determinant evaluation; `sampler(rng, n)`
+    is its parameter draw when `det_record` made the trial from the
+    three. Each is None where it does not apply.
     """
 
     id: str
@@ -157,7 +161,6 @@ class IdentityRecord:
     builder: Optional[Callable] = None
     closed: Optional[Callable] = None
     sampler: Optional[Callable] = None
-    tags: frozenset = frozenset()
 
 
 REGISTRY: dict[str, IdentityRecord] = {}
@@ -185,19 +188,21 @@ def get_record(identity_id: str) -> IdentityRecord:
 
 
 def det_record(identity_id: str, sampler, builder, closed, max_n: int,
-               min_n: int = 1, strategy: str = None, tags=()) -> IdentityRecord:
-    """Record whose check is det(builder(params)) == closed(params)."""
+               min_n: int = 1) -> IdentityRecord:
+    """Register a record whose trial draws params = sampler(rng, n) and
+    checks det(builder(n, **params)) == closed(n, **params), with the
+    default `linalg.det` dispatch."""
     from ..linalg import det
 
     def trial(rng, n):
         params = sampler(rng, n)
-        lhs = det(builder(n, **params), strategy)
+        lhs = det(builder(n, **params))
         rhs = closed(n, **params)
         return params, lhs, rhs
 
     return register(IdentityRecord(
         id=identity_id, trial=trial, max_n=max_n, min_n=min_n,
-        builder=builder, closed=closed, sampler=sampler, tags=frozenset(tags)))
+        builder=builder, closed=closed, sampler=sampler))
 
 
 def run_trial(record: IdentityRecord, rng, n: int) -> Trial:
@@ -208,12 +213,19 @@ def run_trial(record: IdentityRecord, rng, n: int) -> Trial:
         except (Resample, ZeroDivisionError):
             continue
         micros = int((time.perf_counter() - start) * 1e6)
-        if isinstance(lhs, bool) and isinstance(rhs, bool):
-            ok = lhs == rhs
-        else:
-            ok = lhs == rhs
-        return Trial(params, lhs, rhs, ok, micros)
+        return Trial(params, lhs, rhs, lhs == rhs, micros)
     raise RuntimeError(f"{record.id}: no in-domain parameters after 200 samples")
+
+
+def run_trials(record: IdentityRecord, n: int, trials: int, seed: int) -> VerifyReport:
+    """The seeded checks of one record at size n: trial t draws from
+    trial_rng(seed, record.id, t), and each trial's params start with n."""
+    report = VerifyReport(record.id)
+    for t in range(trials):
+        trial = run_trial(record, trial_rng(seed, record.id, t), n)
+        trial.params = {"n": n, **trial.params}
+        report.trials.append(trial)
+    return report
 
 
 def verify_identity(identity_id: str, trials: int = 5, seed: int = 0,
@@ -222,14 +234,7 @@ def verify_identity(identity_id: str, trials: int = 5, seed: int = 0,
     size cap (optionally lowered by max_n); exact comparison."""
     record = get_record(identity_id)
     n = record.max_n if max_n is None else min(record.max_n, max_n)
-    n = max(n, record.min_n)
-    report = VerifyReport(record.id)
-    for t in range(trials):
-        rng = trial_rng(seed, record.id, t)
-        trial = run_trial(record, rng, n)
-        trial.params = {"n": n, **trial.params}
-        report.trials.append(trial)
-    return report
+    return run_trials(record, max(n, record.min_n), trials, seed)
 
 
 def build_matrix(identity_id: str, n: int, **params):

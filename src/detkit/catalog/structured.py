@@ -6,6 +6,7 @@ point returning a VerifyReport."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import Counter
 from fractions import Fraction
@@ -17,10 +18,10 @@ from ..combinat import (SetPartition, PosetData, all_perms, asm_enumerate,
                         poset_char_poly, reciprocal_poly)
 from ..exactnum import (PolyQ, TruncSeries, binomial, chebyshev_u,
                         q_binomial, q_pochhammer, rat, stirling2)
-from ..linalg import MatrixR, char_poly, det
+from ..linalg import MatrixR, _det_laplace, char_poly, det
 from .base import (IdentityRecord, Resample, Trial, VerifyReport,
                    distinct_fracs, get_record, rand_frac, rand_nonzero, rand_q,
-                   register, run_trial, trial_rng)
+                   register, run_trials)
 
 
 def _int_exp(e) -> int:
@@ -353,12 +354,9 @@ register(IdentityRecord(id="turnbull", trial=_turnbull_trial, max_n=4))
 def verify_turnbull(n: int, m: int, seed: int = 0) -> VerifyReport:
     if not (1 <= n <= 4 and n <= m <= 5):
         raise ValueError("requires 1 <= n <= 4 and n <= m <= 5")
-    report = VerifyReport("turnbull")
-    for t in range(3):
-        rng = trial_rng(seed, "turnbull", t)
-        params, lhs, rhs = _turnbull_sides(rng, n, m)
-        report.trials.append(Trial({"n": n, **params}, lhs, rhs, lhs == rhs))
-    return report
+    record = dataclasses.replace(
+        get_record("turnbull"), trial=lambda rng, n: _turnbull_sides(rng, n, m))
+    return run_trials(record, n, 3, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -411,31 +409,13 @@ register(IdentityRecord(id="goja", trial=_goja_trial, max_n=4))
 def verify_goulden_jackson(n: int, trunc: int = 16, seed: int = 0) -> VerifyReport:
     if trunc < 4 * n:
         raise ValueError("trunc too small for exact constant terms")
-    report = VerifyReport("goja")
-    for t in range(3):
-        rng = trial_rng(seed, "goja", t)
-        params, lhs, rhs = _goja_sides(rng, n, trunc)
-        report.trials.append(Trial({"n": n, **params}, lhs, rhs, lhs == rhs))
-    return report
+    record = dataclasses.replace(
+        get_record("goja"), trial=lambda rng, n: _goja_sides(rng, n, trunc))
+    return run_trials(record, n, 3, seed)
 
 
 # ---------------------------------------------------------------------------
 # derivative-power determinant
-
-
-def _series_det(rows):
-    """Laplace determinant over a list-of-lists of ring elements."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    out = None
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * _series_det(minor)
-        if j % 2:
-            term = -term
-        out = term if out is None else out + term
-    return out
 
 
 def _stwi_sides(rng, n: int, trunc: int):
@@ -449,7 +429,9 @@ def _stwi_sides(rng, n: int, trunc: int):
         prev = rows[-1]
         rows.append([a[j] * u * prev[j] + prev[j].derive()
                      for j in range(n)])
-    lhs = _series_det(rows)
+    # TruncSeries has zero divisors, so no elimination: Laplace
+    # expansion, called directly because det() caps it at n <= 7
+    lhs = _det_laplace(MatrixR.from_rows(rows))
     rhs = u.pow_int(n * (n - 1) // 2)
     coef = Fraction(1)
     for i in range(n):
@@ -469,12 +451,9 @@ register(IdentityRecord(id="stwi", trial=_stwi_trial, max_n=4))
 def verify_strehl_wilf(n: int, trunc: int = 16, seed: int = 0) -> VerifyReport:
     if trunc < 3 * n:
         raise ValueError("truncation shortfall")
-    report = VerifyReport("stwi")
-    for t in range(3):
-        rng = trial_rng(seed, "stwi", t)
-        params, lhs, rhs = _stwi_sides(rng, n, trunc)
-        report.trials.append(Trial({"n": n, **params}, lhs, rhs, lhs == rhs))
-    return report
+    record = dataclasses.replace(
+        get_record("stwi"), trial=lambda rng, n: _stwi_sides(rng, n, trunc))
+    return run_trials(record, n, 3, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -511,10 +490,4 @@ register(IdentityRecord(id="izergin-korepin", trial=_izkor_trial, max_n=4))
 def verify_izergin_korepin(n: int, seed: int = 0) -> VerifyReport:
     if n > 4:
         raise ValueError("n <= 4")
-    record = get_record("izergin-korepin")
-    report = VerifyReport(record.id)
-    for t in range(3):
-        trial = run_trial(record, trial_rng(seed, record.id, t), n)
-        trial.params = {"n": n, **trial.params}
-        report.trials.append(trial)
-    return report
+    return run_trials(get_record("izergin-korepin"), n, 3, seed)

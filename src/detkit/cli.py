@@ -12,33 +12,19 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import catalog
-from .catalog.base import run_trial, trial_rng
 from .exactnum import bell_poly, bernoulli, euler_even, fmt_rat, hermite_poly, rat
 from .guess import ZeroTermError, rate_guess
 from .hankel import (DegenerateMomentsError, MomentSeq, hankel_dets,
                      heilermann_product, jfraction_from_moments)
 
 
-@dataclass
-class CliConfig:
-    command: str
-    ids: tuple[str, ...] = ("all",)
-    trials: int = 5
-    seed: int = 0
-    max_n: Optional[int] = None
-    out: Optional[str] = None
-    fmt: str = "text"
-    extra: dict = field(default_factory=dict)
-
-
-def _emit(config: CliConfig, text: str) -> None:
-    if config.out:
-        with open(config.out, "w") as fh:
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
             if not text.endswith("\n"):
                 fh.write("\n")
@@ -64,79 +50,75 @@ def _resolve_ids(raw: str) -> Optional[list[str]]:
     return sorted(set(ids), key=order.__getitem__)
 
 
-def cmd_verify(config: CliConfig) -> int:
-    ids = _resolve_ids(config.extra.get("id", "all"))
+def cmd_verify(args: argparse.Namespace) -> int:
+    ids = _resolve_ids(args.id)
     if ids is None:
-        sys.stderr.write(f"unknown identity id: {config.extra.get('id')}\n")
+        sys.stderr.write(f"unknown identity id: {args.id}\n")
         return 2
     reports = [
-        catalog.verify_identity(rid, trials=config.trials, seed=config.seed,
-                                max_n=config.max_n)
+        catalog.verify_identity(rid, trials=args.trials, seed=args.seed,
+                                max_n=args.max_n)
         for rid in ids
     ]
-    if config.fmt == "json":
-        _emit(config, _json_dumps([r.to_json_dict() for r in reports]))
+    if args.fmt == "json":
+        _emit(args, _json_dumps([r.to_json_dict() for r in reports]))
     else:
         lines = []
         for r in reports:
             status = "PASS" if r.overall else "FAIL"
             lines.append(f"{r.id}: {status} ({len(r.trials)} trials)")
-        _emit(config, "\n".join(lines))
+        _emit(args, "\n".join(lines))
     return 0 if all(r.overall for r in reports) else 1
 
 
-def cmd_eval(config: CliConfig) -> int:
-    raw = config.extra.get("id")
-    if not raw or raw == "all":
+def cmd_eval(args: argparse.Namespace) -> int:
+    if not args.id or args.id == "all":
         sys.stderr.write("eval requires a single --id\n")
         return 2
-    ids = _resolve_ids(raw)
+    ids = _resolve_ids(args.id)
     if ids is None or len(ids) != 1:
-        sys.stderr.write(f"unknown identity id: {raw}\n")
+        sys.stderr.write(f"unknown identity id: {args.id}\n")
         return 2
-    record = catalog.get_record(ids[0])
-    n = record.max_n if config.max_n is None else min(record.max_n, config.max_n)
-    n = max(n, record.min_n)
-    rng = trial_rng(config.seed, record.id, 0)
-    trial = run_trial(record, rng, n)
-    trial.params = {"n": n, **trial.params}
-    payload = {"id": record.id, **trial.to_json_dict()}
-    if config.fmt == "json":
-        _emit(config, _json_dumps(payload))
+    rid = ids[0]
+    trial = catalog.verify_identity(rid, trials=1, seed=args.seed,
+                                    max_n=args.max_n).trials[0]
+    payload = {"id": rid, **trial.to_json_dict()}
+    if args.fmt == "json":
+        _emit(args, _json_dumps(payload))
     else:
-        lines = [f"{record.id} at n={n}"]
+        lines = [f"{rid} at n={trial.params['n']}"]
         for key, value in payload["params"].items():
             lines.append(f"  {key} = {value}")
         lines.append(f"  lhs = {payload['lhs']}")
         lines.append(f"  rhs = {payload['rhs']}")
         lines.append(f"  {'PASS' if trial.ok else 'FAIL'}")
-        _emit(config, "\n".join(lines))
+        _emit(args, "\n".join(lines))
     return 0 if trial.ok else 1
 
 
-def cmd_guess(config: CliConfig, terms_raw: str) -> int:
+def cmd_guess(args: argparse.Namespace) -> int:
     try:
-        terms = [Fraction(part.strip()) for part in terms_raw.split(",")]
+        terms = [Fraction(part.strip()) for part in args.terms.split(",")]
         if not terms:
             raise ValueError
     except (ValueError, ZeroDivisionError):
-        sys.stderr.write(f"cannot parse terms: {terms_raw!r}\n")
+        sys.stderr.write(f"cannot parse terms: {args.terms!r}\n")
         return 2
     try:
         guesses = rate_guess(terms)
     except ZeroTermError:
         guesses = []
-    if config.fmt == "json":
-        _emit(config, _json_dumps({
+    if args.fmt == "json":
+        _emit(args, _json_dumps({
             "command": "guess",
             "terms": [fmt_rat(t) for t in terms],
             "guesses": [str(g) for g in guesses],
         }))
     else:
         if guesses:
-            _emit(config, "\n".join(str(g) for g in guesses))
+            _emit(args, "\n".join(str(g) for g in guesses))
         else:
-            _emit(config, "no product-form law found")
+            _emit(args, "no product-form law found")
     return 0 if guesses else 1
 
 
@@ -148,10 +130,8 @@ _NAMED_SEQS = {
 }
 
 
-def cmd_hankel(config: CliConfig) -> int:
-    seq_spec = config.extra.get("seq") or "bernoulli"
-    offset = int(config.extra.get("offset") or 0)
-    n = int(config.extra.get("n") or 3)
+def cmd_hankel(args: argparse.Namespace) -> int:
+    seq_spec, offset, n = args.seq, args.offset, args.n
     if n < 1 or offset < 0:
         sys.stderr.write("need n >= 1 and offset >= 0\n")
         return 2
@@ -187,10 +167,10 @@ def cmd_hankel(config: CliConfig) -> int:
         payload = {"command": "hankel", "seq": seq_spec, "offset": offset,
                    "n": n, "dets": [fmt_rat(d) for d in dets],
                    "degenerate": message}
-        if config.fmt == "json":
-            _emit(config, _json_dumps(payload))
+        if args.fmt == "json":
+            _emit(args, _json_dumps(payload))
         else:
-            _emit(config, f"degenerate moment sequence: {message}")
+            _emit(args, f"degenerate moment sequence: {message}")
         return 3
 
     for i, d in enumerate(dets, start=1):
@@ -217,8 +197,8 @@ def cmd_hankel(config: CliConfig) -> int:
         },
         "heilermann_ok": heilermann_ok,
     }
-    if config.fmt == "json":
-        _emit(config, _json_dumps(payload))
+    if args.fmt == "json":
+        _emit(args, _json_dumps(payload))
     else:
         lines = [f"Hankel determinants of {seq_spec} (offset {offset}):"]
         for i, d in enumerate(dets, start=1):
@@ -227,17 +207,26 @@ def cmd_hankel(config: CliConfig) -> int:
         lines.append("  a = " + ", ".join(fmt_rat(x) for x in jf.a))
         lines.append("  b = " + ", ".join(fmt_rat(x) for x in jf.b))
         lines.append(f"Heilermann cross-check: {'ok' if heilermann_ok else 'MISMATCH'}")
-        _emit(config, "\n".join(lines))
+        _emit(args, "\n".join(lines))
     return 0 if heilermann_ok else 1
 
 
-def cmd_list(config: CliConfig) -> int:
+def cmd_list(args: argparse.Namespace) -> int:
     ids = catalog.registry_ids()
-    if config.fmt == "json":
-        _emit(config, _json_dumps(list(ids)))
+    if args.fmt == "json":
+        _emit(args, _json_dumps(list(ids)))
     else:
-        _emit(config, "\n".join(ids))
+        _emit(args, "\n".join(ids))
     return 0
+
+
+COMMANDS = {
+    "verify": cmd_verify,
+    "eval": cmd_eval,
+    "guess": cmd_guess,
+    "hankel": cmd_hankel,
+    "list": cmd_list,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,32 +280,10 @@ def main(argv: Sequence[str] = None) -> int:
     if not args.command:
         parser.print_usage(sys.stderr)
         return 2
-    if getattr(args, "trials", 1) < 1:
+    if args.trials < 1:
         sys.stderr.write("--trials must be >= 1\n")
         return 2
-    config = CliConfig(
-        command=args.command,
-        trials=getattr(args, "trials", 5),
-        seed=getattr(args, "seed", 0),
-        max_n=getattr(args, "max_n", None),
-        out=getattr(args, "out", None),
-        fmt=getattr(args, "fmt", "text"),
-    )
-    if args.command == "verify":
-        config.extra["id"] = args.id
-        return cmd_verify(config)
-    if args.command == "eval":
-        config.extra["id"] = args.id
-        return cmd_eval(config)
-    if args.command == "guess":
-        return cmd_guess(config, args.terms)
-    if args.command == "hankel":
-        config.extra.update(seq=args.seq, offset=args.offset, n=args.n)
-        return cmd_hankel(config)
-    if args.command == "list":
-        return cmd_list(config)
-    parser.print_usage(sys.stderr)
-    return 2
+    return COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":

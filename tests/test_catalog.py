@@ -16,7 +16,7 @@ from detkit.catalog import (UnknownIdentityError, build_matrix, closed_form,
                             verify_identity, verify_izergin_korepin,
                             verify_nc_suite, verify_okada, verify_strehl_wilf,
                             verify_turnbull)
-from detkit.catalog.base import trial_rng
+from detkit.catalog.base import Trial, VerifyReport, trial_rng
 from detkit.linalg import MatrixR, det
 
 
@@ -174,6 +174,33 @@ def test_goja_shared_inverse_powers_match_per_entry(n):
 
 def test_izergin_korepin():
     assert verify_izergin_korepin(3, seed=2).overall
+
+
+def _seeded_loop(report_id, sides, n, seed):
+    """Three seeded trials written out by hand, with no resampling: the
+    oracle for the structural verifiers that run through run_trials."""
+    report = VerifyReport(report_id)
+    for t in range(3):
+        params, lhs, rhs = sides(trial_rng(seed, report_id, t), n)
+        report.trials.append(Trial({"n": n, **params}, lhs, rhs, lhs == rhs))
+    return report.to_json_dict()
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_structural_verifiers_match_seeded_loop(n, seed):
+    from detkit.catalog.structured import (_goja_sides, _stwi_sides,
+                                           _turnbull_sides)
+    for m in range(n, 6):
+        assert verify_turnbull(n, m, seed=seed).to_json_dict() == _seeded_loop(
+            "turnbull", lambda rng, k: _turnbull_sides(rng, k, m), n, seed)
+    assert verify_goulden_jackson(n, seed=seed).to_json_dict() == _seeded_loop(
+        "goja", lambda rng, k: _goja_sides(rng, k, 16), n, seed)
+    assert verify_strehl_wilf(n, seed=seed).to_json_dict() == _seeded_loop(
+        "stwi", lambda rng, k: _stwi_sides(rng, k, 16), n, seed)
+    assert (verify_izergin_korepin(n, seed).to_json_dict()
+            == verify_identity("izergin-korepin", trials=3, seed=seed,
+                               max_n=n).to_json_dict())
 
 
 def test_izergin_korepin_resampling_is_bounded(monkeypatch):

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from detkit.catalog import verify_identity
 from detkit.cli import main
 
 
@@ -63,6 +64,18 @@ def test_eval(capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize("max_n", [None, 0, 1])
+@pytest.mark.parametrize("rid", ["macmahon", "krat6", "okada", "nc-suite"])
+def test_eval_is_first_verify_trial(capsys, rid, max_n):
+    argv = ["eval", "--id", rid, "--seed", "3", "--format", "json"]
+    if max_n is not None:
+        argv += ["--max-n", str(max_n)]
+    code, out = run(capsys, *argv)
+    trial = verify_identity(rid, trials=1, seed=3, max_n=max_n).trials[0]
+    assert code == 0
+    assert json.loads(out) == {"id": rid, **trial.to_json_dict()}
+
+
 def test_eval_requires_single_id(capsys):
     code, _ = run(capsys, "eval")
     assert code == 2
@@ -108,6 +121,18 @@ def test_hankel_degenerate_custom(capsys):
 def test_hankel_unknown_seq(capsys):
     code, _ = run(capsys, "hankel", "--seq", "weird", "--n", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--n", "0"], "need n >= 1 and offset >= 0\n"),
+    (["--seq", ""], "unknown sequence ''\n"),
+], ids=["n-zero", "empty-seq"])
+def test_hankel_rejects_zero_n_and_empty_seq(capsys, argv, message):
+    # neither may fall back to the defaults n = 3 and bernoulli
+    assert main(["hankel", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
 
 
 def test_no_command(capsys):
