@@ -7,22 +7,17 @@ Usage: python scripts/hankel_explorer.py [--n N]
 
 import argparse
 import sys
-from fractions import Fraction
 
-from detkit.exactnum import bell_poly, bernoulli, euler_even, fmt_rat, hermite_poly
-from detkit.hankel import (MomentSeq, bernoulli_shifted_moments, hankel_dets,
+from detkit.exactnum import fmt_rat
+from detkit.hankel import (NAMED_MOMENTS, bernoulli_shifted_moments, hankel_dets,
                            heilermann_product, jfraction_from_moments)
 
 SEQUENCES = {
     "bernoulli (shift 2)": lambda count: bernoulli_shifted_moments(count, 2),
-    "secant numbers": lambda count: MomentSeq(
-        [euler_even(2 * k) for k in range(count)]),
-    "bell numbers": lambda count: MomentSeq(
-        [bell_poly(k)(1) for k in range(count)]),
-    "hermite at 0": lambda count: MomentSeq(
-        [hermite_poly(k)(Fraction(0)) for k in range(count)]),
-    "bernoulli": lambda count: MomentSeq(
-        [bernoulli(k) for k in range(count)]),
+    "secant numbers": NAMED_MOMENTS["euler"],
+    "bell numbers": NAMED_MOMENTS["bell"],
+    "hermite at 0": NAMED_MOMENTS["hermite"],
+    "bernoulli": NAMED_MOMENTS["bernoulli"],
 }
 
 

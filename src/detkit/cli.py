@@ -16,10 +16,10 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import catalog
-from .exactnum import bell_poly, bernoulli, euler_even, fmt_rat, hermite_poly, rat
+from .exactnum import fmt_rat, rat
 from .guess import ZeroTermError, rate_guess
-from .hankel import (DegenerateMomentsError, MomentSeq, hankel_dets,
-                     heilermann_product, jfraction_from_moments)
+from .hankel import (NAMED_MOMENTS, DegenerateMomentsError, MomentSeq,
+                     hankel_dets, heilermann_product, jfraction_from_moments)
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -122,14 +122,6 @@ def cmd_guess(args: argparse.Namespace) -> int:
     return 0 if guesses else 1
 
 
-_NAMED_SEQS = {
-    "bernoulli": bernoulli,
-    "euler": lambda k: euler_even(2 * k),
-    "bell": lambda k: bell_poly(k)(1),
-    "hermite": lambda k: hermite_poly(k)(0),
-}
-
-
 def cmd_hankel(args: argparse.Namespace) -> int:
     seq_spec, offset, n = args.seq, args.offset, args.n
     if n < 1 or offset < 0:
@@ -152,9 +144,8 @@ def cmd_hankel(args: argparse.Namespace) -> int:
                 f"have {len(values)}\n")
             return 2
         moments = MomentSeq(values)
-    elif seq_spec in _NAMED_SEQS:
-        fn = _NAMED_SEQS[seq_spec]
-        moments = MomentSeq([fn(k) for k in range(count_jf)])
+    elif seq_spec in NAMED_MOMENTS:
+        moments = NAMED_MOMENTS[seq_spec](count_jf)
     else:
         sys.stderr.write(f"unknown sequence {seq_spec!r}\n")
         return 2

@@ -10,8 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactnum import PolyQ, RatFn, fmt_rat, rat
-from .linalg import MatrixR, kernel_basis
+from .exactnum import PolyQ, RatFn, fmt_rat, newton_coefficients, rat
 
 
 # ---------------------------------------------------------------------------
@@ -19,13 +18,22 @@ from .linalg import MatrixR, kernel_basis
 
 
 def fit_rational(points: Sequence[tuple]) -> Optional[RatFn]:
-    """Fit a rational function through `points`, holding out the last
-    point as validator.
+    """Fit a rational function through `points`.
 
-    Degree splits (num_deg, den_deg) are searched in order of increasing
-    total degree, numerator-heavy first, subject to
-    num_deg + den_deg + 2 <= len(points).  The first candidate that
-    reproduces every point (including the held-out last one) wins.
+    Degree splits (num_deg, den_deg) with num_deg + den_deg + 2 <=
+    len(points) are tried by increasing total degree, numerator-heavy
+    first; the result is the first split's p/q (deg p <= num_deg,
+    deg q <= den_deg) through every point with q nonzero at every x, or
+    None.  Within a split p/q is unique: two such agree at m - 1 points
+    and their cross difference has degree <= m - 2.
+
+    All splits come from one Cauchy interpolation (von zur Gathen and
+    Gerhard, Modern Computer Algebra, 5.7-5.9): the extended Euclidean
+    algorithm on M = prod (x - x_i) and the interpolant L of degree < m
+    gives rows r_j = s_j M + t_j L.  For the first row with
+    deg r_j <= num_deg, every solution of the split is a polynomial
+    multiple of (r_j, t_j) (Theorem 5.16), so the split accepts iff
+    deg t_j <= den_deg and t_j vanishes at no x_i, with law r_j / t_j.
     """
     pts = [(rat(x), rat(y)) for x, y in points]
     if len({x for x, _ in pts}) != len(pts):
@@ -33,43 +41,38 @@ def fit_rational(points: Sequence[tuple]) -> Optional[RatFn]:
     m = len(pts)
     if m < 2:
         return None
-    fit_pts = pts[:-1]
+    xs = [x for x, _ in pts]
+    rows = _euclid_rows(*_interpolant(xs, [y for _, y in pts]))
     for total in range(0, m - 1):
         for dn in range(total, -1, -1):
-            dd = total - dn
-            if dn + dd + 2 > m:
-                continue
-            cand = _solve_split(fit_pts, dn, dd)
-            if cand is None:
-                continue
-            if _fits_all(cand, pts):
-                return cand
+            r, t = next(row for row in rows if row[0].degree <= dn)
+            if t.degree <= total - dn and all(t(x) != 0 for x in xs):
+                return RatFn(r, t)
     return None
 
 
-def _solve_split(pts, dn: int, dd: int) -> Optional[RatFn]:
-    # linearized system: sum a_i x^i - y * sum b_j x^j = 0
-    cols = dn + 1 + dd + 1
-    rows = []
-    for x, y in pts:
-        rows.append([x**i for i in range(dn + 1)] + [-y * x**j for j in range(dd + 1)])
-    kern = kernel_basis(MatrixR.from_rows(rows)) if rows else []
-    for v in kern:
-        num = PolyQ(v[: dn + 1])
-        den = PolyQ(v[dn + 1 :])
-        if den.is_zero():
-            continue
-        return RatFn(num, den)
-    return None
+def _interpolant(xs: list[Fraction], ys: list[Fraction]) -> tuple[PolyQ, PolyQ]:
+    """(prod (x - x_i), the polynomial of degree < m through the points),
+    expanded from the Newton form in O(m^2) operations."""
+    node = [Fraction(1)]  # prod_{i<k} (x - x_i), lowest coefficient first
+    interp = [Fraction(0)] * len(xs)
+    for x, c in zip(xs, newton_coefficients(xs, ys)):
+        for i, a in enumerate(node):
+            interp[i] += c * a
+        node = [a - x * b for a, b in zip([0] + node, node + [0])]
+    return PolyQ(node), PolyQ(interp)
 
 
-def _fits_all(fn: RatFn, pts) -> bool:
-    for x, y in pts:
-        if fn.den(x) == 0:
-            return False
-        if fn(x) != y:
-            return False
-    return True
+def _euclid_rows(a: PolyQ, b: PolyQ) -> list[tuple[PolyQ, PolyQ]]:
+    """The rows (r_j, t_j), r_j = s_j a + t_j b, of the extended Euclidean
+    algorithm on (a, b) with deg b < deg a: from (a, 0) and (b, 1) down to
+    the row with r_j = 0, in strictly decreasing deg r_j."""
+    rows = [(a, PolyQ()), (b, PolyQ.constant(1))]
+    while not rows[-1][0].is_zero():
+        (r0, t0), (r1, t1) = rows[-2:]
+        q, r = r0.divmod(r1)
+        rows.append((r, t0 - q * t1))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -100,15 +103,21 @@ class GuessExpr:
         """Value of the guessed sequence at 1-based position n."""
         if n < 1:
             raise ValueError("positions are 1-based")
-        return self._term(0, n)
+        if self.level == 0:
+            return self.law(Fraction(n))
+        return self._prefix(n)[n - 1]
 
-    def _term(self, k: int, i: int) -> Fraction:
-        if k == self.level:
-            return self.law(Fraction(i))
-        out = self.initials[k]
-        for j in range(1, i):
-            out *= self._term(k + 1, j)
-        return out
+    def _prefix(self, count: int) -> list[Fraction]:
+        """The first `count` terms, bottom-up in O(level * count): the law
+        at positions 1..count - level, then at each level above the
+        running products of the level below, from its initial term."""
+        seq = [self.law(Fraction(i)) for i in range(1, count - self.level + 1)]
+        for c in reversed(self.initials):
+            out = [c]
+            for v in seq:
+                out.append(out[-1] * v)
+            seq = out
+        return seq[:count]
 
     def __str__(self):
         body = _ratfn_str(self.law, "k")
@@ -175,7 +184,9 @@ def _cascade(terms: list[Fraction], max_level: int, parity) -> list[GuessExpr]:
             law = fit_rational([(i, seq[i - 1]) for i in range(1, len(seq) + 1)])
             if law is not None:
                 g = GuessExpr(level, tuple(initials), law, parity)
-                if all(g.evaluate(i) == terms[i - 1] for i in range(1, len(terms) + 1)):
+                # the law is evaluated only at its own fit points, so the
+                # check meets no pole
+                if g._prefix(len(terms)) == terms:
                     out.append(g)
         if level == max_level:
             break
@@ -195,17 +206,9 @@ def _cascade(terms: list[Fraction], max_level: int, parity) -> list[GuessExpr]:
 
 
 def lagrange_interpolate(points: Sequence[tuple]) -> PolyQ:
+    """The polynomial of degree < len(points) through distinct points."""
     pts = [(rat(x), rat(y)) for x, y in points]
-    out = PolyQ()
-    for i, (xi, yi) in enumerate(pts):
-        li = PolyQ.constant(1)
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(pts):
-            if j != i:
-                li = li * PolyQ([-xj, 1])
-                denom *= xi - xj
-        out = out + li * (yi / denom)
-    return out
+    return _interpolant([x for x, _ in pts], [y for _, y in pts])[1]
 
 
 def interpolate_det_poly(

@@ -203,6 +203,16 @@ def test_structural_verifiers_match_seeded_loop(n, seed):
                                max_n=n).to_json_dict())
 
 
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("verify", [
+    verify_izergin_korepin, verify_goulden_jackson, verify_strehl_wilf,
+    lambda n: verify_turnbull(n, 3),
+], ids=["izergin-korepin", "goja", "stwi", "turnbull"])
+def test_structural_verifiers_reject_n_below_one(verify, n):
+    with pytest.raises(ValueError, match="n >= 1|1 <= n"):
+        verify(n)
+
+
 def test_izergin_korepin_resampling_is_bounded(monkeypatch):
     from detkit.catalog import structured
 

@@ -7,10 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detkit.exactnum import PolyQ, RatFn, catalan, factorial, special_sequence
-from detkit.guess import (ZeroTermError, fit_rational, lagrange_interpolate,
-                          linear_factors, rate_guess)
+from detkit.guess import (GuessExpr, ZeroTermError, fit_rational,
+                          lagrange_interpolate, linear_factors, rate_guess)
+from detkit.linalg import MatrixR, kernel_basis
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=5)
+nodes = st.one_of(st.integers(-12, 12).map(Fraction),
+                  st.fractions(min_value=-12, max_value=12, max_denominator=3))
+polys = st.lists(rationals, min_size=1, max_size=5).map(PolyQ)  # degree <= 4
 
 
 def test_lagrange_anchor():
@@ -86,3 +90,131 @@ def test_linear_factors():
     factors, cofactor = linear_factors(p)
     assert dict(factors) == {Fraction(0): 1, Fraction(-2): 2}
     assert cofactor == PolyQ([3, 0, 1])
+
+
+# ---------------------------------------------------------------------------
+# the split search, the recursive evaluation and the product-form Lagrange
+# loop that fit_rational, GuessExpr.evaluate and lagrange_interpolate
+# replaced, kept as oracles
+
+
+def _solve_split(pts, dn, dd):
+    rows = [[x**i for i in range(dn + 1)] + [-y * x**j for j in range(dd + 1)]
+            for x, y in pts]
+    kern = kernel_basis(MatrixR.from_rows(rows)) if rows else []
+    for v in kern:
+        num, den = PolyQ(v[: dn + 1]), PolyQ(v[dn + 1:])
+        if not den.is_zero():
+            return RatFn(num, den)
+    return None
+
+
+def _fits_all(fn, pts):
+    return all(fn.den(x) != 0 and fn(x) == y for x, y in pts)
+
+
+def _split_search(points):
+    pts = [(Fraction(x), Fraction(y)) for x, y in points]
+    if len({x for x, _ in pts}) != len(pts):
+        raise ValueError("x-values must be distinct")
+    m = len(pts)
+    if m < 2:
+        return None
+    for total in range(0, m - 1):
+        for dn in range(total, -1, -1):
+            cand = _solve_split(pts[:-1], dn, total - dn)
+            if cand is not None and _fits_all(cand, pts):
+                return cand
+    return None
+
+
+def _term(g, k, i):
+    if k == g.level:
+        return g.law(Fraction(i))
+    out = g.initials[k]
+    for j in range(1, i):
+        out *= _term(g, k + 1, j)
+    return out
+
+
+def _product_lagrange(pts):
+    out = PolyQ()
+    for i, (xi, yi) in enumerate(pts):
+        li, denom = PolyQ.constant(1), Fraction(1)
+        for j, (xj, _) in enumerate(pts):
+            if j != i:
+                li = li * PolyQ([-xj, 1])
+                denom *= xi - xj
+        out = out + li * (yi / denom)
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return value, repr(value)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_fit_rational_matches_split_search(data):
+    xs = data.draw(st.lists(nodes, min_size=2, max_size=11, unique=True))
+    num, den = data.draw(polys), data.draw(polys)
+    kind = data.draw(st.sampled_from(["law", "zero", "noise"]))
+    ys = []
+    for x in xs:
+        if kind == "zero":
+            ys.append(Fraction(0))
+        elif kind == "law" and den(x) != 0:
+            ys.append(num(x) / den(x))
+        else:
+            ys.append(data.draw(rationals))
+    if data.draw(st.booleans()):
+        ys[data.draw(st.integers(0, len(xs) - 1))] += data.draw(rationals)
+    pts = list(zip(xs, ys))
+    assert _outcome(fit_rational, pts) == _outcome(_split_search, pts)
+
+
+def test_fit_rational_tie_goes_to_numerator_heavy_split():
+    # x^2 - 5 and -4/x^2 agree at x = +-1, +-2: splits (2, 0) and (0, 2)
+    # of one total degree both accept, and the order picks the first
+    pts = [(x, Fraction(x * x - 5)) for x in (1, 2, -1, -2)]
+    assert all(RatFn(-4, PolyQ([0, 0, 1]))(x) == y for x, y in pts)
+    assert fit_rational(pts) == _split_search(pts) == RatFn(PolyQ([-5, 0, 1]))
+
+
+@given(st.lists(nodes, min_size=2, max_size=6), st.data())
+@settings(max_examples=30, deadline=None)
+def test_fit_rational_repeated_x_matches_split_search(xs, data):
+    xs.append(data.draw(st.sampled_from(xs)))
+    pts = [(x, data.draw(rationals)) for x in xs]
+    with pytest.raises(ValueError, match="distinct"):
+        fit_rational(pts)
+    assert _outcome(fit_rational, pts) == _outcome(_split_search, pts)
+
+
+@given(st.integers(0, 3), polys, st.integers(1, 9),
+       st.lists(rationals.filter(bool), min_size=3, max_size=3),
+       st.sampled_from([None, 0, 1]))
+@settings(max_examples=100, deadline=None)
+def test_guess_evaluate_matches_recursive_terms(level, num, pole, initials, parity):
+    # the denominator vanishes at a positive integer, so some positions
+    # meet a pole
+    law = RatFn(num, PolyQ([-pole, 1]))
+    g = GuessExpr(level, tuple(initials[:level]), law, parity)
+    for n in range(-1, 11):
+        want = (ValueError, "positions are 1-based") if n < 1 else _outcome(_term, g, 0, n)
+        assert _outcome(g.evaluate, n) == want
+
+
+@given(st.lists(st.tuples(nodes, rationals), max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_lagrange_matches_product_form(pts):
+    want = _outcome(_product_lagrange, pts)
+    got = _outcome(lagrange_interpolate, pts)
+    if want[0] is ZeroDivisionError:
+        assert got[0] is ZeroDivisionError
+    else:
+        assert got == want

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from detkit.exactnum import (TruncSeries, bell_poly, bernoulli, catalan,
                              euler_even, hermite_poly)
-from detkit.hankel import (DegenerateMomentsError, JFraction, MomentSeq,
-                           bernoulli_shifted_moments, continuous_hahn_jfraction,
-                           hankel_det, hankel_dets, hankel_matrix,
+from detkit.hankel import (NAMED_MOMENTS, DegenerateMomentsError, JFraction,
+                           MomentSeq, bernoulli_shifted_moments,
+                           continuous_hahn_jfraction, hankel_det, hankel_dets,
+                           hankel_matrix,
                            hankel_x_transform,
                            heilermann_product, jfraction_from_moments,
                            moments_from_jfraction)
@@ -215,3 +216,15 @@ def test_heilermann_matches_hankel_dets_at_20(moment):
     jf = jfraction_from_moments(s, 20)
     dets = hankel_dets(s, 20)
     assert [heilermann_product(jf, i) for i in range(1, 21)] == dets
+
+
+def test_named_moments_match_polynomial_values():
+    # the integer formulas against evaluating the whole polynomial
+    assert NAMED_MOMENTS["bell"](80).values == tuple(
+        bell_poly(k)(1) for k in range(80))
+    assert NAMED_MOMENTS["hermite"](80).values == tuple(
+        hermite_poly(k)(0) for k in range(80))
+    assert all(type(v) is Fraction for name in NAMED_MOMENTS
+               for v in NAMED_MOMENTS[name](12).values)
+    assert NAMED_MOMENTS["euler"](6) == MomentSeq([1, 1, 5, 61, 1385, 50521])
+    assert NAMED_MOMENTS["bernoulli"](0) == MomentSeq([])
