@@ -71,6 +71,11 @@ def decreasing_ints(rng, count: int, hi: int = 12, lo: int = 0) -> tuple[int, ..
     return tuple(sorted(vals, reverse=True))
 
 
+def _ceil(a: int, b: int) -> int:
+    """ceil(a / b) for integers, b > 0."""
+    return -((-a) // b)
+
+
 def prod(items, start=None):
     out = Fraction(1) if start is None else start
     for x in items:

@@ -136,13 +136,7 @@ def _build_ab(n, x, y):
 
 
 def _closed_ab(n, x, y):
-    c = (rat(x) + rat(y)) / 2
-    out = Fraction(_sign_mod4(n)) * Fraction(2) ** (n * (n - 1) // 2 + 1)
-    for i in range(1, n):
-        out *= pochhammer(c + i + 1, (i + 1) // 2)
-        out *= pochhammer(-c - 3 * n + i + Fraction(3, 2), i // 2)
-        out /= pochhammer(i, i)
-    return out
+    return 2 ** n * _closed_mrr(n, (rat(x) + rat(y)) / 2)
 
 
 det_record("ab", _sample_xy, _build_ab, _closed_ab, max_n=5)
@@ -163,13 +157,7 @@ def _build_chu1(n, c, x):
 
 
 def _closed_chu1(n, c, x):
-    c = rat(c)
-    out = Fraction(_sign_mod4(n)) * Fraction(2) ** (n * (n - 1) // 2 + 1)
-    for i in range(1, n):
-        out *= pochhammer(c + i + 1, (i + 1) // 2)
-        out *= pochhammer(-c - 3 * n + i + Fraction(3, 2), i // 2)
-        out /= pochhammer(i, i)
-    return out
+    return 2 ** n * _closed_mrr(n, c)
 
 
 det_record("chu1", _sample_chu1, _build_chu1, _closed_chu1, max_n=5)

@@ -182,19 +182,50 @@ det_record("borchardt", _sample_borchardt, _build_borchardt, _closed_borchardt, 
 # factored-column lemmas
 
 
+def _factored_columns(n, X, f, A, B=(), switch=None, col_factor=None):
+    """The matrix of the factored-column lemmas: with x = X_i and 1-based
+    column c = j + 1, entry (i, j) is
+
+        prod_{s=c+1}^{n} f(x, A_s) * prod_{s=2}^{c} f(x, B_s) * col_factor(j, x)
+
+    where A_s = A[s - 2] and B_s = B[s - 2]; an empty B leaves out the
+    second product and a missing col_factor the third.  With
+    switch = (m, a, b) the columns c >= m take a and b for A and B.
+
+    Each row keeps a running suffix product over the upper alphabet and a
+    running prefix product over the lower one: O(n^2) factors per matrix.
+    """
+    def running(x, up, lo):
+        suffix = [Fraction(1)] * n
+        for j in range(n - 2, -1, -1):
+            suffix[j] = suffix[j + 1] * f(x, rat(up[j]))
+        prefix = [Fraction(1)] * n
+        if lo:
+            for j in range(1, n):
+                prefix[j] = prefix[j - 1] * f(x, rat(lo[j - 1]))
+        return suffix, prefix
+
+    rows = []
+    for xi in X:
+        x = rat(xi)
+        suffix, prefix = running(x, A, B)
+        if switch:
+            m, a, b = switch
+            suffix[m - 1:], prefix[m - 1:] = (v[m - 1:] for v in running(x, a, b))
+        row = [u * v for u, v in zip(suffix, prefix)]
+        if col_factor:
+            row = [e * col_factor(j, x) for j, e in enumerate(row)]
+        rows.append(row)
+    return MatrixR.from_rows(rows)
+
+
 def _sample_xa(rng, n):
     return {"X": distinct_fracs(rng, n), "A": distinct_fracs(rng, n - 1),
             "B": distinct_fracs(rng, n - 1)}
 
 
 def _build_krat1(n, X, A, B):
-    # A[s-2] is A_s, B[s-2] is B_s (s = 2..n)
-    def entry(i, j):
-        x = rat(X[i])
-        out = prod(x + rat(A[s - 2]) for s in range(j + 2, n + 1))
-        out *= prod(x + rat(B[s - 2]) for s in range(2, j + 2))
-        return out
-    return MatrixR.build(n, n, entry)
+    return _factored_columns(n, X, lambda x, u: x + u, A, B)
 
 
 def _closed_krat1(n, X, A, B):
@@ -216,12 +247,7 @@ def _sample_krat2(rng, n):
 
 def _build_krat2(n, X, A, C):
     C = rat(C)
-
-    def entry(i, j):
-        x = rat(X[i])
-        return prod((C / x + rat(A[s - 2])) * (x + rat(A[s - 2]))
-                    for s in range(j + 2, n + 1))
-    return MatrixR.build(n, n, entry)
+    return _factored_columns(n, X, lambda x, u: (C / x + u) * (x + u), A)
 
 
 def _closed_krat2(n, X, A, C):
@@ -237,12 +263,7 @@ det_record("krat2", _sample_krat2, _build_krat2, _closed_krat2, max_n=5)
 
 def _build_krat2a(n, X, A, C):
     C = rat(C)
-
-    def entry(i, j):
-        x = rat(X[i])
-        return prod((x - rat(A[s - 2]) - C) * (x + rat(A[s - 2]))
-                    for s in range(j + 2, n + 1))
-    return MatrixR.build(n, n, entry)
+    return _factored_columns(n, X, lambda x, u: (x - u - C) * (x + u), A)
 
 
 def _closed_krat2a(n, X, A, C):
@@ -268,13 +289,8 @@ def _sym_p(j, x, B, C):
 
 def _build_krat3(n, X, A, C, B):
     C = rat(C)
-
-    def entry(i, j):
-        x = rat(X[i])
-        out = prod((x + rat(A[s - 2])) * (C / x + rat(A[s - 2]))
-                   for s in range(j + 2, n + 1))
-        return out * _sym_p(j, x, B, C)
-    return MatrixR.build(n, n, entry)
+    return _factored_columns(n, X, lambda x, u: (x + u) * (C / x + u), A,
+                             col_factor=lambda j, x: _sym_p(j, x, B, C))
 
 
 def _closed_krat3(n, X, A, C, B):
@@ -298,11 +314,8 @@ def _sample_krat3a(rng, n):
 
 def _build_krat3a(n, X, A, polys):
     ps = [PolyQ(c) for c in polys]
-
-    def entry(i, j):
-        x = rat(X[i])
-        return prod(x + rat(A[s - 2]) for s in range(j + 2, n + 1)) * ps[j](x)
-    return MatrixR.build(n, n, entry)
+    return _factored_columns(n, X, lambda x, u: x + u, A,
+                             col_factor=lambda j, x: ps[j](x))
 
 
 def _closed_krat3a(n, X, A, polys):
@@ -334,13 +347,8 @@ def _refl_p(j, x, B, C):
 
 def _build_krat5(n, X, A, C, B):
     C = rat(C)
-
-    def entry(i, j):
-        x = rat(X[i])
-        out = prod((x + rat(A[s - 2])) * (x - rat(A[s - 2]) - C)
-                   for s in range(j + 2, n + 1))
-        return out * _refl_p(j, x, B, C)
-    return MatrixR.build(n, n, entry)
+    return _factored_columns(n, X, lambda x, u: (x + u) * (x - u - C), A,
+                             col_factor=lambda j, x: _refl_p(j, x, B, C))
 
 
 def _closed_krat5(n, X, A, C, B):
@@ -369,20 +377,8 @@ def _sample_krat6(rng, n):
 
 def _build_krat6(n, X, A, B, a, b, C, m):
     C = rat(C)
-
-    def entry(i, j):
-        x = rat(X[i])
-        col = j + 1  # 1-based column
-        if col < m:
-            up, lo = A, B
-        else:
-            up, lo = a, b
-        out = prod((x + rat(up[s - 2])) * (C / x + rat(up[s - 2]))
-                   for s in range(col + 1, n + 1))
-        out *= prod((x + rat(lo[s - 2])) * (C / x + rat(lo[s - 2]))
-                    for s in range(2, col + 1))
-        return out
-    return MatrixR.build(n, n, entry)
+    return _factored_columns(n, X, lambda x, u: (x + u) * (C / x + u), A, B,
+                             switch=(m, a, b))
 
 
 def _closed_krat6(n, X, A, B, a, b, C, m):
@@ -423,20 +419,8 @@ def _sample_krat7(rng, n):
 
 def _build_krat7(n, X, A, B, a, b, C, m):
     C = rat(C)
-
-    def entry(i, j):
-        x = rat(X[i])
-        col = j + 1
-        if col < m:
-            up, lo = A, B
-        else:
-            up, lo = a, b
-        out = prod((x + rat(up[s - 2])) * (x - rat(up[s - 2]) - C)
-                   for s in range(col + 1, n + 1))
-        out *= prod((x + rat(lo[s - 2])) * (x - rat(lo[s - 2]) - C)
-                    for s in range(2, col + 1))
-        return out
-    return MatrixR.build(n, n, entry)
+    return _factored_columns(n, X, lambda x, u: (x + u) * (x - u - C), A, B,
+                             switch=(m, a, b))
 
 
 def _closed_krat7(n, X, A, B, a, b, C, m):

@@ -8,11 +8,7 @@ from fractions import Fraction
 
 from ..exactnum import binomial, pochhammer, rat
 from ..linalg import MatrixR, det
-from .base import IdentityRecord, det_record, rand_frac, register
-
-
-def _ceil(a: int, b: int) -> int:
-    return -((-a) // b)
+from .base import IdentityRecord, _ceil, det_record, rand_frac, register
 
 
 # ---------------------------------------------------------------------------

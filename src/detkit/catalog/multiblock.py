@@ -132,7 +132,7 @@ def _build_wronski(n, parts, a, polys):
 def _closed_wronski(n, parts, a, polys):
     fs = [PolyQ(c) for c in polys]
     pts = [rat(x) for x in a]
-    plain = det(MatrixR.build(n, n, lambda i, j: fs[i](pts[j])), "bareiss")
+    plain = det(MatrixR.build(n, n, lambda i, j: fs[i](pts[j])))
     denom = Fraction(1)
     off = 0
     for m in parts:

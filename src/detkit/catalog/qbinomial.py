@@ -9,8 +9,8 @@ from fractions import Fraction
 from ..exactnum import (binomial, double_factorial, factorial, pochhammer,
                         q_binomial, q_factorial, q_int, q_pochhammer, rat)
 from ..linalg import MatrixR
-from .base import (Resample, decreasing_ints, det_record, prod, rand_frac,
-                   rand_q)
+from .base import (Resample, _ceil, decreasing_ints, det_record, prod,
+                   rand_frac, rand_q)
 
 
 def _qf(m: int, q) -> Fraction:
@@ -379,10 +379,6 @@ def _build_andrews(n, mu):
     return MatrixR.build(
         n, n,
         lambda i, j: (1 if i == j else 0) + binomial(2 * mu + i + j, j))
-
-
-def _ceil(a: int, b: int) -> int:
-    return -((-a) // b)
 
 
 def _closed_andrews(n, mu):

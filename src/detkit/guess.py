@@ -208,7 +208,10 @@ def _cascade(terms: list[Fraction], max_level: int, parity) -> list[GuessExpr]:
 def lagrange_interpolate(points: Sequence[tuple]) -> PolyQ:
     """The polynomial of degree < len(points) through distinct points."""
     pts = [(rat(x), rat(y)) for x, y in points]
-    return _interpolant([x for x, _ in pts], [y for _, y in pts])[1]
+    xs = [x for x, _ in pts]
+    if len(set(xs)) != len(xs):
+        raise ValueError("x-values must be distinct")
+    return _interpolant(xs, [y for _, y in pts])[1]
 
 
 def interpolate_det_poly(

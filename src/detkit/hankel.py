@@ -66,7 +66,7 @@ def hankel_matrix(s: MomentSeq, n: int, offset: int = 0) -> MatrixR:
 def hankel_det(s: MomentSeq, n: int, offset: int = 0) -> Fraction:
     if n == 0:
         return Fraction(1)
-    return det(hankel_matrix(s, n, offset), "bareiss")
+    return det(hankel_matrix(s, n, offset))
 
 
 def hankel_dets(s: MomentSeq, n: int) -> list[Fraction]:
@@ -179,7 +179,7 @@ def hankel_x_transform(s: MomentSeq, x, n: int) -> Fraction:
         m = i + j
         return sum((binomial(m, k) * s[k] * x ** (m - k) for k in range(m + 1)), Fraction(0))
 
-    return det(MatrixR.build(n, n, entry), "bareiss")
+    return det(MatrixR.build(n, n, entry))
 
 
 def bernoulli_shifted_moments(count: int, shift: int = 2) -> MomentSeq:

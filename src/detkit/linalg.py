@@ -3,7 +3,10 @@ engine needs: four determinant strategies, permanent, Pfaffian,
 LU in the M*U = L form, kernel bases, characteristic polynomial,
 and the Sylvester resultant.
 
-Entries may be Fractions, PolyQ, or RatFn; one scalar kind per matrix.
+Entries are ints and Fractions.  A determinant that is a polynomial in a
+parameter is interpolated from integer determinants at sample points by
+`guess.interpolate_det_poly`.  The Laplace expansion divides nowhere, and
+stwi calls it directly on truncated series.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from itertools import permutations
 from math import lcm, prod
 from typing import Callable, Sequence
 
-from .exactnum import PolyQ, RatFn, rat
+from .exactnum import PolyQ, rat
 
 
 class MatrixR:
@@ -121,95 +124,46 @@ class MatrixR:
         return f"MatrixR({self.to_rows()!r})"
 
 
-def _zero_like(m: MatrixR):
-    e = m.entries[0]
-    if isinstance(e, PolyQ):
-        return PolyQ()
-    if isinstance(e, RatFn):
-        return RatFn(PolyQ())
-    return Fraction(0)
-
-
-def _one_like(m: MatrixR):
-    e = m.entries[0]
-    if isinstance(e, PolyQ):
-        return PolyQ.constant(1)
-    if isinstance(e, RatFn):
-        return RatFn(1)
-    return Fraction(1)
-
-
-def _is_zero(x) -> bool:
-    if isinstance(x, (PolyQ, RatFn)):
-        return x.is_zero()
-    return x == 0
-
-
 def _det_laplace(m: MatrixR):
+    """First-row Laplace expansion over any commutative ring: stwi calls
+    it directly on TruncSeries, which has zero divisors."""
     n = m.rows
-    if n == 0:
-        return Fraction(1)
     if n == 1:
         return m[0, 0]
     if n == 2:
         return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     acc = None
     for j in range(n):
-        if _is_zero(m[0, j]):
+        if m[0, j] == 0:
             continue
         term = m[0, j] * _det_laplace(m.minor(0, j))
         if j % 2:
             term = term * -1
         acc = term if acc is None else acc + term
-    return acc if acc is not None else _zero_like(m)
+    return acc if acc is not None else Fraction(0)
 
 
-def _det_gauss(m: MatrixR):
+def _det_gauss(m: MatrixR) -> Fraction:
     n = m.rows
-    if n == 0:
-        return Fraction(1)
     a = m.to_rows()
-    if isinstance(m.entries[0], PolyQ):
-        a = [[RatFn(e) for e in row] for row in a]
-    det = _one_like(m) if not isinstance(m.entries[0], PolyQ) else RatFn(1)
+    det = Fraction(1)
     sign = 1
     for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if not _is_zero(a[i][k]):
-                piv = i
-                break
+        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
         if piv is None:
-            return _zero_like(m)
+            return Fraction(0)
         if piv != k:
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
         p = a[k][k]
         det = det * p
         for i in range(k + 1, n):
-            if _is_zero(a[i][k]):
+            if a[i][k] == 0:
                 continue
             f = a[i][k] / p
             for j in range(k, n):
                 a[i][j] = a[i][j] - f * a[k][j]
-    det = det * sign
-    if isinstance(m.entries[0], PolyQ):
-        # exact division guaranteed: the determinant is polynomial
-        q, r = det.num.divmod(det.den)
-        if not r.is_zero():
-            raise ArithmeticError("gauss over PolyQ produced a non-polynomial determinant")
-        return q
-    return det
-
-
-def _exquo(a, b):
-    """Exact division in the entry domain (Bareiss step)."""
-    if isinstance(a, PolyQ):
-        q, r = a.divmod(b)
-        if not r.is_zero():
-            raise ArithmeticError("Bareiss exact division failed")
-        return q
-    return a / b
+    return det * sign
 
 
 def _int_rows(rows) -> tuple[list[list[int]], list[int]]:
@@ -267,48 +221,18 @@ def _is_rational(m: MatrixR) -> bool:
     return all(isinstance(e, (int, Fraction)) for e in m.entries)
 
 
-def _det_bareiss(m: MatrixR):
-    n = m.rows
-    if n == 0:
-        return Fraction(1)
-    if isinstance(m.entries[0], RatFn):
-        raise ValueError("bareiss requires an integral-domain scalar kind")
-    if _is_rational(m):
-        a, scales = _int_rows(m.to_rows())
-        sign, pivots, _ = _bareiss_int(a)
-        if len(pivots) < n:
-            return Fraction(0)
-        return Fraction(sign * pivots[-1], prod(scales))
-    a = m.to_rows()
-    sign = 1
-    prev = _one_like(m)
-    for k in range(n - 1):
-        if _is_zero(a[k][k]):
-            for i in range(k + 1, n):
-                if not _is_zero(a[i][k]):
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return _zero_like(m)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                elt = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                if k != 0:
-                    elt = _exquo(elt, prev)
-                a[i][j] = elt
-        prev = a[k][k]
-    return a[n - 1][n - 1] * sign
+def _det_bareiss(m: MatrixR) -> Fraction:
+    a, scales = _int_rows(m.to_rows())
+    sign, pivots, _ = _bareiss_int(a)
+    if len(pivots) < m.rows:
+        return Fraction(0)
+    return Fraction(sign * pivots[-1], prod(scales))
 
 
-def _det_condensation(m: MatrixR):
+def _det_condensation(m: MatrixR) -> Fraction:
     """Dodgson condensation; any zero interior cell of the current layer is
     repaired by evaluating the corresponding connected minor directly."""
     n = m.rows
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return m[0, 0]
 
     def connected_minor(i, j, size):
         # det of the size x size block with top-left corner (i, j)
@@ -316,7 +240,7 @@ def _det_condensation(m: MatrixR):
         return _det_gauss(sub)
 
     cur = [[m[i, j] for j in range(n)] for i in range(n)]  # size-1 minors
-    prev = [[_one_like(m)] * (n + 1) for _ in range(n + 1)]  # size-0 minors
+    prev = [[Fraction(1)] * (n + 1) for _ in range(n + 1)]  # size-0 minors
     for size in range(2, n + 1):
         dim = n - size + 1
         nxt = [[None] * dim for _ in range(dim)]
@@ -324,10 +248,10 @@ def _det_condensation(m: MatrixR):
             for j in range(dim):
                 denom = prev[i + 1][j + 1]
                 num = cur[i][j] * cur[i + 1][j + 1] - cur[i + 1][j] * cur[i][j + 1]
-                if _is_zero(denom):
+                if denom == 0:
                     nxt[i][j] = connected_minor(i, j, size)
                 else:
-                    nxt[i][j] = _exquo(num, denom)
+                    nxt[i][j] = num / denom
         prev = [[cur[i][j] for j in range(len(cur))] for i in range(len(cur))]
         cur = nxt
     return cur[0][0]
@@ -341,18 +265,25 @@ _STRATEGIES = {
 }
 
 
-def det(m: MatrixR, strategy: str = None):
+def det(m: MatrixR, strategy: str = "bareiss") -> Fraction:
+    """Determinant of a square matrix of ints and Fractions, as a Fraction;
+    any other entry raises TypeError.
+
+    A determinant that is a polynomial in a parameter comes from
+    `guess.interpolate_det_poly`: integer determinants at sample points,
+    interpolated.
+    """
     if m.rows != m.cols:
         raise ValueError("determinant of non-square matrix")
-    if strategy is None:
-        strategy = "gauss" if isinstance(m.entries[0] if m.entries else None, RatFn) else "bareiss"
-        if m.rows == 0:
-            strategy = "laplace"
     if strategy == "laplace" and m.rows > 7:
         raise ValueError("laplace capped at n <= 7")
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy != "bareiss" and _is_rational(m):
+    if not _is_rational(m):
+        raise TypeError("det requires int or Fraction entries")
+    if m.rows == 0:
+        return Fraction(1)
+    if strategy != "bareiss":
         m = m.apply(rat)  # `/` on two ints would give a float
     return _STRATEGIES[strategy](m)
 
@@ -387,7 +318,7 @@ def _check_skew(m: MatrixR):
     n = m.rows
     for i in range(n):
         for j in range(i, n):
-            if not _is_zero(m[i, j] + m[j, i]):
+            if m[i, j] + m[j, i] != 0:
                 raise ValueError("pfaffian requires a skew-symmetric matrix")
 
 
@@ -414,14 +345,14 @@ def _pfaffian_expand(m: MatrixR, idx: list[int]):
     acc = None
     for pos in range(1, len(idx)):
         j = idx[pos]
-        if _is_zero(m[i0, j]):
+        if m[i0, j] == 0:
             continue
         rest = [k for k in idx[1:] if k != j]
         term = m[i0, j] * _pfaffian_expand(m, rest)
         if (pos - 1) % 2:
             term = term * -1
         acc = term if acc is None else acc + term
-    return acc if acc is not None else _zero_like(m)
+    return acc if acc is not None else Fraction(0)
 
 
 def _matchings(points: list[int]):
@@ -475,8 +406,6 @@ def lu_decompose(m: MatrixR) -> tuple[MatrixR, MatrixR]:
     if m.rows != m.cols:
         raise ValueError("lu_decompose requires a square matrix")
     n = m.rows
-    one = _one_like(m) if n else Fraction(1)
-    zero = _zero_like(m) if n else Fraction(0)
     ucols = []  # column j of U as a list of length n
     for j in range(n):
         # unknowns u[0..j-1]; equations: sum_k M[i,k] u[k] + M[i,j] = 0 for i < j
@@ -489,12 +418,12 @@ def lu_decompose(m: MatrixR) -> tuple[MatrixR, MatrixR]:
                 raise SingularMinorError(j) from None
         else:
             u = []
-        col = list(u) + [one] + [zero] * (n - j - 1)
+        col = list(u) + [Fraction(1)] + [Fraction(0)] * (n - j - 1)
         ucols.append(col)
     U = MatrixR.build(n, n, lambda i, j: ucols[j][i])
     L = m * U
     for j in range(n):
-        if _is_zero(L[j, j]):
+        if L[j, j] == 0:
             raise SingularMinorError(j + 1)
     return L, U
 
@@ -504,25 +433,17 @@ def solve_linear(a: MatrixR, rhs: Sequence):
     n = a.rows
     if a.cols != n or len(rhs) != n:
         raise ValueError("shape mismatch")
-    poly_mode = isinstance(a.entries[0], PolyQ) if a.entries else False
-    rows = [
-        [RatFn(e) if poly_mode else e for e in a.row(i)]
-        + [RatFn(rhs[i]) if poly_mode else rhs[i]]
-        for i in range(n)
-    ]
+    # `/` on two ints would give a float
+    rows = [[rat(e) for e in a.row(i)] + [rat(rhs[i])] for i in range(n)]
     for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if not _is_zero(rows[i][k]):
-                piv = i
-                break
+        piv = next((i for i in range(k, n) if rows[i][k] != 0), None)
         if piv is None:
             raise ValueError("singular system")
         rows[k], rows[piv] = rows[piv], rows[k]
         p = rows[k][k]
         rows[k] = [e / p for e in rows[k]]
         for i in range(n):
-            if i != k and not _is_zero(rows[i][k]):
+            if i != k and rows[i][k] != 0:
                 f = rows[i][k]
                 rows[i] = [e - f * rk for e, rk in zip(rows[i], rows[k])]
     return [rows[i][n] for i in range(n)]
@@ -604,7 +525,7 @@ def resultant(p: PolyQ, q: PolyQ) -> Fraction:
         rows.append([Fraction(0)] * i + [Fraction(c) for c in pc] + [Fraction(0)] * (n - dp - 1 - i))
     for i in range(dp):
         rows.append([Fraction(0)] * i + [Fraction(c) for c in qc] + [Fraction(0)] * (n - dq - 1 - i))
-    return det(MatrixR.from_rows(rows), "bareiss")
+    return det(MatrixR.from_rows(rows))
 
 
 def det_permutation_expansion(m: MatrixR):

@@ -141,6 +141,38 @@ def test_lattice_det_matches_full_build(n):
             assert _lattice_det(ground, q, op) == det(full)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+def test_factored_columns_match_per_entry_products(n):
+    # the running prefix/suffix products against each entry's products
+    # recomputed from scratch
+    import random
+    from detkit.catalog.base import distinct_fracs, prod
+    from detkit.catalog.classical import _factored_columns
+    rng = random.Random(n)
+    X = distinct_fracs(rng, n, nonzero=True)
+    A, B, a, b = (distinct_fracs(rng, n - 1) for _ in range(4))
+    C = Fraction(3, 5)
+
+    def f(x, u):
+        return (x + u) * (C / x - u)
+
+    def col_factor(j, x):
+        return x ** j + C
+
+    for m in range(2, n + 1):
+        def entry(i, j):
+            x, c = X[i], j + 1
+            up, lo = (A, B) if c < m else (a, b)
+            return (prod(f(x, up[s - 2]) for s in range(c + 1, n + 1))
+                    * prod(f(x, lo[s - 2]) for s in range(2, c + 1))
+                    * col_factor(j, x))
+        got = _factored_columns(n, X, f, A, B, (m, a, b), col_factor)
+        assert got == MatrixR.build(n, n, entry)
+    upper_only = MatrixR.build(
+        n, n, lambda i, j: prod(f(X[i], A[s - 2]) for s in range(j + 2, n + 1)))
+    assert _factored_columns(n, X, f, A) == upper_only
+
+
 def _goja_sides_per_entry(rng, n, trunc):
     """The Goulden-Jackson trial with H_j^(-i) inverted for every entry."""
     from detkit.catalog.base import rand_frac, rand_nonzero

@@ -209,12 +209,19 @@ def test_guess_evaluate_matches_recursive_terms(level, num, pole, initials, pari
         assert _outcome(g.evaluate, n) == want
 
 
+def test_lagrange_rejects_repeated_x():
+    with pytest.raises(ValueError, match="x-values must be distinct"):
+        lagrange_interpolate([(1, 2), (3, 4), (1, 5)])
+
+
 @given(st.lists(st.tuples(nodes, rationals), max_size=8))
 @settings(max_examples=60, deadline=None)
 def test_lagrange_matches_product_form(pts):
+    # the product form divides by zero on a repeated x; the Newton form
+    # rejects it up front, like fit_rational
     want = _outcome(_product_lagrange, pts)
     got = _outcome(lagrange_interpolate, pts)
     if want[0] is ZeroDivisionError:
-        assert got[0] is ZeroDivisionError
+        assert got == (ValueError, "x-values must be distinct")
     else:
         assert got == want

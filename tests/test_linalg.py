@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detkit.exactnum import PolyQ, TruncSeries
+from detkit.exactnum import PolyQ, RatFn, TruncSeries
 from detkit.linalg import (MatrixR, _det_laplace, char_poly, det,
                            det_permutation_expansion, kernel_basis,
                            lu_decompose, permanent, pfaffian, resultant,
                            solve_linear)
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+STRATEGIES = ("bareiss", "gauss", "laplace", "condensation")
 
 
 def _rand_matrix(rng, n, lo=-9, hi=9):
@@ -54,6 +55,29 @@ def test_int_matrix_det_is_exact_fraction():
     assert det(big, "gauss") == -1
     for v in kernel_basis(MatrixR.from_rows([[1, 2, 3], [2, 4, 6]])):
         assert all(type(c) is Fraction for c in v)
+
+
+def test_det_of_empty_matrix_is_one():
+    for strategy in STRATEGIES:
+        d = det(MatrixR(0, 0, []), strategy)
+        assert type(d) is Fraction and d == 1
+
+
+def test_det_rejects_non_rational_entries():
+    x = PolyQ([0, 1])
+    s = TruncSeries(0, [1, 2, 3])
+    matrices = [
+        MatrixR.from_rows([[x, 1], [2, x]]),
+        MatrixR.from_rows([[PolyQ.constant(1), x], [x, PolyQ.constant(2)]]),
+        MatrixR.from_rows([[RatFn(x), RatFn(1)], [RatFn(2), RatFn(x)]]),
+        MatrixR.from_rows([[s, s], [s, s * s]]),
+        # mixed: the first entry alone does not tell the scalar kind
+        MatrixR.from_rows([[Fraction(1), x], [x, Fraction(2)]]),
+    ]
+    for m in matrices:
+        for strategy in STRATEGIES:
+            with pytest.raises(TypeError, match="int or Fraction"):
+                det(m, strategy)
 
 
 @st.composite
@@ -255,6 +279,9 @@ def test_solve_linear():
     a = MatrixR.from_rows([[2, 1], [1, 3]])
     x = solve_linear(a, [Fraction(5), Fraction(10)])
     assert list(a.mul_vector(x)) == [Fraction(5), Fraction(10)]
+    # int entries and right-hand side once divided to floats under `/`
+    x = solve_linear(a, [5, 10])
+    assert all(type(v) is Fraction for v in x) and x == [1, 3]
 
 
 def test_kernel_basis():
