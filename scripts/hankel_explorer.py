@@ -10,7 +10,7 @@ import sys
 
 from detkit.exactnum import fmt_rat
 from detkit.hankel import (NAMED_MOMENTS, bernoulli_shifted_moments, hankel_dets,
-                           heilermann_product, jfraction_from_moments)
+                           heilermann_products, jfraction_from_moments)
 
 SEQUENCES = {
     "bernoulli (shift 2)": lambda count: bernoulli_shifted_moments(count, 2),
@@ -36,8 +36,7 @@ def main() -> int:
         jf = jfraction_from_moments(moments, n)
         print("  a:", ", ".join(fmt_rat(x) for x in jf.a))
         print("  b:", ", ".join(fmt_rat(x) for x in jf.b))
-        cross = all(heilermann_product(jf, i) == dets[i - 1]
-                    for i in range(1, n + 1))
+        cross = heilermann_products(jf, n)[1:] == dets
         print(f"  product cross-check: {'ok' if cross else 'MISMATCH'}")
         print()
     return 0

@@ -14,10 +14,10 @@ from fractions import Fraction
 from ..combinat import (SetPartition, PosetData, all_perms, asm_enumerate,
                         components, enumerate_partitions, nc_lattice,
                         nc_matchings, partition_join, partition_lattice,
-                        partition_meet, perm_compose, perm_invert, perm_stat,
+                        perm_compose, perm_invert, perm_stat,
                         poset_char_poly, reciprocal_poly)
 from ..exactnum import (PolyQ, TruncSeries, binomial, chebyshev_u,
-                        q_binomial, q_pochhammer, rat, stirling2)
+                        compose_each, q_binomial, q_pochhammer, rat, stirling2)
 from ..linalg import MatrixR, _det_laplace, char_poly, det
 from .base import (IdentityRecord, Resample, Trial, VerifyReport,
                    distinct_fracs, get_record, rand_frac, rand_nonzero, rand_q,
@@ -161,27 +161,72 @@ def _chi_nc(i: int) -> PolyQ:
     return poset_char_poly(nc_lattice(i))
 
 
-def _lattice_det(parts, q: Fraction, op) -> Fraction:
-    """det(q^{blocks(op(a, b))}) over parts; op is a meet or a join, so it
-    commutes and only the upper triangle is evaluated."""
+def _block_labels(p: SetPartition) -> tuple[int, ...]:
+    """The index of the block of each element 1..n of p."""
+    label = [0] * p.n
+    for k, block in enumerate(p.blocks):
+        for x in block:
+            label[x - 1] = k
+    return tuple(label)
+
+
+def _meet_blocks(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """Blocks of the meet of the partitions with block labels a and b: two
+    elements share a block of the meet iff they share one in both."""
+    return len(set(zip(a, b)))
+
+
+def _join_blocks(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """Blocks of the full-lattice join of the partitions with block labels
+    a and b: the blocks of a, merged through each block of b."""
+    parent = list(range(max(a) + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    count = len(parent)
+    first = {}  # block of b -> a block it meets
+    for x, y in zip(a, b):
+        if y not in first:
+            first[y] = x
+            continue
+        rx, ry = find(x), find(first[y])
+        if rx != ry:
+            parent[rx] = ry
+            count -= 1
+    return count
+
+
+def _nc_join_blocks(a: SetPartition, b: SetPartition) -> int:
+    return partition_join(a, b, "noncrossing").num_blocks
+
+
+def _lattice_det(parts, n: int, q: Fraction, blocks) -> Fraction:
+    """det(q^{blocks(a, b)}) over parts of {1..n}; blocks counts the blocks
+    of a meet or a join, which commute, so only the upper triangle is
+    evaluated."""
     m = len(parts)
-    powers = [q ** k for k in range(parts[0].n + 1)]
+    powers = [q ** k for k in range(n + 1)]
     entries = [[None] * m for _ in range(m)]
     for i in range(m):
         for j in range(i, m):
-            entries[i][j] = entries[j][i] = powers[op(parts[i], parts[j]).num_blocks]
+            entries[i][j] = entries[j][i] = powers[blocks(parts[i], parts[j])]
     return det(MatrixR(m, m, [e for row in entries for e in row]))
 
 
 def _nc_suite_sides(n: int, q: Fraction):
-    parts = enumerate_partitions(n)
     ncs = enumerate_partitions(n, True)
+    full_labels = [_block_labels(p) for p in enumerate_partitions(n)]
+    nc_labels = [_block_labels(p) for p in ncs]
     lhs = (
-        _lattice_det(parts, q, partition_meet),
-        _lattice_det(parts, q, lambda a, b: partition_join(a, b, "full")),
-        _lattice_det(ncs, q, partition_meet),
-        _lattice_det(ncs, q, lambda a, b: partition_join(a, b, "noncrossing")),
-        _lattice_det(ncs, q, lambda a, b: partition_join(a, b, "full")),
+        _lattice_det(full_labels, n, q, _meet_blocks),
+        _lattice_det(full_labels, n, q, _join_blocks),
+        _lattice_det(nc_labels, n, q, _meet_blocks),
+        _lattice_det(ncs, n, q, _nc_join_blocks),
+        _lattice_det(nc_labels, n, q, _join_blocks),
     )
     r1 = Fraction(1)
     r2 = Fraction(1)
@@ -385,10 +430,12 @@ def _goja_sides(rng, n: int, trunc: int):
         if i:
             pws = [pw * inv for pw, inv in zip(pws, invs)]
         fh.append([f * pw for f, pw in zip(fs, pws)])
+    # g_of_h[j][i] = G_i(H_j); the powers of each H_j are built once
+    g_series = [TruncSeries.from_poly(g, trunc) for g in gs]
+    g_of_h = [compose_each(g_series, h) for h in hs]
 
     def entry_lhs(i, j):
-        g_of_h = TruncSeries.from_poly(gs[i], trunc).compose(hs[j])
-        return ct(fh[i][j] * g_of_h)
+        return ct(fh[i][j] * g_of_h[j][i])
 
     def entry_rhs(i, j):
         return ct(fh[i][j]) * gs[i].coeff(0)

@@ -19,7 +19,7 @@ from . import catalog
 from .exactnum import fmt_rat, rat
 from .guess import ZeroTermError, rate_guess
 from .hankel import (NAMED_MOMENTS, DegenerateMomentsError, MomentSeq,
-                     hankel_dets, heilermann_product, jfraction_from_moments)
+                     hankel_dets, heilermann_products, jfraction_from_moments)
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -176,8 +176,7 @@ def cmd_hankel(args: argparse.Namespace) -> int:
         jf = jfraction_from_moments(shifted, n)
     except DegenerateMomentsError as exc:
         return _degenerate(str(exc))
-    heilermann_ok = all(
-        heilermann_product(jf, i) == dets[i - 1] for i in range(1, n + 1))
+    heilermann_ok = heilermann_products(jf, n)[1:] == dets
     payload = {
         "command": "hankel", "seq": seq_spec, "offset": offset, "n": n,
         "dets": [fmt_rat(d) for d in dets],

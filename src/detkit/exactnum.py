@@ -2,8 +2,10 @@
 rational functions, truncated (Laurent) series, and the special
 numbers/polynomials the determinant catalog consumes.
 
-All arithmetic is over ``fractions.Fraction``; nothing here ever touches
-floating point.
+All values are ``fractions.Fraction``s; nothing here ever touches
+floating point.  Truncated-series products, sums, inverses and
+compositions run on integer numerators over one common denominator per
+operand and build one ``Fraction`` per result coefficient.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -469,6 +472,25 @@ class RatFn:
 # truncated (Laurent) series
 
 
+def integer_numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of ints/Fractions over the lcm of their
+    denominators, and that lcm."""
+    # folded pair by pair: lcm(*generator) builds an argument tuple per
+    # call, which grew the tuple free lists and the peak RSS of long
+    # in-process sessions by about 1 MB
+    d = 1
+    for v in values:
+        d = math.lcm(d, v.denominator)
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The first len(a) terms of the product of the integer coefficient
+    lists a and b (len(b) >= len(a))."""
+    rb = b[len(a) - 1::-1]
+    return [sum(map(mul, a[:k + 1], rb[-k - 1:])) for k in range(len(a))]
+
+
 class TruncSeries:
     """Truncated Laurent series: coefficient i is the term of exponent
     valuation + i; terms of exponent >= order are unknown."""
@@ -515,14 +537,20 @@ class TruncSeries:
                 return self.valuation + i
         return None
 
+    def _window(self, val: int, order: int) -> tuple[list[int], int]:
+        """Integer numerators over one common denominator of the terms of
+        exponent val..order-1 (order <= self.order); terms below the stored
+        window are 0."""
+        lo = min(max(val, self.valuation), order)
+        nums, d = integer_numerators(self.coeffs[lo - self.valuation:order - self.valuation])
+        return [0] * (lo - val) + nums, d
+
     def _align(self, other: "TruncSeries"):
         val = min(self.valuation, other.valuation)
         order = min(self.order, other.order)
         if order <= val:
             raise ValueError("series have no overlapping window")
-        a = [self.coeff(e) if self.valuation <= e < self.order else Fraction(0) for e in range(val, order)]
-        b = [other.coeff(e) if other.valuation <= e < other.order else Fraction(0) for e in range(val, order)]
-        return val, order, a, b
+        return val, order, self._window(val, order), other._window(val, order)
 
     def _coerce(self, other):
         if isinstance(other, TruncSeries):
@@ -534,6 +562,8 @@ class TruncSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
             return NotImplemented
+        # numerators over the least common denominator are unique, so equal
+        # windows have equal numerators and denominators
         val, order, a, b = self._align(other)
         return a == b
 
@@ -541,8 +571,10 @@ class TruncSeries:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        val, order, a, b = self._align(other)
-        return TruncSeries(val, [x + y for x, y in zip(a, b)], order)
+        val, order, (a, da), (b, db) = self._align(other)
+        d = math.lcm(da, db)
+        sa, sb = d // da, d // db
+        return TruncSeries(val, [Fraction(x * sa + y * sb, d) for x, y in zip(a, b)], order)
 
     __radd__ = __add__
 
@@ -567,15 +599,11 @@ class TruncSeries:
         # the product is reliable up to min over known windows
         val = self.valuation + other.valuation
         order = min(self.order + other.valuation, other.order + self.valuation)
-        out = [Fraction(0)] * (order - val)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                k = i + j
-                if k < len(out):
-                    out[k] += a * b
-        return TruncSeries(val, out, order)
+        n = order - val
+        a, da = integer_numerators(self.coeffs[:n])
+        b, db = integer_numerators(other.coeffs[:n])
+        d = da * db
+        return TruncSeries(val, [Fraction(c, d) for c in _convolve(a, b)], order)
 
     __rmul__ = __mul__
 
@@ -583,17 +611,24 @@ class TruncSeries:
         tv = self.true_valuation()
         if tv is None:
             raise ZeroDivisionError("inverse of (truncated) zero series")
-        shift = tv - self.valuation
-        a = self.coeffs[shift:]
-        n = len(a)
-        inv = [Fraction(0)] * n
-        inv[0] = 1 / a[0]
-        for k in range(1, n):
-            s = Fraction(0)
-            for j in range(1, k + 1):
-                s += a[j] * inv[k - j]
-            inv[k] = -s / a[0]
-        return TruncSeries(-tv, inv, -tv + n)
+        # a = A/d with integer A; the inverse's terms are kept as integer
+        # numerators over the lcm of their denominators so far, which is
+        # rescaled as it grows
+        a, d = integer_numerators(self.coeffs[tv - self.valuation:])
+        a0 = a[0]
+        inv = [Fraction(d, a0)]
+        nums, den = [inv[0].numerator], inv[0].denominator
+        ra = a[:0:-1]  # a_{n-1}, ..., a_1
+        for k in range(1, len(a)):
+            # inv_k = -(sum_j a_j inv_{k-j}) / a_0 = -(sum_j A_j N_{k-j}) / (den A_0)
+            c = Fraction(-sum(map(mul, ra[-k:], nums)), den * a0)
+            inv.append(c)
+            grow = c.denominator // math.gcd(den, c.denominator)
+            if grow != 1:
+                den *= grow
+                nums = [x * grow for x in nums]
+            nums.append(c.numerator * (den // c.denominator))
+        return TruncSeries(-tv, inv, -tv + len(a))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -621,29 +656,7 @@ class TruncSeries:
     def compose(self, inner: "TruncSeries") -> "TruncSeries":
         """self(inner); requires self a power series (valuation >= 0 terms
         only) and inner with valuation >= 1."""
-        if self.valuation < 0 and any(c != 0 for c in self.coeffs[: -self.valuation]):
-            raise ValueError("compose requires a power-series outer operand")
-        itv = inner.true_valuation()
-        if itv is not None and itv < 1:
-            raise ValueError("compose requires inner valuation >= 1")
-        order = min(self.order, inner.order)
-        # inner^e is O(x^order) once e*v >= order, v the inner's true
-        # valuation, so only the outer terms below that e count, and only
-        # up to the last nonzero one
-        v = order if itv is None else itv
-        cs = [self.coeff(e) for e in range((order - 1) // v + 1)]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        if itv is not None:  # store inner from its first nonzero term
-            inner = TruncSeries(itv, inner.coeffs[itv - inner.valuation:], inner.order)
-        out = TruncSeries(0, [0] * order, order)
-        pw = TruncSeries(0, [1] + [0] * (order - 1), order)
-        for e, c in enumerate(cs):
-            if e:
-                pw = (pw * inner).restrict(order)
-            if c != 0:
-                out = out + c * pw
-        return out
+        return compose_each([self], inner)[0]
 
     def restrict(self, order: int) -> "TruncSeries":
         """Truncate to a smaller order (padding is never invented)."""
@@ -679,6 +692,47 @@ class TruncSeries:
                 terms.append(xs if c == 1 else f"{fmt_rat(c)}*{xs}")
         body = " + ".join(terms) if terms else "0"
         return f"TruncSeries({body} + O(x^{self.order}))"
+
+
+def compose_each(outers: Sequence[TruncSeries], inner: TruncSeries) -> list[TruncSeries]:
+    """[g.compose(inner) for g in outers], computing the powers of inner
+    once for all of them."""
+    for g in outers:
+        if g.valuation < 0 and any(c != 0 for c in g.coeffs[: -g.valuation]):
+            raise ValueError("compose requires a power-series outer operand")
+    itv = inner.true_valuation()
+    if itv is not None and itv < 1:
+        raise ValueError("compose requires inner valuation >= 1")
+    # inner^e is O(x^order) once e*v >= order, v the inner's true
+    # valuation, so only the outer terms below that e count, and only up
+    # to the last nonzero one
+    orders = [min(g.order, inner.order) for g in outers]
+    terms = []
+    for g, order in zip(outers, orders):
+        v = order if itv is None else itv
+        cs, dc = integer_numerators([g.coeff(e) for e in range((order - 1) // v + 1)])
+        while cs and cs[-1] == 0:
+            cs.pop()
+        terms.append((cs, dc))
+    # with inner = H/dh (H integer, from exponent 0), g(inner) is
+    # sum_e C_e H^e dh^(E-e) over dc dh^E, where g = C/dc and E is g's
+    # last contributing exponent
+    top = max(orders, default=0)
+    h, dh = inner._window(0, top)
+    pws = [[1] + [0] * (top - 1)]
+    for _ in range(max((len(cs) for cs, _ in terms), default=1) - 1):
+        pws.append(_convolve(pws[-1], h))
+    out = []
+    for (cs, dc), order in zip(terms, orders):
+        last = len(cs) - 1
+        acc = [0] * order
+        for e, c in enumerate(cs):
+            if c != 0:
+                scale = c * dh ** (last - e)
+                acc = [x + scale * y for x, y in zip(acc, pws[e])]
+        d = dc * dh ** max(last, 0)
+        out.append(TruncSeries(0, [Fraction(x, d) for x in acc], order))
+    return out
 
 
 def exp_series(order: int) -> TruncSeries:

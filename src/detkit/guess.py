@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactnum import PolyQ, RatFn, fmt_rat, newton_coefficients, rat
+from .exactnum import (PolyQ, RatFn, fmt_rat, integer_numerators,
+                       newton_coefficients, rat)
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +256,7 @@ def _rational_roots(p: PolyQ) -> list[Fraction]:
     while p.coeff(low) == 0:
         low += 1
     roots = [Fraction(0)] if low > 0 else []
-    coeffs = list(p.coeffs[low:])
-    from math import gcd, lcm
-
-    denom = lcm(*[c.denominator for c in coeffs]) if len(coeffs) > 1 else coeffs[0].denominator
-    ints = [int(c * denom) for c in coeffs]
+    ints, _ = integer_numerators(p.coeffs[low:])
     a0, an = abs(ints[0]), abs(ints[-1])
 
     def divisors(m):

@@ -151,16 +151,26 @@ def moments_from_jfraction(j: JFraction, count: int) -> MomentSeq:
     return MomentSeq([f.coeff(k) for k in range(count)])
 
 
-def heilermann_product(j: JFraction, n: int) -> Fraction:
-    """mu0^n b1^{n-1} b2^{n-2} ... b_{n-1} — the order-n Hankel determinant."""
+def heilermann_products(j: JFraction, n: int) -> list[Fraction]:
+    """[H_0, ..., H_n] with H_i = mu0^i b1^{i-1} b2^{i-2} ... b_{i-1}, the
+    order-i Hankel determinants, by one running product:
+    H_{i+1} = H_i mu0 b_1 ... b_i."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n - 1 > len(j.b):
         raise ValueError(f"J-fraction depth insufficient: need b_1..b_{n-1}")
-    out = j.mu0**n
-    for i in range(1, n):
-        out *= j.b[i - 1] ** (n - i)
+    out = [Fraction(1)]
+    step = j.mu0
+    for i in range(n):
+        if i:
+            step *= j.b[i - 1]
+        out.append(out[-1] * step)
     return out
+
+
+def heilermann_product(j: JFraction, n: int) -> Fraction:
+    """mu0^n b1^{n-1} b2^{n-2} ... b_{n-1} — the order-n Hankel determinant."""
+    return heilermann_products(j, n)[n]
 
 
 def hankel_x_transform(s: MomentSeq, x, n: int) -> Fraction:

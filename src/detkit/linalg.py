@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import lcm, prod
+from math import prod
 from typing import Callable, Sequence
 
-from .exactnum import PolyQ, rat
+from .exactnum import PolyQ, integer_numerators, rat
 
 
 class MatrixR:
@@ -173,13 +173,8 @@ def _int_rows(rows) -> tuple[list[list[int]], list[int]]:
     """
     out, scales = [], []
     for row in rows:
-        # folded pair by pair: lcm(*generator) builds an argument tuple per
-        # row, which grew the tuple free lists and the peak RSS of long
-        # in-process sessions by about 1 MB
-        d = 1
-        for e in row:
-            d = lcm(d, e.denominator)
-        out.append([e.numerator * (d // e.denominator) for e in row])
+        nums, d = integer_numerators(row)
+        out.append(nums)
         scales.append(d)
     return out, scales
 

@@ -6,6 +6,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detkit import catalog
 from detkit.catalog import (UnknownIdentityError, build_matrix, closed_form,
@@ -18,6 +20,7 @@ from detkit.catalog import (UnknownIdentityError, build_matrix, closed_form,
                             verify_turnbull)
 from detkit.catalog.base import Trial, VerifyReport, trial_rng
 from detkit.linalg import MatrixR, det
+from series_oracles import compose_loop, inverse_loop, mul_loop, pow_loop
 
 
 def test_registry_is_populated_and_ordered():
@@ -120,25 +123,68 @@ def test_turnbull_goulden_jackson_strehl_wilf():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_lattice_det_matches_full_build(n):
-    # the upper-triangle build against all m^2 entries, for every
-    # (ground set, meet/join) pair that nc-suite uses
-    from detkit.catalog.structured import _lattice_det
+    # the upper-triangle build from block counts against all m^2 entries
+    # from the built meets and joins, for every (ground set, meet/join)
+    # pair that nc-suite uses
+    from detkit.catalog.structured import (_block_labels, _join_blocks,
+                                           _lattice_det, _meet_blocks,
+                                           _nc_join_blocks)
     from detkit.combinat import (enumerate_partitions, partition_join,
                                  partition_meet)
     parts, ncs = enumerate_partitions(n), enumerate_partitions(n, True)
+    part_labels = [_block_labels(p) for p in parts]
+    nc_labels = [_block_labels(p) for p in ncs]
     cases = [
-        (parts, partition_meet),
-        (parts, lambda a, b: partition_join(a, b, "full")),
-        (ncs, partition_meet),
-        (ncs, lambda a, b: partition_join(a, b, "noncrossing")),
-        (ncs, lambda a, b: partition_join(a, b, "full")),
+        (parts, partition_meet, part_labels, _meet_blocks),
+        (parts, lambda a, b: partition_join(a, b, "full"), part_labels, _join_blocks),
+        (ncs, partition_meet, nc_labels, _meet_blocks),
+        (ncs, lambda a, b: partition_join(a, b, "noncrossing"), ncs, _nc_join_blocks),
+        (ncs, lambda a, b: partition_join(a, b, "full"), nc_labels, _join_blocks),
     ]
     for q in (Fraction(2, 3), Fraction(-5, 2)):
-        for ground, op in cases:
+        for ground, op, keys, blocks in cases:
             m = len(ground)
             full = MatrixR.build(
                 m, m, lambda i, j: q ** op(ground[i], ground[j]).num_blocks)
-            assert _lattice_det(ground, q, op) == det(full)
+            assert _lattice_det(keys, n, q, blocks) == det(full)
+
+
+def _assert_block_counts(a, b):
+    from detkit.catalog.structured import (_block_labels, _join_blocks,
+                                           _meet_blocks)
+    from detkit.combinat import partition_join, partition_meet
+    la, lb = _block_labels(a), _block_labels(b)
+    assert _meet_blocks(la, lb) == partition_meet(a, b).num_blocks
+    assert _join_blocks(la, lb) == partition_join(a, b, "full").num_blocks
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_block_counts_match_built_meet_and_join(n):
+    from detkit.combinat import enumerate_partitions
+    parts = enumerate_partitions(n)
+    for a in parts:
+        for b in parts:
+            _assert_block_counts(a, b)
+
+
+@st.composite
+def partition_pairs(draw):
+    from detkit.combinat import SetPartition
+    n = draw(st.integers(1, 7))
+    pair = []
+    for _ in range(2):
+        labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        blocks = {}
+        for x, k in enumerate(labels, start=1):
+            blocks.setdefault(k, []).append(x)
+        pair.append(SetPartition(n, blocks.values()))
+    return pair
+
+
+@settings(max_examples=300)
+@given(partition_pairs())
+def test_block_counts_match_built_meet_and_join_to_7(pair):
+    _assert_block_counts(*pair)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
@@ -174,7 +220,8 @@ def test_factored_columns_match_per_entry_products(n):
 
 
 def _goja_sides_per_entry(rng, n, trunc):
-    """The Goulden-Jackson trial with H_j^(-i) inverted for every entry."""
+    """The Goulden-Jackson trial on the Fraction-loop series, with
+    H_j^(-i) inverted and G_i(H_j) composed for every entry."""
     from detkit.catalog.base import rand_frac, rand_nonzero
     from detkit.exactnum import PolyQ, TruncSeries
     fs, hs, gs = [], [], []
@@ -185,18 +232,21 @@ def _goja_sides_per_entry(rng, n, trunc):
             trunc))
         gs.append(PolyQ([rand_frac(rng) for _ in range(4)]))
 
+    def fh(i, j):
+        return mul_loop(fs[j], pow_loop(inverse_loop(hs[j]), i))
+
     def entry_lhs(i, j):
-        g_of_h = TruncSeries.from_poly(gs[i], trunc).compose(hs[j])
-        return (fs[j] * hs[j].pow_int(-i) * g_of_h).constant_term()
+        g_of_h = compose_loop(TruncSeries.from_poly(gs[i], trunc), hs[j])
+        return mul_loop(fh(i, j), g_of_h).constant_term()
 
     def entry_rhs(i, j):
-        return (fs[j] * hs[j].pow_int(-i)).constant_term() * gs[i].coeff(0)
+        return fh(i, j).constant_term() * gs[i].coeff(0)
 
     return (det(MatrixR.build(n, n, entry_lhs)),
             det(MatrixR.build(n, n, entry_rhs)))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_goja_shared_inverse_powers_match_per_entry(n):
     from detkit.catalog.structured import _goja_sides
     for t in range(2):

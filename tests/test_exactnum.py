@@ -9,12 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detkit.exactnum import (PolyQ, RatFn, TruncSeries, bell_poly, bernoulli,
-                             binomial, catalan, chebyshev_u, cos_series,
-                             double_factorial, euler_even, exp_series,
-                             factorial, fmt_rat, hermite_poly, pochhammer,
+                             binomial, catalan, chebyshev_u, compose_each,
+                             cos_series, double_factorial, euler_even,
+                             exp_series, factorial, fmt_rat, hermite_poly,
+                             integer_numerators, pochhammer,
                              poly_gcd, q_binomial, q_factorial, q_int,
                              q_pochhammer, rat, special_sequence,
                              stirling1_unsigned, stirling2)
+from series_oracles import (add_loop, compose_loop, eq_loop, inverse_loop,
+                            mul_loop)
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=7)
 small_ints = st.integers(min_value=0, max_value=8)
@@ -415,9 +418,9 @@ def _compose_full_walk(outer, inner):
     for e in range(0, outer.order):
         c = outer.coeff(e) if e >= outer.valuation else Fraction(0)
         if c != 0:
-            out = out + c * pw
+            out = add_loop(out, mul_loop(pw, c))
         if e + 1 < outer.order:
-            pw = (pw * inner).restrict(order)
+            pw = mul_loop(pw, inner).restrict(order)
     return out.restrict(order)
 
 
@@ -469,3 +472,125 @@ def test_compose_keeps_its_domain_errors():
         exp_series(6).compose(x + 1)
     with pytest.raises(ValueError, match="power-series outer"):
         TruncSeries(-1, [1, 0, 0], 2).compose(x)
+
+
+# differential tests: integer-numerator series arithmetic against the
+# Fraction loops of series_oracles
+
+huge_fractions = st.builds(Fraction, st.integers(-10**30, 10**30),
+                           st.integers(10**25, 10**30))
+series_scalars = st.one_of(st.integers(-5, 5), rationals, huge_fractions)
+
+
+@st.composite
+def any_series(draw):
+    """Series with any valuation and window, leading and inner zeros, and
+    int-only, mixed or huge-denominator coefficients; some all zero."""
+    coeff = draw(st.sampled_from([
+        st.integers(-10**6, 10**6),
+        st.one_of(st.just(0), rationals, huge_fractions),
+        st.one_of(st.just(0), st.integers(-9, 9), rationals),
+        st.just(0),
+    ]))
+    lead = draw(st.integers(0, 2))
+    body = draw(st.lists(coeff, min_size=max(0, 1 - lead), max_size=6))
+    return TruncSeries(draw(st.integers(-3, 3)), [0] * lead + body)
+
+
+def _series_outcome(f, *args):
+    """The value with its type and, for a series, its window and exact
+    coefficients; or the exception type and message."""
+    try:
+        value = f(*args)
+    except (ZeroDivisionError, ValueError) as exc:
+        return type(exc), str(exc)
+    if isinstance(value, TruncSeries):
+        assert all(type(c) is Fraction for c in value.coeffs)
+        return type(value), _series_key(value)
+    return type(value), value
+
+
+@settings(max_examples=400)
+@given(any_series(), any_series())
+def test_series_ops_match_fraction_loops(s, t):
+    assert _series_outcome(lambda: s + t) == _series_outcome(add_loop, s, t)
+    assert _series_outcome(lambda: s - t) == _series_outcome(add_loop, s, -t)
+    assert _series_outcome(lambda: s * t) == _series_outcome(mul_loop, s, t)
+    assert _series_outcome(lambda: s == t) == _series_outcome(eq_loop, s, t)
+    assert _series_outcome(lambda: s / t) == _series_outcome(
+        lambda: mul_loop(s, inverse_loop(t)))
+
+
+@settings(max_examples=300)
+@given(any_series(), series_scalars)
+def test_series_scalar_ops_match_fraction_loops(s, c):
+    if s.order <= 0:  # no constant term to put c in
+        with pytest.raises(TypeError):
+            s + c
+        return
+    want = _series_outcome(add_loop, s, c)
+    assert _series_outcome(lambda: s + c) == want
+    assert _series_outcome(lambda: c + s) == want
+    assert _series_outcome(lambda: s - c) == _series_outcome(add_loop, s, -c)
+    assert _series_outcome(lambda: c - s) == _series_outcome(
+        lambda: -add_loop(s, -c))
+    want = _series_outcome(mul_loop, s, c)
+    assert _series_outcome(lambda: s * c) == want
+    assert _series_outcome(lambda: c * s) == want
+
+
+@settings(max_examples=400)
+@given(any_series())
+def test_series_inverse_matches_fraction_loop(s):
+    assert _series_outcome(TruncSeries.inverse, s) == _series_outcome(inverse_loop, s)
+
+
+def test_series_window_errors_match_fraction_loops():
+    # the constructor never makes two series without a common window;
+    # reassigning a window does
+    s, t = TruncSeries(0, [1, 2]), TruncSeries(1, [3])
+    t.order = t.valuation = 0
+    for op, loop in ((lambda a, b: a + b, add_loop), (lambda a, b: a == b, eq_loop)):
+        with pytest.raises(ValueError) as got:
+            op(s, t)
+        with pytest.raises(ValueError) as want:
+            loop(s, t)
+        assert str(got.value) == str(want.value) == "series have no overlapping window"
+    with pytest.raises(ZeroDivisionError, match="inverse of \\(truncated\\) zero series"):
+        TruncSeries(-2, [0, 0, 0]).inverse()
+
+
+@st.composite
+def composable(draw):
+    # outers stored from exponent -1..1, often low-degree polynomials; an
+    # inner mostly of true valuation >= 1 but stored from anywhere
+    outers = []
+    for _ in range(draw(st.integers(1, 3))):
+        val = draw(st.integers(-1, 1))
+        head = [0] * max(0, -val) + draw(st.lists(
+            st.one_of(st.just(0), rationals, huge_fractions), max_size=4))
+        order = draw(st.integers(max(val + 1, val + len(head)), 9))
+        outers.append(TruncSeries(val, head + [0] * (order - val - len(head)), order))
+    inner = draw(any_series())
+    if draw(st.booleans()):
+        inner = TruncSeries(inner.valuation, [0] * (1 - inner.valuation) + list(inner.coeffs))
+    return outers, inner
+
+
+@settings(max_examples=300)
+@given(composable())
+def test_compose_each_matches_fraction_loop(args):
+    outers, inner = args
+    want = [_series_outcome(compose_loop, g, inner) for g in outers]
+    assert [_series_outcome(g.compose, inner) for g in outers] == want
+    if all(w[0] is TruncSeries for w in want):
+        got = compose_each(outers, inner)
+        assert [_series_outcome(lambda: g) for g in got] == want
+
+
+@given(st.lists(st.one_of(st.integers(-50, 50), rationals, huge_fractions), max_size=6))
+def test_integer_numerators(values):
+    nums, d = integer_numerators(values)
+    assert all(type(x) is int for x in nums)
+    assert [Fraction(x, d) for x in nums] == [Fraction(v) for v in values]
+    assert d == math.lcm(*(Fraction(v).denominator for v in values))

@@ -15,7 +15,8 @@ from detkit.hankel import (NAMED_MOMENTS, DegenerateMomentsError, JFraction,
                            continuous_hahn_jfraction, hankel_det, hankel_dets,
                            hankel_matrix,
                            hankel_x_transform,
-                           heilermann_product, jfraction_from_moments,
+                           heilermann_product, heilermann_products,
+                           jfraction_from_moments,
                            moments_from_jfraction)
 
 
@@ -228,3 +229,28 @@ def test_named_moments_match_polynomial_values():
                for v in NAMED_MOMENTS[name](12).values)
     assert NAMED_MOMENTS["euler"](6) == MomentSeq([1, 1, 5, 61, 1385, 50521])
     assert NAMED_MOMENTS["bernoulli"](0) == MomentSeq([])
+
+
+@settings(max_examples=200)
+@given(st.fractions(min_value=-5, max_value=5, max_denominator=9),
+       st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=9),
+                max_size=8),
+       st.integers(0, 9))
+def test_heilermann_products_match_power_formula(mu0, b, n):
+    jf = JFraction(mu0, [0] * (len(b) + 1), b)
+    if n - 1 > len(b):
+        for f in (heilermann_products, heilermann_product):
+            with pytest.raises(ValueError, match="depth insufficient"):
+                f(jf, n)
+        return
+    # H_i = mu0^i b_1^(i-1) ... b_(i-1), each from its own powers
+    want = []
+    for i in range(n + 1):
+        h = Fraction(mu0) ** i
+        for k in range(1, i):
+            h *= Fraction(b[k - 1]) ** (i - k)
+        want.append(h)
+    assert heilermann_products(jf, n) == want
+    assert [heilermann_product(jf, i) for i in range(n + 1)] == want
+    with pytest.raises(ValueError, match="nonnegative"):
+        heilermann_products(jf, -1)
