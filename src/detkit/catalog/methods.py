@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..exactnum import PolyQ, RatFn, binomial, factorial, rat
-from ..guess import interpolate_det_poly, lagrange_interpolate
+from ..guess import interpolate_det_poly, lagrange_interpolate, linear_factors
 from ..linalg import MatrixR, det
 from .base import Trial, VerifyReport
 from . import binomsum as _binomsum
@@ -194,22 +194,6 @@ def lu_vandermonde_check(n: int, X) -> VerifyReport:
 # identification of factors, run end to end on one family
 
 
-def _bounded_linear_factors(p: PolyQ, radius: int):
-    """(root, multiplicity) pairs among half-integers of bounded size;
-    cheap and complete for the factored families considered here."""
-    out = []
-    for k in range(-2 * radius, 2 * radius + 1):
-        r = Fraction(k, 2)
-        mult = 0
-        lin = PolyQ([-r, 1])
-        while p(r) == 0:
-            p, _ = p.divmod(lin)
-            mult += 1
-        if mult:
-            out.append((r, mult))
-    return out
-
-
 def identification_workflow_mrr(n: int) -> VerifyReport:
     """Kernel vector at the special parameter value, exact determinant
     interpolation, factor extraction, degree bound, and leading
@@ -231,7 +215,7 @@ def identification_workflow_mrr(n: int) -> VerifyReport:
         sums, zero, sums == zero))
     bound = n * (n - 1) // 2
     p = interpolate_det_poly("mrr", {}, "mu", n, bound)
-    factors = _bounded_linear_factors(p, 3 * n + 3)
+    factors, _ = linear_factors(p, 3 * n + 3)
     rhs_pts = [(Fraction(mu), _binomsum._closed_mrr(n, Fraction(mu)))
                for mu in range(bound + 1)]
     rhs_poly = lagrange_interpolate(rhs_pts)

@@ -17,10 +17,6 @@ from .base import IdentityRecord, det_record, rand_frac, register
 # Hankel determinants with known product evaluations
 
 
-def _no_params(rng, n):
-    return {}
-
-
 def _euler_trial(rng, n):
     d0 = det(MatrixR.build(n, n, lambda i, j: euler_even(2 * i + 2 * j)))
     d1 = det(MatrixR.build(n, n, lambda i, j: euler_even(2 * i + 2 * j + 2)))

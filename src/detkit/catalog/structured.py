@@ -11,9 +11,9 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from ..combinat import (SetPartition, PosetData, all_perms, asm_enumerate,
-                        components, enumerate_partitions, nc_lattice,
-                        nc_matchings, partition_join, partition_lattice,
+from ..combinat import (PosetData, all_perms, asm_enumerate, block_labels,
+                        enumerate_partitions, join_blocks, meet_blocks,
+                        nc_lattice, nc_matchings, partition_lattice,
                         perm_compose, perm_invert, perm_stat,
                         poset_char_poly, reciprocal_poly)
 from ..exactnum import (PolyQ, TruncSeries, binomial, chebyshev_u,
@@ -161,53 +161,10 @@ def _chi_nc(i: int) -> PolyQ:
     return poset_char_poly(nc_lattice(i))
 
 
-def _block_labels(p: SetPartition) -> tuple[int, ...]:
-    """The index of the block of each element 1..n of p."""
-    label = [0] * p.n
-    for k, block in enumerate(p.blocks):
-        for x in block:
-            label[x - 1] = k
-    return tuple(label)
-
-
-def _meet_blocks(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    """Blocks of the meet of the partitions with block labels a and b: two
-    elements share a block of the meet iff they share one in both."""
-    return len(set(zip(a, b)))
-
-
-def _join_blocks(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    """Blocks of the full-lattice join of the partitions with block labels
-    a and b: the blocks of a, merged through each block of b."""
-    parent = list(range(max(a) + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    count = len(parent)
-    first = {}  # block of b -> a block it meets
-    for x, y in zip(a, b):
-        if y not in first:
-            first[y] = x
-            continue
-        rx, ry = find(x), find(first[y])
-        if rx != ry:
-            parent[rx] = ry
-            count -= 1
-    return count
-
-
-def _nc_join_blocks(a: SetPartition, b: SetPartition) -> int:
-    return partition_join(a, b, "noncrossing").num_blocks
-
-
 def _lattice_det(parts, n: int, q: Fraction, blocks) -> Fraction:
-    """det(q^{blocks(a, b)}) over parts of {1..n}; blocks counts the blocks
-    of a meet or a join, which commute, so only the upper triangle is
-    evaluated."""
+    """det(q^{blocks(a, b)}) over the block labels in parts; blocks counts
+    the blocks, at most n, of a meet or a join, which commute, so only the
+    upper triangle is evaluated."""
     m = len(parts)
     powers = [q ** k for k in range(n + 1)]
     entries = [[None] * m for _ in range(m)]
@@ -218,15 +175,15 @@ def _lattice_det(parts, n: int, q: Fraction, blocks) -> Fraction:
 
 
 def _nc_suite_sides(n: int, q: Fraction):
-    ncs = enumerate_partitions(n, True)
-    full_labels = [_block_labels(p) for p in enumerate_partitions(n)]
-    nc_labels = [_block_labels(p) for p in ncs]
+    full_labels = [block_labels(p) for p in enumerate_partitions(n)]
+    nc_labels = [block_labels(p) for p in enumerate_partitions(n, True)]
     lhs = (
-        _lattice_det(full_labels, n, q, _meet_blocks),
-        _lattice_det(full_labels, n, q, _join_blocks),
-        _lattice_det(nc_labels, n, q, _meet_blocks),
-        _lattice_det(ncs, n, q, _nc_join_blocks),
-        _lattice_det(nc_labels, n, q, _join_blocks),
+        _lattice_det(full_labels, n, q, meet_blocks),
+        _lattice_det(full_labels, n, q, join_blocks),
+        _lattice_det(nc_labels, n, q, meet_blocks),
+        _lattice_det(nc_labels, n, q,
+                     lambda a, b: join_blocks(a, b, "noncrossing")),
+        _lattice_det(nc_labels, n, q, join_blocks),
     )
     r1 = Fraction(1)
     r2 = Fraction(1)
@@ -276,11 +233,10 @@ def _meander_rhs(n: int, q: Fraction) -> Fraction:
 
 
 def _meander_det(n: int, q: Fraction) -> Fraction:
-    """det(q^{components(a, b)}) over the noncrossing matchings of 2n points."""
-    matchings = nc_matchings(2 * n)
-    m = len(matchings)
-    return det(MatrixR.build(
-        m, m, lambda i, j: q ** components(matchings[i], matchings[j])))
+    """det(q^{components(a, b)}) over the noncrossing matchings of 2n points;
+    two matchings make at most n components."""
+    labels = [block_labels(m) for m in nc_matchings(2 * n)]
+    return _lattice_det(labels, n, q, join_blocks)
 
 
 def _meander_trial(rng, n):

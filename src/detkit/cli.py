@@ -51,6 +51,9 @@ def _resolve_ids(raw: str) -> Optional[list[str]]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        sys.stderr.write("--trials must be >= 1\n")
+        return 2
     ids = _resolve_ids(args.id)
     if ids is None:
         sys.stderr.write(f"unknown identity id: {args.id}\n")
@@ -225,32 +228,33 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification of closed-form determinant identities.")
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, with_id=True):
-        if with_id:
-            p.add_argument("--id", default="all")
-        p.add_argument("--trials", type=int, default=5)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--max-n", type=int, default=None, dest="max_n")
+    def output(p):
         p.add_argument("--format", choices=("text", "json"), default="text",
                        dest="fmt")
         p.add_argument("--out", default=None)
 
-    common(sub.add_parser("verify", help="run randomized identity checks"))
-    common(sub.add_parser("eval", help="one sampled instance of one identity"))
+    for name, text in (("verify", "run randomized identity checks"),
+                       ("eval", "one sampled instance of one identity")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--id", default="all")
+        if name == "verify":
+            p.add_argument("--trials", type=int, default=5)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--max-n", type=int, default=None, dest="max_n")
+        output(p)
 
     pg = sub.add_parser("guess", help="fit a product-form law to a sequence")
     pg.add_argument("terms", help="comma-separated rational terms")
-    common(pg, with_id=False)
+    output(pg)
 
     ph = sub.add_parser("hankel", help="Hankel determinants and J-fraction")
     ph.add_argument("--seq", default="bernoulli",
                     help="bernoulli|euler|bell|hermite|custom:a,b,...")
     ph.add_argument("--offset", type=int, default=0)
     ph.add_argument("--n", type=int, default=3)
-    common(ph, with_id=False)
+    output(ph)
 
-    common(sub.add_parser("list", help="registry ids in report order"),
-           with_id=False)
+    output(sub.add_parser("list", help="registry ids in report order"))
     return parser
 
 
@@ -269,9 +273,6 @@ def main(argv: Sequence[str] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     if not args.command:
         parser.print_usage(sys.stderr)
-        return 2
-    if args.trials < 1:
-        sys.stderr.write("--trials must be >= 1\n")
         return 2
     return COMMANDS[args.command](args)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 
 from .exactnum import PolyQ, rat
 
@@ -119,54 +119,90 @@ def partition_meet(p: SetPartition, g: SetPartition) -> SetPartition:
     return SetPartition(p.n, blocks)
 
 
-def _crossing(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    """True if x < y < z < w for some x, z in one block and y, w in the
-    other: read in increasing order, the union changes block three times."""
-    in_a = set(a)
-    side = [x in in_a for x in sorted(a + b)]
-    return sum(s != t for s, t in zip(side, side[1:])) >= 3
-
-
 def partition_join(p: SetPartition, g: SetPartition, lattice: str = "full") -> SetPartition:
     if p.n != g.n:
         raise ValueError("size mismatch")
-    if lattice == "full":
-        parent = list(range(p.n + 1))
+    if lattice == "noncrossing" and not (p.is_noncrossing() and g.is_noncrossing()):
+        raise ValueError("noncrossing join requires noncrossing inputs")
+    blocks: dict[int, list[int]] = {}
+    for x, k in enumerate(join_labels(block_labels(p), block_labels(g), lattice), 1):
+        blocks.setdefault(k, []).append(x)
+    return SetPartition(p.n, blocks.values())
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
 
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
+# Meets and joins on block labels: a partition of {1..n} is the tuple whose
+# entry x - 1 is the label, in range(n), of the block of x.
 
-        for part in (p, g):
-            for block in part.blocks:
-                for x in block[1:]:
-                    union(block[0], x)
-        groups: dict[int, list[int]] = {}
-        for x in range(1, p.n + 1):
-            groups.setdefault(find(x), []).append(x)
-        return SetPartition(p.n, groups.values())
+
+def block_labels(p: SetPartition) -> tuple[int, ...]:
+    """The index of the block of each element 1..n of p."""
+    label = [0] * p.n
+    for k, block in enumerate(p.blocks):
+        for x in block:
+            label[x - 1] = k
+    return tuple(label)
+
+
+def meet_blocks(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """Blocks of the meet of the partitions labelled a and b: two elements
+    share a block of the meet iff they share one in both."""
+    return len(set(zip(a, b)))
+
+
+def join_labels(a: tuple[int, ...], b: tuple[int, ...],
+                lattice: str = "full") -> list[int]:
+    """Block labels of the join of the partitions labelled a and b, in the
+    full or the noncrossing partition lattice.
+
+    The full join merges the blocks of a through each block of b.  In the
+    noncrossing lattice two crossing blocks of any partition below the join
+    must share a block of every noncrossing partition above it, so merging
+    them is forced; what is left when nothing crosses is the least one.
+    One left-to-right pass finds the crossings: the stack holds the blocks
+    that are open (met, with elements still to come), and when an element's
+    block is not on top, every block above it has an element since that
+    block's previous one and another still to come, so it crosses and is
+    merged in."""
+    if lattice not in ("full", "noncrossing"):
+        raise ValueError(f"unknown lattice {lattice!r}")
+    parent = list(range(len(a)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    first = {}  # block of b -> a block it meets
+    for x, y in zip(a, b):
+        if y not in first:
+            first[y] = x
+            continue
+        rx, ry = find(x), find(first[y])
+        if rx != ry:
+            parent[rx] = ry
+    labels = [find(x) for x in a]
     if lattice == "noncrossing":
-        if not (p.is_noncrossing() and g.is_noncrossing()):
-            raise ValueError("noncrossing join requires noncrossing inputs")
-        # Two crossing blocks of any partition below the join must share a
-        # block of every noncrossing partition above it, so merging them is
-        # forced; what is left when nothing crosses is the least one.
-        blocks = list(partition_join(p, g, "full").blocks)
-        while True:
-            pair = next(((i, j) for i, j in combinations(range(len(blocks)), 2)
-                         if _crossing(blocks[i], blocks[j])), None)
-            if pair is None:
-                return SetPartition(p.n, blocks)
-            i, j = pair
-            blocks[i] += blocks.pop(j)
-    raise ValueError(f"unknown lattice {lattice!r}")
+        last = {r: i for i, r in enumerate(labels)}
+        stack = []
+        for i, r in enumerate(labels):
+            r = find(r)
+            if r not in stack:
+                stack.append(r)
+            while stack[-1] != r:
+                c = stack.pop()
+                parent[c] = r
+                last[r] = max(last[r], last[c])
+            if last[r] == i:
+                stack.pop()
+        labels = [find(r) for r in labels]
+    return labels
+
+
+def join_blocks(a: tuple[int, ...], b: tuple[int, ...],
+                lattice: str = "full") -> int:
+    """Blocks of the join of the partitions labelled a and b."""
+    return len(set(join_labels(a, b, lattice)))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +315,7 @@ def nc_matchings(n2: int) -> tuple[SetPartition, ...]:
 def components(a: SetPartition, b: SetPartition) -> int:
     """Number of connected components of the union of two matchings:
     the block count of their join in the full partition lattice."""
-    return partition_join(a, b, "full").num_blocks
+    return join_blocks(block_labels(a), block_labels(b))
 
 
 # ---------------------------------------------------------------------------

@@ -846,20 +846,6 @@ def asm_count(n: int) -> Fraction:
     return out
 
 
-def special_sequence(kind: str, *args) -> Fraction:
-    table = {
-        "bernoulli": bernoulli,
-        "euler_even": euler_even,
-        "stirling2": stirling2,
-        "stirling1": stirling1_unsigned,
-        "asm": asm_count,
-        "catalan": catalan,
-    }
-    if kind not in table:
-        raise ValueError(f"unknown sequence kind {kind!r}")
-    return table[kind](*args)
-
-
 def bell_poly(m: int) -> PolyQ:
     return PolyQ([stirling2(m, k) for k in range(m + 1)])
 
@@ -876,12 +862,3 @@ def chebyshev_u(m: int) -> PolyQ:
     for j in range(m // 2 + 1):
         coeffs[m - 2 * j] += (-1) ** j * binomial(m - j, j) * Fraction(2) ** (m - 2 * j)
     return PolyQ(coeffs)
-
-
-def special_poly(kind: str, m: int) -> PolyQ:
-    if m < 0:
-        raise ValueError("special_poly index must be nonnegative")
-    table = {"bell": bell_poly, "hermite": hermite_poly, "chebyshev_u": chebyshev_u}
-    if kind not in table:
-        raise ValueError(f"unknown polynomial kind {kind!r}")
-    return table[kind](m)

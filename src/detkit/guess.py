@@ -1,17 +1,16 @@
 """Closed-form sequence guessing by rational interpolation over
 successive-quotient towers, plus the determinant-polynomial
-interpolation and rational-linear-factor extraction used by the
+interpolation and the half-integer linear-factor scan used by the
 identification-of-factors workflow.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactnum import (PolyQ, RatFn, fmt_rat, integer_numerators,
-                       newton_coefficients, rat)
+from .exactnum import PolyQ, RatFn, fmt_rat, newton_coefficients, rat
 
 
 # ---------------------------------------------------------------------------
@@ -243,56 +242,24 @@ def interpolate_det_poly(
 
 
 # ---------------------------------------------------------------------------
-# rational linear factors
+# half-integer linear factors
 
 
-def _rational_roots(p: PolyQ) -> list[Fraction]:
-    """All rational roots of p, via the rational-root bound on the
-    primitive integer form."""
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    # strip x^k
-    low = 0
-    while p.coeff(low) == 0:
-        low += 1
-    roots = [Fraction(0)] if low > 0 else []
-    ints, _ = integer_numerators(p.coeffs[low:])
-    a0, an = abs(ints[0]), abs(ints[-1])
-
-    def divisors(m):
-        out = []
-        d = 1
-        while d * d <= m:
-            if m % d == 0:
-                out.append(d)
-                out.append(m // d)
-            d += 1
-        return sorted(set(out))
-
-    for num in divisors(a0):
-        for den in divisors(an):
-            for s in (1, -1):
-                cand = Fraction(s * num, den)
-                if cand not in roots and p(cand) == 0:
-                    roots.append(cand)
-    return roots
-
-
-def linear_factors(p: PolyQ):
-    """((root, multiplicity) list, cofactor with no rational roots)."""
+def linear_factors(p: PolyQ, radius: int):
+    """((root, multiplicity) list, cofactor): the roots of p among the
+    half-integers k/2 with |k| <= 2 * radius, divided out of p.  The scan
+    stays cheap when the coefficients have many bits, where a search over
+    the divisors of the constant term would not."""
     if p.is_zero():
         raise ValueError("zero polynomial")
     out = []
-    for r in sorted(_rational_roots(p)):
+    for k in range(-2 * radius, 2 * radius + 1):
+        r = Fraction(k, 2)
         mult = 0
         lin = PolyQ([-r, 1])
-        while True:
-            q, rem = p.divmod(lin)
-            if rem.is_zero():
-                p = q
-                mult += 1
-            else:
-                break
+        while p(r) == 0:
+            p, _ = p.divmod(lin)
+            mult += 1
         if mult:
             out.append((r, mult))
     return out, p

@@ -12,7 +12,6 @@ stwi calls it directly on truncated series.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
 from math import prod
 from typing import Callable, Sequence
 
@@ -521,26 +520,3 @@ def resultant(p: PolyQ, q: PolyQ) -> Fraction:
     for i in range(dp):
         rows.append([Fraction(0)] * i + [Fraction(c) for c in qc] + [Fraction(0)] * (n - dq - 1 - i))
     return det(MatrixR.from_rows(rows))
-
-
-def det_permutation_expansion(m: MatrixR):
-    """Brute-force determinant over all permutations (test oracle, n <= 6)."""
-    n = m.rows
-    if n > 6:
-        raise ValueError("permutation expansion capped at n <= 6")
-    acc = None
-    for perm in permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        prod = None
-        for i in range(n):
-            prod = m[i, perm[i]] if prod is None else prod * m[i, perm[i]]
-        if prod is None:
-            prod = Fraction(1)
-        if sign < 0:
-            prod = prod * -1
-        acc = prod if acc is None else acc + prod
-    return acc if acc is not None else Fraction(1)

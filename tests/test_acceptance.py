@@ -10,7 +10,7 @@ from detkit.catalog import (build_matrix, closed_form, lu_vandermonde_check,
                             ode_method_check, registry_ids,
                             verify_group_determinant, verify_identity,
                             verify_nc_suite, verify_okada)
-from detkit.exactnum import binomial, factorial, special_sequence
+from detkit.exactnum import asm_count, binomial, factorial
 from detkit.guess import (interpolate_det_poly, lagrange_interpolate,
                           rate_guess)
 from detkit.hankel import (JFraction, bernoulli_shifted_moments, hankel_det,
@@ -135,7 +135,7 @@ def test_08_rate_guesser_asm():
     guesses = rate_guess(terms)
     assert guesses
     for n in range(9, 13):
-        assert guesses[0].evaluate(n) == special_sequence("asm", n)
+        assert guesses[0].evaluate(n) == asm_count(n)
 
 
 def test_09_identification_workflow():

@@ -121,50 +121,85 @@ def test_turnbull_goulden_jackson_strehl_wilf():
     assert verify_strehl_wilf(3, trunc=16, seed=2).overall
 
 
+def _least_upper_bounds(ground):
+    """lub[i][j], the index of the least partition in ground above both
+    ground[i] and ground[j], read off the refinement table."""
+    up = [{k for k, c in enumerate(ground) if p.refines(c)} for p in ground]
+    lub = []
+    for i in range(len(ground)):
+        lub.append([])
+        for j in range(len(ground)):
+            above = up[i] & up[j]
+            [least] = [k for k in above if above <= up[k]]
+            lub[i].append(least)
+    return lub
+
+
+def _join_by_merging(a, b):
+    """The full-lattice join: each block of a and b in turn absorbs the
+    blocks met so far that it intersects."""
+    from detkit.combinat import SetPartition
+    out = []
+    for block in map(set, a.blocks + b.blocks):
+        for other in [o for o in out if o & block]:
+            block |= other
+            out.remove(other)
+        out.append(block)
+    return SetPartition(a.n, out)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_lattice_det_matches_full_build(n):
-    # the upper-triangle build from block counts against all m^2 entries
-    # from the built meets and joins, for every (ground set, meet/join)
-    # pair that nc-suite uses
-    from detkit.catalog.structured import (_block_labels, _join_blocks,
-                                           _lattice_det, _meet_blocks,
-                                           _nc_join_blocks)
-    from detkit.combinat import (enumerate_partitions, partition_join,
-                                 partition_meet)
+    # the upper-triangle build from block labels against all m^2 entries
+    # from meets built block by block and joins read off the refinement
+    # tables, for every (ground set, meet/join) pair that nc-suite uses
+    from detkit.catalog.structured import _lattice_det
+    from detkit.combinat import (block_labels, enumerate_partitions,
+                                 join_blocks, meet_blocks, partition_meet)
     parts, ncs = enumerate_partitions(n), enumerate_partitions(n, True)
-    part_labels = [_block_labels(p) for p in parts]
-    nc_labels = [_block_labels(p) for p in ncs]
+    part_labels = [block_labels(p) for p in parts]
+    nc_labels = [block_labels(p) for p in ncs]
+    full_lub, nc_lub = _least_upper_bounds(parts), _least_upper_bounds(ncs)
+    at = [parts.index(p) for p in ncs]
     cases = [
-        (parts, partition_meet, part_labels, _meet_blocks),
-        (parts, lambda a, b: partition_join(a, b, "full"), part_labels, _join_blocks),
-        (ncs, partition_meet, nc_labels, _meet_blocks),
-        (ncs, lambda a, b: partition_join(a, b, "noncrossing"), ncs, _nc_join_blocks),
-        (ncs, lambda a, b: partition_join(a, b, "full"), nc_labels, _join_blocks),
+        (part_labels, meet_blocks,
+         [[partition_meet(a, b).num_blocks for b in parts] for a in parts]),
+        (part_labels, join_blocks,
+         [[parts[k].num_blocks for k in row] for row in full_lub]),
+        (nc_labels, meet_blocks,
+         [[partition_meet(a, b).num_blocks for b in ncs] for a in ncs]),
+        (nc_labels, lambda a, b: join_blocks(a, b, "noncrossing"),
+         [[ncs[k].num_blocks for k in row] for row in nc_lub]),
+        (nc_labels, join_blocks,
+         [[parts[full_lub[i][j]].num_blocks for j in at] for i in at]),
     ]
+    for labels, blocks, counts in cases:
+        assert [[blocks(a, b) for b in labels] for a in labels] == counts
     for q in (Fraction(2, 3), Fraction(-5, 2)):
-        for ground, op, keys, blocks in cases:
-            m = len(ground)
-            full = MatrixR.build(
-                m, m, lambda i, j: q ** op(ground[i], ground[j]).num_blocks)
-            assert _lattice_det(keys, n, q, blocks) == det(full)
+        for labels, blocks, counts in cases:
+            m = len(labels)
+            full = MatrixR.build(m, m, lambda i, j: q ** counts[i][j])
+            assert _lattice_det(labels, n, q, blocks) == det(full)
 
 
-def _assert_block_counts(a, b):
-    from detkit.catalog.structured import (_block_labels, _join_blocks,
-                                           _meet_blocks)
-    from detkit.combinat import partition_join, partition_meet
-    la, lb = _block_labels(a), _block_labels(b)
-    assert _meet_blocks(la, lb) == partition_meet(a, b).num_blocks
-    assert _join_blocks(la, lb) == partition_join(a, b, "full").num_blocks
+def _assert_block_counts(a, b, join):
+    # join is the full-lattice join of a and b from an independent oracle
+    from detkit.combinat import (block_labels, join_blocks, meet_blocks,
+                                 partition_join, partition_meet)
+    la, lb = block_labels(a), block_labels(b)
+    assert meet_blocks(la, lb) == partition_meet(a, b).num_blocks
+    assert join_blocks(la, lb) == join.num_blocks
+    assert partition_join(a, b) == join
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_block_counts_match_built_meet_and_join(n):
     from detkit.combinat import enumerate_partitions
     parts = enumerate_partitions(n)
-    for a in parts:
-        for b in parts:
-            _assert_block_counts(a, b)
+    lub = _least_upper_bounds(parts)
+    for i, a in enumerate(parts):
+        for j, b in enumerate(parts):
+            _assert_block_counts(a, b, parts[lub[i][j]])
 
 
 @st.composite
@@ -184,7 +219,7 @@ def partition_pairs(draw):
 @settings(max_examples=300)
 @given(partition_pairs())
 def test_block_counts_match_built_meet_and_join_to_7(pair):
-    _assert_block_counts(*pair)
+    _assert_block_counts(*pair, _join_by_merging(*pair))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])

@@ -34,6 +34,25 @@ def test_verify_bad_trials(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["guess", "1,2,3", "--trials", "3"],
+    ["guess", "1,2,3", "--seed", "4"],
+    ["guess", "1,2,3", "--max-n", "2"],
+    ["hankel", "--trials", "3"],
+    ["hankel", "--seed", "4"],
+    ["hankel", "--max-n", "2"],
+    ["list", "--trials", "3"],
+    ["list", "--seed", "4"],
+    ["list", "--max-n", "2"],
+    ["eval", "--id", "macmahon", "--trials", "3"],
+], ids=lambda argv: f"{argv[0]}-{argv[-2]}")
+def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
 def test_verify_json_schema(capsys):
     code, out = run(capsys, "verify", "--id", "vandermonde,cauchy",
                     "--seed", "3", "--format", "json")

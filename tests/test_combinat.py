@@ -14,7 +14,7 @@ from detkit.combinat import (SetPartition, _all_partitions, all_perms,
                              nc_matchings, partition_join, partition_lattice,
                              partition_meet, perm_compose, perm_invert,
                              perm_stat, poset_char_poly, reciprocal_poly)
-from detkit.exactnum import PolyQ, catalan, special_sequence
+from detkit.exactnum import PolyQ, asm_count, catalan
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +193,7 @@ def test_inv_invariant_under_inverse(s):
 def test_asm_counts():
     # [PAPER] 1, 2, 7, 42 with the product formula
     for n in range(1, 5):
-        assert len(asm_enumerate(n)) == special_sequence("asm", n)
+        assert len(asm_enumerate(n)) == asm_count(n)
 
 
 def test_asm_structure():

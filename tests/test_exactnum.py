@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detkit.exactnum import (PolyQ, RatFn, TruncSeries, bell_poly, bernoulli,
-                             binomial, catalan, chebyshev_u, compose_each,
-                             cos_series, double_factorial, euler_even,
-                             exp_series, factorial, fmt_rat, hermite_poly,
-                             integer_numerators, pochhammer,
+from detkit.exactnum import (PolyQ, RatFn, TruncSeries, asm_count, bell_poly,
+                             bernoulli, binomial, catalan, chebyshev_u,
+                             compose_each, cos_series, double_factorial,
+                             euler_even, exp_series, factorial, fmt_rat,
+                             hermite_poly, integer_numerators, pochhammer,
                              poly_gcd, q_binomial, q_factorial, q_int,
-                             q_pochhammer, rat, special_sequence,
-                             stirling1_unsigned, stirling2)
+                             q_pochhammer, rat, stirling1_unsigned, stirling2)
 from series_oracles import (add_loop, compose_loop, eq_loop, inverse_loop,
                             mul_loop)
 
@@ -79,7 +78,7 @@ def test_stirling_catalan_anchors():
 
 def test_special_sequence_asm():
     # [PAPER] alternating-sign-matrix counts 1, 2, 7, 42, 429
-    assert [special_sequence("asm", n) for n in range(1, 6)] == [1, 2, 7, 42, 429]
+    assert [asm_count(n) for n in range(1, 6)] == [1, 2, 7, 42, 429]
 
 
 def test_q_analogues():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detkit.exactnum import PolyQ, RatFn, catalan, factorial, special_sequence
+from detkit.exactnum import PolyQ, RatFn, asm_count, catalan, factorial
 from detkit.guess import (GuessExpr, ZeroTermError, fit_rational,
                           lagrange_interpolate, linear_factors, rate_guess)
 from detkit.linalg import MatrixR, kernel_basis
@@ -82,14 +82,38 @@ def test_rate_guess_asm_sequence():
     gs = rate_guess(terms)
     assert gs
     for n in range(9, 13):
-        assert gs[0].evaluate(n) == special_sequence("asm", n)
+        assert gs[0].evaluate(n) == asm_count(n)
 
 
 def test_linear_factors():
     p = PolyQ([0, 1]) * PolyQ([2, 1]) ** 2 * PolyQ([3, 0, 1])
-    factors, cofactor = linear_factors(p)
+    factors, cofactor = linear_factors(p, 3)
     assert dict(factors) == {Fraction(0): 1, Fraction(-2): 2}
     assert cofactor == PolyQ([3, 0, 1])
+
+
+def test_linear_factors_scan_half_integers_within_radius():
+    # -1/2 and 2 lie in the scanned range, 5 does not
+    p = PolyQ([1, 2]) * PolyQ([-5, 1]) * PolyQ([-2, 1])
+    factors, cofactor = linear_factors(p, 3)
+    assert factors == [(Fraction(-1, 2), 1), (Fraction(2), 1)]
+    assert cofactor == PolyQ([-10, 2])
+    with pytest.raises(ValueError):
+        linear_factors(PolyQ(), 3)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_linear_factors_split_the_mrr_determinant(n):
+    # the identification workflow's polynomial: every root is a half-integer
+    # in the scanned range, and the factors rebuild it
+    from detkit.guess import interpolate_det_poly
+    p = interpolate_det_poly("mrr", {}, "mu", n, n * (n - 1) // 2)
+    factors, cofactor = linear_factors(p, 3 * n + 3)
+    assert cofactor.degree == 0
+    rebuilt = cofactor
+    for r, mult in factors:
+        rebuilt = rebuilt * PolyQ([-r, 1]) ** mult
+    assert rebuilt == p
 
 
 # ---------------------------------------------------------------------------

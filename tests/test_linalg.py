@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from detkit.exactnum import PolyQ, RatFn, TruncSeries
 from detkit.linalg import (MatrixR, _det_laplace, char_poly, det,
-                           det_permutation_expansion, kernel_basis,
-                           lu_decompose, permanent, pfaffian, resultant,
-                           solve_linear)
+                           kernel_basis, lu_decompose, permanent, pfaffian,
+                           resultant, solve_linear)
+from det_oracles import det_permutation_expansion
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 STRATEGIES = ("bareiss", "gauss", "laplace", "condensation")
