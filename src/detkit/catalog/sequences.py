@@ -176,20 +176,22 @@ det_record("circulant", _sample_circulant, _build_circulant, _closed_circulant, 
 # Pfaffian-to-determinant window reductions; n plays the role of N
 
 
-def _window(g, lo_excl: int, hi_incl: int):
-    return sum((g[abs(a)] for a in range(lo_excl + 1, hi_incl + 1)),
-               Fraction(0))
+def _windows(g):
+    """w[t] = sum of g[|a|] over -t < a <= t, for t < len(g): the entry of
+    both Gordon matrices at distance t from the diagonal."""
+    w = [Fraction(0)]
+    for t in range(1, len(g)):
+        w.append(w[-1] + g[t - 1] + g[t])
+    return w
 
 
 def _gordon_even_trial(rng, n):
     g = [rand_frac(rng) for _ in range(2 * n)]
     params = {"g": tuple(g)}
+    w = _windows(g)
 
     def skew(i, j):
-        if i == j:
-            return Fraction(0)
-        s = _window(g, -abs(j - i), abs(j - i))
-        return s if i < j else -s
+        return w[j - i] if i <= j else -w[i - j]
     lhs = pfaffian(MatrixR.build(2 * n, 2 * n, skew))
     rhs = det(MatrixR.build(
         n, n, lambda i, j: g[abs(i - j)] + g[i + j + 1]))
@@ -204,15 +206,14 @@ def _gordon_odd_trial(rng, n):
     x = rand_frac(rng)
     params = {"g": tuple(g), "X": x}
     m = 2 * n + 2
+    w = _windows(g)
 
     def skew(i, j):
-        if i == j:
-            return Fraction(0)
         if i > j:
             return -skew(j, i)
-        if j == m - 1:
+        if j == m - 1 and i < j:
             return rat(x)
-        return _window(g, -(j - i), j - i)
+        return w[j - i]
     lhs = pfaffian(MatrixR.build(m, m, skew))
     rhs = rat(x) * det(MatrixR.build(
         n, n, lambda i, j: g[abs(i - j)] - g[i + j + 2]))

@@ -433,7 +433,9 @@ def _stwi_sides(rng, n: int, trunc: int):
         rows.append([a[j] * u * prev[j] + prev[j].derive()
                      for j in range(n)])
     # TruncSeries has zero divisors, so no elimination: Laplace
-    # expansion, called directly because det() caps it at n <= 7
+    # expansion with shared minors (n * 2^(n-1) series products), called
+    # directly because det() takes only int/Fraction entries and caps
+    # Laplace at n <= 7
     lhs = _det_laplace(MatrixR.from_rows(rows))
     rhs = u.pow_int(n * (n - 1) // 2)
     coef = Fraction(1)

@@ -510,6 +510,24 @@ class TruncSeries:
         self.coeffs = tuple(coeffs)
 
     @staticmethod
+    def _raw(valuation: int, coeffs: list, order: int) -> "TruncSeries":
+        """A series from Fractions that already fill the window
+        valuation..order-1: the constructor for results of TruncSeries
+        operations, which skips the coercion and the checks."""
+        out = object.__new__(TruncSeries)
+        out.valuation = valuation
+        out.order = order
+        out.coeffs = tuple(coeffs)
+        return out
+
+    def _scaled(self, num: int, den: int) -> "TruncSeries":
+        """self * num / den (den != 0) on integer numerators over one
+        common denominator."""
+        a, d = integer_numerators(self.coeffs)
+        d *= den
+        return TruncSeries._raw(self.valuation, [Fraction(num * x, d) for x in a], self.order)
+
+    @staticmethod
     def from_poly(p: PolyQ, order: int) -> "TruncSeries":
         return TruncSeries(0, [p.coeff(i) for i in range(order)], order)
 
@@ -574,12 +592,12 @@ class TruncSeries:
         val, order, (a, da), (b, db) = self._align(other)
         d = math.lcm(da, db)
         sa, sb = d // da, d // db
-        return TruncSeries(val, [Fraction(x * sa + y * sb, d) for x, y in zip(a, b)], order)
+        return TruncSeries._raw(val, [Fraction(x * sa + y * sb, d) for x, y in zip(a, b)], order)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries(self.valuation, [-c for c in self.coeffs], self.order)
+        return TruncSeries._raw(self.valuation, [-c for c in self.coeffs], self.order)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -592,8 +610,7 @@ class TruncSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = rat(other)
-            return TruncSeries(self.valuation, [c * x for x in self.coeffs], self.order)
+            return self._scaled(other.numerator, other.denominator)
         if not isinstance(other, TruncSeries):
             return NotImplemented
         # the product is reliable up to min over known windows
@@ -603,7 +620,7 @@ class TruncSeries:
         a, da = integer_numerators(self.coeffs[:n])
         b, db = integer_numerators(other.coeffs[:n])
         d = da * db
-        return TruncSeries(val, [Fraction(c, d) for c in _convolve(a, b)], order)
+        return TruncSeries._raw(val, [Fraction(c, d) for c in _convolve(a, b)], order)
 
     __rmul__ = __mul__
 
@@ -628,12 +645,14 @@ class TruncSeries:
                 den *= grow
                 nums = [x * grow for x in nums]
             nums.append(c.numerator * (den // c.denominator))
-        return TruncSeries(-tv, inv, -tv + len(a))
+        return TruncSeries._raw(-tv, inv, -tv + len(a))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = rat(other)
-            return TruncSeries(self.valuation, [x / c for x in self.coeffs], self.order)
+            if other == 0:
+                # raise as Fraction division by zero does
+                return TruncSeries(self.valuation, [x / rat(other) for x in self.coeffs], self.order)
+            return self._scaled(other.denominator, other.numerator)
         if not isinstance(other, TruncSeries):
             return NotImplemented
         return self * other.inverse()
@@ -677,7 +696,7 @@ class TruncSeries:
         lst = [Fraction(0)] * (order - val)
         for e, c in out:
             lst[e - 1 - val] = c
-        return TruncSeries(val, lst, order)
+        return TruncSeries._raw(val, lst, order)
 
     def __repr__(self):
         terms = []

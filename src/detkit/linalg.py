@@ -5,8 +5,10 @@ and the Sylvester resultant.
 
 Entries are ints and Fractions.  A determinant that is a polynomial in a
 parameter is interpolated from integer determinants at sample points by
-`guess.interpolate_det_poly`.  The Laplace expansion divides nowhere, and
-stwi calls it directly on truncated series.
+`guess.interpolate_det_poly`.  Bareiss determinants, kernels and the
+default Pfaffian (skew elimination, no size cap) run fraction-free on
+integer rows.  The Laplace expansion divides nowhere and shares its
+minors, and stwi calls it directly on truncated series.
 """
 
 from __future__ import annotations
@@ -125,21 +127,40 @@ class MatrixR:
 
 def _det_laplace(m: MatrixR):
     """First-row Laplace expansion over any commutative ring: stwi calls
-    it directly on TruncSeries, which has zero divisors."""
+    it directly on TruncSeries, which has zero divisors.
+
+    The minor on the last k rows and a given set of k columns is expanded
+    once and shared, so an n x n determinant costs about n * 2^(n-1)
+    products instead of n!.  Each minor is the same expression the plain
+    recursion builds, so series values and windows do not change.
+    """
     n = m.rows
-    if n == 1:
-        return m[0, 0]
-    if n == 2:
-        return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    acc = None
-    for j in range(n):
-        if m[0, j] == 0:
-            continue
-        term = m[0, j] * _det_laplace(m.minor(0, j))
-        if j % 2:
-            term = term * -1
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else Fraction(0)
+    memo = {}
+
+    def minor(cols):
+        r = n - len(cols)
+        if len(cols) == 1:
+            return m[r, cols[0]]
+        got = memo.get(cols)
+        if got is not None:
+            return got
+        if len(cols) == 2:
+            a, b = cols
+            got = m[r, a] * m[r + 1, b] - m[r, b] * m[r + 1, a]
+        else:
+            acc = None
+            for pos, j in enumerate(cols):
+                if m[r, j] == 0:
+                    continue
+                term = m[r, j] * minor(cols[:pos] + cols[pos + 1:])
+                if pos % 2:
+                    term = term * -1
+                acc = term if acc is None else acc + term
+            got = acc if acc is not None else Fraction(0)
+        memo[cols] = got
+        return got
+
+    return minor(tuple(range(n)))
 
 
 def _det_gauss(m: MatrixR) -> Fraction:
@@ -316,20 +337,69 @@ def _check_skew(m: MatrixR):
                 raise ValueError("pfaffian requires a skew-symmetric matrix")
 
 
-def pfaffian(m: MatrixR, strategy: str = "expansion"):
-    """Pfaffian of a skew-symmetric matrix of even dimension <= 12.
+def pfaffian(m: MatrixR, strategy: str = "elimination"):
+    """Pfaffian of a skew-symmetric matrix of even dimension.
+
+    The default strategy, fraction-free skew elimination, takes int and
+    Fraction entries, returns a Fraction and raises TypeError for any
+    other entry.  "expansion" (along the first row) and "matching_sum"
+    (over perfect matchings) are oracles, capped at 2n <= 12.
 
     Sign convention: Pf([[0, 1], [-1, 0]]) = +1.
     """
+    if strategy not in _PFAFFIAN_STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == "elimination" and not _is_rational(m):
+        raise TypeError("pfaffian requires int or Fraction entries")
     _check_skew(m)
     n = m.rows
     if n % 2:
         raise ValueError("pfaffian requires even dimension")
-    if n > 12:
-        raise ValueError("pfaffian capped at 2n <= 12")
-    if strategy == "matching_sum":
-        return _pfaffian_matchings(m)
-    return _pfaffian_expand(m, list(range(n)))
+    if strategy != "elimination" and n > 12:
+        raise ValueError(f"pfaffian {strategy} capped at 2n <= 12")
+    return _PFAFFIAN_STRATEGIES[strategy](m)
+
+
+def _pfaffian_elimination(m: MatrixR) -> Fraction:
+    # Pf(A) = Pf(D A D) / det(D) with D the row scales, and D A D is integer
+    rows, scales = _int_rows(m.to_rows())
+    b = [[x * d for x, d in zip(row, scales)] for row in rows]
+    return Fraction(_pfaffian_int(b), prod(scales))
+
+
+def _pfaffian_int(b: list[list[int]]) -> int:
+    """Pfaffian of the integer skew matrix `b` by fraction-free skew
+    elimination (Parlett-Reid, made fraction-free), in place.
+
+    Indices are eliminated two at a time.  With pivot p = b[k][k+1], the
+    update is exact: by the Pfaffian Sylvester identity (Knuth,
+    "Overlapping Pfaffians", 1996) entry (c, d) becomes the Pfaffian of
+    the submatrix on 0..k+1, c, d, and the previous pivot divides it.
+    Only the upper triangle of the rows not yet eliminated is kept current.
+    """
+    m = len(b)
+    sign, prev = 1, 1
+    for k in range(0, m, 2):
+        rk = b[k]
+        if rk[k + 1] == 0:
+            j = next((j for j in range(k + 2, m) if rk[j]), None)
+            if j is None:
+                return 0
+            # refresh the lower triangle, then swap indices k+1 and j
+            for c in range(k, m):
+                for d in range(c + 1, m):
+                    b[d][c] = -b[c][d]
+            b[k + 1], b[j] = b[j], b[k + 1]
+            for row in b[k:]:
+                row[k + 1], row[j] = row[j], row[k + 1]
+            sign = -sign
+        p, rk1 = rk[k + 1], b[k + 1]
+        for c in range(k + 2, m):
+            row, f, g = b[c], rk[c], rk1[c]
+            row[c + 1:] = [(p * x - f * y + g * z) // prev
+                           for x, y, z in zip(row[c + 1:], rk1[c + 1:], rk[c + 1:])]
+        prev = p
+    return sign * prev
 
 
 def _pfaffian_expand(m: MatrixR, idx: list[int]):
@@ -383,6 +453,13 @@ def _pfaffian_matchings(m: MatrixR):
             prod = prod * -1
         acc = prod if acc is None else acc + prod
     return acc if acc is not None else Fraction(1)
+
+
+_PFAFFIAN_STRATEGIES = {
+    "elimination": _pfaffian_elimination,
+    "expansion": lambda m: _pfaffian_expand(m, list(range(m.rows))),
+    "matching_sum": _pfaffian_matchings,
+}
 
 
 class SingularMinorError(ValueError):

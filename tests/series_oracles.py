@@ -48,6 +48,12 @@ def mul_loop(s, t):
     return TruncSeries(val, out, order)
 
 
+def div_scalar_loop(s, c):
+    """s / c for an int/Fraction c."""
+    c = rat(c)
+    return TruncSeries(s.valuation, [x / c for x in s.coeffs], s.order)
+
+
 def inverse_loop(s):
     tv = s.true_valuation()
     if tv is None:

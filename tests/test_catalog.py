@@ -18,7 +18,8 @@ from detkit.catalog import (UnknownIdentityError, build_matrix, closed_form,
                             verify_identity, verify_izergin_korepin,
                             verify_nc_suite, verify_okada, verify_strehl_wilf,
                             verify_turnbull)
-from detkit.catalog.base import Trial, VerifyReport, trial_rng
+from detkit.catalog.base import Trial, VerifyReport, run_trial, trial_rng
+from detkit.catalog.sequences import _windows
 from detkit.linalg import MatrixR, det
 from series_oracles import compose_loop, inverse_loop, mul_loop, pow_loop
 
@@ -92,6 +93,24 @@ def test_spot_verification(identity_id):
     assert report.overall, report.to_json_dict()
 
 
+@pytest.mark.parametrize("n", [8, 12])
+@pytest.mark.parametrize("identity_id", ["gordon-even", "gordon-odd"])
+def test_gordon_pfaffians_above_cap(identity_id, n):
+    # the Pfaffian side is 2n x 2n (even) or (2n+2) x (2n+2) (odd), past
+    # the 2n <= 12 expansion oracles
+    for t in range(2):
+        trial = run_trial(get_record(identity_id), trial_rng(3, identity_id, t), n)
+        assert trial.ok, trial.to_json_dict()
+
+
+def test_gordon_windows_match_direct_sums():
+    g = [Fraction(k * k - 7, k + 2) for k in range(9)]
+    w = _windows(g)
+    assert len(w) == len(g)
+    for t in range(len(g)):
+        assert w[t] == sum((g[abs(a)] for a in range(-t + 1, t + 1)), Fraction(0))
+
+
 # ---------------------------------------------------------------------------
 # structural verifiers
 
@@ -119,6 +138,11 @@ def test_turnbull_goulden_jackson_strehl_wilf():
     assert verify_turnbull(3, 4, seed=2).overall
     assert verify_goulden_jackson(3, trunc=16, seed=2).overall
     assert verify_strehl_wilf(3, trunc=16, seed=2).overall
+
+
+def test_strehl_wilf_at_n8():
+    # an 8 x 8 Laplace expansion of series, past det()'s n <= 7 cap
+    assert verify_strehl_wilf(8, 24).overall
 
 
 def _least_upper_bounds(ground):

@@ -15,8 +15,8 @@ from detkit.exactnum import (PolyQ, RatFn, TruncSeries, asm_count, bell_poly,
                              hermite_poly, integer_numerators, pochhammer,
                              poly_gcd, q_binomial, q_factorial, q_int,
                              q_pochhammer, rat, stirling1_unsigned, stirling2)
-from series_oracles import (add_loop, compose_loop, eq_loop, inverse_loop,
-                            mul_loop)
+from series_oracles import (add_loop, compose_loop, div_scalar_loop, eq_loop,
+                            inverse_loop, mul_loop)
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=7)
 small_ints = st.integers(min_value=0, max_value=8)
@@ -536,6 +536,17 @@ def test_series_scalar_ops_match_fraction_loops(s, c):
     want = _series_outcome(mul_loop, s, c)
     assert _series_outcome(lambda: s * c) == want
     assert _series_outcome(lambda: c * s) == want
+
+
+@settings(max_examples=300)
+@given(any_series(), series_scalars)
+def test_series_scalar_mul_div_match_fraction_loops(s, c):
+    # every window, the empty-constant-term ones included; dividing by 0
+    # raises Fraction's own ZeroDivisionError message
+    want = _series_outcome(mul_loop, s, c)
+    assert _series_outcome(lambda: s * c) == want
+    assert _series_outcome(lambda: c * s) == want
+    assert _series_outcome(lambda: s / c) == _series_outcome(div_scalar_loop, s, c)
 
 
 @settings(max_examples=400)

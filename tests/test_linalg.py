@@ -18,6 +18,7 @@ from det_oracles import det_permutation_expansion
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 STRATEGIES = ("bareiss", "gauss", "laplace", "condensation")
+PFAFFIAN_STRATEGIES = ("elimination", "expansion", "matching_sum")
 
 
 def _rand_matrix(rng, n, lo=-9, hi=9):
@@ -198,7 +199,7 @@ def trunc_series(draw):
 
 @st.composite
 def series_rows(draw):
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
     return draw(st.lists(st.lists(trunc_series(), min_size=n, max_size=n),
                          min_size=n, max_size=n))
 
@@ -213,6 +214,17 @@ def test_det_laplace_on_series_matches_row_expansion(rows):
     assert got == want
     assert repr(got) == repr(want)
     assert (got.valuation, got.order) == (want.valuation, want.order)
+
+
+def test_det_laplace_matches_bareiss_at_cap():
+    # n = 7 is the largest size det() expands; denominators make the
+    # shared minors carry Fractions
+    rng = random.Random(12)
+    for _ in range(3):
+        m = MatrixR.from_rows(
+            [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(7)]
+             for _ in range(7)])
+        assert det(m, "laplace") == det(m)
 
 
 # ---------------------------------------------------------------------------
@@ -235,16 +247,99 @@ def test_pfaffian_anchors():
     assert det(m) == 64
 
 
+def _skew(upper):
+    """The skew-symmetric matrix with the given rows above the diagonal."""
+    n = len(upper)
+    return MatrixR.build(n, n, lambda i, j: upper[i][j] if i < j
+                         else (-upper[j][i] if i > j else Fraction(0)))
+
+
 def test_pfaffian_squared_is_det():
     rng = random.Random(7)
     for _ in range(10):
         n2 = 2 * rng.randint(1, 4)
-        raw = [[Fraction(rng.randint(-5, 5)) for _ in range(n2)] for _ in range(n2)]
-        m = MatrixR.build(n2, n2,
-                          lambda i, j: raw[i][j] if i < j
-                          else (-raw[j][i] if i > j else Fraction(0)))
-        for strategy in ("expansion", "matching_sum"):
+        m = _skew([[Fraction(rng.randint(-5, 5)) for _ in range(n2)]
+                   for _ in range(n2)])
+        for strategy in PFAFFIAN_STRATEGIES:
             assert pfaffian(m, strategy) ** 2 == det(m)
+
+
+def test_pfaffian_elimination_matches_oracles():
+    # entries with denominators, and zeros often enough to force swaps
+    rng = random.Random(19)
+    for _ in range(60):
+        n2 = 2 * rng.randint(1, 5)
+        m = _skew([[Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+                    if rng.random() < 0.6 else Fraction(0) for _ in range(n2)]
+                   for _ in range(n2)])
+        got = pfaffian(m)
+        assert type(got) is Fraction
+        assert got == pfaffian(m, "expansion") == pfaffian(m, "matching_sum")
+
+
+def _block_diag(*blocks):
+    n = sum(len(b) for b in blocks)
+    upper = [[Fraction(0)] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            upper[at + i][at:at + len(row)] = row
+        at += len(b)
+    return _skew(upper)
+
+
+def test_pfaffian_elimination_zero_pivot_swaps():
+    # each 4x4 block has a01 = 0, and after the first block the pivot of
+    # the second is Pf(first) * 0, so both blocks force a swap; in the
+    # second block a45 = a46 = 0, so the search skips a zero
+    first = [[0, 0, 2, Fraction(1, 3)], [0, 0, -1, 5],
+             [0, 0, 0, Fraction(-7, 2)], [0, 0, 0, 0]]
+    second = [[0, 0, 0, 3], [0, 0, Fraction(4, 5), 1],
+              [0, 0, 0, 6], [0, 0, 0, 0]]
+    third = [[0, 1], [0, 0]]
+    for blocks in ((first,), (first, second), (second, first, third)):
+        m = _block_diag(*blocks)
+        want = pfaffian(m, "expansion")
+        assert want != 0
+        assert pfaffian(m) == want == pfaffian(m, "matching_sum")
+
+
+def test_pfaffian_elimination_singular():
+    zero_row = _skew([[0, 0, 0, 0], [0, 0, 3, 1], [0, 0, 0, 2], [0, 0, 0, 0]])
+    assert pfaffian(zero_row) == 0
+    # Pf = a01 a23 - a02 a13 + a03 a12 = 0 - 1 + 1: no zero row, but the
+    # second pivot vanishes with nothing to swap in
+    dependent = _skew([[0, 1, 1, 1], [0, 0, 1, 1], [0, 0, 0, 0], [0, 0, 0, 0]])
+    assert pfaffian(dependent) == 0 == pfaffian(dependent, "expansion")
+
+
+def test_pfaffian_of_empty_matrix_is_one():
+    for strategy in PFAFFIAN_STRATEGIES:
+        assert pfaffian(MatrixR(0, 0, []), strategy) == 1
+
+
+def test_pfaffian_rejects_non_rational_entries():
+    s = TruncSeries(0, [1, 2, 3])
+    m = MatrixR.from_rows([[Fraction(0), s], [-s, Fraction(0)]])
+    with pytest.raises(TypeError, match="int or Fraction"):
+        pfaffian(m)
+
+
+def test_pfaffian_unknown_strategy_rejected():
+    m = MatrixR.from_rows([[0, 1], [-1, 0]])
+    with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+        pfaffian(m, "bogus")
+
+
+def test_pfaffian_oracles_capped_default_not():
+    rng = random.Random(23)
+    for n2 in (14, 20, 30):
+        m = _skew([[Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                    for _ in range(n2)] for _ in range(n2)])
+        assert pfaffian(m) ** 2 == det(m)
+        for strategy in ("expansion", "matching_sum"):
+            with pytest.raises(ValueError, match="capped at 2n <= 12"):
+                pfaffian(m, strategy)
 
 
 def test_pfaffian_odd_dim_rejected():
