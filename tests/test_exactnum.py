@@ -523,6 +523,11 @@ def test_series_ops_match_fraction_loops(s, t):
 @settings(max_examples=300)
 @given(any_series(), series_scalars)
 def test_series_scalar_ops_match_fraction_loops(s, c):
+    want = _series_outcome(mul_loop, s, c)
+    assert _series_outcome(lambda: s * c) == want
+    assert _series_outcome(lambda: c * s) == want
+    # dividing by 0 raises Fraction's own ZeroDivisionError message
+    assert _series_outcome(lambda: s / c) == _series_outcome(div_scalar_loop, s, c)
     if s.order <= 0:  # no constant term to put c in
         with pytest.raises(TypeError):
             s + c
@@ -533,20 +538,6 @@ def test_series_scalar_ops_match_fraction_loops(s, c):
     assert _series_outcome(lambda: s - c) == _series_outcome(add_loop, s, -c)
     assert _series_outcome(lambda: c - s) == _series_outcome(
         lambda: -add_loop(s, -c))
-    want = _series_outcome(mul_loop, s, c)
-    assert _series_outcome(lambda: s * c) == want
-    assert _series_outcome(lambda: c * s) == want
-
-
-@settings(max_examples=300)
-@given(any_series(), series_scalars)
-def test_series_scalar_mul_div_match_fraction_loops(s, c):
-    # every window, the empty-constant-term ones included; dividing by 0
-    # raises Fraction's own ZeroDivisionError message
-    want = _series_outcome(mul_loop, s, c)
-    assert _series_outcome(lambda: s * c) == want
-    assert _series_outcome(lambda: c * s) == want
-    assert _series_outcome(lambda: s / c) == _series_outcome(div_scalar_loop, s, c)
 
 
 @settings(max_examples=400)
