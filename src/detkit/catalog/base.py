@@ -76,8 +76,8 @@ def _ceil(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def prod(items, start=None):
-    out = Fraction(1) if start is None else start
+def prod(items):
+    out = Fraction(1)
     for x in items:
         out = out * x
     return out

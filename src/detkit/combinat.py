@@ -254,11 +254,9 @@ def poset_char_poly(p: PosetData) -> PolyQ:
     return PolyQ(coeffs)
 
 
-def reciprocal_poly(f: PolyQ, degree: int = None) -> PolyQ:
-    """q^degree * f(1/q); degree defaults to deg f."""
-    if degree is None:
-        degree = f.degree
-    return PolyQ([f.coeff(degree - i) for i in range(degree + 1)])
+def reciprocal_poly(f: PolyQ) -> PolyQ:
+    """q^(deg f) * f(1/q)."""
+    return PolyQ(reversed(f.coeffs))
 
 
 def _lattice_from_partitions(parts: tuple[SetPartition, ...]) -> PosetData:

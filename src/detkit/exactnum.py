@@ -578,7 +578,8 @@ class TruncSeries:
         return NotImplemented
 
     def __eq__(self, other):
-        if not isinstance(other, TruncSeries):
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         # numerators over the least common denominator are unique, so equal
         # windows have equal numerators and denominators

@@ -159,27 +159,28 @@ class ZeroTermError(ValueError):
     """A zero term blocks the successive-quotient levels."""
 
 
-def rate_guess(terms: Sequence, max_level: int = 3) -> list[GuessExpr]:
+_MAX_LEVEL = 3
+
+
+def rate_guess(terms: Sequence) -> list[GuessExpr]:
     """Try rational laws on the sequence and its successive-quotient
-    towers up to max_level; return every accepted guess."""
-    if max_level > 3:
-        raise ValueError("max_level capped at 3")
+    towers up to level 3; return every accepted guess."""
     terms = [rat(t) for t in terms]
-    out = _cascade(terms, max_level, None)
+    out = _cascade(terms, None)
     if not out and len(terms) >= 6:
         # split-definition retry on the two parity subsequences
         for parity in (0, 1):
             sub = terms[parity::2]
-            for g in _cascade(sub, max_level, parity):
+            for g in _cascade(sub, parity):
                 out.append(g)
     return out
 
 
-def _cascade(terms: list[Fraction], max_level: int, parity) -> list[GuessExpr]:
+def _cascade(terms: list[Fraction], parity) -> list[GuessExpr]:
     out = []
     seq = list(terms)
     initials: list[Fraction] = []
-    for level in range(0, max_level + 1):
+    for level in range(0, _MAX_LEVEL + 1):
         if len(seq) >= 2:
             law = fit_rational([(i, seq[i - 1]) for i in range(1, len(seq) + 1)])
             if law is not None:
@@ -188,7 +189,7 @@ def _cascade(terms: list[Fraction], max_level: int, parity) -> list[GuessExpr]:
                 # check meets no pole
                 if g._prefix(len(terms)) == terms:
                     out.append(g)
-        if level == max_level:
+        if level == _MAX_LEVEL:
             break
         if any(t == 0 for t in seq):
             if not out:
@@ -233,10 +234,9 @@ def interpolate_det_poly(
         params[free_name] = Fraction(value)
         value += 1
         try:
-            m = catalog.build_matrix(identity_id, n=n, **params)
-            d = det(m)
-        except (ZeroDivisionError, ValueError, ArithmeticError):
-            continue
+            d = det(catalog.build_matrix(identity_id, n=n, **params))
+        except ZeroDivisionError:
+            continue  # the free parameter hit a pole of an entry
         points.append((params[free_name], d))
     return lagrange_interpolate(points)
 

@@ -5,7 +5,9 @@ and the Sylvester resultant.
 
 Entries are ints and Fractions.  A determinant that is a polynomial in a
 parameter is interpolated from integer determinants at sample points by
-`guess.interpolate_det_poly`.  Bareiss determinants, kernels and the
+`guess.interpolate_det_poly`; the characteristic polynomial is found the
+same way, from det(x*I - M) at x = 0..n.  LU comes from one Gaussian
+elimination without pivoting.  Bareiss determinants, kernels and the
 default Pfaffian (skew elimination, no size cap) run fraction-free on
 integer rows.  The Laplace expansion divides nowhere and shares its
 minors, and stwi calls it directly on truncated series.
@@ -18,6 +20,7 @@ from math import prod
 from typing import Callable, Sequence
 
 from .exactnum import PolyQ, integer_numerators, rat
+from .guess import lagrange_interpolate
 
 
 class MatrixR:
@@ -47,10 +50,6 @@ class MatrixR:
     @staticmethod
     def build(rows: int, cols: int, fn: Callable[[int, int], object]) -> "MatrixR":
         return MatrixR(rows, cols, [fn(i, j) for i in range(rows) for j in range(cols)])
-
-    @staticmethod
-    def identity(n: int) -> "MatrixR":
-        return MatrixR.build(n, n, lambda i, j: Fraction(1 if i == j else 0))
 
     def __getitem__(self, ij):
         i, j = ij
@@ -88,24 +87,16 @@ class MatrixR:
         )
 
     def __mul__(self, other):
-        if isinstance(other, MatrixR):
-            if self.cols != other.rows:
-                raise ValueError("shape mismatch")
-            def entry(i, j):
-                acc = self[i, 0] * other[0, j]
-                for k in range(1, self.cols):
-                    acc = acc + self[i, k] * other[k, j]
-                return acc
-            return MatrixR.build(self.rows, other.cols, entry)
-        return MatrixR(self.rows, self.cols, [e * other for e in self.entries])
-
-    def __add__(self, other):
-        if not isinstance(other, MatrixR) or (self.rows, self.cols) != (other.rows, other.cols):
+        if not isinstance(other, MatrixR):
+            return NotImplemented
+        if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        return MatrixR(self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)])
-
-    def __sub__(self, other):
-        return self + (other * -1)
+        def entry(i, j):
+            acc = self[i, 0] * other[0, j]
+            for k in range(1, self.cols):
+                acc = acc + self[i, k] * other[k, j]
+            return acc
+        return MatrixR.build(self.rows, other.cols, entry)
 
     def apply(self, fn) -> "MatrixR":
         return MatrixR(self.rows, self.cols, [fn(e) for e in self.entries])
@@ -148,19 +139,16 @@ def _det_laplace(m: MatrixR):
             a, b = cols
             got = m[r, a] * m[r + 1, b] - m[r, b] * m[r + 1, a]
         else:
-            acc = None
             for pos, j in enumerate(cols):
-                if m[r, j] == 0:
-                    continue
+                # no zero-skip: a series 0 + O(x^k) still bounds the window
                 term = m[r, j] * minor(cols[:pos] + cols[pos + 1:])
                 if pos % 2:
                     term = term * -1
-                acc = term if acc is None else acc + term
-            got = acc if acc is not None else Fraction(0)
+                got = term if pos == 0 else got + term
         memo[cols] = got
         return got
 
-    return minor(tuple(range(n)))
+    return minor(tuple(range(n))) if n else Fraction(1)
 
 
 def _det_gauss(m: MatrixR) -> Fraction:
@@ -406,17 +394,15 @@ def _pfaffian_expand(m: MatrixR, idx: list[int]):
     if not idx:
         return Fraction(1)
     i0 = idx[0]
-    acc = None
     for pos in range(1, len(idx)):
         j = idx[pos]
-        if m[i0, j] == 0:
-            continue
+        # no zero-skip: a series 0 + O(x^k) still bounds the window
         rest = [k for k in idx[1:] if k != j]
         term = m[i0, j] * _pfaffian_expand(m, rest)
         if (pos - 1) % 2:
             term = term * -1
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else Fraction(0)
+        acc = term if pos == 1 else acc + term
+    return acc
 
 
 def _matchings(points: list[int]):
@@ -472,52 +458,29 @@ def lu_decompose(m: MatrixR) -> tuple[MatrixR, MatrixR]:
     """Find unit upper triangular U with M*U = L lower triangular.
 
     Requires every top-left principal minor of M to be nonzero; then
-    prod(diag(L)) = det(M).
+    prod(diag(L)) = det(M).  One Gaussian elimination without pivoting
+    turns [M^T | I] into [L^T | U^T]: its row operations multiply on the
+    left by the unit lower triangular U^T.  Pivot k is the ratio of the
+    leading minors of orders k + 1 and k, so the first zero pivot names
+    the first vanishing minor.
     """
     if m.rows != m.cols:
         raise ValueError("lu_decompose requires a square matrix")
     n = m.rows
-    ucols = []  # column j of U as a list of length n
-    for j in range(n):
-        # unknowns u[0..j-1]; equations: sum_k M[i,k] u[k] + M[i,j] = 0 for i < j
-        if j > 0:
-            sub = m.submatrix(range(j), range(j))
-            rhs = [m[i, j] * -1 for i in range(j)]
-            try:
-                u = solve_linear(sub, rhs)
-            except ValueError:
-                raise SingularMinorError(j) from None
-        else:
-            u = []
-        col = list(u) + [Fraction(1)] + [Fraction(0)] * (n - j - 1)
-        ucols.append(col)
-    U = MatrixR.build(n, n, lambda i, j: ucols[j][i])
-    L = m * U
-    for j in range(n):
-        if L[j, j] == 0:
-            raise SingularMinorError(j + 1)
-    return L, U
-
-
-def solve_linear(a: MatrixR, rhs: Sequence):
-    """Solve a*x = rhs exactly; raises ValueError if a is singular."""
-    n = a.rows
-    if a.cols != n or len(rhs) != n:
-        raise ValueError("shape mismatch")
     # `/` on two ints would give a float
-    rows = [[rat(e) for e in a.row(i)] + [rat(rhs[i])] for i in range(n)]
+    a = [[rat(m[j, i]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+         for i in range(n)]
     for k in range(n):
-        piv = next((i for i in range(k, n) if rows[i][k] != 0), None)
-        if piv is None:
-            raise ValueError("singular system")
-        rows[k], rows[piv] = rows[piv], rows[k]
-        p = rows[k][k]
-        rows[k] = [e / p for e in rows[k]]
-        for i in range(n):
-            if i != k and rows[i][k] != 0:
-                f = rows[i][k]
-                rows[i] = [e - f * rk for e, rk in zip(rows[i], rows[k])]
-    return [rows[i][n] for i in range(n)]
+        rk = a[k]
+        p = rk[k]
+        if p == 0:
+            raise SingularMinorError(k + 1)
+        for i in range(k + 1, n):
+            f = a[i][k] / p
+            if f:
+                a[i] = [x - f * y for x, y in zip(a[i], rk)]
+    return (MatrixR.build(n, n, lambda i, j: a[j][i]),
+            MatrixR.build(n, n, lambda i, j: a[j][n + i]))
 
 
 def kernel_basis(m: MatrixR) -> list[list[Fraction]]:
@@ -563,20 +526,13 @@ def kernel_basis(m: MatrixR) -> list[list[Fraction]]:
 
 
 def char_poly(m: MatrixR) -> PolyQ:
-    """det(lambda*I - M) by the Faddeev-LeVerrier recursion."""
+    """det(lambda*I - M), interpolated from its values at lambda = 0..n."""
     if m.rows != m.cols:
         raise ValueError("char_poly requires a square matrix")
     n = m.rows
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = MatrixR.identity(n)
-    for k in range(1, n + 1):
-        mk = m * mk
-        trace = sum((mk[i, i] for i in range(n)), Fraction(0))
-        c = -trace / k
-        coeffs[n - k] = c
-        mk = mk + MatrixR.identity(n) * c
-    return PolyQ(coeffs)
+    return lagrange_interpolate([
+        (x, det(MatrixR.build(n, n, lambda i, j: (x if i == j else 0) - m[i, j])))
+        for x in range(n + 1)])
 
 
 def resultant(p: PolyQ, q: PolyQ) -> Fraction:

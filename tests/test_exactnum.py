@@ -397,6 +397,14 @@ def test_series_compose_and_pow():
     assert (e ** -2) * (e ** 2) == TruncSeries.one(order)
 
 
+def test_series_equals_scalar():
+    # == coerces a scalar as + does, so a zero series equals 0
+    assert TruncSeries(0, [0, 0, 0]) == 0
+    assert 0 == TruncSeries(1, [0, 0])
+    assert TruncSeries(0, [0, 1, 0]) != 0
+    assert TruncSeries(0, [Fraction(3, 2), 0]) == Fraction(3, 2)
+
+
 def test_series_valuation():
     s = TruncSeries(1, [0, 1, 0], order=4)
     assert s.true_valuation() == 2
@@ -531,7 +539,11 @@ def test_series_scalar_ops_match_fraction_loops(s, c):
     if s.order <= 0:  # no constant term to put c in
         with pytest.raises(TypeError):
             s + c
+        assert s != c and c != s
         return
+    want = _series_outcome(eq_loop, s, s._coerce(c))
+    assert _series_outcome(lambda: s == c) == want
+    assert _series_outcome(lambda: c == s) == want
     want = _series_outcome(add_loop, s, c)
     assert _series_outcome(lambda: s + c) == want
     assert _series_outcome(lambda: c + s) == want

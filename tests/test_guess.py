@@ -116,6 +116,32 @@ def test_linear_factors_split_the_mrr_determinant(n):
     assert rebuilt == p
 
 
+def test_interpolate_det_poly_surfaces_builder_errors(monkeypatch):
+    # only a pole of an entry (ZeroDivisionError) skips a sample point;
+    # any other error surfaces from the first build
+    from detkit import catalog
+    from detkit.guess import interpolate_det_poly
+    calls = []
+    build = catalog.build_matrix
+    monkeypatch.setattr(catalog, "build_matrix",
+                        lambda *a, **k: calls.append(a) or build(*a, **k))
+    with pytest.raises(ValueError, match="has no plain matrix builder"):
+        interpolate_det_poly("nc-suite", {}, "q", 2, 3)
+    assert len(calls) == 1
+
+
+def test_interpolate_det_poly_skips_poles(monkeypatch):
+    from detkit import catalog
+    from detkit.guess import interpolate_det_poly
+
+    def build(identity_id, n, q):
+        if q == 1:
+            raise ZeroDivisionError
+        return MatrixR.from_rows([[q * q - 1]])
+    monkeypatch.setattr(catalog, "build_matrix", build)
+    assert interpolate_det_poly("any", {}, "q", 1, 2) == PolyQ([-1, 0, 1])
+
+
 # ---------------------------------------------------------------------------
 # the split search, the recursive evaluation and the product-form Lagrange
 # loop that fit_rational, GuessExpr.evaluate and lagrange_interpolate

@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detkit.exactnum import PolyQ, RatFn, TruncSeries
-from detkit.linalg import (MatrixR, _det_laplace, char_poly, det,
-                           kernel_basis, lu_decompose, permanent, pfaffian,
-                           resultant, solve_linear)
-from det_oracles import det_permutation_expansion
+from detkit.linalg import (MatrixR, SingularMinorError, _det_laplace,
+                           char_poly, det, kernel_basis, lu_decompose,
+                           permanent, pfaffian, resultant)
+from det_oracles import char_poly_faddeev_leverrier, det_permutation_expansion
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 STRATEGIES = ("bareiss", "gauss", "laplace", "condensation")
@@ -39,7 +39,7 @@ def test_det_anchors():
     # [TRIVIAL] 2x2 and identity
     m = MatrixR.from_rows([[1, 2], [3, 4]])
     assert det(m) == -2
-    assert det(MatrixR.identity(5)) == 1
+    assert det(MatrixR.build(5, 5, lambda i, j: int(i == j))) == 1
     assert det(MatrixR.from_rows([[Fraction(0)]])) == 0
 
 
@@ -325,6 +325,22 @@ def test_pfaffian_rejects_non_rational_entries():
         pfaffian(m)
 
 
+def test_pfaffian_oracles_take_series():
+    # a zero series must compare equal to 0 for the skew-symmetry check
+    z, s = TruncSeries(0, [0, 0, 0]), TruncSeries(0, [1, 2, 3])
+    m = MatrixR.from_rows([[z, s], [-s, z]])
+    for strategy in ("expansion", "matching_sum"):
+        assert pfaffian(m, strategy) == s
+    # a zero entry known only to O(x) still bounds the Pfaffian's window
+    up = {(0, 1): TruncSeries(0, [0]), (0, 2): s, (0, 3): TruncSeries(1, [1, 1]),
+          (1, 2): s * 2, (1, 3): s, (2, 3): s * s}
+    m = MatrixR.build(4, 4, lambda i, j: up[i, j] if i < j
+                      else (-up[j, i] if i > j else z))
+    got = pfaffian(m, "expansion")
+    assert repr(got) == repr(pfaffian(m, "matching_sum"))
+    assert got.order == 1
+
+
 def test_pfaffian_unknown_strategy_rejected():
     m = MatrixR.from_rows([[0, 1], [-1, 0]])
     with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
@@ -348,7 +364,7 @@ def test_pfaffian_odd_dim_rejected():
 
 
 # ---------------------------------------------------------------------------
-# LU, solving, kernels
+# LU, kernels
 
 
 def test_lu_decompose_roundtrip():
@@ -370,13 +386,28 @@ def test_lu_decompose_roundtrip():
         assert diag == det(m)
 
 
-def test_solve_linear():
-    a = MatrixR.from_rows([[2, 1], [1, 3]])
-    x = solve_linear(a, [Fraction(5), Fraction(10)])
-    assert list(a.mul_vector(x)) == [Fraction(5), Fraction(10)]
-    # int entries and right-hand side once divided to floats under `/`
-    x = solve_linear(a, [5, 10])
-    assert all(type(v) is Fraction for v in x) and x == [1, 3]
+def test_lu_decompose_names_first_vanishing_minor():
+    # the first zero pivot of the elimination is the first leading
+    # principal minor that vanishes, whatever vanishes after it
+    cases = [
+        ([[0, 1], [1, 0]], 1),
+        ([[0, 0], [0, 0]], 1),
+        ([[1, 2, 3], [2, 4, 5], [1, 0, 1]], 2),
+        ([[1, 2, 3], [4, 5, 6], [7, 8, 9]], 3),
+    ]
+    for rows, order in cases:
+        with pytest.raises(SingularMinorError) as got:
+            lu_decompose(MatrixR.from_rows(rows))
+        assert got.value.index == order
+        assert str(got.value) == f"principal minor of order {order} vanishes"
+
+
+def test_lu_decompose_int_entries_give_fractions():
+    # int entries would divide to floats under `/`
+    lower, upper = lu_decompose(MatrixR.from_rows([[2, 1], [1, 3]]))
+    assert lower == MatrixR.from_rows([[2, 0], [1, Fraction(5, 2)]])
+    assert upper == MatrixR.from_rows([[1, Fraction(-1, 2)], [0, 1]])
+    assert all(type(e) is Fraction for e in lower.entries + upper.entries)
 
 
 def test_kernel_basis():
@@ -386,7 +417,7 @@ def test_kernel_basis():
     assert len(basis) == 2
     for v in basis:
         assert all(c == 0 for c in m.mul_vector(v))
-    assert kernel_basis(MatrixR.identity(3)) == []
+    assert kernel_basis(MatrixR.build(3, 3, lambda i, j: int(i == j))) == []
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +436,21 @@ def test_char_poly_constant_term(m):
     p = char_poly(m)
     assert p.leading() == 1
     assert p.coeff(0) == (-1) ** 3 * det(m)
+
+
+def test_char_poly_matches_faddeev_leverrier():
+    rng = random.Random(13)
+    for n in range(7):
+        for trial in range(5):
+            rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                     for _ in range(n)] for _ in range(n)]
+            singular = n > 0 and trial == 3 or n > 1 and trial == 4
+            if singular:
+                rows[-1] = [-2 * x if trial == 4 else Fraction(0) for x in rows[0]]
+            m = MatrixR.from_rows(rows)
+            got = char_poly(m)
+            assert list(got.coeffs) == char_poly_faddeev_leverrier(m)
+            assert (got.coeff(0) == 0) == singular == (det(m) == 0)
 
 
 def test_resultant_anchor():
