@@ -183,7 +183,8 @@ def q_binomial(alpha: int, k: int, q) -> Fraction:
 # dense univariate polynomials over Q
 
 
-def _trim(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+def _trim(coeffs: list) -> tuple:
+    """The coefficients (ints or Fractions) without trailing zeros."""
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
@@ -227,9 +228,10 @@ class PolyQ:
         return Fraction(0)
 
     def __call__(self, x) -> Fraction:
+        x = rat(x)
         out = Fraction(0)
         for c in reversed(self.coeffs):
-            out = out * rat(x) + c
+            out = out * x + c
         return out
 
     def _coerce(self, other):

@@ -6,11 +6,12 @@ identification-of-factors workflow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactnum import PolyQ, RatFn, fmt_rat, newton_coefficients, rat
+from .exactnum import PolyQ, RatFn, _trim, fmt_rat, integer_numerators, rat
 
 
 # ---------------------------------------------------------------------------
@@ -34,6 +35,15 @@ def fit_rational(points: Sequence[tuple]) -> Optional[RatFn]:
     deg r_j <= num_deg, every solution of the split is a polynomial
     multiple of (r_j, t_j) (Theorem 5.16), so the split accepts iff
     deg t_j <= den_deg and t_j vanishes at no x_i, with law r_j / t_j.
+
+    Everything runs on integers: the nodes are scaled by their common
+    denominator e to integers X_i = e x_i, the fit is made in u = e x
+    against the integer interpolant W D L (see _interpolant), and the
+    Euclidean rows are integer pseudo-remainders, each row (r_j, t_j)
+    divided by its content.  A row is then a constant multiple of the
+    rational row, which leaves its degrees, its zeros and the
+    normalised RatFn r_j / t_j unchanged; the law is r_j(e x) / (W D)
+    over t_j(e x).
     """
     pts = [(rat(x), rat(y)) for x, y in points]
     if len({x for x, _ in pts}) != len(pts):
@@ -41,38 +51,98 @@ def fit_rational(points: Sequence[tuple]) -> Optional[RatFn]:
     m = len(pts)
     if m < 2:
         return None
-    xs = [x for x, _ in pts]
-    rows = _euclid_rows(*_interpolant(xs, [y for _, y in pts]))
+    nodes, e = integer_numerators([x for x, _ in pts])
+    node_poly, interp, scale = _interpolant(nodes, [y for _, y in pts])
+    rows = _euclid_rows(node_poly, interp)
     for total in range(0, m - 1):
         for dn in range(total, -1, -1):
-            r, t = next(row for row in rows if row[0].degree <= dn)
-            if t.degree <= total - dn and all(t(x) != 0 for x in xs):
-                return RatFn(r, t)
+            # len(p) - 1 is the degree of p, -1 for the zero polynomial
+            r, t = next(row for row in rows if len(row[0]) <= dn + 1)
+            if len(t) <= total - dn + 1 and all(_horner(t, x) for x in nodes):
+                return RatFn(PolyQ(_dilate(r, e, scale)), PolyQ(_dilate(t, e, 1)))
     return None
 
 
-def _interpolant(xs: list[Fraction], ys: list[Fraction]) -> tuple[PolyQ, PolyQ]:
-    """(prod (x - x_i), the polynomial of degree < m through the points),
-    expanded from the Newton form in O(m^2) operations."""
-    node = [Fraction(1)]  # prod_{i<k} (x - x_i), lowest coefficient first
-    interp = [Fraction(0)] * len(xs)
-    for x, c in zip(xs, newton_coefficients(xs, ys)):
-        for i, a in enumerate(node):
-            interp[i] += c * a
-        node = [a - x * b for a, b in zip([0] + node, node + [0])]
-    return PolyQ(node), PolyQ(interp)
+def _interpolant(nodes: list[int], ys: list[Fraction]) -> tuple[list[int], Sequence[int], int]:
+    """(M, W D L, W D) on the distinct integer nodes X_i, as integer
+    coefficient lists, lowest first and trimmed: M = prod (u - X_i), and
+    L the polynomial of degree < m with L(X_i) = y_i, in Lagrange form
+
+        W D L = sum_i Y_i (W / w_i) M / (u - X_i),
+
+    with w_i = prod_{j != i} (X_i - X_j), W = lcm w_i, and y_i = Y_i / D
+    over the common denominator D.  O(m^2) integer operations."""
+    node_poly = [1]
+    for x in nodes:
+        node_poly = [a - x * b for a, b in zip([0] + node_poly, node_poly + [0])]
+    weights = [math.prod(x - z for z in nodes if z != x) for x in nodes]
+    big_w = math.lcm(*weights)
+    nums, d = integer_numerators(ys)
+    interp = [0] * len(nodes)
+    for x, w, y in zip(nodes, weights, nums):
+        if not y:
+            continue
+        c = y * (big_w // w)
+        # M / (u - x) by synthetic division, from the top coefficient down
+        q = 0
+        for k in range(len(nodes), 0, -1):
+            q = node_poly[k] + x * q
+            interp[k - 1] += c * q
+    return node_poly, _trim(interp), big_w * d
 
 
-def _euclid_rows(a: PolyQ, b: PolyQ) -> list[tuple[PolyQ, PolyQ]]:
+def _euclid_rows(a: Sequence[int], b: Sequence[int]) -> list[tuple[Sequence[int], Sequence[int]]]:
     """The rows (r_j, t_j), r_j = s_j a + t_j b, of the extended Euclidean
-    algorithm on (a, b) with deg b < deg a: from (a, 0) and (b, 1) down to
-    the row with r_j = 0, in strictly decreasing deg r_j."""
-    rows = [(a, PolyQ()), (b, PolyQ.constant(1))]
-    while not rows[-1][0].is_zero():
+    algorithm on integer coefficient lists with deg b < deg a: from
+    (a, 0) and (b, 1) down to the row with r_j = 0, in strictly
+    decreasing deg r_j.  Each step is one pseudo-division,
+    c r_{j-1} = q r_j + r_{j+1} with c a power of lc(r_j), and
+    t_{j+1} = c t_{j-1} - q t_j, divided by the content of the row."""
+    rows = [(a, []), (b, [1])]
+    while rows[-1][0]:
         (r0, t0), (r1, t1) = rows[-2:]
-        q, r = r0.divmod(r1)
-        rows.append((r, t0 - q * t1))
+        c, q, r = _pseudo_divmod(r0, r1)
+        t = [c * v for v in t0] + [0] * (len(q) + len(t1) - 1 - len(t0))
+        for i, qi in enumerate(q):
+            if qi:
+                for j, v in enumerate(t1):
+                    t[i + j] -= qi * v
+        t = _trim(t)
+        g = math.gcd(*r, *t)
+        rows.append(([v // g for v in r], [v // g for v in t]))
     return rows
+
+
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[int], Sequence[int]]:
+    """(c, q, r) with c a = q b + r, deg r < deg b and c = lc(b)^k for
+    the k steps that met a nonzero leading term."""
+    lead, d = b[-1], len(b) - 1
+    rem = list(a)
+    quot = [0] * (len(a) - d)
+    c = 1
+    for i in range(len(a) - 1, d - 1, -1):
+        top = rem[i]
+        if not top:
+            continue
+        c *= lead
+        quot = [lead * v for v in quot]
+        quot[i - d] = top
+        rem = [lead * v for v in rem[:i]]
+        for j in range(d):
+            rem[i - d + j] -= top * b[j]
+    return c, quot, _trim(rem[:d])
+
+
+def _horner(p: Sequence[int], x: int) -> int:
+    out = 0
+    for c in reversed(p):
+        out = out * x + c
+    return out
+
+
+def _dilate(p: Sequence[int], e: int, scale: int) -> list[Fraction]:
+    """The coefficients of p(e x) / scale."""
+    return [Fraction(c * e ** k, scale) for k, c in enumerate(p)]
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +282,9 @@ def lagrange_interpolate(points: Sequence[tuple]) -> PolyQ:
     xs = [x for x, _ in pts]
     if len(set(xs)) != len(xs):
         raise ValueError("x-values must be distinct")
-    return _interpolant(xs, [y for _, y in pts])[1]
+    nodes, e = integer_numerators(xs)
+    _, interp, scale = _interpolant(nodes, [y for _, y in pts])
+    return PolyQ(_dilate(interp, e, scale))
 
 
 def interpolate_det_poly(

@@ -11,11 +11,13 @@ and the leading Hankel determinants factor through the b-coefficients:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import TruncSeries, bernoulli, double_factorial, euler_even, rat
+from .exactnum import (TruncSeries, bernoulli, double_factorial, euler_even,
+                       integer_numerators, rat)
 from .linalg import MatrixR, _bareiss_int, _int_rows, det
 
 
@@ -101,6 +103,12 @@ def jfraction_from_moments(s: MomentSeq, depth: int) -> JFraction:
     and beta_k = sigma_{k,k}/sigma_{k-1,k-1}.  In the sign convention of
     this module a_k = -alpha_k, b_k = beta_k and mu0 = mu_0.
 
+    Each sigma row is kept fraction-free, as integer numerators over one
+    row denominator: the recurrence is one integer combination
+    c1 row[j+2] - c2 row[j+1] - c3 prev[j+2] over the lcm of the
+    denominators of its three terms, reduced by one gcd, and alpha_k and
+    beta_k are each one Fraction built from integers.
+
     Requires the leading Hankel determinants H_1..H_depth to be nonzero;
     since sigma_{k,k} = H_{k+1}/H_k, aborts with DegenerateMomentsError
     at the first vanishing one.
@@ -110,22 +118,33 @@ def jfraction_from_moments(s: MomentSeq, depth: int) -> JFraction:
         raise ValueError(f"need at least {need} moments for depth {depth}")
     if s[0] == 0:
         raise DegenerateMomentsError(1)
-    # row[j] = sigma_{k,k+j} and prev[j] = sigma_{k-1,k-1+j}
-    row = list(s.values[:2 * depth])
-    prev = [Fraction(0)] * len(row)
-    alpha = beta = ratio = Fraction(0)
+    # row[j] / den = sigma_{k,k+j} and prev[j] / prev_den = sigma_{k-1,k-1+j}
+    row, den = integer_numerators(s.values[:2 * depth])
+    prev, prev_den = [0] * len(row), 1
+    alpha = beta = Fraction(0)
     a: list[Fraction] = []
     b: list[Fraction] = []
     for k in range(depth):
         if k:
-            prev, row = row, [row[j + 2] - alpha * row[j + 1] - beta * prev[j + 2]
-                              for j in range(len(row) - 2)]
+            # sigma_{k,l} over the lcm of the denominators of its terms
+            ad, bd = den * alpha.denominator, prev_den * beta.denominator
+            common = math.lcm(ad, bd)
+            c1 = common // den
+            c2 = alpha.numerator * (common // ad)
+            c3 = beta.numerator * (common // bd)
+            nums = [c1 * row[j + 2] - c2 * row[j + 1] - c3 * prev[j + 2]
+                    for j in range(len(row) - 2)]
+            g = math.gcd(common, *nums)
+            prev, prev_den = row, den
+            row, den = [v // g for v in nums], common // g
             if row[0] == 0:
                 raise DegenerateMomentsError(k + 1)
-            beta = row[0] / prev[0]
+            beta = Fraction(row[0] * prev_den, den * prev[0])
             b.append(beta)
-        next_ratio = row[1] / row[0]
-        alpha, ratio = next_ratio - ratio, next_ratio
+            # sigma_{k,k+1}/sigma_{k,k} - sigma_{k-1,k}/sigma_{k-1,k-1}
+            alpha = Fraction(row[1] * prev[0] - prev[1] * row[0], row[0] * prev[0])
+        else:
+            alpha = Fraction(row[1], row[0])
         a.append(-alpha)
     return JFraction(s[0], a, b)
 
@@ -138,7 +157,8 @@ def moments_from_jfraction(j: JFraction, count: int) -> MomentSeq:
     if order == 1:
         return MomentSeq([j.mu0])
     levels = max(len(j.a), len(j.b) + 1)
-    if 2 * levels + 1 < count:
+    # a_0..a_{m-1}, b_1..b_{m-1} determine mu_0..mu_{2m-1} and no more
+    if count > 2 * levels:
         raise ValueError("J-fraction too shallow for requested moment count")
     # bottom level: f = 1/(1 + a_m x)
     f = TruncSeries.one(order)

@@ -307,6 +307,18 @@ def test_polyq_ring_axioms(a, b):
     assert (p + q)(x) == p(x) + q(x)
 
 
+@given(st.lists(rationals, max_size=6),
+       st.one_of(st.integers(-9, 9), rationals, rationals.map(fmt_rat)))
+def test_polyq_call_matches_termwise_sum(coeffs, x):
+    # ints, Fractions and "p/q" strings are coerced once, then Horner's
+    # rule; each value equals the sum of its terms
+    p = PolyQ(coeffs)
+    want = sum((c * rat(x) ** i for i, c in enumerate(p.coeffs)), Fraction(0))
+    got = p(x)
+    assert type(got) is Fraction and got == want
+    assert RatFn(p)(x) == want
+
+
 @given(st.lists(rationals, min_size=2, max_size=5),
        st.lists(rationals, min_size=1, max_size=4))
 def test_polyq_division(a, b):

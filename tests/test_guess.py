@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detkit.exactnum import PolyQ, RatFn, asm_count, catalan, factorial
+from detkit.exactnum import (PolyQ, RatFn, asm_count, catalan, factorial,
+                             newton_coefficients)
 from detkit.guess import (GuessExpr, ZeroTermError, fit_rational,
                           lagrange_interpolate, linear_factors, rate_guess)
 from detkit.linalg import MatrixR, kernel_basis
@@ -143,9 +144,10 @@ def test_interpolate_det_poly_skips_poles(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the split search, the recursive evaluation and the product-form Lagrange
-# loop that fit_rational, GuessExpr.evaluate and lagrange_interpolate
-# replaced, kept as oracles
+# the split search, the recursive evaluation, the product-form Lagrange
+# loop and the Newton-form Cauchy interpolation over PolyQ that
+# fit_rational, GuessExpr.evaluate and lagrange_interpolate replaced, kept
+# as oracles
 
 
 def _solve_split(pts, dn, dd):
@@ -197,6 +199,33 @@ def _product_lagrange(pts):
                 denom *= xi - xj
         out = out + li * (yi / denom)
     return out
+
+
+def _fit_rational_newton_euclid(points):
+    """fit_rational as it ran on Fraction coefficients: the Newton-form
+    interpolant and the extended Euclidean algorithm over PolyQ."""
+    pts = [(Fraction(x), Fraction(y)) for x, y in points]
+    if len({x for x, _ in pts}) != len(pts):
+        raise ValueError("x-values must be distinct")
+    m = len(pts)
+    if m < 2:
+        return None
+    xs = [x for x, _ in pts]
+    node, interp = PolyQ.constant(1), PolyQ()
+    for x, c in zip(xs, newton_coefficients(xs, [y for _, y in pts])):
+        interp = interp + node * c
+        node = node * PolyQ([-x, 1])
+    rows = [(node, PolyQ()), (interp, PolyQ.constant(1))]
+    while not rows[-1][0].is_zero():
+        (r0, t0), (r1, t1) = rows[-2:]
+        q, r = r0.divmod(r1)
+        rows.append((r, t0 - q * t1))
+    for total in range(0, m - 1):
+        for dn in range(total, -1, -1):
+            r, t = next(row for row in rows if row[0].degree <= dn)
+            if t.degree <= total - dn and all(t(x) != 0 for x in xs):
+                return RatFn(r, t)
+    return None
 
 
 def _outcome(fn, *args):
@@ -275,3 +304,62 @@ def test_lagrange_matches_product_form(pts):
         assert got == (ValueError, "x-values must be distinct")
     else:
         assert got == want
+
+
+# integer nodes (positive or negative), rational nodes, and 1..m in a
+# shuffled order
+node_sets = st.one_of(
+    st.lists(st.integers(-15, 15).map(Fraction), min_size=0, max_size=12, unique=True),
+    st.lists(st.integers(-15, -1).map(Fraction), min_size=0, max_size=12, unique=True),
+    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=7),
+             min_size=0, max_size=12, unique=True),
+    st.integers(0, 12).flatmap(lambda m: st.permutations([Fraction(k) for k in range(1, m + 1)])))
+
+
+@given(node_sets, polys, polys, st.sampled_from(["law", "pole", "zero", "noise"]), st.data())
+@settings(max_examples=300, deadline=None)
+def test_fit_rational_matches_newton_euclid(xs, num, den, kind, data):
+    # "pole" puts a zero of the law's denominator on one node and draws
+    # that node's value freely
+    xs = list(xs)
+    if kind == "pole" and xs:
+        den = den * PolyQ([-data.draw(st.sampled_from(xs)), 1])
+    ys = []
+    for x in xs:
+        if kind == "zero":
+            ys.append(Fraction(0))
+        elif kind in ("law", "pole") and den(x) != 0:
+            ys.append(num(x) / den(x))
+        else:
+            ys.append(data.draw(rationals))
+    if xs and data.draw(st.booleans()):
+        ys[data.draw(st.integers(0, len(xs) - 1))] += data.draw(rationals)
+    pts = list(zip(xs, ys))
+    if data.draw(st.booleans()) and pts:
+        pts.append((data.draw(st.sampled_from(xs)), data.draw(rationals)))
+    want = _outcome(_fit_rational_newton_euclid, pts)
+    assert _outcome(fit_rational, pts) == want
+    if len({x for x, _ in pts}) < len(pts):
+        assert want == (ValueError, "x-values must be distinct")
+    elif len(pts) < 2:
+        assert want == (None, "None")
+
+
+def test_fit_rational_newton_euclid_edges():
+    law = RatFn(PolyQ([1, 0, 1]), PolyQ([-3, 1]))
+    cases = [
+        [],
+        [(5, Fraction(2, 3))],
+        # a pole of the law on a node: rejected there, refitted elsewhere
+        [(x, law(x) if x != 3 else 7) for x in range(8)],
+        [(x, law(x)) for x in (-7, -5, -2, -1, 1, 2, 4, 8)],
+        [(Fraction(x, 3), law(Fraction(x, 3))) for x in (1, 2, 4, 5, 7, 8, 10)],
+        [(x, law(x)) for x in (4, 1, 6, 2, 7, 5)],
+        [(1, 2), (2, 3), (1, 4)],
+    ]
+    for pts in cases:
+        assert _outcome(fit_rational, pts) == _outcome(_fit_rational_newton_euclid, pts)
+    assert fit_rational([(x, law(x)) for x in (-7, -5, -2, -1, 1, 2, 4, 8)]) == law
+    with pytest.raises(ValueError, match="x-values must be distinct"):
+        fit_rational(cases[-1])
+    assert fit_rational(cases[0]) is None and fit_rational(cases[1]) is None

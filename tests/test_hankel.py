@@ -159,6 +159,33 @@ def _jfraction_by_series_inversion(s: MomentSeq, depth: int) -> JFraction:
     return JFraction(s[0], a, b)
 
 
+def _jfraction_by_fraction_chebyshev(s: MomentSeq, depth: int) -> JFraction:
+    """Oracle: the Chebyshev algorithm as jfraction_from_moments ran it
+    before its rows went onto integers, one Fraction operation per
+    step."""
+    need = max(1, 2 * depth)
+    if len(s) < need:
+        raise ValueError(f"need at least {need} moments for depth {depth}")
+    if s[0] == 0:
+        raise DegenerateMomentsError(1)
+    row = list(s.values[:2 * depth])
+    prev = [Fraction(0)] * len(row)
+    alpha = beta = ratio = Fraction(0)
+    a, b = [], []
+    for k in range(depth):
+        if k:
+            prev, row = row, [row[j + 2] - alpha * row[j + 1] - beta * prev[j + 2]
+                              for j in range(len(row) - 2)]
+            if row[0] == 0:
+                raise DegenerateMomentsError(k + 1)
+            beta = row[0] / prev[0]
+            b.append(beta)
+        next_ratio = row[1] / row[0]
+        alpha, ratio = next_ratio - ratio, next_ratio
+        a.append(-alpha)
+    return JFraction(s[0], a, b)
+
+
 def _outcome(extract, s, depth):
     try:
         return extract(s, depth)
@@ -254,3 +281,58 @@ def test_heilermann_products_match_power_formula(mu0, b, n):
     assert [heilermann_product(jf, i) for i in range(n + 1)] == want
     with pytest.raises(ValueError, match="nonnegative"):
         heilermann_products(jf, -1)
+
+
+# moment lists whose J-fraction has b_i = 0 for some i, so that H_{i+1}
+# vanishes, with rational coefficients throughout
+degenerate_jfractions = st.integers(2, 7).flatmap(lambda depth: st.builds(
+    JFraction,
+    st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool),
+    st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=5),
+             min_size=depth, max_size=depth),
+    st.lists(st.one_of(st.just(Fraction(0)),
+                       st.fractions(min_value=-4, max_value=4, max_denominator=5)),
+             min_size=depth - 1, max_size=depth - 1)))
+
+
+@given(st.one_of(
+    st.integers(0, 10).flatmap(lambda depth: st.tuples(
+        st.just(depth),
+        st.lists(st.one_of(st.just(Fraction(0)), st.integers(-6, 6).map(Fraction),
+                           st.fractions(min_value=-9, max_value=9, max_denominator=12)),
+                 min_size=2 * depth, max_size=2 * depth + 2))),
+    degenerate_jfractions.map(lambda jf: (len(jf.a), list(
+        moments_from_jfraction(jf, 2 * len(jf.a)))))))
+@settings(max_examples=400, deadline=None)
+def test_jfraction_matches_fraction_chebyshev(case):
+    # the integer-row recurrence against the Fraction loop it replaced:
+    # the same JFraction, or the same exception type, index and message
+    depth, vals = case
+    s = MomentSeq(vals)
+    assert (_outcome(jfraction_from_moments, s, depth)
+            == _outcome(_jfraction_by_fraction_chebyshev, s, depth))
+
+
+@pytest.mark.parametrize("name, offset", [
+    ("bernoulli", 0), ("bernoulli", 2), ("euler", 0), ("bell", 0), ("hermite", 0)])
+def test_named_jfractions_match_fraction_chebyshev_at_depth_40(name, offset):
+    s = MomentSeq(NAMED_MOMENTS[name](80 + offset).values[offset:])
+    assert (_outcome(jfraction_from_moments, s, 40)
+            == _outcome(_jfraction_by_fraction_chebyshev, s, 40))
+
+
+def test_moments_from_jfraction_count_bound():
+    # a depth-m J-fraction determines mu_0..mu_{2m-1}: at depth 3 the Bell
+    # J-fraction gives B_0..B_5, and mu_6 = 203 would need b_3
+    bell = NAMED_MOMENTS["bell"](8)
+    jf = jfraction_from_moments(bell, 3)
+    assert moments_from_jfraction(jf, 6) == MomentSeq(bell.values[:6])
+    for count in (7, 8):
+        with pytest.raises(ValueError, match="J-fraction too shallow"):
+            moments_from_jfraction(jf, count)
+    # both sides of count = 2 * levels, levels = max(len(a), len(b) + 1)
+    for jf in (JFraction(1, [1, 2], [3]), JFraction(1, [1], [3]), JFraction(1, [], [])):
+        levels = max(len(jf.a), len(jf.b) + 1)
+        assert len(moments_from_jfraction(jf, 2 * levels)) == 2 * levels
+        with pytest.raises(ValueError, match="J-fraction too shallow"):
+            moments_from_jfraction(jf, 2 * levels + 1)
