@@ -150,14 +150,15 @@ def jfraction_from_moments(s: MomentSeq, depth: int) -> JFraction:
 
 
 def moments_from_jfraction(j: JFraction, count: int) -> MomentSeq:
-    """Expand the continued fraction to `count` exact moments."""
+    """Expand the continued fraction to `count` exact moments.  Its
+    levels a_0..a_{m-1}, b_1..b_{m-1} determine mu_0..mu_{2m-1} and no
+    more, so a count above 2m raises ValueError."""
     order = count
     if order <= 0:
         return MomentSeq([])
     if order == 1:
         return MomentSeq([j.mu0])
     levels = max(len(j.a), len(j.b) + 1)
-    # a_0..a_{m-1}, b_1..b_{m-1} determine mu_0..mu_{2m-1} and no more
     if count > 2 * levels:
         raise ValueError("J-fraction too shallow for requested moment count")
     # bottom level: f = 1/(1 + a_m x)
