@@ -21,17 +21,23 @@ def _sign_mod4(n: int) -> int:
 
 
 def _build_z(n, x, mu, nu):
+    """Z = I + L R with L[i][k] = sum_{t<=k} C(mu+i, t) C(nu+k, k-t) x^(k-t)
+    and R[k][j] = C(mu+j-k-1, j-k), which vanishes for k > j; so each
+    leading block of Z is the Z of that size."""
     x, mu, nu = rat(x), rat(mu), rat(nu)
-
-    def entry(i, j):
-        out = Fraction(1) if i == j else Fraction(0)
-        for t in range(n):
-            for k in range(n):
-                if k >= t:
-                    out += (binomial(mu + i, t) * binomial(nu + k, k - t)
-                            * binomial(mu + j - k - 1, j - k) * x ** (k - t))
-        return out
-    return MatrixR.build(n, n, entry)
+    xs = [x ** s for s in range(n)]
+    # c_nu[k][s] = C(nu+k, s) x^s, c_mu[i][t] = C(mu+i, t)
+    c_nu = [[binomial(nu + k, s) * xs[s] for s in range(k + 1)] for k in range(n)]
+    c_mu = [[binomial(mu + i, t) for t in range(n)] for i in range(n)]
+    r = [binomial(mu + s - 1, s) for s in range(n)]  # R[k][k+s]
+    rows = []
+    for i in range(n):
+        li = [sum((c_mu[i][t] * c_nu[k][k - t] for t in range(k + 1)), Fraction(0))
+              for k in range(n)]
+        rows.append([int(i == j) + sum((li[k] * r[j - k] for k in range(j + 1)),
+                                       Fraction(0))
+                     for j in range(n)])
+    return MatrixR.from_rows(rows)
 
 
 def _build_t(n, x, mu, nu):
@@ -63,8 +69,9 @@ def _build_r(n, x, mu, nu):
 def _mrr_factor_trial(rng, n):
     params = {"x": rand_frac(rng), "mu": rand_frac(rng), "nu": rand_frac(rng)}
     x, mu, nu = params["x"], params["mu"], params["nu"]
-    z_even = det(_build_z(2 * n, x, mu, nu))
-    z_odd = det(_build_z(2 * n - 1, x, mu, nu))
+    z = _build_z(2 * n, x, mu, nu)
+    z_even = det(z)
+    z_odd = det(z.submatrix(range(2 * n - 1), range(2 * n - 1)))
     t_n = det(_build_t(n, x, mu, nu / 2))
     r_n = det(_build_r(n, x, mu, nu / 2))
     r_prev = det(_build_r(n - 1, x, mu, nu / 2))

@@ -1,7 +1,7 @@
 """Combinatorial ground sets for the structured determinants: set
 partitions and the partition/noncrossing lattices, noncrossing perfect
-matchings, permutation statistics, and alternating sign matrices with
-the six-vertex statistics.
+matchings, permutation statistics, alternating sign matrices, and the
+six-vertex partition function by row transfer.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
-from .exactnum import PolyQ, rat
+from .exactnum import PolyQ, integer_numerators, rat
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +350,7 @@ def all_perms(n: int) -> list[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# alternating sign matrices
+# alternating sign matrices and the six-vertex partition function
 
 
 @dataclass(frozen=True)
@@ -364,41 +364,52 @@ class ASM:
     def num_neg(self) -> int:
         return sum(1 for row in self.entries for e in row if e == -1)
 
-    def row_neg(self, i: int) -> int:
-        """Number of (-1)s in row i (1-based)."""
-        return sum(1 for e in self.entries[i - 1] if e == -1)
 
-    def col_neg(self, j: int) -> int:
-        """Number of (-1)s in column j (1-based)."""
-        return sum(1 for row in self.entries if row[j - 1] == -1)
+def six_vertex_sum(X, Y, q) -> Fraction:
+    """The sum over all n x n alternating sign matrices of the six-vertex
+    weights, n = len(X) = len(Y), by a row transfer.
 
-    def zero_site_factor(self, i: int, j: int, X, Y, q) -> Fraction:
-        """Weight of a zero entry at (i,j), 1-based, fixed by the row and
-        column partial sums there: unequal sums give (q X_i - Y_j), equal
-        sums give (X_i - Y_j), with an extra factor q when both sums are 1."""
-        rsum = sum(self.entries[i - 1][k] for k in range(j))
-        csum = sum(self.entries[k][j - 1] for k in range(i))
-        x, y, q = rat(X[i - 1]), rat(Y[j - 1]), rat(q)
-        if rsum != csum:
-            return q * x - y
-        if rsum == 0:
-            return x - y
-        return q * (x - y)
+    A +1 at (i, j) weighs 1 and a -1 weighs (1-q)^2 X_i Y_j.  A zero
+    weighs q X_i - Y_j when the row sum r to its left differs from the
+    column sum c_j above it, X_i - Y_j when both are 0 and q (X_i - Y_j)
+    when both are 1.  The state after a row is the 0/1 vector of column
+    sums (a bitmask); each row is scanned column by column carrying r,
+    and equal (state, r) pairs are merged after every column.  With
+    X_i = a_i/d, Y_j = b_j/d and q = u/v every site weight times v d
+    (times (v d)^2 for a -1) is an integer, so the transfer runs on ints
+    and the sum is their total over (v d)^(n^2 - n): an ASM has
+    n^2 - n - 2N zeros and N entries -1."""
+    n = len(X)
+    if len(Y) != n:
+        raise ValueError("X and Y must have the same length")
+    a, d = integer_numerators([rat(x) for x in X] + [rat(y) for y in Y])
+    a, b = a[:n], a[n:]
+    q = rat(q)
+    u, v = q.numerator, q.denominator
+    states = {0: 1}  # column-sum mask -> total weight of the rows so far
+    for ai in a:
+        cur = {(mask, 0): w for mask, w in states.items()}
+        for j, bj in enumerate(b):
+            bit = 1 << j
+            both0, both1 = v * (ai - bj), u * (ai - bj)
+            unequal, neg = u * ai - v * bj, (v - u) ** 2 * ai * bj
+            nxt: dict[tuple[int, int], int] = {}
 
-    def six_vertex_weight(self, X, Y, q) -> Fraction:
-        """The summand (1-q)^{2N} prod X_i^{N_i} Y_i^{N^i} times the
-        product of zero-site factors."""
-        n = self.n
-        q = rat(q)
-        w = (1 - q) ** (2 * self.num_neg())
-        for i in range(1, n + 1):
-            w *= rat(X[i - 1]) ** self.row_neg(i)
-            w *= rat(Y[i - 1]) ** self.col_neg(i)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if self.entries[i - 1][j - 1] == 0:
-                    w *= self.zero_site_factor(i, j, X, Y, q)
-        return w
+            def add(key, x):
+                nxt[key] = nxt.get(key, 0) + x
+            for (mask, r), w in cur.items():
+                c = mask & bit
+                if c and r:  # a zero, or a -1 back to (0, 0)
+                    add((mask, 1), w * both1)
+                    add((mask ^ bit, 0), w * neg)
+                elif c or r:  # only a zero
+                    add((mask, r), w * unequal)
+                else:  # a zero, or a +1 on to (1, 1)
+                    add((mask, 0), w * both0)
+                    add((mask | bit, 1), w)
+            cur = nxt
+        states = {mask: w for (mask, r), w in cur.items() if r}
+    return Fraction(states.get((1 << n) - 1, 0), (v * d) ** (n * n - n))
 
 
 @lru_cache(maxsize=None)

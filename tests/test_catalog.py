@@ -121,6 +121,23 @@ def test_group_determinants():
             assert verify_group_determinant(kind, 3, q).overall
 
 
+def _perm_det_matrix_per_entry(n, q, kind):
+    """The group matrix with the statistic and the power recomputed for
+    every entry: the oracle for the table-built one."""
+    from detkit.combinat import all_perms, perm_compose, perm_invert, perm_stat
+    perms = all_perms(n)
+    return MatrixR.build(len(perms), len(perms), lambda i, j: q ** perm_stat(
+        perm_compose(perms[i], perm_invert(perms[j])), kind))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 4), st.sampled_from(["inv", "maj"]),
+       st.fractions(min_value=-3, max_value=3, max_denominator=9))
+def test_perm_det_matrix_matches_per_entry(n, kind, q):
+    from detkit.catalog.structured import _perm_det_matrix
+    assert _perm_det_matrix(n, q, kind) == _perm_det_matrix_per_entry(n, q, kind)
+
+
 def test_maj_spectrum():
     report = verify_group_determinant("maj", 3, Fraction(2, 5),
                                       with_spectrum=True)
@@ -317,6 +334,19 @@ def test_izergin_korepin():
     assert verify_izergin_korepin(3, seed=2).overall
 
 
+@pytest.mark.parametrize("n", [6, 7])
+def test_izergin_korepin_above_asm_enumeration(n):
+    # the determinant and the row-transfer six-vertex sum are independent
+    # sides; asm_enumerate stops at n = 5
+    report = verify_izergin_korepin(n, seed=1)
+    assert report.overall and len(report.trials) == 3
+
+
+def test_izergin_korepin_budget_message():
+    with pytest.raises(ValueError, match="row-transfer budget n <= 12"):
+        verify_izergin_korepin(13)
+
+
 def _seeded_loop(report_id, sides, n, seed):
     """Three seeded trials written out by hand, with no resampling: the
     oracle for the structural verifiers that run through run_trials."""
@@ -378,6 +408,43 @@ def test_lu_vandermonde_check():
     assert lu_vandermonde_check(5, X).overall
     with pytest.raises(ValueError):
         lu_vandermonde_check(2, [Fraction(1), Fraction(1)])
+
+
+def _build_z_quadruple_sum(n, x, mu, nu):
+    """Each entry of Z as the sum over t <= k of its binomial products:
+    the oracle for the I + L R form."""
+    from detkit.exactnum import binomial
+
+    def entry(i, j):
+        out = Fraction(1) if i == j else Fraction(0)
+        for t in range(n):
+            for k in range(n):
+                if k >= t:
+                    out += (binomial(mu + i, t) * binomial(nu + k, k - t)
+                            * binomial(mu + j - k - 1, j - k) * x ** (k - t))
+        return out
+    return MatrixR.build(n, n, entry)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 7),
+       st.fractions(min_value=-5, max_value=5, max_denominator=7),
+       st.fractions(min_value=-5, max_value=5, max_denominator=7),
+       st.fractions(min_value=-5, max_value=5, max_denominator=7))
+def test_build_z_matches_quadruple_sum(n, x, mu, nu):
+    from detkit.catalog.binomsum import _build_z
+    z = _build_z(n, x, mu, nu)
+    assert z == _build_z_quadruple_sum(n, x, mu, nu)
+    if n > 1:
+        assert z.submatrix(range(n - 1), range(n - 1)) == _build_z(n - 1, x, mu, nu)
+
+
+def test_build_z_leading_blocks():
+    from detkit.catalog.binomsum import _build_z
+    x, mu, nu = Fraction(2, 3), Fraction(-7, 4), Fraction(5, 2)
+    z = _build_z(8, x, mu, nu)
+    for m in range(1, 8):
+        assert z.submatrix(range(m), range(m)) == _build_z_quadruple_sum(m, x, mu, nu)
 
 
 def test_identification_workflow():

@@ -1,6 +1,7 @@
 """Oracle and property tests for set partitions, lattices, Mobius
 functions, permutation statistics, and alternating-sign matrices."""
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -8,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asm_oracles import six_vertex_sum_enumerated, six_vertex_weight
 from detkit.combinat import (SetPartition, _all_partitions, all_perms,
                              asm_enumerate,
                              components, enumerate_partitions, nc_lattice,
                              nc_matchings, partition_join, partition_lattice,
                              partition_meet, perm_compose, perm_invert,
-                             perm_stat, poset_char_poly, reciprocal_poly)
+                             perm_stat, poset_char_poly, reciprocal_poly,
+                             six_vertex_sum)
 from detkit.exactnum import PolyQ, asm_count, catalan
 
 
@@ -215,6 +218,42 @@ def test_six_vertex_weight_total():
     X = [Fraction(2), Fraction(3)]
     Y = [Fraction(5), Fraction(7)]
     q = Fraction(1, 2)
-    weights = [a.six_vertex_weight(X, Y, q) for a in asm_enumerate(2)]
+    weights = [six_vertex_weight(a, X, Y, q) for a in asm_enumerate(2)]
     assert len(weights) == 2
     assert all(w != 0 for w in weights)
+    assert six_vertex_sum(X, Y, q) == sum(weights)
+
+
+_small_fracs = st.fractions(min_value=-9, max_value=9, max_denominator=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.lists(_small_fracs, min_size=n, max_size=n),
+    st.lists(_small_fracs, min_size=n, max_size=n),
+    st.one_of(st.just(Fraction(1)), _small_fracs))))
+def test_six_vertex_sum_matches_enumeration(xyq):
+    # the row transfer against the sum of per-ASM weights, X_i = Y_j and
+    # q in {0, 1} included
+    X, Y, q = xyq
+    assert six_vertex_sum(X, Y, q) == six_vertex_sum_enumerated(X, Y, q)
+
+
+@pytest.mark.parametrize("q", [Fraction(1), Fraction(3, 7), Fraction(-2)])
+def test_six_vertex_sum_matches_enumeration_at_n5(q):
+    X = [Fraction(k, 3) for k in (1, -4, 7, 2, -5)]
+    Y = [Fraction(k, 2) for k in (3, 5, -1, -7, 9)]
+    assert six_vertex_sum(X, Y, q) == six_vertex_sum_enumerated(X, Y, q)
+
+
+def test_six_vertex_sum_counts_permutation_matrices():
+    # [DERIVED] at q = 1 every -1 weighs (1-q)^2 X Y = 0 and every zero
+    # weighs X_i - Y_j; with X_i - Y_j = 1 only the permutation matrices
+    # are left, each of weight 1
+    for n in range(1, 9):
+        assert six_vertex_sum([1] * n, [0] * n, 1) == math.factorial(n)
+
+
+def test_six_vertex_sum_rejects_unequal_lengths():
+    with pytest.raises(ValueError, match="same length"):
+        six_vertex_sum([1, 2], [3], Fraction(1, 2))
