@@ -233,8 +233,8 @@ _small_fracs = st.fractions(min_value=-9, max_value=9, max_denominator=5)
     st.lists(_small_fracs, min_size=n, max_size=n),
     st.one_of(st.just(Fraction(1)), _small_fracs))))
 def test_six_vertex_sum_matches_enumeration(xyq):
-    # the row transfer against the sum of per-ASM weights, X_i = Y_j and
-    # q in {0, 1} included
+    # the row transfer against the sum of per-ASM weights; X_i = Y_j,
+    # q = 0 and q = 1 are all in the drawn domain
     X, Y, q = xyq
     assert six_vertex_sum(X, Y, q) == six_vertex_sum_enumerated(X, Y, q)
 
