@@ -457,8 +457,12 @@ register(IdentityRecord(id="stwi", trial=_stwi_trial, max_n=4))
 
 
 def verify_strehl_wilf(n: int, trunc: int = 16, seed: int = 0) -> VerifyReport:
+    # for n >= 2 the determinant is known on exponents 0..trunc - n and the
+    # right side on more, so trunc >= 3n compares at least 2n + 1
+    # coefficients (at n = 1 both sides are the series 1)
     if trunc < 3 * n:
-        raise ValueError("truncation shortfall")
+        raise ValueError(f"stwi: trunc = {trunc} is below 3n = {3 * n}, which "
+                         "leaves fewer than 2n + 1 compared coefficients")
     record = dataclasses.replace(
         get_record("stwi"), trial=lambda rng, n: _stwi_sides(rng, n, trunc))
     return run_trials(record, n, 3, seed)

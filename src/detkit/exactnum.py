@@ -495,7 +495,11 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 class TruncSeries:
     """Truncated Laurent series: coefficient i is the term of exponent
-    valuation + i; terms of exponent >= order are unknown."""
+    valuation + i; terms of exponent >= order are unknown.
+
+    Normal form: coeffs[0] is nonzero, so valuation is the true
+    valuation, and the zero series O(x^k) is the empty window
+    valuation == order == k."""
 
     __slots__ = ("valuation", "order", "coeffs")
 
@@ -503,23 +507,30 @@ class TruncSeries:
         coeffs = [rat(c) for c in coeffs]
         if order is None:
             order = valuation + len(coeffs)
-        if order <= valuation:
-            raise ValueError("order must exceed valuation")
+        if order < valuation:
+            raise ValueError("order must not be below valuation")
         if len(coeffs) != order - valuation:
             raise ValueError("coefficient count does not match order - valuation")
-        self.valuation = valuation
+        self._set(valuation, coeffs, order)
+
+    def _set(self, valuation: int, coeffs: Sequence, order: int):
+        """Fill the window valuation..order-1 with coeffs, moving leading
+        zeros into the valuation."""
+        coeffs = tuple(coeffs)
+        lead = 0
+        while lead < len(coeffs) and not coeffs[lead]:
+            lead += 1
+        self.valuation = valuation + lead
         self.order = order
-        self.coeffs = tuple(coeffs)
+        self.coeffs = coeffs[lead:]
 
     @staticmethod
-    def _raw(valuation: int, coeffs: list, order: int) -> "TruncSeries":
+    def _raw(valuation: int, coeffs: Sequence, order: int) -> "TruncSeries":
         """A series from Fractions that already fill the window
         valuation..order-1: the constructor for results of TruncSeries
         operations, which skips the coercion and the checks."""
         out = object.__new__(TruncSeries)
-        out.valuation = valuation
-        out.order = order
-        out.coeffs = tuple(coeffs)
+        out._set(valuation, coeffs, order)
         return out
 
     def _scaled(self, num: int, den: int) -> "TruncSeries":
@@ -552,10 +563,7 @@ class TruncSeries:
 
     def true_valuation(self):
         """Exponent of the lowest nonzero known term; None if all known are 0."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return self.valuation + i
-        return None
+        return self.valuation if self.coeffs else None
 
     def _window(self, val: int, order: int) -> tuple[list[int], int]:
         """Integer numerators over one common denominator of the terms of
@@ -568,8 +576,6 @@ class TruncSeries:
     def _align(self, other: "TruncSeries"):
         val = min(self.valuation, other.valuation)
         order = min(self.order, other.order)
-        if order <= val:
-            raise ValueError("series have no overlapping window")
         return val, order, self._window(val, order), other._window(val, order)
 
     def _coerce(self, other):
@@ -616,7 +622,8 @@ class TruncSeries:
             return self._scaled(other.numerator, other.denominator)
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        # the product is reliable up to min over known windows
+        # the product is reliable up to min over known windows; in normal
+        # form these are bounded by the true valuations
         val = self.valuation + other.valuation
         order = min(self.order + other.valuation, other.order + self.valuation)
         n = order - val
@@ -628,13 +635,12 @@ class TruncSeries:
     __rmul__ = __mul__
 
     def inverse(self) -> "TruncSeries":
-        tv = self.true_valuation()
-        if tv is None:
+        if not self.coeffs:
             raise ZeroDivisionError("inverse of (truncated) zero series")
         # a = A/d with integer A; the inverse's terms are kept as integer
         # numerators over the lcm of their denominators so far, which is
         # rescaled as it grows
-        a, d = integer_numerators(self.coeffs[tv - self.valuation:])
+        a, d = integer_numerators(self.coeffs)
         a0 = a[0]
         inv = [Fraction(d, a0)]
         nums, den = [inv[0].numerator], inv[0].denominator
@@ -648,13 +654,12 @@ class TruncSeries:
                 den *= grow
                 nums = [x * grow for x in nums]
             nums.append(c.numerator * (den // c.denominator))
-        return TruncSeries._raw(-tv, inv, -tv + len(a))
+        return TruncSeries._raw(-self.valuation, inv, len(a) - self.valuation)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             if other == 0:
-                # raise as Fraction division by zero does
-                return TruncSeries(self.valuation, [x / rat(other) for x in self.coeffs], self.order)
+                raise ZeroDivisionError("series division by zero")
             return self._scaled(other.denominator, other.numerator)
         if not isinstance(other, TruncSeries):
             return NotImplemented
@@ -681,25 +686,16 @@ class TruncSeries:
         return compose_each([self], inner)[0]
 
     def restrict(self, order: int) -> "TruncSeries":
-        """Truncate to a smaller order (padding is never invented)."""
+        """Truncate to a smaller order (padding is never invented); below
+        the valuation this is the zero series O(x^order)."""
         if order > self.order:
             raise ValueError("cannot extend truncation order")
-        return TruncSeries(self.valuation, self.coeffs[: order - self.valuation], order)
+        val = min(self.valuation, order)
+        return TruncSeries._raw(val, self.coeffs[: order - val], order)
 
     def derive(self) -> "TruncSeries":
-        out = []
-        for i, c in enumerate(self.coeffs):
-            e = self.valuation + i
-            if e != 0:
-                out.append((e, e * c))
-        if not out:
-            return TruncSeries(self.valuation - 1, [0] * len(self.coeffs), self.order - 1)
-        val = self.valuation - 1
-        order = self.order - 1
-        lst = [Fraction(0)] * (order - val)
-        for e, c in out:
-            lst[e - 1 - val] = c
-        return TruncSeries._raw(val, lst, order)
+        v = self.valuation
+        return TruncSeries._raw(v - 1, [(v + i) * c for i, c in enumerate(self.coeffs)], self.order - 1)
 
     def __repr__(self):
         terms = []
@@ -720,7 +716,7 @@ def compose_each(outers: Sequence[TruncSeries], inner: TruncSeries) -> list[Trun
     """[g.compose(inner) for g in outers], computing the powers of inner
     once for all of them."""
     for g in outers:
-        if g.valuation < 0 and any(c != 0 for c in g.coeffs[: -g.valuation]):
+        if g.valuation < 0 and g.coeffs:
             raise ValueError("compose requires a power-series outer operand")
     itv = inner.true_valuation()
     if itv is not None and itv < 1:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .exactnum import (TruncSeries, bernoulli, double_factorial, euler_even,
                        integer_numerators, rat)
-from .linalg import MatrixR, _bareiss_int, _int_rows, det
+from .linalg import MatrixR, _bareiss_int, det
 
 
 @dataclass(frozen=True)
@@ -55,13 +55,19 @@ class DegenerateMomentsError(ValueError):
         self.index = index
 
 
-def hankel_matrix(s: MomentSeq, n: int, offset: int = 0) -> MatrixR:
-    """n x n matrix with entry (i, j) = s[i + j + offset]."""
+def _check_length(s: MomentSeq, n: int, offset: int):
+    """Raise ValueError unless s holds the entries s[offset..offset+2n-2]
+    of an n x n Hankel matrix."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     need = offset + max(0, 2 * n - 2)
     if n > 0 and need >= len(s):
         raise ValueError(f"moment sequence too short: need index {need}, have {len(s) - 1}")
+
+
+def hankel_matrix(s: MomentSeq, n: int, offset: int = 0) -> MatrixR:
+    """n x n matrix with entry (i, j) = s[i + j + offset]."""
+    _check_length(s, n, offset)
     return MatrixR.build(n, n, lambda i, j: s[i + j + offset])
 
 
@@ -73,18 +79,19 @@ def hankel_det(s: MomentSeq, n: int, offset: int = 0) -> Fraction:
 
 def hankel_dets(s: MomentSeq, n: int) -> list[Fraction]:
     """The leading Hankel determinants [H_1, ..., H_n] of s from one
-    integer Bareiss elimination: pivot k of the row-scaled matrix is
-    H_{k+1} times the product of the first k+1 row scales.  From the
-    first zero pivot on, the elimination has swapped rows (or stopped),
-    so each later order is computed on its own.
+    integer Bareiss elimination: with mu_0..mu_{2n-2} = N_k/d over one
+    common denominator d, the rows are windows of N, and pivot k is
+    H_{k+1} d^(k+1).  From the first zero pivot on, the elimination has
+    swapped rows (or stopped), so each later order is computed on its own.
     """
-    a, scales = _int_rows(hankel_matrix(s, n).to_rows())
-    _, pivots, first_swap = _bareiss_int(a)
+    _check_length(s, n, 0)
+    nums, d = integer_numerators(s.values[:max(0, 2 * n - 1)])
+    _, pivots, first_swap = _bareiss_int([nums[i:i + n] for i in range(n)])
     leading = len(pivots) if first_swap is None else first_swap
     out = []
     scale = 1
     for k in range(leading):
-        scale *= scales[k]
+        scale *= d
         out.append(Fraction(pivots[k], scale))
     return out + [hankel_det(s, k) for k in range(leading + 1, n + 1)]
 
@@ -166,7 +173,7 @@ def moments_from_jfraction(j: JFraction, count: int) -> MomentSeq:
     for k in range(levels - 1, -1, -1):
         a_k = j.a[k] if k < len(j.a) else Fraction(0)
         b_k1 = j.b[k] if k < len(j.b) else Fraction(0)
-        den = TruncSeries(0, [1, a_k] + [0] * (order - 2), order) - b_k1 * TruncSeries(0, [0, 0] + list(f.coeffs[: order - 2]), order)
+        den = TruncSeries(0, [1, a_k] + [0] * (order - 2), order) - b_k1 * TruncSeries(0, [0, 0] + [f.coeff(e) for e in range(order - 2)], order)
         f = den.inverse().restrict(order)
     f = j.mu0 * f
     return MomentSeq([f.coeff(k) for k in range(count)])

@@ -325,30 +325,18 @@ def _check_skew(m: MatrixR):
                 raise ValueError("pfaffian requires a skew-symmetric matrix")
 
 
-def pfaffian(m: MatrixR, strategy: str = "elimination"):
-    """Pfaffian of a skew-symmetric matrix of even dimension.
-
-    The default strategy, fraction-free skew elimination, takes int and
-    Fraction entries, returns a Fraction and raises TypeError for any
-    other entry.  "expansion" (along the first row) and "matching_sum"
-    (over perfect matchings) are oracles, capped at 2n <= 12.
+def pfaffian(m: MatrixR) -> Fraction:
+    """Pfaffian of a skew-symmetric matrix of even dimension with int and
+    Fraction entries, as a Fraction, by fraction-free skew elimination;
+    any other entry raises TypeError.
 
     Sign convention: Pf([[0, 1], [-1, 0]]) = +1.
     """
-    if strategy not in _PFAFFIAN_STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "elimination" and not _is_rational(m):
+    if not _is_rational(m):
         raise TypeError("pfaffian requires int or Fraction entries")
     _check_skew(m)
-    n = m.rows
-    if n % 2:
+    if m.rows % 2:
         raise ValueError("pfaffian requires even dimension")
-    if strategy != "elimination" and n > 12:
-        raise ValueError(f"pfaffian {strategy} capped at 2n <= 12")
-    return _PFAFFIAN_STRATEGIES[strategy](m)
-
-
-def _pfaffian_elimination(m: MatrixR) -> Fraction:
     # Pf(A) = Pf(D A D) / det(D) with D the row scales, and D A D is integer
     rows, scales = _int_rows(m.to_rows())
     b = [[x * d for x, d in zip(row, scales)] for row in rows]
@@ -388,64 +376,6 @@ def _pfaffian_int(b: list[list[int]]) -> int:
                            for x, y, z in zip(row[c + 1:], rk1[c + 1:], rk[c + 1:])]
         prev = p
     return sign * prev
-
-
-def _pfaffian_expand(m: MatrixR, idx: list[int]):
-    if not idx:
-        return Fraction(1)
-    i0 = idx[0]
-    for pos in range(1, len(idx)):
-        j = idx[pos]
-        # no zero-skip: a series 0 + O(x^k) still bounds the window
-        rest = [k for k in idx[1:] if k != j]
-        term = m[i0, j] * _pfaffian_expand(m, rest)
-        if (pos - 1) % 2:
-            term = term * -1
-        acc = term if pos == 1 else acc + term
-    return acc
-
-
-def _matchings(points: list[int]):
-    if not points:
-        yield []
-        return
-    a = points[0]
-    for k in range(1, len(points)):
-        b = points[k]
-        rest = points[1:k] + points[k + 1 :]
-        for rest_match in _matchings(rest):
-            yield [(a, b)] + rest_match
-
-
-def _crossings(match: list[tuple[int, int]]) -> int:
-    c = 0
-    for x in range(len(match)):
-        for y in range(x + 1, len(match)):
-            a, b = match[x]
-            cc, d = match[y]
-            if a < cc < b < d or cc < a < d < b:
-                c += 1
-    return c
-
-
-def _pfaffian_matchings(m: MatrixR):
-    n = m.rows
-    acc = None
-    for match in _matchings(list(range(n))):
-        prod = None
-        for a, b in match:
-            prod = m[a, b] if prod is None else prod * m[a, b]
-        if _crossings(match) % 2:
-            prod = prod * -1
-        acc = prod if acc is None else acc + prod
-    return acc if acc is not None else Fraction(1)
-
-
-_PFAFFIAN_STRATEGIES = {
-    "elimination": _pfaffian_elimination,
-    "expansion": lambda m: _pfaffian_expand(m, list(range(m.rows))),
-    "matching_sum": _pfaffian_matchings,
-}
 
 
 class SingularMinorError(ValueError):

@@ -1,6 +1,9 @@
 """Slow independent oracles for detkit.linalg: determinants by brute
-force over all permutations, for the elimination strategies of `det`,
-and the Faddeev-LeVerrier recursion, for `char_poly`."""
+force over all permutations, for the elimination strategies of `det`;
+Pfaffians by first-row expansion and by the signed sum over perfect
+matchings, for `pfaffian`; and the Faddeev-LeVerrier recursion, for
+`char_poly`.  The expansions take entries of any commutative ring,
+TruncSeries included."""
 
 from fractions import Fraction
 from itertools import permutations
@@ -24,6 +27,63 @@ def det_permutation_expansion(m):
         if prod is None:
             prod = Fraction(1)
         if sign < 0:
+            prod = prod * -1
+        acc = prod if acc is None else acc + prod
+    return acc if acc is not None else Fraction(1)
+
+
+def pfaffian_expansion(m):
+    """Pfaffian of a skew matrix by expansion along the first row."""
+    return _pfaffian_expand(m, list(range(m.rows)))
+
+
+def _pfaffian_expand(m, idx):
+    if not idx:
+        return Fraction(1)
+    i0 = idx[0]
+    for pos in range(1, len(idx)):
+        j = idx[pos]
+        # no zero-skip: a series 0 + O(x^k) still bounds the window
+        rest = [k for k in idx[1:] if k != j]
+        term = m[i0, j] * _pfaffian_expand(m, rest)
+        if (pos - 1) % 2:
+            term = term * -1
+        acc = term if pos == 1 else acc + term
+    return acc
+
+
+def _matchings(points):
+    if not points:
+        yield []
+        return
+    a = points[0]
+    for k in range(1, len(points)):
+        b = points[k]
+        rest = points[1:k] + points[k + 1:]
+        for rest_match in _matchings(rest):
+            yield [(a, b)] + rest_match
+
+
+def _crossings(match):
+    c = 0
+    for x in range(len(match)):
+        for y in range(x + 1, len(match)):
+            a, b = match[x]
+            cc, d = match[y]
+            if a < cc < b < d or cc < a < d < b:
+                c += 1
+    return c
+
+
+def pfaffian_matching_sum(m):
+    """Pfaffian of a skew matrix as the sum over perfect matchings of the
+    upper entries, signed by the parity of the crossings."""
+    acc = None
+    for match in _matchings(list(range(m.rows))):
+        prod = None
+        for a, b in match:
+            prod = m[a, b] if prod is None else prod * m[a, b]
+        if _crossings(match) % 2:
             prod = prod * -1
         acc = prod if acc is None else acc + prod
     return acc if acc is not None else Fraction(1)

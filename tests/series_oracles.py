@@ -1,20 +1,24 @@
 """Truncated-series arithmetic as schoolbook loops of Fraction
 multiply-adds: the oracle for the integer-numerator TruncSeries
 operations.  Each function takes and returns TruncSeries and raises what
-the matching TruncSeries operation raises."""
+the matching TruncSeries operation raises.  Valuations are found by
+scanning the known terms, so no loop relies on the normal form."""
 
 from fractions import Fraction
 
 from detkit.exactnum import TruncSeries, rat
 
 
+def lowest(s):
+    """The exponent of s's lowest nonzero known term; s.order if none."""
+    return next((e for e in range(s.valuation, s.order) if s.coeff(e) != 0), s.order)
+
+
 def align_loop(s, t):
     val = min(s.valuation, t.valuation)
     order = min(s.order, t.order)
-    if order <= val:
-        raise ValueError("series have no overlapping window")
-    a = [s.coeff(e) if s.valuation <= e < s.order else Fraction(0) for e in range(val, order)]
-    b = [t.coeff(e) if t.valuation <= e < t.order else Fraction(0) for e in range(val, order)]
+    a = [s.coeff(e) for e in range(val, order)]
+    b = [t.coeff(e) for e in range(val, order)]
     return val, order, a, b
 
 
@@ -35,30 +39,30 @@ def mul_loop(s, t):
     if isinstance(t, (int, Fraction)):
         c = rat(t)
         return TruncSeries(s.valuation, [c * x for x in s.coeffs], s.order)
-    val = s.valuation + t.valuation
-    order = min(s.order + t.valuation, t.order + s.valuation)
+    # each factor's known window starts at its true valuation
+    vs, vt = lowest(s), lowest(t)
+    val = vs + vt
+    order = min(s.order + vt, t.order + vs)
     out = [Fraction(0)] * (order - val)
-    for i, a in enumerate(s.coeffs):
-        if a == 0:
-            continue
-        for j, b in enumerate(t.coeffs):
-            k = i + j
-            if k < len(out):
-                out[k] += a * b
+    for i in range(len(out)):
+        for j in range(len(out) - i):
+            out[i + j] += s.coeff(vs + i) * t.coeff(vt + j)
     return TruncSeries(val, out, order)
 
 
 def div_scalar_loop(s, c):
     """s / c for an int/Fraction c."""
     c = rat(c)
+    if c == 0:
+        raise ZeroDivisionError("series division by zero")
     return TruncSeries(s.valuation, [x / c for x in s.coeffs], s.order)
 
 
 def inverse_loop(s):
-    tv = s.true_valuation()
-    if tv is None:
+    tv = lowest(s)
+    if tv == s.order:
         raise ZeroDivisionError("inverse of (truncated) zero series")
-    a = s.coeffs[tv - s.valuation:]
+    a = [s.coeff(e) for e in range(tv, s.order)]
     n = len(a)
     inv = [Fraction(0)] * n
     inv[0] = 1 / a[0]
@@ -81,20 +85,19 @@ def pow_loop(s, n):
 def compose_loop(outer, inner):
     """outer(inner) by a running power of inner, stopping at the last
     contributing outer term."""
-    if outer.valuation < 0 and any(c != 0 for c in outer.coeffs[: -outer.valuation]):
+    lo = lowest(outer)
+    if lo < 0 and lo != outer.order:
         raise ValueError("compose requires a power-series outer operand")
-    itv = inner.true_valuation()
-    if itv is not None and itv < 1:
+    itv = lowest(inner)
+    if itv < 1 and itv != inner.order:
         raise ValueError("compose requires inner valuation >= 1")
     order = min(outer.order, inner.order)
-    v = order if itv is None else itv
+    v = order if itv == inner.order else itv
     cs = [outer.coeff(e) for e in range((order - 1) // v + 1)]
     while cs and cs[-1] == 0:
         cs.pop()
-    if itv is not None:
-        inner = TruncSeries(itv, inner.coeffs[itv - inner.valuation:], inner.order)
     out = TruncSeries(0, [0] * order, order)
-    pw = TruncSeries(0, [1] + [0] * (order - 1), order)
+    pw = TruncSeries(0, [int(e == 0) for e in range(order)], order)
     for e, c in enumerate(cs):
         if e:
             pw = mul_loop(pw, inner).restrict(order)

@@ -157,9 +157,16 @@ def test_turnbull_goulden_jackson_strehl_wilf():
     assert verify_strehl_wilf(3, trunc=16, seed=2).overall
 
 
-def test_strehl_wilf_at_n8():
-    # an 8 x 8 Laplace expansion of series, past det()'s n <= 7 cap
-    assert verify_strehl_wilf(8, 24).overall
+@pytest.mark.parametrize("n, trunc", [(4, 16), (6, 18), (7, 21), (8, 24)])
+def test_strehl_wilf_checks_what_it_claims(n, trunc):
+    # up to an 8 x 8 Laplace expansion of series, past det()'s n <= 7 cap;
+    # the determinant is known on exponents 0..trunc - n, so each trial
+    # compares enough coefficients to refute a doubled right-hand side
+    report = verify_strehl_wilf(n, trunc)
+    assert report.overall and len(report.trials) == 3
+    for t in report.trials:
+        assert (t.lhs.valuation, t.lhs.order) == (0, trunc - n + 1)
+        assert t.lhs != 2 * t.rhs
 
 
 def _least_upper_bounds(ground):

@@ -446,7 +446,8 @@ def _compose_full_walk(outer, inner):
 @st.composite
 def compose_args(draw):
     # an outer power series that is often a low-degree polynomial, and an
-    # inner series of true valuation >= 1 stored from exponent -1, 0, 1 or 2
+    # inner series of true valuation >= 1 given with leading zeros from
+    # exponent -1, 0, 1 or 2, which the constructor strips
     head = draw(st.lists(rationals, min_size=0, max_size=4))
     outer_order = draw(st.integers(min_value=max(1, len(head)), max_value=9))
     outer = TruncSeries(0, head + [0] * (outer_order - len(head)), outer_order)
@@ -474,15 +475,9 @@ def test_compose_matches_polynomial_composition_and_full_walk(args):
     h = PolyQ([inner.coeff(e) for e in range(max(inner.valuation, 0), inner.order)]).shift(
         max(inner.valuation, 0))
     assert _series_key(got) == _series_key(TruncSeries.from_poly(g.compose(h), order))
-    # where the full walk is defined it gives the very same series; it
-    # raises once a power of inner leaves the window (inner shorter than
-    # outer, or stored from an exponent other than 0 or 1)
-    try:
-        walked = _compose_full_walk(outer, inner)
-    except ValueError:
-        assert inner.order < outer.order or inner.valuation not in (0, 1)
-    else:
-        assert _series_key(got) == _series_key(walked)
+    # the full walk gives the very same series: with products windowed by
+    # true valuations, no power of inner leaves the result's window
+    assert _series_key(got) == _series_key(_compose_full_walk(outer, inner))
 
 
 def test_compose_keeps_its_domain_errors():
@@ -571,18 +566,44 @@ def test_series_inverse_matches_fraction_loop(s):
 
 
 def test_series_window_errors_match_fraction_loops():
-    # the constructor never makes two series without a common window;
-    # reassigning a window does
-    s, t = TruncSeries(0, [1, 2]), TruncSeries(1, [3])
-    t.order = t.valuation = 0
-    for op, loop in ((lambda a, b: a + b, add_loop), (lambda a, b: a == b, eq_loop)):
-        with pytest.raises(ValueError) as got:
-            op(s, t)
-        with pytest.raises(ValueError) as want:
-            loop(s, t)
-        assert str(got.value) == str(want.value) == "series have no overlapping window"
     with pytest.raises(ZeroDivisionError, match="inverse of \\(truncated\\) zero series"):
         TruncSeries(-2, [0, 0, 0]).inverse()
+    with pytest.raises(ZeroDivisionError, match="inverse of \\(truncated\\) zero series"):
+        inverse_loop(TruncSeries(-2, [0, 0, 0]))
+
+
+def _assert_normal(value):
+    if isinstance(value, TruncSeries):
+        assert not value.coeffs or value.coeffs[0] != 0
+        assert value.valuation <= value.order
+        assert len(value.coeffs) == value.order - value.valuation
+
+
+@settings(max_examples=300)
+@given(any_series(), any_series(), series_scalars, st.integers(-2, 3),
+       st.integers(-4, 8))
+def test_series_results_are_in_normal_form(s, t, c, k, order):
+    """Every series the constructor or an operation makes stores its true
+    valuation, and the zero series is the empty window."""
+    # any_series valuations are >= -3: shifted copies are composable
+    outer = TruncSeries(s.valuation + 3, s.coeffs, s.order + 3)
+    inner = TruncSeries(t.valuation + 4, t.coeffs, t.order + 4)
+    ops = [
+        lambda: s, lambda: t,
+        lambda: TruncSeries(s.valuation - 2, [0, 0] + list(s.coeffs), s.order),
+        lambda: s + t, lambda: s - t, lambda: s * t, lambda: s / t,
+        lambda: s + c, lambda: c - s, lambda: s * c, lambda: s / c,
+        lambda: c / s, s.inverse, s.derive, lambda: s.derive().derive(),
+        lambda: s.restrict(order), lambda: s.pow_int(k),
+        lambda: outer.compose(inner), lambda: compose_each([outer, s, t], inner),
+    ]
+    for op in ops:
+        try:
+            value = op()
+        except (ZeroDivisionError, ValueError, TypeError):
+            continue
+        for v in value if isinstance(value, list) else [value]:
+            _assert_normal(v)
 
 
 @st.composite

@@ -14,11 +14,12 @@ from detkit.exactnum import PolyQ, RatFn, TruncSeries
 from detkit.linalg import (MatrixR, SingularMinorError, _det_laplace,
                            char_poly, det, kernel_basis, lu_decompose,
                            permanent, pfaffian, resultant)
-from det_oracles import char_poly_faddeev_leverrier, det_permutation_expansion
+from det_oracles import (char_poly_faddeev_leverrier, det_permutation_expansion,
+                         pfaffian_expansion, pfaffian_matching_sum)
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 STRATEGIES = ("bareiss", "gauss", "laplace", "condensation")
-PFAFFIAN_STRATEGIES = ("elimination", "expansion", "matching_sum")
+PFAFFIANS = (pfaffian, pfaffian_expansion, pfaffian_matching_sum)
 
 
 def _rand_matrix(rng, n, lo=-9, hi=9):
@@ -260,8 +261,8 @@ def test_pfaffian_squared_is_det():
         n2 = 2 * rng.randint(1, 4)
         m = _skew([[Fraction(rng.randint(-5, 5)) for _ in range(n2)]
                    for _ in range(n2)])
-        for strategy in PFAFFIAN_STRATEGIES:
-            assert pfaffian(m, strategy) ** 2 == det(m)
+        for pf in PFAFFIANS:
+            assert pf(m) ** 2 == det(m)
 
 
 def test_pfaffian_elimination_matches_oracles():
@@ -274,7 +275,7 @@ def test_pfaffian_elimination_matches_oracles():
                    for _ in range(n2)])
         got = pfaffian(m)
         assert type(got) is Fraction
-        assert got == pfaffian(m, "expansion") == pfaffian(m, "matching_sum")
+        assert got == pfaffian_expansion(m) == pfaffian_matching_sum(m)
 
 
 def _block_diag(*blocks):
@@ -299,9 +300,9 @@ def test_pfaffian_elimination_zero_pivot_swaps():
     third = [[0, 1], [0, 0]]
     for blocks in ((first,), (first, second), (second, first, third)):
         m = _block_diag(*blocks)
-        want = pfaffian(m, "expansion")
+        want = pfaffian_expansion(m)
         assert want != 0
-        assert pfaffian(m) == want == pfaffian(m, "matching_sum")
+        assert pfaffian(m) == want == pfaffian_matching_sum(m)
 
 
 def test_pfaffian_elimination_singular():
@@ -310,12 +311,12 @@ def test_pfaffian_elimination_singular():
     # Pf = a01 a23 - a02 a13 + a03 a12 = 0 - 1 + 1: no zero row, but the
     # second pivot vanishes with nothing to swap in
     dependent = _skew([[0, 1, 1, 1], [0, 0, 1, 1], [0, 0, 0, 0], [0, 0, 0, 0]])
-    assert pfaffian(dependent) == 0 == pfaffian(dependent, "expansion")
+    assert pfaffian(dependent) == 0 == pfaffian_expansion(dependent)
 
 
 def test_pfaffian_of_empty_matrix_is_one():
-    for strategy in PFAFFIAN_STRATEGIES:
-        assert pfaffian(MatrixR(0, 0, []), strategy) == 1
+    for pf in PFAFFIANS:
+        assert pf(MatrixR(0, 0, [])) == 1
 
 
 def test_pfaffian_rejects_non_rational_entries():
@@ -326,36 +327,27 @@ def test_pfaffian_rejects_non_rational_entries():
 
 
 def test_pfaffian_oracles_take_series():
-    # a zero series must compare equal to 0 for the skew-symmetry check
+    # a zero series compares equal to 0, so the matrix is skew
     z, s = TruncSeries(0, [0, 0, 0]), TruncSeries(0, [1, 2, 3])
     m = MatrixR.from_rows([[z, s], [-s, z]])
-    for strategy in ("expansion", "matching_sum"):
-        assert pfaffian(m, strategy) == s
+    assert all(m[i, j] + m[j, i] == 0 for i in range(2) for j in range(2))
+    assert pfaffian_expansion(m) == pfaffian_matching_sum(m) == s
     # a zero entry known only to O(x) still bounds the Pfaffian's window
     up = {(0, 1): TruncSeries(0, [0]), (0, 2): s, (0, 3): TruncSeries(1, [1, 1]),
           (1, 2): s * 2, (1, 3): s, (2, 3): s * s}
     m = MatrixR.build(4, 4, lambda i, j: up[i, j] if i < j
                       else (-up[j, i] if i > j else z))
-    got = pfaffian(m, "expansion")
-    assert repr(got) == repr(pfaffian(m, "matching_sum"))
+    got = pfaffian_expansion(m)
+    assert repr(got) == repr(pfaffian_matching_sum(m))
     assert got.order == 1
 
 
-def test_pfaffian_unknown_strategy_rejected():
-    m = MatrixR.from_rows([[0, 1], [-1, 0]])
-    with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
-        pfaffian(m, "bogus")
-
-
-def test_pfaffian_oracles_capped_default_not():
+def test_pfaffian_default_uncapped():
     rng = random.Random(23)
     for n2 in (14, 20, 30):
         m = _skew([[Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                     for _ in range(n2)] for _ in range(n2)])
         assert pfaffian(m) ** 2 == det(m)
-        for strategy in ("expansion", "matching_sum"):
-            with pytest.raises(ValueError, match="capped at 2n <= 12"):
-                pfaffian(m, strategy)
 
 
 def test_pfaffian_odd_dim_rejected():
