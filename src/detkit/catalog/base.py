@@ -111,13 +111,13 @@ class Trial:
     ok: bool
     micros: Optional[int] = None
 
-    def to_json_dict(self, deterministic: bool = True) -> dict:
+    def to_json_dict(self) -> dict:
         return {
             "params": _ser(self.params),
             "lhs": _ser(self.lhs),
             "rhs": _ser(self.rhs),
             "pass": self.ok,
-            "micros": None if deterministic else self.micros,
+            "micros": None,
         }
 
 
@@ -131,10 +131,10 @@ class VerifyReport:
     def overall(self) -> bool:
         return all(t.ok for t in self.trials)
 
-    def to_json_dict(self, deterministic: bool = True) -> dict:
+    def to_json_dict(self) -> dict:
         out = {
             "id": self.id,
-            "trials": [t.to_json_dict(deterministic) for t in self.trials],
+            "trials": [t.to_json_dict() for t in self.trials],
             "overall": self.overall,
         }
         if self.notes:
@@ -225,8 +225,8 @@ def run_trial(record: IdentityRecord, rng, n: int) -> Trial:
 def run_trials(record: IdentityRecord, n: int, trials: int, seed: int) -> VerifyReport:
     """The seeded checks of one record at size n: trial t draws from
     trial_rng(seed, record.id, t), and each trial's params start with n."""
-    if n < 1:
-        raise ValueError(f"{record.id}: requires n >= 1, got {n}")
+    if n < record.min_n:
+        raise ValueError(f"{record.id}: requires n >= {record.min_n}, got {n}")
     report = VerifyReport(record.id)
     for t in range(trials):
         trial = run_trial(record, trial_rng(seed, record.id, t), n)

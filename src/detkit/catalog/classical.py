@@ -364,8 +364,6 @@ det_record("krat5", _sample_krat5, _build_krat5, _closed_krat5, max_n=5)
 
 
 def _sample_krat6(rng, n):
-    if n < 2:
-        raise Resample
     return {"X": distinct_fracs(rng, n, nonzero=True),
             "A": distinct_fracs(rng, n - 1, nonzero=True),
             "B": distinct_fracs(rng, n - 1, nonzero=True),
@@ -406,8 +404,6 @@ det_record("krat6", _sample_krat6, _build_krat6, _closed_krat6, max_n=5, min_n=2
 
 
 def _sample_krat7(rng, n):
-    if n < 2:
-        raise Resample
     return {"X": distinct_fracs(rng, n),
             "A": distinct_fracs(rng, n - 1),
             "B": distinct_fracs(rng, n - 1),

@@ -11,11 +11,11 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from ..combinat import (PosetData, all_perms, block_labels,
-                        enumerate_partitions, join_blocks, meet_blocks,
-                        nc_lattice, nc_matchings, partition_lattice,
-                        perm_compose, perm_invert, perm_stat,
-                        poset_char_poly, reciprocal_poly, six_vertex_sum)
+from ..combinat import (PosetData, all_perms, enumerate_partitions,
+                        join_blocks, meet_blocks, nc_lattice, nc_matchings,
+                        partition_lattice, perm_compose, perm_invert,
+                        perm_stat, poset_char_poly, reciprocal_poly,
+                        six_vertex_sum)
 from ..exactnum import (PolyQ, TruncSeries, binomial, chebyshev_u,
                         compose_each, q_binomial, q_pochhammer, rat, stirling2)
 from ..linalg import MatrixR, _det_laplace, char_poly, det
@@ -178,8 +178,8 @@ def _lattice_det(parts, n: int, q: Fraction, blocks) -> Fraction:
 
 
 def _nc_suite_sides(n: int, q: Fraction):
-    full_labels = [block_labels(p) for p in enumerate_partitions(n)]
-    nc_labels = [block_labels(p) for p in enumerate_partitions(n, True)]
+    full_labels = enumerate_partitions(n)
+    nc_labels = enumerate_partitions(n, True)
     lhs = (
         _lattice_det(full_labels, n, q, meet_blocks),
         _lattice_det(full_labels, n, q, join_blocks),
@@ -238,8 +238,7 @@ def _meander_rhs(n: int, q: Fraction) -> Fraction:
 def _meander_det(n: int, q: Fraction) -> Fraction:
     """det(q^{components(a, b)}) over the noncrossing matchings of 2n points;
     two matchings make at most n components."""
-    labels = [block_labels(m) for m in nc_matchings(2 * n)]
-    return _lattice_det(labels, n, q, join_blocks)
+    return _lattice_det(nc_matchings(2 * n), n, q, join_blocks)
 
 
 def _meander_trial(rng, n):

@@ -16,50 +16,10 @@ from .exactnum import PolyQ, integer_numerators, rat
 
 # ---------------------------------------------------------------------------
 # set partitions
-
-
-@dataclass(frozen=True)
-class SetPartition:
-    n: int
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __init__(self, n: int, blocks):
-        canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
-        seen = [x for b in canon for x in b]
-        if sorted(seen) != list(range(1, n + 1)):
-            raise ValueError("blocks must partition {1..n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "blocks", canon)
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.blocks)
-
-    def block_of(self, x: int) -> tuple[int, ...]:
-        for b in self.blocks:
-            if x in b:
-                return b
-        raise KeyError(x)
-
-    def is_noncrossing(self) -> bool:
-        for bi in range(len(self.blocks)):
-            for bj in range(bi + 1, len(self.blocks)):
-                for i in self.blocks[bi]:
-                    for k in self.blocks[bi]:
-                        if i >= k:
-                            continue
-                        for j in self.blocks[bj]:
-                            for l in self.blocks[bj]:
-                                if i < j < k < l:
-                                    return False
-        return True
-
-    def refines(self, other: "SetPartition") -> bool:
-        """True if every block of self is contained in a block of other."""
-        return all(set(b) <= set(other.block_of(b[0])) for b in self.blocks)
-
-    def __str__(self):
-        return "".join("{" + ",".join(map(str, b)) + "}" for b in self.blocks)
+#
+# A partition of {1..n} is the tuple of its block labels: entry x - 1 is the
+# index of the block of x, with the blocks numbered in order of their least
+# elements.
 
 
 def _all_partitions(n: int):
@@ -91,56 +51,33 @@ def _nc_blocks(lo: int, hi: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(out)
 
 
+def _labels_by_blocks(n: int, partitions) -> tuple[tuple[int, ...], ...]:
+    """The block labels of partitions of {1..n} given as blocks, each block
+    ascending and the blocks in order of their least elements, sorted by
+    blocks.  That order suits the Bareiss elimination of the lattice
+    matrices better than the order of the labels."""
+    out = []
+    for blocks in sorted(partitions):
+        label = [0] * n
+        for k, block in enumerate(blocks):
+            for x in block:
+                label[x - 1] = k
+        out.append(tuple(label))
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
-def enumerate_partitions(n: int, noncrossing_only: bool = False) -> tuple[SetPartition, ...]:
+def enumerate_partitions(n: int, noncrossing_only: bool = False) -> tuple[tuple[int, ...], ...]:
     """All set partitions of {1..n} (or the noncrossing ones), sorted by blocks."""
     if n < 1:
         raise ValueError("n must be positive")
     if noncrossing_only:
         if n > 10:
             raise ValueError("noncrossing enumeration capped at n <= 10")
-        out = [SetPartition(n, blocks) for blocks in _nc_blocks(1, n)]
-    elif n > 8:
+        return _labels_by_blocks(n, _nc_blocks(1, n))
+    if n > 8:
         raise ValueError("full enumeration capped at n <= 8")
-    else:
-        out = [SetPartition(n, blocks) for blocks in _all_partitions(n)]
-    return tuple(sorted(out, key=lambda p: p.blocks))
-
-
-def partition_meet(p: SetPartition, g: SetPartition) -> SetPartition:
-    if p.n != g.n:
-        raise ValueError("size mismatch")
-    blocks = []
-    for a in p.blocks:
-        for b in g.blocks:
-            inter = set(a) & set(b)
-            if inter:
-                blocks.append(inter)
-    return SetPartition(p.n, blocks)
-
-
-def partition_join(p: SetPartition, g: SetPartition, lattice: str = "full") -> SetPartition:
-    if p.n != g.n:
-        raise ValueError("size mismatch")
-    if lattice == "noncrossing" and not (p.is_noncrossing() and g.is_noncrossing()):
-        raise ValueError("noncrossing join requires noncrossing inputs")
-    blocks: dict[int, list[int]] = {}
-    for x, k in enumerate(join_labels(block_labels(p), block_labels(g), lattice), 1):
-        blocks.setdefault(k, []).append(x)
-    return SetPartition(p.n, blocks.values())
-
-
-# Meets and joins on block labels: a partition of {1..n} is the tuple whose
-# entry x - 1 is the label, in range(n), of the block of x.
-
-
-def block_labels(p: SetPartition) -> tuple[int, ...]:
-    """The index of the block of each element 1..n of p."""
-    label = [0] * p.n
-    for k, block in enumerate(p.blocks):
-        for x in block:
-            label[x - 1] = k
-    return tuple(label)
+    return _labels_by_blocks(n, _all_partitions(n))
 
 
 def meet_blocks(a: tuple[int, ...], b: tuple[int, ...]) -> int:
@@ -259,13 +196,15 @@ def reciprocal_poly(f: PolyQ) -> PolyQ:
     return PolyQ(reversed(f.coeffs))
 
 
-def _lattice_from_partitions(parts: tuple[SetPartition, ...]) -> PosetData:
-    n = parts[0].n
+def _lattice_from_partitions(parts: tuple[tuple[int, ...], ...]) -> PosetData:
+    """The refinement order on the labelled partitions in parts: a refines b
+    iff their meet has as many blocks as a."""
+    n = len(parts[0])
+    sizes = [len(set(a)) for a in parts]
     leq = tuple(
-        tuple(a.refines(b) for b in parts) for a in parts
+        tuple(meet_blocks(a, b) == k for b in parts) for a, k in zip(parts, sizes)
     )
-    rank = tuple(n - p.num_blocks for p in parts)
-    return PosetData(parts, leq, rank)
+    return PosetData(parts, leq, tuple(n - k for k in sizes))
 
 
 @lru_cache(maxsize=None)
@@ -298,7 +237,7 @@ def _nc_pairings(lo: int, hi: int) -> list[tuple[tuple[int, int], ...]]:
     return out
 
 
-def nc_matchings(n2: int) -> tuple[SetPartition, ...]:
+def nc_matchings(n2: int) -> tuple[tuple[int, ...], ...]:
     """The noncrossing perfect matchings of {1..n2}, sorted by blocks."""
     if n2 < 1:
         raise ValueError("n must be positive")
@@ -306,14 +245,13 @@ def nc_matchings(n2: int) -> tuple[SetPartition, ...]:
         raise ValueError("nc_matchings requires an even ground set")
     if n2 > 12:
         raise ValueError("capped at 12 points")
-    return tuple(sorted((SetPartition(n2, m) for m in _nc_pairings(1, n2)),
-                        key=lambda p: p.blocks))
+    return _labels_by_blocks(n2, _nc_pairings(1, n2))
 
 
-def components(a: SetPartition, b: SetPartition) -> int:
+def components(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     """Number of connected components of the union of two matchings:
     the block count of their join in the full partition lattice."""
-    return join_blocks(block_labels(a), block_labels(b))
+    return join_blocks(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,8 @@ def q_int(n: int, q) -> Fraction:
 
 def q_factorial(n: int, q) -> Fraction:
     """[n]_q! = [n]_q [n-1]_q ... [1]_q."""
+    if n < 0:
+        raise ValueError(f"q-factorial of negative integer {n}")
     js = range(1, n + 1)
     if not js:
         return Fraction(1)
@@ -718,16 +720,17 @@ def compose_each(outers: Sequence[TruncSeries], inner: TruncSeries) -> list[Trun
     for g in outers:
         if g.valuation < 0 and g.coeffs:
             raise ValueError("compose requires a power-series outer operand")
-    itv = inner.true_valuation()
-    if itv is not None and itv < 1:
+    # an inner series with no known terms below an order <= 0 has an
+    # unknown constant term, so the test on the normal-form valuation
+    # covers it too
+    v = inner.valuation
+    if v < 1:
         raise ValueError("compose requires inner valuation >= 1")
-    # inner^e is O(x^order) once e*v >= order, v the inner's true
-    # valuation, so only the outer terms below that e count, and only up
-    # to the last nonzero one
+    # inner^e is O(x^order) once e*v >= order, so only the outer terms
+    # below that e count, and only up to the last nonzero one
     orders = [min(g.order, inner.order) for g in outers]
     terms = []
     for g, order in zip(outers, orders):
-        v = order if itv is None else itv
         cs, dc = integer_numerators([g.coeff(e) for e in range((order - 1) // v + 1)])
         while cs and cs[-1] == 0:
             cs.pop()

@@ -89,11 +89,10 @@ def compose_loop(outer, inner):
     if lo < 0 and lo != outer.order:
         raise ValueError("compose requires a power-series outer operand")
     itv = lowest(inner)
-    if itv < 1 and itv != inner.order:
+    if itv < 1:
         raise ValueError("compose requires inner valuation >= 1")
     order = min(outer.order, inner.order)
-    v = order if itv == inner.order else itv
-    cs = [outer.coeff(e) for e in range((order - 1) // v + 1)]
+    cs = [outer.coeff(e) for e in range((order - 1) // itv + 1)]
     while cs and cs[-1] == 0:
         cs.pop()
     out = TruncSeries(0, [0] * order, order)

@@ -2,6 +2,7 @@
 determinism, a sample of hand-checked instances, and the structural
 verifiers."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -18,9 +19,12 @@ from detkit.catalog import (UnknownIdentityError, build_matrix, closed_form,
                             verify_identity, verify_izergin_korepin,
                             verify_nc_suite, verify_okada, verify_strehl_wilf,
                             verify_turnbull)
-from detkit.catalog.base import Trial, VerifyReport, run_trial, trial_rng
+from detkit.catalog.base import (Trial, VerifyReport, run_trial, run_trials,
+                                 trial_rng)
 from detkit.catalog.sequences import _windows
 from detkit.linalg import MatrixR, det
+from partition_oracles import (blocks_of, join_by_merging, labels_of,
+                               meet_by_intersecting, refines)
 from series_oracles import compose_loop, inverse_loop, mul_loop, pow_loop
 
 
@@ -71,6 +75,19 @@ def test_verify_identity_max_n_clamp():
     assert all(t.params["n"] <= record.max_n for t in report.trials)
     report = verify_identity("vandermonde", trials=2, seed=1, max_n=0)
     assert all(t.params["n"] >= record.min_n for t in report.trials)
+
+
+@pytest.mark.parametrize("identity_id", ["krat6", "krat7"])
+def test_run_trials_rejects_n_below_min_n(identity_id):
+    # refused before any parameter draw; verify_identity clamps instead
+    draws = []
+    record = dataclasses.replace(get_record(identity_id),
+                                 trial=lambda rng, n: draws.append(n))
+    with pytest.raises(ValueError, match=f"^{identity_id}: requires n >= 2, got 1$"):
+        run_trials(record, 1, 1, 0)
+    assert draws == []
+    report = verify_identity(identity_id, trials=1, seed=0, max_n=1)
+    assert report.overall and report.trials[0].params["n"] == 2
 
 
 def test_report_serialization_schema():
@@ -170,9 +187,9 @@ def test_strehl_wilf_checks_what_it_claims(n, trunc):
 
 
 def _least_upper_bounds(ground):
-    """lub[i][j], the index of the least partition in ground above both
-    ground[i] and ground[j], read off the refinement table."""
-    up = [{k for k, c in enumerate(ground) if p.refines(c)} for p in ground]
+    """lub[i][j], the index of the least partition in ground (blocks)
+    above both ground[i] and ground[j], read off the refinement table."""
+    up = [{k for k, c in enumerate(ground) if refines(p, c)} for p in ground]
     lub = []
     for i in range(len(ground)):
         lub.append([])
@@ -183,43 +200,29 @@ def _least_upper_bounds(ground):
     return lub
 
 
-def _join_by_merging(a, b):
-    """The full-lattice join: each block of a and b in turn absorbs the
-    blocks met so far that it intersects."""
-    from detkit.combinat import SetPartition
-    out = []
-    for block in map(set, a.blocks + b.blocks):
-        for other in [o for o in out if o & block]:
-            block |= other
-            out.remove(other)
-        out.append(block)
-    return SetPartition(a.n, out)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_lattice_det_matches_full_build(n):
     # the upper-triangle build from block labels against all m^2 entries
     # from meets built block by block and joins read off the refinement
     # tables, for every (ground set, meet/join) pair that nc-suite uses
     from detkit.catalog.structured import _lattice_det
-    from detkit.combinat import (block_labels, enumerate_partitions,
-                                 join_blocks, meet_blocks, partition_meet)
-    parts, ncs = enumerate_partitions(n), enumerate_partitions(n, True)
-    part_labels = [block_labels(p) for p in parts]
-    nc_labels = [block_labels(p) for p in ncs]
+    from detkit.combinat import enumerate_partitions, join_blocks, meet_blocks
+    part_labels, nc_labels = enumerate_partitions(n), enumerate_partitions(n, True)
+    parts = [blocks_of(p) for p in part_labels]
+    ncs = [blocks_of(p) for p in nc_labels]
     full_lub, nc_lub = _least_upper_bounds(parts), _least_upper_bounds(ncs)
     at = [parts.index(p) for p in ncs]
     cases = [
         (part_labels, meet_blocks,
-         [[partition_meet(a, b).num_blocks for b in parts] for a in parts]),
+         [[len(meet_by_intersecting(a, b)) for b in parts] for a in parts]),
         (part_labels, join_blocks,
-         [[parts[k].num_blocks for k in row] for row in full_lub]),
+         [[len(parts[k]) for k in row] for row in full_lub]),
         (nc_labels, meet_blocks,
-         [[partition_meet(a, b).num_blocks for b in ncs] for a in ncs]),
+         [[len(meet_by_intersecting(a, b)) for b in ncs] for a in ncs]),
         (nc_labels, lambda a, b: join_blocks(a, b, "noncrossing"),
-         [[ncs[k].num_blocks for k in row] for row in nc_lub]),
+         [[len(ncs[k]) for k in row] for row in nc_lub]),
         (nc_labels, join_blocks,
-         [[parts[full_lub[i][j]].num_blocks for j in at] for i in at]),
+         [[len(parts[full_lub[i][j]]) for j in at] for i in at]),
     ]
     for labels, blocks, counts in cases:
         assert [[blocks(a, b) for b in labels] for a in labels] == counts
@@ -231,43 +234,40 @@ def test_lattice_det_matches_full_build(n):
 
 
 def _assert_block_counts(a, b, join):
-    # join is the full-lattice join of a and b from an independent oracle
-    from detkit.combinat import (block_labels, join_blocks, meet_blocks,
-                                 partition_join, partition_meet)
-    la, lb = block_labels(a), block_labels(b)
-    assert meet_blocks(la, lb) == partition_meet(a, b).num_blocks
-    assert join_blocks(la, lb) == join.num_blocks
-    assert partition_join(a, b) == join
+    # a and b are block labels; join is the blocks of their full-lattice
+    # join from an independent oracle
+    from detkit.combinat import join_blocks, join_labels, meet_blocks
+    assert meet_blocks(a, b) == len(meet_by_intersecting(blocks_of(a), blocks_of(b)))
+    assert join_blocks(a, b) == len(join)
+    assert blocks_of(join_labels(a, b)) == join
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_block_counts_match_built_meet_and_join(n):
     from detkit.combinat import enumerate_partitions
-    parts = enumerate_partitions(n)
+    labels = enumerate_partitions(n)
+    parts = [blocks_of(p) for p in labels]
     lub = _least_upper_bounds(parts)
-    for i, a in enumerate(parts):
-        for j, b in enumerate(parts):
+    for i, a in enumerate(labels):
+        for j, b in enumerate(labels):
             _assert_block_counts(a, b, parts[lub[i][j]])
 
 
 @st.composite
 def partition_pairs(draw):
-    from detkit.combinat import SetPartition
     n = draw(st.integers(1, 7))
     pair = []
     for _ in range(2):
         labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
-        blocks = {}
-        for x, k in enumerate(labels, start=1):
-            blocks.setdefault(k, []).append(x)
-        pair.append(SetPartition(n, blocks.values()))
+        pair.append(labels_of(n, blocks_of(labels)))
     return pair
 
 
 @settings(max_examples=300)
 @given(partition_pairs())
 def test_block_counts_match_built_meet_and_join_to_7(pair):
-    _assert_block_counts(*pair, _join_by_merging(*pair))
+    a, b = pair
+    _assert_block_counts(a, b, join_by_merging(blocks_of(a), blocks_of(b)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])

@@ -10,14 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asm_oracles import six_vertex_sum_enumerated, six_vertex_weight
-from detkit.combinat import (SetPartition, _all_partitions, all_perms,
-                             asm_enumerate,
-                             components, enumerate_partitions, nc_lattice,
-                             nc_matchings, partition_join, partition_lattice,
-                             partition_meet, perm_compose, perm_invert,
-                             perm_stat, poset_char_poly, reciprocal_poly,
-                             six_vertex_sum)
+from detkit.combinat import (_all_partitions, all_perms, asm_enumerate,
+                             components, enumerate_partitions, join_blocks,
+                             join_labels, meet_blocks, nc_lattice,
+                             nc_matchings, partition_lattice, perm_compose,
+                             perm_invert, perm_stat, poset_char_poly,
+                             reciprocal_poly, six_vertex_sum)
 from detkit.exactnum import PolyQ, asm_count, catalan
+from partition_oracles import (blocks_of, canonical, is_noncrossing,
+                               labels_of, meet_by_intersecting, refines)
 
 
 # ---------------------------------------------------------------------------
@@ -32,13 +33,12 @@ def test_partition_counts():
 
 
 @lru_cache(maxsize=None)
-def _nc_by_filter(n: int, matchings_only: bool = False) -> tuple[SetPartition, ...]:
+def _nc_by_filter(n: int, matchings_only: bool = False) -> tuple[tuple[int, ...], ...]:
     """Oracle: every set partition of {1..n} (perfect matchings only, if
-    asked), kept when noncrossing, sorted by blocks."""
-    out = [SetPartition(n, blocks) for blocks in _all_partitions(n)
+    asked), kept when noncrossing, sorted by blocks, as block labels."""
+    out = [canonical(blocks) for blocks in _all_partitions(n)
            if not matchings_only or all(len(b) == 2 for b in blocks)]
-    return tuple(sorted((p for p in out if p.is_noncrossing()),
-                        key=lambda p: p.blocks))
+    return tuple(labels_of(n, p) for p in sorted(out) if is_noncrossing(p))
 
 
 def test_noncrossing_enumeration_matches_filter():
@@ -46,37 +46,52 @@ def test_noncrossing_enumeration_matches_filter():
         assert enumerate_partitions(n, noncrossing_only=True) == _nc_by_filter(n)
 
 
+def test_enumerations_in_sorted_blocks_order():
+    # each entry numbers its blocks by least element, and the entries are
+    # distinct and sorted by their blocks, the order the lattice matrices
+    # are eliminated in
+    enumerations = ([enumerate_partitions(n) for n in range(1, 7)]
+                    + [enumerate_partitions(n, True) for n in range(1, 9)]
+                    + [nc_matchings(2 * n) for n in range(1, 6)])
+    for parts in enumerations:
+        blocks = [blocks_of(p) for p in parts]
+        assert [labels_of(len(p), b) for p, b in zip(parts, blocks)] == list(parts)
+        assert blocks == sorted(set(blocks))
+
+
 def test_noncrossing_predicate():
     # {1,3}{2,4} is the minimal crossing pattern
-    assert not SetPartition(4, ((1, 3), (2, 4))).is_noncrossing()
-    assert SetPartition(4, ((1, 4), (2, 3))).is_noncrossing()
+    assert not is_noncrossing(((1, 3), (2, 4)))
+    assert is_noncrossing(((1, 4), (2, 3)))
 
 
 def test_meet_join_anchors():
-    p = SetPartition(4, ((1, 2), (3, 4)))
-    g = SetPartition(4, ((1, 3), (2, 4)))
-    assert partition_meet(p, g).num_blocks == 4
-    assert partition_join(p, g).num_blocks == 1
-    assert p.refines(partition_join(p, g))
-    assert partition_meet(p, g).refines(p)
+    p = (0, 0, 1, 1)  # {1,2}{3,4}
+    g = (0, 1, 0, 1)  # {1,3}{2,4}
+    assert meet_blocks(p, g) == 4
+    assert join_blocks(p, g) == 1
+    join = blocks_of(join_labels(p, g))
+    assert refines(blocks_of(p), join)
+    assert refines(meet_by_intersecting(blocks_of(p), blocks_of(g)), blocks_of(p))
     # noncrossing join can be coarser than the full-lattice join
-    a = SetPartition(4, ((1, 3), (2,), (4,)))
-    b = SetPartition(4, ((2, 4), (1,), (3,)))
-    assert partition_join(a, b, lattice="full").num_blocks == 2
-    assert partition_join(a, b, lattice="noncrossing").num_blocks == 1
+    a = (0, 1, 0, 2)  # {1,3}{2}{4}
+    b = (0, 1, 2, 1)  # {1}{2,4}{3}
+    assert join_blocks(a, b, lattice="full") == 2
+    assert join_blocks(a, b, lattice="noncrossing") == 1
 
 
 def test_nc_join_matches_least_upper_bound_search():
     # the least noncrossing partition above both, read off the refinement
     # table of NC(n), for every pair
     for n in range(1, 7):
-        ncs = _nc_by_filter(n)
-        up = [{k for k, c in enumerate(ncs) if p.refines(c)} for p in ncs]
-        for i, p in enumerate(ncs):
-            for j, g in enumerate(ncs):
+        labels = _nc_by_filter(n)
+        ncs = [blocks_of(p) for p in labels]
+        up = [{k for k, c in enumerate(ncs) if refines(p, c)} for p in ncs]
+        for i, p in enumerate(labels):
+            for j, g in enumerate(labels):
                 above = up[i] & up[j]
                 [least] = [k for k in above if above <= up[k]]
-                assert partition_join(p, g, "noncrossing") == ncs[least]
+                assert blocks_of(join_labels(p, g, "noncrossing")) == ncs[least]
 
 
 @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
@@ -84,17 +99,18 @@ def test_nc_join_matches_least_upper_bound_search():
 @settings(deadline=None)
 def test_nc_join_matches_upper_bound_scan(case):
     n, i, j = case
-    ncs = _nc_by_filter(n)
+    labels = _nc_by_filter(n)
+    ncs = [blocks_of(p) for p in labels]
     p, g = ncs[i], ncs[j]
-    above = [c for c in ncs if p.refines(c) and g.refines(c)]
-    least = max(above, key=lambda c: c.num_blocks)
-    assert all(least.refines(c) for c in above)
-    assert partition_join(p, g, "noncrossing") == least
+    above = [c for c in ncs if refines(p, c) and refines(g, c)]
+    least = max(above, key=len)
+    assert all(refines(least, c) for c in above)
+    assert blocks_of(join_labels(labels[i], labels[j], "noncrossing")) == least
 
 
 def test_components():
-    a = SetPartition(4, ((1, 2), (3, 4)))
-    b = SetPartition(4, ((2, 3), (1,), (4,)))
+    a = (0, 0, 1, 1)  # {1,2}{3,4}
+    b = (0, 1, 1, 2)  # {1}{2,3}{4}
     assert components(a, b) == 1
     assert components(a, a) == 2
 
@@ -145,8 +161,8 @@ def test_nc_matchings():
     # 12-point cap
     assert [len(nc_matchings(2 * n)) for n in range(1, 7)] == [1, 2, 5, 14, 42, 132]
     for m in nc_matchings(12):
-        assert all(len(b) == 2 for b in m.blocks)
-        assert m.is_noncrossing()
+        assert all(m.count(k) == 2 for k in set(m))
+        assert is_noncrossing(blocks_of(m))
 
 
 def test_nc_matchings_match_filter():

@@ -152,6 +152,8 @@ def _q_pochhammer_loop(a, q, k):
 
 
 def _q_factorial_loop(n, q):
+    if n < 0:
+        raise ValueError(f"q-factorial of negative integer {n}")
     out = Fraction(1)
     for j in range(1, n + 1):
         out *= q_int(j, q)
@@ -273,6 +275,9 @@ def test_factorials():
     assert double_factorial(7) == 105 and double_factorial(8) == 384
     with pytest.raises(ValueError, match="factorial of negative integer -1"):
         factorial(-1)
+    for q in (Fraction(1), Fraction(2, 3)):
+        with pytest.raises(ValueError, match="q-factorial of negative integer -1"):
+            q_factorial(-1, q)
 
 
 def test_fmt_rat():
@@ -486,6 +491,13 @@ def test_compose_keeps_its_domain_errors():
         exp_series(6).compose(x + 1)
     with pytest.raises(ValueError, match="power-series outer"):
         TruncSeries(-1, [1, 0, 0], 2).compose(x)
+    # an inner series with no known terms below an order <= 0 has an
+    # unknown constant term
+    for order in (0, -1):
+        inner = TruncSeries(order, [], order)
+        for compose in (TruncSeries.compose, compose_loop):
+            with pytest.raises(ValueError, match="inner valuation >= 1"):
+                compose(TruncSeries(0, [1, 2, 3]), inner)
 
 
 # differential tests: integer-numerator series arithmetic against the
