@@ -211,6 +211,10 @@ def det_record(identity_id: str, sampler, builder, closed, max_n: int,
 
 
 def run_trial(record: IdentityRecord, rng, n: int) -> Trial:
+    """One check of the record at size n, refused before any parameter
+    draw when n is below the record's min_n."""
+    if n < record.min_n:
+        raise ValueError(f"{record.id}: requires n >= {record.min_n}, got {n}")
     start = time.perf_counter()
     for _ in range(200):
         try:
@@ -225,8 +229,6 @@ def run_trial(record: IdentityRecord, rng, n: int) -> Trial:
 def run_trials(record: IdentityRecord, n: int, trials: int, seed: int) -> VerifyReport:
     """The seeded checks of one record at size n: trial t draws from
     trial_rng(seed, record.id, t), and each trial's params start with n."""
-    if n < record.min_n:
-        raise ValueError(f"{record.id}: requires n >= {record.min_n}, got {n}")
     report = VerifyReport(record.id)
     for t in range(trials):
         trial = run_trial(record, trial_rng(seed, record.id, t), n)

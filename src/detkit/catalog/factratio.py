@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 from ..exactnum import (binomial, double_factorial, pochhammer, q_binomial,
                         q_pochhammer, rat)
@@ -192,18 +193,27 @@ det_record("qtsscpp1", _sample_xyq, _build_qtsscpp1, _closed_qtsscpp1, max_n=4)
 
 
 # ---------------------------------------------------------------------------
-# banded binomial sums, 0-based, with the signed empty/reversed convention
+# banded binomial sums, 0-based, with the signed empty/reversed convention:
+# entry (i, j) is sum_{lo < r <= hi} C(2x+m+i+j, r) for
+# lo = x+2i-j <= hi = x+m+2j-i, and minus the sum over hi < r <= lo when
+# lo > hi
 
 
-def _banded_entry(n, m, x, i, j):
-    lo, hi = x + 2 * i - j, x + m + 2 * j - i
-    if lo == hi:
-        return Fraction(0)
-    sign = 1
-    if lo > hi:
-        lo, hi, sign = hi, lo, -1
-    top = 2 * x + m + i + j
-    return sign * sum(binomial(top, r) for r in range(lo + 1, hi + 1))
+def _build_banded(n, m, x):
+    # with P_top[k] = sum_{r < k} C(top, r), both cases are
+    # P_top[hi + 1] - P_top[lo + 1], the index clamped to [0, top + 1]
+    base = 2 * x + m
+    prefix = []
+    for top in range(base, base + 2 * n - 1):
+        prefix.append(list(accumulate((math.comb(top, r) for r in range(top + 1)), initial=0)))
+
+    def entry(i, j):
+        row = prefix[i + j]
+        last = len(row) - 1
+        lo = min(max(x + 2 * i - j + 1, 0), last)
+        hi = min(max(x + m + 2 * j - i + 1, 0), last)
+        return Fraction(row[hi] - row[lo])
+    return MatrixR.build(n, n, entry)
 
 
 def _sample_x(rng, n):
@@ -212,7 +222,7 @@ def _sample_x(rng, n):
 
 def _make_tsscpp2(m, min_n):
     def build(n, x):
-        return MatrixR.build(n, n, lambda i, j: _banded_entry(n, m, x, i, j))
+        return _build_banded(n, m, x)
 
     def closed(n, x):
         h = n // 2

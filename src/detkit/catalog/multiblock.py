@@ -157,14 +157,18 @@ def _sample_qflha1(rng, n):
 
 
 def _build_qflha1(n, parts, X, C, q):
+    # entry (i, (k, s)) is prod_{t < s} [C+i-t+1]_q * X_k^(i+1-s); row i
+    # reads the coefficient of column s from one running product over s
     q = rat(q)
+    X = [rat(x) for x in X]
     cols = _columns(parts)
-
-    def entry(i, jc):
-        k, s = cols[jc]
-        coeff = prod(q_int(C + i - t + 1, q) for t in range(1, s))
-        return coeff * rat(X[k]) ** (i + 1 - s)
-    return MatrixR.build(n, n, entry)
+    rows = []
+    for i in range(n):
+        coeffs = [Fraction(1)]
+        for t in range(1, max(parts, default=1)):
+            coeffs.append(coeffs[-1] * q_int(C + i - t + 1, q))
+        rows.append([coeffs[s - 1] * X[k] ** (i + 1 - s) for k, s in cols])
+    return MatrixR.from_rows(rows)
 
 
 def _cross_q(parts, X, q):

@@ -35,9 +35,16 @@ def _sample_x(rng, n):
     return {"x": rand_frac(rng)}
 
 
-def _build_bell(n, x):
+def _moment_hankel(poly, n, x):
+    """The n x n Hankel matrix of the moments poly(k)(x), each of the
+    2n - 1 of them evaluated once."""
     x = rat(x)
-    return MatrixR.build(n, n, lambda i, j: bell_poly(i + j)(x))
+    moments = [poly(k)(x) for k in range(2 * n - 1)]
+    return MatrixR.build(n, n, lambda i, j: moments[i + j])
+
+
+def _build_bell(n, x):
+    return _moment_hankel(bell_poly, n, x)
 
 
 def _closed_bell(n, x):
@@ -52,8 +59,7 @@ det_record("hankel-bell", _sample_x, _build_bell, _closed_bell, max_n=6)
 
 
 def _build_hermite(n, x):
-    x = rat(x)
-    return MatrixR.build(n, n, lambda i, j: hermite_poly(i + j)(x))
+    return _moment_hankel(hermite_poly, n, x)
 
 
 def _closed_hermite(n, x):

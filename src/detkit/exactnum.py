@@ -3,9 +3,10 @@ rational functions, truncated (Laurent) series, and the special
 numbers/polynomials the determinant catalog consumes.
 
 All values are ``fractions.Fraction``s; nothing here ever touches
-floating point.  Truncated-series products, sums, inverses and
-compositions run on integer numerators over one common denominator per
-operand and build one ``Fraction`` per result coefficient.
+floating point.  Polynomial and rational-function values, and
+truncated-series products, sums, inverses and compositions, run on
+integer numerators over one common denominator per operand and build one
+``Fraction`` per result value or coefficient.
 """
 
 from __future__ import annotations
@@ -192,6 +193,17 @@ def _trim(coeffs: list) -> tuple:
     return tuple(coeffs)
 
 
+def _homogeneous(cs: Sequence[int], u: int, v: int, top: int) -> int:
+    """sum cs[k] u^k v^(top-k) over the integer coefficients cs
+    (len(cs) <= top + 1), by Horner's rule in u."""
+    acc = 0
+    vp = v ** (top + 1 - len(cs))
+    for c in reversed(cs):
+        acc = acc * u + c * vp
+        vp *= v
+    return acc
+
+
 class PolyQ:
     """Dense univariate polynomial over Q, coefficients lowest-first.
 
@@ -230,11 +242,14 @@ class PolyQ:
         return Fraction(0)
 
     def __call__(self, x) -> Fraction:
+        # with x = u/v and the coefficients C_k/d, p(x) is
+        # sum C_k u^k v^(deg-k) over d v^deg
         x = rat(x)
-        out = Fraction(0)
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
+        if not self.coeffs:
+            return Fraction(0)
+        cs, d = integer_numerators(self.coeffs)
+        v = x.denominator
+        return Fraction(_homogeneous(cs, x.numerator, v, self.degree), d * v ** self.degree)
 
     def _coerce(self, other):
         if isinstance(other, PolyQ):
@@ -455,10 +470,17 @@ class RatFn:
         return self._coerce(other) / self
 
     def __call__(self, x) -> Fraction:
-        d = self.den(x)
-        if d == 0:
+        # numerator and denominator over the same power of x's denominator,
+        # which cancels in their quotient
+        x = rat(x)
+        u, v = x.numerator, x.denominator
+        top = max(self.num.degree, self.den.degree)
+        ns, dn = integer_numerators(self.num.coeffs)
+        ds, dd = integer_numerators(self.den.coeffs)
+        den = _homogeneous(ds, u, v, top) * dn
+        if den == 0:
             raise ZeroDivisionError("rational function pole")
-        return self.num(x) / d
+        return Fraction(_homogeneous(ns, u, v, top) * dd, den)
 
     def derivative(self) -> "RatFn":
         return RatFn(
@@ -718,7 +740,7 @@ def compose_each(outers: Sequence[TruncSeries], inner: TruncSeries) -> list[Trun
     """[g.compose(inner) for g in outers], computing the powers of inner
     once for all of them."""
     for g in outers:
-        if g.valuation < 0 and g.coeffs:
+        if g.valuation < 0:
             raise ValueError("compose requires a power-series outer operand")
     # an inner series with no known terms below an order <= 0 has an
     # unknown constant term, so the test on the normal-form valuation

@@ -86,7 +86,7 @@ def compose_loop(outer, inner):
     """outer(inner) by a running power of inner, stopping at the last
     contributing outer term."""
     lo = lowest(outer)
-    if lo < 0 and lo != outer.order:
+    if lo < 0:
         raise ValueError("compose requires a power-series outer operand")
     itv = lowest(inner)
     if itv < 1:

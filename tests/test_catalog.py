@@ -22,7 +22,9 @@ from detkit.catalog import (UnknownIdentityError, build_matrix, closed_form,
 from detkit.catalog.base import (Trial, VerifyReport, run_trial, run_trials,
                                  trial_rng)
 from detkit.catalog.sequences import _windows
+from detkit.exactnum import bell_poly, hermite_poly
 from detkit.linalg import MatrixR, det
+from entry_oracles import banded_entry, poly_horner, qflha1_entry
 from partition_oracles import (blocks_of, join_by_merging, labels_of,
                                meet_by_intersecting, refines)
 from series_oracles import compose_loop, inverse_loop, mul_loop, pow_loop
@@ -88,6 +90,17 @@ def test_run_trials_rejects_n_below_min_n(identity_id):
     assert draws == []
     report = verify_identity(identity_id, trials=1, seed=0, max_n=1)
     assert report.overall and report.trials[0].params["n"] == 2
+
+
+def test_run_trial_rejects_n_below_min_n():
+    with pytest.raises(ValueError, match="^krat6: requires n >= 2, got 1$"):
+        run_trial(get_record("krat6"), trial_rng(0, "krat6", 0), 1)
+    draws = []
+    record = dataclasses.replace(get_record("krat6"),
+                                 trial=lambda rng, n: draws.append(n))
+    with pytest.raises(ValueError, match="^krat6: requires n >= 2, got 1$"):
+        run_trial(record, trial_rng(0, "krat6", 0), 1)
+    assert draws == []
 
 
 def test_report_serialization_schema():
@@ -335,6 +348,50 @@ def test_goja_shared_inverse_powers_match_per_entry(n):
     for t in range(2):
         _, lhs, rhs = _goja_sides(trial_rng(5, "goja", t), n, 12)
         assert (lhs, rhs) == _goja_sides_per_entry(trial_rng(5, "goja", t), n, 12)
+
+
+def _assert_entries(m, entry):
+    assert all(type(m[i, j]) is Fraction and m[i, j] == entry(i, j)
+               for i in range(m.rows) for j in range(m.cols))
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_tsscpp2_builder_matches_banded_entries(m):
+    # the prefix-sum differences against each entry's signed binomial sum,
+    # over cells with lo < hi and lo > hi, and lo == hi (3(i - j) = m)
+    # where 3 divides m
+    kinds = set()
+    for x in range(5):
+        for n in range(1, 14):
+            got = build_matrix(f"tsscpp2-m{m}", n, x=x)
+            _assert_entries(got, lambda i, j: banded_entry(m, x, i, j))
+            kinds.update((x + 2 * i - j > x + m + 2 * j - i) - (x + 2 * i - j < x + m + 2 * j - i)
+                         for i in range(n) for j in range(n))
+    assert kinds == ({-1, 0, 1} if m % 3 == 0 else {-1, 1})
+
+
+@pytest.mark.parametrize("identity_id, poly", [("hankel-bell", bell_poly),
+                                               ("hankel-hermite", hermite_poly)])
+def test_moment_hankel_builders_match_per_entry(identity_id, poly):
+    for x in (Fraction(0), Fraction(1), Fraction(-7, 3), Fraction(5, 4), Fraction(-9, 5)):
+        for n in range(1, 10):
+            got = build_matrix(identity_id, n, x=x)
+            _assert_entries(got, lambda i, j: poly_horner(poly(i + j), x))
+
+
+def test_qflha1_builder_matches_per_entry():
+    # sampled parts, X, C and q, and one block of n columns with C = 0,
+    # where [C+i-t+1]_q reaches [0]_q and [-1]_q
+    from detkit.catalog.multiblock import _columns
+    record = get_record("qflha1")
+    for n in range(1, 13):
+        draws = [record.sampler(trial_rng(3, "qflha1", t), n) for t in range(3)]
+        draws.append({"parts": (n,), "X": (Fraction(-2, 3),), "C": 0, "q": Fraction(1, 2)})
+        for params in draws:
+            cols = _columns(params["parts"])
+            got = record.builder(n, **params)
+            _assert_entries(got, lambda i, j: qflha1_entry(
+                i, *cols[j], params["X"], params["C"], params["q"]))
 
 
 def test_izergin_korepin():

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detkit.exactnum import (PolyQ, RatFn, TruncSeries, asm_count, bell_poly,
@@ -15,6 +15,7 @@ from detkit.exactnum import (PolyQ, RatFn, TruncSeries, asm_count, bell_poly,
                              hermite_poly, integer_numerators, pochhammer,
                              poly_gcd, q_binomial, q_factorial, q_int,
                              q_pochhammer, rat, stirling1_unsigned, stirling2)
+from entry_oracles import poly_horner, ratfn_value
 from series_oracles import (add_loop, compose_loop, div_scalar_loop, eq_loop,
                             inverse_loop, mul_loop)
 
@@ -324,6 +325,63 @@ def test_polyq_call_matches_termwise_sum(coeffs, x):
     assert RatFn(p)(x) == want
 
 
+# differential tests: evaluation on integer numerators against Horner's
+# rule on Fractions
+
+huge_dens = st.builds(Fraction, st.integers(-10**20, 10**20), st.integers(1, 10**20))
+eval_points = st.one_of(st.just(Fraction(0)), st.integers(-9, 9).map(Fraction),
+                        rationals, huge_dens)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(st.just(0), st.integers(-10**6, 10**6), rationals, huge_dens),
+                max_size=31),
+       eval_points)
+@example([], Fraction(3))
+@example([0, 0], Fraction(0))
+@example([Fraction(-5, 3)], Fraction(-7, 2))
+@example([Fraction(1, 10**20)] * 31, Fraction(-(10**20) + 1, 10**20))
+def test_polyq_call_matches_fraction_horner(coeffs, x):
+    # the zero polynomial, constants, x = 0, negative x, huge denominators
+    # and degrees up to 30
+    p = PolyQ(coeffs)
+    got = p(x)
+    assert type(got) is Fraction and got == poly_horner(p, x)
+
+
+@settings(max_examples=200)
+@given(st.lists(rationals, max_size=5), st.lists(rationals, min_size=1, max_size=5),
+       eval_points, st.booleans())
+def test_ratfn_call_matches_quotient_of_horner_values(a, b, x, pole_at_x):
+    # with pole_at_x the denominator vanishes at x, which is a pole unless
+    # the numerator's factor x - x0 cancels it
+    den = PolyQ(b)
+    if den.is_zero():
+        return
+    if pole_at_x:
+        den = den * PolyQ([-x, 1])
+    f = RatFn(PolyQ(a), den)
+    try:
+        want = ratfn_value(f, x)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError, match="^rational function pole$"):
+            f(x)
+        return
+    got = f(x)
+    assert type(got) is Fraction and got == want
+
+
+def test_ratfn_call_at_poles_and_degrees():
+    f = RatFn(PolyQ([2, 1]), PolyQ([-1, 0, 1]))    # (x+2)/(x^2-1)
+    for pole in (1, -1, "1", Fraction(-1)):
+        with pytest.raises(ZeroDivisionError, match="^rational function pole$"):
+            f(pole)
+    assert f(Fraction(1, 2)) == Fraction(-10, 3)
+    g = RatFn(PolyQ([0, 0, 0, 1]), PolyQ([3, 1]))  # x^3/(x+3)
+    assert g(Fraction(-2, 5)) == Fraction(-8, 325)
+    assert RatFn(PolyQ([]))(Fraction(7, 3)) == 0
+
+
 @given(st.lists(rationals, min_size=2, max_size=5),
        st.lists(rationals, min_size=1, max_size=4))
 def test_polyq_division(a, b):
@@ -491,6 +549,11 @@ def test_compose_keeps_its_domain_errors():
         exp_series(6).compose(x + 1)
     with pytest.raises(ValueError, match="power-series outer"):
         TruncSeries(-1, [1, 0, 0], 2).compose(x)
+    # an empty outer series of negative order has its valuation below 0
+    for compose in (TruncSeries.compose, compose_loop,
+                    lambda g, h: compose_each([exp_series(3), g], h)):
+        with pytest.raises(ValueError, match="^compose requires a power-series outer operand$"):
+            compose(TruncSeries(-2, [], -2), TruncSeries.var(4))
     # an inner series with no known terms below an order <= 0 has an
     # unknown constant term
     for order in (0, -1):
