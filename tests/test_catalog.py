@@ -85,22 +85,14 @@ def test_run_trials_rejects_n_below_min_n(identity_id):
     draws = []
     record = dataclasses.replace(get_record(identity_id),
                                  trial=lambda rng, n: draws.append(n))
-    with pytest.raises(ValueError, match=f"^{identity_id}: requires n >= 2, got 1$"):
-        run_trials(record, 1, 1, 0)
+    for run in (lambda r: run_trials(r, 1, 1, 0),
+                lambda r: run_trial(r, trial_rng(0, identity_id, 0), 1)):
+        for r in (record, get_record(identity_id)):
+            with pytest.raises(ValueError, match=f"^{identity_id}: requires n >= 2, got 1$"):
+                run(r)
     assert draws == []
     report = verify_identity(identity_id, trials=1, seed=0, max_n=1)
     assert report.overall and report.trials[0].params["n"] == 2
-
-
-def test_run_trial_rejects_n_below_min_n():
-    with pytest.raises(ValueError, match="^krat6: requires n >= 2, got 1$"):
-        run_trial(get_record("krat6"), trial_rng(0, "krat6", 0), 1)
-    draws = []
-    record = dataclasses.replace(get_record("krat6"),
-                                 trial=lambda rng, n: draws.append(n))
-    with pytest.raises(ValueError, match="^krat6: requires n >= 2, got 1$"):
-        run_trial(record, trial_rng(0, "krat6", 0), 1)
-    assert draws == []
 
 
 def test_report_serialization_schema():
@@ -365,8 +357,10 @@ def test_tsscpp2_builder_matches_banded_entries(m):
         for n in range(1, 14):
             got = build_matrix(f"tsscpp2-m{m}", n, x=x)
             _assert_entries(got, lambda i, j: banded_entry(m, x, i, j))
-            kinds.update((x + 2 * i - j > x + m + 2 * j - i) - (x + 2 * i - j < x + m + 2 * j - i)
-                         for i in range(n) for j in range(n))
+            for i in range(n):
+                for j in range(n):
+                    lo, hi = x + 2 * i - j, x + m + 2 * j - i
+                    kinds.add((lo > hi) - (lo < hi))
     assert kinds == ({-1, 0, 1} if m % 3 == 0 else {-1, 1})
 
 
