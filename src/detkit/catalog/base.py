@@ -43,14 +43,16 @@ def rand_nonzero(rng, lo: int = -9, hi: int = 9, max_den: int = 5) -> Fraction:
 def distinct_fracs(rng, count: int, nonzero: bool = False, lo: int = -9, hi: int = 9,
                    max_den: int = 5) -> tuple[Fraction, ...]:
     out: list[Fraction] = []
+    seen: set[Fraction] = set()
     if count == 0:
         return ()
     for _ in range(100 * count + 100):
         x = rand_frac(rng, lo, hi, max_den)
         if nonzero and x == 0:
             continue
-        if x in out:
+        if x in seen:
             continue
+        seen.add(x)
         out.append(x)
         if len(out) == count:
             return tuple(out)

@@ -4,11 +4,12 @@ perturbed-identity variant."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from ..exactnum import binomial, double_factorial, pochhammer, rat
 from ..linalg import MatrixR, det
-from .base import (IdentityRecord, det_record, prod, rand_frac, register)
+from .base import IdentityRecord, Resample, det_record, rand_frac, register
 
 
 def _sign_mod4(n: int) -> int:
@@ -171,16 +172,32 @@ det_record("chu1", _sample_chu1, _build_chu1, _closed_chu1, max_n=5)
 
 
 def _sample_c(rng, n):
-    return {"c": rand_frac(rng)}
+    # the entries divide by (c+s+1/2)(c+s-1/2), s = i + j <= 2n - 2,
+    # which vanishes exactly when 2c is an odd integer in [-(4n-3), 1]
+    c = rand_frac(rng)
+    if c.denominator == 2 and -(4 * n - 3) <= c.numerator <= 1:
+        raise Resample
+    return {"c": c}
 
 
 def _build_chu2(n, c):
+    # with c = p/d, s = i + j, k = 2i - j and u = 2p + (2s+1)d, entry
+    # (i, j) is the quotient 4((k-1)d^2 + (2p+3jd)^2) / (u (u - 2d)) times
+    # binomial(c+s+1/2, k) = prod_{t<k} (u - 2td) / ((2d)^k k!), 0 for
+    # k < 0.  Every s <= 2n - 2 has a cell with k >= 0, so the matrix
+    # raises ZeroDivisionError exactly when some u (u - 2d) vanishes
     c = rat(c)
+    p, d = c.numerator, c.denominator
 
     def entry(i, j):
-        num = (2 * i - j) + (2 * c + 3 * j + 1) * (2 * c + 3 * j - 1)
-        den = (c + i + j + Fraction(1, 2)) * (c + i + j - Fraction(1, 2))
-        return num / den * binomial(c + i + j + Fraction(1, 2), 2 * i - j)
+        s, k = i + j, 2 * i - j
+        if k < 0:
+            return Fraction(0)
+        u = 2 * p + (2 * s + 1) * d
+        num = 4 * ((k - 1) * d * d + (2 * p + 3 * j * d) ** 2)
+        for t in range(k):
+            num *= u - 2 * t * d
+        return Fraction(num, u * (u - 2 * d) * (2 * d) ** k * math.factorial(k))
     return MatrixR.build(n, n, entry)
 
 

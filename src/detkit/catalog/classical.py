@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..exactnum import PolyQ, binomial, rat
+from ..exactnum import PolyQ, _homogeneous, binomial, integer_numerators, rat
 from ..linalg import MatrixR, det, permanent
 from .base import (Resample, det_record, distinct_fracs, prod, rand_frac,
                    rand_nonzero)
@@ -138,7 +138,8 @@ def _sample_cauchy(rng, n):
     for _ in range(200):
         X = distinct_fracs(rng, n)
         Y = distinct_fracs(rng, n)
-        if all(x + y != 0 for x in X for y in Y):
+        xs = set(X)
+        if all(-y not in xs for y in Y):  # x + y != 0
             return {"X": X, "Y": Y}
     raise Resample
 
@@ -159,7 +160,7 @@ def _sample_borchardt(rng, n):
     for _ in range(200):
         X = distinct_fracs(rng, n)
         Y = distinct_fracs(rng, n)
-        if all(x - y != 0 for x in X for y in Y):
+        if set(X).isdisjoint(Y):  # x - y != 0
             return {"X": X, "Y": Y}
     raise Resample
 
@@ -182,41 +183,70 @@ det_record("borchardt", _sample_borchardt, _build_borchardt, _closed_borchardt, 
 # factored-column lemmas
 
 
-def _factored_columns(n, X, f, A, B=(), switch=None, col_factor=None):
+def _factored_columns(n, X, forms, A, B=(), switch=None, col_factor=None):
     """The matrix of the factored-column lemmas: with x = X_i and 1-based
     column c = j + 1, entry (i, j) is
 
-        prod_{s=c+1}^{n} f(x, A_s) * prod_{s=2}^{c} f(x, B_s) * col_factor(j, x)
+        prod_{s=c+1}^{n} f(x, A_s) * prod_{s=2}^{c} f(x, B_s) * col_factor(x)[j]
 
-    where A_s = A[s - 2] and B_s = B[s - 2]; an empty B leaves out the
-    second product and a missing col_factor the third.  With
+    where A_s = A[s - 2] and B_s = B[s - 2], and f(x, u) is the product of
+    w + sign*u over the pairs (w, sign) of forms(x); an empty B leaves out
+    the second product and a missing col_factor the third.  With
     switch = (m, a, b) the columns c >= m take a and b for A and B.
+    col_factor(x) gives the n column factors of row x as integer
+    numerators and denominators.
 
     Each row keeps a running suffix product over the upper alphabet and a
-    running prefix product over the lower one: O(n^2) factors per matrix.
+    running prefix product over the lower one, on integer numerators and
+    denominators, and builds one Fraction per entry.
     """
-    def running(x, up, lo):
-        suffix = [Fraction(1)] * n
+    def running(fs, up, lo):
+        sn, sd = [1] * n, [1] * n
         for j in range(n - 2, -1, -1):
-            suffix[j] = suffix[j + 1] * f(x, rat(up[j]))
-        prefix = [Fraction(1)] * n
+            fn, fd = _linear_product(fs, (up[j],))
+            sn[j], sd[j] = sn[j + 1] * fn, sd[j + 1] * fd
+        pn, pd = [1] * n, [1] * n
         if lo:
             for j in range(1, n):
-                prefix[j] = prefix[j - 1] * f(x, rat(lo[j - 1]))
-        return suffix, prefix
+                fn, fd = _linear_product(fs, (lo[j - 1],))
+                pn[j], pd[j] = pn[j - 1] * fn, pd[j - 1] * fd
+        return sn, sd, pn, pd
 
     rows = []
     for xi in X:
         x = rat(xi)
-        suffix, prefix = running(x, A, B)
+        fs = _int_forms(forms(x))
+        sn, sd, pn, pd = running(fs, A, B)
         if switch:
             m, a, b = switch
-            suffix[m - 1:], prefix[m - 1:] = (v[m - 1:] for v in running(x, a, b))
-        row = [u * v for u, v in zip(suffix, prefix)]
+            for whole, tail in zip((sn, sd, pn, pd), running(fs, a, b)):
+                whole[m - 1:] = tail[m - 1:]
+        nums = [u * v for u, v in zip(sn, pn)]
+        dens = [u * v for u, v in zip(sd, pd)]
         if col_factor:
-            row = [e * col_factor(j, x) for j, e in enumerate(row)]
-        rows.append(row)
+            for j, (cn, cd) in enumerate(col_factor(x)):
+                nums[j] *= cn
+                dens[j] *= cd
+        rows.append([Fraction(u, v) for u, v in zip(nums, dens)])
     return MatrixR.from_rows(rows)
+
+
+def _int_forms(pairs):
+    """The pairs (w, sign) as (numerator of w, denominator of w, sign)."""
+    return [(w.numerator, w.denominator, sign) for w, sign in pairs]
+
+
+def _linear_product(forms, us):
+    """prod over u in us and (wn, wd, sign) in forms of wn/wd + sign*u, as
+    an integer numerator and denominator."""
+    num = den = 1
+    for u in us:
+        u = rat(u)
+        un, ud = u.numerator, u.denominator
+        for wn, wd, sign in forms:
+            num *= wn * ud + sign * un * wd
+            den *= wd * ud
+    return num, den
 
 
 def _sample_xa(rng, n):
@@ -225,7 +255,7 @@ def _sample_xa(rng, n):
 
 
 def _build_krat1(n, X, A, B):
-    return _factored_columns(n, X, lambda x, u: x + u, A, B)
+    return _factored_columns(n, X, lambda x: ((x, 1),), A, B)
 
 
 def _closed_krat1(n, X, A, B):
@@ -247,7 +277,7 @@ def _sample_krat2(rng, n):
 
 def _build_krat2(n, X, A, C):
     C = rat(C)
-    return _factored_columns(n, X, lambda x, u: (C / x + u) * (x + u), A)
+    return _factored_columns(n, X, lambda x: ((C / x, 1), (x, 1)), A)
 
 
 def _closed_krat2(n, X, A, C):
@@ -263,7 +293,7 @@ det_record("krat2", _sample_krat2, _build_krat2, _closed_krat2, max_n=5)
 
 def _build_krat2a(n, X, A, C):
     C = rat(C)
-    return _factored_columns(n, X, lambda x, u: (x - u - C) * (x + u), A)
+    return _factored_columns(n, X, lambda x: ((x - C, -1), (x, 1)), A)
 
 
 def _closed_krat2a(n, X, A, C):
@@ -288,9 +318,14 @@ def _sym_p(j, x, B, C):
 
 
 def _build_krat3(n, X, A, C, B):
+    # the column factor p_j(x) has the same linear factors as the columns
     C = rat(C)
-    return _factored_columns(n, X, lambda x, u: (x + u) * (C / x + u), A,
-                             col_factor=lambda j, x: _sym_p(j, x, B, C))
+
+    def forms(x):
+        return (x, 1), (C / x, 1)
+    return _factored_columns(
+        n, X, forms, A,
+        col_factor=lambda x: [_linear_product(_int_forms(forms(x)), bs) for bs in B])
 
 
 def _closed_krat3(n, X, A, C, B):
@@ -313,9 +348,14 @@ def _sample_krat3a(rng, n):
 
 
 def _build_krat3a(n, X, A, polys):
-    ps = [PolyQ(c) for c in polys]
-    return _factored_columns(n, X, lambda x, u: x + u, A,
-                             col_factor=lambda j, x: ps[j](x))
+    ps = [integer_numerators([rat(c) for c in cs]) for cs in polys]
+
+    def col_factor(x):
+        # p_j(x) = sum c_k x^k / d by Horner's rule on x = u/v
+        u, v = x.numerator, x.denominator
+        return [(_homogeneous(cs, u, v, len(cs) - 1), d * v ** (len(cs) - 1))
+                for cs, d in ps]
+    return _factored_columns(n, X, lambda x: ((x, 1),), A, col_factor=col_factor)
 
 
 def _closed_krat3a(n, X, A, polys):
@@ -347,8 +387,12 @@ def _refl_p(j, x, B, C):
 
 def _build_krat5(n, X, A, C, B):
     C = rat(C)
-    return _factored_columns(n, X, lambda x, u: (x + u) * (x - u - C), A,
-                             col_factor=lambda j, x: _refl_p(j, x, B, C))
+
+    def col_factor(x):
+        fs = _int_forms(((x, 1), (C - x, 1)))
+        return [_linear_product(fs, bs) for bs in B]
+    return _factored_columns(n, X, lambda x: ((x, 1), (x - C, -1)), A,
+                             col_factor=col_factor)
 
 
 def _closed_krat5(n, X, A, C, B):
@@ -375,7 +419,7 @@ def _sample_krat6(rng, n):
 
 def _build_krat6(n, X, A, B, a, b, C, m):
     C = rat(C)
-    return _factored_columns(n, X, lambda x, u: (x + u) * (C / x + u), A, B,
+    return _factored_columns(n, X, lambda x: ((x, 1), (C / x, 1)), A, B,
                              switch=(m, a, b))
 
 
@@ -415,7 +459,7 @@ def _sample_krat7(rng, n):
 
 def _build_krat7(n, X, A, B, a, b, C, m):
     C = rat(C)
-    return _factored_columns(n, X, lambda x, u: (x + u) * (x - u - C), A, B,
+    return _factored_columns(n, X, lambda x: ((x, 1), (x - C, -1)), A, B,
                              switch=(m, a, b))
 
 

@@ -8,8 +8,8 @@ import math
 from fractions import Fraction
 from itertools import accumulate
 
-from ..exactnum import (binomial, double_factorial, pochhammer, q_binomial,
-                        q_pochhammer, rat)
+from ..exactnum import (_q_pochhammer_pairs, binomial, double_factorial,
+                        pochhammer, q_binomial, q_pochhammer, rat)
 from ..linalg import MatrixR
 from .base import det_record, prod, rand_nonzero, rand_q
 
@@ -58,18 +58,47 @@ def _sample_xyq(rng, n):
     return {**_sample_xy_pos(rng, n), "q": rand_q(rng, 7)}
 
 
-def _build_qkrat(n, x, y, q):
-    q = rat(q)
+def _q_ratio_entries(n, x, y, q, shift, extra=None):
+    """The matrix of qkrat (shift = 0) and qtsscpp1 (shift = 1): with
+    a = x+2i-j+shift and b = y+2j-i+shift, entry (i, j) is 0 when a < 0
+    or b < 0, and otherwise
 
-    def entry(i, j):
-        a, b = x + 2 * i - j, y + 2 * j - i
-        if a < 0 or b < 0:
-            return Fraction(0)
-        out = _qq(x + y + i + j - 1, q) / (_qq(a, q) * _qq(b, q))
-        out *= q ** (-2 * i * j)
-        out /= q_pochhammer(-q ** (x + y + 1), q, i + j)
-        return out
-    return MatrixR.build(n, n, entry)
+        (q;q)_(x+y+i+j-1) / ((q;q)_a (q;q)_b) * q^(-2ij)
+            / (-q^(x+y+1+shift); q)_(i+j) * extra(i, j)
+
+    where extra, if given, returns an integer numerator and denominator.
+    (q;q)_m and the Pochhammer in the denominator come from one table
+    each, and q^(-2ij) from one running power per row."""
+    q = rat(q)
+    qp, qd = q.numerator, q.denominator
+    s = x + y - 1
+    qq = _q_pochhammer_pairs(q, q, min(s, 0), max(s, x + shift, y + shift) + 2 * n - 2)
+    neg = _q_pochhammer_pairs(-q ** (x + y + 1 + shift), q, 0, 2 * n - 2)
+    rows = []
+    for i in range(n):
+        row = []
+        step_n, step_d = qd ** (2 * i), qp ** (2 * i)
+        pw_n = pw_d = 1  # q^(-2ij)
+        for j in range(n):
+            a, b = x + 2 * i - j + shift, y + 2 * j - i + shift
+            if a < 0 or b < 0:
+                row.append(Fraction(0))
+            else:
+                (n1, d1), (n2, d2), (n3, d3) = qq(s + i + j), qq(a), qq(b)
+                n4, d4 = neg(i + j)
+                num, den = n1 * d2 * d3 * pw_n * d4, d1 * n2 * n3 * pw_d * n4
+                if extra:
+                    en, ed = extra(i, j)
+                    num, den = num * en, den * ed
+                row.append(Fraction(num, den))
+            pw_n *= step_n
+            pw_d *= step_d
+        rows.append(row)
+    return MatrixR.from_rows(rows)
+
+
+def _build_qkrat(n, x, y, q):
+    return _q_ratio_entries(n, x, y, q, 0)
 
 
 def _closed_qkrat(n, x, y, q):
@@ -95,21 +124,31 @@ def _sample_anst(rng, n):
 
 
 def _build_anst(n, x, E, q):
+    # row i reads its five Pochhammers at k = i - j from one table each,
+    # and (q;q)_(2i+1-j) from one table for the matrix; entries with
+    # 2i + 1 - j < 0 are 0 and read nothing
     x, E, q = rat(x), rat(E), rat(q)
     q2 = q * q
-
-    def entry(i, j):
-        k = i - j
-        if 2 * i + 1 - j < 0:
-            return Fraction(0)
-        num = (q_pochhammer(E / (x * q ** i), q2, k)
-               * q_pochhammer(q / (E * x * q ** i), q2, k)
-               * q_pochhammer(1 / (x * x * q ** (2 + 4 * i)), q2, k))
-        den = (_qq(2 * i + 1 - j, q)
-               * q_pochhammer(1 / (E * x * q ** (2 * i)), q, k)
-               * q_pochhammer(E / (x * q ** (1 + 2 * i)), q, k))
-        return num / den
-    return MatrixR.build(n, n, entry)
+    qq = _q_pochhammer_pairs(q, q, 0, 2 * n - 1)
+    rows = []
+    for i in range(n):
+        lo = max(i - n + 1, -i - 1)
+        p1, p2, p3, p4, p5 = (
+            _q_pochhammer_pairs(a, b, lo, i) for a, b in (
+                (E / (x * q ** i), q2), (q / (E * x * q ** i), q2),
+                (1 / (x * x * q ** (2 + 4 * i)), q2),
+                (1 / (E * x * q ** (2 * i)), q), (E / (x * q ** (1 + 2 * i)), q)))
+        row = []
+        for j in range(n):
+            k = i - j
+            if k < lo:
+                row.append(Fraction(0))
+                continue
+            (n1, d1), (n2, d2), (n3, d3) = p1(k), p2(k), p3(k)
+            (n4, d4), (n5, d5), (n6, d6) = qq(2 * i + 1 - j), p4(k), p5(k)
+            row.append(Fraction(n1 * n2 * n3 * d4 * d5 * d6, d1 * d2 * d3 * n4 * n5 * n6))
+        rows.append(row)
+    return MatrixR.from_rows(rows)
 
 
 def _closed_anst(n, x, E, q):
@@ -157,19 +196,17 @@ det_record("tsscpp1", _sample_xy_pos, _build_tsscpp1, _closed_tsscpp1, max_n=5)
 
 def _build_qtsscpp1(n, x, y, q):
     q = rat(q)
+    p, d = q.numerator, q.denominator
 
-    def entry(i, j):
-        a, b = x + 2 * i - j + 1, y + 2 * j - i + 1
-        if a < 0 or b < 0:
-            return Fraction(0)
-        out = _qq(x + y + i + j - 1, q) * (
-            1 - q ** (y + 2 * j - i) - q ** (y + 2 * j - i + 1)
-            + q ** (x + y + i + j + 1))
-        out /= _qq(a, q) * _qq(b, q)
-        out *= q ** (-2 * i * j)
-        out /= q_pochhammer(-q ** (x + y + 2), q, i + j)
-        return out
-    return MatrixR.build(n, n, entry)
+    def extra(i, j):
+        # 1 - q^e - q^(e+1) + q^(x+y+i+j+1) with e = y+2j-i >= -1, over
+        # d^top p^(-low)
+        e, f = y + 2 * j - i, x + y + i + j + 1
+        low, top = min(e, 0), max(e + 1, f)
+        terms = ((1, 0), (-1, e), (-1, e + 1), (1, f))
+        return (sum(c * p ** (k - low) * d ** (top - k) for c, k in terms),
+                d ** top * p ** -low)
+    return _q_ratio_entries(n, x, y, q, 1, extra)
 
 
 def _closed_qtsscpp1(n, x, y, q):

@@ -124,6 +124,52 @@ def q_pochhammer(a, q, k: int) -> Fraction:
     return Fraction(ad ** -k * qd ** (k * (k - 1) // 2), num)
 
 
+def _q_pochhammer_pairs(a, q, lo: int, hi: int):
+    """(a;q)_k for lo <= k <= hi, by running products from k = 0 in both
+    directions, as a function of k returning an integer numerator and
+    denominator.  Reading a negative k at which a factor 1 - a*q^-j of
+    the reciprocal product vanishes (or any negative k when q = 0) raises
+    ZeroDivisionError, as q_pochhammer does; building the table never
+    raises."""
+    a, q = rat(a), rat(q)
+    ap, ad = a.numerator, a.denominator
+    qp, qd = q.numerator, q.denominator
+    pairs = {}
+    num = den = pp = pd = 1
+    for k in range(hi):
+        if k >= lo:
+            pairs[k] = num, den
+        # (a;q)_(k+1) = (a;q)_k (1 - a q^k), 1 - a q^k = (ad qd^k - ap qp^k) / (ad qd^k)
+        num *= ad * pd - ap * pp
+        den *= ad * pd
+        pp *= qp
+        pd *= qd
+    if hi >= max(lo, 0):
+        pairs[hi] = num, den
+    defined = min(lo, 0) if qp else 0  # the least readable k
+    if lo < 0 and qp:
+        num = den = pp = pd = 1
+        for k in range(-1, lo - 1, -1):
+            # (a;q)_(k) = (a;q)_(k+1) / (1 - a q^k), 1 - a q^k = (ad qp^-k - ap qd^-k) / (ad qp^-k)
+            pp *= qp
+            pd *= qd
+            f = ad * pp - ap * pd
+            if f == 0:
+                defined = k + 1
+                break
+            num *= ad * pp
+            den *= f
+            if k <= hi:
+                pairs[k] = num, den
+
+    def read(k: int) -> tuple[int, int]:
+        if k < defined:
+            raise ZeroDivisionError(f"(a;q)_{k} with a = {a}, q = {q}: a factor 1-a*q^-j vanishes")
+        return pairs[k]
+
+    return read
+
+
 def q_int(n: int, q) -> Fraction:
     """[n]_q = (1-q^n)/(1-q)."""
     q = rat(q)

@@ -1,11 +1,13 @@
 """Slow independent oracles for the integer evaluation paths: Horner's
 rule on Fractions for PolyQ and RatFn values, and the per-entry formulas
-of the banded binomial-sum (tsscpp2) and qflha1 matrices, each entry
-computed on its own."""
+of the banded binomial-sum (tsscpp2), qflha1, factored-column (krat),
+q-shifted-factorial (anst, qkrat, qtsscpp1), q-binomial product (pp5) and
+chu2 matrices, each entry computed on its own with Fraction arithmetic."""
 
 from fractions import Fraction
 
-from detkit.exactnum import binomial, q_int, rat
+from detkit.exactnum import (PolyQ, binomial, q_binomial, q_int, q_pochhammer,
+                             rat)
 
 
 def poly_horner(p, x):
@@ -47,3 +49,105 @@ def qflha1_entry(i, k, s, X, C, q):
     for t in range(1, s):
         coeff *= q_int(C + i - t + 1, q)
     return coeff * rat(X[k]) ** (i + 1 - s)
+
+
+def _product(values):
+    out = Fraction(1)
+    for v in values:
+        out *= v
+    return out
+
+
+def krat_entry(identity_id, n, i, j, X, A, C=0, B=(), a=(), b=(), m=None, polys=()):
+    """Entry (i, j), 0-based, of a factored-column matrix with every
+    product recomputed from scratch: for x = X_i and column c = j + 1,
+    prod_{s=c+1}^n f(x, A_s) (times prod_{s=2}^c f(x, B_s) for krat1,
+    krat6 and krat7, whose columns c >= m take a and b for A and B),
+    times the column factor p_j(x) of krat3, krat3a and krat5.
+    A_s = A[s-2] and B_s = B[s-2]."""
+    x, c, C = rat(X[i]), j + 1, rat(C)
+    f = {
+        "krat1": lambda u: x + u,
+        "krat2": lambda u: (C / x + u) * (x + u),
+        "krat2a": lambda u: (x - u - C) * (x + u),
+        "krat3": lambda u: (x + u) * (C / x + u),
+        "krat3a": lambda u: x + u,
+        "krat5": lambda u: (x + u) * (x - u - C),
+        "krat6": lambda u: (x + u) * (C / x + u),
+        "krat7": lambda u: (x + u) * (x - u - C),
+    }[identity_id]
+    up, lo = A, B if identity_id == "krat1" else ()
+    if identity_id in ("krat6", "krat7"):
+        up, lo = (A, B) if c < m else (a, b)
+    out = _product(f(rat(up[s - 2])) for s in range(c + 1, n + 1))
+    out *= _product(f(rat(lo[s - 2])) for s in range(2, c + 1) if lo)
+    if identity_id == "krat3":
+        out *= _product((x + rat(v)) * (C / x + rat(v)) for v in B[j])
+    elif identity_id == "krat3a":
+        out *= poly_horner(PolyQ(polys[j]), x)
+    elif identity_id == "krat5":
+        out *= _product((x + rat(v)) * (C - x + rat(v)) for v in B[j])
+    return out
+
+
+def _qq(m, q):
+    return q_pochhammer(q, q, m)
+
+
+def anst_entry(i, j, x, E, q):
+    """Entry (i, j), 0-based, of the anst matrix: five q-Pochhammers at
+    k = i - j over (q;q)_(2i+1-j), and 0 where 2i + 1 - j < 0."""
+    x, E, q = rat(x), rat(E), rat(q)
+    q2 = q * q
+    k = i - j
+    if 2 * i + 1 - j < 0:
+        return Fraction(0)
+    num = (q_pochhammer(E / (x * q ** i), q2, k)
+           * q_pochhammer(q / (E * x * q ** i), q2, k)
+           * q_pochhammer(1 / (x * x * q ** (2 + 4 * i)), q2, k))
+    den = (_qq(2 * i + 1 - j, q)
+           * q_pochhammer(1 / (E * x * q ** (2 * i)), q, k)
+           * q_pochhammer(E / (x * q ** (1 + 2 * i)), q, k))
+    return num / den
+
+
+def qkrat_entry(i, j, x, y, q):
+    """Entry (i, j), 0-based, of the qkrat matrix."""
+    q = rat(q)
+    a, b = x + 2 * i - j, y + 2 * j - i
+    if a < 0 or b < 0:
+        return Fraction(0)
+    out = _qq(x + y + i + j - 1, q) / (_qq(a, q) * _qq(b, q))
+    out *= q ** (-2 * i * j)
+    out /= q_pochhammer(-q ** (x + y + 1), q, i + j)
+    return out
+
+
+def qtsscpp1_entry(i, j, x, y, q):
+    """Entry (i, j), 0-based, of the qtsscpp1 matrix."""
+    q = rat(q)
+    a, b = x + 2 * i - j + 1, y + 2 * j - i + 1
+    if a < 0 or b < 0:
+        return Fraction(0)
+    out = _qq(x + y + i + j - 1, q) * (
+        1 - q ** (y + 2 * j - i) - q ** (y + 2 * j - i + 1)
+        + q ** (x + y + i + j + 1))
+    out /= _qq(a, q) * _qq(b, q)
+    out *= q ** (-2 * i * j)
+    out /= q_pochhammer(-q ** (x + y + 2), q, i + j)
+    return out
+
+
+def pp5_entry(i, j, L, A, B, q):
+    """Entry (i, j), 0-based, of the pp5 matrix: two q-binomials."""
+    q = rat(q)
+    return q_binomial(L[i] + j + 1, B, q) * q_binomial(L[i] + A - j - 1, B, q)
+
+
+def chu2_entry(i, j, c):
+    """Entry (i, j), 0-based, of the chu2 matrix; raises
+    ZeroDivisionError where c + i + j = 1/2 or -1/2."""
+    c = rat(c)
+    num = (2 * i - j) + (2 * c + 3 * j + 1) * (2 * c + 3 * j - 1)
+    den = (c + i + j + Fraction(1, 2)) * (c + i + j - Fraction(1, 2))
+    return num / den * binomial(c + i + j + Fraction(1, 2), 2 * i - j)

@@ -24,7 +24,9 @@ from detkit.catalog.base import (Trial, VerifyReport, run_trial, run_trials,
 from detkit.catalog.sequences import _windows
 from detkit.exactnum import bell_poly, hermite_poly
 from detkit.linalg import MatrixR, det
-from entry_oracles import banded_entry, poly_horner, qflha1_entry
+from entry_oracles import (anst_entry, banded_entry, chu2_entry, krat_entry,
+                           poly_horner, pp5_entry, qflha1_entry, qkrat_entry,
+                           qtsscpp1_entry)
 from partition_oracles import (blocks_of, join_by_merging, labels_of,
                                meet_by_intersecting, refines)
 from series_oracles import compose_loop, inverse_loop, mul_loop, pow_loop
@@ -277,8 +279,8 @@ def test_block_counts_match_built_meet_and_join_to_7(pair):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
 def test_factored_columns_match_per_entry_products(n):
-    # the running prefix/suffix products against each entry's products
-    # recomputed from scratch
+    # the running integer prefix/suffix products against each entry's
+    # products recomputed from scratch on Fractions
     import random
     from detkit.catalog.base import distinct_fracs, prod
     from detkit.catalog.classical import _factored_columns
@@ -287,11 +289,14 @@ def test_factored_columns_match_per_entry_products(n):
     A, B, a, b = (distinct_fracs(rng, n - 1) for _ in range(4))
     C = Fraction(3, 5)
 
+    def forms(x):
+        return (x, 1), (C / x, -1)
+
     def f(x, u):
         return (x + u) * (C / x - u)
 
-    def col_factor(j, x):
-        return x ** j + C
+    def col_factor(x):
+        return [((x ** j + C).numerator, (x ** j + C).denominator) for j in range(n)]
 
     for m in range(2, n + 1):
         def entry(i, j):
@@ -299,12 +304,12 @@ def test_factored_columns_match_per_entry_products(n):
             up, lo = (A, B) if c < m else (a, b)
             return (prod(f(x, up[s - 2]) for s in range(c + 1, n + 1))
                     * prod(f(x, lo[s - 2]) for s in range(2, c + 1))
-                    * col_factor(j, x))
-        got = _factored_columns(n, X, f, A, B, (m, a, b), col_factor)
-        assert got == MatrixR.build(n, n, entry)
+                    * (x ** j + C))
+        got = _factored_columns(n, X, forms, A, B, (m, a, b), col_factor)
+        _assert_entries(got, entry)
     upper_only = MatrixR.build(
         n, n, lambda i, j: prod(f(X[i], A[s - 2]) for s in range(j + 2, n + 1)))
-    assert _factored_columns(n, X, f, A) == upper_only
+    _assert_entries(_factored_columns(n, X, forms, A), lambda i, j: upper_only[i, j])
 
 
 def _goja_sides_per_entry(rng, n, trunc):
@@ -386,6 +391,147 @@ def test_qflha1_builder_matches_per_entry():
             got = record.builder(n, **params)
             _assert_entries(got, lambda i, j: qflha1_entry(
                 i, *cols[j], params["X"], params["C"], params["q"]))
+
+
+ENTRY_ORACLE_IDS = ("krat1", "krat2", "krat2a", "krat3", "krat3a", "krat5",
+                    "krat6", "krat7", "anst", "qkrat", "qtsscpp1", "pp5", "chu2")
+
+
+def _oracle_matrix(identity_id, n, params):
+    if identity_id.startswith("krat"):
+        return MatrixR.build(
+            n, n, lambda i, j: krat_entry(identity_id, n, i, j, **params))
+    entry = {"anst": anst_entry, "qkrat": qkrat_entry, "qtsscpp1": qtsscpp1_entry,
+             "pp5": pp5_entry, "chu2": chu2_entry}[identity_id]
+    return MatrixR.build(n, n, lambda i, j: entry(i, j, **params))
+
+
+def _oracle_draws(identity_id):
+    """240 draws, seed s at n = min_n + s % (13 - min_n): every n from
+    min_n to 12 about equally often.  chu2 draws c without its sampler's
+    refusal, so that draws on which the entries divide by zero occur."""
+    from detkit.catalog.base import rand_frac
+    record = get_record(identity_id)
+    for seed in range(240):
+        n = record.min_n + seed % (13 - record.min_n)
+        rng = trial_rng(seed, identity_id, 0)
+        if identity_id == "chu2":
+            yield n, {"c": rand_frac(rng)}
+        else:
+            yield n, record.sampler(rng, n)
+
+
+def _built_or_raised(build):
+    try:
+        return build()
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+@pytest.mark.parametrize("identity_id", ENTRY_ORACLE_IDS)
+def test_builder_matches_entry_oracle(identity_id):
+    # every entry == the per-entry Fraction formula and a Fraction; a
+    # draw raises ZeroDivisionError on both sides or on neither
+    record = get_record(identity_id)
+    raised = 0
+    for n, params in _oracle_draws(identity_id):
+        got = _built_or_raised(lambda: record.builder(n, **params))
+        want = _built_or_raised(lambda: _oracle_matrix(identity_id, n, params))
+        assert (got is ZeroDivisionError) == (want is ZeroDivisionError), (n, params)
+        if want is ZeroDivisionError:
+            raised += 1
+        else:
+            _assert_entries(got, lambda i, j: want[i, j])
+    # anst's and chu2's draws reach zero divisors; the others' never do
+    assert (raised > 0) == (identity_id in ("anst", "chu2"))
+
+
+@pytest.mark.parametrize("identity_id", ["krat6", "krat7"])
+def test_factored_column_switch_at_every_column(identity_id):
+    record = get_record(identity_id)
+    for n in range(2, 13):
+        params = record.sampler(trial_rng(1, identity_id, n), n)
+        for m in range(2, n + 1):
+            params["m"] = m
+            _assert_entries(record.builder(n, **params),
+                            lambda i, j: krat_entry(identity_id, n, i, j, **params))
+
+
+def test_pp5_draws_reach_zero_q_binomials():
+    # the oracle draws hold cells with alpha < B, read as 0, and none with
+    # alpha < 0
+    cells = [(p["L"][i] + j + 1, p["L"][i] + p["A"] - j - 1, p["B"])
+             for n, p in _oracle_draws("pp5") for i in range(n) for j in range(n)]
+    assert any(min(a1, a2) < B for a1, a2, B in cells)
+    assert min(min(a1, a2) for a1, a2, _ in cells) >= 0
+    with pytest.raises(ValueError, match="L_i \\+ A - n >= 0"):
+        build_matrix("pp5", 3, L=(2, 1, 0), A=2, B=2, q=Fraction(1, 2))
+
+
+def test_chu2_sampler_refuses_exactly_the_draws_the_builder_divided_by_zero():
+    # the refusal comes after the draw, so the draws and the state of the
+    # generator are the same as when the builder raised
+    from detkit.catalog.base import Resample, rand_frac
+    record = get_record("chu2")
+    refused = 0
+    for seed in range(200):
+        for n in range(1, 13):
+            rng, raw = trial_rng(seed, "chu2", n), trial_rng(seed, "chu2", n)
+            c = rand_frac(raw)
+            try:
+                params = record.sampler(rng, n)
+            except Resample:
+                params = None
+            assert rng.getstate() == raw.getstate()
+            divides = _built_or_raised(lambda: _oracle_matrix("chu2", n, {"c": c}))
+            assert (params is None) == (divides is ZeroDivisionError), (seed, n, c)
+            refused += params is None
+    assert refused > 0
+
+
+def _pairwise_sampler(rng, n, differ):
+    """The cauchy/borchardt draw with repeats found by scanning a list
+    and the condition checked pair by pair."""
+    from detkit.catalog.base import Resample, rand_frac
+
+    def distinct():
+        out = []
+        for _ in range(100 * n + 100):
+            x = rand_frac(rng)
+            if x not in out:
+                out.append(x)
+            if len(out) == n:
+                return tuple(out)
+        raise Resample
+    for _ in range(200):
+        X, Y = distinct(), distinct()
+        if all(differ(x, y) for x in X for y in Y):
+            return {"X": X, "Y": Y}
+    raise Resample
+
+
+@pytest.mark.parametrize("identity_id, differ", [
+    ("cauchy", lambda x, y: x + y != 0), ("borchardt", lambda x, y: x - y != 0)],
+    ids=["cauchy", "borchardt"])
+def test_double_alternant_samplers_match_pairwise_checks(identity_id, differ):
+    # the same draws and the same generator state afterwards
+    record = get_record(identity_id)
+    for seed in range(20):
+        for n in (1, 4, 8, 12):
+            rng, ref = trial_rng(seed, identity_id, n), trial_rng(seed, identity_id, n)
+            assert record.sampler(rng, n) == _pairwise_sampler(ref, n, differ)
+            assert rng.getstate() == ref.getstate()
+
+
+def test_chu2_trial_never_divides_by_zero():
+    from detkit.catalog.base import Resample
+    record = get_record("chu2")
+    for seed in range(40):
+        for n in range(1, 13):
+            try:
+                record.trial(trial_rng(seed, "chu2", n), n)
+            except Resample:
+                pass
 
 
 def test_izergin_korepin():

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from detkit.exactnum import (PolyQ, RatFn, TruncSeries, asm_count, bell_poly,
-                             bernoulli, binomial, catalan, chebyshev_u,
-                             compose_each, cos_series, double_factorial,
-                             euler_even, exp_series, factorial, fmt_rat,
-                             hermite_poly, integer_numerators, pochhammer,
-                             poly_gcd, q_binomial, q_factorial, q_int,
-                             q_pochhammer, rat, stirling1_unsigned, stirling2)
+from detkit.exactnum import (PolyQ, RatFn, TruncSeries, _q_pochhammer_pairs,
+                             asm_count, bell_poly, bernoulli, binomial,
+                             catalan, chebyshev_u, compose_each, cos_series,
+                             double_factorial, euler_even, exp_series,
+                             factorial, fmt_rat, hermite_poly,
+                             integer_numerators, pochhammer, poly_gcd,
+                             q_binomial, q_factorial, q_int, q_pochhammer, rat,
+                             stirling1_unsigned, stirling2)
 from entry_oracles import poly_horner, ratfn_value
 from series_oracles import (add_loop, compose_loop, div_scalar_loop, eq_loop,
                             inverse_loop, mul_loop)
@@ -225,6 +226,53 @@ def q_pochhammer_args(draw):
 @given(q_pochhammer_args())
 def test_q_pochhammer_matches_fraction_loop(args):
     assert _outcome(q_pochhammer, *args) == _outcome(_q_pochhammer_loop, *args)
+
+
+def _pair_outcome(read, k):
+    """The Fraction of the pair read at k, or ZeroDivisionError."""
+    try:
+        return Fraction(*read(k))
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+def _value_outcome(f, *args):
+    try:
+        return f(*args)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+@settings(max_examples=400)
+@given(q_pochhammer_args(), st.integers(min_value=-8, max_value=3),
+       st.integers(min_value=-1, max_value=12))
+def test_q_pochhammer_pairs_match_q_pochhammer(args, lo, width):
+    # every k of the table, negative k included; a = q^e makes a factor
+    # vanish: 1 - a*q^-j at j = e for e >= 1 (reads at k <= -e raise),
+    # 1 - a*q^j at j = -e for e <= 0 (values at k > -e are 0)
+    a, q, _ = args
+    hi = lo + width
+    read = _q_pochhammer_pairs(a, q, lo, hi)
+    for k in range(lo, hi + 1):
+        assert _pair_outcome(read, k) == _value_outcome(q_pochhammer, a, q, k)
+
+
+def test_q_pochhammer_pairs_raise_only_where_read():
+    q = Fraction(2, 3)
+    read = _q_pochhammer_pairs(q ** 3, q, -6, 4)  # 1 - a/q^3 vanishes
+    assert [Fraction(*read(k)) for k in range(-2, 5)] == [
+        q_pochhammer(q ** 3, q, k) for k in range(-2, 5)]
+    for k in range(-6, -2):
+        with pytest.raises(ZeroDivisionError):
+            read(k)
+    zero_q = _q_pochhammer_pairs(Fraction(1, 2), 0, -2, 2)
+    assert [Fraction(*zero_q(k)) for k in range(3)] == [1, Fraction(1, 2), Fraction(1, 2)]
+    with pytest.raises(ZeroDivisionError):
+        zero_q(-1)
+    vanishing = _q_pochhammer_pairs(q ** -2, q, 0, 6)  # 1 - a*q^2 = 0
+    assert [Fraction(*vanishing(k)) for k in range(7)] == [
+        q_pochhammer(q ** -2, q, k) for k in range(7)]
+    assert Fraction(*vanishing(3)) == 0 and Fraction(*vanishing(2)) != 0
 
 
 @settings(max_examples=300)
