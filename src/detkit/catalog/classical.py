@@ -348,13 +348,15 @@ def _sample_krat3a(rng, n):
 
 
 def _build_krat3a(n, X, A, polys):
-    ps = [integer_numerators([rat(c) for c in cs]) for cs in polys]
+    # the integer coefficients, their denominator and the degree bound;
+    # an empty tuple is the zero polynomial, bounded by degree 0
+    ps = [(*integer_numerators([rat(c) for c in cs]), max(len(cs) - 1, 0))
+          for cs in polys]
 
     def col_factor(x):
         # p_j(x) = sum c_k x^k / d by Horner's rule on x = u/v
         u, v = x.numerator, x.denominator
-        return [(_homogeneous(cs, u, v, len(cs) - 1), d * v ** (len(cs) - 1))
-                for cs, d in ps]
+        return [(_homogeneous(cs, u, v, top), d * v ** top) for cs, d, top in ps]
     return _factored_columns(n, X, lambda x: ((x, 1),), A, col_factor=col_factor)
 
 

@@ -58,7 +58,7 @@ def _sample_xyq(rng, n):
     return {**_sample_xy_pos(rng, n), "q": rand_q(rng, 7)}
 
 
-def _q_ratio_entries(n, x, y, q, shift, extra=None):
+def _q_ratio_entries(n, x, y, q, shift, extra):
     """The matrix of qkrat (shift = 0) and qtsscpp1 (shift = 1): with
     a = x+2i-j+shift and b = y+2j-i+shift, entry (i, j) is 0 when a < 0
     or b < 0, and otherwise
@@ -66,7 +66,7 @@ def _q_ratio_entries(n, x, y, q, shift, extra=None):
         (q;q)_(x+y+i+j-1) / ((q;q)_a (q;q)_b) * q^(-2ij)
             / (-q^(x+y+1+shift); q)_(i+j) * extra(i, j)
 
-    where extra, if given, returns an integer numerator and denominator.
+    where extra returns an integer numerator and denominator.
     (q;q)_m and the Pochhammer in the denominator come from one table
     each, and q^(-2ij) from one running power per row."""
     q = rat(q)
@@ -86,11 +86,9 @@ def _q_ratio_entries(n, x, y, q, shift, extra=None):
             else:
                 (n1, d1), (n2, d2), (n3, d3) = qq(s + i + j), qq(a), qq(b)
                 n4, d4 = neg(i + j)
-                num, den = n1 * d2 * d3 * pw_n * d4, d1 * n2 * n3 * pw_d * n4
-                if extra:
-                    en, ed = extra(i, j)
-                    num, den = num * en, den * ed
-                row.append(Fraction(num, den))
+                en, ed = extra(i, j)
+                row.append(Fraction(n1 * d2 * d3 * pw_n * d4 * en,
+                                    d1 * n2 * n3 * pw_d * n4 * ed))
             pw_n *= step_n
             pw_d *= step_d
         rows.append(row)
@@ -98,7 +96,7 @@ def _q_ratio_entries(n, x, y, q, shift, extra=None):
 
 
 def _build_qkrat(n, x, y, q):
-    return _q_ratio_entries(n, x, y, q, 0)
+    return _q_ratio_entries(n, x, y, q, 0, lambda i, j: (1, 1))
 
 
 def _closed_qkrat(n, x, y, q):

@@ -6,9 +6,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..exactnum import (_q_pochhammer_pairs, binomial, double_factorial,
-                        factorial, pochhammer, q_binomial, q_factorial, q_int,
-                        q_pochhammer, rat)
+from ..exactnum import (binomial, double_factorial, factorial, pochhammer,
+                        q_binomial, q_factorial, q_int, q_pochhammer, rat)
 from ..linalg import MatrixR
 from .base import (Resample, _ceil, decreasing_ints, det_record, prod,
                    rand_frac, rand_q)
@@ -176,19 +175,12 @@ def _sample_pp5(rng, n):
 
 
 def _build_pp5(n, L, A, B, q):
-    # [alpha choose B]_q = (q;q)_alpha / ((q;q)_B (q;q)_(alpha-B)) for
-    # alpha >= B, and 0 for 0 <= alpha < B; the sampler keeps both
-    # alphas, L_i + j + 1 and L_i + A - j - 1, at or above 0
-    if B < 0 or min(L) + A - n < 0:
-        raise ValueError("pp5 needs B >= 0 and L_i + A - n >= 0")
+    # each distinct q-binomial once: the alphas L_i + j + 1 and
+    # L_i + A - j - 1 span about 4n values for the n^2 entries
     q = rat(q)
-    top = max(L) + max(A - 1, n, B)
-    qq = _q_pochhammer_pairs(q, q, 0, top)
-    bn, bd = qq(B)
-    binoms = [Fraction(0)] * B
-    for alpha in range(B, top + 1):
-        (n1, d1), (n2, d2) = qq(alpha), qq(alpha - B)
-        binoms.append(Fraction(n1 * bd * d2, d1 * bn * n2))
+    alphas = {alpha for i in range(n) for j in range(n)
+              for alpha in (L[i] + j + 1, L[i] + A - j - 1)}
+    binoms = {alpha: q_binomial(alpha, B, q) for alpha in alphas}
     return MatrixR.build(
         n, n, lambda i, j: binoms[L[i] + j + 1] * binoms[L[i] + A - j - 1])
 

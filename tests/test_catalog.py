@@ -306,10 +306,10 @@ def test_factored_columns_match_per_entry_products(n):
                     * prod(f(x, lo[s - 2]) for s in range(2, c + 1))
                     * (x ** j + C))
         got = _factored_columns(n, X, forms, A, B, (m, a, b), col_factor)
-        _assert_entries(got, entry)
+        _assert_entries(got, n, entry)
     upper_only = MatrixR.build(
         n, n, lambda i, j: prod(f(X[i], A[s - 2]) for s in range(j + 2, n + 1)))
-    _assert_entries(_factored_columns(n, X, forms, A), lambda i, j: upper_only[i, j])
+    _assert_entries(_factored_columns(n, X, forms, A), n, lambda i, j: upper_only[i, j])
 
 
 def _goja_sides_per_entry(rng, n, trunc):
@@ -347,7 +347,9 @@ def test_goja_shared_inverse_powers_match_per_entry(n):
         assert (lhs, rhs) == _goja_sides_per_entry(trial_rng(5, "goja", t), n, 12)
 
 
-def _assert_entries(m, entry):
+def _assert_entries(m, n, entry):
+    # the shape first: the entry loop only reads m's own rows and columns
+    assert (m.rows, m.cols) == (n, n)
     assert all(type(m[i, j]) is Fraction and m[i, j] == entry(i, j)
                for i in range(m.rows) for j in range(m.cols))
 
@@ -361,7 +363,7 @@ def test_tsscpp2_builder_matches_banded_entries(m):
     for x in range(5):
         for n in range(1, 14):
             got = build_matrix(f"tsscpp2-m{m}", n, x=x)
-            _assert_entries(got, lambda i, j: banded_entry(m, x, i, j))
+            _assert_entries(got, n, lambda i, j: banded_entry(m, x, i, j))
             for i in range(n):
                 for j in range(n):
                     lo, hi = x + 2 * i - j, x + m + 2 * j - i
@@ -375,7 +377,7 @@ def test_moment_hankel_builders_match_per_entry(identity_id, poly):
     for x in (Fraction(0), Fraction(1), Fraction(-7, 3), Fraction(5, 4), Fraction(-9, 5)):
         for n in range(1, 10):
             got = build_matrix(identity_id, n, x=x)
-            _assert_entries(got, lambda i, j: poly_horner(poly(i + j), x))
+            _assert_entries(got, n, lambda i, j: poly_horner(poly(i + j), x))
 
 
 def test_qflha1_builder_matches_per_entry():
@@ -389,7 +391,7 @@ def test_qflha1_builder_matches_per_entry():
         for params in draws:
             cols = _columns(params["parts"])
             got = record.builder(n, **params)
-            _assert_entries(got, lambda i, j: qflha1_entry(
+            _assert_entries(got, n, lambda i, j: qflha1_entry(
                 i, *cols[j], params["X"], params["C"], params["q"]))
 
 
@@ -441,7 +443,7 @@ def test_builder_matches_entry_oracle(identity_id):
         if want is ZeroDivisionError:
             raised += 1
         else:
-            _assert_entries(got, lambda i, j: want[i, j])
+            _assert_entries(got, n, lambda i, j: want[i, j])
     # anst's and chu2's draws reach zero divisors; the others' never do
     assert (raised > 0) == (identity_id in ("anst", "chu2"))
 
@@ -453,19 +455,45 @@ def test_factored_column_switch_at_every_column(identity_id):
         params = record.sampler(trial_rng(1, identity_id, n), n)
         for m in range(2, n + 1):
             params["m"] = m
-            _assert_entries(record.builder(n, **params),
+            _assert_entries(record.builder(n, **params), n,
                             lambda i, j: krat_entry(identity_id, n, i, j, **params))
 
 
+def test_krat3a_builder_reads_an_empty_coefficient_tuple_as_zero():
+    params = {"X": (Fraction(1, 2), 2, -3), "A": (1, Fraction(-2, 3)),
+              "polys": ((), (1,), (1, 2))}
+    want = _oracle_matrix("krat3a", 3, params)
+    _assert_entries(build_matrix("krat3a", 3, **params), 3, lambda i, j: want[i, j])
+    assert all(want[i, 0] == 0 for i in range(3))
+
+
 def test_pp5_draws_reach_zero_q_binomials():
-    # the oracle draws hold cells with alpha < B, read as 0, and none with
-    # alpha < 0
+    # the oracle draws hold cells with alpha < B, where [alpha choose B]_q
+    # is 0, and none with alpha < 0
     cells = [(p["L"][i] + j + 1, p["L"][i] + p["A"] - j - 1, p["B"])
              for n, p in _oracle_draws("pp5") for i in range(n) for j in range(n)]
     assert any(min(a1, a2) < B for a1, a2, B in cells)
     assert min(min(a1, a2) for a1, a2, _ in cells) >= 0
-    with pytest.raises(ValueError, match="L_i \\+ A - n >= 0"):
-        build_matrix("pp5", 3, L=(2, 1, 0), A=2, B=2, q=Fraction(1, 2))
+
+
+@pytest.mark.parametrize("params", [
+    {"L": (4, 2, 1), "A": 7, "B": 2, "q": 1},
+    {"L": (4, 2, 1), "A": 7, "B": 1, "q": -1},
+    {"L": (4, 2, 1), "A": 7, "B": 2, "q": -1},
+    {"L": (4, 2, 1), "A": 7, "B": 2, "q": 0},
+    {"L": (4, 2, 1), "A": 7, "B": -1, "q": Fraction(1, 2)},
+    {"L": (2, 1, 0), "A": 2, "B": 2, "q": Fraction(1, 2)},
+], ids=["q=1", "q=-1,B=1", "q=-1,B=2", "q=0", "B<0", "alpha<0"])
+def test_pp5_builder_matches_entry_oracle_off_the_sampler(params):
+    # inputs the sampler never draws: q = 1 (ordinary binomials), q = -1
+    # and q = 0, B < 0 and alpha < 0 give the per-entry values or raise
+    # as they do
+    got = _built_or_raised(lambda: build_matrix("pp5", 3, **params))
+    want = _built_or_raised(lambda: _oracle_matrix("pp5", 3, params))
+    if want is ZeroDivisionError:
+        assert got is ZeroDivisionError
+    else:
+        _assert_entries(got, 3, lambda i, j: want[i, j])
 
 
 def test_chu2_sampler_refuses_exactly_the_draws_the_builder_divided_by_zero():
