@@ -264,8 +264,6 @@ def perm_stat(s: tuple[int, ...], kind: str) -> int:
         raise ValueError("not a permutation of 1..n")
     if kind == "inv":
         return sum(1 for i in range(n) for j in range(i + 1, n) if s[i] > s[j])
-    if kind == "des":
-        return sum(1 for i in range(n - 1) if s[i] > s[i + 1])
     if kind == "maj":
         return sum(i + 1 for i in range(n - 1) if s[i] > s[i + 1])
     raise ValueError(f"unknown statistic {kind!r}")
@@ -298,9 +296,6 @@ class ASM:
     @property
     def n(self) -> int:
         return len(self.entries)
-
-    def num_neg(self) -> int:
-        return sum(1 for row in self.entries for e in row if e == -1)
 
 
 def six_vertex_sum(X, Y, q) -> Fraction:

@@ -15,11 +15,9 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 Rational = Fraction
-
-Scalar = Union[int, Fraction]
 
 
 def rat(value) -> Fraction:
@@ -239,6 +237,21 @@ def _trim(coeffs: list) -> tuple:
     return tuple(coeffs)
 
 
+def _terms_str(coeffs: Sequence, low: int, var: str) -> str:
+    """The nonzero terms c*var^e of coeffs, the exponent e counting up
+    from `low`, joined by " + "; "0" when there is none."""
+    terms = []
+    for e, c in enumerate(coeffs, low):
+        if c == 0:
+            continue
+        if e == 0:
+            terms.append(fmt_rat(c))
+        else:
+            xs = var if e == 1 else f"{var}^{e}"
+            terms.append(xs if c == 1 else f"{fmt_rat(c)}*{xs}")
+    return " + ".join(terms) if terms else "0"
+
+
 def _homogeneous(cs: Sequence[int], u: int, v: int, top: int) -> int:
     """sum cs[k] u^k v^(top-k) over the integer coefficients cs
     (len(cs) <= top + 1), by Horner's rule in u."""
@@ -411,18 +424,7 @@ class PolyQ:
         return PolyQ([Fraction(0)] * k + list(self.coeffs))
 
     def __repr__(self):
-        if self.is_zero():
-            return "PolyQ(0)"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(fmt_rat(c))
-            else:
-                xs = "x" if i == 1 else f"x^{i}"
-                terms.append(xs if c == 1 else f"{fmt_rat(c)}*{xs}")
-        return "PolyQ(" + " + ".join(terms) + ")"
+        return f"PolyQ({_terms_str(self.coeffs, 0, 'x')})"
 
 
 def poly_gcd(a: PolyQ, b: PolyQ) -> PolyQ:
@@ -631,10 +633,6 @@ class TruncSeries:
     def constant_term(self) -> Fraction:
         return self.coeff(0)
 
-    def true_valuation(self):
-        """Exponent of the lowest nonzero known term; None if all known are 0."""
-        return self.valuation if self.coeffs else None
-
     def _window(self, val: int, order: int) -> tuple[list[int], int]:
         """Integer numerators over one common denominator of the terms of
         exponent val..order-1 (order <= self.order); terms below the stored
@@ -768,18 +766,7 @@ class TruncSeries:
         return TruncSeries._raw(v - 1, [(v + i) * c for i, c in enumerate(self.coeffs)], self.order - 1)
 
     def __repr__(self):
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            e = self.valuation + i
-            if e == 0:
-                terms.append(fmt_rat(c))
-            else:
-                xs = "x" if e == 1 else f"x^{e}"
-                terms.append(xs if c == 1 else f"{fmt_rat(c)}*{xs}")
-        body = " + ".join(terms) if terms else "0"
-        return f"TruncSeries({body} + O(x^{self.order}))"
+        return f"TruncSeries({_terms_str(self.coeffs, self.valuation, 'x')} + O(x^{self.order}))"
 
 
 def compose_each(outers: Sequence[TruncSeries], inner: TruncSeries) -> list[TruncSeries]:

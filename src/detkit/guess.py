@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactnum import PolyQ, RatFn, _trim, fmt_rat, integer_numerators, rat
+from .exactnum import (PolyQ, RatFn, _homogeneous, _terms_str, _trim, fmt_rat,
+                       integer_numerators, rat)
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +59,8 @@ def fit_rational(points: Sequence[tuple]) -> Optional[RatFn]:
         for dn in range(total, -1, -1):
             # len(p) - 1 is the degree of p, -1 for the zero polynomial
             r, t = next(row for row in rows if len(row[0]) <= dn + 1)
-            if len(t) <= total - dn + 1 and all(_horner(t, x) for x in nodes):
+            if len(t) <= total - dn + 1 and all(
+                    _homogeneous(t, x, 1, len(t) - 1) for x in nodes):
                 return RatFn(PolyQ(_dilate(r, e, scale)), PolyQ(_dilate(t, e, 1)))
     return None
 
@@ -133,13 +135,6 @@ def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[int, list[int], 
     return c, quot, _trim(rem[:d])
 
 
-def _horner(p: Sequence[int], x: int) -> int:
-    out = 0
-    for c in reversed(p):
-        out = out * x + c
-    return out
-
-
 def _dilate(p: Sequence[int], e: int, scale: int) -> list[Fraction]:
     """The coefficients of p(e x) / scale."""
     return [Fraction(c * e ** k, scale) for k, c in enumerate(p)]
@@ -204,25 +199,11 @@ class GuessExpr:
         return s
 
 
-def _poly_str(p: PolyQ, var: str) -> str:
-    if p.is_zero():
-        return "0"
-    terms = []
-    for i, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
-        if i == 0:
-            terms.append(fmt_rat(c))
-        else:
-            v = var if i == 1 else f"{var}^{i}"
-            terms.append(v if c == 1 else f"{fmt_rat(c)}*{v}")
-    return " + ".join(terms)
-
-
 def _ratfn_str(f: RatFn, var: str) -> str:
+    num = _terms_str(f.num.coeffs, 0, var)
     if f.den == PolyQ.constant(1):
-        return _poly_str(f.num, var)
-    return f"({_poly_str(f.num, var)})/({_poly_str(f.den, var)})"
+        return num
+    return f"({num})/({_terms_str(f.den.coeffs, 0, var)})"
 
 
 class ZeroTermError(ValueError):

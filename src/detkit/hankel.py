@@ -55,26 +55,26 @@ class DegenerateMomentsError(ValueError):
         self.index = index
 
 
-def _check_length(s: MomentSeq, n: int, offset: int):
-    """Raise ValueError unless s holds the entries s[offset..offset+2n-2]
-    of an n x n Hankel matrix."""
+def _check_length(s: MomentSeq, n: int):
+    """Raise ValueError unless s holds the entries s[0..2n-2] of an n x n
+    Hankel matrix."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    need = offset + max(0, 2 * n - 2)
+    need = max(0, 2 * n - 2)
     if n > 0 and need >= len(s):
         raise ValueError(f"moment sequence too short: need index {need}, have {len(s) - 1}")
 
 
-def hankel_matrix(s: MomentSeq, n: int, offset: int = 0) -> MatrixR:
-    """n x n matrix with entry (i, j) = s[i + j + offset]."""
-    _check_length(s, n, offset)
-    return MatrixR.build(n, n, lambda i, j: s[i + j + offset])
+def hankel_matrix(s: MomentSeq, n: int) -> MatrixR:
+    """n x n matrix with entry (i, j) = s[i + j]."""
+    _check_length(s, n)
+    return MatrixR.build(n, n, lambda i, j: s[i + j])
 
 
-def hankel_det(s: MomentSeq, n: int, offset: int = 0) -> Fraction:
+def hankel_det(s: MomentSeq, n: int) -> Fraction:
     if n == 0:
         return Fraction(1)
-    return det(hankel_matrix(s, n, offset))
+    return det(hankel_matrix(s, n))
 
 
 def hankel_dets(s: MomentSeq, n: int) -> list[Fraction]:
@@ -84,7 +84,7 @@ def hankel_dets(s: MomentSeq, n: int) -> list[Fraction]:
     H_{k+1} d^(k+1).  From the first zero pivot on, the elimination has
     swapped rows (or stopped), so each later order is computed on its own.
     """
-    _check_length(s, n, 0)
+    _check_length(s, n)
     nums, d = integer_numerators(s.values[:max(0, 2 * n - 1)])
     _, pivots, first_swap = _bareiss_int([nums[i:i + n] for i in range(n)])
     leading = len(pivots) if first_swap is None else first_swap
@@ -253,13 +253,3 @@ NAMED_MOMENTS = {
     "bell": _bell_moments,
     "hermite": _hermite_moments,
 }
-
-
-def continuous_hahn_jfraction(depth: int) -> JFraction:
-    """The J-fraction whose moments are B_{k+2}: all a_k = 0 and
-    b_i = -i(i+1)^2(i+2) / (4(2i+1)(2i+3)), with mu0 = 1/6."""
-    b = [
-        Fraction(-i * (i + 1) ** 2 * (i + 2), 4 * (2 * i + 1) * (2 * i + 3))
-        for i in range(1, depth)
-    ]
-    return JFraction(Fraction(1, 6), [Fraction(0)] * depth, b)

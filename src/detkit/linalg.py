@@ -1,16 +1,18 @@
 """Dense exact matrices and the matrix algorithms the verification
-engine needs: four determinant strategies, permanent, Pfaffian,
-LU in the M*U = L form, kernel bases, characteristic polynomial,
-and the Sylvester resultant.
+engine needs: the determinant, permanent, Pfaffian, LU in the M*U = L
+form, kernel bases, characteristic polynomial, and the Sylvester
+resultant.
 
-Entries are ints and Fractions.  A determinant that is a polynomial in a
-parameter is interpolated from integer determinants at sample points by
+Entries are ints and Fractions.  `det` has one path, integer Bareiss
+elimination; the Gauss and condensation determinants are test oracles in
+tests/det_oracles.py.  A determinant that is a polynomial in a parameter
+is interpolated from integer determinants at sample points by
 `guess.interpolate_det_poly`; the characteristic polynomial is found the
 same way, from det(x*I - M) at x = 0..n.  LU comes from one Gaussian
 elimination without pivoting.  Bareiss determinants, kernels and the
-default Pfaffian (skew elimination, no size cap) run fraction-free on
-integer rows.  The Laplace expansion divides nowhere and shares its
-minors, and stwi calls it directly on truncated series.
+Pfaffian (skew elimination, no size cap) run fraction-free on integer
+rows.  The Laplace expansion divides nowhere and shares its minors; stwi
+calls it directly on truncated series.
 """
 
 from __future__ import annotations
@@ -98,9 +100,6 @@ class MatrixR:
             return acc
         return MatrixR.build(self.rows, other.cols, entry)
 
-    def apply(self, fn) -> "MatrixR":
-        return MatrixR(self.rows, self.cols, [fn(e) for e in self.entries])
-
     def mul_vector(self, v: Sequence):
         if len(v) != self.cols:
             raise ValueError("shape mismatch")
@@ -149,29 +148,6 @@ def _det_laplace(m: MatrixR):
         return got
 
     return minor(tuple(range(n))) if n else Fraction(1)
-
-
-def _det_gauss(m: MatrixR) -> Fraction:
-    n = m.rows
-    a = m.to_rows()
-    det = Fraction(1)
-    sign = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        p = a[k][k]
-        det = det * p
-        for i in range(k + 1, n):
-            if a[i][k] == 0:
-                continue
-            f = a[i][k] / p
-            for j in range(k, n):
-                a[i][j] = a[i][j] - f * a[k][j]
-    return det * sign
 
 
 def _int_rows(rows) -> tuple[list[list[int]], list[int]]:
@@ -224,53 +200,9 @@ def _is_rational(m: MatrixR) -> bool:
     return all(isinstance(e, (int, Fraction)) for e in m.entries)
 
 
-def _det_bareiss(m: MatrixR) -> Fraction:
-    a, scales = _int_rows(m.to_rows())
-    sign, pivots, _ = _bareiss_int(a)
-    if len(pivots) < m.rows:
-        return Fraction(0)
-    return Fraction(sign * pivots[-1], prod(scales))
-
-
-def _det_condensation(m: MatrixR) -> Fraction:
-    """Dodgson condensation; any zero interior cell of the current layer is
-    repaired by evaluating the corresponding connected minor directly."""
-    n = m.rows
-
-    def connected_minor(i, j, size):
-        # det of the size x size block with top-left corner (i, j)
-        sub = m.submatrix(range(i, i + size), range(j, j + size))
-        return _det_gauss(sub)
-
-    cur = [[m[i, j] for j in range(n)] for i in range(n)]  # size-1 minors
-    prev = [[Fraction(1)] * (n + 1) for _ in range(n + 1)]  # size-0 minors
-    for size in range(2, n + 1):
-        dim = n - size + 1
-        nxt = [[None] * dim for _ in range(dim)]
-        for i in range(dim):
-            for j in range(dim):
-                denom = prev[i + 1][j + 1]
-                num = cur[i][j] * cur[i + 1][j + 1] - cur[i + 1][j] * cur[i][j + 1]
-                if denom == 0:
-                    nxt[i][j] = connected_minor(i, j, size)
-                else:
-                    nxt[i][j] = num / denom
-        prev = [[cur[i][j] for j in range(len(cur))] for i in range(len(cur))]
-        cur = nxt
-    return cur[0][0]
-
-
-_STRATEGIES = {
-    "laplace": _det_laplace,
-    "gauss": _det_gauss,
-    "bareiss": _det_bareiss,
-    "condensation": _det_condensation,
-}
-
-
-def det(m: MatrixR, strategy: str = "bareiss") -> Fraction:
-    """Determinant of a square matrix of ints and Fractions, as a Fraction;
-    any other entry raises TypeError.
+def det(m: MatrixR) -> Fraction:
+    """Determinant of a square matrix of ints and Fractions, as a Fraction,
+    by integer Bareiss elimination; any other entry raises TypeError.
 
     A determinant that is a polynomial in a parameter comes from
     `guess.interpolate_det_poly`: integer determinants at sample points,
@@ -278,17 +210,15 @@ def det(m: MatrixR, strategy: str = "bareiss") -> Fraction:
     """
     if m.rows != m.cols:
         raise ValueError("determinant of non-square matrix")
-    if strategy == "laplace" and m.rows > 7:
-        raise ValueError("laplace capped at n <= 7")
-    if strategy not in _STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
     if not _is_rational(m):
         raise TypeError("det requires int or Fraction entries")
     if m.rows == 0:
         return Fraction(1)
-    if strategy != "bareiss":
-        m = m.apply(rat)  # `/` on two ints would give a float
-    return _STRATEGIES[strategy](m)
+    a, scales = _int_rows(m.to_rows())
+    sign, pivots, _ = _bareiss_int(a)
+    if len(pivots) < m.rows:
+        return Fraction(0)
+    return Fraction(sign * pivots[-1], prod(scales))
 
 
 def permanent(m: MatrixR):

@@ -8,6 +8,11 @@ from detkit.combinat import asm_enumerate
 from detkit.exactnum import rat
 
 
+def num_neg(asm):
+    """Number of (-1)s in the whole matrix."""
+    return sum(1 for row in asm.entries for e in row if e == -1)
+
+
 def row_neg(asm, i):
     """Number of (-1)s in row i (1-based)."""
     return sum(1 for e in asm.entries[i - 1] if e == -1)
@@ -37,7 +42,7 @@ def six_vertex_weight(asm, X, Y, q):
     product of zero-site factors."""
     n = asm.n
     q = rat(q)
-    w = (1 - q) ** (2 * asm.num_neg())
+    w = (1 - q) ** (2 * num_neg(asm))
     for i in range(1, n + 1):
         w *= rat(X[i - 1]) ** row_neg(asm, i)
         w *= rat(Y[i - 1]) ** col_neg(asm, i)

@@ -1,9 +1,9 @@
 """Slow independent oracles for detkit.linalg: determinants by brute
-force over all permutations, for the elimination strategies of `det`;
-Pfaffians by first-row expansion and by the signed sum over perfect
-matchings, for `pfaffian`; and the Faddeev-LeVerrier recursion, for
-`char_poly`.  The expansions take entries of any commutative ring,
-TruncSeries included."""
+force over all permutations, by Gaussian elimination and by Dodgson
+condensation, for `det` and `_det_laplace`; Pfaffians by first-row
+expansion and by the signed sum over perfect matchings, for `pfaffian`;
+and the Faddeev-LeVerrier recursion, for `char_poly`.  The expansions
+take entries of any commutative ring, TruncSeries included."""
 
 from fractions import Fraction
 from itertools import permutations
@@ -30,6 +30,65 @@ def det_permutation_expansion(m):
             prod = prod * -1
         acc = prod if acc is None else acc + prod
     return acc if acc is not None else Fraction(1)
+
+
+def _fraction_rows(m):
+    # `/` on two ints would give a float
+    return [[Fraction(x) for x in m.row(i)] for i in range(m.rows)]
+
+
+def det_gauss(m):
+    """Determinant by Gaussian elimination on Fractions, swapping rows on
+    a zero pivot."""
+    n = m.rows
+    a = _fraction_rows(m)
+    det = Fraction(1)
+    sign = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        p = a[k][k]
+        det = det * p
+        for i in range(k + 1, n):
+            if a[i][k] == 0:
+                continue
+            f = a[i][k] / p
+            for j in range(k, n):
+                a[i][j] = a[i][j] - f * a[k][j]
+    return det * sign
+
+
+def det_condensation(m):
+    """Determinant by Dodgson condensation on Fractions; any zero interior
+    cell of the current layer is repaired by evaluating the corresponding
+    connected minor with det_gauss."""
+    n = m.rows
+    if n == 0:
+        return Fraction(1)
+
+    def connected_minor(i, j, size):
+        # det of the size x size block with top-left corner (i, j)
+        return det_gauss(m.submatrix(range(i, i + size), range(j, j + size)))
+
+    cur = _fraction_rows(m)  # size-1 minors
+    prev = [[Fraction(1)] * (n + 1) for _ in range(n + 1)]  # size-0 minors
+    for size in range(2, n + 1):
+        dim = n - size + 1
+        nxt = [[None] * dim for _ in range(dim)]
+        for i in range(dim):
+            for j in range(dim):
+                denom = prev[i + 1][j + 1]
+                num = cur[i][j] * cur[i + 1][j + 1] - cur[i + 1][j] * cur[i][j + 1]
+                if denom == 0:
+                    nxt[i][j] = connected_minor(i, j, size)
+                else:
+                    nxt[i][j] = num / denom
+        prev, cur = cur, nxt
+    return cur[0][0]
 
 
 def pfaffian_expansion(m):

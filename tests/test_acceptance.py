@@ -16,7 +16,8 @@ from detkit.guess import (interpolate_det_poly, lagrange_interpolate,
 from detkit.hankel import (JFraction, bernoulli_shifted_moments, hankel_det,
                            heilermann_product, jfraction_from_moments,
                            moments_from_jfraction)
-from detkit.linalg import MatrixR, det, pfaffian
+from detkit.linalg import MatrixR, _det_laplace, det, pfaffian
+from det_oracles import det_condensation
 
 Q_SAMPLES = (Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5))
 
@@ -40,7 +41,7 @@ def test_02_macmahon_instance():
     # permutation-expansion oracle
     m = build_matrix("macmahon", 2, a=2, b=2)
     assert det(m) == 20
-    assert det(m, "laplace") == 20
+    assert _det_laplace(m) == 20
     assert closed_form("macmahon", 2, a=2, b=2) == 20
 
 
@@ -126,7 +127,7 @@ def test_07_desnanot_and_condensation():
         m = MatrixR.from_rows(
             [[Fraction(rng.randint(-9, 9)) for _ in range(n)]
              for _ in range(n)])
-        assert det(m, "condensation") == det(m, "bareiss")
+        assert det_condensation(m) == det(m)
 
 
 def test_08_rate_guesser_asm():

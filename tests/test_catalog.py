@@ -183,7 +183,7 @@ def test_turnbull_goulden_jackson_strehl_wilf():
 
 @pytest.mark.parametrize("n, trunc", [(4, 16), (6, 18), (7, 21), (8, 24)])
 def test_strehl_wilf_checks_what_it_claims(n, trunc):
-    # up to an 8 x 8 Laplace expansion of series, past det()'s n <= 7 cap;
+    # up to an 8 x 8 Laplace expansion of series;
     # the determinant is known on exponents 0..trunc - n, so each trial
     # compares enough coefficients to refute a doubled right-hand side
     report = verify_strehl_wilf(n, trunc)

@@ -530,7 +530,8 @@ def test_series_equals_scalar():
 
 def test_series_valuation():
     s = TruncSeries(1, [0, 1, 0], order=4)
-    assert s.true_valuation() == 2
+    # normal form: the stored valuation is the lowest nonzero known term
+    assert s.valuation == 2 and s.coeffs[0] == 1
     with pytest.raises(ZeroDivisionError):
         TruncSeries(0, [0, 0, 0]).inverse()
 
@@ -539,8 +540,7 @@ def _compose_full_walk(outer, inner):
     """The composition loop that walks all outer.order powers of inner."""
     if outer.valuation < 0 and any(c != 0 for c in outer.coeffs[: -outer.valuation]):
         raise ValueError("compose requires a power-series outer operand")
-    itv = inner.true_valuation()
-    if itv is not None and itv < 1:
+    if inner.coeffs and inner.valuation < 1:
         raise ValueError("compose requires inner valuation >= 1")
     order = min(outer.order, inner.order)
     out = TruncSeries(0, [0] * order, order)

@@ -12,7 +12,7 @@ from detkit.exactnum import (TruncSeries, bell_poly, bernoulli, catalan,
                              euler_even, hermite_poly)
 from detkit.hankel import (NAMED_MOMENTS, DegenerateMomentsError, JFraction,
                            MomentSeq, bernoulli_shifted_moments,
-                           continuous_hahn_jfraction, hankel_det, hankel_dets,
+                           hankel_det, hankel_dets,
                            hankel_matrix,
                            hankel_x_transform,
                            heilermann_product, heilermann_products,
@@ -22,7 +22,7 @@ from detkit.hankel import (NAMED_MOMENTS, DegenerateMomentsError, JFraction,
 
 def test_hankel_matrix_shape():
     s = MomentSeq([Fraction(k) for k in range(10)])
-    m = hankel_matrix(s, 3, offset=2)
+    m = hankel_matrix(MomentSeq(s.values[2:]), 3)
     assert m.rows == 3 and m[0, 0] == 2 and m[2, 2] == 6 and m[0, 2] == 4
 
 
@@ -30,9 +30,10 @@ def test_catalan_hankel_is_one():
     # [DERIVED] both principal Hankel determinants of the Catalan
     # sequence equal 1 for every order
     s = MomentSeq([catalan(k) for k in range(12)])
+    shifted = MomentSeq(s.values[1:])
     for n in range(1, 6):
         assert hankel_det(s, n) == 1
-        assert hankel_det(s, n, offset=1) == 1
+        assert hankel_det(shifted, n) == 1
 
 
 def test_bernoulli_shifted_moments():
@@ -77,6 +78,16 @@ def test_degenerate_moments_detected():
     s = MomentSeq([Fraction(1), Fraction(0), Fraction(0), Fraction(0)])
     with pytest.raises(DegenerateMomentsError):
         jfraction_from_moments(s, 2)
+
+
+def continuous_hahn_jfraction(depth: int) -> JFraction:
+    """The J-fraction whose moments are B_{k+2}: all a_k = 0 and
+    b_i = -i(i+1)^2(i+2) / (4(2i+1)(2i+3)), with mu0 = 1/6."""
+    b = [
+        Fraction(-i * (i + 1) ** 2 * (i + 2), 4 * (2 * i + 1) * (2 * i + 3))
+        for i in range(1, depth)
+    ]
+    return JFraction(Fraction(1, 6), [Fraction(0)] * depth, b)
 
 
 def test_continuous_hahn_coefficients():

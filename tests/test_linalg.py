@@ -1,6 +1,6 @@
-"""Oracle and property tests for exact-rational matrices: determinant
-strategies, permanent, Pfaffian, LU, kernels, characteristic polynomial,
-and resultants."""
+"""Oracle and property tests for exact-rational matrices: the determinant
+against its oracles, permanent, Pfaffian, LU, kernels, characteristic
+polynomial, and resultants."""
 
 import random
 from fractions import Fraction
@@ -14,11 +14,12 @@ from detkit.exactnum import PolyQ, RatFn, TruncSeries
 from detkit.linalg import (MatrixR, SingularMinorError, _det_laplace,
                            char_poly, det, kernel_basis, lu_decompose,
                            permanent, pfaffian, resultant)
-from det_oracles import (char_poly_faddeev_leverrier, det_permutation_expansion,
+from det_oracles import (char_poly_faddeev_leverrier, det_condensation,
+                         det_gauss, det_permutation_expansion,
                          pfaffian_expansion, pfaffian_matching_sum)
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
-STRATEGIES = ("bareiss", "gauss", "laplace", "condensation")
+DET_ORACLES = (det_gauss, _det_laplace, det_condensation)
 PFAFFIANS = (pfaffian, pfaffian_expansion, pfaffian_matching_sum)
 
 
@@ -44,24 +45,29 @@ def test_det_anchors():
     assert det(MatrixR.from_rows([[Fraction(0)]])) == 0
 
 
+def _fractions(m):
+    return MatrixR(m.rows, m.cols, [Fraction(e) for e in m.entries])
+
+
 def test_int_matrix_det_is_exact_fraction():
-    # int entries once divided to floats under `/` (-3.0 here)
+    # int entries once divided to floats under `/` (-3.0 here); the
+    # oracles that divide copy the entries to Fractions themselves
     m = MatrixR.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
-    for strategy in ("bareiss", "gauss", "laplace", "condensation"):
-        d = det(m, strategy)
-        assert type(d) is Fraction and d == -3
     one = MatrixR.from_rows([[7]])
-    for strategy in ("bareiss", "gauss", "laplace", "condensation"):
-        assert type(det(one, strategy)) is Fraction
+    for d in [det(m), det_gauss(m), _det_laplace(_fractions(m)), det_condensation(m)]:
+        assert type(d) is Fraction and d == -3
+    for d in [det(one), det_gauss(one), _det_laplace(_fractions(one)),
+              det_condensation(one)]:
+        assert type(d) is Fraction
     big = MatrixR.from_rows([[10**20 + 1, 10**20], [10**20, 10**20 - 1]])
-    assert det(big, "gauss") == -1
+    assert det_gauss(big) == -1
     for v in kernel_basis(MatrixR.from_rows([[1, 2, 3], [2, 4, 6]])):
         assert all(type(c) is Fraction for c in v)
 
 
 def test_det_of_empty_matrix_is_one():
-    for strategy in STRATEGIES:
-        d = det(MatrixR(0, 0, []), strategy)
+    for f in (det,) + DET_ORACLES:
+        d = f(MatrixR(0, 0, []))
         assert type(d) is Fraction and d == 1
 
 
@@ -77,9 +83,8 @@ def test_det_rejects_non_rational_entries():
         MatrixR.from_rows([[Fraction(1), x], [x, Fraction(2)]]),
     ]
     for m in matrices:
-        for strategy in STRATEGIES:
-            with pytest.raises(TypeError, match="int or Fraction"):
-                det(m, strategy)
+        with pytest.raises(TypeError, match="int or Fraction"):
+            det(m)
 
 
 @st.composite
@@ -107,11 +112,11 @@ def square_rational(draw):
 @given(square_rational())
 @settings(max_examples=150, deadline=None)
 def test_integer_bareiss_matches_oracles(m):
-    d = det(m, "bareiss")
+    d = det(m)
     assert type(d) is Fraction
     assert d == det_permutation_expansion(m)
-    for strategy in ("laplace", "condensation", "gauss"):
-        assert det(m, strategy) == d
+    for oracle in DET_ORACLES:
+        assert oracle(m) == d
 
 
 def _rank(m):
@@ -145,9 +150,9 @@ def test_det_strategies_agree():
     for _ in range(15):
         n = rng.randint(1, 5)
         m = _rand_matrix(rng, n)
-        reference = det(m, "bareiss")
-        for strategy in ("gauss", "laplace", "condensation"):
-            assert det(m, strategy) == reference
+        reference = det(m)
+        for oracle in DET_ORACLES:
+            assert oracle(m) == reference
         assert det_permutation_expansion(m) == reference
 
 
@@ -218,14 +223,13 @@ def test_det_laplace_on_series_matches_row_expansion(rows):
 
 
 def test_det_laplace_matches_bareiss_at_cap():
-    # n = 7 is the largest size det() expands; denominators make the
-    # shared minors carry Fractions
+    # 7 x 7 with denominators, so the shared minors carry Fractions
     rng = random.Random(12)
     for _ in range(3):
         m = MatrixR.from_rows(
             [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(7)]
              for _ in range(7)])
-        assert det(m, "laplace") == det(m)
+        assert _det_laplace(m) == det(m)
 
 
 # ---------------------------------------------------------------------------
