@@ -13,7 +13,8 @@ from ..exactnum import PolyQ, fmt_rat
 
 
 class Resample(Exception):
-    """Sampled parameters fell outside the record's domain; try again."""
+    """Sampled parameters fell outside the record's domain; try again.
+    Only draw code raises it, never a builder or a closed form."""
 
 
 class UnknownIdentityError(KeyError):
@@ -40,14 +41,14 @@ def rand_nonzero(rng, lo: int = -9, hi: int = 9, max_den: int = 5) -> Fraction:
     raise Resample
 
 
-def distinct_fracs(rng, count: int, nonzero: bool = False, lo: int = -9, hi: int = 9,
-                   max_den: int = 5) -> tuple[Fraction, ...]:
+def distinct_fracs(rng, count: int, nonzero: bool = False,
+                   lo: int = -9) -> tuple[Fraction, ...]:
     out: list[Fraction] = []
     seen: set[Fraction] = set()
     if count == 0:
         return ()
     for _ in range(100 * count + 100):
-        x = rand_frac(rng, lo, hi, max_den)
+        x = rand_frac(rng, lo)
         if nonzero and x == 0:
             continue
         if x in seen:
@@ -66,10 +67,10 @@ def rand_q(rng, max_den: int = 9) -> Fraction:
     return Fraction(num, den)
 
 
-def decreasing_ints(rng, count: int, hi: int = 12, lo: int = 0) -> tuple[int, ...]:
-    if hi - lo + 1 < count:
+def decreasing_ints(rng, count: int, hi: int) -> tuple[int, ...]:
+    if hi + 1 < count:
         raise ValueError("range too small")
-    vals = rng.sample(range(lo, hi + 1), count)
+    vals = rng.sample(range(hi + 1), count)
     return tuple(sorted(vals, reverse=True))
 
 
@@ -153,8 +154,9 @@ class IdentityRecord:
     """One registry entry.
 
     `trial(rng, n) -> (params, lhs, rhs)` runs a single randomized check
-    at size n, for min_n <= n <= max_n; it raises `Resample` (or
-    ZeroDivisionError) when the drawn parameters are out of domain.
+    at size n, for min_n <= n <= max_n; its draw raises `Resample` when
+    the drawn parameters are out of domain, and nothing after the draw
+    does.
     `builder(n, **params)` and `closed(n, **params)` expose the LHS
     matrix and the RHS of a plain determinant evaluation; `sampler(rng, n)`
     is its parameter draw when `det_record` made the trial from the
@@ -214,14 +216,16 @@ def det_record(identity_id: str, sampler, builder, closed, max_n: int,
 
 def run_trial(record: IdentityRecord, rng, n: int) -> Trial:
     """One check of the record at size n, refused before any parameter
-    draw when n is below the record's min_n."""
+    draw when n is below the record's min_n.  A draw refused with
+    `Resample` is redrawn (at most 200 times); any other exception
+    propagates."""
     if n < record.min_n:
         raise ValueError(f"{record.id}: requires n >= {record.min_n}, got {n}")
     start = time.perf_counter()
     for _ in range(200):
         try:
             params, lhs, rhs = record.trial(rng, n)
-        except (Resample, ZeroDivisionError):
+        except Resample:
             continue
         micros = int((time.perf_counter() - start) * 1e6)
         return Trial(params, lhs, rhs, lhs == rhs, micros)

@@ -11,7 +11,7 @@ from itertools import accumulate
 from ..exactnum import (_q_pochhammer_pairs, binomial, double_factorial,
                         pochhammer, q_binomial, q_pochhammer, rat)
 from ..linalg import MatrixR
-from .base import det_record, prod, rand_nonzero, rand_q
+from .base import Resample, det_record, prod, rand_nonzero, rand_q
 
 
 def _fact(m: int) -> Fraction:
@@ -116,9 +116,18 @@ det_record("qkrat", _sample_xyq, _build_qkrat, _closed_qkrat, max_n=4)
 
 
 def _sample_anst(rng, n):
-    return {"x": rand_nonzero(rng, lo=-5, hi=5, max_den=3),
-            "E": rand_nonzero(rng, lo=-5, hi=5, max_den=3),
-            "q": rand_q(rng, 7)}
+    # a draw is a pole of the builder (a vanishing reciprocal q-Pochhammer
+    # factor, or a zero (a;q)_k in a denominator) or of the closed form
+    # exactly when E/x = q^e (2 <= e <= 2n-1), 1/(Ex) = q^e
+    # (1 <= e <= 2n-2) or 1/|x| = q^e (2 <= e <= 2n-2)
+    x = rand_nonzero(rng, lo=-5, hi=5, max_den=3)
+    E = rand_nonzero(rng, lo=-5, hi=5, max_den=3)
+    q = rand_q(rng, 7)
+    powers = [q ** e for e in range(2 * n)]
+    if (E / x in powers[2:] or 1 / (E * x) in powers[1:-1]
+            or 1 / abs(x) in powers[2:-1]):
+        raise Resample
+    return {"x": x, "E": E, "q": q}
 
 
 def _build_anst(n, x, E, q):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from ..exactnum import binomial, pochhammer, rat
 from ..linalg import MatrixR, det
-from .base import IdentityRecord, _ceil, det_record, rand_frac, register
+from .base import IdentityRecord, Resample, _ceil, det_record, rand_frac, register
 
 
 # ---------------------------------------------------------------------------
@@ -16,7 +16,15 @@ from .base import IdentityRecord, _ceil, det_record, rand_frac, register
 
 
 def _sample_xbc(rng, n):
-    return {"b": n, "c": rng.randint(0, n), "x": rand_frac(rng)}
+    # with b = n, the closed form's Pochhammer symbols in x have a
+    # negative index only when 3c > 2b, and then divide by zero exactly
+    # when x is an integer in [1 - c, c - b - 1]; for b even and c odd
+    # the closed form returns 0 before reading any of them
+    c, x = rng.randint(0, n), rand_frac(rng)
+    if (3 * c > 2 * n and (n % 2 or c % 2 == 0)
+            and x.denominator == 1 and 1 - c <= x <= c - n - 1):
+        raise Resample
+    return {"b": n, "c": c, "x": x}
 
 
 def _build_xbc(n, b, c, x):

@@ -9,21 +9,7 @@ from fractions import Fraction
 from ..exactnum import (binomial, double_factorial, factorial, pochhammer,
                         q_binomial, q_factorial, q_int, q_pochhammer, rat)
 from ..linalg import MatrixR
-from .base import (Resample, _ceil, decreasing_ints, det_record, prod,
-                   rand_frac, rand_q)
-
-
-def _qf(m: int, q) -> Fraction:
-    """[m]_q!, defined only for m >= 0 (out-of-domain resamples)."""
-    if m < 0:
-        raise Resample
-    return q_factorial(m, q)
-
-
-def _fact(m: int) -> Fraction:
-    if m < 0:
-        raise Resample
-    return Fraction(factorial(m))
+from .base import _ceil, decreasing_ints, det_record, prod, rand_frac, rand_q
 
 
 def _inv_fact(m: int) -> Fraction:
@@ -56,7 +42,8 @@ def _closed_pp1(n, L, A, q):
     out *= prod(q_int(L[i] - L[j], q)
                 for i in range(n) for j in range(i + 1, n))
     for i in range(n):
-        out *= _qf(L[i] + A + 1, q) / (_qf(L[i] + n, q) * _qf(A - i, q))
+        out *= q_factorial(L[i] + A + 1, q) \
+            / (q_factorial(L[i] + n, q) * q_factorial(A - i, q))
     return out
 
 
@@ -81,7 +68,8 @@ def _closed_pp2(n, L, A, q):
     out *= prod(q_int(L[i] - L[j], q)
                 for i in range(n) for j in range(i + 1, n))
     for i in range(n):
-        out *= _qf(A + i, q) / (_qf(L[i] + n, q) * _qf(A - L[i] - 1, q))
+        out *= q_factorial(A + i, q) \
+            / (q_factorial(L[i] + n, q) * q_factorial(A - L[i] - 1, q))
     return out
 
 
@@ -104,7 +92,7 @@ def _closed_pp3(n, L, A, B):
     out = prod(Fraction(L[i] - L[j])
                for i in range(n) for j in range(i + 1, n))
     for i in range(n):
-        out *= pochhammer((B - 1) * L[i] + A, L[i] + 1) / _fact(L[i] + n)
+        out *= pochhammer((B - 1) * L[i] + A, L[i] + 1) / factorial(L[i] + n)
         out *= pochhammer(A - B * (i + 1) + 1, i)
     return out
 
@@ -153,7 +141,8 @@ def _closed_shifted(n, L, A, q):
     q = rat(q)
     out = q ** sum((i + 1) * L[i] for i in range(n))
     for i in range(n):
-        out *= _qf(L[i] + A - n, q) / (_qf(L[i] + n, q) * _qf(A - 2 * (i + 1), q))
+        out *= q_factorial(L[i] + A - n, q) \
+            / (q_factorial(L[i] + n, q) * q_factorial(A - 2 * (i + 1), q))
     out *= prod(q_int(L[i] - L[j], q) * q_int(L[i] + L[j] + A + 1, q)
                 for i in range(n) for j in range(i + 1, n))
     return out
@@ -193,10 +182,11 @@ def _closed_pp5(n, L, A, B, q):
                 for i in range(n) for j in range(i + 1, n))
     for i0 in range(n):
         i = i0 + 1
-        out *= _qf(L[i0] + 1, q) * _qf(L[i0] + A - n, q) \
-            / (_qf(L[i0] - B + n, q) * _qf(L[i0] + A - B - 1, q))
-        out *= _qf(A - 2 * i - 1, q) \
-            / (_qf(A - i - n - 1, q) * _qf(B + i - n, q) * _qf(B, q))
+        out *= q_factorial(L[i0] + 1, q) * q_factorial(L[i0] + A - n, q) \
+            / (q_factorial(L[i0] - B + n, q) * q_factorial(L[i0] + A - B - 1, q))
+        out *= q_factorial(A - 2 * i - 1, q) \
+            / (q_factorial(A - i - n - 1, q) * q_factorial(B + i - n, q)
+               * q_factorial(B, q))
     return out
 
 
@@ -263,8 +253,8 @@ def _closed_pp4(n, L, A, q):
     q = rat(q)
     out = Fraction(1)
     for i0 in range(n):
-        out *= _qf(A + 2 * (i0 + 1) - 2, q) \
-            / (_qf(n - L[i0], q) * _qf(A + n - 1 + L[i0], q))
+        out *= q_factorial(A + 2 * (i0 + 1) - 2, q) \
+            / (q_factorial(n - L[i0], q) * q_factorial(A + n - 1 + L[i0], q))
     out *= prod(q_int(L[j] - L[i], q)
                 for i in range(n) for j in range(i + 1, n))
     out *= prod(q_int(L[i] + L[j] + A - 1, q)
@@ -290,8 +280,8 @@ def _closed_pp4a(n, L, A, q):
     q = rat(q)
     out = Fraction(1)
     for i0 in range(n):
-        out *= _qf(A + 2 * (i0 + 1) - 1, q) \
-            / (_qf(n - L[i0], q) * _qf(A + n + L[i0], q))
+        out *= q_factorial(A + 2 * (i0 + 1) - 1, q) \
+            / (q_factorial(n - L[i0], q) * q_factorial(A + n + L[i0], q))
     out *= prod(q_int(L[j] - L[i], q)
                 for i in range(n) for j in range(i + 1, n))
     out *= prod(q_int(L[i] + L[j] + A, q)
@@ -327,8 +317,8 @@ def _closed_pp6(n, L, A, r):
     for i0 in range(n):
         i = i0 + 1
         out *= (1 + r ** (2 * L[i0] + A - 1)) / (1 + r ** (2 * i + A - 1))
-        out *= _qf(A + 2 * i - 1, q) \
-            / (_qf(n - L[i0], q) * _qf(A + n + L[i0] - 1, q))
+        out *= q_factorial(A + 2 * i - 1, q) \
+            / (q_factorial(n - L[i0], q) * q_factorial(A + n + L[i0] - 1, q))
     out *= prod(q_int(L[j] - L[i], q) * q_int(L[i] + L[j] + A - 1, q)
                 for i in range(n) for j in range(i + 1, n))
     return out
@@ -359,8 +349,8 @@ def _closed_pp6a(n, L, A, r):
         out *= 1 + r ** (2 * L[i0] + A - 2)
         if i >= 2:
             out /= 1 + r ** (2 * i + A - 2)
-        out *= _qf(A + 2 * i - 2, q) \
-            / (_qf(n - L[i0], q) * _qf(A + n + L[i0] - 2, q))
+        out *= q_factorial(A + 2 * i - 2, q) \
+            / (q_factorial(n - L[i0], q) * q_factorial(A + n + L[i0] - 2, q))
     out *= prod(q_int(L[j] - L[i], q) * q_int(L[i] + L[j] + A - 2, q)
                 for i in range(n) for j in range(i + 1, n))
     return out

@@ -436,8 +436,7 @@ def _stwi_sides(rng, n: int, trunc: int):
                      for j in range(n)])
     # TruncSeries has zero divisors, so no elimination: Laplace
     # expansion with shared minors (n * 2^(n-1) series products), called
-    # directly because det() takes only int/Fraction entries and caps
-    # Laplace at n <= 7
+    # directly because det() takes only int/Fraction entries
     lhs = _det_laplace(MatrixR.from_rows(rows))
     rhs = u.pow_int(n * (n - 1) // 2)
     coef = Fraction(1)

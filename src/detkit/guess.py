@@ -159,11 +159,6 @@ class GuessExpr:
     law: RatFn
     parity: Optional[int] = None
 
-    @property
-    def rationals(self) -> tuple[RatFn, ...]:
-        """One entry per level, the last being the quotient law."""
-        return tuple(RatFn(c) for c in self.initials) + (self.law,)
-
     def evaluate(self, n: int) -> Fraction:
         """Value of the guessed sequence at 1-based position n."""
         if n < 1:

@@ -70,15 +70,6 @@ class MatrixR:
             len(keep_rows), len(keep_cols), lambda i, j: self[keep_rows[i], keep_cols[j]]
         )
 
-    def minor(self, i: int, j: int) -> "MatrixR":
-        return self.submatrix(
-            [r for r in range(self.rows) if r != i],
-            [c for c in range(self.cols) if c != j],
-        )
-
-    def transpose(self) -> "MatrixR":
-        return MatrixR.build(self.cols, self.rows, lambda i, j: self[j, i])
-
     def __eq__(self, other):
         if not isinstance(other, MatrixR):
             return NotImplemented

@@ -1,6 +1,7 @@
 """Acceptance suite: the fourteen release gates, all exact (zero
 tolerance)."""
 
+import hashlib
 import json
 import random
 import time
@@ -206,3 +207,9 @@ def test_14_determinism():
         return json.dumps([r.to_json_dict() for r in reports])
 
     assert snapshot().encode() == snapshot().encode()
+    # the seed-42, 5-trial report over all ids, rendered as `detkit verify
+    # --id all --trials 5 --seed 42 --format json` prints it, is pinned
+    report = json.dumps([verify_identity(i, trials=5, seed=42).to_json_dict()
+                         for i in registry_ids()], indent=2)
+    assert hashlib.sha256(report.encode()).hexdigest() == (
+        "e2a5ab1305adc06b5fd8dddf0989657a89eb6183c106078b6b7491bf67ae889a")

@@ -3,6 +3,7 @@ determinism, a sample of hand-checked instances, and the structural
 verifiers."""
 
 import dataclasses
+import itertools
 import json
 from fractions import Fraction
 
@@ -19,8 +20,9 @@ from detkit.catalog import (UnknownIdentityError, build_matrix, closed_form,
                             verify_identity, verify_izergin_korepin,
                             verify_nc_suite, verify_okada, verify_strehl_wilf,
                             verify_turnbull)
-from detkit.catalog.base import (Trial, VerifyReport, run_trial, run_trials,
-                                 trial_rng)
+from detkit.catalog.base import (IdentityRecord, Resample, Trial, VerifyReport,
+                                 rand_frac, rand_nonzero, rand_q, run_trial,
+                                 run_trials, trial_rng)
 from detkit.catalog.sequences import _windows
 from detkit.exactnum import bell_poly, hermite_poly
 from detkit.linalg import MatrixR, det
@@ -315,7 +317,6 @@ def test_factored_columns_match_per_entry_products(n):
 def _goja_sides_per_entry(rng, n, trunc):
     """The Goulden-Jackson trial on the Fraction-loop series, with
     H_j^(-i) inverted and G_i(H_j) composed for every entry."""
-    from detkit.catalog.base import rand_frac, rand_nonzero
     from detkit.exactnum import PolyQ, TruncSeries
     fs, hs, gs = [], [], []
     for _ in range(n):
@@ -408,19 +409,26 @@ def _oracle_matrix(identity_id, n, params):
     return MatrixR.build(n, n, lambda i, j: entry(i, j, **params))
 
 
+# the draws of the samplers that refuse poles, without the refusal
+UNREFUSED_DRAWS = {
+    "chu2": lambda rng, n: {"c": rand_frac(rng)},
+    "anst": lambda rng, n: {"x": rand_nonzero(rng, lo=-5, hi=5, max_den=3),
+                            "E": rand_nonzero(rng, lo=-5, hi=5, max_den=3),
+                            "q": rand_q(rng, 7)},
+    "bombieri-xbc": lambda rng, n: {"b": n, "c": rng.randint(0, n), "x": rand_frac(rng)},
+}
+
+
 def _oracle_draws(identity_id):
     """240 draws, seed s at n = min_n + s % (13 - min_n): every n from
-    min_n to 12 about equally often.  chu2 draws c without its sampler's
-    refusal, so that draws on which the entries divide by zero occur."""
-    from detkit.catalog.base import rand_frac
+    min_n to 12 about equally often.  chu2 and anst draw without their
+    samplers' refusal, so that draws on which the entries divide by zero
+    occur."""
     record = get_record(identity_id)
+    draw = UNREFUSED_DRAWS.get(identity_id, record.sampler)
     for seed in range(240):
         n = record.min_n + seed % (13 - record.min_n)
-        rng = trial_rng(seed, identity_id, 0)
-        if identity_id == "chu2":
-            yield n, {"c": rand_frac(rng)}
-        else:
-            yield n, record.sampler(rng, n)
+        yield n, draw(trial_rng(seed, identity_id, 0), n)
 
 
 def _built_or_raised(build):
@@ -496,31 +504,68 @@ def test_pp5_builder_matches_entry_oracle_off_the_sampler(params):
         _assert_entries(got, 3, lambda i, j: want[i, j])
 
 
-def test_chu2_sampler_refuses_exactly_the_draws_the_builder_divided_by_zero():
-    # the refusal comes after the draw, so the draws and the state of the
-    # generator are the same as when the builder raised
-    from detkit.catalog.base import Resample, rand_frac
-    record = get_record("chu2")
+@pytest.mark.parametrize("identity_id", sorted(UNREFUSED_DRAWS))
+def test_sampler_refuses_exactly_the_draws_that_divided_by_zero(identity_id):
+    # the refusal comes after the draws, so the draws and the state of the
+    # generator are the same as when the builder or closed form raised
+    record = get_record(identity_id)
     refused = 0
     for seed in range(200):
         for n in range(1, 13):
-            rng, raw = trial_rng(seed, "chu2", n), trial_rng(seed, "chu2", n)
-            c = rand_frac(raw)
+            rng, raw = trial_rng(seed, identity_id, n), trial_rng(seed, identity_id, n)
+            drawn = UNREFUSED_DRAWS[identity_id](raw, n)
             try:
                 params = record.sampler(rng, n)
             except Resample:
                 params = None
             assert rng.getstate() == raw.getstate()
-            divides = _built_or_raised(lambda: _oracle_matrix("chu2", n, {"c": c}))
-            assert (params is None) == (divides is ZeroDivisionError), (seed, n, c)
+            assert params in (None, drawn)
+            sides = _built_or_raised(
+                lambda: (record.builder(n, **drawn), record.closed(n, **drawn)))
+            assert (params is None) == (sides is ZeroDivisionError), (seed, n, drawn)
             refused += params is None
     assert refused > 0
+
+
+def test_no_det_record_raises_on_an_accepted_draw():
+    # the sampler is the only place a trial may refuse its parameters:
+    # building, det and the closed form never raise on a draw it accepted
+    # (the first two trials of seeds 0..9, at every n up to one above the cap)
+    for identity_id in registry_ids():
+        record = get_record(identity_id)
+        if record.sampler is None:
+            continue
+        for seed, t in itertools.product(range(10), range(2)):
+            for n in range(record.min_n, record.max_n + 2):
+                rng = trial_rng(seed, identity_id, t)
+                for _ in range(200):
+                    try:
+                        params = record.sampler(rng, n)
+                    except Resample:
+                        continue
+                    det(record.builder(n, **params))
+                    record.closed(n, **params)
+                    break
+                else:
+                    pytest.fail(f"{identity_id}: no accepted draw at n = {n}")
+
+
+def test_run_trial_propagates_a_division_by_zero_instead_of_redrawing():
+    draws = []
+
+    def trial(rng, n):
+        draws.append(rng.random())
+        return {}, Fraction(1), Fraction(1) / 0
+
+    record = IdentityRecord(id="divides-by-zero", trial=trial, max_n=3)
+    with pytest.raises(ZeroDivisionError):
+        run_trial(record, trial_rng(0, record.id, 0), 2)
+    assert len(draws) == 1 and record.id not in registry_ids()
 
 
 def _pairwise_sampler(rng, n, differ):
     """The cauchy/borchardt draw with repeats found by scanning a list
     and the condition checked pair by pair."""
-    from detkit.catalog.base import Resample, rand_frac
 
     def distinct():
         out = []
@@ -552,7 +597,6 @@ def test_double_alternant_samplers_match_pairwise_checks(identity_id, differ):
 
 
 def test_chu2_trial_never_divides_by_zero():
-    from detkit.catalog.base import Resample
     record = get_record("chu2")
     for seed in range(40):
         for n in range(1, 13):

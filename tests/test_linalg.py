@@ -165,7 +165,7 @@ def test_det_multiplicative(a, b):
 @given(square(4))
 @settings(max_examples=40, deadline=None)
 def test_det_transpose(m):
-    assert det(m.transpose()) == det(m)
+    assert det(MatrixR.build(m.cols, m.rows, lambda i, j: m[j, i])) == det(m)
 
 
 def test_vandermonde_oracle():
@@ -457,6 +457,6 @@ def test_resultant_anchor():
 
 def test_submatrix_minor():
     m = MatrixR.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
-    assert m.minor(0, 0) == MatrixR.from_rows([[5, 6], [8, 10]])
+    assert m.submatrix([1, 2], [1, 2]) == MatrixR.from_rows([[5, 6], [8, 10]])
     assert m.submatrix([0, 2], [1, 2]) == MatrixR.from_rows([[2, 3], [8, 10]])
     assert m[2, 2] == 10
