@@ -234,7 +234,10 @@ def run_trial(record: IdentityRecord, rng, n: int) -> Trial:
 
 def run_trials(record: IdentityRecord, n: int, trials: int, seed: int) -> VerifyReport:
     """The seeded checks of one record at size n: trial t draws from
-    trial_rng(seed, record.id, t), and each trial's params start with n."""
+    trial_rng(seed, record.id, t), and each trial's params start with n.
+    A report must hold at least one trial."""
+    if trials < 1:
+        raise ValueError(f"{record.id}: requires trials >= 1, got {trials}")
     report = VerifyReport(record.id)
     for t in range(trials):
         trial = run_trial(record, trial_rng(seed, record.id, t), n)

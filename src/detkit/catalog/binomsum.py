@@ -202,13 +202,7 @@ def _build_chu2(n, c):
 
 
 def _closed_chu2(n, c):
-    c = rat(c)
-    out = Fraction(_sign_mod4(n)) * Fraction(2) ** (n * (n + 1) // 2 + 1)
-    for i in range(1, n):
-        out *= pochhammer(c + i + Fraction(1, 2), (i + 1) // 2)
-        out *= pochhammer(-c - 3 * n + i + 2, i // 2)
-        out /= pochhammer(i, i)
-    return out
+    return 4 ** n * _closed_mrr(n, rat(c) - Fraction(1, 2))
 
 
 det_record("chu2", _sample_c, _build_chu2, _closed_chu2, max_n=5)

@@ -7,7 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..exactnum import PolyQ, _homogeneous, binomial, integer_numerators, rat
-from ..linalg import MatrixR, det, permanent
+from ..linalg import MatrixR, permanent
 from .base import (Resample, det_record, distinct_fracs, prod, rand_frac,
                    rand_nonzero)
 
@@ -85,19 +85,24 @@ def _sample_half_powers(rng, n):
     return {"t": distinct_fracs(rng, n, lo=1)}
 
 
-def _build_weyl_b(n, t):
-    # entry X_i^(j-1/2) - X_i^-(j-1/2) with X_i = t_i^2
-    return MatrixR.build(
-        n, n, lambda i, j: rat(t[i]) ** (2 * j + 1) - rat(t[i]) ** (-(2 * j + 1)))
+def _make_weyl_b(identity_id, s):
+    """weyl-b (s = -1) and weyl-b2 (s = 1): entry X_i^(j-1/2) + s X_i^-(j-1/2)
+    with X_i = t_i^2, 1-based j."""
+
+    def build(n, t):
+        return MatrixR.build(n, n, lambda i, j: (
+            rat(t[i]) ** (2 * j + 1) + s * rat(t[i]) ** (-(2 * j + 1))))
+
+    def closed(n, t):
+        t = [rat(v) for v in t]
+        X = [v * v for v in t]
+        return (prod(v ** (1 - 2 * n) for v in t) * _pair_products(X)
+                * prod(x + s for x in X))
+
+    det_record(identity_id, _sample_half_powers, build, closed, max_n=5)
 
 
-def _closed_weyl_b(n, t):
-    t = [rat(v) for v in t]
-    X = [v * v for v in t]
-    return prod(v ** (1 - 2 * n) for v in t) * _pair_products(X) * prod(x - 1 for x in X)
-
-
-det_record("weyl-b", _sample_half_powers, _build_weyl_b, _closed_weyl_b, max_n=5)
+_make_weyl_b("weyl-b", -1)
 
 
 def _build_weyl_d(n, X):
@@ -112,18 +117,7 @@ def _closed_weyl_d(n, X):
 det_record("weyl-d", _sample_x_nonzero, _build_weyl_d, _closed_weyl_d, max_n=5)
 
 
-def _build_weyl_b2(n, t):
-    return MatrixR.build(
-        n, n, lambda i, j: rat(t[i]) ** (2 * j + 1) + rat(t[i]) ** (-(2 * j + 1)))
-
-
-def _closed_weyl_b2(n, t):
-    t = [rat(v) for v in t]
-    X = [v * v for v in t]
-    return prod(v ** (1 - 2 * n) for v in t) * _pair_products(X) * prod(x + 1 for x in X)
-
-
-det_record("weyl-b2", _sample_half_powers, _build_weyl_b2, _closed_weyl_b2, max_n=5)
+_make_weyl_b("weyl-b2", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -131,13 +125,12 @@ det_record("weyl-b2", _sample_half_powers, _build_weyl_b2, _closed_weyl_b2, max_
 
 
 def _sample_cauchy(rng, n):
-    for _ in range(200):
-        X = distinct_fracs(rng, n)
-        Y = distinct_fracs(rng, n)
-        xs = set(X)
-        if all(-y not in xs for y in Y):  # x + y != 0
-            return {"X": X, "Y": Y}
-    raise Resample
+    X = distinct_fracs(rng, n)
+    Y = distinct_fracs(rng, n)
+    xs = set(X)
+    if any(-y in xs for y in Y):  # x + y == 0
+        raise Resample
+    return {"X": X, "Y": Y}
 
 
 def _build_cauchy(n, X, Y):
@@ -153,12 +146,11 @@ det_record("cauchy", _sample_cauchy, _build_cauchy, _closed_cauchy, max_n=5)
 
 
 def _sample_borchardt(rng, n):
-    for _ in range(200):
-        X = distinct_fracs(rng, n)
-        Y = distinct_fracs(rng, n)
-        if set(X).isdisjoint(Y):  # x - y != 0
-            return {"X": X, "Y": Y}
-    raise Resample
+    X = distinct_fracs(rng, n)
+    Y = distinct_fracs(rng, n)
+    if not set(X).isdisjoint(Y):  # x - y == 0
+        raise Resample
+    return {"X": X, "Y": Y}
 
 
 def _build_borchardt(n, X, Y):
@@ -394,9 +386,8 @@ def _build_krat5(n, X, A, C, B):
 
 
 def _closed_krat5(n, X, A, C, B):
-    X, C = [rat(x) for x in X], rat(C)
-    out = prod((X[j] - X[i]) * (C - X[i] - X[j])
-               for i in range(n) for j in range(i + 1, n))
+    C = rat(C)
+    out = _closed_krat2a(n, X, A, C)
     for i in range(2, n + 1):
         out *= _refl_p(i - 1, -rat(A[i - 2]), B, C)
     return out

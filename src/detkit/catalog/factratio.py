@@ -33,22 +33,39 @@ def _sample_xy_pos(rng, n):
     return {"x": x, "y": y}
 
 
-def _build_kratxy(n, x, y):
+def _ratio_entries(n, x, y, shift, extra):
+    """The matrix of krat-xy (shift = 0) and tsscpp1 (shift = 1): with
+    a = x+2i-j+shift and b = y+2j-i+shift, entry (i, j) is 0 when a < 0
+    or b < 0, and otherwise (x+y+i+j-1)! extra(i, j) / (a! b!), where
+    extra returns an integer."""
+    f = math.factorial
+
     def entry(i, j):
-        a, b = x + 2 * i - j, y + 2 * j - i
+        a, b = x + 2 * i - j + shift, y + 2 * j - i + shift
         if a < 0 or b < 0:
             return Fraction(0)
-        return _fact(x + y + i + j - 1) / (_fact(a) * _fact(b))
+        return Fraction(f(x + y + i + j - 1) * extra(i, j), f(a) * f(b))
     return MatrixR.build(n, n, entry)
 
 
-def _closed_kratxy(n, x, y):
+def _ratio_product(n, x, y, shift):
+    """The product in the closed forms of krat-xy (shift = 0) and tsscpp1
+    (shift = 1)."""
     out = Fraction(1)
     for i in range(n):
         out *= _fact(i) * _fact(x + y + i - 1)
-        out *= pochhammer(2 * x + y + 2 * i, i) * pochhammer(x + 2 * y + 2 * i, i)
-        out /= _fact(x + 2 * i) * _fact(y + 2 * i)
+        out *= pochhammer(2 * x + y + 2 * i + shift, i)
+        out *= pochhammer(x + 2 * y + 2 * i + shift, i)
+        out /= _fact(x + 2 * i + shift) * _fact(y + 2 * i + shift)
     return out
+
+
+def _build_kratxy(n, x, y):
+    return _ratio_entries(n, x, y, 0, lambda i, j: 1)
+
+
+def _closed_kratxy(n, x, y):
+    return _ratio_product(n, x, y, 0)
 
 
 det_record("krat-xy", _sample_xy_pos, _build_kratxy, _closed_kratxy, max_n=5)
@@ -95,21 +112,27 @@ def _q_ratio_entries(n, x, y, q, shift, extra):
     return MatrixR.from_rows(rows)
 
 
-def _build_qkrat(n, x, y, q):
-    return _q_ratio_entries(n, x, y, q, 0, lambda i, j: (1, 1))
-
-
-def _closed_qkrat(n, x, y, q):
+def _q_ratio_product(n, x, y, q, shift):
+    """The product in the closed forms of qkrat (shift = 0) and qtsscpp1
+    (shift = 1)."""
     q = rat(q)
     out = Fraction(1)
     for i in range(n):
         out *= q ** (-2 * i * i) * q_pochhammer(q * q, q * q, i)
         out *= _qq(x + y + i - 1, q)
-        out *= q_pochhammer(q ** (2 * x + y + 2 * i), q, i)
-        out *= q_pochhammer(q ** (x + 2 * y + 2 * i), q, i)
-        out /= _qq(x + 2 * i, q) * _qq(y + 2 * i, q)
-        out /= q_pochhammer(-q ** (x + y + 1), q, n - 1 + i)
+        out *= q_pochhammer(q ** (2 * x + y + 2 * i + shift), q, i)
+        out *= q_pochhammer(q ** (x + 2 * y + 2 * i + shift), q, i)
+        out /= _qq(x + 2 * i + shift, q) * _qq(y + 2 * i + shift, q)
+        out /= q_pochhammer(-q ** (x + y + 1 + shift), q, n - 1 + i)
     return out
+
+
+def _build_qkrat(n, x, y, q):
+    return _q_ratio_entries(n, x, y, q, 0, lambda i, j: (1, 1))
+
+
+def _closed_qkrat(n, x, y, q):
+    return _q_ratio_product(n, x, y, q, 0)
 
 
 det_record("qkrat", _sample_xyq, _build_qkrat, _closed_qkrat, max_n=4)
@@ -177,22 +200,11 @@ det_record("anst", _sample_anst, _build_anst, _closed_anst, max_n=4)
 
 
 def _build_tsscpp1(n, x, y):
-    def entry(i, j):
-        a, b = x + 2 * i - j + 1, y + 2 * j - i + 1
-        if a < 0 or b < 0:
-            return Fraction(0)
-        return _fact(x + y + i + j - 1) * (y - x + 3 * j - 3 * i) \
-            / (_fact(a) * _fact(b))
-    return MatrixR.build(n, n, entry)
+    return _ratio_entries(n, x, y, 1, lambda i, j: y - x + 3 * j - 3 * i)
 
 
 def _closed_tsscpp1(n, x, y):
-    out = Fraction(1)
-    for i in range(n):
-        out *= _fact(i) * _fact(x + y + i - 1)
-        out *= pochhammer(2 * x + y + 2 * i + 1, i)
-        out *= pochhammer(x + 2 * y + 2 * i + 1, i)
-        out /= _fact(x + 2 * i + 1) * _fact(y + 2 * i + 1)
+    out = _ratio_product(n, x, y, 1)
     out *= sum((-1) ** k * binomial(n, k) * pochhammer(x, k) * pochhammer(y, n - k)
                for k in range(n + 1))
     return out
@@ -218,14 +230,7 @@ def _build_qtsscpp1(n, x, y, q):
 
 def _closed_qtsscpp1(n, x, y, q):
     q = rat(q)
-    out = Fraction(1)
-    for i in range(n):
-        out *= q ** (-2 * i * i) * q_pochhammer(q * q, q * q, i)
-        out *= _qq(x + y + i - 1, q)
-        out *= q_pochhammer(q ** (2 * x + y + 2 * i + 1), q, i)
-        out *= q_pochhammer(q ** (x + 2 * y + 2 * i + 1), q, i)
-        out /= _qq(x + 2 * i + 1, q) * _qq(y + 2 * i + 1, q)
-        out /= q_pochhammer(-q ** (x + y + 2), q, n - 1 + i)
+    out = _q_ratio_product(n, x, y, q, 1)
     out *= sum(
         (-1) ** k * q ** (n * k) * q_binomial(n, k, q) * q ** (y * k)
         * q_pochhammer(q ** x, q, k) * q_pochhammer(q ** y, q, n - k)
@@ -275,21 +280,9 @@ def _make_tsscpp2(m, min_n):
         out = Fraction(1)
         for i in range(n):
             out *= _fact(i) * _fact(2 * x + i + m)
-            if m == 0:
-                out *= pochhammer(3 * x + 2 * i + 2, i) ** 2
-                out /= _fact(x + 2 * i) ** 2
-            elif m == 1:
-                out *= pochhammer(3 * x + 2 * i + 3, i) * pochhammer(3 * x + 2 * i + 4, i)
-                out /= _fact(x + 2 * i) * _fact(x + 2 * i + 1)
-            elif m == 2:
-                out *= pochhammer(3 * x + 2 * i + 4, i) * pochhammer(3 * x + 2 * i + 6, i)
-                out /= _fact(x + 2 * i) * _fact(x + 2 * i + 2)
-            elif m == 3:
-                out *= pochhammer(3 * x + 2 * i + 5, i) * pochhammer(3 * x + 2 * i + 8, i)
-                out /= _fact(x + 2 * i) * _fact(x + 2 * i + 3)
-            else:
-                out *= pochhammer(3 * x + 2 * i + 6, i) * pochhammer(3 * x + 2 * i + 10, i)
-                out /= _fact(x + 2 * i) * _fact(x + 2 * i + 4)
+            out *= pochhammer(3 * x + 2 * i + m + 2, i)
+            out *= pochhammer(3 * x + 2 * i + 2 * m + 2, i)
+            out /= _fact(x + 2 * i) * _fact(x + 2 * i + m)
         shift = 1 if m == 0 else (3 if m in (1, 2) else 5)
         out *= prod(2 * x + 2 * i + shift for i in range(h))
         out /= double_factorial(2 * h - 1)

@@ -13,16 +13,11 @@ from ..guess import interpolate_det_poly, lagrange_interpolate, linear_factors
 from ..linalg import MatrixR, det
 from .base import Trial, VerifyReport
 from . import binomsum as _binomsum
+from .classical import _build_vandermonde, _vdm, build_macmahon
 
 
 # ---------------------------------------------------------------------------
 # condensation
-
-
-def _cond_matrix(a: int, b: int, n: int) -> MatrixR:
-    # 1-based entry binom(a+b, a-i+j)
-    return MatrixR.build(
-        n, n, lambda i, j: binomial(a + b, a - (i + 1) + (j + 1)))
 
 
 def condensation_recurrence_check(a: int, b: int, n: int) -> VerifyReport:
@@ -32,25 +27,26 @@ def condensation_recurrence_check(a: int, b: int, n: int) -> VerifyReport:
     if n < 2:
         raise ValueError("n >= 2")
     report = VerifyReport("condensation")
-    m = _cond_matrix(a, b, n)
+    m = build_macmahon(n, a, b)
     all_idx = list(range(n))
     inner = all_idx[1:]
     outer = all_idx[:-1]
     minors = (
-        ("rows 1..n-1, cols 1..n-1", m.submatrix(outer, outer), _cond_matrix(a, b, n - 1)),
-        ("rows 2..n,   cols 2..n", m.submatrix(inner, inner), _cond_matrix(a, b, n - 1)),
-        ("rows 1..n-1, cols 2..n", m.submatrix(outer, inner), _cond_matrix(a + 1, b - 1, n - 1)),
-        ("rows 2..n,   cols 1..n-1", m.submatrix(inner, outer), _cond_matrix(a - 1, b + 1, n - 1)),
-        ("rows 2..n-1, cols 2..n-1", m.submatrix(all_idx[1:-1], all_idx[1:-1]), _cond_matrix(a, b, n - 2)),
+        ("rows 1..n-1, cols 1..n-1", outer, outer, (n - 1, a, b)),
+        ("rows 2..n,   cols 2..n", inner, inner, (n - 1, a, b)),
+        ("rows 1..n-1, cols 2..n", outer, inner, (n - 1, a + 1, b - 1)),
+        ("rows 2..n,   cols 1..n-1", inner, outer, (n - 1, a - 1, b + 1)),
+        ("rows 2..n-1, cols 2..n-1", all_idx[1:-1], all_idx[1:-1], (n - 2, a, b)),
     )
-    for name, got, want in minors:
+    for name, rows, cols, args in minors:
+        got, want = m.submatrix(rows, cols), build_macmahon(*args)
         report.trials.append(Trial(
             {"a": a, "b": b, "n": n, "minor": name},
             got.to_rows(), want.to_rows(), got == want))
-    lhs = det(m) * det(_cond_matrix(a, b, n - 2))
-    rhs = (det(_cond_matrix(a, b, n - 1)) ** 2
-           - det(_cond_matrix(a - 1, b + 1, n - 1))
-           * det(_cond_matrix(a + 1, b - 1, n - 1)))
+    lhs = det(m) * det(build_macmahon(n - 2, a, b))
+    rhs = (det(build_macmahon(n - 1, a, b)) ** 2
+           - det(build_macmahon(n - 1, a - 1, b + 1))
+           * det(build_macmahon(n - 1, a + 1, b - 1)))
     report.trials.append(Trial(
         {"a": a, "b": b, "n": n, "check": "desnanot"}, lhs, rhs, lhs == rhs))
     return report
@@ -89,6 +85,8 @@ def ode_method_check(n: int, a: int, b: int) -> VerifyReport:
     derivative of M equals T.M as rational functions; the trace of T is
     the displayed partial-fraction sum, which forces the determinant's
     product form (checked on interpolated samples)."""
+    if n < 1:
+        raise ValueError(f"ode-method: requires n >= 1, got {n}")
     report = VerifyReport("ode-method")
     m = [[RatFn(_ode_m_entry(n, b, i, j)) for j in range(1, n + 1)]
          for i in range(1, n + 1)]
@@ -154,11 +152,13 @@ def elementary_symmetric(m: int, xs) -> Fraction:
 def lu_vandermonde_check(n: int, X) -> VerifyReport:
     """M.U = L with the guessed unitriangular U and triangular L, whose
     diagonal multiplies out to the difference product."""
+    if n < 1:
+        raise ValueError(f"lu-vandermonde: requires n >= 1, got {n}")
     X = [rat(x) for x in X]
     if len(set(X)) != n or len(X) != n:
         raise ValueError("X must be n distinct rationals")
     report = VerifyReport("lu-vandermonde")
-    m = MatrixR.build(n, n, lambda i, j: X[i] ** j)
+    m = _build_vandermonde(n, X)
 
     def u_entry(i, j):
         if i > j:
@@ -180,10 +180,7 @@ def lu_vandermonde_check(n: int, X) -> VerifyReport:
     diag = Fraction(1)
     for j in range(n):
         diag *= el[j, j]
-    vdm = Fraction(1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            vdm *= X[j] - X[i]
+    vdm = _vdm(X)
     report.trials.append(Trial(
         {"n": n, "X": tuple(X), "check": "diagonal product"},
         diag, vdm, diag == vdm))

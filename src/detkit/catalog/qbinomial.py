@@ -238,58 +238,37 @@ def _sample_incr(rng, n):
             "A": rng.randint(2, 6), "q": rand_q(rng, 7)}
 
 
-def _build_pp4(n, L, A, q):
-    q = rat(q)
+def _make_pp4(identity_id, t):
+    """pp4 (t = 1) and pp4a (t = 0): with 1-based j, entry (i, j) is
+    q^(j(L_j-L_i)) ([A, j-L_i]_q - q^(j(2L_i+A-t)) [A, -j-L_i+t]_q)."""
 
-    def entry(i0, j0):
-        j = j0 + 1
-        return q ** (j * (L[j0] - L[i0])) * (
-            q_binomial(A, j - L[i0], q)
-            - q ** (j * (2 * L[i0] + A - 1)) * q_binomial(A, -j - L[i0] + 1, q))
-    return MatrixR.build(n, n, entry)
+    def build(n, L, A, q):
+        q = rat(q)
 
+        def entry(i0, j0):
+            j = j0 + 1
+            return q ** (j * (L[j0] - L[i0])) * (
+                q_binomial(A, j - L[i0], q)
+                - q ** (j * (2 * L[i0] + A - t)) * q_binomial(A, -j - L[i0] + t, q))
+        return MatrixR.build(n, n, entry)
 
-def _closed_pp4(n, L, A, q):
-    q = rat(q)
-    out = Fraction(1)
-    for i0 in range(n):
-        out *= q_factorial(A + 2 * (i0 + 1) - 2, q) \
-            / (q_factorial(n - L[i0], q) * q_factorial(A + n - 1 + L[i0], q))
-    out *= prod(q_int(L[j] - L[i], q)
-                for i in range(n) for j in range(i + 1, n))
-    out *= prod(q_int(L[i] + L[j] + A - 1, q)
-                for i in range(n) for j in range(i, n))
-    return out
+    def closed(n, L, A, q):
+        q = rat(q)
+        out = Fraction(1)
+        for i0 in range(n):
+            out *= q_factorial(A + 2 * (i0 + 1) - 1 - t, q) \
+                / (q_factorial(n - L[i0], q) * q_factorial(A + n - t + L[i0], q))
+        out *= prod(q_int(L[j] - L[i], q)
+                    for i in range(n) for j in range(i + 1, n))
+        out *= prod(q_int(L[i] + L[j] + A - t, q)
+                    for i in range(n) for j in range(i, n))
+        return out
 
-
-det_record("pp4", _sample_incr, _build_pp4, _closed_pp4, max_n=5)
-
-
-def _build_pp4a(n, L, A, q):
-    q = rat(q)
-
-    def entry(i0, j0):
-        j = j0 + 1
-        return q ** (j * (L[j0] - L[i0])) * (
-            q_binomial(A, j - L[i0], q)
-            - q ** (j * (2 * L[i0] + A)) * q_binomial(A, -j - L[i0], q))
-    return MatrixR.build(n, n, entry)
+    det_record(identity_id, _sample_incr, build, closed, max_n=5)
 
 
-def _closed_pp4a(n, L, A, q):
-    q = rat(q)
-    out = Fraction(1)
-    for i0 in range(n):
-        out *= q_factorial(A + 2 * (i0 + 1) - 1, q) \
-            / (q_factorial(n - L[i0], q) * q_factorial(A + n + L[i0], q))
-    out *= prod(q_int(L[j] - L[i], q)
-                for i in range(n) for j in range(i + 1, n))
-    out *= prod(q_int(L[i] + L[j] + A, q)
-                for i in range(n) for j in range(i, n))
-    return out
-
-
-det_record("pp4a", _sample_incr, _build_pp4a, _closed_pp4a, max_n=5)
+_make_pp4("pp4", 1)
+_make_pp4("pp4a", 0)
 
 
 def _sample_pp6(rng, n):
@@ -297,66 +276,41 @@ def _sample_pp6(rng, n):
             "A": 2 * rng.randint(1, 4), "r": rand_q(rng, 5)}
 
 
-def _build_pp6(n, L, A, r):
-    r = rat(r)
-    q = r * r
+def _make_pp6(identity_id, t):
+    """pp6 (t = 1) and pp6a (t = 2), with q = r^2: with 1-based j, entry
+    (i, j) is r^((2j-1)(L_j-L_i)) ([A, j-L_i]_q
+    + r^((2j-1)(2L_i+A-t)) [A, -j-L_i+t]_q)."""
 
-    def entry(i0, j0):
-        j = j0 + 1
-        return r ** ((2 * j - 1) * (L[j0] - L[i0])) * (
-            q_binomial(A, j - L[i0], q)
-            + r ** ((2 * j - 1) * (2 * L[i0] + A - 1))
-            * q_binomial(A, -j - L[i0] + 1, q))
-    return MatrixR.build(n, n, entry)
+    def build(n, L, A, r):
+        r = rat(r)
+        q = r * r
 
+        def entry(i0, j0):
+            j = j0 + 1
+            return r ** ((2 * j - 1) * (L[j0] - L[i0])) * (
+                q_binomial(A, j - L[i0], q)
+                + r ** ((2 * j - 1) * (2 * L[i0] + A - t))
+                * q_binomial(A, -j - L[i0] + t, q))
+        return MatrixR.build(n, n, entry)
 
-def _closed_pp6(n, L, A, r):
-    r = rat(r)
-    q = r * r
-    out = Fraction(1)
-    for i0 in range(n):
-        i = i0 + 1
-        out *= (1 + r ** (2 * L[i0] + A - 1)) / (1 + r ** (2 * i + A - 1))
-        out *= q_factorial(A + 2 * i - 1, q) \
-            / (q_factorial(n - L[i0], q) * q_factorial(A + n + L[i0] - 1, q))
-    out *= prod(q_int(L[j] - L[i], q) * q_int(L[i] + L[j] + A - 1, q)
-                for i in range(n) for j in range(i + 1, n))
-    return out
+    def closed(n, L, A, r):
+        # pp6a (t = 2) has no i = 1 denominator 1 + r^(2i+A-t)
+        r = rat(r)
+        q = r * r
+        out = prod(1 + r ** (2 * L[i0] + A - t) for i0 in range(n))
+        out /= prod(1 + r ** (2 * i + A - t) for i in range(t, n + 1))
+        for i0 in range(n):
+            out *= q_factorial(A + 2 * (i0 + 1) - t, q) \
+                / (q_factorial(n - L[i0], q) * q_factorial(A + n + L[i0] - t, q))
+        out *= prod(q_int(L[j] - L[i], q) * q_int(L[i] + L[j] + A - t, q)
+                    for i in range(n) for j in range(i + 1, n))
+        return out
 
-
-det_record("pp6", _sample_pp6, _build_pp6, _closed_pp6, max_n=5)
-
-
-def _build_pp6a(n, L, A, r):
-    r = rat(r)
-    q = r * r
-
-    def entry(i0, j0):
-        j = j0 + 1
-        return r ** ((2 * j - 1) * (L[j0] - L[i0])) * (
-            q_binomial(A, j - L[i0], q)
-            + r ** ((2 * j - 1) * (2 * L[i0] + A - 2))
-            * q_binomial(A, -j - L[i0] + 2, q))
-    return MatrixR.build(n, n, entry)
+    det_record(identity_id, _sample_pp6, build, closed, max_n=5)
 
 
-def _closed_pp6a(n, L, A, r):
-    r = rat(r)
-    q = r * r
-    out = Fraction(1)
-    for i0 in range(n):
-        i = i0 + 1
-        out *= 1 + r ** (2 * L[i0] + A - 2)
-        if i >= 2:
-            out /= 1 + r ** (2 * i + A - 2)
-        out *= q_factorial(A + 2 * i - 2, q) \
-            / (q_factorial(n - L[i0], q) * q_factorial(A + n + L[i0] - 2, q))
-    out *= prod(q_int(L[j] - L[i], q) * q_int(L[i] + L[j] + A - 2, q)
-                for i in range(n) for j in range(i + 1, n))
-    return out
-
-
-det_record("pp6a", _sample_pp6, _build_pp6a, _closed_pp6a, max_n=5)
+_make_pp6("pp6", 1)
+_make_pp6("pp6a", 2)
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +321,14 @@ def _sample_mu(rng, n):
     return {"mu": rand_frac(rng)}
 
 
-def _build_andrews(n, mu):
-    mu = rat(mu)
-    return MatrixR.build(
-        n, n,
-        lambda i, j: (1 if i == j else 0) + binomial(2 * mu + i + j, j))
+def _binomial_plus_diagonal(diag):
+    """The builder of andrews (diag = 1) and zare1 (diag = -1): entry
+    (i, j) is diag * [i == j] + binom(2mu+i+j, j)."""
+    def build(n, mu):
+        mu = rat(mu)
+        return MatrixR.build(
+            n, n, lambda i, j: (diag if i == j else 0) + binomial(2 * mu + i + j, j))
+    return build
 
 
 def _closed_andrews(n, mu):
@@ -398,7 +355,7 @@ def _closed_andrews(n, mu):
     return out
 
 
-det_record("andrews", _sample_mu, _build_andrews, _closed_andrews, max_n=5)
+det_record("andrews", _sample_mu, _binomial_plus_diagonal(1), _closed_andrews, max_n=5)
 
 
 def _sample_q_only(rng, n):
@@ -447,12 +404,6 @@ def _sample_zare(rng, n):
     return {"mu": rng.randint(0, 6)}
 
 
-def _build_zare1(n, mu):
-    return MatrixR.build(
-        n, n,
-        lambda i, j: (-1 if i == j else 0) + binomial(2 * mu + i + j, j))
-
-
 def _closed_zare1(n, mu):
     if n % 2:
         return Fraction(0)
@@ -467,4 +418,4 @@ def _closed_zare1(n, mu):
     return out
 
 
-det_record("zare1", _sample_zare, _build_zare1, _closed_zare1, max_n=5)
+det_record("zare1", _sample_zare, _binomial_plus_diagonal(-1), _closed_zare1, max_n=5)

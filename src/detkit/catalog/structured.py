@@ -89,18 +89,20 @@ def _closed_maj(n: int, q: Fraction) -> Fraction:
     return out
 
 
-def _zagier_inv_trial(rng, n):
-    q = rand_q(rng)
-    return {"q": q}, det(_perm_det_matrix(n, q, "inv")), _closed_inv(n, q)
+_GROUP_CLOSED = {"inv": _closed_inv, "maj": _closed_maj}
 
 
-def _zagier_maj_trial(rng, n):
-    q = rand_q(rng)
-    return {"q": q}, det(_perm_det_matrix(n, q, "maj")), _closed_maj(n, q)
+def _zagier_trial(kind):
+    closed = _GROUP_CLOSED[kind]
+
+    def trial(rng, n):
+        q = rand_q(rng)
+        return {"q": q}, det(_perm_det_matrix(n, q, kind)), closed(n, q)
+    return trial
 
 
-register(IdentityRecord(id="zagier-inv", trial=_zagier_inv_trial, max_n=4))
-register(IdentityRecord(id="zagier-maj", trial=_zagier_maj_trial, max_n=4))
+register(IdentityRecord(id="zagier-inv", trial=_zagier_trial("inv"), max_n=4))
+register(IdentityRecord(id="zagier-maj", trial=_zagier_trial("maj"), max_n=4))
 
 
 def _maj_spectrum(n: int, q: Fraction) -> PolyQ:
@@ -122,11 +124,13 @@ def verify_group_determinant(kind: str, n: int, q, with_spectrum: bool = False) 
     """Check the symmetric-group determinant for the chosen statistic at
     one rational q; optionally also the full eigenvalue structure of the
     major-index matrix."""
-    if kind not in ("inv", "maj"):
+    if kind not in _GROUP_CLOSED:
         raise ValueError("kind must be 'inv' or 'maj'")
+    if n < 1:
+        raise ValueError(f"group-{kind}: requires n >= 1, got {n}")
     q = rat(q)
     m = _perm_det_matrix(n, q, kind)
-    closed = _closed_inv(n, q) if kind == "inv" else _closed_maj(n, q)
+    closed = _GROUP_CLOSED[kind](n, q)
     lhs = det(m)
     report = VerifyReport(f"group-{kind}")
     report.trials.append(Trial({"n": n, "q": q}, lhs, closed, lhs == closed))
@@ -308,6 +312,8 @@ register(IdentityRecord(id="okada", trial=_okada_trial, max_n=4,
 
 
 def verify_okada(n: int, q) -> VerifyReport:
+    if n < 1:
+        raise ValueError(f"okada: requires n >= 1, got {n}")
     q = rat(q)
     lhs = det(_build_okada(n, q))
     rhs = _closed_okada(n, q)

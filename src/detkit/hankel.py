@@ -201,25 +201,6 @@ def heilermann_product(j: JFraction, n: int) -> Fraction:
     return heilermann_products(j, n)[n]
 
 
-def hankel_x_transform(s: MomentSeq, x, n: int) -> Fraction:
-    """det of the binomially transformed Hankel matrix
-    entry(i,j) = sum_k binom(i+j, k) s[k] x^(i+j-k); equals hankel_det(s, n)."""
-    from .exactnum import binomial
-
-    x = rat(x)
-    if n == 0:
-        return Fraction(1)
-    need = 2 * n - 2
-    if need >= len(s):
-        raise ValueError("moment sequence too short")
-
-    def entry(i, j):
-        m = i + j
-        return sum((binomial(m, k) * s[k] * x ** (m - k) for k in range(m + 1)), Fraction(0))
-
-    return det(MatrixR.build(n, n, entry))
-
-
 def bernoulli_shifted_moments(count: int, shift: int = 2) -> MomentSeq:
     """Moments mu_k = B_{k+shift}."""
     return MomentSeq([bernoulli(k + shift) for k in range(count)])

@@ -75,6 +75,15 @@ def test_verify_identity_deterministic():
     assert r1.overall
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_run_trials_rejects_an_empty_report(trials):
+    message = f"^cauchy: requires trials >= 1, got {trials}$"
+    with pytest.raises(ValueError, match=message):
+        verify_identity("cauchy", trials=trials)
+    with pytest.raises(ValueError, match=message):
+        run_trials(get_record("cauchy"), 3, trials, 0)
+
+
 def test_verify_identity_max_n_clamp():
     record = get_record("vandermonde")
     report = verify_identity("vandermonde", trials=2, seed=1, max_n=100)
@@ -162,6 +171,19 @@ def _perm_det_matrix_per_entry(n, q, kind):
 def test_perm_det_matrix_matches_per_entry(n, kind, q):
     from detkit.catalog.structured import _perm_det_matrix
     assert _perm_det_matrix(n, q, kind) == _perm_det_matrix_per_entry(n, q, kind)
+
+
+@pytest.mark.parametrize("check, message", [
+    (lambda n: verify_group_determinant("maj", n, Fraction(1, 2)), "group-maj"),
+    (lambda n: verify_group_determinant("inv", n, Fraction(1, 2)), "group-inv"),
+    (lambda n: verify_okada(n, Fraction(1, 3)), "okada"),
+    (lambda n: ode_method_check(n, 1, 2), "ode-method"),
+    (lambda n: lu_vandermonde_check(n, []), "lu-vandermonde")],
+    ids=["group-maj", "group-inv", "okada", "ode-method", "lu-vandermonde"])
+@pytest.mark.parametrize("n", [0, -1, -2])
+def test_unseeded_checks_reject_n_below_one(check, message, n):
+    with pytest.raises(ValueError, match=f"^{message}: requires n >= 1, got {n}$"):
+        check(n)
 
 
 def test_maj_spectrum():
@@ -587,12 +609,21 @@ def _pairwise_sampler(rng, n, differ):
     ("cauchy", lambda x, y: x + y != 0), ("borchardt", lambda x, y: x - y != 0)],
     ids=["cauchy", "borchardt"])
 def test_double_alternant_samplers_match_pairwise_checks(identity_id, differ):
-    # the same draws and the same generator state afterwards
+    # the same draws and the same generator state afterwards; a refused
+    # draw is redrawn from the same generator, as run_trial does
     record = get_record(identity_id)
+
+    def redrawn(rng, n):
+        for _ in range(200):
+            try:
+                return record.sampler(rng, n)
+            except Resample:
+                continue
+        raise Resample
     for seed in range(20):
         for n in (1, 4, 8, 12):
             rng, ref = trial_rng(seed, identity_id, n), trial_rng(seed, identity_id, n)
-            assert record.sampler(rng, n) == _pairwise_sampler(ref, n, differ)
+            assert redrawn(rng, n) == _pairwise_sampler(ref, n, differ)
             assert rng.getstate() == ref.getstate()
 
 

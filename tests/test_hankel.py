@@ -8,16 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detkit.exactnum import (TruncSeries, bell_poly, bernoulli, catalan,
-                             euler_even, hermite_poly)
+from detkit.exactnum import (TruncSeries, bell_poly, bernoulli, binomial,
+                             catalan, euler_even, hermite_poly)
 from detkit.hankel import (NAMED_MOMENTS, DegenerateMomentsError, JFraction,
                            MomentSeq, bernoulli_shifted_moments,
                            hankel_det, hankel_dets,
                            hankel_matrix,
-                           hankel_x_transform,
                            heilermann_product, heilermann_products,
                            jfraction_from_moments,
                            moments_from_jfraction)
+from detkit.linalg import MatrixR, det
 
 
 def test_hankel_matrix_shape():
@@ -100,6 +100,16 @@ def test_continuous_hahn_coefficients():
     # and it reproduces the shifted moment sequence
     s = bernoulli_shifted_moments(10, shift=2)
     assert list(moments_from_jfraction(j, 10)) == list(s)
+
+
+def hankel_x_transform(s: MomentSeq, x: Fraction, n: int) -> Fraction:
+    """det of the binomially transformed Hankel matrix
+    entry(i,j) = sum_k binom(i+j, k) s[k] x^(i+j-k); equals hankel_det(s, n)."""
+    def entry(i, j):
+        m = i + j
+        return sum((binomial(m, k) * s[k] * x ** (m - k) for k in range(m + 1)), Fraction(0))
+
+    return det(MatrixR.build(n, n, entry))
 
 
 def test_hankel_x_transform():
