@@ -27,7 +27,7 @@ def show(report) -> bool:
 def main() -> int:
     ok = True
     ok &= show(condensation_recurrence_check(2, 3, 5))
-    ok &= show(ode_method_check(4, 1, 2))
+    ok &= show(ode_method_check(4, 2))
     ok &= show(lu_vandermonde_check(6, [Fraction(i + 1, 2) for i in range(6)]))
     ok &= show(identification_workflow_mrr(4))
     return 0 if ok else 1

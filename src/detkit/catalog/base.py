@@ -67,7 +67,12 @@ def rand_q(rng, max_den: int = 9) -> Fraction:
     return Fraction(num, den)
 
 
+def _sample_mu(rng, n):
+    return {"mu": rand_frac(rng)}
+
+
 def decreasing_ints(rng, count: int, hi: int) -> tuple[int, ...]:
+    """count distinct integers from 0..hi, largest first."""
     if hi + 1 < count:
         raise ValueError("range too small")
     vals = rng.sample(range(hi + 1), count)
@@ -84,6 +89,11 @@ def prod(items):
     for x in items:
         out = out * x
     return out
+
+
+def _vdm(xs) -> Fraction:
+    """The Vandermonde product prod_{i<j} (xs[j] - xs[i])."""
+    return prod(xs[j] - xs[i] for i in range(len(xs)) for j in range(i + 1, len(xs)))
 
 
 # ---------------------------------------------------------------------------
@@ -173,20 +183,18 @@ class IdentityRecord:
 
 
 REGISTRY: dict[str, IdentityRecord] = {}
-_ORDER: list[str] = []
 
 
 def register(record: IdentityRecord) -> IdentityRecord:
     if record.id in REGISTRY:
         raise ValueError(f"duplicate registry id {record.id!r}")
     REGISTRY[record.id] = record
-    _ORDER.append(record.id)
     return record
 
 
 def registry_ids() -> tuple[str, ...]:
     """All ids, in registration (= report) order."""
-    return tuple(_ORDER)
+    return tuple(REGISTRY)
 
 
 def get_record(identity_id: str) -> IdentityRecord:

@@ -9,7 +9,8 @@ from fractions import Fraction
 
 from ..exactnum import binomial, double_factorial, pochhammer, rat
 from ..linalg import MatrixR, det
-from .base import IdentityRecord, Resample, det_record, rand_frac, register
+from .base import (IdentityRecord, Resample, _sample_mu, det_record, rand_frac,
+                   register)
 
 
 def _sign_mod4(n: int) -> int:
@@ -88,10 +89,6 @@ register(IdentityRecord(id="mrr-factor", trial=_mrr_factor_trial, max_n=2))
 # binom(mu+i+j, 2i-j) and relatives (all 0-based)
 
 
-def _sample_mu(rng, n):
-    return {"mu": rand_frac(rng)}
-
-
 def _build_mrr(n, mu):
     mu = rat(mu)
     return MatrixR.build(n, n, lambda i, j: binomial(mu + i + j, 2 * i - j))
@@ -136,11 +133,20 @@ def _sample_xy(rng, n):
     return {"x": rand_frac(rng), "y": rand_frac(rng)}
 
 
-def _build_ab(n, x, y):
-    x, y = rat(x), rat(y)
+def _build_chu1(n, c, x):
+    c = rat(c)
+    plus = [c + rat(v) for v in x]
+    minus = [c - rat(v) for v in x]
     return MatrixR.build(
         n, n,
-        lambda i, j: binomial(x + i + j, 2 * i - j) + binomial(y + i + j, 2 * i - j))
+        lambda i, j: binomial(plus[i] + i + j, 2 * i - j)
+        + binomial(minus[i] + i + j, 2 * i - j))
+
+
+def _build_ab(n, x, y):
+    # chu1 at c = (x+y)/2 with every x_i = (x-y)/2
+    x, y = rat(x), rat(y)
+    return _build_chu1(n, (x + y) / 2, [(x - y) / 2] * n)
 
 
 def _closed_ab(n, x, y):
@@ -153,15 +159,6 @@ det_record("ab", _sample_xy, _build_ab, _closed_ab, max_n=5)
 def _sample_chu1(rng, n):
     return {"c": rand_frac(rng),
             "x": tuple(rand_frac(rng) for _ in range(n))}
-
-
-def _build_chu1(n, c, x):
-    c = rat(c)
-    x = [rat(v) for v in x]
-    return MatrixR.build(
-        n, n,
-        lambda i, j: binomial(c + x[i] + i + j, 2 * i - j)
-        + binomial(c - x[i] + i + j, 2 * i - j))
 
 
 def _closed_chu1(n, c, x):

@@ -8,12 +8,8 @@ from fractions import Fraction
 
 from ..exactnum import PolyQ, _homogeneous, binomial, integer_numerators, rat
 from ..linalg import MatrixR, permanent
-from .base import (Resample, det_record, distinct_fracs, prod, rand_frac,
+from .base import (Resample, _vdm, det_record, distinct_fracs, prod, rand_frac,
                    rand_nonzero)
-
-
-def _vdm(xs) -> Fraction:
-    return prod(xs[j] - xs[i] for i in range(len(xs)) for j in range(i + 1, len(xs)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ from fractions import Fraction
 from ..exactnum import PolyQ, RatFn, binomial, factorial, rat
 from ..guess import interpolate_det_poly, lagrange_interpolate, linear_factors
 from ..linalg import MatrixR, det
-from .base import Trial, VerifyReport
+from .base import Trial, VerifyReport, _vdm
 from . import binomsum as _binomsum
-from .classical import _build_vandermonde, _vdm, build_macmahon
+from .classical import _build_vandermonde, build_macmahon
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +80,7 @@ def _ode_t_entry(n: int, b: int, i: int, j: int) -> RatFn:
     return out * c
 
 
-def ode_method_check(n: int, a: int, b: int) -> VerifyReport:
+def ode_method_check(n: int, b: int) -> VerifyReport:
     """With entries of M as polynomials in the free parameter, the
     derivative of M equals T.M as rational functions; the trace of T is
     the displayed partial-fraction sum, which forces the determinant's
@@ -128,7 +128,7 @@ def ode_method_check(n: int, a: int, b: int) -> VerifyReport:
         if got != closed(Fraction(av)):
             samples_ok = False
     report.trials.append(Trial(
-        {"n": n, "a": a, "b": b, "check": "determinant"},
+        {"n": n, "b": b, "check": "determinant"},
         samples_ok, True, samples_ok))
     return report
 

@@ -9,8 +9,7 @@ from fractions import Fraction
 from ..exactnum import (PolyQ, divided_differences, factorial, q_factorial,
                         q_int, rat)
 from ..linalg import MatrixR, det
-from .base import (Resample, det_record, distinct_fracs, prod, rand_frac,
-                   rand_q)
+from .base import _vdm, det_record, distinct_fracs, prod, rand_frac, rand_q
 
 
 def _binom2(m: int) -> int:
@@ -136,9 +135,7 @@ def _closed_wronski(n, parts, a, polys):
     denom = Fraction(1)
     off = 0
     for m in parts:
-        block = pts[off:off + m]
-        denom *= prod(block[j] - block[i]
-                      for i in range(m) for j in range(i + 1, m))
+        denom *= _vdm(pts[off:off + m])
         off += m
     return plain / denom
 

@@ -9,16 +9,13 @@ from fractions import Fraction
 from ..exactnum import (binomial, double_factorial, factorial, pochhammer,
                         q_binomial, q_factorial, q_int, q_pochhammer, rat)
 from ..linalg import MatrixR
-from .base import _ceil, decreasing_ints, det_record, prod, rand_frac, rand_q
+from .base import (_ceil, _sample_mu, _vdm, decreasing_ints, det_record,
+                   prod, rand_frac, rand_q)
 
 
 def _inv_fact(m: int) -> Fraction:
     """1/m!, with 1/(negative)! = 0."""
     return Fraction(0) if m < 0 else Fraction(1, factorial(m))
-
-
-def _increasing_ints(rng, n: int, hi: int) -> tuple[int, ...]:
-    return tuple(sorted(rng.sample(range(0, hi + 1), n)))
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +86,7 @@ def _build_pp3(n, L, A, B):
 
 def _closed_pp3(n, L, A, B):
     A, B = rat(A), rat(B)
-    out = prod(Fraction(L[i] - L[j])
-               for i in range(n) for j in range(i + 1, n))
+    out = _vdm(L[::-1])
     for i in range(n):
         out *= pochhammer((B - 1) * L[i] + A, L[i] + 1) / factorial(L[i] + n)
         out *= pochhammer(A - B * (i + 1) + 1, i)
@@ -101,7 +97,7 @@ det_record("pp3", _sample_pp3, _build_pp3, _closed_pp3, max_n=5)
 
 
 def _sample_abel(rng, n):
-    return {"L": tuple(sorted(rng.sample(range(0, n + 1), n), reverse=True)),
+    return {"L": decreasing_ints(rng, n, hi=n),
             "A": rand_frac(rng), "B": rand_frac(rng)}
 
 
@@ -114,8 +110,7 @@ def _build_abel(n, L, A, B):
 
 def _closed_abel(n, L, A, B):
     A, B = rat(A), rat(B)
-    out = prod(Fraction(L[j] - L[i])
-               for i in range(n) for j in range(i + 1, n))
+    out = _vdm(L)
     for i in range(n):
         out *= (A + B * (i + 1)) ** i * _inv_fact(n - L[i])
     return out
@@ -194,7 +189,7 @@ det_record("pp5", _sample_pp5, _build_pp5, _closed_pp5, max_n=5)
 
 
 def _sample_pp5a(rng, n):
-    X = tuple(sorted(rng.sample(range(0, 7), n), reverse=True))
+    X = decreasing_ints(rng, n, hi=6)
     B = rng.randint(n - 1, n + 3) if n > 1 else rng.randint(1, 4)
     A = rng.randint(max(0, X[0] - B + n - 1), X[0] - B + n + 4)
     Y = tuple(rng.randint(0, 6) for _ in range(n))
@@ -234,7 +229,7 @@ det_record("pp5a", _sample_pp5a, _build_pp5a, _closed_pp5a, max_n=4)
 
 
 def _sample_incr(rng, n):
-    return {"L": _increasing_ints(rng, n, hi=n),
+    return {"L": decreasing_ints(rng, n, hi=n)[::-1],
             "A": rng.randint(2, 6), "q": rand_q(rng, 7)}
 
 
@@ -272,7 +267,7 @@ _make_pp4("pp4a", 0)
 
 
 def _sample_pp6(rng, n):
-    return {"L": _increasing_ints(rng, n, hi=n),
+    return {"L": decreasing_ints(rng, n, hi=n)[::-1],
             "A": 2 * rng.randint(1, 4), "r": rand_q(rng, 5)}
 
 
@@ -315,10 +310,6 @@ _make_pp6("pp6a", 2)
 
 # ---------------------------------------------------------------------------
 # perturbed identity plus binomial matrix
-
-
-def _sample_mu(rng, n):
-    return {"mu": rand_frac(rng)}
 
 
 def _binomial_plus_diagonal(diag):

@@ -19,7 +19,7 @@ from ..combinat import (PosetData, all_perms, enumerate_partitions,
 from ..exactnum import (PolyQ, TruncSeries, binomial, chebyshev_u,
                         compose_each, q_binomial, q_pochhammer, rat, stirling2)
 from ..linalg import MatrixR, _det_laplace, char_poly, det
-from .base import (IdentityRecord, Resample, Trial, VerifyReport,
+from .base import (IdentityRecord, Resample, Trial, VerifyReport, _vdm,
                    distinct_fracs, get_record, rand_frac, rand_nonzero, rand_q,
                    register, run_trials)
 
@@ -128,6 +128,8 @@ def verify_group_determinant(kind: str, n: int, q, with_spectrum: bool = False) 
         raise ValueError("kind must be 'inv' or 'maj'")
     if n < 1:
         raise ValueError(f"group-{kind}: requires n >= 1, got {n}")
+    if with_spectrum and kind != "maj":
+        raise ValueError("spectrum check is only stated for kind='maj'")
     q = rat(q)
     m = _perm_det_matrix(n, q, kind)
     closed = _GROUP_CLOSED[kind](n, q)
@@ -135,8 +137,6 @@ def verify_group_determinant(kind: str, n: int, q, with_spectrum: bool = False) 
     report = VerifyReport(f"group-{kind}")
     report.trials.append(Trial({"n": n, "q": q}, lhs, closed, lhs == closed))
     if with_spectrum:
-        if kind != "maj":
-            raise ValueError("spectrum check is only stated for kind='maj'")
         cp = char_poly(m)
         expected = _maj_spectrum(n, q)
         report.trials.append(Trial({"n": n, "q": q, "check": "spectrum"},
@@ -444,12 +444,7 @@ def _stwi_sides(rng, n: int, trunc: int):
     # expansion with shared minors (n * 2^(n-1) series products), called
     # directly because det() takes only int/Fraction entries
     lhs = _det_laplace(MatrixR.from_rows(rows))
-    rhs = u.pow_int(n * (n - 1) // 2)
-    coef = Fraction(1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            coef *= a[j] - a[i]
-    rhs = rhs * coef
+    rhs = u.pow_int(n * (n - 1) // 2) * _vdm(a)
     return {"f": f, "a": tuple(a)}, lhs, rhs
 
 
@@ -484,10 +479,7 @@ def _izkor_sides(rng, n: int):
         raise Resample
     lhs = det(MatrixR.build(
         n, n, lambda i, j: 1 / ((x[i] - y[j]) * (q * x[i] - y[j]))))
-    pref = Fraction(-1) ** (n * (n - 1) // 2)
-    for i in range(n):
-        for j in range(i + 1, n):
-            pref *= (x[i] - x[j]) * (y[i] - y[j])
+    pref = Fraction(-1) ** (n * (n - 1) // 2) * _vdm(x) * _vdm(y)
     for v in x:
         for w in y:
             pref /= (v - w) * (q * v - w)

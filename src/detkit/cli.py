@@ -42,9 +42,8 @@ def _resolve_ids(raw: str) -> Optional[list[str]]:
     if raw == "all":
         return list(known)
     ids = [part.strip() for part in raw.split(",") if part.strip()]
-    for i in ids:
-        if i not in known:
-            return None
+    if not ids or any(i not in known for i in ids):
+        return None
     # report order is registry order, independent of request order
     order = {rid: k for k, rid in enumerate(known)}
     return sorted(set(ids), key=order.__getitem__)

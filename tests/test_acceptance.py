@@ -184,7 +184,7 @@ def test_11_nc_suite_meander_okada():
 
 def test_12_ode_method():
     for n in range(1, 6):
-        report = ode_method_check(n, 1, 2)
+        report = ode_method_check(n, 2)
         assert report.overall
         by_check = {t.params["check"]: t for t in report.trials}
         assert by_check["dM/da = T.M"].ok

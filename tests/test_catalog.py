@@ -177,7 +177,7 @@ def test_perm_det_matrix_matches_per_entry(n, kind, q):
     (lambda n: verify_group_determinant("maj", n, Fraction(1, 2)), "group-maj"),
     (lambda n: verify_group_determinant("inv", n, Fraction(1, 2)), "group-inv"),
     (lambda n: verify_okada(n, Fraction(1, 3)), "okada"),
-    (lambda n: ode_method_check(n, 1, 2), "ode-method"),
+    (lambda n: ode_method_check(n, 2), "ode-method"),
     (lambda n: lu_vandermonde_check(n, []), "lu-vandermonde")],
     ids=["group-maj", "group-inv", "okada", "ode-method", "lu-vandermonde"])
 @pytest.mark.parametrize("n", [0, -1, -2])
@@ -190,6 +190,16 @@ def test_maj_spectrum():
     report = verify_group_determinant("maj", 3, Fraction(2, 5),
                                       with_spectrum=True)
     assert report.overall
+
+
+def test_inv_spectrum_is_refused_before_the_matrix_is_built(monkeypatch):
+    from detkit.catalog import structured
+
+    def never_built(*args):
+        raise AssertionError("the group matrix was built")
+    monkeypatch.setattr(structured, "_perm_det_matrix", never_built)
+    with pytest.raises(ValueError, match="only stated for kind='maj'"):
+        verify_group_determinant("inv", 3, Fraction(2, 5), with_spectrum=True)
 
 
 def test_nc_suite_and_okada():
@@ -707,7 +717,7 @@ def test_condensation_check():
 
 
 def test_ode_method_check():
-    assert ode_method_check(3, 1, 2).overall
+    assert ode_method_check(3, 2).overall
 
 
 def test_lu_vandermonde_check():

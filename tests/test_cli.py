@@ -29,6 +29,15 @@ def test_verify_unknown_id(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("raw", [",", ""])
+def test_verify_empty_id_list_is_a_usage_error(capsys, raw):
+    code = main(["verify", "--id", raw])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"unknown identity id: {raw}\n"
+
+
 def test_verify_bad_trials(capsys):
     code, _ = run(capsys, "verify", "--id", "macmahon", "--trials", "0")
     assert code == 2
