@@ -8,19 +8,14 @@ import math
 from fractions import Fraction
 from itertools import accumulate
 
-from ..exactnum import (_q_pochhammer_pairs, binomial, double_factorial,
-                        pochhammer, q_binomial, q_pochhammer, rat)
+from ..exactnum import (_one_minus_power, _q_pochhammer_pairs, binomial,
+                        double_factorial, pochhammer, q_pochhammer, rat)
 from ..linalg import MatrixR
 from .base import Resample, det_record, prod, rand_nonzero, rand_q
 
 
 def _fact(m: int) -> Fraction:
     return Fraction(math.factorial(m))
-
-
-def _qq(m: int, q) -> Fraction:
-    """(q;q)_m for m >= 0."""
-    return q_pochhammer(q, q, m)
 
 
 # ---------------------------------------------------------------------------
@@ -114,16 +109,36 @@ def _q_ratio_entries(n, x, y, q, shift, extra):
 
 def _q_ratio_product(n, x, y, q, shift):
     """The product in the closed forms of qkrat (shift = 0) and qtsscpp1
-    (shift = 1)."""
+    (shift = 1): with b = 2x+y+shift and c = x+2y+shift,
+
+        prod_i q^(-2i^2) (q^2;q^2)_i (q;q)_(x+y+i-1)
+            (q^(b+2i);q)_i (q^(c+2i);q)_i
+            / ((q;q)_(x+2i+shift) (q;q)_(y+2i+shift) (-q^(x+y+1+shift);q)_(n-1+i)).
+
+    One Fraction per i from integer pairs: (q;q)_m, (q^2;q^2)_i and the
+    Pochhammer in the denominator come from one running-product table
+    each, and (q^(b+2i);q)_i is the product of its i factors 1 - q^e,
+    b+2i <= e < b+3i."""
     q = rat(q)
+    p, d = q.numerator, q.denominator
+    s = x + y - 1
+    qq = _q_pochhammer_pairs(q, q, min(s, x + shift, y + shift, 0),
+                             max(s + n - 1, x + shift + 2 * n - 2, y + shift + 2 * n - 2))
+    q2 = _q_pochhammer_pairs(q * q, q * q, 0, n - 1)
+    neg = _q_pochhammer_pairs(-q ** (x + y + 1 + shift), q, 0, 2 * n - 2)
     out = Fraction(1)
     for i in range(n):
-        out *= q ** (-2 * i * i) * q_pochhammer(q * q, q * q, i)
-        out *= _qq(x + y + i - 1, q)
-        out *= q_pochhammer(q ** (2 * x + y + 2 * i + shift), q, i)
-        out *= q_pochhammer(q ** (x + 2 * y + 2 * i + shift), q, i)
-        out /= _qq(x + 2 * i + shift, q) * _qq(y + 2 * i + shift, q)
-        out /= q_pochhammer(-q ** (x + y + 1 + shift), q, n - 1 + i)
+        (n1, d1), (n2, d2), (n3, d3) = q2(i), qq(s + i), qq(x + 2 * i + shift)
+        (n4, d4), (n5, d5) = qq(y + 2 * i + shift), neg(n - 1 + i)
+        w = 2 * i * i  # q^(-2i^2)
+        num = d ** w * n1 * n2 * d3 * d4 * d5
+        den = p ** w * d1 * d2 * n3 * n4 * n5
+        for base in (2 * x + y + shift, x + 2 * y + shift):
+            for e in range(base + 2 * i, base + 3 * i):
+                a, b = _one_minus_power(p, d, e)
+                num *= a
+                den *= b
+        out *= Fraction(num, den)
     return out
 
 
@@ -229,13 +244,20 @@ def _build_qtsscpp1(n, x, y, q):
 
 
 def _closed_qtsscpp1(n, x, y, q):
+    # the sum over k reads [n choose k]_q, (q^x;q)_k and (q^y;q)_(n-k)
+    # from one running-product table each, one Fraction per term
     q = rat(q)
     out = _q_ratio_product(n, x, y, q, 1)
-    out *= sum(
-        (-1) ** k * q ** (n * k) * q_binomial(n, k, q) * q ** (y * k)
-        * q_pochhammer(q ** x, q, k) * q_pochhammer(q ** y, q, n - k)
-        for k in range(n + 1))
-    return out
+    qq, qx, qy = (_q_pochhammer_pairs(a, q, 0, n) for a in (q, q ** x, q ** y))
+    n1, d1 = qq(n)
+    step = q ** (n + y)
+    total, power = Fraction(0), Fraction(1)
+    for k in range(n + 1):
+        (n2, d2), (n3, d3), (n4, d4), (n5, d5) = qq(k), qq(n - k), qx(k), qy(n - k)
+        term = Fraction(n1 * d2 * d3 * n4 * n5, d1 * n2 * n3 * d4 * d5) * power
+        total += -term if k % 2 else term
+        power *= step
+    return out * total
 
 
 det_record("qtsscpp1", _sample_xyq, _build_qtsscpp1, _closed_qtsscpp1, max_n=4)

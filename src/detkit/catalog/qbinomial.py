@@ -6,8 +6,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..exactnum import (binomial, double_factorial, factorial, pochhammer,
-                        q_binomial, q_factorial, q_int, q_pochhammer, rat)
+from ..exactnum import (_q_factorial_pairs, _q_int_pairs, binomial,
+                        double_factorial, factorial, pochhammer, q_binomial,
+                        q_factorial, q_int, q_pochhammer, rat)
 from ..linalg import MatrixR
 from .base import (_ceil, _sample_mu, _vdm, decreasing_ints, det_record,
                    prod, rand_frac, rand_q)
@@ -170,18 +171,31 @@ def _build_pp5(n, L, A, B, q):
 
 
 def _closed_pp5(n, L, A, B, q):
+    # one Fraction per i from integer pairs, with every q-integer and
+    # q-factorial read from a running-product table
     q = rat(q)
     c3 = (n + 1) * n * (n - 1) // 6
     out = q ** (sum(i * L[i] for i in range(n)) - B * (n * (n - 1) // 2) + 2 * c3)
-    out *= prod(q_int(L[i] - L[j], q) * q_int(L[i] + L[j] + A - B + 1, q)
-                for i in range(n) for j in range(i + 1, n))
-    for i0 in range(n):
-        i = i0 + 1
-        out *= q_factorial(L[i0] + 1, q) * q_factorial(L[i0] + A - n, q) \
-            / (q_factorial(L[i0] - B + n, q) * q_factorial(L[i0] + A - B - 1, q))
-        out *= q_factorial(A - 2 * i - 1, q) \
-            / (q_factorial(A - i - n - 1, q) * q_factorial(B + i - n, q)
-               * q_factorial(B, q))
+    # row i0 (i = i0 + 1): the q-integers of the pairs (i0, j > i0), and the
+    # q-factorials over and under the fraction line
+    rows = [([m for j in range(i0 + 1, n) for m in (L[i0] - L[j], L[i0] + L[j] + A - B + 1)],
+             (L[i0] + 1, L[i0] + A - n, A - 2 * i0 - 3),
+             (L[i0] - B + n, L[i0] + A - B - 1, A - i0 - n - 2, B + i0 + 1 - n, B))
+            for i0 in range(n)]
+    q_int_pair = _q_int_pairs(q, max((abs(m) for ints, _, _ in rows for m in ints), default=0))
+    fact = _q_factorial_pairs(q, max(max(ups + downs) for _, ups, downs in rows))
+    for ints, ups, downs in rows:
+        num = den = 1
+        for a, b in map(q_int_pair, ints):
+            num *= a
+            den *= b
+        for a, b in map(fact, ups):
+            num *= a
+            den *= b
+        for a, b in map(fact, downs):
+            num *= b
+            den *= a
+        out *= Fraction(num, den)
     return out
 
 

@@ -10,6 +10,7 @@ import dataclasses
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 from ..combinat import (PosetData, all_perms, enumerate_partitions,
                         join_blocks, meet_blocks, nc_lattice, nc_matchings,
@@ -168,30 +169,48 @@ def _chi_nc(i: int) -> PolyQ:
     return poset_char_poly(nc_lattice(i))
 
 
-def _lattice_det(parts, n: int, q: Fraction, blocks) -> Fraction:
-    """det(q^{blocks(a, b)}) over the block labels in parts; blocks counts
-    the blocks, at most n, of a meet or a join, which commute, so only the
-    upper triangle is evaluated."""
+# the ground set and the block count of each lattice determinant, by the
+# name its check is reported under
+_LATTICES = {
+    "meet-full": (lambda n: enumerate_partitions(n), meet_blocks),
+    "join-full": (lambda n: enumerate_partitions(n), join_blocks),
+    "meet-nc": (lambda n: enumerate_partitions(n, True), meet_blocks),
+    "join-nc": (lambda n: enumerate_partitions(n, True),
+                lambda a, b: join_blocks(a, b, "noncrossing")),
+    "join-full-over-nc": (lambda n: enumerate_partitions(n, True), join_blocks),
+    "matchings": (lambda n: nc_matchings(2 * n), join_blocks),
+}
+
+
+@lru_cache(maxsize=None)
+def _block_counts(n: int, lattice: str) -> tuple[int, tuple[int, ...]]:
+    """The size m of the lattice's ground set at size n and, row-major,
+    the block count of each pair, at most n; a meet or a join commutes, so
+    only the upper triangle is evaluated.  The counts do not depend on q,
+    so each table is built once."""
+    ground, blocks = _LATTICES[lattice]
+    parts = ground(n)
     m = len(parts)
-    powers = [q ** k for k in range(n + 1)]
-    entries = [[None] * m for _ in range(m)]
+    counts = [[0] * m for _ in range(m)]
     for i in range(m):
         for j in range(i, m):
-            entries[i][j] = entries[j][i] = powers[blocks(parts[i], parts[j])]
-    return det(MatrixR(m, m, [e for row in entries for e in row]))
+            counts[i][j] = counts[j][i] = blocks(parts[i], parts[j])
+    return m, tuple(k for row in counts for k in row)
+
+
+def _lattice_det(n: int, q: Fraction, lattice: str) -> Fraction:
+    """det(q^{blocks(a, b)}) over the ground set of the named lattice."""
+    m, counts = _block_counts(n, lattice)
+    powers = [q ** k for k in range(n + 1)]
+    return det(MatrixR(m, m, [powers[k] for k in counts]))
+
+
+_NC_SUITE_CHECKS = ("meet-full", "join-full", "meet-nc", "join-nc",
+                    "join-full-over-nc")
 
 
 def _nc_suite_sides(n: int, q: Fraction):
-    full_labels = enumerate_partitions(n)
-    nc_labels = enumerate_partitions(n, True)
-    lhs = (
-        _lattice_det(full_labels, n, q, meet_blocks),
-        _lattice_det(full_labels, n, q, join_blocks),
-        _lattice_det(nc_labels, n, q, meet_blocks),
-        _lattice_det(nc_labels, n, q,
-                     lambda a, b: join_blocks(a, b, "noncrossing")),
-        _lattice_det(nc_labels, n, q, join_blocks),
-    )
+    lhs = tuple(_lattice_det(n, q, name) for name in _NC_SUITE_CHECKS)
     r1 = Fraction(1)
     r2 = Fraction(1)
     for i in range(1, n + 1):
@@ -242,7 +261,7 @@ def _meander_rhs(n: int, q: Fraction) -> Fraction:
 def _meander_det(n: int, q: Fraction) -> Fraction:
     """det(q^{components(a, b)}) over the noncrossing matchings of 2n points;
     two matchings make at most n components."""
-    return _lattice_det(nc_matchings(2 * n), n, q, join_blocks)
+    return _lattice_det(n, q, "matchings")
 
 
 def _meander_trial(rng, n):
@@ -261,8 +280,7 @@ def verify_nc_suite(n: int, q) -> VerifyReport:
     report = VerifyReport("nc-suite")
     lhs, rhs4 = _nc_suite_sides(n, q * q)
     rhs = rhs4 + (_tutte_rhs(n, q),)
-    names = ("meet-full", "join-full", "meet-nc", "join-nc", "join-full-over-nc")
-    for name, left, right in zip(names, lhs, rhs):
+    for name, left, right in zip(_NC_SUITE_CHECKS, lhs, rhs):
         report.trials.append(Trial({"n": n, "q": q * q, "check": name},
                                    left, right, left == right))
     left = _meander_det(n, q)

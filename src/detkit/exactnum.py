@@ -168,6 +168,49 @@ def _q_pochhammer_pairs(a, q, lo: int, hi: int):
     return read
 
 
+def _q_int_pairs(q, hi: int):
+    """[m]_q for -hi <= m <= hi, the values of q_int, as a function of m
+    returning an integer numerator and denominator.  With q = p/d,
+    [m]_q = h_m / d^(m-1) where h_m = p h_(m-1) + d^(m-1), and
+    [-m]_q = -q^-m [m]_q."""
+    q = rat(q)
+    p, d = q.numerator, q.denominator
+    hs, ds = [0], [1]
+    h, dj = 0, 1
+    for _ in range(hi):
+        h = p * h + dj
+        hs.append(h)
+        ds.append(dj)
+        dj *= d
+
+    def read(m: int) -> tuple[int, int]:
+        if m >= 0:
+            return hs[m], ds[m]
+        return -hs[-m] * d, p ** -m
+
+    return read
+
+
+def _q_factorial_pairs(q, hi: int):
+    """[m]_q! for 0 <= m <= hi, the values of q_factorial, by one running
+    product of q-integers, as a function of m returning an integer
+    numerator and denominator; a negative m raises ValueError, as
+    q_factorial does."""
+    q_int_pair = _q_int_pairs(q, hi)
+    nums, dens = [1], [1]
+    for j in range(1, hi + 1):
+        a, b = q_int_pair(j)
+        nums.append(nums[-1] * a)
+        dens.append(dens[-1] * b)
+
+    def read(m: int) -> tuple[int, int]:
+        if m < 0:
+            raise ValueError(f"q-factorial of negative integer {m}")
+        return nums[m], dens[m]
+
+    return read
+
+
 def q_int(n: int, q) -> Fraction:
     """[n]_q = (1-q^n)/(1-q)."""
     q = rat(q)

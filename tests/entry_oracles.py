@@ -1,13 +1,15 @@
 """Slow independent oracles for the integer evaluation paths: Horner's
-rule on Fractions for PolyQ and RatFn values, and the per-entry formulas
-of the banded binomial-sum (tsscpp2), qflha1, factored-column (krat),
+rule on Fractions for PolyQ and RatFn values, the per-entry formulas of
+the banded binomial-sum (tsscpp2), qflha1, factored-column (krat),
 q-shifted-factorial (anst, qkrat, qtsscpp1), q-binomial product (pp5) and
-chu2 matrices, each entry computed on its own with Fraction arithmetic."""
+chu2 matrices, each entry computed on its own with Fraction arithmetic,
+and the closed forms of pp5, qkrat and qtsscpp1 with every q-factorial,
+q-Pochhammer and q-binomial evaluated on its own."""
 
 from fractions import Fraction
 
-from detkit.exactnum import (PolyQ, binomial, q_binomial, q_int, q_pochhammer,
-                             rat)
+from detkit.exactnum import (PolyQ, binomial, q_binomial, q_factorial, q_int,
+                             q_pochhammer, rat)
 
 
 def poly_horner(p, x):
@@ -151,3 +153,55 @@ def chu2_entry(i, j, c):
     num = (2 * i - j) + (2 * c + 3 * j + 1) * (2 * c + 3 * j - 1)
     den = (c + i + j + Fraction(1, 2)) * (c + i + j - Fraction(1, 2))
     return num / den * binomial(c + i + j + Fraction(1, 2), 2 * i - j)
+
+
+# ---------------------------------------------------------------------------
+# closed forms, factor by factor
+
+
+def pp5_closed(n, L, A, B, q):
+    """The pp5 closed form, each q-integer and q-factorial on its own."""
+    q = rat(q)
+    c3 = (n + 1) * n * (n - 1) // 6
+    out = q ** (sum(i * L[i] for i in range(n)) - B * (n * (n - 1) // 2) + 2 * c3)
+    out *= _product(q_int(L[i] - L[j], q) * q_int(L[i] + L[j] + A - B + 1, q)
+                    for i in range(n) for j in range(i + 1, n))
+    for i0 in range(n):
+        i = i0 + 1
+        out *= q_factorial(L[i0] + 1, q) * q_factorial(L[i0] + A - n, q) \
+            / (q_factorial(L[i0] - B + n, q) * q_factorial(L[i0] + A - B - 1, q))
+        out *= q_factorial(A - 2 * i - 1, q) \
+            / (q_factorial(A - i - n - 1, q) * q_factorial(B + i - n, q)
+               * q_factorial(B, q))
+    return out
+
+
+def q_ratio_product(n, x, y, q, shift):
+    """The product in the closed forms of qkrat (shift = 0) and qtsscpp1
+    (shift = 1), each q-Pochhammer on its own."""
+    q = rat(q)
+    out = Fraction(1)
+    for i in range(n):
+        out *= q ** (-2 * i * i) * q_pochhammer(q * q, q * q, i)
+        out *= _qq(x + y + i - 1, q)
+        out *= q_pochhammer(q ** (2 * x + y + 2 * i + shift), q, i)
+        out *= q_pochhammer(q ** (x + 2 * y + 2 * i + shift), q, i)
+        out /= _qq(x + 2 * i + shift, q) * _qq(y + 2 * i + shift, q)
+        out /= q_pochhammer(-q ** (x + y + 1 + shift), q, n - 1 + i)
+    return out
+
+
+def qkrat_closed(n, x, y, q):
+    return q_ratio_product(n, x, y, q, 0)
+
+
+def qtsscpp1_closed(n, x, y, q):
+    """The qtsscpp1 closed form, each q-binomial and q-Pochhammer of its
+    sum on its own."""
+    q = rat(q)
+    out = q_ratio_product(n, x, y, q, 1)
+    out *= sum(
+        (-1) ** k * q ** (n * k) * q_binomial(n, k, q) * q ** (y * k)
+        * q_pochhammer(q ** x, q, k) * q_pochhammer(q ** y, q, n - k)
+        for k in range(n + 1))
+    return out

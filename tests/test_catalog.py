@@ -27,7 +27,8 @@ from detkit.catalog.sequences import _windows
 from detkit.exactnum import bell_poly, hermite_poly
 from detkit.linalg import MatrixR, det
 from entry_oracles import (anst_entry, banded_entry, chu2_entry, krat_entry,
-                           poly_horner, pp5_entry, qflha1_entry, qkrat_entry,
+                           poly_horner, pp5_closed, pp5_entry, qflha1_entry,
+                           qkrat_closed, qkrat_entry, qtsscpp1_closed,
                            qtsscpp1_entry)
 from partition_oracles import (blocks_of, join_by_merging, labels_of,
                                meet_by_intersecting, refines)
@@ -243,9 +244,9 @@ def _least_upper_bounds(ground):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_lattice_det_matches_full_build(n):
-    # the upper-triangle build from block labels against all m^2 entries
-    # from meets built block by block and joins read off the refinement
-    # tables, for every (ground set, meet/join) pair that nc-suite uses
+    # the cached upper-triangle tables against all m^2 entries from meets
+    # built block by block and joins read off the refinement tables, for
+    # every (ground set, meet/join) pair that nc-suite uses
     from detkit.catalog.structured import _lattice_det
     from detkit.combinat import enumerate_partitions, join_blocks, meet_blocks
     part_labels, nc_labels = enumerate_partitions(n), enumerate_partitions(n, True)
@@ -254,24 +255,47 @@ def test_lattice_det_matches_full_build(n):
     full_lub, nc_lub = _least_upper_bounds(parts), _least_upper_bounds(ncs)
     at = [parts.index(p) for p in ncs]
     cases = [
-        (part_labels, meet_blocks,
+        ("meet-full", part_labels, meet_blocks,
          [[len(meet_by_intersecting(a, b)) for b in parts] for a in parts]),
-        (part_labels, join_blocks,
+        ("join-full", part_labels, join_blocks,
          [[len(parts[k]) for k in row] for row in full_lub]),
-        (nc_labels, meet_blocks,
+        ("meet-nc", nc_labels, meet_blocks,
          [[len(meet_by_intersecting(a, b)) for b in ncs] for a in ncs]),
-        (nc_labels, lambda a, b: join_blocks(a, b, "noncrossing"),
+        ("join-nc", nc_labels, lambda a, b: join_blocks(a, b, "noncrossing"),
          [[len(ncs[k]) for k in row] for row in nc_lub]),
-        (nc_labels, join_blocks,
+        ("join-full-over-nc", nc_labels, join_blocks,
          [[len(parts[full_lub[i][j]]) for j in at] for i in at]),
     ]
-    for labels, blocks, counts in cases:
+    for _, labels, blocks, counts in cases:
         assert [[blocks(a, b) for b in labels] for a in labels] == counts
     for q in (Fraction(2, 3), Fraction(-5, 2)):
-        for labels, blocks, counts in cases:
+        for name, labels, _, counts in cases:
             m = len(labels)
             full = MatrixR.build(m, m, lambda i, j: q ** counts[i][j])
-            assert _lattice_det(labels, n, q, blocks) == det(full)
+            assert _lattice_det(n, q, name) == det(full)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_cached_block_counts_match_every_pair(n):
+    # each cached table against meet_blocks/join_blocks on every ordered
+    # pair of its ground set, the lower triangle included
+    from detkit.catalog.structured import _block_counts
+    from detkit.combinat import (enumerate_partitions, join_blocks, meet_blocks,
+                                 nc_matchings)
+    full, nc = enumerate_partitions(n), enumerate_partitions(n, True)
+    tables = {
+        "meet-full": (full, meet_blocks),
+        "join-full": (full, join_blocks),
+        "meet-nc": (nc, meet_blocks),
+        "join-nc": (nc, lambda a, b: join_blocks(a, b, "noncrossing")),
+        "join-full-over-nc": (nc, join_blocks),
+        "matchings": (nc_matchings(2 * n), join_blocks),
+    }
+    for name, (ground, blocks) in tables.items():
+        m, counts = _block_counts(n, name)
+        assert m == len(ground)
+        assert counts == tuple(blocks(a, b) for a in ground for b in ground)
+        assert _block_counts(n, name) is _block_counts(n, name)
 
 
 def _assert_block_counts(a, b, join):
@@ -486,6 +510,36 @@ def test_builder_matches_entry_oracle(identity_id):
             _assert_entries(got, n, lambda i, j: want[i, j])
     # anst's and chu2's draws reach zero divisors; the others' never do
     assert (raised > 0) == (identity_id in ("anst", "chu2"))
+
+
+CLOSED_FORM_ORACLES = {"pp5": pp5_closed, "qkrat": qkrat_closed,
+                       "qtsscpp1": qtsscpp1_closed}
+
+
+def _value_or_raised(evaluate):
+    try:
+        return evaluate()
+    except Exception as exc:  # the oracle's exception type is the expectation
+        return type(exc)
+
+
+@pytest.mark.parametrize("identity_id", sorted(CLOSED_FORM_ORACLES))
+def test_closed_form_matches_per_factor_oracle(identity_id):
+    # every sampler draw of seeds 0-9 at n = 1..12, at its own q and at
+    # q = 1 and q = -1: the same value, or the same exception type
+    record = get_record(identity_id)
+    oracle = CLOSED_FORM_ORACLES[identity_id]
+    outcomes = set()
+    for seed in range(10):
+        for n in range(1, 13):
+            params = record.sampler(trial_rng(seed, identity_id, 0), n)
+            for q in (params["q"], Fraction(1), Fraction(-1)):
+                at = {**params, "q": q}
+                want = _value_or_raised(lambda: oracle(n, **at))
+                got = _value_or_raised(lambda: record.closed(n, **at))
+                assert got == want and type(got) is type(want), (seed, n, at)
+                outcomes.add(want if isinstance(want, type) else Fraction)
+    assert Fraction in outcomes
 
 
 @pytest.mark.parametrize("identity_id", ["krat6", "krat7"])

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from detkit.exactnum import (PolyQ, RatFn, TruncSeries, _q_pochhammer_pairs,
+from detkit.exactnum import (PolyQ, RatFn, TruncSeries, _q_factorial_pairs,
+                             _q_int_pairs, _q_pochhammer_pairs,
                              asm_count, bell_poly, bernoulli, binomial,
                              catalan, chebyshev_u, compose_each, cos_series,
                              double_factorial, euler_even, exp_series,
@@ -279,6 +280,23 @@ def test_q_pochhammer_pairs_raise_only_where_read():
 @given(st.integers(min_value=-3, max_value=12), qs)
 def test_q_factorial_matches_fraction_loop(n, q):
     assert _outcome(q_factorial, n, q) == _outcome(_q_factorial_loop, n, q)
+
+
+@settings(max_examples=300)
+@given(qs)
+@example(Fraction(0))
+@example(Fraction(1))
+@example(Fraction(-1))
+def test_q_int_and_q_factorial_tables_match_the_functions(q):
+    # every m of both tables, negative q-integers included (at q = 0 they
+    # divide by zero, as q_int does)
+    q_int_pair, fact = _q_int_pairs(q, 12), _q_factorial_pairs(q, 12)
+    for m in range(-12, 13):
+        assert _pair_outcome(q_int_pair, m) == _value_outcome(q_int, m, q)
+    for m in range(13):
+        assert Fraction(*fact(m)) == q_factorial(m, q)
+    with pytest.raises(ValueError, match="negative integer -1"):
+        fact(-1)
 
 
 @settings(max_examples=400)

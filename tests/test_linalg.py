@@ -4,12 +4,15 @@ polynomial, and resultants."""
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from detkit.catalog import get_record
+from detkit.catalog.base import Resample, trial_rng
 from detkit.exactnum import PolyQ, RatFn, TruncSeries
 from detkit.linalg import (MatrixR, SingularMinorError, _det_laplace,
                            char_poly, det, kernel_basis, lu_decompose,
@@ -177,6 +180,133 @@ def test_vandermonde_oracle():
         for j in range(i + 1, 4):
             expect *= xs[j] - xs[i]
     assert det(m) == expect
+
+
+# Primitive-row elimination divides rows by their contents and tracks what
+# it removed; these cases make the contents large, late, or zero.
+
+QS = (Fraction(2), Fraction(3, 2), Fraction(-5, 7), Fraction(11, 3))
+
+
+@st.composite
+def shared_factor(draw):
+    """A product of random primes, a power of a rational q and a few
+    factors 1 - q^l: the kind of factor a q-factorial shares along a row
+    or a column."""
+    primes = draw(st.lists(st.sampled_from((2, 3, 5, 7, 101, 1009, 65537)),
+                           max_size=6))
+    q = draw(st.sampled_from(QS))
+    out = prod(primes) * q ** draw(st.integers(-6, 12))
+    for ell in draw(st.lists(st.integers(1, 12), max_size=4)):
+        out *= 1 - q ** ell
+    return out
+
+
+def _scaled(m, row_factors, col_factors):
+    return MatrixR.build(m.rows, m.cols,
+                         lambda i, j: m[i, j] * row_factors[i] * col_factors[j])
+
+
+def _assert_det_matches_oracles(m, expect=None):
+    d = det(m)
+    assert type(d) is Fraction
+    assert d == det_permutation_expansion(m)
+    for oracle in DET_ORACLES:
+        assert oracle(m) == d
+    if expect is not None:
+        assert d == expect
+
+
+@given(square_rational(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_det_with_large_shared_row_and_column_factors(m, data):
+    # column j carries the product of the first j + 1 factors, as the
+    # q-factorials of a column index do, so rows gain content at every step
+    rows = [data.draw(shared_factor()) for _ in range(m.rows)]
+    steps = [data.draw(shared_factor()) for _ in range(m.cols)]
+    cols = list(accumulate(steps, lambda a, b: a * b))
+    _assert_det_matches_oracles(_scaled(m, rows, cols),
+                                det_permutation_expansion(m) * prod(rows) * prod(cols))
+
+
+@given(st.integers(3, 6), st.data())
+@settings(max_examples=60, deadline=None)
+def test_det_when_content_appears_only_after_several_steps(n, data):
+    # small coprime entries in the first t columns and a large factor
+    # shared by the rest: every row is primitive until t columns are
+    # eliminated, and only then carries the shared factor
+    t = data.draw(st.integers(1, n - 1))
+    small = st.integers(-9, 9)
+    base = MatrixR.from_rows(data.draw(st.lists(
+        st.lists(small, min_size=n, max_size=n), min_size=n, max_size=n)))
+    big = data.draw(shared_factor())
+    cols = [1] * t + [big] * (n - t)
+    _assert_det_matches_oracles(_scaled(base, [1] * n, cols),
+                                det_permutation_expansion(base) * big ** (n - t))
+
+
+@given(st.integers(2, 6), st.data())
+@settings(max_examples=100, deadline=None)
+def test_det_with_a_zero_pivot_that_forces_a_row_swap(n, data):
+    # row t agrees with a combination of the rows above it on the first
+    # t + 1 columns, so the leading minor of order t + 1 vanishes and the
+    # pivot of step t is 0; by then the rows below carry their own removed
+    # contents and multipliers, which must move with them
+    t = data.draw(st.integers(0, n - 2))
+    a = data.draw(st.lists(st.lists(rationals, min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+    coeffs = data.draw(st.lists(rationals, min_size=t, max_size=t))
+    a[t][:t + 1] = [sum((c * a[r][j] for r, c in enumerate(coeffs)), Fraction(0))
+                    for j in range(t + 1)]
+    rows = [data.draw(shared_factor()) for _ in range(n)]
+    m = MatrixR.from_rows(a)
+    _assert_det_matches_oracles(_scaled(m, rows, [1] * n),
+                                det_permutation_expansion(m) * prod(rows))
+
+
+@given(st.integers(2, 6), st.data())
+@settings(max_examples=60, deadline=None)
+def test_det_of_rank_deficient_and_zero_row_matrices(n, data):
+    r = data.draw(st.integers(0, n - 1))
+    x = data.draw(st.lists(st.lists(rationals, min_size=r, max_size=r),
+                           min_size=n, max_size=n))
+    y = data.draw(st.lists(st.lists(rationals, min_size=n, max_size=n),
+                           min_size=r, max_size=r))
+    low_rank = MatrixR.build(n, n, lambda i, j: sum(
+        (x[i][l] * y[l][j] for l in range(r)), Fraction(0)))
+    rows = [data.draw(shared_factor()) for _ in range(n)]
+    _assert_det_matches_oracles(_scaled(low_rank, rows, [1] * n), 0)
+    a = data.draw(st.lists(st.lists(rationals, min_size=n, max_size=n),
+                           min_size=n, max_size=n))
+    a[data.draw(st.integers(0, n - 1))] = [Fraction(0)] * n
+    _assert_det_matches_oracles(MatrixR.from_rows(a), 0)
+
+
+def test_det_swaps_rows_with_their_removed_factors():
+    # [DERIVED] rows 0 and 1, of contents 6 and 10, trade places at the
+    # first pivot: det = -10 * det([[6, 12], [3, 4]]) = 120.  In the second
+    # matrix the leading 2 x 2 minor vanishes, so rows 1 and 2 trade places
+    # after step 0 has given them different multipliers
+    m = MatrixR.from_rows([[0, 6, 12, 0], [10, 20, 30, 40],
+                           [0, 3, 4, 0], [0, 0, 0, 1]])
+    assert det(m) == det_permutation_expansion(m) == 120
+    m = MatrixR.from_rows([[3, 3, 4, 2], [4, 4, 4, 2], [1, 1, 2, 4], [0, 1, 4, 6]])
+    assert det(m) == det_permutation_expansion(m) == -12
+
+
+@pytest.mark.parametrize("identity_id", ["pp5", "qtsscpp1", "qkrat", "anst"])
+def test_det_of_q_family_matrices_at_n12_matches_gauss(identity_id):
+    # the matrices whose rows share q-factorials, above their shipped caps
+    record = get_record(identity_id)
+    rng = trial_rng(42, identity_id, 0)
+    while True:
+        try:
+            params = record.sampler(rng, 12)
+            break
+        except Resample:
+            pass
+    m = record.builder(12, **params)
+    assert det(m) == det_gauss(m)
 
 
 def _series_det(rows):
