@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from ..exactnum import (_one_minus_power, _q_pochhammer_pairs, binomial,
-                        double_factorial, pochhammer, q_pochhammer, rat)
+                        double_factorial, pochhammer, rat)
 from ..linalg import MatrixR
 from .base import Resample, det_record, prod, rand_nonzero, rand_q
 
@@ -197,17 +197,44 @@ def _build_anst(n, x, E, q):
 
 
 def _closed_anst(n, x, E, q):
+    """The anst closed form
+
+        prod_i (x^2 q^(2i+1);q)_i (x q^(3+i)/E;q^2)_i (E x q^(2+i);q^2)_i
+            / ((x^2 q^(2i+2);q^2)_i (q;q^2)_(i+1) (E x q^(1+i);q)_i
+               (x q^(2+i)/E;q)_i),
+
+    one Fraction per i from integer pairs: (q;q^2)_(i+1) comes from one
+    running-product table, and each other Pochhammer, whose base moves
+    with i, is the product of its factors 1 - a q^e, read from one table
+    of them for each of a = x^2, x/E and E x."""
     x, E, q = rat(x), rat(E), rat(q)
-    q2 = q * q
+    p, d = q.numerator, q.denominator
+    odd = _q_pochhammer_pairs(q, q * q, 0, n)
+
+    def factors(a):
+        # e -> 1 - a q^e as an integer pair, for every exponent read below
+        an, ad = a.numerator, a.denominator
+        return [(ad * d ** e - an * p ** e, ad * d ** e) for e in range(4 * n)]
+
+    sq, xe, ex = factors(x * x), factors(x / E), factors(E * x)
     out = Fraction(1)
     for i in range(n):
-        out *= q_pochhammer(x * x * q ** (2 * i + 1), q, i)
-        out *= q_pochhammer(x * q ** (3 + i) / E, q2, i)
-        out *= q_pochhammer(E * x * q ** (2 + i), q2, i)
-        out /= q_pochhammer(x * x * q ** (2 * i + 2), q2, i)
-        out /= q_pochhammer(q, q2, i + 1)
-        out /= q_pochhammer(E * x * q ** (1 + i), q, i)
-        out /= q_pochhammer(x * q ** (2 + i) / E, q, i)
+        den, num = odd(i + 1)
+        for table, es in ((sq, range(2 * i + 1, 3 * i + 1)),
+                          (xe, range(3 + i, 3 + 3 * i, 2)),
+                          (ex, range(2 + i, 2 + 3 * i, 2))):
+            for e in es:
+                fn, fd = table[e]
+                num *= fn
+                den *= fd
+        for table, es in ((sq, range(2 * i + 2, 4 * i + 2, 2)),
+                          (ex, range(1 + i, 1 + 2 * i)),
+                          (xe, range(2 + i, 2 + 2 * i))):
+            for e in es:
+                fn, fd = table[e]
+                num *= fd
+                den *= fn
+        out *= Fraction(num, den)
     return out
 
 

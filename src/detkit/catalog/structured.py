@@ -174,12 +174,14 @@ def _chi_nc(i: int) -> PolyQ:
 _LATTICES = {
     "meet-full": (lambda n: enumerate_partitions(n), meet_blocks),
     "join-full": (lambda n: enumerate_partitions(n), join_blocks),
-    "meet-nc": (lambda n: enumerate_partitions(n, True), meet_blocks),
     "join-nc": (lambda n: enumerate_partitions(n, True),
                 lambda a, b: join_blocks(a, b, "noncrossing")),
-    "join-full-over-nc": (lambda n: enumerate_partitions(n, True), join_blocks),
     "matchings": (lambda n: nc_matchings(2 * n), join_blocks),
 }
+
+# the noncrossing partitions are full partitions with the same labels, so
+# these tables are sub-tables of a full one
+_NC_RESTRICTIONS = {"meet-nc": "meet-full", "join-full-over-nc": "join-full"}
 
 
 @lru_cache(maxsize=None)
@@ -188,6 +190,11 @@ def _block_counts(n: int, lattice: str) -> tuple[int, tuple[int, ...]]:
     the block count of each pair, at most n; a meet or a join commutes, so
     only the upper triangle is evaluated.  The counts do not depend on q,
     so each table is built once."""
+    if lattice in _NC_RESTRICTIONS:
+        full, counts = _block_counts(n, _NC_RESTRICTIONS[lattice])
+        index = {p: i for i, p in enumerate(enumerate_partitions(n))}
+        sub = [index[p] for p in enumerate_partitions(n, True)]
+        return len(sub), tuple(counts[i * full + j] for i in sub for j in sub)
     ground, blocks = _LATTICES[lattice]
     parts = ground(n)
     m = len(parts)

@@ -12,6 +12,7 @@ integer numerators over one common denominator per operand and build one
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -27,12 +28,29 @@ def rat(value) -> Fraction:
     return Fraction(value)
 
 
+def _decimal(v: int) -> str:
+    """str(v) at any size, without touching the process-wide limit that
+    Python 3.11+ puts on str() of an int (sys.get_int_max_str_digits()
+    digits): a longer int is split by a power of ten into halves that
+    each print."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    bits = v.bit_length()
+    # v has at most bits * log10(2) + 1 < bits * 5/16 + 1 digits
+    if not limit or bits * 5 // 16 < limit:
+        return str(v)
+    if v < 0:
+        return "-" + _decimal(-v)
+    k = bits * 5 // 32
+    hi, lo = divmod(v, 10 ** k)
+    return _decimal(hi) + _decimal(lo).zfill(k)
+
+
 def fmt_rat(x: Fraction) -> str:
-    """Print a rational as ``p`` or ``p/q``."""
+    """Print a rational as ``p`` or ``p/q``, in full at any size."""
     x = rat(x)
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return _decimal(x.numerator)
+    return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .exactnum import (TruncSeries, bernoulli, double_factorial, euler_even,
                        integer_numerators, rat)
-from .linalg import MatrixR, _bareiss_int, det
+from .linalg import MatrixR, _eliminate, det
 
 
 @dataclass(frozen=True)
@@ -79,15 +79,15 @@ def hankel_det(s: MomentSeq, n: int) -> Fraction:
 
 def hankel_dets(s: MomentSeq, n: int) -> list[Fraction]:
     """The leading Hankel determinants [H_1, ..., H_n] of s from one
-    integer Bareiss elimination: with mu_0..mu_{2n-2} = N_k/d over one
-    common denominator d, the rows are windows of N, and pivot k is
-    H_{k+1} d^(k+1).  From the first zero pivot on, the elimination has
-    swapped rows (or stopped), so each later order is computed on its own.
+    primitive-row elimination (`linalg._eliminate`, the one `det` runs):
+    with mu_0..mu_{2n-2} = N_k/d over one common denominator d, the rows
+    are windows of N, and pivot k is H_{k+1} d^(k+1).  Past the leading
+    pivots the elimination has swapped rows or stopped, so each later
+    order is computed on its own.
     """
     _check_length(s, n)
     nums, d = integer_numerators(s.values[:max(0, 2 * n - 1)])
-    _, pivots, first_swap = _bareiss_int([nums[i:i + n] for i in range(n)])
-    leading = len(pivots) if first_swap is None else first_swap
+    _, pivots, leading = _eliminate([nums[i:i + n] for i in range(n)])
     out = []
     scale = 1
     for k in range(leading):

@@ -3,17 +3,17 @@ engine needs: the determinant, permanent, Pfaffian, LU in the M*U = L
 form, kernel bases, characteristic polynomial, and the Sylvester
 resultant.
 
-Entries are ints and Fractions.  `det` has one path, primitive-row
-elimination on integer rows; the Gauss and condensation determinants are
-test oracles in tests/det_oracles.py.  A determinant that is a
-polynomial in a parameter is interpolated from integer determinants at
-sample points by `guess.interpolate_det_poly`; the characteristic
-polynomial is found the same way, from det(x*I - M) at x = 0..n.  LU
-comes from one Gaussian elimination without pivoting.  Determinants,
-Hankel minors (Bareiss), kernels and the Pfaffian (skew elimination, no
-size cap) run fraction-free on integer rows.  The Laplace expansion
-divides nowhere and shares its minors; stwi calls it directly on
-truncated series.
+Entries are ints and Fractions.  One integer elimination, primitive-row
+elimination (`_eliminate`), gives `det` and the leading minors of
+`hankel.hankel_dets`; the Gauss and condensation determinants are test
+oracles in tests/det_oracles.py.  A determinant that is a polynomial in
+a parameter is interpolated from integer determinants at sample points
+by `guess.interpolate_det_poly`; the characteristic polynomial is found
+the same way, from det(x*I - M) at x = 0..n.  LU comes from one Gaussian
+elimination without pivoting.  Determinants, kernels and the Pfaffian
+(skew elimination, no size cap) run fraction-free on integer rows.  The
+Laplace expansion divides nowhere and shares its minors; stwi calls it
+directly on truncated series.
 """
 
 from __future__ import annotations
@@ -155,60 +155,84 @@ def _int_rows(rows) -> tuple[list[list[int]], list[int]]:
     return out, scales
 
 
-def _bareiss_int(a: list[list[int]]) -> tuple[int, list[int], int | None]:
-    """Integer Bareiss elimination of the square matrix `a`, in place.
-
-    Rows are swapped only on a zero pivot.  Returns (sign, pivots,
-    first_swap): pivot k is the order-(k+1) leading minor of the row-swapped
-    matrix, so before `first_swap` (None when no swap happened) it is the
-    leading minor of `a` itself.  Fewer than len(a) pivots means `a` is
-    singular.
-    """
-    n = len(a)
-    sign, prev, pivots, first_swap = 1, 1, [], None
-    for k in range(n):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    if first_swap is None:
-                        first_swap = k
-                    break
-            else:
-                return sign, pivots, first_swap
-        p = a[k][k]
-        pivots.append(p)
-        tail = a[k][k + 1:]
-        for i in range(k + 1, n):
-            row = a[i]
-            f = row[k]
-            row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], tail)]
-        prev = p
-    return sign, pivots, first_swap
-
-
 def _is_rational(m: MatrixR) -> bool:
     return all(isinstance(e, (int, Fraction)) for e in m.entries)
 
 
-def det(m: MatrixR) -> Fraction:
-    """Determinant of a square matrix of ints and Fractions, as a Fraction,
-    by primitive-row elimination on integer rows; any other entry raises
-    TypeError.
+def _eliminate(a: list[list[int]]) -> tuple[int, list[int], int]:
+    """Primitive-row elimination of the square integer matrix `a`, in
+    place: the one integer elimination behind `det` and
+    `hankel.hankel_dets`.
 
-    Each row is scaled to integers and divided by its content (the gcd of
-    its entries).  With pivot p, a row whose entry f below it is nonzero
-    becomes (p/g) row - (f/g) pivot_row, g = gcd(p, f), and is divided by
-    its content again: the linear-algebra analogue of the primitive PRS
+    Each row is divided by its content (the gcd of its entries).  With
+    pivot p, a row whose entry f below it is nonzero becomes
+    (p/g) row - (f/g) pivot_row, g = gcd(p, f), and is divided by its
+    content again: the linear-algebra analogue of the primitive PRS
     (Knuth, TAOCP 2, 4.6.1).  Each row is the primitive part of the
     matching Bareiss row, so no entry outgrows Bareiss's, and factors
-    shared along a row (the q-factorials of the q-families) leave as soon
-    as they appear.  The contents and multipliers p/g taken from a row
-    give the rational factor between it and Gaussian elimination's row;
-    with it, each Bareiss pivot follows from the one before by one exact
-    division, and the last one is the integer determinant.  Rows are
-    swapped only on a zero pivot.
+    shared along a row (the q-factorials of the q-families, the factorials
+    of the Euler and Bernoulli moments) leave as soon as they appear.  The
+    contents and multipliers p/g taken from a row give the rational factor
+    between it and Gaussian elimination's row; with it, each Bareiss pivot
+    follows from the one before by one exact division.  Rows are swapped
+    only on a zero pivot.
+
+    Returns (sign, pivots, leading): pivot k is the order-(k+1) leading
+    minor of the row-swapped matrix, and the first `leading` pivots, those
+    before the first swap, are leading minors of `a` itself.  The
+    elimination stops at a zero pivot column or a zero row, so fewer than
+    len(a) pivots means `a` is singular.
+    """
+    n = len(a)
+    sign, bareiss, pivots, first_swap = 1, 1, [], n
+    # Gaussian elimination's row i is num[i] / den[i] times a[i]; after
+    # step k, rows k+1.. hold only their columns k+1..
+    num, den = [1] * n, [1] * n
+    for i, row in enumerate(a):
+        c = gcd(*row)
+        if c != 1:
+            if c == 0:
+                return sign, pivots, 0
+            a[i] = [x // c for x in row]
+            num[i] = c
+    for k in range(n):
+        if a[k][0] == 0:
+            i = next((i for i in range(k + 1, n) if a[i][0]), None)
+            if i is None:
+                break
+            a[k], a[i] = a[i], a[k]
+            num[k], num[i] = num[i], num[k]
+            den[k], den[i] = den[i], den[k]
+            sign = -sign
+            first_swap = min(first_swap, k)
+        tail = a[k]
+        p = tail.pop(0)
+        # Gaussian pivot k is the ratio of the Bareiss pivots k and k - 1
+        bareiss = num[k] * bareiss // den[k] * p
+        pivots.append(bareiss)
+        for i in range(k + 1, n):
+            rest = a[i]
+            f = rest.pop(0)
+            if f:
+                g = gcd(p, f)
+                pg = p // g
+                f //= g
+                rest = [pg * x - f * y for x, y in zip(rest, tail)]
+                c = gcd(*rest)
+                if c != 1:
+                    if c == 0:
+                        return sign, pivots, min(len(pivots), first_swap)
+                    rest = [x // c for x in rest]
+                    num[i] *= c
+                den[i] *= pg
+                a[i] = rest
+    return sign, pivots, min(len(pivots), first_swap)
+
+
+def det(m: MatrixR) -> Fraction:
+    """Determinant of a square matrix of ints and Fractions, as a Fraction,
+    by primitive-row elimination (`_eliminate`) on its rows scaled to
+    integers; any other entry raises TypeError.
 
     A determinant that is a polynomial in a parameter comes from
     `guess.interpolate_det_poly`: integer determinants at sample points,
@@ -221,48 +245,10 @@ def det(m: MatrixR) -> Fraction:
     if m.rows == 0:
         return Fraction(1)
     a, scales = _int_rows(m.to_rows())
-    n = len(a)
-    # Gaussian elimination's row i is num[i] / den[i] times a[i]; after
-    # step k, rows k+1.. hold only their columns k+1..
-    num, den = [1] * n, [1] * n
-    for i, row in enumerate(a):
-        c = gcd(*row)
-        if c != 1:
-            if c == 0:
-                return Fraction(0)
-            a[i] = [x // c for x in row]
-            num[i] = c
-    sign = bareiss = 1
-    for k in range(n):
-        if a[k][0] == 0:
-            i = next((i for i in range(k + 1, n) if a[i][0]), None)
-            if i is None:
-                return Fraction(0)
-            a[k], a[i] = a[i], a[k]
-            num[k], num[i] = num[i], num[k]
-            den[k], den[i] = den[i], den[k]
-            sign = -sign
-        tail = a[k]
-        p = tail.pop(0)
-        # Gaussian pivot k is the ratio of the Bareiss pivots k and k - 1
-        bareiss = num[k] * bareiss // den[k] * p
-        for i in range(k + 1, n):
-            rest = a[i]
-            f = rest.pop(0)
-            if f:
-                g = gcd(p, f)
-                pg = p // g
-                f //= g
-                rest = [pg * x - f * y for x, y in zip(rest, tail)]
-                c = gcd(*rest)
-                if c != 1:
-                    if c == 0:
-                        return Fraction(0)
-                    rest = [x // c for x in rest]
-                    num[i] *= c
-                den[i] *= pg
-                a[i] = rest
-    return Fraction(sign * bareiss, prod(scales))
+    sign, pivots, _ = _eliminate(a)
+    if len(pivots) < m.rows:
+        return Fraction(0)
+    return Fraction(sign * pivots[-1], prod(scales))
 
 
 def permanent(m: MatrixR):

@@ -1,6 +1,7 @@
 """Slow independent oracles for detkit.linalg: determinants by brute
 force over all permutations, by Gaussian elimination and by Dodgson
-condensation, for `det` and `_det_laplace`; Pfaffians by first-row
+condensation, for `det` and `_det_laplace`; leading minors by integer
+Bareiss elimination, for `hankel.hankel_dets`; Pfaffians by first-row
 expansion and by the signed sum over perfect matchings, for `pfaffian`;
 and the Faddeev-LeVerrier recursion, for `char_poly`.  The expansions
 take entries of any commutative ring, TruncSeries included."""
@@ -89,6 +90,39 @@ def det_condensation(m):
                     nxt[i][j] = num / denom
         prev, cur = cur, nxt
     return cur[0][0]
+
+
+def bareiss_int(a):
+    """Integer Bareiss elimination of the square matrix `a`, in place.
+
+    Rows are swapped only on a zero pivot.  Returns (sign, pivots,
+    first_swap): pivot k is the order-(k+1) leading minor of the row-swapped
+    matrix, so before `first_swap` (None when no swap happened) it is the
+    leading minor of `a` itself.  Fewer than len(a) pivots means `a` is
+    singular.
+    """
+    n = len(a)
+    sign, prev, pivots, first_swap = 1, 1, [], None
+    for k in range(n):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    if first_swap is None:
+                        first_swap = k
+                    break
+            else:
+                return sign, pivots, first_swap
+        p = a[k][k]
+        pivots.append(p)
+        tail = a[k][k + 1:]
+        for i in range(k + 1, n):
+            row = a[i]
+            f = row[k]
+            row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], tail)]
+        prev = p
+    return sign, pivots, first_swap
 
 
 def pfaffian_expansion(m):

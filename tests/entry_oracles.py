@@ -3,7 +3,7 @@ rule on Fractions for PolyQ and RatFn values, the per-entry formulas of
 the banded binomial-sum (tsscpp2), qflha1, factored-column (krat),
 q-shifted-factorial (anst, qkrat, qtsscpp1), q-binomial product (pp5) and
 chu2 matrices, each entry computed on its own with Fraction arithmetic,
-and the closed forms of pp5, qkrat and qtsscpp1 with every q-factorial,
+and the closed forms of anst, pp5, qkrat and qtsscpp1 with every q-factorial,
 q-Pochhammer and q-binomial evaluated on its own."""
 
 from fractions import Fraction
@@ -173,6 +173,22 @@ def pp5_closed(n, L, A, B, q):
         out *= q_factorial(A - 2 * i - 1, q) \
             / (q_factorial(A - i - n - 1, q) * q_factorial(B + i - n, q)
                * q_factorial(B, q))
+    return out
+
+
+def anst_closed(n, x, E, q):
+    """The anst closed form, each q-Pochhammer on its own."""
+    x, E, q = rat(x), rat(E), rat(q)
+    q2 = q * q
+    out = Fraction(1)
+    for i in range(n):
+        out *= q_pochhammer(x * x * q ** (2 * i + 1), q, i)
+        out *= q_pochhammer(x * q ** (3 + i) / E, q2, i)
+        out *= q_pochhammer(E * x * q ** (2 + i), q2, i)
+        out /= q_pochhammer(x * x * q ** (2 * i + 2), q2, i)
+        out /= q_pochhammer(q, q2, i + 1)
+        out /= q_pochhammer(E * x * q ** (1 + i), q, i)
+        out /= q_pochhammer(x * q ** (2 + i) / E, q, i)
     return out
 
 

@@ -26,8 +26,8 @@ from detkit.catalog.base import (IdentityRecord, Resample, Trial, VerifyReport,
 from detkit.catalog.sequences import _windows
 from detkit.exactnum import bell_poly, hermite_poly
 from detkit.linalg import MatrixR, det
-from entry_oracles import (anst_entry, banded_entry, chu2_entry, krat_entry,
-                           poly_horner, pp5_closed, pp5_entry, qflha1_entry,
+from entry_oracles import (anst_closed, anst_entry, banded_entry, chu2_entry,
+                           krat_entry, poly_horner, pp5_closed, pp5_entry, qflha1_entry,
                            qkrat_closed, qkrat_entry, qtsscpp1_closed,
                            qtsscpp1_entry)
 from partition_oracles import (blocks_of, join_by_merging, labels_of,
@@ -296,6 +296,12 @@ def test_cached_block_counts_match_every_pair(n):
         assert m == len(ground)
         assert counts == tuple(blocks(a, b) for a in ground for b in ground)
         assert _block_counts(n, name) is _block_counts(n, name)
+    # meet-nc and join-full-over-nc are read from the full tables at the
+    # positions of the noncrossing labels among the full ones
+    at = [full.index(p) for p in nc]
+    for name, whole in (("meet-nc", "meet-full"), ("join-full-over-nc", "join-full")):
+        m, counts = _block_counts(n, whole)
+        assert _block_counts(n, name)[1] == tuple(counts[i * m + j] for i in at for j in at)
 
 
 def _assert_block_counts(a, b, join):
@@ -512,8 +518,8 @@ def test_builder_matches_entry_oracle(identity_id):
     assert (raised > 0) == (identity_id in ("anst", "chu2"))
 
 
-CLOSED_FORM_ORACLES = {"pp5": pp5_closed, "qkrat": qkrat_closed,
-                       "qtsscpp1": qtsscpp1_closed}
+CLOSED_FORM_ORACLES = {"anst": anst_closed, "pp5": pp5_closed,
+                       "qkrat": qkrat_closed, "qtsscpp1": qtsscpp1_closed}
 
 
 def _value_or_raised(evaluate):

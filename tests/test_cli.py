@@ -4,6 +4,8 @@ and byte-identical deterministic reports."""
 import argparse
 import gc
 import json
+import math
+import sys
 
 import pytest
 
@@ -139,6 +141,37 @@ def test_hankel_euler_example(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["dets"] == ["1", "4"]
+
+
+def _parse_decimal(text):
+    # int(text) refuses more than 4300 digits on Python 3.11+
+    value = 0
+    for at in range(0, len(text), 1000):
+        chunk = text[at:at + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_hankel_prints_determinants_above_4300_digits(capsys, fmt):
+    # the Euler Hankel determinants are prod_(k<n) ((2k)!)^2; H_42 has
+    # 4462 digits, past Python's default limit for str() of an int,
+    # which the command must leave as it is (Python 3.10 has no limit)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = limit()
+    code, out = run(capsys, "hankel", "--seq", "euler", "--n", "42", "--format", fmt)
+    assert code == 0
+    assert limit() == before
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload["heilermann_ok"] is True
+        printed = payload["dets"][-1]
+    else:
+        assert out.rstrip().endswith("Heilermann cross-check: ok")
+        printed = next(line for line in out.splitlines()
+                       if line.startswith("  n=42: ")).split(": ")[1]
+    assert len(printed) > 4300
+    assert _parse_decimal(printed) == math.prod(math.factorial(2 * k) ** 2 for k in range(42))
 
 
 def test_hankel_degenerate_custom(capsys):

@@ -1,13 +1,17 @@
 """Oracle and property tests for Hankel determinants and J-fraction
 moment expansions."""
 
+import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from det_oracles import bareiss_int, det_condensation, det_gauss
+from detkit import hankel
 from detkit.exactnum import (TruncSeries, bell_poly, bernoulli, binomial,
                              catalan, euler_even, hermite_poly)
 from detkit.hankel import (NAMED_MOMENTS, DegenerateMomentsError, JFraction,
@@ -129,30 +133,129 @@ def test_hankel_x_transform_property(vals):
     assert hankel_x_transform(s, Fraction(-1, 2), 4) == hankel_det(s, 4)
 
 
+def _bareiss_leading_minors(s, n):
+    """The leading minors H_1, H_2, ... of s that integer Bareiss
+    elimination gives before its first row swap."""
+    d = math.lcm(*(v.denominator for v in s.values[:2 * n - 1]))
+    rows = [[int(v * d) for v in s.values[i:i + n]] for i in range(n)]
+    _, pivots, first_swap = bareiss_int(rows)
+    leading = pivots if first_swap is None else pivots[:first_swap]
+    return [Fraction(p, d ** (k + 1)) for k, p in enumerate(leading)]
+
+
+def _assert_hankel_dets_match_oracles(s, n):
+    # each order against Gauss and condensation on its own leading
+    # submatrix, and the first orders against integer Bareiss
+    dets = hankel_dets(s, n)
+    assert all(type(d) is Fraction for d in dets)
+    for k in range(1, n + 1):
+        sub = hankel_matrix(s, k)
+        assert dets[k - 1] == det_gauss(sub) == det_condensation(sub), k
+    minors = _bareiss_leading_minors(s, n)
+    assert dets[:len(minors)] == minors
+    return dets
+
+
 def test_hankel_dets_through_a_vanishing_minor():
     # H_2 = det [[1, 1], [1, 1]] = 0 while H_3 = -1: the one-pass pivots
     # stop being leading minors at order 2
     s = MomentSeq([1, 1, 1, 2, 3, 5, 8, 13, 21])
-    dets = hankel_dets(s, 5)
+    dets = _assert_hankel_dets_match_oracles(s, 5)
     assert dets[:3] == [1, 0, -1]
-    assert dets == [hankel_det(s, k) for k in range(1, 6)]
     zero = MomentSeq([0] * 7)
     assert hankel_dets(zero, 4) == [0] * 4
     assert hankel_dets(s, 0) == []
 
 
+_small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
 @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
     st.just(n),
-    st.lists(st.one_of(st.just(Fraction(0)),
-                       st.fractions(min_value=-5, max_value=5, max_denominator=4)),
+    st.lists(st.one_of(st.just(Fraction(0)), _small_fractions),
              min_size=2 * n - 1, max_size=2 * n - 1))))
 @settings(max_examples=100, deadline=None)
 def test_hankel_dets_match_each_order(case):
     n, vals = case
+    _assert_hankel_dets_match_oracles(MomentSeq(vals), n)
+
+
+@given(st.integers(1, 8), st.integers(-6, 6).filter(bool), st.data())
+@settings(max_examples=60, deadline=None)
+def test_hankel_dets_with_large_shared_factors(n, c, data):
+    # mu_k = c^k k! / d_k: the rows share large factorial factors, which
+    # the elimination removes as row contents
+    dens = data.draw(st.lists(st.integers(1, 4), min_size=2 * n - 1, max_size=2 * n - 1))
+    s = MomentSeq([Fraction(c ** k * math.factorial(k), d) for k, d in enumerate(dens)])
+    _assert_hankel_dets_match_oracles(s, n)
+
+
+@given(st.integers(3, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(2, n - 1),
+    st.lists(_small_fractions, min_size=2 * n - 1, max_size=2 * n - 1))))
+@settings(max_examples=60, deadline=None)
+def test_hankel_dets_through_a_minor_vanishing_mid_way(case):
+    # mu_(2j-2) enters H_j once, with cofactor H_(j-1), so one value of it
+    # makes H_j vanish while the later orders stay nonzero
+    n, j, vals = case
+    below = det_gauss(hankel_matrix(MomentSeq(vals), j - 1))
+    assume(below != 0)
+    vals[2 * j - 2] = Fraction(0)
+    vals[2 * j - 2] = -det_gauss(hankel_matrix(MomentSeq(vals), j)) / below
     s = MomentSeq(vals)
-    dets = hankel_dets(s, n)
-    assert all(type(d) is Fraction for d in dets)
-    assert dets == [hankel_det(s, k) for k in range(1, n + 1)]
+    assume(det_gauss(hankel_matrix(s, n)) != 0)
+    dets = _assert_hankel_dets_match_oracles(s, n)
+    assert dets[j - 1] == 0 and dets[-1] != 0
+
+
+def _in_span(row, basis):
+    """Whether row is a rational combination of the independent rows of
+    basis, by Gaussian elimination on Fractions."""
+    rows = [list(r) for r in basis] + [list(row)]
+    rank = 0
+    for c in range(len(row)):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank == len(basis)
+
+
+@given(st.integers(0, 4).flatmap(lambda k: st.tuples(
+    st.integers(k + 2, 6),
+    st.lists(st.tuples(_small_fractions.filter(bool), _small_fractions),
+             min_size=k + 1, max_size=k + 1))))
+@settings(max_examples=60, deadline=None)
+def test_hankel_dets_when_a_row_becomes_zero(case):
+    # mu_j = sum_t c_t r_t^j over k + 1 terms gives a Hankel matrix of
+    # rank at most k + 1 < n, so some row becomes zero after a step s of
+    # the elimination; the orders before it still come from the one pass
+    # and only the later ones are computed on their own
+    n, terms = case
+    s = MomentSeq([sum(c * r ** j for c, r in terms) for j in range(2 * n - 1)])
+    rows = [s.values[i:i + n] for i in range(n)]
+    minors = [det_gauss(hankel_matrix(s, k)) for k in range(1, n + 1)]
+    # the pass stops at the first zero pivot, H_(k+1) = 0 at step k, or
+    # after the first step s at which a row i > s is in the span of rows
+    # 0..s (s = -1: a zero row)
+    first_zero = next((k for k, h in enumerate(minors) if h == 0), n)
+    zero_row_step = min((st for i in range(n) for st in range(-1, i)
+                         if _in_span(rows[i], rows[:st + 1])), default=n)
+    passed = min(first_zero, zero_row_step + 1)
+    requested = []
+
+    def one_order(seq, k):
+        requested.append(k)
+        return det_gauss(hankel_matrix(seq, k))
+
+    with mock.patch.object(hankel, "hankel_det", one_order):
+        _assert_hankel_dets_match_oracles(s, n)
+    assert requested == list(range(passed + 1, n + 1))
+    assert passed < n
 
 
 def _jfraction_by_series_inversion(s: MomentSeq, depth: int) -> JFraction:
