@@ -7,9 +7,11 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Optional
 
-from ..exactnum import PolyQ, fmt_rat
+from ..exactnum import (PolyQ, _one_minus_power, _q_factorial_pairs,
+                        _q_int_pairs, fmt_rat, rat)
 
 
 class Resample(Exception):
@@ -84,16 +86,99 @@ def _ceil(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def prod(items):
+# ---------------------------------------------------------------------------
+# closed forms as products of factors: the parameters become integer pairs
+# (numerator, denominator) once, the factor kinds below (and exactnum's
+# q-integer, q-factorial and q-Pochhammer tables) build each factor as an
+# unreduced pair, and `prod` multiplies them.
+
+
+ONE = (1, 1)
+
+
+def pair(value) -> tuple[int, int]:
+    value = rat(value)
+    return value.numerator, value.denominator
+
+
+def pairs(values) -> list[tuple[int, int]]:
+    return [pair(v) for v in values]
+
+
+def inv(x):
+    return x[1], x[0]
+
+
+def sub(x, y):
+    return x[0] * y[1] - y[0] * x[1], x[1] * y[1]
+
+
+def add(x, y):
+    return x[0] * y[1] + y[0] * x[1], x[1] * y[1]
+
+
+def mul(x, y):
+    return x[0] * y[0], x[1] * y[1]
+
+
+def power(x, e: int):
+    return (x[0] ** e, x[1] ** e) if e >= 0 else (x[1] ** -e, x[0] ** -e)
+
+
+def prod(factors) -> Fraction:
+    """The product of integer pairs, ints and Fractions as a Fraction (1
+    for none; ZeroDivisionError for a zero denominator).  Pairs and ints
+    multiply on one integer numerator and denominator, Fractions (such as
+    the products of factor rows, where rows cancel) reduced."""
     out = Fraction(1)
-    for x in items:
-        out = out * x
-    return out
+    num = den = 1
+    for f in factors:
+        if f.__class__ is tuple:
+            num *= f[0]
+            den *= f[1]
+        elif isinstance(f, int):
+            num *= f
+        else:
+            out *= f
+    if den == 0:  # Fraction's own message would print the numerator
+        raise ZeroDivisionError("a factor's denominator is 0")
+    return out if num == den == 1 else out * Fraction(num, den)
+
+
+def over_pairs(f, xs):
+    """f(xs[i], xs[j]) for i < j."""
+    return (f(xs[i], xs[j]) for i in range(len(xs)) for j in range(i + 1, len(xs)))
+
+
+def q_rows(q, rows, *factors) -> Fraction:
+    """The factors times, one Fraction per row (ints, ups, downs), the
+    q-integers [m]_q over ints and the q-factorials [m]_q! over ups,
+    divided by those over downs, read from running-product tables."""
+    hi = max((abs(m) for row in rows for ms in row for m in ms), default=0)
+    q_int_pair, fact = _q_int_pairs(q, hi), _q_factorial_pairs(q, hi)
+    return prod(chain(factors, (
+        prod(chain(map(q_int_pair, ints), map(fact, ups), (inv(fact(m)) for m in downs)))
+        for ints, ups, downs in rows)))
+
+
+def q_ratios(q, rows, *factors) -> Fraction:
+    """The factors times, one Fraction per row (ups, downs), the product of
+    1 - q^e over ups divided by that over downs."""
+    p, d = pair(q)
+    return prod(chain(factors, (
+        prod(chain((_one_minus_power(p, d, e) for e in ups),
+                   (inv(_one_minus_power(p, d, e)) for e in downs)))
+        for ups, downs in rows)))
+
+
+def differences(xs):
+    """The factors xs[j] - xs[i], i < j, of the Vandermonde product."""
+    return over_pairs(lambda u, v: sub(v, u), xs)
 
 
 def _vdm(xs) -> Fraction:
     """The Vandermonde product prod_{i<j} (xs[j] - xs[i])."""
-    return prod(xs[j] - xs[i] for i in range(len(xs)) for j in range(i + 1, len(xs)))
+    return prod(differences(pairs(xs)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 
 from ..exactnum import binomial, double_factorial, pochhammer, rat
 from ..linalg import MatrixR, det
-from .base import (IdentityRecord, Resample, _sample_mu, det_record, rand_frac,
-                   register)
+from .base import (IdentityRecord, Resample, _sample_mu, det_record, prod,
+                   rand_frac, register)
 
 
 def _sign_mod4(n: int) -> int:
@@ -96,12 +97,9 @@ def _build_mrr(n, mu):
 
 def _closed_mrr(n, mu):
     mu = rat(mu)
-    out = Fraction(_sign_mod4(n)) * Fraction(2) ** ((n - 1) * (n - 2) // 2)
-    for i in range(1, n):
-        out *= pochhammer(mu + i + 1, (i + 1) // 2)
-        out *= pochhammer(-mu - 3 * n + i + Fraction(3, 2), i // 2)
-        out /= pochhammer(i, i)
-    return out
+    return prod(chain([_sign_mod4(n) * 2 ** ((n - 1) * (n - 2) // 2)], (
+        pochhammer(mu + i + 1, (i + 1) // 2) * pochhammer(-mu - 3 * n + i + Fraction(3, 2), i // 2)
+        / pochhammer(i, i) for i in range(1, n))))
 
 
 det_record("mrr", _sample_mu, _build_mrr, _closed_mrr, max_n=5)
@@ -117,13 +115,10 @@ def _build_rn(n, mu):
 
 def _closed_rn(n, mu):
     mu = rat(mu)
-    out = Fraction(2) ** n
-    for i in range(1, n + 1):
-        out *= pochhammer(mu + i, i // 2)
-        out *= pochhammer(mu + 3 * n - (3 * i - 1) // 2 + Fraction(1, 2),
-                          (i + 1) // 2)
-        out /= double_factorial(2 * i - 1)
-    return out
+    return prod(chain([2 ** n], (
+        pochhammer(mu + i, i // 2) * pochhammer(mu + 3 * n - (3 * i - 1) // 2 + Fraction(1, 2),
+                                                (i + 1) // 2) / double_factorial(2 * i - 1)
+        for i in range(1, n + 1))))
 
 
 det_record("rn", _sample_mu, _build_rn, _closed_rn, max_n=5)

@@ -5,11 +5,13 @@ partition product formula."""
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 from ..exactnum import PolyQ, _homogeneous, binomial, integer_numerators, rat
 from ..linalg import MatrixR, permanent
-from .base import (Resample, _vdm, det_record, distinct_fracs, prod, rand_frac,
-                   rand_nonzero)
+from .base import (ONE, Resample, _vdm, add, det_record, differences,
+                   distinct_fracs, inv, mul, over_pairs, pair, pairs, power,
+                   prod, rand_frac, rand_nonzero, sub)
 
 
 # ---------------------------------------------------------------------------
@@ -25,7 +27,7 @@ def _build_vandermonde(n, X):
 
 
 def _closed_vandermonde(n, X):
-    return _vdm([rat(x) for x in X])
+    return _vdm(X)
 
 
 det_record("vandermonde", _sample_x, _build_vandermonde, _closed_vandermonde, max_n=5)
@@ -46,8 +48,7 @@ def _build_vdm_poly(n, X, coeffs):
 
 
 def _closed_vdm_poly(n, X, coeffs):
-    leading = prod(rat(c[-1]) for c in coeffs)
-    return leading * _vdm([rat(x) for x in X])
+    return prod(chain(pairs(c[-1] for c in coeffs), differences(pairs(X))))
 
 
 det_record("vandermonde-poly", _sample_vdm_poly, _build_vdm_poly, _closed_vdm_poly, max_n=5)
@@ -57,11 +58,9 @@ def _sample_x_nonzero(rng, n):
     return {"X": distinct_fracs(rng, n, nonzero=True)}
 
 
-def _pair_products(X):
-    """prod_{i<j} (X_i - X_j)(1 - X_i X_j)."""
-    n = len(X)
-    return prod((X[i] - X[j]) * (1 - X[i] * X[j])
-                for i in range(n) for j in range(i + 1, n))
+def _weyl_pairs(X):
+    """The factors (X_i - X_j)(1 - X_i X_j), i < j."""
+    return over_pairs(lambda u, v: mul(sub(u, v), sub(ONE, mul(u, v))), X)
 
 
 def _build_weyl_c(n, X):
@@ -69,8 +68,9 @@ def _build_weyl_c(n, X):
 
 
 def _closed_weyl_c(n, X):
-    X = [rat(x) for x in X]
-    return (prod(X) ** (-n)) * _pair_products(X) * prod(x**2 - 1 for x in X)
+    X = pairs(X)
+    return prod(chain((power(x, -n) for x in X), _weyl_pairs(X),
+                      (sub(power(x, 2), ONE) for x in X)))
 
 
 det_record("weyl-c", _sample_x_nonzero, _build_weyl_c, _closed_weyl_c, max_n=5)
@@ -90,10 +90,10 @@ def _make_weyl_b(identity_id, s):
             rat(t[i]) ** (2 * j + 1) + s * rat(t[i]) ** (-(2 * j + 1))))
 
     def closed(n, t):
-        t = [rat(v) for v in t]
-        X = [v * v for v in t]
-        return (prod(v ** (1 - 2 * n) for v in t) * _pair_products(X)
-                * prod(x + s for x in X))
+        t = pairs(t)
+        X = [power(v, 2) for v in t]
+        return prod(chain((power(v, 1 - 2 * n) for v in t), _weyl_pairs(X),
+                          (add(x, (s, 1)) for x in X)))
 
     det_record(identity_id, _sample_half_powers, build, closed, max_n=5)
 
@@ -106,8 +106,8 @@ def _build_weyl_d(n, X):
 
 
 def _closed_weyl_d(n, X):
-    X = [rat(x) for x in X]
-    return 2 * prod(X) ** (-n + 1) * _pair_products(X)
+    X = pairs(X)
+    return prod(chain((2,), (power(x, 1 - n) for x in X), _weyl_pairs(X)))
 
 
 det_record("weyl-d", _sample_x_nonzero, _build_weyl_d, _closed_weyl_d, max_n=5)
@@ -134,8 +134,9 @@ def _build_cauchy(n, X, Y):
 
 
 def _closed_cauchy(n, X, Y):
-    X, Y = [rat(x) for x in X], [rat(y) for y in Y]
-    return _vdm(X) * _vdm(Y) / prod(x + y for x in X for y in Y)
+    X, Y = pairs(X), pairs(Y)
+    return prod(chain(differences(X), differences(Y),
+                      (inv(add(x, y)) for x in X for y in Y)))
 
 
 det_record("cauchy", _sample_cauchy, _build_cauchy, _closed_cauchy, max_n=5)
@@ -242,12 +243,14 @@ def _build_krat1(n, X, A, B):
     return _factored_columns(n, X, lambda x: ((x, 1),), A, B)
 
 
+# The closed forms of the lemmas below index their alphabets from 0:
+# A[k] = A_(k+2), and so on.
+
+
 def _closed_krat1(n, X, A, B):
-    X = [rat(x) for x in X]
-    out = _vdm(list(reversed(X)))  # prod_{i<j} (X_i - X_j)
-    out *= prod(rat(B[i - 2]) - rat(A[j - 2])
-                for i in range(2, n + 1) for j in range(i, n + 1))
-    return out
+    X, A, B = pairs(X), pairs(A), pairs(B)
+    return prod(chain(differences(X[::-1]),  # prod_{i<j} (X_i - X_j)
+                      (sub(B[i], A[j]) for i in range(n - 1) for j in range(i, n - 1))))
 
 
 det_record("krat1", _sample_xa, _build_krat1, _closed_krat1, max_n=5)
@@ -264,12 +267,18 @@ def _build_krat2(n, X, A, C):
     return _factored_columns(n, X, lambda x: ((C / x, 1), (x, 1)), A)
 
 
+def _dual(C):
+    """The factor (u - v)(1 - C/(u v)) as a function of u and v."""
+    return lambda u, v: mul(sub(u, v), sub(ONE, mul(C, inv(mul(u, v)))))
+
+
+def _krat2_factors(X, A, C):
+    """The factors of prod_{i=2}^n A_i^(i-1) prod_{i<j} (X_i - X_j)(1 - C/(X_i X_j))."""
+    return chain((power(a, k + 1) for k, a in enumerate(A)), over_pairs(_dual(C), X))
+
+
 def _closed_krat2(n, X, A, C):
-    X, C = [rat(x) for x in X], rat(C)
-    out = prod(rat(A[i - 2]) ** (i - 1) for i in range(2, n + 1))
-    out *= prod((X[i] - X[j]) * (1 - C / (X[i] * X[j]))
-                for i in range(n) for j in range(i + 1, n))
-    return out
+    return prod(_krat2_factors(pairs(X), pairs(A), pair(C)))
 
 
 det_record("krat2", _sample_krat2, _build_krat2, _closed_krat2, max_n=5)
@@ -280,10 +289,13 @@ def _build_krat2a(n, X, A, C):
     return _factored_columns(n, X, lambda x: ((x - C, -1), (x, 1)), A)
 
 
+def _krat2a_factors(X, C):
+    """The factors of prod_{i<j} (X_j - X_i)(C - X_i - X_j)."""
+    return over_pairs(lambda u, v: mul(sub(v, u), sub(C, add(u, v))), X)
+
+
 def _closed_krat2a(n, X, A, C):
-    X, C = [rat(x) for x in X], rat(C)
-    return prod((X[j] - X[i]) * (C - X[i] - X[j])
-                for i in range(n) for j in range(i + 1, n))
+    return prod(_krat2a_factors(pairs(X), pair(C)))
 
 
 det_record("krat2a", _sample_krat2, _build_krat2a, _closed_krat2a, max_n=5)
@@ -295,10 +307,6 @@ def _sample_krat3(rng, n):
     # under X -> C/X
     B = tuple(tuple(rand_nonzero(rng) for _ in range(j)) for j in range(n))
     return {**base, "B": B}
-
-
-def _sym_p(j, x, B, C):
-    return prod((x + rat(b)) * (C / x + rat(b)) for b in B[j])
 
 
 def _build_krat3(n, X, A, C, B):
@@ -313,12 +321,12 @@ def _build_krat3(n, X, A, C, B):
 
 
 def _closed_krat3(n, X, A, C, B):
-    # p_0 is an empty product (constant 1), so the i=1 factor is 1
-    C = rat(C)
-    out = _closed_krat2(n, X, A, C)
-    for i in range(2, n + 1):
-        out *= _sym_p(i - 1, -rat(A[i - 2]), B, C)
-    return out
+    # krat2's product times p_(i-1)(-A_i) for i >= 2, where
+    # p_j(x) = prod_{b in B[j]} (x + b)(C/x + b); p_0 = 1 adds nothing
+    A, C = pairs(A), pair(C)
+    return prod(chain(_krat2_factors(pairs(X), A, C), (
+        f for k, a in enumerate(A) for b in pairs(B[k + 1])
+        for f in (sub(b, a), sub(b, mul(C, inv(a)))))))
 
 
 det_record("krat3", _sample_krat3, _build_krat3, _closed_krat3, max_n=5)
@@ -367,10 +375,6 @@ def _sample_krat5(rng, n):
     return {"X": X, "A": A, "C": C, "B": B}
 
 
-def _refl_p(j, x, B, C):
-    return prod((x + rat(b)) * (C - x + rat(b)) for b in B[j])
-
-
 def _build_krat5(n, X, A, C, B):
     C = rat(C)
 
@@ -382,11 +386,12 @@ def _build_krat5(n, X, A, C, B):
 
 
 def _closed_krat5(n, X, A, C, B):
-    C = rat(C)
-    out = _closed_krat2a(n, X, A, C)
-    for i in range(2, n + 1):
-        out *= _refl_p(i - 1, -rat(A[i - 2]), B, C)
-    return out
+    # krat2a's product times p_(i-1)(-A_i) for i >= 2, where
+    # p_j(x) = prod_{b in B[j]} (x + b)(C - x + b)
+    C = pair(C)
+    return prod(chain(_krat2a_factors(pairs(X), C), (
+        f for k, a in enumerate(pairs(A)) for b in pairs(B[k + 1])
+        for f in (sub(b, a), add(add(C, a), b)))))
 
 
 det_record("krat5", _sample_krat5, _build_krat5, _closed_krat5, max_n=5)
@@ -408,25 +413,23 @@ def _build_krat6(n, X, A, B, a, b, C, m):
                              switch=(m, a, b))
 
 
+def _switched_pairs(n, m, f, A, B, a, b):
+    """The factors f(u, v) over the alphabet pairs of krat6 and krat7:
+    (B_i, A_j) for 2 <= i <= j < m, (b_i, A_j) for i <= m <= j and
+    (b_i, a_j) for m < i <= j."""
+    return chain((f(B[i], A[j]) for i in range(m - 2) for j in range(i, m - 2)),
+                 (f(b[i], A[j]) for i in range(m - 1) for j in range(m - 2, n - 1)),
+                 (f(b[i], a[j]) for i in range(m - 1, n - 1) for j in range(i, n - 1)))
+
+
 def _closed_krat6(n, X, A, B, a, b, C, m):
-    X, C = [rat(x) for x in X], rat(C)
-    Av = {s: rat(A[s - 2]) for s in range(2, n + 1)}
-    Bv = {s: rat(B[s - 2]) for s in range(2, n + 1)}
-    av = {s: rat(a[s - 2]) for s in range(2, n + 1)}
-    bv = {s: rat(b[s - 2]) for s in range(2, n + 1)}
-    out = prod((X[i] - X[j]) * (1 - C / (X[i] * X[j]))
-               for i in range(n) for j in range(i + 1, n))
-    out *= prod((Bv[i] - Av[j]) * (1 - C / (Bv[i] * Av[j]))
-                for i in range(2, m) for j in range(i, m))
-    out *= prod((bv[i] - Av[j]) * (1 - C / (bv[i] * Av[j]))
-                for i in range(2, m + 1) for j in range(m, n + 1))
-    out *= prod((bv[i] - av[j]) * (1 - C / (bv[i] * av[j]))
-                for i in range(m + 1, n + 1) for j in range(i, n + 1))
-    out *= prod(prod(Av[s] for s in range(i, n + 1)) for i in range(2, m + 1))
-    out *= prod(prod(av[s] for s in range(i, n + 1)) for i in range(m + 1, n + 1))
-    out *= prod(prod(Bv[s] for s in range(2, i + 1)) for i in range(2, m))
-    out *= prod(prod(bv[s] for s in range(2, i + 1)) for i in range(m, n + 1))
-    return out
+    X, A, B, a, b, C = pairs(X), pairs(A), pairs(B), pairs(a), pairs(b), pair(C)
+    return prod(chain(
+        over_pairs(_dual(C), X), _switched_pairs(n, m, _dual(C), A, B, a, b),
+        (A[s] for i in range(m - 1) for s in range(i, n - 1)),
+        (a[s] for i in range(m - 1, n - 1) for s in range(i, n - 1)),
+        (B[s] for i in range(m - 2) for s in range(i + 1)),
+        (b[s] for i in range(m - 2, n - 1) for s in range(i + 1))))
 
 
 det_record("krat6", _sample_krat6, _build_krat6, _closed_krat6, max_n=5, min_n=2)
@@ -449,20 +452,10 @@ def _build_krat7(n, X, A, B, a, b, C, m):
 
 
 def _closed_krat7(n, X, A, B, a, b, C, m):
-    X, C = [rat(x) for x in X], rat(C)
-    Av = {s: rat(A[s - 2]) for s in range(2, n + 1)}
-    Bv = {s: rat(B[s - 2]) for s in range(2, n + 1)}
-    av = {s: rat(a[s - 2]) for s in range(2, n + 1)}
-    bv = {s: rat(b[s - 2]) for s in range(2, n + 1)}
-    out = prod((X[i] - X[j]) * (C - X[i] - X[j])
-               for i in range(n) for j in range(i + 1, n))
-    out *= prod((Bv[i] - Av[j]) * (Bv[i] + Av[j] + C)
-                for i in range(2, m) for j in range(i, m))
-    out *= prod((bv[i] - Av[j]) * (bv[i] + Av[j] + C)
-                for i in range(2, m + 1) for j in range(m, n + 1))
-    out *= prod((bv[i] - av[j]) * (bv[i] + av[j] + C)
-                for i in range(m + 1, n + 1) for j in range(i, n + 1))
-    return out
+    X, A, B, a, b, C = pairs(X), pairs(A), pairs(B), pairs(a), pairs(b), pair(C)
+    return prod(chain(
+        over_pairs(lambda u, v: mul(sub(u, v), sub(C, add(u, v))), X),
+        _switched_pairs(n, m, lambda u, v: mul(sub(u, v), add(add(u, v), C)), A, B, a, b)))
 
 
 det_record("krat7", _sample_krat7, _build_krat7, _closed_krat7, max_n=5, min_n=2)
@@ -484,12 +477,8 @@ def build_macmahon(n, a, b):
 
 def macmahon_product(n, a, b):
     """The triple product over an n x a x b box."""
-    out = Fraction(1)
-    for i in range(1, n + 1):
-        for j in range(1, a + 1):
-            for k in range(1, b + 1):
-                out *= Fraction(i + j + k - 1, i + j + k - 2)
-    return out
+    return prod((i + j + k - 1, i + j + k - 2) for i in range(1, n + 1)
+                for j in range(1, a + 1) for k in range(1, b + 1))
 
 
 det_record("macmahon", _sample_macmahon, build_macmahon, macmahon_product, max_n=5)

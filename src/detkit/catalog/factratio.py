@@ -6,16 +6,21 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from ..exactnum import (_one_minus_power, _q_pochhammer_pairs, binomial,
                         double_factorial, pochhammer, rat)
 from ..linalg import MatrixR
-from .base import Resample, det_record, prod, rand_nonzero, rand_q
+from .base import Resample, det_record, inv, power, prod, rand_nonzero, rand_q
 
 
 def _fact(m: int) -> Fraction:
     return Fraction(math.factorial(m))
+
+
+def _rising(a: int, k: int) -> int:
+    """The shifted factorial (a)_k of an integer a, k >= 0."""
+    return math.prod(range(a, a + k))
 
 
 # ---------------------------------------------------------------------------
@@ -46,13 +51,10 @@ def _ratio_entries(n, x, y, shift, extra):
 def _ratio_product(n, x, y, shift):
     """The product in the closed forms of krat-xy (shift = 0) and tsscpp1
     (shift = 1)."""
-    out = Fraction(1)
-    for i in range(n):
-        out *= _fact(i) * _fact(x + y + i - 1)
-        out *= pochhammer(2 * x + y + 2 * i + shift, i)
-        out *= pochhammer(x + 2 * y + 2 * i + shift, i)
-        out /= _fact(x + 2 * i + shift) * _fact(y + 2 * i + shift)
-    return out
+    f = math.factorial
+    return prod((f(i) * f(x + y + i - 1) * _rising(2 * x + y + 2 * i + shift, i)
+                 * _rising(x + 2 * y + 2 * i + shift, i),
+                 f(x + 2 * i + shift) * f(y + 2 * i + shift)) for i in range(n))
 
 
 def _build_kratxy(n, x, y):
@@ -126,20 +128,12 @@ def _q_ratio_product(n, x, y, q, shift):
                              max(s + n - 1, x + shift + 2 * n - 2, y + shift + 2 * n - 2))
     q2 = _q_pochhammer_pairs(q * q, q * q, 0, n - 1)
     neg = _q_pochhammer_pairs(-q ** (x + y + 1 + shift), q, 0, 2 * n - 2)
-    out = Fraction(1)
-    for i in range(n):
-        (n1, d1), (n2, d2), (n3, d3) = q2(i), qq(s + i), qq(x + 2 * i + shift)
-        (n4, d4), (n5, d5) = qq(y + 2 * i + shift), neg(n - 1 + i)
-        w = 2 * i * i  # q^(-2i^2)
-        num = d ** w * n1 * n2 * d3 * d4 * d5
-        den = p ** w * d1 * d2 * n3 * n4 * n5
-        for base in (2 * x + y + shift, x + 2 * y + shift):
-            for e in range(base + 2 * i, base + 3 * i):
-                a, b = _one_minus_power(p, d, e)
-                num *= a
-                den *= b
-        out *= Fraction(num, den)
-    return out
+    return prod(prod(chain(
+        (power((p, d), -2 * i * i), q2(i), qq(s + i), inv(qq(x + 2 * i + shift)),
+         inv(qq(y + 2 * i + shift)), inv(neg(n - 1 + i))),
+        (_one_minus_power(p, d, e) for base in (2 * x + y + shift, x + 2 * y + shift)
+         for e in range(base + 2 * i, base + 3 * i))))
+        for i in range(n))
 
 
 def _build_qkrat(n, x, y, q):
@@ -217,25 +211,15 @@ def _closed_anst(n, x, E, q):
         return [(ad * d ** e - an * p ** e, ad * d ** e) for e in range(4 * n)]
 
     sq, xe, ex = factors(x * x), factors(x / E), factors(E * x)
-    out = Fraction(1)
-    for i in range(n):
-        den, num = odd(i + 1)
-        for table, es in ((sq, range(2 * i + 1, 3 * i + 1)),
-                          (xe, range(3 + i, 3 + 3 * i, 2)),
-                          (ex, range(2 + i, 2 + 3 * i, 2))):
-            for e in es:
-                fn, fd = table[e]
-                num *= fn
-                den *= fd
-        for table, es in ((sq, range(2 * i + 2, 4 * i + 2, 2)),
-                          (ex, range(1 + i, 1 + 2 * i)),
-                          (xe, range(2 + i, 2 + 2 * i))):
-            for e in es:
-                fn, fd = table[e]
-                num *= fd
-                den *= fn
-        out *= Fraction(num, den)
-    return out
+    return prod(prod(chain(
+        (inv(odd(i + 1)),),
+        (table[e] for table, es in ((sq, range(2 * i + 1, 3 * i + 1)),
+                                    (xe, range(3 + i, 3 + 3 * i, 2)),
+                                    (ex, range(2 + i, 2 + 3 * i, 2))) for e in es),
+        (inv(table[e]) for table, es in ((sq, range(2 * i + 2, 4 * i + 2, 2)),
+                                         (ex, range(1 + i, 1 + 2 * i)),
+                                         (xe, range(2 + i, 2 + 2 * i))) for e in es)))
+        for i in range(n))
 
 
 det_record("anst", _sample_anst, _build_anst, _closed_anst, max_n=4)
@@ -326,15 +310,13 @@ def _make_tsscpp2(m, min_n):
         h = n // 2
         if m == 0 and n % 2:
             return Fraction(0)
-        out = Fraction(1)
-        for i in range(n):
-            out *= _fact(i) * _fact(2 * x + i + m)
-            out *= pochhammer(3 * x + 2 * i + m + 2, i)
-            out *= pochhammer(3 * x + 2 * i + 2 * m + 2, i)
-            out /= _fact(x + 2 * i) * _fact(x + 2 * i + m)
+        f = math.factorial
         shift = 1 if m == 0 else (3 if m in (1, 2) else 5)
-        out *= prod(2 * x + 2 * i + shift for i in range(h))
-        out /= double_factorial(2 * h - 1)
+        out = prod(chain(
+            ((f(i) * f(2 * x + i + m) * _rising(3 * x + 2 * i + m + 2, i)
+              * _rising(3 * x + 2 * i + 2 * m + 2, i), f(x + 2 * i) * f(x + 2 * i + m))
+             for i in range(n)),
+            (2 * x + 2 * i + shift for i in range(h)), [(1, double_factorial(2 * h - 1))]))
         if m == 2:
             out *= Fraction(x + n + 1 if n % 2 == 0 else 2 * x + n + 2, x + 1)
         elif m == 3:
@@ -373,13 +355,10 @@ def _build_pentagon(n, x, y):
 
 
 def _closed_pentagon(n, x, y):
-    out = Fraction(1)
-    for j in range(1, n + 1):
-        out *= _fact(j - 1) * _fact(x + y + 2 * j)
-        out *= pochhammer(x - y + 2 * j + 1, j)
-        out *= pochhammer(x + 2 * y + 3 * j + 1, n - j)
-        out /= _fact(x + n + 2 * j) * _fact(y + n - j)
-    return out
+    f = math.factorial
+    return prod((f(j - 1) * f(x + y + 2 * j) * _rising(x - y + 2 * j + 1, j)
+                 * _rising(x + 2 * y + 3 * j + 1, n - j), f(x + n + 2 * j) * f(y + n - j))
+                for j in range(1, n + 1))
 
 
 det_record("pentagon", _sample_pent, _build_pentagon, _closed_pentagon, max_n=5)

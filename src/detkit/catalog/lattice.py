@@ -8,7 +8,8 @@ from fractions import Fraction
 
 from ..exactnum import binomial, pochhammer, rat
 from ..linalg import MatrixR, det
-from .base import IdentityRecord, Resample, _ceil, det_record, rand_frac, register
+from .base import (IdentityRecord, Resample, _ceil, det_record, prod, rand_frac,
+                   register)
 
 
 # ---------------------------------------------------------------------------
@@ -90,11 +91,8 @@ def _build_poorten(n, N, l, x):
 
 
 def _closed_poorten(n, N, l, x):
-    x = rat(x)
-    out = Fraction(1)
-    for i in range(1, l + 1):
-        out *= binomial(x + i - 1, 2 * i - 1) / binomial(l + i - 1, 2 * i - 1)
-    return out ** binomial(N + 2, 3)
+    return prod(binomial(rat(x) + i - 1, 2 * i - 1) / binomial(l + i - 1, 2 * i - 1)
+                for i in range(1, l + 1)) ** binomial(N + 2, 3)
 
 
 def _poorten_trial(rng, n):

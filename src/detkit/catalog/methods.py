@@ -7,11 +7,12 @@ binomial determinant with one free parameter."""
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 from ..exactnum import PolyQ, RatFn, binomial, factorial, rat
 from ..guess import interpolate_det_poly, lagrange_interpolate, linear_factors
 from ..linalg import MatrixR, det
-from .base import Trial, VerifyReport, _vdm
+from .base import Trial, VerifyReport, _vdm, pair, power, prod
 from . import binomsum as _binomsum
 from .classical import _build_vandermonde, build_macmahon
 
@@ -113,12 +114,8 @@ def ode_method_check(n: int, b: int) -> VerifyReport:
         {"n": n, "b": b, "check": "trace"}, trace, want, trace == want))
 
     def closed(av: Fraction) -> Fraction:
-        out = Fraction(1)
-        for el in range(n):
-            out *= factorial(el)
-        for el in range(1, n):
-            out *= (av + b + el) ** (n - el)
-        return out
+        return prod(chain(map(factorial, range(n)),
+                          (power(pair(av + b + el), n - el) for el in range(1, n))))
 
     samples_ok = True
     for av in range(n * (n - 1) // 2 + 1):
@@ -166,10 +163,7 @@ def lu_vandermonde_check(n: int, X) -> VerifyReport:
         return Fraction(-1) ** (j - i) * elementary_symmetric(j - i, X[:j])
 
     def l_entry(i, j):
-        out = Fraction(1)
-        for k in range(j):
-            out *= X[i] - X[k]
-        return out
+        return prod(X[i] - X[k] for k in range(j))
 
     u = MatrixR.build(n, n, u_entry)
     el = MatrixR.build(n, n, l_entry)

@@ -5,11 +5,13 @@ divided differences, and their q-analogues."""
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
-from ..exactnum import (PolyQ, divided_differences, factorial, q_factorial,
-                        q_int, rat)
+from ..exactnum import (PolyQ, _q_factorial_pairs, divided_differences,
+                        factorial, q_int, rat)
 from ..linalg import MatrixR, det
-from .base import _vdm, det_record, distinct_fracs, prod, rand_frac, rand_q
+from .base import (_vdm, det_record, distinct_fracs, mul, pair, pairs, power,
+                   prod, rand_frac, rand_q, sub)
 
 
 def _binom2(m: int) -> int:
@@ -60,11 +62,10 @@ def _build_flha1(n, parts, X):
 
 
 def _closed_flha1(n, parts, X):
-    X = [rat(x) for x in X]
-    out = prod(Fraction(factorial(j)) for m in parts for j in range(1, m))
-    out *= prod((X[j] - X[i]) ** (parts[i] * parts[j])
-                for i in range(len(parts)) for j in range(i + 1, len(parts)))
-    return out
+    X, ell = pairs(X), len(parts)
+    return prod(chain((factorial(j) for m in parts for j in range(1, m)),
+                      (power(sub(X[j], X[i]), parts[i] * parts[j])
+                       for i in range(ell) for j in range(i + 1, ell))))
 
 
 det_record("flha1", _sample_flha1, _build_flha1, _closed_flha1, max_n=5)
@@ -90,10 +91,7 @@ def _build_flha2(n, parts, X):
 
 
 def _closed_flha2(n, parts, X):
-    X = [rat(x) for x in X]
-    out = _closed_flha1(n, parts, X)
-    out *= prod(X[k] ** _binom2(parts[k]) for k in range(len(parts)))
-    return out
+    return _closed_flha1(n, parts, X) * prod(power(x, _binom2(m)) for x, m in zip(pairs(X), parts))
 
 
 det_record("flha2", _sample_flha2, _build_flha2, _closed_flha2, max_n=5)
@@ -169,10 +167,16 @@ def _build_qflha1(n, parts, X, C, q):
 
 
 def _cross_q(parts, X, q):
+    """The factors shared by the qflha1 and qflha2 closed forms, for
+    integer pairs X: [j]_q! for 1 <= j < m over the parts m, and
+    q^(t-s) X_j - X_i for i < j, s < m_i and t < m_j."""
+    fact = _q_factorial_pairs(q, max(parts, default=0))
+    q = pair(q)
     ell = len(parts)
-    return prod(q ** (t - s) * X[j] - X[i]
-                for i in range(ell) for j in range(i + 1, ell)
-                for s in range(parts[i]) for t in range(parts[j]))
+    return chain((fact(j) for m in parts for j in range(1, m)),
+                 (sub(mul(power(q, t - s), X[j]), X[i])
+                  for i in range(ell) for j in range(i + 1, ell)
+                  for s in range(parts[i]) for t in range(parts[j])))
 
 
 def _n_exponent(parts, C, with_cubes: bool) -> int:
@@ -193,11 +197,8 @@ def _n_exponent(parts, C, with_cubes: bool) -> int:
 
 
 def _closed_qflha1(n, parts, X, C, q):
-    q = rat(q)
-    X = [rat(x) for x in X]
-    out = q ** _n_exponent(parts, C, with_cubes=True)
-    out *= prod(q_factorial(j, q) for m in parts for j in range(1, m))
-    return out * _cross_q(parts, X, q)
+    return prod(chain((power(pair(q), _n_exponent(parts, C, with_cubes=True)),),
+                      _cross_q(parts, pairs(X), q)))
 
 
 det_record("qflha1", _sample_qflha1, _build_qflha1, _closed_qflha1, max_n=5)
@@ -215,12 +216,10 @@ def _build_qflha2(n, parts, X, C, q):
 
 
 def _closed_qflha2(n, parts, X, C, q):
-    q = rat(q)
-    X = [rat(x) for x in X]
-    out = q ** _n_exponent(parts, C, with_cubes=False)
-    out *= prod(X[k] ** _binom2(parts[k]) for k in range(len(parts)))
-    out *= prod(q_factorial(j, q) for m in parts for j in range(1, m))
-    return out * _cross_q(parts, X, q)
+    X = pairs(X)
+    return prod(chain((power(pair(q), _n_exponent(parts, C, with_cubes=False)),),
+                      (power(x, _binom2(m)) for x, m in zip(X, parts)),
+                      _cross_q(parts, X, q)))
 
 
 det_record("qflha2", _sample_qflha1, _build_qflha2, _closed_qflha2, max_n=5)

@@ -5,13 +5,14 @@ perturbed-identity family det(±I + binomial matrix)."""
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
-from ..exactnum import (_q_factorial_pairs, _q_int_pairs, binomial,
-                        double_factorial, factorial, pochhammer, q_binomial,
-                        q_factorial, q_int, q_pochhammer, rat)
+from ..exactnum import (binomial, double_factorial, factorial, pochhammer,
+                        q_binomial, rat)
 from ..linalg import MatrixR
-from .base import (_ceil, _sample_mu, _vdm, decreasing_ints, det_record,
-                   prod, rand_frac, rand_q)
+from .base import (ONE, _ceil, _sample_mu, add, decreasing_ints, det_record,
+                   differences, inv, pair, pairs, power, prod, q_ratios,
+                   q_rows, rand_frac, rand_q)
 
 
 def _inv_fact(m: int) -> Fraction:
@@ -35,14 +36,9 @@ def _build_pp1(n, L, A, q):
 
 
 def _closed_pp1(n, L, A, q):
-    q = rat(q)
-    out = q ** sum(i * (L[i] + i + 1) for i in range(n))
-    out *= prod(q_int(L[i] - L[j], q)
-                for i in range(n) for j in range(i + 1, n))
-    for i in range(n):
-        out *= q_factorial(L[i] + A + 1, q) \
-            / (q_factorial(L[i] + n, q) * q_factorial(A - i, q))
-    return out
+    e = sum(i * (L[i] + i + 1) for i in range(n))
+    return q_rows(q, [([L[i] - L[j] for j in range(i + 1, n)], [L[i] + A + 1], [L[i] + n, A - i])
+                      for i in range(n)], power(pair(q), e))
 
 
 det_record("pp1", _sample_pp1, _build_pp1, _closed_pp1, max_n=5)
@@ -61,14 +57,8 @@ def _build_pp2(n, L, A, q):
 
 
 def _closed_pp2(n, L, A, q):
-    q = rat(q)
-    out = q ** sum((i + 1) * L[i] for i in range(n))
-    out *= prod(q_int(L[i] - L[j], q)
-                for i in range(n) for j in range(i + 1, n))
-    for i in range(n):
-        out *= q_factorial(A + i, q) \
-            / (q_factorial(L[i] + n, q) * q_factorial(A - L[i] - 1, q))
-    return out
+    return q_rows(q, [([L[i] - L[j] for j in range(i + 1, n)], [A + i], [L[i] + n, A - L[i] - 1])
+                      for i in range(n)], power(pair(q), sum((i + 1) * L[i] for i in range(n))))
 
 
 det_record("pp2", _sample_pp2, _build_pp2, _closed_pp2, max_n=5)
@@ -87,11 +77,9 @@ def _build_pp3(n, L, A, B):
 
 def _closed_pp3(n, L, A, B):
     A, B = rat(A), rat(B)
-    out = _vdm(L[::-1])
-    for i in range(n):
-        out *= pochhammer((B - 1) * L[i] + A, L[i] + 1) / factorial(L[i] + n)
-        out *= pochhammer(A - B * (i + 1) + 1, i)
-    return out
+    return prod(chain(differences(pairs(L[::-1])), (
+        pochhammer((B - 1) * L[i] + A, L[i] + 1) * pochhammer(A - B * (i + 1) + 1, i)
+        / factorial(L[i] + n) for i in range(n))))
 
 
 det_record("pp3", _sample_pp3, _build_pp3, _closed_pp3, max_n=5)
@@ -111,10 +99,8 @@ def _build_abel(n, L, A, B):
 
 def _closed_abel(n, L, A, B):
     A, B = rat(A), rat(B)
-    out = _vdm(L)
-    for i in range(n):
-        out *= (A + B * (i + 1)) ** i * _inv_fact(n - L[i])
-    return out
+    return prod(chain(differences(pairs(L)),
+                      ((A + B * (i + 1)) ** i * _inv_fact(n - L[i]) for i in range(n))))
 
 
 det_record("abel", _sample_abel, _build_abel, _closed_abel, max_n=5)
@@ -134,14 +120,9 @@ def _build_shifted(n, L, A, q):
 
 
 def _closed_shifted(n, L, A, q):
-    q = rat(q)
-    out = q ** sum((i + 1) * L[i] for i in range(n))
-    for i in range(n):
-        out *= q_factorial(L[i] + A - n, q) \
-            / (q_factorial(L[i] + n, q) * q_factorial(A - 2 * (i + 1), q))
-    out *= prod(q_int(L[i] - L[j], q) * q_int(L[i] + L[j] + A + 1, q)
-                for i in range(n) for j in range(i + 1, n))
-    return out
+    return q_rows(q, [([m for j in range(i + 1, n) for m in (L[i] - L[j], L[i] + L[j] + A + 1)],
+                       [L[i] + A - n], [L[i] + n, A - 2 * (i + 1)]) for i in range(n)],
+                  power(pair(q), sum((i + 1) * L[i] for i in range(n))))
 
 
 det_record("shifted", _sample_shifted, _build_shifted, _closed_shifted, max_n=5)
@@ -171,32 +152,15 @@ def _build_pp5(n, L, A, B, q):
 
 
 def _closed_pp5(n, L, A, B, q):
-    # one Fraction per i from integer pairs, with every q-integer and
-    # q-factorial read from a running-product table
-    q = rat(q)
-    c3 = (n + 1) * n * (n - 1) // 6
-    out = q ** (sum(i * L[i] for i in range(n)) - B * (n * (n - 1) // 2) + 2 * c3)
     # row i0 (i = i0 + 1): the q-integers of the pairs (i0, j > i0), and the
     # q-factorials over and under the fraction line
-    rows = [([m for j in range(i0 + 1, n) for m in (L[i0] - L[j], L[i0] + L[j] + A - B + 1)],
-             (L[i0] + 1, L[i0] + A - n, A - 2 * i0 - 3),
-             (L[i0] - B + n, L[i0] + A - B - 1, A - i0 - n - 2, B + i0 + 1 - n, B))
-            for i0 in range(n)]
-    q_int_pair = _q_int_pairs(q, max((abs(m) for ints, _, _ in rows for m in ints), default=0))
-    fact = _q_factorial_pairs(q, max(max(ups + downs) for _, ups, downs in rows))
-    for ints, ups, downs in rows:
-        num = den = 1
-        for a, b in map(q_int_pair, ints):
-            num *= a
-            den *= b
-        for a, b in map(fact, ups):
-            num *= a
-            den *= b
-        for a, b in map(fact, downs):
-            num *= b
-            den *= a
-        out *= Fraction(num, den)
-    return out
+    c3 = (n + 1) * n * (n - 1) // 6
+    e = sum(i * L[i] for i in range(n)) - B * (n * (n - 1) // 2) + 2 * c3
+    return q_rows(q, [([m for j in range(i0 + 1, n)
+                        for m in (L[i0] - L[j], L[i0] + L[j] + A - B + 1)],
+                       (L[i0] + 1, L[i0] + A - n, A - 2 * i0 - 3),
+                       (L[i0] - B + n, L[i0] + A - B - 1, A - i0 - n - 2, B + i0 + 1 - n, B))
+                      for i0 in range(n)], power(pair(q), e))
 
 
 det_record("pp5", _sample_pp5, _build_pp5, _closed_pp5, max_n=5)
@@ -221,18 +185,15 @@ def _build_pp5a(n, X, Y, A, B, q):
 
 
 def _closed_pp5a(n, X, Y, A, B, q):
-    q = rat(q)
-    c3 = n * (n - 1) * (n - 2) // 6
-    out = q ** (2 * c3 + sum(i * (X[i] + Y[i] - A - 2 * B) for i in range(n)))
-    # here the bracket factors are unnormalized: 1 - q^m, not [m]_q
-    out *= prod((1 - q ** (X[i] - X[j])) * (1 - q ** (X[i] + X[j] - A))
-                for i in range(n) for j in range(i + 1, n))
-    for i in range(n):
-        out *= q_pochhammer(q ** (B - Y[i] - i + 1), q, i)
-        out *= q_pochhammer(q ** (Y[i] + A + B + 2 - 2 * i), q, i)
-        out /= q_pochhammer(q ** (X[i] - A - B), q, n - 1)
-        out /= q_pochhammer(q ** (X[i] + B - n + 2), q, n - 1)
-    return out
+    # the bracket factors are unnormalized here, 1 - q^m, and so is each
+    # (q^a;q)_k = prod_{j<k} (1 - q^(a+j))
+    e = n * (n - 1) * (n - 2) // 3 + sum(i * (X[i] + Y[i] - A - 2 * B) for i in range(n))
+    ups = [m for i in range(n) for j in range(i + 1, n) for m in (X[i] - X[j], X[i] + X[j] - A)]
+    ups += [a + k for i in range(n) for a in (B - Y[i] - i + 1, Y[i] + A + B + 2 - 2 * i)
+            for k in range(i)]
+    downs = [a + k for i in range(n) for a in (X[i] - A - B, X[i] + B - n + 2)
+             for k in range(n - 1)]
+    return q_ratios(q, [(ups, downs)], power(pair(q), e))
 
 
 det_record("pp5a", _sample_pp5a, _build_pp5a, _closed_pp5a, max_n=4)
@@ -262,16 +223,9 @@ def _make_pp4(identity_id, t):
         return MatrixR.build(n, n, entry)
 
     def closed(n, L, A, q):
-        q = rat(q)
-        out = Fraction(1)
-        for i0 in range(n):
-            out *= q_factorial(A + 2 * (i0 + 1) - 1 - t, q) \
-                / (q_factorial(n - L[i0], q) * q_factorial(A + n - t + L[i0], q))
-        out *= prod(q_int(L[j] - L[i], q)
-                    for i in range(n) for j in range(i + 1, n))
-        out *= prod(q_int(L[i] + L[j] + A - t, q)
-                    for i in range(n) for j in range(i, n))
-        return out
+        return q_rows(q, [([L[j] - L[i] for j in range(i + 1, n)]
+                           + [L[i] + L[j] + A - t for j in range(i, n)],
+                           [A + 2 * i + 1 - t], [n - L[i], A + n - t + L[i]]) for i in range(n)])
 
     det_record(identity_id, _sample_incr, build, closed, max_n=5)
 
@@ -305,15 +259,12 @@ def _make_pp6(identity_id, t):
     def closed(n, L, A, r):
         # pp6a (t = 2) has no i = 1 denominator 1 + r^(2i+A-t)
         r = rat(r)
-        q = r * r
-        out = prod(1 + r ** (2 * L[i0] + A - t) for i0 in range(n))
-        out /= prod(1 + r ** (2 * i + A - t) for i in range(t, n + 1))
-        for i0 in range(n):
-            out *= q_factorial(A + 2 * (i0 + 1) - t, q) \
-                / (q_factorial(n - L[i0], q) * q_factorial(A + n + L[i0] - t, q))
-        out *= prod(q_int(L[j] - L[i], q) * q_int(L[i] + L[j] + A - t, q)
-                    for i in range(n) for j in range(i + 1, n))
-        return out
+        return q_rows(r * r, [([m for j in range(i + 1, n)
+                                for m in (L[j] - L[i], L[i] + L[j] + A - t)],
+                               [A + 2 * i + 2 - t], [n - L[i], A + n + L[i] - t])
+                              for i in range(n)],
+                      *(add(ONE, power(pair(r), 2 * v + A - t)) for v in L),
+                      *(inv(add(ONE, power(pair(r), 2 * i + A - t))) for i in range(t, n + 1)))
 
     det_record(identity_id, _sample_pp6, build, closed, max_n=5)
 
@@ -339,17 +290,15 @@ def _binomial_plus_diagonal(diag):
 def _closed_andrews(n, mu):
     mu = rat(mu)
     out = Fraction(2) ** _ceil(n, 2)
+    for i in range(1, n - 1):
+        out *= pochhammer(mu + _ceil(i, 2) + 1, (i + 3) // 4)
     if n % 2 == 0:
-        for i in range(1, n - 1):
-            out *= pochhammer(mu + _ceil(i, 2) + 1, (i + 3) // 4)
         for i in range(1, n // 2 + 1):
             base = mu + Fraction(3 * n, 2) - _ceil(3 * i, 2) + Fraction(3, 2)
             out *= pochhammer(base, _ceil(i, 2) - 1) * pochhammer(base, _ceil(i, 2))
         for i in range(1, n // 2):
             out /= double_factorial(2 * i - 1) * double_factorial(2 * i + 1)
     else:
-        for i in range(1, n - 1):
-            out *= pochhammer(mu + _ceil(i, 2) + 1, (i + 3) // 4)
         for i in range(1, (n - 1) // 2 + 1):
             out *= pochhammer(
                 mu + Fraction(3 * n, 2) - _ceil(3 * i - 1, 2) + 1, _ceil(i - 1, 2))
@@ -377,12 +326,9 @@ def _build_csp(n, q):
 
 
 def _closed_csp(n, q):
-    q = rat(q)
-    out = prod((1 - q ** (3 * i - 1)) / (1 - q ** (3 * i - 2))
-               for i in range(1, n + 1))
-    out *= prod((1 - q ** (3 * (n + i + j - 1))) / (1 - q ** (3 * (2 * i + j - 1)))
-                for i in range(1, n + 1) for j in range(i, n + 1))
-    return out
+    return q_ratios(q, [([3 * i - 1] + [3 * (n + i + j - 1) for j in range(i, n + 1)],
+                         [3 * i - 2] + [3 * (2 * i + j - 1) for j in range(i, n + 1)])
+                        for i in range(1, n + 1)])
 
 
 det_record("csp", _sample_q_only, _build_csp, _closed_csp, max_n=5)
@@ -397,9 +343,8 @@ def _build_descpp(n, q):
 
 
 def _closed_descpp(n, q):
-    q = rat(q)
-    return prod((1 - q ** (n + i + j)) / (1 - q ** (2 * i + j - 1))
-                for i in range(1, n + 2) for j in range(i, n + 2))
+    return q_ratios(q, [([n + i + j for j in range(i, n + 2)],
+                         [2 * i + j - 1 for j in range(i, n + 2)]) for i in range(1, n + 2)])
 
 
 det_record("descpp", _sample_q_only, _build_descpp, _closed_descpp, max_n=5)
@@ -412,15 +357,11 @@ def _sample_zare(rng, n):
 def _closed_zare1(n, mu):
     if n % 2:
         return Fraction(0)
-    out = Fraction(-1) ** (n // 2)
-    for i in range(n // 2):
-        out *= Fraction(
-            factorial(i) ** 2 * factorial(mu + i) ** 2
-            * factorial(mu + 3 * i + 1) ** 2 * factorial(2 * mu + 3 * i + 1) ** 2,
-            factorial(2 * i) * factorial(2 * i + 1)
-            * factorial(mu + 2 * i) ** 2 * factorial(mu + 2 * i + 1) ** 2
-            * factorial(2 * mu + 2 * i) * factorial(2 * mu + 2 * i + 1))
-    return out
+    f = factorial
+    return prod(chain([(-1) ** (n // 2)], (
+        (f(i) ** 2 * f(mu + i) ** 2 * f(mu + 3 * i + 1) ** 2 * f(2 * mu + 3 * i + 1) ** 2,
+         f(2 * i) * f(2 * i + 1) * f(mu + 2 * i) ** 2 * f(mu + 2 * i + 1) ** 2
+         * f(2 * mu + 2 * i) * f(2 * mu + 2 * i + 1)) for i in range(n // 2))))
 
 
 det_record("zare1", _sample_zare, _binomial_plus_diagonal(-1), _closed_zare1, max_n=5)

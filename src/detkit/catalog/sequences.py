@@ -6,11 +6,12 @@ reductions for symmetric sequences."""
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 from ..exactnum import (PolyQ, bell_poly, bernoulli, euler_even, factorial,
                         hermite_poly, rat, stirling1_unsigned, stirling2)
 from ..linalg import MatrixR, det, pfaffian, resultant
-from .base import IdentityRecord, det_record, rand_frac, register
+from .base import IdentityRecord, det_record, prod, rand_frac, register
 
 
 # ---------------------------------------------------------------------------
@@ -63,10 +64,7 @@ def _build_hermite(n, x):
 
 
 def _closed_hermite(n, x):
-    out = Fraction(-1) ** (n * (n - 1) // 2)
-    for i in range(n):
-        out *= factorial(i)
-    return out
+    return prod(chain([(-1) ** (n * (n - 1) // 2)], map(factorial, range(n))))
 
 
 det_record("hankel-hermite", _sample_x, _build_hermite, _closed_hermite, max_n=6)

@@ -17,12 +17,13 @@ from ..combinat import (PosetData, all_perms, enumerate_partitions,
                         partition_lattice, perm_compose, perm_invert,
                         perm_stat, poset_char_poly, reciprocal_poly,
                         six_vertex_sum)
-from ..exactnum import (PolyQ, TruncSeries, binomial, chebyshev_u,
-                        compose_each, q_binomial, q_pochhammer, rat, stirling2)
+from ..exactnum import (PolyQ, TruncSeries, _one_minus_power, binomial,
+                        chebyshev_u, compose_each, q_binomial, q_pochhammer,
+                        rat, stirling2)
 from ..linalg import MatrixR, _det_laplace, char_poly, det
 from .base import (IdentityRecord, Resample, Trial, VerifyReport, _vdm,
-                   distinct_fracs, get_record, rand_frac, rand_nonzero, rand_q,
-                   register, run_trials)
+                   distinct_fracs, get_record, pair, power, prod, q_ratios,
+                   rand_frac, rand_nonzero, rand_q, register, run_trials)
 
 
 def _int_exp(e) -> int:
@@ -59,35 +60,37 @@ def _bell(k: int) -> int:
 # group determinants on the symmetric group
 
 
-def _perm_det_matrix(n: int, q: Fraction, kind: str) -> MatrixR:
-    """The group matrix (q^stat(sigma pi^-1)) over S_n, from one table of
-    the statistic and one of the powers of q."""
+@lru_cache(maxsize=None)
+def _stat_table(n: int, kind: str) -> tuple[int, ...]:
+    """stat(sigma pi^-1) for sigma, pi in S_n (all_perms order),
+    row-major.  It does not depend on q, so each table is built once."""
     perms = all_perms(n)
-    q = rat(q)
     stat = {s: perm_stat(s, kind) for s in perms}
-    powers = [q ** k for k in range(max(stat.values()) + 1)]
     inverses = [perm_invert(p) for p in perms]
-    return MatrixR(len(perms), len(perms),
-                   [powers[stat[perm_compose(s, p)]]
-                    for s in perms for p in inverses])
+    return tuple(stat[perm_compose(s, p)] for s in perms for p in inverses)
+
+
+def _perm_det_matrix(n: int, q: Fraction, kind: str) -> MatrixR:
+    """The group matrix (q^stat(sigma pi^-1)) over S_n, from the table of
+    the statistic and one of the powers of q."""
+    q = rat(q)
+    table = _stat_table(n, kind)
+    powers = [q ** k for k in range(max(table) + 1)]
+    size = math.factorial(n)
+    return MatrixR(size, size, [powers[k] for k in table])
 
 
 def _closed_inv(n: int, q: Fraction) -> Fraction:
-    q = rat(q)
-    out = Fraction(1)
-    for i in range(2, n + 1):
-        e = (int(binomial(n, i)) * math.factorial(i - 2)
-             * math.factorial(n - i + 1))
-        out *= (1 - q ** (i * (i - 1))) ** e
-    return out
+    p, d = pair(q)
+    return prod(power(_one_minus_power(p, d, i * (i - 1)),
+                      math.comb(n, i) * math.factorial(i - 2) * math.factorial(n - i + 1))
+                for i in range(2, n + 1))
 
 
 def _closed_maj(n: int, q: Fraction) -> Fraction:
-    q = rat(q)
-    out = Fraction(1)
-    for i in range(2, n + 1):
-        out *= (1 - q ** i) ** (math.factorial(n) * (i - 1) // i)
-    return out
+    p, d = pair(q)
+    return prod(power(_one_minus_power(p, d, i), math.factorial(n) * (i - 1) // i)
+                for i in range(2, n + 1))
 
 
 _GROUP_CLOSED = {"inv": _closed_inv, "maj": _closed_maj}
@@ -258,11 +261,8 @@ register(IdentityRecord(id="nc-suite", trial=_nc_suite_trial, max_n=4))
 def _meander_rhs(n: int, q: Fraction) -> Fraction:
     def c(nn, h):
         return binomial(nn, (nn - h) // 2) - binomial(nn, (nn - h) // 2 - 1)
-    out = Fraction(1)
-    for i in range(1, n + 1):
-        a = _int_exp(c(2 * n, 2 * i) - c(2 * n, 2 * i + 2))
-        out *= chebyshev_u(i)(q / 2) ** a
-    return out
+    return prod(chebyshev_u(i)(q / 2) ** _int_exp(c(2 * n, 2 * i) - c(2 * n, 2 * i + 2))
+                for i in range(1, n + 1))
 
 
 def _meander_det(n: int, q: Fraction) -> Fraction:
@@ -317,14 +317,11 @@ def _build_okada(n, q):
 
 
 def _closed_okada(n, q):
-    q = rat(q)
-    out = Fraction(1)
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            for k in range(j, n + 1):
-                out *= ((1 - q ** (i + j + k - 1))
-                        / (1 - q ** (i + j + k - 2))) ** 2
-    return out
+    # prod_{i<=j<=k} ((1 - q^(s-1)) / (1 - q^(s-2)))^2 with s = i+j+k,
+    # one Fraction per i
+    sums = [[s for j in range(i, n + 1) for s in range(i + 2 * j, i + j + n + 1)]
+            for i in range(1, n + 1)]
+    return q_ratios(q, [([s - 1 for s in row] * 2, [s - 2 for s in row] * 2) for row in sums])
 
 
 def _okada_trial(rng, n):

@@ -12,11 +12,10 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import catalog
-from .exactnum import fmt_rat, rat
+from .exactnum import fmt_rat, parse_rat
 from .guess import ZeroTermError, rate_guess
 from .hankel import (NAMED_MOMENTS, DegenerateMomentsError, MomentSeq,
                      hankel_dets, heilermann_products, jfraction_from_moments)
@@ -100,7 +99,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_guess(args: argparse.Namespace) -> int:
     try:
-        terms = [Fraction(part.strip()) for part in args.terms.split(",")]
+        terms = [parse_rat(part) for part in args.terms.split(",")]
         if not terms:
             raise ValueError
     except (ValueError, ZeroDivisionError):
@@ -135,8 +134,7 @@ def cmd_hankel(args: argparse.Namespace) -> int:
     count_jf = offset + 2 * n
     if seq_spec.startswith("custom:"):
         try:
-            values = [rat(Fraction(p.strip()))
-                      for p in seq_spec[len("custom:"):].split(",")]
+            values = [parse_rat(p) for p in seq_spec[len("custom:"):].split(",")]
         except (ValueError, ZeroDivisionError):
             sys.stderr.write(f"cannot parse custom sequence: {seq_spec!r}\n")
             return 2

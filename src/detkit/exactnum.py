@@ -12,6 +12,7 @@ integer numerators over one common denominator per operand and build one
 from __future__ import annotations
 
 import math
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -51,6 +52,32 @@ def fmt_rat(x: Fraction) -> str:
     if x.denominator == 1:
         return _decimal(x.numerator)
     return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
+
+
+def _from_decimal(digits: str) -> int:
+    """int(digits) for decimal digits of any length, the inverse of
+    _decimal: past the int-string limit, split by a power of ten."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    if not limit or len(digits) <= limit:
+        return int(digits)
+    k = len(digits) // 2
+    return _from_decimal(digits[:-k]) * 10 ** k + _from_decimal(digits[-k:])
+
+
+def parse_rat(text: str) -> Fraction:
+    """Fraction(text), which also reads a signed ``p`` or ``p/q`` of any
+    length, so that whatever fmt_rat prints reads back."""
+    try:
+        return Fraction(text)
+    except ValueError:
+        match = re.fullmatch(r"\s*([+-]?)(\d+)(?:/(\d+))?\s*", text)
+        if match is None:
+            raise
+    sign, num, den = match.groups()
+    den = _from_decimal(den or "1")
+    if den == 0:  # Fraction's own message would print the numerator
+        raise ZeroDivisionError("ratio with a zero denominator")
+    return Fraction(-_from_decimal(num) if sign == "-" else _from_decimal(num), den)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,20 @@ rule on Fractions for PolyQ and RatFn values, the per-entry formulas of
 the banded binomial-sum (tsscpp2), qflha1, factored-column (krat),
 q-shifted-factorial (anst, qkrat, qtsscpp1), q-binomial product (pp5) and
 chu2 matrices, each entry computed on its own with Fraction arithmetic,
-and the closed forms of anst, pp5, qkrat and qtsscpp1 with every q-factorial,
-q-Pochhammer and q-binomial evaluated on its own."""
+the closed forms of anst, pp5, qkrat and qtsscpp1 with every q-factorial,
+q-Pochhammer and q-binomial evaluated on its own, and the factor-product
+closed forms (Vandermonde, Weyl, Cauchy, the krat lemmas, pp1-pp6, abel,
+shifted, csp, descpp, flha, qflha, MacMahon, krat-xy, tsscpp1's product,
+tsscpp2, pentagon, zare1, mrr, rn, hankel-hermite, Okada and the
+symmetric-group determinants) multiplied factor by factor in Fraction
+arithmetic."""
 
+import math
 from fractions import Fraction
 
-from detkit.exactnum import (PolyQ, binomial, q_binomial, q_factorial, q_int,
-                             q_pochhammer, rat)
+from detkit.catalog.multiblock import _binom2, _n_exponent
+from detkit.exactnum import (PolyQ, binomial, double_factorial, pochhammer,
+                             q_binomial, q_factorial, q_int, q_pochhammer, rat)
 
 
 def poly_horner(p, x):
@@ -220,4 +227,421 @@ def qtsscpp1_closed(n, x, y, q):
         (-1) ** k * q ** (n * k) * q_binomial(n, k, q) * q ** (y * k)
         * q_pochhammer(q ** x, q, k) * q_pochhammer(q ** y, q, n - k)
         for k in range(n + 1))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# factor-product closed forms, one Fraction operation per factor
+
+
+def _vdm(xs):
+    """prod_{i<j} (xs[j] - xs[i])."""
+    return _product(xs[j] - xs[i] for i in range(len(xs)) for j in range(i + 1, len(xs)))
+
+
+def flha1_closed(n, parts, X):
+    X = [rat(x) for x in X]
+    out = _product(Fraction(math.factorial(j)) for m in parts for j in range(1, m))
+    out *= _product((X[j] - X[i]) ** (parts[i] * parts[j])
+                    for i in range(len(parts)) for j in range(i + 1, len(parts)))
+    return out
+
+
+def flha2_closed(n, parts, X):
+    out = flha1_closed(n, parts, X)
+    return out * _product(rat(X[k]) ** _binom2(parts[k]) for k in range(len(parts)))
+
+
+def _fact(m):
+    return Fraction(math.factorial(m))
+
+
+def ratio_product_closed(shift):
+    """The closed-form product of krat-xy (shift = 0) and tsscpp1
+    (shift = 1, without its sum)."""
+    def closed(n, x, y):
+        out = Fraction(1)
+        for i in range(n):
+            out *= _fact(i) * _fact(x + y + i - 1)
+            out *= pochhammer(2 * x + y + 2 * i + shift, i)
+            out *= pochhammer(x + 2 * y + 2 * i + shift, i)
+            out /= _fact(x + 2 * i + shift) * _fact(y + 2 * i + shift)
+        return out
+    return closed
+
+
+def tsscpp1_closed(n, x, y):
+    return ratio_product_closed(1)(n, x, y) * sum(
+        (-1) ** k * binomial(n, k) * pochhammer(x, k) * pochhammer(y, n - k)
+        for k in range(n + 1))
+
+
+def tsscpp2_closed(m):
+    def closed(n, x):
+        h = n // 2
+        if m == 0 and n % 2:
+            return Fraction(0)
+        out = Fraction(1)
+        for i in range(n):
+            out *= _fact(i) * _fact(2 * x + i + m)
+            out *= pochhammer(3 * x + 2 * i + m + 2, i)
+            out *= pochhammer(3 * x + 2 * i + 2 * m + 2, i)
+            out /= _fact(x + 2 * i) * _fact(x + 2 * i + m)
+        shift = 1 if m == 0 else (3 if m in (1, 2) else 5)
+        out *= _product(2 * x + 2 * i + shift for i in range(h))
+        out /= double_factorial(2 * h - 1)
+        if m == 2:
+            out *= Fraction(x + n + 1 if n % 2 == 0 else 2 * x + n + 2, x + 1)
+        elif m == 3:
+            out *= Fraction(x + 2 * n + 1 if n % 2 == 0 else 3 * x + 2 * n + 5, x + 1)
+        elif m == 4:
+            if n % 2 == 0:
+                out *= x * x + (4 * n + 3) * x + 2 * (n * n + 4 * n + 1)
+            else:
+                out *= (2 * x + n + 4) * (2 * x + 2 * n + 4)
+            out /= (x + 1) * (x + 2)
+        return out
+    return closed
+
+
+def pentagon_closed(n, x, y):
+    out = Fraction(1)
+    for j in range(1, n + 1):
+        out *= _fact(j - 1) * _fact(x + y + 2 * j)
+        out *= pochhammer(x - y + 2 * j + 1, j)
+        out *= pochhammer(x + 2 * y + 3 * j + 1, n - j)
+        out /= _fact(x + n + 2 * j) * _fact(y + n - j)
+    return out
+
+
+def vandermonde_closed(n, X):
+    return _vdm([rat(x) for x in X])
+
+
+def vdm_poly_closed(n, X, coeffs):
+    leading = _product(rat(c[-1]) for c in coeffs)
+    return leading * _vdm([rat(x) for x in X])
+
+
+def _pair_products(X):
+    """prod_{i<j} (X_i - X_j)(1 - X_i X_j)."""
+    n = len(X)
+    return _product((X[i] - X[j]) * (1 - X[i] * X[j])
+                    for i in range(n) for j in range(i + 1, n))
+
+
+def weyl_c_closed(n, X):
+    X = [rat(x) for x in X]
+    return (_product(X) ** (-n)) * _pair_products(X) * _product(x**2 - 1 for x in X)
+
+
+def weyl_b_closed(s):
+    """weyl-b (s = -1) and weyl-b2 (s = 1)."""
+    def closed(n, t):
+        t = [rat(v) for v in t]
+        X = [v * v for v in t]
+        return (_product(v ** (1 - 2 * n) for v in t) * _pair_products(X)
+                * _product(x + s for x in X))
+    return closed
+
+
+def weyl_d_closed(n, X):
+    X = [rat(x) for x in X]
+    return 2 * _product(X) ** (-n + 1) * _pair_products(X)
+
+
+def cauchy_closed(n, X, Y):
+    X, Y = [rat(x) for x in X], [rat(y) for y in Y]
+    return _vdm(X) * _vdm(Y) / _product(x + y for x in X for y in Y)
+
+
+def krat1_closed(n, X, A, B):
+    X = [rat(x) for x in X]
+    out = _vdm(list(reversed(X)))  # prod_{i<j} (X_i - X_j)
+    out *= _product(rat(B[i - 2]) - rat(A[j - 2])
+                    for i in range(2, n + 1) for j in range(i, n + 1))
+    return out
+
+
+def krat2_closed(n, X, A, C):
+    X, C = [rat(x) for x in X], rat(C)
+    out = _product(rat(A[i - 2]) ** (i - 1) for i in range(2, n + 1))
+    out *= _product((X[i] - X[j]) * (1 - C / (X[i] * X[j]))
+                    for i in range(n) for j in range(i + 1, n))
+    return out
+
+
+def krat2a_closed(n, X, A, C):
+    X, C = [rat(x) for x in X], rat(C)
+    return _product((X[j] - X[i]) * (C - X[i] - X[j])
+                    for i in range(n) for j in range(i + 1, n))
+
+
+def krat3_closed(n, X, A, C, B):
+    # p_0 is an empty product (constant 1), so the i=1 factor is 1
+    C = rat(C)
+    out = krat2_closed(n, X, A, C)
+    for i in range(2, n + 1):
+        x = -rat(A[i - 2])
+        out *= _product((x + rat(b)) * (C / x + rat(b)) for b in B[i - 1])
+    return out
+
+
+def krat5_closed(n, X, A, C, B):
+    C = rat(C)
+    out = krat2a_closed(n, X, A, C)
+    for i in range(2, n + 1):
+        x = -rat(A[i - 2])
+        out *= _product((x + rat(b)) * (C - x + rat(b)) for b in B[i - 1])
+    return out
+
+
+def _alphabets(n, A, B, a, b):
+    return ({s: rat(v[s - 2]) for s in range(2, n + 1)} for v in (A, B, a, b))
+
+
+def krat6_closed(n, X, A, B, a, b, C, m):
+    X, C = [rat(x) for x in X], rat(C)
+    Av, Bv, av, bv = _alphabets(n, A, B, a, b)
+    out = _product((X[i] - X[j]) * (1 - C / (X[i] * X[j]))
+                   for i in range(n) for j in range(i + 1, n))
+    out *= _product((Bv[i] - Av[j]) * (1 - C / (Bv[i] * Av[j]))
+                    for i in range(2, m) for j in range(i, m))
+    out *= _product((bv[i] - Av[j]) * (1 - C / (bv[i] * Av[j]))
+                    for i in range(2, m + 1) for j in range(m, n + 1))
+    out *= _product((bv[i] - av[j]) * (1 - C / (bv[i] * av[j]))
+                    for i in range(m + 1, n + 1) for j in range(i, n + 1))
+    out *= _product(_product(Av[s] for s in range(i, n + 1)) for i in range(2, m + 1))
+    out *= _product(_product(av[s] for s in range(i, n + 1)) for i in range(m + 1, n + 1))
+    out *= _product(_product(Bv[s] for s in range(2, i + 1)) for i in range(2, m))
+    out *= _product(_product(bv[s] for s in range(2, i + 1)) for i in range(m, n + 1))
+    return out
+
+
+def krat7_closed(n, X, A, B, a, b, C, m):
+    X, C = [rat(x) for x in X], rat(C)
+    Av, Bv, av, bv = _alphabets(n, A, B, a, b)
+    out = _product((X[i] - X[j]) * (C - X[i] - X[j])
+                   for i in range(n) for j in range(i + 1, n))
+    out *= _product((Bv[i] - Av[j]) * (Bv[i] + Av[j] + C)
+                    for i in range(2, m) for j in range(i, m))
+    out *= _product((bv[i] - Av[j]) * (bv[i] + Av[j] + C)
+                    for i in range(2, m + 1) for j in range(m, n + 1))
+    out *= _product((bv[i] - av[j]) * (bv[i] + av[j] + C)
+                    for i in range(m + 1, n + 1) for j in range(i, n + 1))
+    return out
+
+
+def macmahon_closed(n, a, b):
+    out = Fraction(1)
+    for i in range(1, n + 1):
+        for j in range(1, a + 1):
+            for k in range(1, b + 1):
+                out *= Fraction(i + j + k - 1, i + j + k - 2)
+    return out
+
+
+def pp1_closed(n, L, A, q):
+    q = rat(q)
+    out = q ** sum(i * (L[i] + i + 1) for i in range(n))
+    out *= _product(q_int(L[i] - L[j], q)
+                    for i in range(n) for j in range(i + 1, n))
+    for i in range(n):
+        out *= q_factorial(L[i] + A + 1, q) \
+            / (q_factorial(L[i] + n, q) * q_factorial(A - i, q))
+    return out
+
+
+def pp2_closed(n, L, A, q):
+    q = rat(q)
+    out = q ** sum((i + 1) * L[i] for i in range(n))
+    out *= _product(q_int(L[i] - L[j], q)
+                    for i in range(n) for j in range(i + 1, n))
+    for i in range(n):
+        out *= q_factorial(A + i, q) \
+            / (q_factorial(L[i] + n, q) * q_factorial(A - L[i] - 1, q))
+    return out
+
+
+def shifted_closed(n, L, A, q):
+    q = rat(q)
+    out = q ** sum((i + 1) * L[i] for i in range(n))
+    for i in range(n):
+        out *= q_factorial(L[i] + A - n, q) \
+            / (q_factorial(L[i] + n, q) * q_factorial(A - 2 * (i + 1), q))
+    out *= _product(q_int(L[i] - L[j], q) * q_int(L[i] + L[j] + A + 1, q)
+                    for i in range(n) for j in range(i + 1, n))
+    return out
+
+
+def pp5a_closed(n, X, Y, A, B, q):
+    q = rat(q)
+    c3 = n * (n - 1) * (n - 2) // 6
+    out = q ** (2 * c3 + sum(i * (X[i] + Y[i] - A - 2 * B) for i in range(n)))
+    # here the bracket factors are unnormalized: 1 - q^m, not [m]_q
+    out *= _product((1 - q ** (X[i] - X[j])) * (1 - q ** (X[i] + X[j] - A))
+                    for i in range(n) for j in range(i + 1, n))
+    for i in range(n):
+        out *= q_pochhammer(q ** (B - Y[i] - i + 1), q, i)
+        out *= q_pochhammer(q ** (Y[i] + A + B + 2 - 2 * i), q, i)
+        out /= q_pochhammer(q ** (X[i] - A - B), q, n - 1)
+        out /= q_pochhammer(q ** (X[i] + B - n + 2), q, n - 1)
+    return out
+
+
+def pp3_closed(n, L, A, B):
+    A, B = rat(A), rat(B)
+    out = _vdm(L[::-1])
+    for i in range(n):
+        out *= pochhammer((B - 1) * L[i] + A, L[i] + 1) / math.factorial(L[i] + n)
+        out *= pochhammer(A - B * (i + 1) + 1, i)
+    return out
+
+
+def abel_closed(n, L, A, B):
+    A, B = rat(A), rat(B)
+    out = _vdm(L)
+    for i in range(n):
+        out *= (A + B * (i + 1)) ** i * (
+            Fraction(0) if n < L[i] else Fraction(1, math.factorial(n - L[i])))
+    return out
+
+
+def zare1_closed(n, mu):
+    if n % 2:
+        return Fraction(0)
+    f = math.factorial
+    out = Fraction(-1) ** (n // 2)
+    for i in range(n // 2):
+        out *= Fraction(
+            f(i) ** 2 * f(mu + i) ** 2 * f(mu + 3 * i + 1) ** 2 * f(2 * mu + 3 * i + 1) ** 2,
+            f(2 * i) * f(2 * i + 1) * f(mu + 2 * i) ** 2 * f(mu + 2 * i + 1) ** 2
+            * f(2 * mu + 2 * i) * f(2 * mu + 2 * i + 1))
+    return out
+
+
+def hermite_closed(n, x):
+    out = Fraction(-1) ** (n * (n - 1) // 2)
+    for i in range(n):
+        out *= math.factorial(i)
+    return out
+
+
+def mrr_closed(n, mu):
+    mu = rat(mu)
+    out = Fraction(-1 if n % 4 == 3 else 1) * Fraction(2) ** ((n - 1) * (n - 2) // 2)
+    for i in range(1, n):
+        out *= pochhammer(mu + i + 1, (i + 1) // 2)
+        out *= pochhammer(-mu - 3 * n + i + Fraction(3, 2), i // 2)
+        out /= pochhammer(i, i)
+    return out
+
+
+def rn_closed(n, mu):
+    mu = rat(mu)
+    out = Fraction(2) ** n
+    for i in range(1, n + 1):
+        out *= pochhammer(mu + i, i // 2)
+        out *= pochhammer(mu + 3 * n - (3 * i - 1) // 2 + Fraction(1, 2), (i + 1) // 2)
+        out /= double_factorial(2 * i - 1)
+    return out
+
+
+def pp4_closed(t):
+    """pp4 (t = 1) and pp4a (t = 0)."""
+    def closed(n, L, A, q):
+        q = rat(q)
+        out = Fraction(1)
+        for i0 in range(n):
+            out *= q_factorial(A + 2 * (i0 + 1) - 1 - t, q) \
+                / (q_factorial(n - L[i0], q) * q_factorial(A + n - t + L[i0], q))
+        out *= _product(q_int(L[j] - L[i], q)
+                        for i in range(n) for j in range(i + 1, n))
+        out *= _product(q_int(L[i] + L[j] + A - t, q)
+                        for i in range(n) for j in range(i, n))
+        return out
+    return closed
+
+
+def pp6_closed(t):
+    """pp6 (t = 1) and pp6a (t = 2), with q = r^2."""
+    def closed(n, L, A, r):
+        r = rat(r)
+        q = r * r
+        out = _product(1 + r ** (2 * L[i0] + A - t) for i0 in range(n))
+        out /= _product(1 + r ** (2 * i + A - t) for i in range(t, n + 1))
+        for i0 in range(n):
+            out *= q_factorial(A + 2 * (i0 + 1) - t, q) \
+                / (q_factorial(n - L[i0], q) * q_factorial(A + n + L[i0] - t, q))
+        out *= _product(q_int(L[j] - L[i], q) * q_int(L[i] + L[j] + A - t, q)
+                        for i in range(n) for j in range(i + 1, n))
+        return out
+    return closed
+
+
+def csp_closed(n, q):
+    q = rat(q)
+    out = _product((1 - q ** (3 * i - 1)) / (1 - q ** (3 * i - 2))
+                   for i in range(1, n + 1))
+    out *= _product((1 - q ** (3 * (n + i + j - 1))) / (1 - q ** (3 * (2 * i + j - 1)))
+                    for i in range(1, n + 1) for j in range(i, n + 1))
+    return out
+
+
+def descpp_closed(n, q):
+    q = rat(q)
+    return _product((1 - q ** (n + i + j)) / (1 - q ** (2 * i + j - 1))
+                    for i in range(1, n + 2) for j in range(i, n + 2))
+
+
+def _cross_q(parts, X, q):
+    ell = len(parts)
+    return _product(q ** (t - s) * X[j] - X[i]
+                    for i in range(ell) for j in range(i + 1, ell)
+                    for s in range(parts[i]) for t in range(parts[j]))
+
+
+def qflha1_closed(n, parts, X, C, q):
+    q = rat(q)
+    X = [rat(x) for x in X]
+    out = q ** _n_exponent(parts, C, with_cubes=True)
+    out *= _product(q_factorial(j, q) for m in parts for j in range(1, m))
+    return out * _cross_q(parts, X, q)
+
+
+def qflha2_closed(n, parts, X, C, q):
+    q = rat(q)
+    X = [rat(x) for x in X]
+    out = q ** _n_exponent(parts, C, with_cubes=False)
+    out *= _product(X[k] ** _binom2(parts[k]) for k in range(len(parts)))
+    out *= _product(q_factorial(j, q) for m in parts for j in range(1, m))
+    return out * _cross_q(parts, X, q)
+
+
+def okada_closed(n, q):
+    q = rat(q)
+    out = Fraction(1)
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            for k in range(j, n + 1):
+                out *= ((1 - q ** (i + j + k - 1))
+                        / (1 - q ** (i + j + k - 2))) ** 2
+    return out
+
+
+def zagier_inv_closed(n, q):
+    q = rat(q)
+    out = Fraction(1)
+    for i in range(2, n + 1):
+        e = (int(binomial(n, i)) * math.factorial(i - 2)
+             * math.factorial(n - i + 1))
+        out *= (1 - q ** (i * (i - 1))) ** e
+    return out
+
+
+def zagier_maj_closed(n, q):
+    q = rat(q)
+    out = Fraction(1)
+    for i in range(2, n + 1):
+        out *= (1 - q ** i) ** (math.factorial(n) * (i - 1) // i)
     return out

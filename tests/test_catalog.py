@@ -20,16 +20,30 @@ from detkit.catalog import (UnknownIdentityError, build_matrix, closed_form,
                             verify_identity, verify_izergin_korepin,
                             verify_nc_suite, verify_okada, verify_strehl_wilf,
                             verify_turnbull)
-from detkit.catalog.base import (IdentityRecord, Resample, Trial, VerifyReport,
-                                 rand_frac, rand_nonzero, rand_q, run_trial,
-                                 run_trials, trial_rng)
+from detkit.catalog.base import (ONE, IdentityRecord, Resample, Trial,
+                                 VerifyReport, add, distinct_fracs, inv, mul,
+                                 pair, power, prod, rand_frac, rand_nonzero,
+                                 rand_q, run_trial, run_trials, sub, trial_rng)
 from detkit.catalog.sequences import _windows
 from detkit.exactnum import bell_poly, hermite_poly
 from detkit.linalg import MatrixR, det
-from entry_oracles import (anst_closed, anst_entry, banded_entry, chu2_entry,
-                           krat_entry, poly_horner, pp5_closed, pp5_entry, qflha1_entry,
-                           qkrat_closed, qkrat_entry, qtsscpp1_closed,
-                           qtsscpp1_entry)
+from entry_oracles import (abel_closed, anst_closed, anst_entry, banded_entry,
+                           cauchy_closed, chu2_entry, csp_closed,
+                           descpp_closed, flha1_closed, flha2_closed,
+                           hermite_closed, krat1_closed, krat2_closed,
+                           krat2a_closed, krat3_closed, krat5_closed,
+                           krat6_closed, krat7_closed, krat_entry,
+                           macmahon_closed, mrr_closed, okada_closed,
+                           pentagon_closed, poly_horner, pp1_closed,
+                           pp2_closed, pp3_closed, pp4_closed, pp5_closed,
+                           pp5_entry, pp5a_closed, pp6_closed, qflha1_closed,
+                           qflha1_entry, qflha2_closed, qkrat_closed,
+                           qkrat_entry, qtsscpp1_closed, qtsscpp1_entry,
+                           ratio_product_closed, rn_closed, shifted_closed,
+                           tsscpp1_closed, tsscpp2_closed, vandermonde_closed,
+                           vdm_poly_closed, weyl_b_closed, weyl_c_closed,
+                           weyl_d_closed, zagier_inv_closed, zagier_maj_closed,
+                           zare1_closed)
 from partition_oracles import (blocks_of, join_by_merging, labels_of,
                                meet_by_intersecting, refines)
 from series_oracles import compose_loop, inverse_loop, mul_loop, pow_loop
@@ -172,6 +186,18 @@ def _perm_det_matrix_per_entry(n, q, kind):
 def test_perm_det_matrix_matches_per_entry(n, kind, q):
     from detkit.catalog.structured import _perm_det_matrix
     assert _perm_det_matrix(n, q, kind) == _perm_det_matrix_per_entry(n, q, kind)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["inv", "maj"])
+def test_stat_table_matches_direct_composition(n, kind):
+    # the cached table of stat(sigma pi^-1), built once per (n, kind)
+    from detkit.catalog.structured import _stat_table
+    from detkit.combinat import all_perms, perm_compose, perm_invert, perm_stat
+    perms = all_perms(n)
+    assert _stat_table(n, kind) == tuple(
+        perm_stat(perm_compose(s, perm_invert(p)), kind) for s in perms for p in perms)
+    assert _stat_table(n, kind) is _stat_table(n, kind)
 
 
 @pytest.mark.parametrize("check, message", [
@@ -478,6 +504,7 @@ UNREFUSED_DRAWS = {
                             "E": rand_nonzero(rng, lo=-5, hi=5, max_den=3),
                             "q": rand_q(rng, 7)},
     "bombieri-xbc": lambda rng, n: {"b": n, "c": rng.randint(0, n), "x": rand_frac(rng)},
+    "cauchy": lambda rng, n: {"X": distinct_fracs(rng, n), "Y": distinct_fracs(rng, n)},
 }
 
 
@@ -518,8 +545,25 @@ def test_builder_matches_entry_oracle(identity_id):
     assert (raised > 0) == (identity_id in ("anst", "chu2"))
 
 
-CLOSED_FORM_ORACLES = {"anst": anst_closed, "pp5": pp5_closed,
-                       "qkrat": qkrat_closed, "qtsscpp1": qtsscpp1_closed}
+CLOSED_FORM_ORACLES = {
+    "anst": anst_closed, "pp5": pp5_closed, "qkrat": qkrat_closed,
+    "qtsscpp1": qtsscpp1_closed, "vandermonde": vandermonde_closed,
+    "vandermonde-poly": vdm_poly_closed, "weyl-c": weyl_c_closed,
+    "weyl-b": weyl_b_closed(-1), "weyl-b2": weyl_b_closed(1),
+    "weyl-d": weyl_d_closed, "cauchy": cauchy_closed, "krat1": krat1_closed,
+    "krat2": krat2_closed, "krat2a": krat2a_closed, "krat3": krat3_closed,
+    "krat5": krat5_closed, "krat6": krat6_closed, "krat7": krat7_closed,
+    "pp1": pp1_closed, "pp2": pp2_closed, "shifted": shifted_closed, "pp5a": pp5a_closed,
+    "pp3": pp3_closed, "abel": abel_closed, "zare1": zare1_closed,
+    "hankel-hermite": hermite_closed, "mrr": mrr_closed, "rn": rn_closed,
+    "pp4": pp4_closed(1), "pp4a": pp4_closed(0), "pp6": pp6_closed(1),
+    "pp6a": pp6_closed(2), "csp": csp_closed, "descpp": descpp_closed,
+    "flha1": flha1_closed, "flha2": flha2_closed, "qflha1": qflha1_closed,
+    "qflha2": qflha2_closed, "macmahon": macmahon_closed,
+    "krat-xy": ratio_product_closed(0), "tsscpp1": tsscpp1_closed,
+    "pentagon": pentagon_closed,
+    **{f"tsscpp2-m{m}": tsscpp2_closed(m) for m in range(5)},
+}
 
 
 def _value_or_raised(evaluate):
@@ -531,21 +575,99 @@ def _value_or_raised(evaluate):
 
 @pytest.mark.parametrize("identity_id", sorted(CLOSED_FORM_ORACLES))
 def test_closed_form_matches_per_factor_oracle(identity_id):
-    # every sampler draw of seeds 0-9 at n = 1..12, at its own q and at
-    # q = 1 and q = -1: the same value, or the same exception type
+    # every draw of seeds 0-9 at n = min_n..12 (cauchy's and anst's
+    # without their samplers' refusal; pp1's, pp2's, pp3's, shifted's and
+    # pp5a's up to the n at which their samplers' ranges end), a
+    # q-family's also at q = 1 and q = -1 (pp6's at r = 1 and r = -1): the
+    # same value and a Fraction, or the same exception type; and some draw
+    # gives a nonzero value, so that no broken factor hides behind 0 = 0
     record = get_record(identity_id)
     oracle = CLOSED_FORM_ORACLES[identity_id]
-    outcomes = set()
+    draw = UNREFUSED_DRAWS.get(identity_id, record.sampler)
+    nonzero = False
     for seed in range(10):
-        for n in range(1, 13):
-            params = record.sampler(trial_rng(seed, identity_id, 0), n)
-            for q in (params["q"], Fraction(1), Fraction(-1)):
-                at = {**params, "q": q}
+        for n in range(record.min_n, 13):
+            params = _value_or_raised(lambda: draw(trial_rng(seed, identity_id, 0), n))
+            if params is ValueError:  # "range too small"
+                assert identity_id in ("pp1", "pp2", "pp3", "shifted", "pp5a") and n > 6
+                continue
+            key = next((k for k in ("q", "r") if k in params), None)
+            variants = [params] if key is None else [
+                {**params, key: v} for v in (params[key], Fraction(1), Fraction(-1))]
+            for at in variants:
                 want = _value_or_raised(lambda: oracle(n, **at))
                 got = _value_or_raised(lambda: record.closed(n, **at))
                 assert got == want and type(got) is type(want), (seed, n, at)
-                outcomes.add(want if isinstance(want, type) else Fraction)
-    assert Fraction in outcomes
+                assert isinstance(want, type) or type(want) is Fraction
+                nonzero = nonzero or (type(want) is Fraction and want != 0)
+    assert nonzero
+
+
+@pytest.mark.parametrize("name", ["zagier-inv", "zagier-maj", "okada"])
+def test_structural_closed_forms_match_per_factor_oracle(name):
+    from detkit.catalog.structured import _GROUP_CLOSED, _closed_okada
+    closed, oracle = {"zagier-inv": (_GROUP_CLOSED["inv"], zagier_inv_closed),
+                      "zagier-maj": (_GROUP_CLOSED["maj"], zagier_maj_closed),
+                      "okada": (_closed_okada, okada_closed)}[name]
+    for n in range(1, 8):
+        for q in (Fraction(1, 2), Fraction(-3, 5), Fraction(7, 3), 0, 1, -1, 2):
+            want = _value_or_raised(lambda: oracle(n, q))
+            got = _value_or_raised(lambda: closed(n, q))
+            assert got == want and type(got) is type(want), (n, q)
+            assert isinstance(want, type) or type(want) is Fraction
+
+
+def test_prod_of_no_factors_ints_and_zeros():
+    assert prod([]) == 1 and type(prod([])) is Fraction
+    assert prod([2, -3]) == -6 and type(prod([2, -3])) is Fraction
+    assert prod(iter([(3, 4), 0, Fraction(5, 7)])) == 0
+    assert prod([(3, -4), Fraction(2, 9), 6, (5, 7)]) == Fraction(-5, 7)
+    # a numerator past the 4300-digit int-string limit still gives
+    # ZeroDivisionError, not the ValueError of printing it
+    for zero_den in ([inv((0, 3))], [(1, 2), power((0, 5), -2)], [0, (7, 0)],
+                     [Fraction(1, 3), inv(sub((2, 3), (4, 6)))], [10 ** 5000, (1, 0)]):
+        with pytest.raises(ZeroDivisionError):
+            prod(zero_den)
+
+
+def test_factor_kinds_match_fraction_arithmetic():
+    import math
+    from detkit.catalog.base import differences, over_pairs, q_ratios, q_rows
+    from detkit.exactnum import _one_minus_power, q_factorial, q_int
+    values = [Fraction(-7, 3), Fraction(5, 4), Fraction(2), Fraction(-1, 9),
+              Fraction(0), 3, "-4/6"]
+    for x, y in itertools.product(values, repeat=2):
+        (px, py), (fx, fy) = (pair(x), pair(y)), (Fraction(x), Fraction(y))
+        assert prod([sub(px, py)]) == fx - fy
+        assert prod([add(px, py)]) == fx + fy
+        assert prod([mul(px, py)]) == fx * fy
+        if fy:
+            assert prod([sub(ONE, mul(px, inv(py)))]) == 1 - fx / fy
+    for x in values:
+        for e in range(-3, 4):
+            if Fraction(x) or e >= 0:
+                assert prod([power(pair(x), e)]) == Fraction(x) ** e
+    xs = [pair(v) for v in values]
+    assert list(over_pairs(lambda u, v: (u, v), xs)) == [
+        (xs[i], xs[j]) for i in range(len(xs)) for j in range(i + 1, len(xs))]
+    assert prod(differences(xs)) == math.prod(
+        Fraction(values[j]) - Fraction(values[i])
+        for i in range(len(values)) for j in range(i + 1, len(values)))
+    for q in (Fraction(2, 7), Fraction(-3, 5), Fraction(1), Fraction(-1), Fraction(4)):
+        for e in range(-6, 7):
+            assert prod([_one_minus_power(q.numerator, q.denominator, e)]) == 1 - q ** e
+        rows = [([-3, 4], [5, 0], [2]), ([], [7], [1, 3])]
+        assert _value_or_raised(lambda: q_rows(q, rows, (2, 3))) == _value_or_raised(
+            lambda: Fraction(2, 3) * q_int(-3, q) * q_int(4, q) * q_factorial(5, q)
+            * q_factorial(7, q) / (q_factorial(2, q) * q_factorial(3, q)))
+        ratios = [([2, 5], [3]), ([4], [1, -2])]
+        assert _value_or_raised(lambda: q_ratios(q, ratios, 5)) == _value_or_raised(
+            lambda: 5 * (1 - q ** 2) * (1 - q ** 5) * (1 - q ** 4)
+            / ((1 - q ** 3) * (1 - q) * (1 - q ** -2)))
+    with pytest.raises(ValueError, match="negative integer -1"):
+        q_rows(Fraction(1, 2), [([], [], [-1])])
+    with pytest.raises(ZeroDivisionError):
+        q_ratios(Fraction(1), [([2], [3])])
 
 
 @pytest.mark.parametrize("identity_id", ["krat6", "krat7"])

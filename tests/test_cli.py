@@ -174,6 +174,30 @@ def test_hankel_prints_determinants_above_4300_digits(capsys, fmt):
     assert _parse_decimal(printed) == math.prod(math.factorial(2 * k) ** 2 for k in range(42))
 
 
+def test_printed_determinant_above_4300_digits_reads_back(capsys):
+    # the printed H_42 of the Euler numbers is a custom moment and a guess
+    # term; the same term with a stray character or over 0 is still a
+    # usage error
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = limit()
+    _, out = run(capsys, "hankel", "--seq", "euler", "--n", "42", "--format", "json")
+    printed = json.loads(out)["dets"][-1]
+    h42 = _parse_decimal(printed)
+    code, out = run(capsys, "hankel", "--seq", f"custom:1,{printed},1,1", "--n", "2",
+                    "--format", "json")
+    assert code == 0
+    dets = json.loads(out)["dets"]
+    assert dets[0] == "1" and dets[1][0] == "-" and _parse_decimal(dets[1][1:]) == h42 ** 2 - 1
+    code, out = run(capsys, "guess", f"1,{printed},3", "--format", "json")
+    assert code in (0, 1)
+    assert json.loads(out)["terms"] == ["1", printed, "3"]
+    for argv in (["guess", f"1,{printed}x,3"], ["guess", f"1,{printed}/0,3"],
+                 ["hankel", "--seq", f"custom:1,{printed}/0,1,1", "--n", "2"],
+                 ["hankel", "--seq", f"custom:1,+-{printed},1,1", "--n", "2"]):
+        assert run(capsys, *argv)[0] == 2
+    assert limit() == before
+
+
 def test_hankel_degenerate_custom(capsys):
     code, _ = run(capsys, "hankel", "--seq", "custom:1,0,0", "--n", "2")
     assert code == 3

@@ -14,7 +14,7 @@ from detkit.exactnum import (PolyQ, RatFn, TruncSeries, _q_factorial_pairs,
                              catalan, chebyshev_u, compose_each, cos_series,
                              double_factorial, euler_even, exp_series,
                              factorial, fmt_rat, hermite_poly,
-                             integer_numerators, pochhammer, poly_gcd,
+                             integer_numerators, parse_rat, pochhammer, poly_gcd,
                              q_binomial, q_factorial, q_int, q_pochhammer, rat,
                              stirling1_unsigned, stirling2)
 from entry_oracles import poly_horner, ratfn_value
@@ -351,6 +351,22 @@ def test_fmt_rat():
     assert fmt_rat(Fraction(3)) == "3"
     assert fmt_rat(Fraction(-1, 5)) == "-1/5"
     assert rat(2) == Fraction(2)
+
+
+def test_parse_rat_reads_what_fmt_rat_prints_at_any_size():
+    # short text parses as Fraction parses it; p and p/q past the 4300-digit
+    # int-string limit read back, with a sign and surrounding blanks
+    for text in ("3", " -3/4 ", "+7", "1.5", "1e3", "1_000", "-0/5"):
+        assert parse_rat(text) == Fraction(text)
+    for x in (Fraction(-3 ** 20000, 7 ** 9000), Fraction(10 ** 9000 + 1, 2), Fraction(5 ** 6500)):
+        assert parse_rat(fmt_rat(x)) == x
+        assert parse_rat(" +" + fmt_rat(abs(x)) + "\n") == abs(x)
+    for bad in ("", "1,2", "two", "--1", "1/-2", "9" * 5000 + "x", "1/2/3" + "0" * 5000):
+        with pytest.raises(ValueError):
+            parse_rat(bad)
+    for zero in ("1/0", "9" * 5000 + "/" + "0" * 5000):
+        with pytest.raises(ZeroDivisionError):
+            parse_rat(zero)
 
 
 # ---------------------------------------------------------------------------
