@@ -96,12 +96,16 @@ def _closed_maj(n: int, q: Fraction) -> Fraction:
 _GROUP_CLOSED = {"inv": _closed_inv, "maj": _closed_maj}
 
 
-def _zagier_trial(kind):
-    closed = _GROUP_CLOSED[kind]
+def _group_sides(n: int, q: Fraction, kind: str):
+    """The symmetric-group determinant for the statistic `kind` at q, and
+    its closed form."""
+    return det(_perm_det_matrix(n, q, kind)), _GROUP_CLOSED[kind](n, q)
 
+
+def _zagier_trial(kind):
     def trial(rng, n):
         q = rand_q(rng)
-        return {"q": q}, det(_perm_det_matrix(n, q, kind)), closed(n, q)
+        return {"q": q}, *_group_sides(n, q, kind)
     return trial
 
 
@@ -135,13 +139,11 @@ def verify_group_determinant(kind: str, n: int, q, with_spectrum: bool = False) 
     if with_spectrum and kind != "maj":
         raise ValueError("spectrum check is only stated for kind='maj'")
     q = rat(q)
-    m = _perm_det_matrix(n, q, kind)
-    closed = _GROUP_CLOSED[kind](n, q)
-    lhs = det(m)
+    lhs, closed = _group_sides(n, q, kind)
     report = VerifyReport(f"group-{kind}")
     report.trials.append(Trial({"n": n, "q": q}, lhs, closed, lhs == closed))
     if with_spectrum:
-        cp = char_poly(m)
+        cp = char_poly(_perm_det_matrix(n, q, kind))
         expected = _maj_spectrum(n, q)
         report.trials.append(Trial({"n": n, "q": q, "check": "spectrum"},
                                    cp, expected, cp == expected))
@@ -209,7 +211,9 @@ def _block_counts(n: int, lattice: str) -> tuple[int, tuple[int, ...]]:
 
 
 def _lattice_det(n: int, q: Fraction, lattice: str) -> Fraction:
-    """det(q^{blocks(a, b)}) over the ground set of the named lattice."""
+    """det(q^{blocks(a, b)}) over the ground set of the named lattice; for
+    "matchings", det(q^{components(a, b)}) over the noncrossing matchings
+    of 2n points."""
     m, counts = _block_counts(n, lattice)
     powers = [q ** k for k in range(n + 1)]
     return det(MatrixR(m, m, [powers[k] for k in counts]))
@@ -265,15 +269,9 @@ def _meander_rhs(n: int, q: Fraction) -> Fraction:
                 for i in range(1, n + 1))
 
 
-def _meander_det(n: int, q: Fraction) -> Fraction:
-    """det(q^{components(a, b)}) over the noncrossing matchings of 2n points;
-    two matchings make at most n components."""
-    return _lattice_det(n, q, "matchings")
-
-
 def _meander_trial(rng, n):
     q = rand_q(rng)
-    return {"q": q}, _meander_det(n, q), _meander_rhs(n, q)
+    return {"q": q}, _lattice_det(n, q, "matchings"), _meander_rhs(n, q)
 
 
 register(IdentityRecord(id="meander", trial=_meander_trial, max_n=4))
@@ -290,7 +288,7 @@ def verify_nc_suite(n: int, q) -> VerifyReport:
     for name, left, right in zip(_NC_SUITE_CHECKS, lhs, rhs):
         report.trials.append(Trial({"n": n, "q": q * q, "check": name},
                                    left, right, left == right))
-    left = _meander_det(n, q)
+    left = _lattice_det(n, q, "matchings")
     right = _meander_rhs(n, q)
     report.trials.append(Trial({"n": n, "q": q, "check": "matchings"},
                                left, right, left == right))
@@ -324,9 +322,13 @@ def _closed_okada(n, q):
     return q_ratios(q, [([s - 1 for s in row] * 2, [s - 2 for s in row] * 2) for row in sums])
 
 
+def _okada_sides(n, q):
+    return det(_build_okada(n, q)), _closed_okada(n, q)
+
+
 def _okada_trial(rng, n):
     q = rand_q(rng)
-    return {"q": q}, det(_build_okada(n, q)), _closed_okada(n, q)
+    return {"q": q}, *_okada_sides(n, q)
 
 
 register(IdentityRecord(id="okada", trial=_okada_trial, max_n=4,
@@ -337,8 +339,7 @@ def verify_okada(n: int, q) -> VerifyReport:
     if n < 1:
         raise ValueError(f"okada: requires n >= 1, got {n}")
     q = rat(q)
-    lhs = det(_build_okada(n, q))
-    rhs = _closed_okada(n, q)
+    lhs, rhs = _okada_sides(n, q)
     report = VerifyReport("okada", notes=("conjecture-consistent",))
     report.trials.append(Trial({"n": n, "q": q}, lhs, rhs, lhs == rhs))
     return report
@@ -508,11 +509,7 @@ def _izkor_sides(rng, n: int):
     return {"q": q, "X": x, "Y": y}, lhs, pref * six_vertex_sum(x, y, q)
 
 
-def _izkor_trial(rng, n):
-    return _izkor_sides(rng, n)
-
-
-register(IdentityRecord(id="izergin-korepin", trial=_izkor_trial, max_n=4))
+register(IdentityRecord(id="izergin-korepin", trial=_izkor_sides, max_n=4))
 
 
 # the row transfer keeps up to 2 C(n, n/2) states per column: about

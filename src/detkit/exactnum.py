@@ -654,14 +654,15 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 
 class TruncSeries:
-    """Truncated Laurent series: coefficient i is the term of exponent
-    valuation + i; terms of exponent >= order are unknown.
+    """Truncated Laurent series: the term of exponent valuation + i is
+    nums[i] / den; terms of exponent >= order are unknown.
 
-    Normal form: coeffs[0] is nonzero, so valuation is the true
-    valuation, and the zero series O(x^k) is the empty window
-    valuation == order == k."""
+    Normal form: nums[0] is nonzero, so valuation is the true valuation,
+    and the zero series O(x^k) is the empty window valuation == order == k;
+    den > 0 and gcd(den, *nums) == 1, so equal windows are equal tuples.
+    Fractions are built only when a coefficient is read."""
 
-    __slots__ = ("valuation", "order", "coeffs")
+    __slots__ = ("valuation", "order", "nums", "den")
 
     def __init__(self, valuation: int, coeffs: Iterable, order: int = None):
         coeffs = [rat(c) for c in coeffs]
@@ -671,34 +672,30 @@ class TruncSeries:
             raise ValueError("order must not be below valuation")
         if len(coeffs) != order - valuation:
             raise ValueError("coefficient count does not match order - valuation")
-        self._set(valuation, coeffs, order)
+        self._set(valuation, *integer_numerators(coeffs), order)
 
-    def _set(self, valuation: int, coeffs: Sequence, order: int):
-        """Fill the window valuation..order-1 with coeffs, moving leading
-        zeros into the valuation."""
-        coeffs = tuple(coeffs)
+    def _set(self, valuation: int, nums: Sequence[int], den: int, order: int):
+        """Fill the window valuation..order-1 with nums / den (den > 0),
+        moving leading zeros into the valuation and dividing out the
+        common factor."""
         lead = 0
-        while lead < len(coeffs) and not coeffs[lead]:
+        while lead < len(nums) and not nums[lead]:
             lead += 1
+        nums = nums[lead:]
+        g = math.gcd(den, *nums)
         self.valuation = valuation + lead
         self.order = order
-        self.coeffs = coeffs[lead:]
+        self.nums = tuple(x // g for x in nums) if g != 1 else tuple(nums)
+        self.den = den // g
 
     @staticmethod
-    def _raw(valuation: int, coeffs: Sequence, order: int) -> "TruncSeries":
-        """A series from Fractions that already fill the window
-        valuation..order-1: the constructor for results of TruncSeries
-        operations, which skips the coercion and the checks."""
+    def _raw(valuation: int, nums: Sequence[int], den: int, order: int) -> "TruncSeries":
+        """A series from integer numerators over den > 0 that fill the
+        window valuation..order-1: the constructor for results of
+        TruncSeries operations, which skips the coercion and the checks."""
         out = object.__new__(TruncSeries)
-        out._set(valuation, coeffs, order)
+        out._set(valuation, nums, den, order)
         return out
-
-    def _scaled(self, num: int, den: int) -> "TruncSeries":
-        """self * num / den (den != 0) on integer numerators over one
-        common denominator."""
-        a, d = integer_numerators(self.coeffs)
-        d *= den
-        return TruncSeries._raw(self.valuation, [Fraction(num * x, d) for x in a], self.order)
 
     @staticmethod
     def from_poly(p: PolyQ, order: int) -> "TruncSeries":
@@ -712,27 +709,25 @@ class TruncSeries:
     def var(order: int) -> "TruncSeries":
         return TruncSeries.from_poly(PolyQ.x(), order)
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.nums)
+
     def coeff(self, exponent: int) -> Fraction:
         if exponent >= self.order:
             raise ValueError(f"coefficient of x^{exponent} beyond truncation order {self.order}")
         i = exponent - self.valuation
-        return self.coeffs[i] if i >= 0 else Fraction(0)
+        return Fraction(self.nums[i], self.den) if i >= 0 else Fraction(0)
 
     def constant_term(self) -> Fraction:
         return self.coeff(0)
 
-    def _window(self, val: int, order: int) -> tuple[list[int], int]:
-        """Integer numerators over one common denominator of the terms of
-        exponent val..order-1 (order <= self.order); terms below the stored
-        window are 0."""
+    def _window(self, val: int, order: int) -> list[int]:
+        """The numerators over self.den of the terms of exponent
+        val..order-1 (order <= self.order); terms below the stored window
+        are 0."""
         lo = min(max(val, self.valuation), order)
-        nums, d = integer_numerators(self.coeffs[lo - self.valuation:order - self.valuation])
-        return [0] * (lo - val) + nums, d
-
-    def _align(self, other: "TruncSeries"):
-        val = min(self.valuation, other.valuation)
-        order = min(self.order, other.order)
-        return val, order, self._window(val, order), other._window(val, order)
+        return [0] * (lo - val) + list(self.nums[lo - self.valuation:order - self.valuation])
 
     def _coerce(self, other):
         if isinstance(other, TruncSeries):
@@ -745,24 +740,23 @@ class TruncSeries:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        # numerators over the least common denominator are unique, so equal
-        # windows have equal numerators and denominators
-        val, order, a, b = self._align(other)
-        return a == b
+        return not (self - other).nums
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        val, order, (a, da), (b, db) = self._align(other)
-        d = math.lcm(da, db)
-        sa, sb = d // da, d // db
-        return TruncSeries._raw(val, [Fraction(x * sa + y * sb, d) for x, y in zip(a, b)], order)
+        val = min(self.valuation, other.valuation)
+        order = min(self.order, other.order)
+        d = math.lcm(self.den, other.den)
+        sa, sb = d // self.den, d // other.den
+        return TruncSeries._raw(val, [x * sa + y * sb for x, y in zip(
+            self._window(val, order), other._window(val, order))], d, order)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries._raw(self.valuation, [-c for c in self.coeffs], self.order)
+        return TruncSeries._raw(self.valuation, [-x for x in self.nums], self.den, self.order)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -775,7 +769,8 @@ class TruncSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self._scaled(other.numerator, other.denominator)
+            return TruncSeries._raw(self.valuation, [other.numerator * x for x in self.nums],
+                                    self.den * other.denominator, self.order)
         if not isinstance(other, TruncSeries):
             return NotImplemented
         # the product is reliable up to min over known windows; in normal
@@ -783,40 +778,38 @@ class TruncSeries:
         val = self.valuation + other.valuation
         order = min(self.order + other.valuation, other.order + self.valuation)
         n = order - val
-        a, da = integer_numerators(self.coeffs[:n])
-        b, db = integer_numerators(other.coeffs[:n])
-        d = da * db
-        return TruncSeries._raw(val, [Fraction(c, d) for c in _convolve(a, b)], order)
+        return TruncSeries._raw(val, _convolve(self.nums[:n], other.nums[:n]),
+                                self.den * other.den, order)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "TruncSeries":
-        if not self.coeffs:
+        a = self.nums
+        if not a:
             raise ZeroDivisionError("inverse of (truncated) zero series")
-        # a = A/d with integer A; the inverse's terms are kept as integer
-        # numerators over the lcm of their denominators so far, which is
-        # rescaled as it grows
-        a, d = integer_numerators(self.coeffs)
-        a0 = a[0]
-        inv = [Fraction(d, a0)]
-        nums, den = [inv[0].numerator], inv[0].denominator
-        ra = a[:0:-1]  # a_{n-1}, ..., a_1
+        # 1/(A/d) = d/A: its terms are kept as integer numerators over the
+        # lcm of their denominators so far, which is rescaled as it grows
+        sign, a0 = (1, a[0]) if a[0] > 0 else (-1, -a[0])
+        g = math.gcd(self.den, a0)
+        nums, den = [sign * self.den // g], a0 // g
+        ra = a[:0:-1]  # A_{n-1}, ..., A_1
         for k in range(1, len(a)):
-            # inv_k = -(sum_j a_j inv_{k-j}) / a_0 = -(sum_j A_j N_{k-j}) / (den A_0)
-            c = Fraction(-sum(map(mul, ra[-k:], nums)), den * a0)
-            inv.append(c)
-            grow = c.denominator // math.gcd(den, c.denominator)
+            # inv_k = -(sum_j A_j inv_{k-j}) / A_0 = p / q in lowest terms
+            p, q = -sign * sum(map(mul, ra[-k:], nums)), den * a0
+            g = math.gcd(p, q)
+            p, q = p // g, q // g
+            grow = q // math.gcd(den, q)
             if grow != 1:
                 den *= grow
                 nums = [x * grow for x in nums]
-            nums.append(c.numerator * (den // c.denominator))
-        return TruncSeries._raw(-self.valuation, inv, len(a) - self.valuation)
+            nums.append(p * (den // q))
+        return TruncSeries._raw(-self.valuation, nums, den, len(a) - self.valuation)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("series division by zero")
-            return self._scaled(other.denominator, other.numerator)
+            return self * (1 / rat(other))
         if not isinstance(other, TruncSeries):
             return NotImplemented
         return self * other.inverse()
@@ -847,11 +840,12 @@ class TruncSeries:
         if order > self.order:
             raise ValueError("cannot extend truncation order")
         val = min(self.valuation, order)
-        return TruncSeries._raw(val, self.coeffs[: order - val], order)
+        return TruncSeries._raw(val, self.nums[: order - val], self.den, order)
 
     def derive(self) -> "TruncSeries":
         v = self.valuation
-        return TruncSeries._raw(v - 1, [(v + i) * c for i, c in enumerate(self.coeffs)], self.order - 1)
+        return TruncSeries._raw(v - 1, [(v + i) * x for i, x in enumerate(self.nums)],
+                                self.den, self.order - 1)
 
     def __repr__(self):
         return f"TruncSeries({_terms_str(self.coeffs, self.valuation, 'x')} + O(x^{self.order}))"
@@ -874,28 +868,27 @@ def compose_each(outers: Sequence[TruncSeries], inner: TruncSeries) -> list[Trun
     orders = [min(g.order, inner.order) for g in outers]
     terms = []
     for g, order in zip(outers, orders):
-        cs, dc = integer_numerators([g.coeff(e) for e in range((order - 1) // v + 1)])
+        cs = g._window(0, (order - 1) // v + 1)
         while cs and cs[-1] == 0:
             cs.pop()
-        terms.append((cs, dc))
+        terms.append(cs)
     # with inner = H/dh (H integer, from exponent 0), g(inner) is
     # sum_e C_e H^e dh^(E-e) over dc dh^E, where g = C/dc and E is g's
     # last contributing exponent
     top = max(orders, default=0)
-    h, dh = inner._window(0, top)
+    h, dh = inner._window(0, top), inner.den
     pws = [[1] + [0] * (top - 1)]
-    for _ in range(max((len(cs) for cs, _ in terms), default=1) - 1):
+    for _ in range(max(map(len, terms), default=1) - 1):
         pws.append(_convolve(pws[-1], h))
     out = []
-    for (cs, dc), order in zip(terms, orders):
+    for g, cs, order in zip(outers, terms, orders):
         last = len(cs) - 1
         acc = [0] * order
         for e, c in enumerate(cs):
             if c != 0:
                 scale = c * dh ** (last - e)
                 acc = [x + scale * y for x, y in zip(acc, pws[e])]
-        d = dc * dh ** max(last, 0)
-        out.append(TruncSeries(0, [Fraction(x, d) for x in acc], order))
+        out.append(TruncSeries._raw(0, acc, g.den * dh ** max(last, 0), order))
     return out
 
 

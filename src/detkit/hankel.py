@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import (TruncSeries, bernoulli, double_factorial, euler_even,
+from .exactnum import (bernoulli, double_factorial, euler_even,
                        integer_numerators, rat)
 from .linalg import MatrixR, _eliminate, det
 
@@ -157,26 +157,31 @@ def jfraction_from_moments(s: MomentSeq, depth: int) -> JFraction:
 
 
 def moments_from_jfraction(j: JFraction, count: int) -> MomentSeq:
-    """Expand the continued fraction to `count` exact moments.  Its
-    levels a_0..a_{m-1}, b_1..b_{m-1} determine mu_0..mu_{2m-1} and no
-    more, so a count above 2m raises ValueError."""
-    order = count
-    if order <= 0:
+    """Expand the continued fraction to `count` exact moments by the
+    weighted Motzkin-path recurrence: mu_k is mu0 times the total weight
+    of the k-step paths from height 0 back to height 0, where an up step
+    weighs 1, a level step at height h weighs -a_h and a down step from
+    height h + 1 weighs b_{h+1}.  Its levels a_0..a_{m-1},
+    b_1..b_{m-1} determine mu_0..mu_{2m-1} and no more, so a count above
+    2m raises ValueError."""
+    if count <= 0:
         return MomentSeq([])
-    if order == 1:
-        return MomentSeq([j.mu0])
     levels = max(len(j.a), len(j.b) + 1)
     if count > 2 * levels:
         raise ValueError("J-fraction too shallow for requested moment count")
-    # bottom level: f = 1/(1 + a_m x)
-    f = TruncSeries.one(order)
-    for k in range(levels - 1, -1, -1):
-        a_k = j.a[k] if k < len(j.a) else Fraction(0)
-        b_k1 = j.b[k] if k < len(j.b) else Fraction(0)
-        den = TruncSeries(0, [1, a_k] + [0] * (order - 2), order) - b_k1 * TruncSeries(0, [0, 0] + [f.coeff(e) for e in range(order - 2)], order)
-        f = den.inverse().restrict(order)
-    f = j.mu0 * f
-    return MomentSeq([f.coeff(k) for k in range(count)])
+    # missing levels are 0, and b_levels = 0: no path that climbs to
+    # height levels comes back
+    level = [-x for x in j.a] + [0] * (levels - len(j.a))
+    down = list(j.b) + [0] * (levels - len(j.b))
+    # w[h] = total weight of the paths of k steps from height 0 to height
+    # h < levels; w[levels] = 0 stands for both height -1 and height levels
+    w = [1] + [0] * levels
+    out = []
+    for _ in range(count):
+        out.append(j.mu0 * w[0])
+        w = [w[h - 1] + level[h] * w[h] + down[h] * w[h + 1]
+             for h in range(levels)] + [0]
+    return MomentSeq(out)
 
 
 def heilermann_products(j: JFraction, n: int) -> list[Fraction]:

@@ -2,11 +2,16 @@
 multiply-adds: the oracle for the integer-numerator TruncSeries
 operations.  Each function takes and returns TruncSeries and raises what
 the matching TruncSeries operation raises.  Valuations are found by
-scanning the known terms, so no loop relies on the normal form."""
+scanning the known terms, so no loop relies on the normal form.
+
+`moments_from_jfraction_series` is the oracle for the Motzkin-path
+`hankel.moments_from_jfraction`: it expands the continued fraction by one
+series inversion per level."""
 
 from fractions import Fraction
 
 from detkit.exactnum import TruncSeries, rat
+from detkit.hankel import MomentSeq
 
 
 def lowest(s):
@@ -103,3 +108,26 @@ def compose_loop(outer, inner):
         if c != 0:
             out = add_loop(out, mul_loop(pw, c))
     return out
+
+
+def moments_from_jfraction_series(j, count):
+    """The first `count` moments of the J-fraction j, from the bottom level
+    f = 1/(1 + a_m x) up by f <- 1/(1 + a_k x - b_{k+1} x^2 f); a count
+    above twice the number of levels raises ValueError."""
+    order = count
+    if order <= 0:
+        return MomentSeq([])
+    if order == 1:
+        return MomentSeq([j.mu0])
+    levels = max(len(j.a), len(j.b) + 1)
+    if count > 2 * levels:
+        raise ValueError("J-fraction too shallow for requested moment count")
+    f = TruncSeries.one(order)
+    for k in range(levels - 1, -1, -1):
+        a_k = j.a[k] if k < len(j.a) else Fraction(0)
+        b_k1 = j.b[k] if k < len(j.b) else Fraction(0)
+        den = TruncSeries(0, [1, a_k] + [0] * (order - 2), order) - b_k1 * TruncSeries(
+            0, [0, 0] + [f.coeff(e) for e in range(order - 2)], order)
+        f = den.inverse().restrict(order)
+    f = j.mu0 * f
+    return MomentSeq([f.coeff(k) for k in range(count)])

@@ -884,12 +884,13 @@ def test_structural_verifiers_reject_n_below_one(verify, n):
 
 
 def test_izergin_korepin_resampling_is_bounded(monkeypatch):
-    from detkit.catalog import structured
+    from detkit.catalog import base
 
     def never_in_domain(rng, n):
         raise catalog.Resample
 
-    monkeypatch.setattr(structured, "_izkor_sides", never_in_domain)
+    record = dataclasses.replace(get_record("izergin-korepin"), trial=never_in_domain)
+    monkeypatch.setitem(base.REGISTRY, "izergin-korepin", record)
     with pytest.raises(RuntimeError, match="after 200 samples"):
         verify_izergin_korepin(2, seed=0)
 

@@ -668,6 +668,18 @@ def any_series(draw):
     return TruncSeries(draw(st.integers(-3, 3)), [0] * lead + body)
 
 
+def _assert_stored_form(s):
+    """s holds integer numerators over one positive denominator in normal
+    form, and reads back as the Fractions they stand for."""
+    assert type(s.den) is int and s.den > 0
+    assert all(type(x) is int for x in s.nums)
+    assert math.gcd(s.den, *s.nums) == 1
+    assert not s.nums or s.nums[0] != 0
+    assert len(s.nums) == s.order - s.valuation
+    assert s.coeffs == tuple(Fraction(x, s.den) for x in s.nums)
+    assert all(type(c) is Fraction for c in s.coeffs)
+
+
 def _series_outcome(f, *args):
     """The value with its type and, for a series, its window and exact
     coefficients; or the exception type and message."""
@@ -676,7 +688,7 @@ def _series_outcome(f, *args):
     except (ZeroDivisionError, ValueError) as exc:
         return type(exc), str(exc)
     if isinstance(value, TruncSeries):
-        assert all(type(c) is Fraction for c in value.coeffs)
+        _assert_stored_form(value)
         return type(value), _series_key(value)
     return type(value), value
 
@@ -722,6 +734,25 @@ def test_series_inverse_matches_fraction_loop(s):
     assert _series_outcome(TruncSeries.inverse, s) == _series_outcome(inverse_loop, s)
 
 
+@settings(max_examples=300)
+@given(any_series(), any_series(), series_scalars)
+def test_series_equal_in_value_compare_equal(s, t, c):
+    """Series reached by different routes, over other denominators and
+    windows, compare equal to s, and over a common window they store the
+    same numerators and denominator."""
+    routes = [lambda: (s + t) - t, lambda: s * 1 + 0 * t,
+              lambda: (s * c) / c, lambda: (s * t) / t]
+    for route in routes:
+        try:
+            other = route()
+        except ZeroDivisionError:
+            continue
+        assert other == s and s == other
+        w = min(other.order, s.order)
+        a, b = other.restrict(w), s.restrict(w)
+        assert (a.valuation, a.order, a.nums, a.den) == (b.valuation, b.order, b.nums, b.den)
+
+
 def test_series_window_errors_match_fraction_loops():
     with pytest.raises(ZeroDivisionError, match="inverse of \\(truncated\\) zero series"):
         TruncSeries(-2, [0, 0, 0]).inverse()
@@ -731,9 +762,8 @@ def test_series_window_errors_match_fraction_loops():
 
 def _assert_normal(value):
     if isinstance(value, TruncSeries):
-        assert not value.coeffs or value.coeffs[0] != 0
         assert value.valuation <= value.order
-        assert len(value.coeffs) == value.order - value.valuation
+        _assert_stored_form(value)
 
 
 @settings(max_examples=300)

@@ -22,6 +22,7 @@ from detkit.hankel import (NAMED_MOMENTS, DegenerateMomentsError, JFraction,
                            jfraction_from_moments,
                            moments_from_jfraction)
 from detkit.linalg import MatrixR, det
+from series_oracles import moments_from_jfraction_series
 
 
 def test_hankel_matrix_shape():
@@ -460,3 +461,25 @@ def test_moments_from_jfraction_count_bound():
         assert len(moments_from_jfraction(jf, 2 * levels)) == 2 * levels
         with pytest.raises(ValueError, match="J-fraction too shallow"):
             moments_from_jfraction(jf, 2 * levels + 1)
+
+
+jf_coeffs = st.lists(st.one_of(st.just(Fraction(0)),
+                               st.fractions(min_value=-5, max_value=5, max_denominator=6)),
+                     max_size=6)
+
+
+@given(st.builds(JFraction, st.fractions(min_value=-5, max_value=5, max_denominator=6),
+                 jf_coeffs, jf_coeffs))
+@settings(max_examples=300, deadline=None)
+def test_moments_from_jfraction_matches_series_expansion(jf):
+    # every count up to one past the last determined moment, on J-fractions
+    # of depth 0..6 with zero coefficients and with a and b of any lengths
+    def outcome(expand, count):
+        try:
+            return expand(jf, count)
+        except ValueError as exc:
+            return type(exc)
+    levels = max(len(jf.a), len(jf.b) + 1)
+    for count in range(2 * levels + 2):
+        assert outcome(moments_from_jfraction, count) == outcome(
+            moments_from_jfraction_series, count)

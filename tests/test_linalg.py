@@ -2,13 +2,14 @@
 against its oracles, permanent, Pfaffian, LU, kernels, characteristic
 polynomial, and resultants."""
 
+import operator
 import random
 from fractions import Fraction
 from itertools import accumulate, combinations
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from detkit.catalog import get_record
@@ -20,6 +21,7 @@ from detkit.linalg import (MatrixR, SingularMinorError, _det_laplace,
 from det_oracles import (char_poly_faddeev_leverrier, det_condensation,
                          det_gauss, det_permutation_expansion,
                          pfaffian_expansion, pfaffian_matching_sum)
+from series_oracles import add_loop, mul_loop
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 DET_ORACLES = (det_gauss, _det_laplace, det_condensation)
@@ -309,19 +311,20 @@ def test_det_of_q_family_matrices_at_n12_matches_gauss(identity_id):
     assert det(m) == det_gauss(m)
 
 
-def _series_det(rows):
-    """First-row Laplace expansion on nested lists, apart from MatrixR:
-    the oracle for _det_laplace on TruncSeries entries."""
+def _series_det(rows, mul=operator.mul, add=operator.add):
+    """First-row Laplace expansion on nested lists, apart from MatrixR,
+    with the given product and sum: the oracle for _det_laplace on
+    TruncSeries entries."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
     out = None
     for j in range(n):
         minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * _series_det(minor)
+        term = mul(rows[0][j], _series_det(minor, mul, add))
         if j % 2:
-            term = -term
-        out = term if out is None else out + term
+            term = mul(term, -1)
+        out = term if out is None else add(out, term)
     return out
 
 
@@ -333,10 +336,16 @@ def trunc_series(draw):
     return TruncSeries(valuation, coeffs)
 
 
+# at least 4 known terms from exponent 0 or 1: most 6 x 6 determinants
+# of these keep known terms, where those of trunc_series mostly do not
+wide_series = st.builds(TruncSeries, st.integers(0, 1), st.lists(
+    st.one_of(st.just(Fraction(0)), rationals), min_size=4, max_size=6))
+
+
 @st.composite
-def series_rows(draw):
-    n = draw(st.integers(1, 6))
-    return draw(st.lists(st.lists(trunc_series(), min_size=n, max_size=n),
+def series_rows(draw, min_n=1, entries=trunc_series()):
+    n = draw(st.integers(min_n, 6))
+    return draw(st.lists(st.lists(entries, min_size=n, max_size=n),
                          min_size=n, max_size=n))
 
 
@@ -350,6 +359,19 @@ def test_det_laplace_on_series_matches_row_expansion(rows):
     assert got == want
     assert repr(got) == repr(want)
     assert (got.valuation, got.order) == (want.valuation, want.order)
+
+
+@given(series_rows(4, wide_series))
+@settings(max_examples=40, deadline=None,
+          phases=[p for p in Phase if p is not Phase.shrink])
+def test_det_laplace_on_series_matches_fraction_loop_expansion(rows):
+    # the shared-minor expansion on integer numerators against the plain
+    # expansion on the schoolbook Fraction loops: same window, same terms.
+    # Shrinking reruns the n!-term oracle per step (minutes for one
+    # failure), so a failing matrix is reported as drawn
+    got = _det_laplace(MatrixR.from_rows(rows))
+    want = _series_det(rows, mul_loop, add_loop)
+    assert (got.valuation, got.order, got.coeffs) == (want.valuation, want.order, want.coeffs)
 
 
 def test_det_laplace_matches_bareiss_at_cap():
