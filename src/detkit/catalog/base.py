@@ -45,17 +45,20 @@ def rand_nonzero(rng, lo: int = -9, hi: int = 9, max_den: int = 5) -> Fraction:
 
 def distinct_fracs(rng, count: int, nonzero: bool = False,
                    lo: int = -9) -> tuple[Fraction, ...]:
+    # seen holds (numerator, denominator) keys: hashing a Fraction costs a
+    # modular inverse
     out: list[Fraction] = []
-    seen: set[Fraction] = set()
+    seen: set[tuple[int, int]] = set()
     if count == 0:
         return ()
     for _ in range(100 * count + 100):
         x = rand_frac(rng, lo)
         if nonzero and x == 0:
             continue
-        if x in seen:
+        key = x.numerator, x.denominator
+        if key in seen:
             continue
-        seen.add(x)
+        seen.add(key)
         out.append(x)
         if len(out) == count:
             return tuple(out)
@@ -123,6 +126,25 @@ def mul(x, y):
 
 def power(x, e: int):
     return (x[0] ** e, x[1] ** e) if e >= 0 else (x[1] ** -e, x[0] ** -e)
+
+
+def power_pairs(x, lo: int, hi: int):
+    """x^e for lo <= e <= hi as integer pairs, by running products in both
+    directions from e = 0, as a function of e.  A zero x with lo < 0
+    raises ZeroDivisionError, as Fraction(0) ** e does for e < 0."""
+    p, d = pair(x)
+    if lo < 0 and not p:
+        raise ZeroDivisionError("zero to a negative power")
+    ups, downs = [ONE], [ONE]
+    for _ in range(hi):
+        ups.append((ups[-1][0] * p, ups[-1][1] * d))
+    for _ in range(-lo):
+        downs.append((downs[-1][0] * d, downs[-1][1] * p))
+
+    def read(e: int) -> tuple[int, int]:
+        return ups[e] if e >= 0 else downs[-e]
+
+    return read
 
 
 def prod(factors) -> Fraction:

@@ -8,10 +8,11 @@ import math
 from fractions import Fraction
 from itertools import chain
 
-from ..exactnum import binomial, double_factorial, pochhammer, rat
+from ..exactnum import (_binomial_pairs, binomial, double_factorial,
+                        pochhammer, rat)
 from ..linalg import MatrixR, det
-from .base import (IdentityRecord, Resample, _sample_mu, det_record, prod,
-                   rand_frac, register)
+from .base import (IdentityRecord, Resample, _sample_mu, det_record, pair,
+                   prod, rand_frac, register)
 
 
 def _sign_mod4(n: int) -> int:
@@ -90,9 +91,15 @@ register(IdentityRecord(id="mrr-factor", trial=_mrr_factor_trial, max_n=2))
 # binom(mu+i+j, 2i-j) and relatives (all 0-based)
 
 
+def _sum_tables(x, n):
+    """The binomial(x + t, k) tables for 0 <= t <= 2n, k <= 2n - 1: entry
+    (i, j) of mrr and rn reads those at t = i + j and t = i + j + 2."""
+    return [_binomial_pairs(x + t, 2 * n - 1) for t in range(2 * n + 1)]
+
+
 def _build_mrr(n, mu):
-    mu = rat(mu)
-    return MatrixR.build(n, n, lambda i, j: binomial(mu + i + j, 2 * i - j))
+    tables = _sum_tables(rat(mu), n)
+    return MatrixR.build(n, n, lambda i, j: Fraction(*tables[i + j](2 * i - j)))
 
 
 def _closed_mrr(n, mu):
@@ -106,11 +113,13 @@ det_record("mrr", _sample_mu, _build_mrr, _closed_mrr, max_n=5)
 
 
 def _build_rn(n, mu):
-    mu = rat(mu)
-    return MatrixR.build(
-        n, n,
-        lambda i, j: binomial(mu + i + j, 2 * i - j)
-        + 2 * binomial(mu + i + j + 2, 2 * i - j + 1))
+    tables = _sum_tables(rat(mu), n)
+
+    def entry(i, j):
+        # binomial(mu+i+j, 2i-j) + 2 binomial(mu+i+j+2, 2i-j+1)
+        (n1, d1), (n2, d2) = tables[i + j](2 * i - j), tables[i + j + 2](2 * i - j + 1)
+        return Fraction(n1 * d2 + 2 * n2 * d1, d1 * d2)
+    return MatrixR.build(n, n, entry)
 
 
 def _closed_rn(n, mu):
@@ -129,13 +138,21 @@ def _sample_xy(rng, n):
 
 
 def _build_chu1(n, c, x):
+    # entry (i, j) is the sum over c +- x_i = p/d of binomial(p/d + s, k) =
+    # prod_{t<k} (p + (s-t)d) / (d^k k!), s = i + j, k = 2i - j; x_i moves
+    # with the row, so each entry takes its own integer falling products
     c = rat(c)
-    plus = [c + rat(v) for v in x]
-    minus = [c - rat(v) for v in x]
-    return MatrixR.build(
-        n, n,
-        lambda i, j: binomial(plus[i] + i + j, 2 * i - j)
-        + binomial(minus[i] + i + j, 2 * i - j))
+    rows = [(pair(c + v), pair(c - v)) for v in map(rat, x)]
+
+    def entry(i, j):
+        s, k = i + j, 2 * i - j
+        if k < 0:
+            return Fraction(0)
+        (p1, d1), (p2, d2) = rows[i]
+        n1 = math.prod(range(p1 + s * d1, p1 + (s - k) * d1, -d1))
+        n2 = math.prod(range(p2 + s * d2, p2 + (s - k) * d2, -d2))
+        return Fraction(n1 * d2 ** k + n2 * d1 ** k, (d1 * d2) ** k * math.factorial(k))
+    return MatrixR.build(n, n, entry)
 
 
 def _build_ab(n, x, y):

@@ -11,7 +11,7 @@ from ..exactnum import PolyQ, _homogeneous, binomial, integer_numerators, rat
 from ..linalg import MatrixR, permanent
 from .base import (ONE, Resample, _vdm, add, det_record, differences,
                    distinct_fracs, inv, mul, over_pairs, pair, pairs, power,
-                   prod, rand_frac, rand_nonzero, sub)
+                   power_pairs, prod, rand_frac, rand_nonzero, sub)
 
 
 # ---------------------------------------------------------------------------
@@ -23,7 +23,8 @@ def _sample_x(rng, n):
 
 
 def _build_vandermonde(n, X):
-    return MatrixR.build(n, n, lambda i, j: rat(X[i]) ** j)
+    rows = [power_pairs(x, 0, n - 1) for x in X]
+    return MatrixR.build(n, n, lambda i, j: Fraction(*rows[i](j)))
 
 
 def _closed_vandermonde(n, X):
@@ -63,8 +64,22 @@ def _weyl_pairs(X):
     return over_pairs(lambda u, v: mul(sub(u, v), sub(ONE, mul(u, v))), X)
 
 
+def _laurent_entries(n, X, s, step, offset):
+    """The matrix of weyl-c, weyl-b, weyl-b2 and weyl-d: entry (i, j) is
+    X_i^e + s X_i^-e with e = step*j + offset, read from one power row
+    per X_i; a zero X_i raises ZeroDivisionError when some e > 0."""
+    top = step * (n - 1) + offset
+    rows = [power_pairs(x, -top, top) for x in X]
+
+    def entry(i, j):
+        e = step * j + offset
+        (a, b), (c, d) = rows[i](e), rows[i](-e)
+        return Fraction(a * d + s * c * b, b * d)
+    return MatrixR.build(n, n, entry)
+
+
 def _build_weyl_c(n, X):
-    return MatrixR.build(n, n, lambda i, j: rat(X[i]) ** (j + 1) - rat(X[i]) ** (-(j + 1)))
+    return _laurent_entries(n, X, -1, 1, 1)
 
 
 def _closed_weyl_c(n, X):
@@ -86,8 +101,7 @@ def _make_weyl_b(identity_id, s):
     with X_i = t_i^2, 1-based j."""
 
     def build(n, t):
-        return MatrixR.build(n, n, lambda i, j: (
-            rat(t[i]) ** (2 * j + 1) + s * rat(t[i]) ** (-(2 * j + 1))))
+        return _laurent_entries(n, t, s, 2, 1)
 
     def closed(n, t):
         t = pairs(t)
@@ -102,7 +116,7 @@ _make_weyl_b("weyl-b", -1)
 
 
 def _build_weyl_d(n, X):
-    return MatrixR.build(n, n, lambda i, j: rat(X[i]) ** j + rat(X[i]) ** (-j))
+    return _laurent_entries(n, X, 1, 1, 0)
 
 
 def _closed_weyl_d(n, X):
@@ -123,8 +137,8 @@ _make_weyl_b("weyl-b2", 1)
 def _sample_cauchy(rng, n):
     X = distinct_fracs(rng, n)
     Y = distinct_fracs(rng, n)
-    xs = set(X)
-    if any(-y in xs for y in Y):  # x + y == 0
+    xs = {(x.numerator, x.denominator) for x in X}
+    if any((-y.numerator, y.denominator) in xs for y in Y):  # x + y == 0
         raise Resample
     return {"X": X, "Y": Y}
 
@@ -145,7 +159,8 @@ det_record("cauchy", _sample_cauchy, _build_cauchy, _closed_cauchy, max_n=5)
 def _sample_borchardt(rng, n):
     X = distinct_fracs(rng, n)
     Y = distinct_fracs(rng, n)
-    if not set(X).isdisjoint(Y):  # x - y == 0
+    if not {(x.numerator, x.denominator) for x in X}.isdisjoint(
+            (y.numerator, y.denominator) for y in Y):  # x - y == 0
         raise Resample
     return {"X": X, "Y": Y}
 

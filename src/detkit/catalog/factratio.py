@@ -8,8 +8,8 @@ import math
 from fractions import Fraction
 from itertools import accumulate, chain
 
-from ..exactnum import (_one_minus_power, _q_pochhammer_pairs, binomial,
-                        double_factorial, pochhammer, rat)
+from ..exactnum import (_binomial_pairs, _one_minus_power, _q_pochhammer_pairs,
+                        binomial, double_factorial, pochhammer, rat)
 from ..linalg import MatrixR
 from .base import Resample, det_record, inv, power, prod, rand_nonzero, rand_q
 
@@ -348,10 +348,14 @@ def _sample_pent(rng, n):
 
 
 def _build_pentagon(n, x, y):
-    return MatrixR.build(
-        n, n,
-        lambda i0, j0: binomial(x + y + j0 + 1, x - i0 + 2 * j0 + 1)
-        - binomial(x + y + j0 + 1, x + i0 + 2 * j0 + 3))
+    # entry (i0, j0) is binomial(x+y+j0+1, x-i0+2j0+1) - binomial(x+y+j0+1,
+    # x+i0+2j0+3), read from one table per column
+    cols = [_binomial_pairs(x + y + j0 + 1, x + n + 2 * j0 + 2) for j0 in range(n)]
+
+    def entry(i0, j0):
+        (a, b), (c, d) = cols[j0](x - i0 + 2 * j0 + 1), cols[j0](x + i0 + 2 * j0 + 3)
+        return Fraction(a * d - c * b, b * d)
+    return MatrixR.build(n, n, entry)
 
 
 def _closed_pentagon(n, x, y):

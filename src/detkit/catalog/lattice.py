@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..exactnum import binomial, pochhammer, rat
+from ..exactnum import _binomial_pairs, binomial, pochhammer, rat
 from ..linalg import MatrixR, det
 from .base import (IdentityRecord, Resample, _ceil, det_record, prod, rand_frac,
                    register)
@@ -29,21 +29,23 @@ def _sample_xbc(rng, n):
 
 
 def _build_xbc(n, b, c, x):
+    # column j reads binomial(x + j, k) (binomial(2x + j, k) for j >= b)
+    # from one table
     x = rat(x)
+    cols = [_binomial_pairs(x + j if j < b else 2 * x + j, b + c - 1) for j in range(b + c)]
 
     def entry(i, j):
         if j < c:
             if i < c:
-                return binomial(x + j, i)
+                return Fraction(*cols[j](i))
             if i < b:
                 return Fraction(0)
-            return 2 * binomial(x + j, i - b)
+            a, d = cols[j](i - b)
+            return Fraction(2 * a, d)
         if j < b:
-            if i < b:
-                return binomial(x + j, i)
-            return binomial(x + j, i - b)
+            return Fraction(*cols[j](i if i < b else i - b))
         if i < b:
-            return binomial(2 * x + j, i)
+            return Fraction(*cols[j](i))
         return Fraction(0)
     return MatrixR.build(b + c, b + c, entry)
 

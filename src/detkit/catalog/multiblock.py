@@ -4,14 +4,15 @@ divided differences, and their q-analogues."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import chain
 
-from ..exactnum import (PolyQ, _q_factorial_pairs, divided_differences,
-                        factorial, q_int, rat)
+from ..exactnum import (PolyQ, _q_factorial_pairs, _q_int_pairs,
+                        divided_differences, factorial, q_int, rat)
 from ..linalg import MatrixR, det
 from .base import (_vdm, det_record, distinct_fracs, mul, pair, pairs, power,
-                   prod, rand_frac, rand_q, sub)
+                   power_pairs, prod, rand_frac, rand_q, sub)
 
 
 def _binom2(m: int) -> int:
@@ -50,14 +51,16 @@ def _sample_flha1(rng, n):
 
 
 def _build_flha1(n, parts, X):
+    # entry (i, (k, s)) is i(i-1)...(i-s+2) X_k^(i-s+1), 0 for i < s - 1
     cols = _columns(parts)
+    rows = [power_pairs(x, 0, n - 1) for x in X]
 
     def entry(i, jc):
         k, s = cols[jc]
         if i < s - 1:
             return Fraction(0)
-        coeff = prod(Fraction(i - t) for t in range(s - 1))
-        return coeff * rat(X[k]) ** (i - s + 1)
+        a, b = rows[k](i - s + 1)
+        return Fraction(math.perm(i, s - 1) * a, b)
     return MatrixR.build(n, n, entry)
 
 
@@ -81,12 +84,14 @@ def _sample_flha2(rng, n):
 
 
 def _build_flha2(n, parts, X):
+    # entry (i, (k, s)) is i^(s-1) X_k^i
     cols = _columns(parts)
+    rows = [power_pairs(x, 0, n - 1) for x in X]
 
     def entry(i, jc):
         k, s = cols[jc]
-        coeff = Fraction(1) if s == 1 else Fraction(i) ** (s - 1)
-        return coeff * rat(X[k]) ** i
+        a, b = rows[k](i)
+        return Fraction(i ** (s - 1) * a, b)
     return MatrixR.build(n, n, entry)
 
 
@@ -205,13 +210,15 @@ det_record("qflha1", _sample_qflha1, _build_qflha1, _closed_qflha1, max_n=5)
 
 
 def _build_qflha2(n, parts, X, C, q):
-    q = rat(q)
+    # entry (i, (k, s)) is [C+i]_q^(s-1) X_k^i
     cols = _columns(parts)
+    q_int_pair = _q_int_pairs(q, max(abs(C), abs(C + n - 1)))
+    rows = [power_pairs(x, 0, n - 1) for x in X]
 
     def entry(i, jc):
         k, s = cols[jc]
-        coeff = Fraction(1) if s == 1 else q_int(C + i, q) ** (s - 1)
-        return coeff * rat(X[k]) ** i
+        (a, b), (c, d) = power(q_int_pair(C + i), s - 1), rows[k](i)
+        return Fraction(a * c, b * d)
     return MatrixR.build(n, n, entry)
 
 

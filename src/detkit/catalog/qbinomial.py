@@ -7,17 +7,22 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 
-from ..exactnum import (binomial, double_factorial, factorial, pochhammer,
-                        q_binomial, rat)
+from ..exactnum import (_binomial_pairs, _q_binomial_pairs, double_factorial,
+                        factorial, pochhammer, q_binomial, rat)
 from ..linalg import MatrixR
 from .base import (ONE, _ceil, _sample_mu, add, decreasing_ints, det_record,
-                   differences, inv, pair, pairs, power, prod, q_ratios,
-                   q_rows, rand_frac, rand_q)
+                   differences, inv, pair, pairs, power, power_pairs, prod,
+                   q_ratios, q_rows, rand_frac, rand_q)
 
 
 def _inv_fact(m: int) -> Fraction:
     """1/m!, with 1/(negative)! = 0."""
     return Fraction(0) if m < 0 else Fraction(1, factorial(m))
+
+
+def _q_binomial_tables(alphas, q, hi):
+    """One [alpha choose k]_q table, k <= hi, per distinct alpha."""
+    return {alpha: _q_binomial_pairs(alpha, q, hi) for alpha in set(alphas)}
 
 
 # ---------------------------------------------------------------------------
@@ -30,9 +35,10 @@ def _sample_pp1(rng, n):
 
 
 def _build_pp1(n, L, A, q):
-    q = rat(q)
+    # entry (i, j) is [L_i+A+j+1 choose L_i+j+1]_q
+    tables = _q_binomial_tables((v + A + j + 1 for v in L for j in range(n)), q, max(L) + n)
     return MatrixR.build(
-        n, n, lambda i, j: q_binomial(L[i] + A + j + 1, L[i] + j + 1, q))
+        n, n, lambda i, j: Fraction(*tables[L[i] + A + j + 1](L[i] + j + 1)))
 
 
 def _closed_pp1(n, L, A, q):
@@ -50,10 +56,13 @@ def _sample_pp2(rng, n):
 
 
 def _build_pp2(n, L, A, q):
-    q = rat(q)
-    return MatrixR.build(
-        n, n,
-        lambda i, j: q ** ((j + 1) * L[i]) * q_binomial(A, L[i] + j + 1, q))
+    # entry (i, j) is q^((j+1)L_i) [A choose L_i+j+1]_q
+    q, table = pair(q), _q_binomial_pairs(A, q, max(L) + n)
+
+    def entry(i, j):
+        (a, b), (c, e) = power(q, (j + 1) * L[i]), table(L[i] + j + 1)
+        return Fraction(a * c, b * e)
+    return MatrixR.build(n, n, entry)
 
 
 def _closed_pp2(n, L, A, q):
@@ -70,9 +79,10 @@ def _sample_pp3(rng, n):
 
 
 def _build_pp3(n, L, A, B):
+    # row i reads binomial(B L_i + A, L_i + j + 1) from one table
     A, B = rat(A), rat(B)
-    return MatrixR.build(
-        n, n, lambda i, j: binomial(B * L[i] + A, L[i] + j + 1))
+    rows = [_binomial_pairs(B * v + A, v + n) for v in L]
+    return MatrixR.build(n, n, lambda i, j: Fraction(*rows[i](L[i] + j + 1)))
 
 
 def _closed_pp3(n, L, A, B):
@@ -91,10 +101,17 @@ def _sample_abel(rng, n):
 
 
 def _build_abel(n, L, A, B):
+    # entry (i, j) is (A + B L_i)^j / (j + 1 - L_i)!, 0 where j + 1 < L_i
     A, B = rat(A), rat(B)
-    return MatrixR.build(
-        n, n,
-        lambda i, j: (A + B * L[i]) ** j * _inv_fact(j + 1 - L[i]))
+    rows = [power_pairs(A + B * v, 0, n - 1) for v in L]
+
+    def entry(i, j):
+        m = j + 1 - L[i]
+        if m < 0:
+            return Fraction(0)
+        a, b = rows[i](j)
+        return Fraction(a, b * factorial(m))
+    return MatrixR.build(n, n, entry)
 
 
 def _closed_abel(n, L, A, B):
@@ -112,11 +129,14 @@ def _sample_shifted(rng, n):
 
 
 def _build_shifted(n, L, A, q):
-    q = rat(q)
-    return MatrixR.build(
-        n, n,
-        lambda i, j: q ** ((j + 1) * L[i])
-        * q_binomial(L[i] + A - j - 1, L[i] + j + 1, q))
+    # entry (i, j) is q^((j+1)L_i) [L_i+A-j-1 choose L_i+j+1]_q
+    tables = _q_binomial_tables((v + A - j - 1 for v in L for j in range(n)), q, max(L) + n)
+    q = pair(q)
+
+    def entry(i, j):
+        (a, b), (c, e) = power(q, (j + 1) * L[i]), tables[L[i] + A - j - 1](L[i] + j + 1)
+        return Fraction(a * c, b * e)
+    return MatrixR.build(n, n, entry)
 
 
 def _closed_shifted(n, L, A, q):
@@ -175,12 +195,15 @@ def _sample_pp5a(rng, n):
 
 
 def _build_pp5a(n, X, Y, A, B, q):
-    q = rat(q)
+    # entry (i, j) is [X_i+Y_j, j]_q [Y_j+A-X_i, j]_q / ([X_i+B, j]_q [A+B-X_i, j]_q)
+    tables = _q_binomial_tables(
+        [a for x in X for a in (x + B, A + B - x)]
+        + [a for x in X for y in Y for a in (x + y, y + A - x)], q, n - 1)
 
     def entry(i, j):
-        den = q_binomial(X[i] + B, j, q) * q_binomial(A + B - X[i], j, q)
-        num = q_binomial(X[i] + Y[j], j, q) * q_binomial(Y[j] + A - X[i], j, q)
-        return num / den
+        (n1, d1), (n2, d2) = tables[X[i] + B](j), tables[A + B - X[i]](j)
+        (n3, d3), (n4, d4) = tables[X[i] + Y[j]](j), tables[Y[j] + A - X[i]](j)
+        return Fraction(n3 * n4 * d1 * d2, d3 * d4 * n1 * n2)
     return MatrixR.build(n, n, entry)
 
 
@@ -213,13 +236,13 @@ def _make_pp4(identity_id, t):
     q^(j(L_j-L_i)) ([A, j-L_i]_q - q^(j(2L_i+A-t)) [A, -j-L_i+t]_q)."""
 
     def build(n, L, A, q):
-        q = rat(q)
+        table, q = _q_binomial_pairs(A, q, n + 1 - min(L)), pair(q)
 
         def entry(i0, j0):
             j = j0 + 1
-            return q ** (j * (L[j0] - L[i0])) * (
-                q_binomial(A, j - L[i0], q)
-                - q ** (j * (2 * L[i0] + A - t)) * q_binomial(A, -j - L[i0] + t, q))
+            (a, b), (c, d) = table(j - L[i0]), table(-j - L[i0] + t)
+            (e, f), (g, h) = power(q, j * (L[j0] - L[i0])), power(q, j * (2 * L[i0] + A - t))
+            return Fraction(e * (a * d * h - c * g * b), f * b * d * h)
         return MatrixR.build(n, n, entry)
 
     def closed(n, L, A, q):
@@ -246,14 +269,14 @@ def _make_pp6(identity_id, t):
 
     def build(n, L, A, r):
         r = rat(r)
-        q = r * r
+        table, r = _q_binomial_pairs(A, r * r, n + 1 - min(L)), pair(r)
 
         def entry(i0, j0):
             j = j0 + 1
-            return r ** ((2 * j - 1) * (L[j0] - L[i0])) * (
-                q_binomial(A, j - L[i0], q)
-                + r ** ((2 * j - 1) * (2 * L[i0] + A - t))
-                * q_binomial(A, -j - L[i0] + t, q))
+            (a, b), (c, d) = table(j - L[i0]), table(-j - L[i0] + t)
+            (e, f) = power(r, (2 * j - 1) * (L[j0] - L[i0]))
+            (g, h) = power(r, (2 * j - 1) * (2 * L[i0] + A - t))
+            return Fraction(e * (a * d * h + c * g * b), f * b * d * h)
         return MatrixR.build(n, n, entry)
 
     def closed(n, L, A, r):
@@ -281,9 +304,14 @@ def _binomial_plus_diagonal(diag):
     """The builder of andrews (diag = 1) and zare1 (diag = -1): entry
     (i, j) is diag * [i == j] + binom(2mu+i+j, j)."""
     def build(n, mu):
+        # one binomial(2mu + s, j) table per s = i + j
         mu = rat(mu)
-        return MatrixR.build(
-            n, n, lambda i, j: (diag if i == j else 0) + binomial(2 * mu + i + j, j))
+        tables = [_binomial_pairs(2 * mu + s, min(s, n - 1)) for s in range(2 * n - 1)]
+
+        def entry(i, j):
+            a, b = tables[i + j](j)
+            return Fraction(a + diag * b if i == j else a, b)
+        return MatrixR.build(n, n, entry)
     return build
 
 
@@ -316,13 +344,22 @@ def _sample_q_only(rng, n):
     return {"q": rand_q(rng, 7)}
 
 
-def _build_csp(n, q):
+def _diagonal_plus_q_binomials(n, q, base, shift, step, offset):
+    """The matrix of csp and descpp: entry (i, j) is [i == j] plus
+    q^(step*i+offset) [s+shift choose j]_(q^base) with s = i + j, read
+    from one q-binomial table per s."""
     q = rat(q)
-    q3 = q ** 3
-    return MatrixR.build(
-        n, n,
-        lambda i, j: (1 if i == j else 0)
-        + q ** (3 * i + 1) * q_binomial(i + j, j, q3))
+    tables = [_q_binomial_pairs(s + shift, q ** base, min(s, n - 1)) for s in range(2 * n - 1)]
+    q = pair(q)
+
+    def entry(i, j):
+        (a, b), (c, d) = power(q, step * i + offset), tables[i + j](j)
+        return Fraction(a * c + b * d if i == j else a * c, b * d)
+    return MatrixR.build(n, n, entry)
+
+
+def _build_csp(n, q):
+    return _diagonal_plus_q_binomials(n, q, 3, 0, 3, 1)
 
 
 def _closed_csp(n, q):
@@ -335,11 +372,7 @@ det_record("csp", _sample_q_only, _build_csp, _closed_csp, max_n=5)
 
 
 def _build_descpp(n, q):
-    q = rat(q)
-    return MatrixR.build(
-        n, n,
-        lambda i, j: (1 if i == j else 0)
-        + q ** (i + 2) * q_binomial(i + j + 2, j, q))
+    return _diagonal_plus_q_binomials(n, q, 1, 2, 1, 2)
 
 
 def _closed_descpp(n, q):

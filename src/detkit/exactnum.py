@@ -112,11 +112,27 @@ def binomial(x, k: int) -> Fraction:
         # (-m choose k) = (-1)^k (m+k-1 choose k)
         c = math.comb(k - p - 1, k)
         return Fraction(-c if k & 1 else c)
-    # x = p/d: (x)(x-1)...(x-k+1) = prod(p - j*d) / d^k
-    num = 1
-    for j in range(k):
-        num *= p - j * d
-    return Fraction(num, d ** k * math.factorial(k))
+    return Fraction(*_binomial_pairs(x, k)(k))
+
+
+def _binomial_pairs(x, hi: int):
+    """binomial(x, k) for k <= hi, by running products, as a function of k
+    returning an integer numerator and denominator: with x = p/d,
+    x(x-1)...(x-k+1)/k! = prod_{j<k} (p - j*d) / (d^k k!); (0, 1) for
+    k < 0."""
+    x = rat(x)
+    p, d = x.numerator, x.denominator
+    nums, dens = [1], [1]
+    for j in range(hi):
+        nums.append(nums[-1] * (p - j * d))
+        dens.append(dens[-1] * d * (j + 1))
+
+    def read(k: int) -> tuple[int, int]:
+        if k < 0:
+            return 0, 1
+        return nums[k], dens[k]
+
+    return read
 
 
 def pochhammer(a, k: int) -> Fraction:
@@ -296,22 +312,38 @@ def q_binomial(alpha: int, k: int, q) -> Fraction:
     """Gaussian binomial [alpha choose k]_q; 0 for k < 0; binomial at q=1."""
     if k < 0:
         return Fraction(0)
+    return Fraction(*_q_binomial_pairs(alpha, q, k)(k))
+
+
+def _q_binomial_pairs(alpha: int, q, hi: int):
+    """[alpha choose k]_q for k <= hi, the values of q_binomial, by running
+    products of (1 - q^(alpha-j)) / (1 - q^(j+1)), j < k, as a function of
+    k returning an integer numerator and denominator; (0, 1) for k < 0,
+    and binomial(alpha, k) at q = 1.  Reading k >= 0 at q = 0, or a k
+    whose denominator vanishes (q = -1, k >= 2), raises
+    ZeroDivisionError, as q_binomial does; building the table never
+    raises."""
     q = rat(q)
     if q == 1:
-        return binomial(alpha, k)
-    if q == 0:
-        raise ZeroDivisionError("q_binomial undefined at q = 0")
+        return _binomial_pairs(alpha, hi)
     p, d = q.numerator, q.denominator
-    num = den = 1
-    for j in range(k):
-        # (1 - q^(alpha-j)) / (1 - q^(j+1))
+    nums, dens = [1], [1]
+    for j in range(hi if p else 0):
         a, b = _one_minus_power(p, d, alpha - j)
         c, e = _one_minus_power(p, d, j + 1)
-        num *= a * e
-        den *= b * c
-    if den == 0:
-        raise ZeroDivisionError(f"q_binomial({alpha}, {k}, {q}): denominator vanishes")
-    return Fraction(num, den)
+        nums.append(nums[-1] * a * e)
+        dens.append(dens[-1] * b * c)
+
+    def read(k: int) -> tuple[int, int]:
+        if k < 0:
+            return 0, 1
+        if not p:
+            raise ZeroDivisionError("q_binomial undefined at q = 0")
+        if not dens[k]:
+            raise ZeroDivisionError(f"q_binomial({alpha}, {k}, {q}): denominator vanishes")
+        return nums[k], dens[k]
+
+    return read
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,17 @@
 rule on Fractions for PolyQ and RatFn values, the per-entry formulas of
 the banded binomial-sum (tsscpp2), qflha1, factored-column (krat),
 q-shifted-factorial (anst, qkrat, qtsscpp1), q-binomial product (pp5) and
-chu2 matrices, each entry computed on its own with Fraction arithmetic,
-the closed forms of anst, pp5, qkrat and qtsscpp1 with every q-factorial,
-q-Pochhammer and q-binomial evaluated on its own, and the factor-product
-closed forms (Vandermonde, Weyl, Cauchy, the krat lemmas, pp1-pp6, abel,
-shifted, csp, descpp, flha, qflha, MacMahon, krat-xy, tsscpp1's product,
-tsscpp2, pentagon, zare1, mrr, rn, hankel-hermite, Okada and the
-symmetric-group determinants) multiplied factor by factor in Fraction
-arithmetic."""
+chu2 matrices and of the binomial (mrr, rn, chu1, ab, andrews, zare1,
+pentagon, bombieri-xbc, pp3), q-binomial (pp1, pp2, pp4, pp4a, pp5a,
+pp6, pp6a, shifted, csp, descpp) and power (vandermonde, the Weyl
+denominators, flha1, flha2, qflha2, abel) matrices, each entry computed on
+its own with Fraction arithmetic, the closed forms of anst, pp5, qkrat and
+qtsscpp1 with every q-factorial, q-Pochhammer and q-binomial evaluated on
+its own, and the factor-product closed forms (Vandermonde, Weyl, Cauchy,
+the krat lemmas, pp1-pp6, abel, shifted, csp, descpp, flha, qflha,
+MacMahon, krat-xy, tsscpp1's product, tsscpp2, pentagon, zare1, mrr, rn,
+hankel-hermite, Okada and the symmetric-group determinants) multiplied
+factor by factor in Fraction arithmetic."""
 
 import math
 from fractions import Fraction
@@ -151,6 +154,168 @@ def pp5_entry(i, j, L, A, B, q):
     """Entry (i, j), 0-based, of the pp5 matrix: two q-binomials."""
     q = rat(q)
     return q_binomial(L[i] + j + 1, B, q) * q_binomial(L[i] + A - j - 1, B, q)
+
+
+def mrr_entry(i, j, mu):
+    return binomial(rat(mu) + i + j, 2 * i - j)
+
+
+def rn_entry(i, j, mu):
+    mu = rat(mu)
+    return binomial(mu + i + j, 2 * i - j) + 2 * binomial(mu + i + j + 2, 2 * i - j + 1)
+
+
+def chu1_entry(i, j, c, x):
+    c, v = rat(c), rat(x[i])
+    return binomial(c + v + i + j, 2 * i - j) + binomial(c - v + i + j, 2 * i - j)
+
+
+def ab_entry(i, j, x, y):
+    """chu1 at c = (x+y)/2 with every x_i = (x-y)/2."""
+    x, y = rat(x), rat(y)
+    return chu1_entry(i, j, (x + y) / 2, [(x - y) / 2] * (i + 1))
+
+
+def binomial_plus_diagonal_entry(diag):
+    """andrews (diag = 1) and zare1 (diag = -1)."""
+    def entry(i, j, mu):
+        return (diag if i == j else 0) + binomial(2 * rat(mu) + i + j, j)
+    return entry
+
+
+def pentagon_entry(i0, j0, x, y):
+    return (binomial(x + y + j0 + 1, x - i0 + 2 * j0 + 1)
+            - binomial(x + y + j0 + 1, x + i0 + 2 * j0 + 3))
+
+
+def xbc_entry(i, j, b, c, x):
+    """Entry (i, j) of the (b+c) x (b+c) bombieri-xbc matrix."""
+    x = rat(x)
+    if j < c:
+        if i < c:
+            return binomial(x + j, i)
+        if i < b:
+            return Fraction(0)
+        return 2 * binomial(x + j, i - b)
+    if j < b:
+        if i < b:
+            return binomial(x + j, i)
+        return binomial(x + j, i - b)
+    if i < b:
+        return binomial(2 * x + j, i)
+    return Fraction(0)
+
+
+def pp3_entry(i, j, L, A, B):
+    return binomial(rat(B) * L[i] + rat(A), L[i] + j + 1)
+
+
+def pp1_entry(i, j, L, A, q):
+    return q_binomial(L[i] + A + j + 1, L[i] + j + 1, rat(q))
+
+
+def pp2_entry(i, j, L, A, q):
+    q = rat(q)
+    return q ** ((j + 1) * L[i]) * q_binomial(A, L[i] + j + 1, q)
+
+
+def shifted_entry(i, j, L, A, q):
+    q = rat(q)
+    return q ** ((j + 1) * L[i]) * q_binomial(L[i] + A - j - 1, L[i] + j + 1, q)
+
+
+def pp5a_entry(i, j, X, Y, A, B, q):
+    q = rat(q)
+    den = q_binomial(X[i] + B, j, q) * q_binomial(A + B - X[i], j, q)
+    num = q_binomial(X[i] + Y[j], j, q) * q_binomial(Y[j] + A - X[i], j, q)
+    return num / den
+
+
+def pp4_entry(t):
+    """pp4 (t = 1) and pp4a (t = 0), 1-based j."""
+    def entry(i0, j0, L, A, q):
+        q = rat(q)
+        j = j0 + 1
+        return q ** (j * (L[j0] - L[i0])) * (
+            q_binomial(A, j - L[i0], q)
+            - q ** (j * (2 * L[i0] + A - t)) * q_binomial(A, -j - L[i0] + t, q))
+    return entry
+
+
+def pp6_entry(t):
+    """pp6 (t = 1) and pp6a (t = 2), with q = r^2 and 1-based j."""
+    def entry(i0, j0, L, A, r):
+        r = rat(r)
+        q = r * r
+        j = j0 + 1
+        return r ** ((2 * j - 1) * (L[j0] - L[i0])) * (
+            q_binomial(A, j - L[i0], q)
+            + r ** ((2 * j - 1) * (2 * L[i0] + A - t)) * q_binomial(A, -j - L[i0] + t, q))
+    return entry
+
+
+def csp_entry(i, j, q):
+    q = rat(q)
+    return (1 if i == j else 0) + q ** (3 * i + 1) * q_binomial(i + j, j, q ** 3)
+
+
+def descpp_entry(i, j, q):
+    q = rat(q)
+    return (1 if i == j else 0) + q ** (i + 2) * q_binomial(i + j + 2, j, q)
+
+
+def vandermonde_entry(i, j, X):
+    return rat(X[i]) ** j
+
+
+def weyl_c_entry(i, j, X):
+    return rat(X[i]) ** (j + 1) - rat(X[i]) ** (-(j + 1))
+
+
+def weyl_b_entry(s):
+    """weyl-b (s = -1) and weyl-b2 (s = 1)."""
+    def entry(i, j, t):
+        return rat(t[i]) ** (2 * j + 1) + s * rat(t[i]) ** (-(2 * j + 1))
+    return entry
+
+
+def weyl_d_entry(i, j, X):
+    return rat(X[i]) ** j + rat(X[i]) ** (-j)
+
+
+def _block_column(parts, jc):
+    """(block index, 1-based column within the block) of matrix column jc."""
+    for k, m in enumerate(parts):
+        if jc < m:
+            return k, jc + 1
+        jc -= m
+    raise IndexError(jc)
+
+
+def flha1_entry(i, jc, parts, X):
+    k, s = _block_column(parts, jc)
+    if i < s - 1:
+        return Fraction(0)
+    coeff = _product(Fraction(i - t) for t in range(s - 1))
+    return coeff * rat(X[k]) ** (i - s + 1)
+
+
+def flha2_entry(i, jc, parts, X):
+    k, s = _block_column(parts, jc)
+    coeff = Fraction(1) if s == 1 else Fraction(i) ** (s - 1)
+    return coeff * rat(X[k]) ** i
+
+
+def qflha2_entry(i, jc, parts, X, C, q):
+    k, s = _block_column(parts, jc)
+    coeff = Fraction(1) if s == 1 else q_int(C + i, rat(q)) ** (s - 1)
+    return coeff * rat(X[k]) ** i
+
+
+def abel_entry(i, j, L, A, B):
+    m = j + 1 - L[i]
+    inv_fact = Fraction(0) if m < 0 else Fraction(1, math.factorial(m))
+    return (rat(A) + rat(B) * L[i]) ** j * inv_fact
 
 
 def chu2_entry(i, j, c):

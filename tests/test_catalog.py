@@ -27,25 +27,35 @@ from detkit.catalog.base import (ONE, IdentityRecord, Resample, Trial,
 from detkit.catalog.sequences import _windows
 from detkit.exactnum import bell_poly, hermite_poly
 from detkit.linalg import MatrixR, det
-from entry_oracles import (abel_closed, anst_closed, anst_entry, banded_entry,
-                           cauchy_closed, chu2_entry, csp_closed,
-                           descpp_closed, flha1_closed, flha2_closed,
+from entry_oracles import (ab_entry, abel_closed, abel_entry, anst_closed,
+                           anst_entry, banded_entry,
+                           binomial_plus_diagonal_entry, cauchy_closed,
+                           chu1_entry, chu2_entry, csp_closed, csp_entry,
+                           descpp_closed, descpp_entry, flha1_closed,
+                           flha1_entry, flha2_closed, flha2_entry,
                            hermite_closed, krat1_closed, krat2_closed,
                            krat2a_closed, krat3_closed, krat5_closed,
                            krat6_closed, krat7_closed, krat_entry,
-                           macmahon_closed, mrr_closed, okada_closed,
-                           pentagon_closed, poly_horner, pp1_closed,
-                           pp2_closed, pp3_closed, pp4_closed, pp5_closed,
-                           pp5_entry, pp5a_closed, pp6_closed, qflha1_closed,
-                           qflha1_entry, qflha2_closed, qkrat_closed,
-                           qkrat_entry, qtsscpp1_closed, qtsscpp1_entry,
-                           ratio_product_closed, rn_closed, shifted_closed,
+                           macmahon_closed, mrr_closed, mrr_entry,
+                           okada_closed, pentagon_closed, pentagon_entry,
+                           poly_horner, pp1_closed, pp1_entry, pp2_closed,
+                           pp2_entry, pp3_closed, pp3_entry, pp4_closed,
+                           pp4_entry, pp5_closed, pp5_entry, pp5a_closed,
+                           pp5a_entry, pp6_closed, pp6_entry, qflha1_closed,
+                           qflha1_entry, qflha2_closed, qflha2_entry,
+                           qkrat_closed, qkrat_entry, qtsscpp1_closed,
+                           qtsscpp1_entry, ratio_product_closed, rn_closed,
+                           rn_entry, shifted_closed, shifted_entry,
                            tsscpp1_closed, tsscpp2_closed, vandermonde_closed,
-                           vdm_poly_closed, weyl_b_closed, weyl_c_closed,
-                           weyl_d_closed, zagier_inv_closed, zagier_maj_closed,
+                           vandermonde_entry, vdm_poly_closed, weyl_b_closed,
+                           weyl_b_entry, weyl_c_closed, weyl_c_entry,
+                           weyl_d_closed, weyl_d_entry, xbc_entry,
+                           zagier_inv_closed, zagier_maj_closed,
                            zare1_closed)
 from partition_oracles import (blocks_of, join_by_merging, labels_of,
                                meet_by_intersecting, refines)
+from sampler_oracles import distinct_fracs as distinct_fracs_oracle
+from sampler_oracles import sample_borchardt, sample_cauchy
 from series_oracles import compose_loop, inverse_loop, mul_loop, pow_loop
 
 
@@ -484,17 +494,36 @@ def test_qflha1_builder_matches_per_entry():
                 i, *cols[j], params["X"], params["C"], params["q"]))
 
 
+ENTRY_ORACLES = {
+    "anst": anst_entry, "qkrat": qkrat_entry, "qtsscpp1": qtsscpp1_entry,
+    "pp5": pp5_entry, "chu2": chu2_entry, "mrr": mrr_entry, "rn": rn_entry,
+    "chu1": chu1_entry, "ab": ab_entry, "andrews": binomial_plus_diagonal_entry(1),
+    "zare1": binomial_plus_diagonal_entry(-1), "pentagon": pentagon_entry,
+    "bombieri-xbc": xbc_entry, "pp3": pp3_entry, "pp1": pp1_entry, "pp2": pp2_entry,
+    "shifted": shifted_entry, "pp5a": pp5a_entry, "pp4": pp4_entry(1),
+    "pp4a": pp4_entry(0), "pp6": pp6_entry(1), "pp6a": pp6_entry(2),
+    "csp": csp_entry, "descpp": descpp_entry, "vandermonde": vandermonde_entry,
+    "weyl-c": weyl_c_entry, "weyl-b": weyl_b_entry(-1), "weyl-b2": weyl_b_entry(1),
+    "weyl-d": weyl_d_entry, "flha1": flha1_entry, "flha2": flha2_entry,
+    "qflha2": qflha2_entry, "abel": abel_entry,
+}
 ENTRY_ORACLE_IDS = ("krat1", "krat2", "krat2a", "krat3", "krat3a", "krat5",
-                    "krat6", "krat7", "anst", "qkrat", "qtsscpp1", "pp5", "chu2")
+                    "krat6", "krat7", *ENTRY_ORACLES)
+# the samplers whose fixed ranges end above some n ("range too small")
+RANGE_CAPPED = ("pp1", "pp2", "pp3", "shifted", "pp5a")
+
+
+def _oracle_size(identity_id, n, params):
+    """The order of the matrix: b + c for bombieri-xbc, n otherwise."""
+    return params["b"] + params["c"] if identity_id == "bombieri-xbc" else n
 
 
 def _oracle_matrix(identity_id, n, params):
     if identity_id.startswith("krat"):
         return MatrixR.build(
             n, n, lambda i, j: krat_entry(identity_id, n, i, j, **params))
-    entry = {"anst": anst_entry, "qkrat": qkrat_entry, "qtsscpp1": qtsscpp1_entry,
-             "pp5": pp5_entry, "chu2": chu2_entry}[identity_id]
-    return MatrixR.build(n, n, lambda i, j: entry(i, j, **params))
+    size, entry = _oracle_size(identity_id, n, params), ENTRY_ORACLES[identity_id]
+    return MatrixR.build(size, size, lambda i, j: entry(i, j, **params))
 
 
 # the draws of the samplers that refuse poles, without the refusal
@@ -517,7 +546,12 @@ def _oracle_draws(identity_id):
     draw = UNREFUSED_DRAWS.get(identity_id, record.sampler)
     for seed in range(240):
         n = record.min_n + seed % (13 - record.min_n)
-        yield n, draw(trial_rng(seed, identity_id, 0), n)
+        try:
+            params = draw(trial_rng(seed, identity_id, 0), n)
+        except ValueError:  # "range too small"
+            assert identity_id in RANGE_CAPPED and n > 6
+            continue
+        yield n, params
 
 
 def _built_or_raised(build):
@@ -527,22 +561,88 @@ def _built_or_raised(build):
         return ZeroDivisionError
 
 
-@pytest.mark.parametrize("identity_id", ENTRY_ORACLE_IDS)
-def test_builder_matches_entry_oracle(identity_id):
-    # every entry == the per-entry Fraction formula and a Fraction; a
-    # draw raises ZeroDivisionError on both sides or on neither
+def _raised_against_oracle(identity_id, draws):
+    """How many of the draws raise ZeroDivisionError, asserting that the
+    builder and the oracle both raise it or build equal entries, each a
+    Fraction."""
     record = get_record(identity_id)
     raised = 0
-    for n, params in _oracle_draws(identity_id):
+    for n, params in draws:
         got = _built_or_raised(lambda: record.builder(n, **params))
         want = _built_or_raised(lambda: _oracle_matrix(identity_id, n, params))
         assert (got is ZeroDivisionError) == (want is ZeroDivisionError), (n, params)
         if want is ZeroDivisionError:
             raised += 1
         else:
-            _assert_entries(got, n, lambda i, j: want[i, j])
+            _assert_entries(got, _oracle_size(identity_id, n, params),
+                            lambda i, j: want[i, j])
+    return raised
+
+
+@pytest.mark.parametrize("identity_id", ENTRY_ORACLE_IDS)
+def test_builder_matches_entry_oracle(identity_id):
+    raised = _raised_against_oracle(identity_id, _oracle_draws(identity_id))
     # anst's and chu2's draws reach zero divisors; the others' never do
     assert (raised > 0) == (identity_id in ("anst", "chu2"))
+
+
+def _edge_draws(identity_id):
+    """The draws of seeds 0-5 at n = min_n..8 with q (r for pp6 and pp6a)
+    set to 1, -1 and 0, or with the first X (t for weyl-b and weyl-b2)
+    set to 0."""
+    record = get_record(identity_id)
+    for seed in range(6):
+        for n in range(record.min_n, 9):
+            try:
+                params = record.sampler(trial_rng(seed, identity_id, 0), n)
+            except ValueError:  # "range too small"
+                continue
+            key = next(k for k in ("q", "r", "X", "t") if k in params)
+            if key in ("q", "r"):
+                yield from ((n, {**params, key: Fraction(v)}) for v in (1, -1, 0))
+            else:
+                yield n, {**params, key: (Fraction(0),) + tuple(params[key][1:])}
+
+
+EDGE_IDS = ("pp1", "pp2", "shifted", "pp5a", "pp4", "pp4a", "pp6", "pp6a", "csp",
+            "descpp", "qflha2", "weyl-c", "weyl-d", "weyl-b", "weyl-b2")
+
+
+@pytest.mark.parametrize("identity_id", EDGE_IDS)
+def test_builder_matches_entry_oracle_at_edges(identity_id):
+    # at q = 1 (binomials), q = -1 (vanishing q-binomial denominators),
+    # q = 0 (q-binomials and negative powers divide by 0) and at a zero X
+    # (negative powers divide by 0): the builder and its oracle both
+    # raise ZeroDivisionError or both build equal Fraction entries
+    raised = _raised_against_oracle(identity_id, _edge_draws(identity_id))
+    # qflha2 reads no q-binomial and no negative power, so none divides by 0
+    assert (raised > 0) == (identity_id != "qflha2")
+
+
+def _drawn(sampler, rng, n):
+    """The sampled parameters, or Resample."""
+    try:
+        return sampler(rng, n)
+    except Resample:
+        return Resample
+
+
+@pytest.mark.parametrize("sampler, oracle", [
+    (get_record("cauchy").sampler, sample_cauchy),
+    (get_record("borchardt").sampler, sample_borchardt),
+    (distinct_fracs, distinct_fracs_oracle),
+    (lambda rng, n: distinct_fracs(rng, n, nonzero=True),
+     lambda rng, n: distinct_fracs_oracle(rng, n, nonzero=True)),
+    (lambda rng, n: distinct_fracs(rng, n, lo=1),
+     lambda rng, n: distinct_fracs_oracle(rng, n, lo=1))])
+def test_samplers_draw_as_their_fraction_set_oracles(sampler, oracle):
+    # sets keyed by (numerator, denominator) accept and refuse exactly
+    # the draws that sets of Fractions did, with the same generator calls
+    for seed in range(50):
+        for n in range(1, 17):
+            new, old = trial_rng(seed, "sampler", n), trial_rng(seed, "sampler", n)
+            assert _drawn(sampler, new, n) == _drawn(oracle, old, n), (seed, n)
+            assert new.getstate() == old.getstate()
 
 
 CLOSED_FORM_ORACLES = {

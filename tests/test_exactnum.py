@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from detkit.exactnum import (PolyQ, RatFn, TruncSeries, _q_factorial_pairs,
+from detkit.exactnum import (PolyQ, RatFn, TruncSeries, _binomial_pairs,
+                             _q_binomial_pairs, _q_factorial_pairs,
                              _q_int_pairs, _q_pochhammer_pairs,
                              asm_count, bell_poly, bernoulli, binomial,
                              catalan, chebyshev_u, compose_each, cos_series,
@@ -304,6 +305,30 @@ def test_q_int_and_q_factorial_tables_match_the_functions(q):
 def test_q_binomial_matches_fraction_loop(alpha, k, q):
     # q = -1 with k >= 2 makes the denominator vanish
     assert _outcome(q_binomial, alpha, k, q) == _outcome(_q_binomial_loop, alpha, k, q)
+
+
+@settings(max_examples=300)
+@given(uppers, st.integers(min_value=-1, max_value=14))
+def test_binomial_pairs_match_binomial(x, hi):
+    # integer and fractional x, every k of the table and k < 0
+    read = _binomial_pairs(x, hi)
+    for k in range(-3, hi + 1):
+        num, den = read(k)
+        assert type(num) is int and type(den) is int
+        assert Fraction(num, den) == binomial(x, k)
+
+
+@settings(max_examples=400)
+@given(st.integers(min_value=-6, max_value=12), qs, st.integers(min_value=-1, max_value=12))
+@example(5, Fraction(0), 4)
+@example(5, Fraction(1), 4)
+@example(5, Fraction(-1), 4)
+def test_q_binomial_pairs_match_fraction_loop(alpha, q, hi):
+    # the same value, or ZeroDivisionError on both sides (q = 0 at
+    # k >= 0, q = -1 at k >= 2)
+    read = _q_binomial_pairs(alpha, q, hi)
+    for k in range(-3, hi + 1):
+        assert _pair_outcome(read, k) == _value_outcome(_q_binomial_loop, alpha, k, q)
 
 
 def test_entry_function_errors_unchanged():
