@@ -128,25 +128,6 @@ def power(x, e: int):
     return (x[0] ** e, x[1] ** e) if e >= 0 else (x[1] ** -e, x[0] ** -e)
 
 
-def power_pairs(x, lo: int, hi: int):
-    """x^e for lo <= e <= hi as integer pairs, by running products in both
-    directions from e = 0, as a function of e.  A zero x with lo < 0
-    raises ZeroDivisionError, as Fraction(0) ** e does for e < 0."""
-    p, d = pair(x)
-    if lo < 0 and not p:
-        raise ZeroDivisionError("zero to a negative power")
-    ups, downs = [ONE], [ONE]
-    for _ in range(hi):
-        ups.append((ups[-1][0] * p, ups[-1][1] * d))
-    for _ in range(-lo):
-        downs.append((downs[-1][0] * d, downs[-1][1] * p))
-
-    def read(e: int) -> tuple[int, int]:
-        return ups[e] if e >= 0 else downs[-e]
-
-    return read
-
-
 def prod(factors) -> Fraction:
     """The product of integer pairs, ints and Fractions as a Fraction (1
     for none; ZeroDivisionError for a zero denominator).  Pairs and ints

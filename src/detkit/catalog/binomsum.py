@@ -203,9 +203,8 @@ def _build_chu2(n, c):
         if k < 0:
             return Fraction(0)
         u = 2 * p + (2 * s + 1) * d
-        num = 4 * ((k - 1) * d * d + (2 * p + 3 * j * d) ** 2)
-        for t in range(k):
-            num *= u - 2 * t * d
+        num = (4 * ((k - 1) * d * d + (2 * p + 3 * j * d) ** 2)
+               * math.prod(range(u, u - 2 * k * d, -2 * d)))
         return Fraction(num, u * (u - 2 * d) * (2 * d) ** k * math.factorial(k))
     return MatrixR.build(n, n, entry)
 

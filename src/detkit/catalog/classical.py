@@ -7,11 +7,12 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 
-from ..exactnum import PolyQ, _homogeneous, binomial, integer_numerators, rat
-from ..linalg import MatrixR, permanent
+from ..exactnum import (PolyQ, _homogeneous, binomial, integer_numerators,
+                        power_pairs, rat)
+from ..linalg import PERMANENT_MAX_N, MatrixR, permanent
 from .base import (ONE, Resample, _vdm, add, det_record, differences,
                    distinct_fracs, inv, mul, over_pairs, pair, pairs, power,
-                   power_pairs, prod, rand_frac, rand_nonzero, sub)
+                   prod, rand_frac, rand_nonzero, sub)
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +158,9 @@ det_record("cauchy", _sample_cauchy, _build_cauchy, _closed_cauchy, max_n=5)
 
 
 def _sample_borchardt(rng, n):
+    # refused before any draw: the closed form's permanent refuses this n
+    if n > PERMANENT_MAX_N:
+        raise ValueError(f"permanent capped at n <= {PERMANENT_MAX_N}")
     X = distinct_fracs(rng, n)
     Y = distinct_fracs(rng, n)
     if not {(x.numerator, x.denominator) for x in X}.isdisjoint(

@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import accumulate, chain
 
 from ..exactnum import (_binomial_pairs, _one_minus_power, _q_pochhammer_pairs,
-                        binomial, double_factorial, pochhammer, rat)
+                        binomial, double_factorial, pochhammer, power_pairs, rat)
 from ..linalg import MatrixR
 from .base import Resample, det_record, inv, power, prod, rand_nonzero, rand_q
 
@@ -81,30 +81,26 @@ def _q_ratio_entries(n, x, y, q, shift, extra):
             / (-q^(x+y+1+shift); q)_(i+j) * extra(i, j)
 
     where extra returns an integer numerator and denominator.
-    (q;q)_m and the Pochhammer in the denominator come from one table
-    each, and q^(-2ij) from one running power per row."""
+    (q;q)_m, the Pochhammer in the denominator and q^(-2ij) come from
+    one table each."""
     q = rat(q)
-    qp, qd = q.numerator, q.denominator
     s = x + y - 1
     qq = _q_pochhammer_pairs(q, q, min(s, 0), max(s, x + shift, y + shift) + 2 * n - 2)
     neg = _q_pochhammer_pairs(-q ** (x + y + 1 + shift), q, 0, 2 * n - 2)
+    qpow = power_pairs(q, -2 * (n - 1) ** 2, 0)
     rows = []
     for i in range(n):
         row = []
-        step_n, step_d = qd ** (2 * i), qp ** (2 * i)
-        pw_n = pw_d = 1  # q^(-2ij)
         for j in range(n):
             a, b = x + 2 * i - j + shift, y + 2 * j - i + shift
             if a < 0 or b < 0:
                 row.append(Fraction(0))
             else:
                 (n1, d1), (n2, d2), (n3, d3) = qq(s + i + j), qq(a), qq(b)
-                n4, d4 = neg(i + j)
+                (n4, d4), (n5, d5) = neg(i + j), qpow(-2 * i * j)
                 en, ed = extra(i, j)
-                row.append(Fraction(n1 * d2 * d3 * pw_n * d4 * en,
-                                    d1 * n2 * n3 * pw_d * n4 * ed))
-            pw_n *= step_n
-            pw_d *= step_d
+                row.append(Fraction(n1 * d2 * d3 * n5 * d4 * en,
+                                    d1 * n2 * n3 * d5 * n4 * ed))
         rows.append(row)
     return MatrixR.from_rows(rows)
 
@@ -255,19 +251,19 @@ def _build_qtsscpp1(n, x, y, q):
 
 
 def _closed_qtsscpp1(n, x, y, q):
-    # the sum over k reads [n choose k]_q, (q^x;q)_k and (q^y;q)_(n-k)
-    # from one running-product table each, one Fraction per term
+    # the sum over k reads [n choose k]_q, (q^x;q)_k, (q^y;q)_(n-k) and
+    # q^((n+y)k) from one running-product table each, one Fraction per term
     q = rat(q)
     out = _q_ratio_product(n, x, y, q, 1)
     qq, qx, qy = (_q_pochhammer_pairs(a, q, 0, n) for a in (q, q ** x, q ** y))
     n1, d1 = qq(n)
-    step = q ** (n + y)
-    total, power = Fraction(0), Fraction(1)
+    qpow = power_pairs(q ** (n + y), 0, n)
+    total = Fraction(0)
     for k in range(n + 1):
         (n2, d2), (n3, d3), (n4, d4), (n5, d5) = qq(k), qq(n - k), qx(k), qy(n - k)
-        term = Fraction(n1 * d2 * d3 * n4 * n5, d1 * n2 * n3 * d4 * d5) * power
+        n6, d6 = qpow(k)
+        term = Fraction(n1 * d2 * d3 * n4 * n5 * n6, d1 * n2 * n3 * d4 * d5 * d6)
         total += -term if k % 2 else term
-        power *= step
     return out * total
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 
-from ..exactnum import PolyQ, RatFn, binomial, factorial, rat
+from ..exactnum import PolyQ, RatFn, binomial, factorial, pochhammer, rat
 from ..guess import interpolate_det_poly, lagrange_interpolate, linear_factors
 from ..linalg import MatrixR, det
 from .base import Trial, VerifyReport, _vdm, pair, power, prod
@@ -58,15 +58,12 @@ def condensation_recurrence_check(a: int, b: int, n: int) -> VerifyReport:
 
 
 def _ode_m_entry(n: int, b: int, i: int, j: int) -> PolyQ:
-    # 1-based: prod_{s=i+1}^n (a - j + s) * prod_{v=1}^{i-1} (b + j - i + v);
-    # the transpose orientation is the one satisfying dM/da = T.M
+    # 1-based: prod_{s=i+1}^n (a - j + s) * (b + j - i + 1)_(i-1); the
+    # transpose orientation is the one satisfying dM/da = T.M
     p = PolyQ.constant(1)
     for s in range(i + 1, n + 1):
         p = p * PolyQ([s - j, 1])
-    c = Fraction(1)
-    for v in range(1, i):
-        c *= b + j - i + v
-    return p * c
+    return p * pochhammer(b + j - i + 1, i - 1)
 
 
 def _ode_t_entry(n: int, b: int, i: int, j: int) -> RatFn:

@@ -8,11 +8,11 @@ import math
 from fractions import Fraction
 from itertools import chain
 
-from ..exactnum import (PolyQ, _q_factorial_pairs, _q_int_pairs,
-                        divided_differences, factorial, q_int, rat)
+from ..exactnum import (PolyQ, _q_factorial_pairs, _q_int_pairs, _running,
+                        divided_differences, factorial, power_pairs, rat)
 from ..linalg import MatrixR, det
 from .base import (_vdm, det_record, distinct_fracs, mul, pair, pairs, power,
-                   power_pairs, prod, rand_frac, rand_q, sub)
+                   prod, rand_frac, rand_q, sub)
 
 
 def _binom2(m: int) -> int:
@@ -157,17 +157,17 @@ def _sample_qflha1(rng, n):
 
 
 def _build_qflha1(n, parts, X, C, q):
-    # entry (i, (k, s)) is prod_{t < s} [C+i-t+1]_q * X_k^(i+1-s); row i
-    # reads the coefficient of column s from one running product over s
-    q = rat(q)
-    X = [rat(x) for x in X]
+    # entry (i, (k, s)) is prod_{1 <= t < s} [C+i-t+1]_q * X_k^(i+1-s);
+    # row i reads the coefficient of column s from one running product of
+    # q-integer pairs, and the powers from one power row per X_k
     cols = _columns(parts)
+    top = max(parts, default=1)
+    q_int_pair = _q_int_pairs(q, abs(C) + n + top)
+    powers = [power_pairs(x, 1 - m, n) for x, m in zip(X, parts)]
     rows = []
     for i in range(n):
-        coeffs = [Fraction(1)]
-        for t in range(1, max(parts, default=1)):
-            coeffs.append(coeffs[-1] * q_int(C + i - t + 1, q))
-        rows.append([coeffs[s - 1] * X[k] ** (i + 1 - s) for k, s in cols])
+        coeffs = _running(q_int_pair(C + i - t + 1) for t in range(1, top))
+        rows.append([Fraction(*mul(coeffs(s - 1), powers[k](i + 1 - s))) for k, s in cols])
     return MatrixR.from_rows(rows)
 
 

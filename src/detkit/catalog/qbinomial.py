@@ -8,11 +8,11 @@ from fractions import Fraction
 from itertools import chain
 
 from ..exactnum import (_binomial_pairs, _q_binomial_pairs, double_factorial,
-                        factorial, pochhammer, q_binomial, rat)
+                        factorial, pochhammer, power_pairs, q_binomial, rat)
 from ..linalg import MatrixR
 from .base import (ONE, _ceil, _sample_mu, add, decreasing_ints, det_record,
-                   differences, inv, pair, pairs, power, power_pairs, prod,
-                   q_ratios, q_rows, rand_frac, rand_q)
+                   differences, inv, pair, pairs, power, prod, q_ratios,
+                   q_rows, rand_frac, rand_q)
 
 
 def _inv_fact(m: int) -> Fraction:

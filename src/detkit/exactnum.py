@@ -16,7 +16,8 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from itertools import islice, repeat, takewhile
+from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -97,7 +98,51 @@ def double_factorial(m: int) -> int:
 
 # The functions below keep an integer numerator and denominator and build
 # one Fraction at the end, so a k-factor product costs one gcd instead of
-# a few per factor.
+# a few per factor.  Each is one read of a table of running products of
+# integer pairs, built by _running.
+
+
+_denominator = itemgetter(1)
+
+
+def _running(ups, downs=(), below=None):
+    """The running products of integer pairs (numerator, denominator), as
+    a function of k: (1, 1) at k = 0, the product of the first k pairs of
+    ups at k > 0 and of the first -k pairs of downs at k < 0.  downs ends
+    before its first pair with a zero denominator; a k below the table
+    reads below(k, j), which may raise, with j the 1-based index of that
+    first vanishing factor."""
+    pos, neg = [(1, 1)], [(1, 1)]
+    for table, factors in ((pos, ups), (neg, takewhile(_denominator, downs))):
+        num = den = 1
+        for a, b in factors:
+            num *= a
+            den *= b
+            table.append((num, den))
+
+    def read(k: int) -> tuple[int, int]:
+        if k >= 0:
+            return pos[k]
+        if -k < len(neg):
+            return neg[-k]
+        return below(k, len(neg))
+
+    return read
+
+
+def _zero(k: int, j: int) -> tuple[int, int]:
+    return 0, 1
+
+
+def power_pairs(x, lo: int, hi: int):
+    """x^e for lo <= e <= hi as integer pairs, by running products in both
+    directions from e = 0, as a function of e.  A zero x with lo < 0
+    raises ZeroDivisionError, as Fraction(0) ** e does for e < 0."""
+    x = rat(x)
+    p, d = x.numerator, x.denominator
+    if lo < 0 and not p:
+        raise ZeroDivisionError("zero to a negative power")
+    return _running(repeat((p, d), hi), repeat((d, p), -lo))
 
 
 def binomial(x, k: int) -> Fraction:
@@ -116,140 +161,95 @@ def binomial(x, k: int) -> Fraction:
 
 
 def _binomial_pairs(x, hi: int):
-    """binomial(x, k) for k <= hi, by running products, as a function of k
-    returning an integer numerator and denominator: with x = p/d,
-    x(x-1)...(x-k+1)/k! = prod_{j<k} (p - j*d) / (d^k k!); (0, 1) for
-    k < 0."""
+    """binomial(x, k) for k <= hi, as a function of k returning an integer
+    numerator and denominator: with x = p/d, x(x-1)...(x-k+1)/k! =
+    prod_{j<k} (p - j*d) / (d^k k!); (0, 1) for k < 0."""
     x = rat(x)
     p, d = x.numerator, x.denominator
-    nums, dens = [1], [1]
-    for j in range(hi):
-        nums.append(nums[-1] * (p - j * d))
-        dens.append(dens[-1] * d * (j + 1))
-
-    def read(k: int) -> tuple[int, int]:
-        if k < 0:
-            return 0, 1
-        return nums[k], dens[k]
-
-    return read
+    # the pairs (p - j*d, (j+1)*d), j < hi
+    return _running(zip(range(p, p - hi * d, -d), range(d, (hi + 1) * d, d)), below=_zero)
 
 
 def pochhammer(a, k: int) -> Fraction:
     """Shifted factorial (a)_k = a(a+1)...(a+k-1), with the reciprocal
     convention (a)_{-m} = 1/((a-1)(a-2)...(a-m)) for negative k."""
+    return Fraction(*_pochhammer_pairs(a, min(k, 0), max(k, 0))(k))
+
+
+def _pochhammer_pairs(a, lo: int, hi: int):
+    """(a)_k for lo <= k <= hi, as a function of k returning an integer
+    numerator and denominator; reading a k <= -j at which the factor a - j
+    of the reciprocal product vanishes raises ZeroDivisionError."""
     a = rat(a)
     p, d = a.numerator, a.denominator
-    num = 1
-    if k >= 0:
-        for j in range(k):
-            num *= p + j * d
-        return Fraction(num, d ** k)
-    for j in range(1, -k + 1):
-        f = p - j * d
-        if f == 0:
-            raise ZeroDivisionError(f"pochhammer({a}, {k}): factor a-{j} vanishes")
-        num *= f
-    return Fraction(d ** -k, num)
+
+    def below(k, j):
+        raise ZeroDivisionError(f"pochhammer({a}, {k}): factor a-{j} vanishes")
+
+    # the pairs (p + j*d, d), j < hi, and (d, p - j*d), 1 <= j <= -lo
+    return _running(zip(range(p, p + hi * d, d), repeat(d)),
+                    zip(repeat(d), range(p - d, p - (1 - lo) * d, -d)), below)
 
 
 def q_pochhammer(a, q, k: int) -> Fraction:
     """q-shifted factorial (a;q)_k, with the reciprocal convention
     (a;q)_{-m} = 1/((1-a/q)(1-a/q^2)...(1-a/q^m)) for negative k."""
-    a, q = rat(a), rat(q)
-    ap, ad = a.numerator, a.denominator
-    num, pp, pd = 1, 1, 1  # pp/pd is the current power of q (or of 1/q)
-    if k >= 0:
-        qp, qd = q.numerator, q.denominator
-        for _ in range(k):
-            # 1 - a*q^j = (ad*qd^j - ap*qp^j) / (ad*qd^j)
-            num *= ad * pd - ap * pp
-            pp *= qp
-            pd *= qd
-        return Fraction(num, ad ** k * qd ** (k * (k - 1) // 2))
-    js = range(1, -k + 1)
-    # q^-j = (1/q)^j swaps q's numerator and denominator; 1/q raises
-    # ZeroDivisionError for q = 0, after range has rejected a non-integer k
-    r = 1 / q
-    qp, qd = r.numerator, r.denominator
-    for j in js:
-        pp *= qp
-        pd *= qd
-        f = ad * pd - ap * pp
-        if f == 0:
-            raise ZeroDivisionError(f"q_pochhammer({a}, {q}, {k}): factor 1-a*q^-{j} vanishes")
-        num *= f
-    # prod over j = 1..m of ad*qd^j is ad^m * qd^(m(m+1)/2), with m = -k
-    return Fraction(ad ** -k * qd ** (k * (k - 1) // 2), num)
+    return Fraction(*_q_pochhammer_pairs(a, q, min(k, 0), max(k, 0))(k))
 
 
 def _q_pochhammer_pairs(a, q, lo: int, hi: int):
-    """(a;q)_k for lo <= k <= hi, by running products from k = 0 in both
-    directions, as a function of k returning an integer numerator and
-    denominator.  Reading a negative k at which a factor 1 - a*q^-j of
-    the reciprocal product vanishes (or any negative k when q = 0) raises
-    ZeroDivisionError, as q_pochhammer does; building the table never
-    raises."""
+    """(a;q)_k for lo <= k <= hi, as a function of k returning an integer
+    numerator and denominator.  Reading a negative k at which a factor
+    1 - a*q^-j of the reciprocal product vanishes (or any negative k when
+    q = 0) raises ZeroDivisionError, as q_pochhammer does; building the
+    table never raises."""
     a, q = rat(a), rat(q)
     ap, ad = a.numerator, a.denominator
     qp, qd = q.numerator, q.denominator
-    pairs = {}
-    num = den = pp = pd = 1
-    for k in range(hi):
-        if k >= lo:
-            pairs[k] = num, den
-        # (a;q)_(k+1) = (a;q)_k (1 - a q^k), 1 - a q^k = (ad qd^k - ap qp^k) / (ad qd^k)
-        num *= ad * pd - ap * pp
-        den *= ad * pd
-        pp *= qp
-        pd *= qd
-    if hi >= max(lo, 0):
-        pairs[hi] = num, den
-    defined = min(lo, 0) if qp else 0  # the least readable k
-    if lo < 0 and qp:
-        num = den = pp = pd = 1
-        for k in range(-1, lo - 1, -1):
-            # (a;q)_(k) = (a;q)_(k+1) / (1 - a q^k), 1 - a q^k = (ad qp^-k - ap qd^-k) / (ad qp^-k)
-            pp *= qp
-            pd *= qd
-            f = ad * pp - ap * pd
-            if f == 0:
-                defined = k + 1
-                break
-            num *= ad * pp
-            den *= f
-            if k <= hi:
-                pairs[k] = num, den
 
-    def read(k: int) -> tuple[int, int]:
-        if k < defined:
-            raise ZeroDivisionError(f"(a;q)_{k} with a = {a}, q = {q}: a factor 1-a*q^-j vanishes")
-        return pairs[k]
+    def below(k, j):
+        if not qp:  # q^-j is undefined: the error 1/q raises
+            raise ZeroDivisionError("Fraction(1, 0)")
+        raise ZeroDivisionError(f"q_pochhammer({a}, {q}, {k}): factor 1-a*q^-{j} vanishes")
 
-    return read
+    # 1 - a q^j = (ad qd^j - ap qp^j) / (ad qd^j), and 1 / (1 - a q^-j) =
+    # ad qp^j / (ad qp^j - ap qd^j)
+    return _running(((ad * qd ** j - ap * qp ** j, ad * qd ** j) for j in range(hi)),
+                    ((ad * qp ** j, ad * qp ** j - ap * qd ** j)
+                     for j in range(1, 1 - lo) if qp), below)
+
+
+def _q_ints(q):
+    """[1]_q, [2]_q, ... as integer pairs, by running sums: with q = p/d,
+    [j]_q = h_j / d^(j-1) where h_j = p h_(j-1) + d^(j-1)."""
+    q = rat(q)
+    p, d = q.numerator, q.denominator
+    h, dj = 0, 1
+    while True:
+        h = p * h + dj
+        yield h, dj
+        dj *= d
 
 
 def _q_int_pairs(q, hi: int):
     """[m]_q for -hi <= m <= hi, the values of q_int, as a function of m
-    returning an integer numerator and denominator.  With q = p/d,
-    [m]_q = h_m / d^(m-1) where h_m = p h_(m-1) + d^(m-1), and
-    [-m]_q = -q^-m [m]_q."""
+    returning an integer numerator and denominator; [-m]_q = -q^-m [m]_q."""
     q = rat(q)
     p, d = q.numerator, q.denominator
-    hs, ds = [0], [1]
-    h, dj = 0, 1
-    for _ in range(hi):
-        h = p * h + dj
-        hs.append(h)
-        ds.append(dj)
-        dj *= d
+    ints = [(0, 1), *islice(_q_ints(q), hi)]
 
     def read(m: int) -> tuple[int, int]:
         if m >= 0:
-            return hs[m], ds[m]
-        return -hs[-m] * d, p ** -m
+            return ints[m]
+        # -h_m d / p^m with the sign on the denominator, so that q = 0
+        # reads (1, 0), which raises as Fraction(0) ** m does
+        return ints[-m][0] * d, -p ** -m
 
     return read
+
+
+def _negative_q_factorial(m: int, j: int):
+    raise ValueError(f"q-factorial of negative integer {m}")
 
 
 def _q_factorial_pairs(q, hi: int):
@@ -257,47 +257,18 @@ def _q_factorial_pairs(q, hi: int):
     product of q-integers, as a function of m returning an integer
     numerator and denominator; a negative m raises ValueError, as
     q_factorial does."""
-    q_int_pair = _q_int_pairs(q, hi)
-    nums, dens = [1], [1]
-    for j in range(1, hi + 1):
-        a, b = q_int_pair(j)
-        nums.append(nums[-1] * a)
-        dens.append(dens[-1] * b)
-
-    def read(m: int) -> tuple[int, int]:
-        if m < 0:
-            raise ValueError(f"q-factorial of negative integer {m}")
-        return nums[m], dens[m]
-
-    return read
+    ints = _q_ints(q)  # q is read only if hi >= 1
+    return _running((next(ints) for _ in range(hi)), below=_negative_q_factorial)
 
 
 def q_int(n: int, q) -> Fraction:
     """[n]_q = (1-q^n)/(1-q)."""
-    q = rat(q)
-    if q == 1:
-        return Fraction(n)
-    return (1 - q**n) / (1 - q)
+    return Fraction(*_q_int_pairs(q, abs(n))(n))
 
 
 def q_factorial(n: int, q) -> Fraction:
     """[n]_q! = [n]_q [n-1]_q ... [1]_q."""
-    if n < 0:
-        raise ValueError(f"q-factorial of negative integer {n}")
-    js = range(1, n + 1)
-    if not js:
-        return Fraction(1)
-    q = rat(q)
-    if q == 1:
-        return Fraction(math.factorial(n))
-    p, d = q.numerator, q.denominator
-    # [j]_q = h_j / d^(j-1), h_j = d^(j-1) + d^(j-2) p + ... + p^(j-1)
-    num, h, dj = 1, 0, 1
-    for _ in js:
-        h = p * h + dj
-        dj *= d
-        num *= h
-    return Fraction(num, d ** (n * (n - 1) // 2))
+    return Fraction(*_q_factorial_pairs(q, n)(n))
 
 
 def _one_minus_power(p: int, d: int, e: int) -> tuple[int, int]:
@@ -327,21 +298,21 @@ def _q_binomial_pairs(alpha: int, q, hi: int):
     if q == 1:
         return _binomial_pairs(alpha, hi)
     p, d = q.numerator, q.denominator
-    nums, dens = [1], [1]
-    for j in range(hi if p else 0):
+
+    def factor(j):
         a, b = _one_minus_power(p, d, alpha - j)
         c, e = _one_minus_power(p, d, j + 1)
-        nums.append(nums[-1] * a * e)
-        dens.append(dens[-1] * b * c)
+        return a * e, b * c
+
+    table = _running(map(factor, range(hi if p else 0)), below=_zero)
 
     def read(k: int) -> tuple[int, int]:
-        if k < 0:
-            return 0, 1
-        if not p:
+        if k >= 0 and not p:
             raise ZeroDivisionError("q_binomial undefined at q = 0")
-        if not dens[k]:
+        num, den = table(k)
+        if not den:
             raise ZeroDivisionError(f"q_binomial({alpha}, {k}, {q}): denominator vanishes")
-        return nums[k], dens[k]
+        return num, den
 
     return read
 

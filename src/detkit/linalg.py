@@ -251,13 +251,16 @@ def det(m: MatrixR) -> Fraction:
     return Fraction(sign * pivots[-1], prod(scales))
 
 
+PERMANENT_MAX_N = 9  # Ryser's sum runs over 2^n column subsets
+
+
 def permanent(m: MatrixR):
     """Permanent by inclusion-exclusion over column subsets (Ryser)."""
     if m.rows != m.cols:
         raise ValueError("permanent of non-square matrix")
     n = m.rows
-    if n > 9:
-        raise ValueError("permanent capped at n <= 9")
+    if n > PERMANENT_MAX_N:
+        raise ValueError(f"permanent capped at n <= {PERMANENT_MAX_N}")
     if n == 0:
         return Fraction(1)
     total = None

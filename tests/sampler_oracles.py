@@ -1,7 +1,8 @@
 """The cauchy and borchardt samplers and `distinct_fracs` as they were
 written on Fraction sets: oracles for the samplers that key their sets by
 (numerator, denominator), which must consume the generator identically
-and return the same draws or raise the same Resample."""
+and return the same draws or raise the same Resample.  The borchardt
+sampler refuses n above the permanent's cap before any draw."""
 
 from detkit.catalog.base import Resample, rand_frac
 
@@ -34,6 +35,8 @@ def sample_cauchy(rng, n):
 
 
 def sample_borchardt(rng, n):
+    if n > 9:
+        raise ValueError("permanent capped at n <= 9")
     X = distinct_fracs(rng, n)
     Y = distinct_fracs(rng, n)
     if not set(X).isdisjoint(Y):  # x - y == 0

@@ -16,7 +16,8 @@ from detkit.exactnum import (PolyQ, RatFn, TruncSeries, _binomial_pairs,
                              double_factorial, euler_even, exp_series,
                              factorial, fmt_rat, hermite_poly,
                              integer_numerators, parse_rat, pochhammer, poly_gcd,
-                             q_binomial, q_factorial, q_int, q_pochhammer, rat,
+                             power_pairs, q_binomial, q_factorial, q_int,
+                             q_pochhammer, rat,
                              stirling1_unsigned, stirling2)
 from entry_oracles import poly_horner, ratfn_value
 from series_oracles import (add_loop, compose_loop, div_scalar_loop, eq_loop,
@@ -277,6 +278,21 @@ def test_q_pochhammer_pairs_raise_only_where_read():
     assert Fraction(*vanishing(3)) == 0 and Fraction(*vanishing(2)) != 0
 
 
+def _q_int_formula(n, q):
+    q = rat(q)
+    if q == 1:
+        return Fraction(n)
+    return (1 - q**n) / (1 - q)
+
+
+@settings(max_examples=300)
+@given(st.integers(min_value=-12, max_value=12), qs)
+@example(-3, Fraction(0))
+def test_q_int_matches_fraction_formula(n, q):
+    # at q = 0 a negative n raises Fraction(0) ** n's ZeroDivisionError
+    assert _outcome(q_int, n, q) == _outcome(_q_int_formula, n, q)
+
+
 @settings(max_examples=300)
 @given(st.integers(min_value=-3, max_value=12), qs)
 def test_q_factorial_matches_fraction_loop(n, q):
@@ -316,6 +332,25 @@ def test_binomial_pairs_match_binomial(x, hi):
         num, den = read(k)
         assert type(num) is int and type(den) is int
         assert Fraction(num, den) == binomial(x, k)
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.integers(min_value=-20, max_value=20), rationals),
+       st.integers(min_value=-9, max_value=0), st.integers(min_value=-1, max_value=9))
+@example(0, -2, 3)
+@example(0, 0, 3)
+@example(Fraction(-2, 3), -4, 4)
+def test_power_pairs_match_fraction_powers(x, lo, hi):
+    # every e of the row, negative e included; a zero x has no negative row
+    if x == 0 and lo < 0:
+        with pytest.raises(ZeroDivisionError):
+            power_pairs(x, lo, hi)
+        return
+    read = power_pairs(x, lo, hi)
+    for e in range(lo, hi + 1):
+        num, den = read(e)
+        assert type(num) is int and type(den) is int
+        assert Fraction(num, den) == Fraction(x) ** e
 
 
 @settings(max_examples=400)
