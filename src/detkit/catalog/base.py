@@ -3,6 +3,7 @@ trial execution, and the JSON verification report."""
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -92,8 +93,8 @@ def _ceil(a: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 # closed forms as products of factors: the parameters become integer pairs
 # (numerator, denominator) once, the factor kinds below (and exactnum's
-# q-integer, q-factorial and q-Pochhammer tables) build each factor as an
-# unreduced pair, and `prod` multiplies them.
+# binomial, q-integer, q-factorial, q-Pochhammer and q-binomial tables)
+# build each factor as an unreduced pair, and `prod` multiplies them.
 
 
 ONE = (1, 1)
@@ -126,6 +127,16 @@ def mul(x, y):
 
 def power(x, e: int):
     return (x[0] ** e, x[1] ** e) if e >= 0 else (x[1] ** -e, x[0] ** -e)
+
+
+def rising(x, k: int):
+    """The shifted factorial (x)_k = x(x+1)...(x+k-1), with the reciprocal
+    convention (x)_(-m) = 1/((x-1)(x-2)...(x-m)); a vanishing factor of
+    the reciprocal gives a zero denominator."""
+    p, d = x
+    if k >= 0:
+        return math.prod(range(p, p + k * d, d)), d ** k
+    return d ** -k, math.prod(range(p - d, p + (k - 1) * d, -d))
 
 
 def prod(factors) -> Fraction:

@@ -8,16 +8,20 @@ import math
 from fractions import Fraction
 from itertools import chain
 
-from ..exactnum import (_binomial_pairs, binomial, double_factorial,
-                        pochhammer, rat)
+from ..exactnum import _binomial_pairs, double_factorial, rat
 from ..linalg import MatrixR, det
-from .base import (IdentityRecord, Resample, _sample_mu, det_record, pair,
-                   prod, rand_frac, register)
+from .base import (IdentityRecord, Resample, _sample_mu, add, det_record, inv,
+                   pair, prod, rand_frac, register, rising, sub)
 
 
 def _sign_mod4(n: int) -> int:
     """(-1)^(n==3 mod 4)."""
     return -1 if n % 4 == 3 else 1
+
+
+def _binomial_rows(x, shifts, hi):
+    """One binomial(x + s, k) table, k <= hi, per shift s, keyed by s."""
+    return {s: _binomial_pairs(x + s, hi) for s in shifts}
 
 
 # ---------------------------------------------------------------------------
@@ -30,10 +34,11 @@ def _build_z(n, x, mu, nu):
     leading block of Z is the Z of that size."""
     x, mu, nu = rat(x), rat(mu), rat(nu)
     xs = [x ** s for s in range(n)]
+    mus, nus = _binomial_rows(mu, range(-1, n), n - 1), _binomial_rows(nu, range(n), n - 1)
     # c_nu[k][s] = C(nu+k, s) x^s, c_mu[i][t] = C(mu+i, t)
-    c_nu = [[binomial(nu + k, s) * xs[s] for s in range(k + 1)] for k in range(n)]
-    c_mu = [[binomial(mu + i, t) for t in range(n)] for i in range(n)]
-    r = [binomial(mu + s - 1, s) for s in range(n)]  # R[k][k+s]
+    c_nu = [[Fraction(*nus[k](s)) * xs[s] for s in range(k + 1)] for k in range(n)]
+    c_mu = [[Fraction(*mus[i](t)) for t in range(n)] for i in range(n)]
+    r = [Fraction(*mus[s - 1](s)) for s in range(n)]  # R[k][k+s]
     rows = []
     for i in range(n):
         li = [sum((c_mu[i][t] * c_nu[k][k - t] for t in range(k + 1)), Fraction(0))
@@ -46,11 +51,12 @@ def _build_z(n, x, mu, nu):
 
 def _build_t(n, x, mu, nu):
     x, mu, nu = rat(x), rat(mu), rat(nu)
+    mus, nus = _binomial_rows(mu, range(n), 2 * n), _binomial_rows(nu, range(n), 2 * n)
 
     def entry(i, j):
         out = Fraction(0)
         for t in range(i, 2 * j + 1):
-            out += (binomial(mu + i, t - i) * binomial(nu + j, 2 * j - t)
+            out += (Fraction(*mus[i](t - i)) * Fraction(*nus[j](2 * j - t))
                     * x ** (2 * j - t))
         return out
     return MatrixR.build(n, n, entry)
@@ -58,13 +64,13 @@ def _build_t(n, x, mu, nu):
 
 def _build_r(n, x, mu, nu):
     x, mu, nu = rat(x), rat(mu), rat(nu)
+    mus, nus = _binomial_rows(mu, range(n + 1), 2 * n), _binomial_rows(nu, range(n + 1), 2 * n)
 
     def entry(i, j):
         out = Fraction(0)
         for t in range(i, 2 * j + 2):
-            out += ((binomial(mu + i, t - i - 1) + binomial(mu + i + 1, t - i))
-                    * (binomial(nu + j, 2 * j + 1 - t)
-                       + binomial(nu + j + 1, 2 * j + 1 - t))
+            out += ((Fraction(*mus[i](t - i - 1)) + Fraction(*mus[i + 1](t - i)))
+                    * (Fraction(*nus[j](2 * j + 1 - t)) + Fraction(*nus[j + 1](2 * j + 1 - t)))
                     * x ** (2 * j + 1 - t))
         return out
     return MatrixR.build(n, n, entry)
@@ -91,42 +97,42 @@ register(IdentityRecord(id="mrr-factor", trial=_mrr_factor_trial, max_n=2))
 # binom(mu+i+j, 2i-j) and relatives (all 0-based)
 
 
-def _sum_tables(x, n):
-    """The binomial(x + t, k) tables for 0 <= t <= 2n, k <= 2n - 1: entry
-    (i, j) of mrr and rn reads those at t = i + j and t = i + j + 2."""
-    return [_binomial_pairs(x + t, 2 * n - 1) for t in range(2 * n + 1)]
-
-
 def _build_mrr(n, mu):
-    tables = _sum_tables(rat(mu), n)
+    # entry (i, j) is binomial(mu + i + j, 2i - j), one table per i + j
+    tables = _binomial_rows(rat(mu), range(2 * n - 1), 2 * n - 2)
     return MatrixR.build(n, n, lambda i, j: Fraction(*tables[i + j](2 * i - j)))
 
 
 def _closed_mrr(n, mu):
-    mu = rat(mu)
-    return prod(chain([_sign_mod4(n) * 2 ** ((n - 1) * (n - 2) // 2)], (
-        pochhammer(mu + i + 1, (i + 1) // 2) * pochhammer(-mu - 3 * n + i + Fraction(3, 2), i // 2)
-        / pochhammer(i, i) for i in range(1, n))))
+    # (mu + i + 1)_((i+1)//2) (-mu - 3n + i + 3/2)_(i//2) / (i)_i, 1 <= i < n
+    mu = pair(mu)
+    return prod(chain([_sign_mod4(n) * 2 ** ((n - 1) * (n - 2) // 2)], *(
+        (rising(add(mu, (i + 1, 1)), (i + 1) // 2),
+         rising(sub((2 * (i - 3 * n) + 3, 2), mu), i // 2), inv(rising((i, 1), i)))
+        for i in range(1, n))))
 
 
 det_record("mrr", _sample_mu, _build_mrr, _closed_mrr, max_n=5)
 
 
 def _build_rn(n, mu):
-    tables = _sum_tables(rat(mu), n)
+    tables = _binomial_rows(rat(mu), range(2 * n + 1), 2 * n - 1)
 
     def entry(i, j):
-        # binomial(mu+i+j, 2i-j) + 2 binomial(mu+i+j+2, 2i-j+1)
+        # binomial(mu+i+j, 2i-j) + 2 binomial(mu+i+j+2, 2i-j+1), one table
+        # per i + j and i + j + 2
         (n1, d1), (n2, d2) = tables[i + j](2 * i - j), tables[i + j + 2](2 * i - j + 1)
         return Fraction(n1 * d2 + 2 * n2 * d1, d1 * d2)
     return MatrixR.build(n, n, entry)
 
 
 def _closed_rn(n, mu):
-    mu = rat(mu)
-    return prod(chain([2 ** n], (
-        pochhammer(mu + i, i // 2) * pochhammer(mu + 3 * n - (3 * i - 1) // 2 + Fraction(1, 2),
-                                                (i + 1) // 2) / double_factorial(2 * i - 1)
+    # (mu + i)_(i//2) (mu + 3n - (3i-1)//2 + 1/2)_((i+1)//2) / (2i-1)!!, 1 <= i <= n
+    mu = pair(mu)
+    return prod(chain([2 ** n], *(
+        (rising(add(mu, (i, 1)), i // 2),
+         rising(add(mu, (2 * (3 * n - (3 * i - 1) // 2) + 1, 2)), (i + 1) // 2),
+         (1, double_factorial(2 * i - 1)))
         for i in range(1, n + 1))))
 
 

@@ -9,18 +9,10 @@ from fractions import Fraction
 from itertools import accumulate, chain
 
 from ..exactnum import (_binomial_pairs, _one_minus_power, _q_pochhammer_pairs,
-                        binomial, double_factorial, pochhammer, power_pairs, rat)
+                        binomial, double_factorial, power_pairs, rat)
 from ..linalg import MatrixR
-from .base import Resample, det_record, inv, power, prod, rand_nonzero, rand_q
-
-
-def _fact(m: int) -> Fraction:
-    return Fraction(math.factorial(m))
-
-
-def _rising(a: int, k: int) -> int:
-    """The shifted factorial (a)_k of an integer a, k >= 0."""
-    return math.prod(range(a, a + k))
+from .base import (Resample, det_record, inv, pair, power, prod, rand_nonzero,
+                   rand_q, rising)
 
 
 # ---------------------------------------------------------------------------
@@ -52,9 +44,10 @@ def _ratio_product(n, x, y, shift):
     """The product in the closed forms of krat-xy (shift = 0) and tsscpp1
     (shift = 1)."""
     f = math.factorial
-    return prod((f(i) * f(x + y + i - 1) * _rising(2 * x + y + 2 * i + shift, i)
-                 * _rising(x + 2 * y + 2 * i + shift, i),
-                 f(x + 2 * i + shift) * f(y + 2 * i + shift)) for i in range(n))
+    return prod(chain.from_iterable(
+        ((f(i) * f(x + y + i - 1), f(x + 2 * i + shift) * f(y + 2 * i + shift)),
+         rising((2 * x + y + 2 * i + shift, 1), i), rising((x + 2 * y + 2 * i + shift, 1), i))
+        for i in range(n)))
 
 
 def _build_kratxy(n, x, y):
@@ -227,7 +220,8 @@ def _build_tsscpp1(n, x, y):
 
 def _closed_tsscpp1(n, x, y):
     out = _ratio_product(n, x, y, 1)
-    out *= sum((-1) ** k * binomial(n, k) * pochhammer(x, k) * pochhammer(y, n - k)
+    x, y = pair(x), pair(y)
+    out *= sum(prod([(-1) ** k * math.comb(n, k), rising(x, k), rising(y, n - k)])
                for k in range(n + 1))
     return out
 
@@ -309,9 +303,9 @@ def _make_tsscpp2(m, min_n):
         f = math.factorial
         shift = 1 if m == 0 else (3 if m in (1, 2) else 5)
         out = prod(chain(
-            ((f(i) * f(2 * x + i + m) * _rising(3 * x + 2 * i + m + 2, i)
-              * _rising(3 * x + 2 * i + 2 * m + 2, i), f(x + 2 * i) * f(x + 2 * i + m))
-             for i in range(n)),
+            *(((f(i) * f(2 * x + i + m), f(x + 2 * i) * f(x + 2 * i + m)),
+               rising((3 * x + 2 * i + m + 2, 1), i), rising((3 * x + 2 * i + 2 * m + 2, 1), i))
+              for i in range(n)),
             (2 * x + 2 * i + shift for i in range(h)), [(1, double_factorial(2 * h - 1))]))
         if m == 2:
             out *= Fraction(x + n + 1 if n % 2 == 0 else 2 * x + n + 2, x + 1)
@@ -356,9 +350,10 @@ def _build_pentagon(n, x, y):
 
 def _closed_pentagon(n, x, y):
     f = math.factorial
-    return prod((f(j - 1) * f(x + y + 2 * j) * _rising(x - y + 2 * j + 1, j)
-                 * _rising(x + 2 * y + 3 * j + 1, n - j), f(x + n + 2 * j) * f(y + n - j))
-                for j in range(1, n + 1))
+    return prod(chain.from_iterable(
+        ((f(j - 1) * f(x + y + 2 * j), f(x + n + 2 * j) * f(y + n - j)),
+         rising((x - y + 2 * j + 1, 1), j), rising((x + 2 * y + 3 * j + 1, 1), n - j))
+        for j in range(1, n + 1)))
 
 
 det_record("pentagon", _sample_pent, _build_pentagon, _closed_pentagon, max_n=5)
@@ -383,26 +378,23 @@ def _build_fukr2(n, m, l):
         w = m + Fraction(n - j + 1, 2)
         if k == 0:
             return w / (n + j - 2 * i + 1)
-        return w * prod(Fraction(n + m - i - t) for t in range(k - 1)) / _fact(k)
+        return w * prod(Fraction(n + m - i - t) for t in range(k - 1)) / math.factorial(k)
     return MatrixR.build(n, n, entry)
 
 
 def _closed_fukr2(n, m, l):
-    out = Fraction(1)
-    for i in range(1, n + 1):
-        out *= _fact(n + m - i) / (_fact(m + i - 1) * _fact(2 * n - 2 * i + 1))
-    for i in range(1, n // 2 + 1):
-        out *= pochhammer(m + i, n - 2 * i + 1)
-        out *= pochhammer(m + i + Fraction(1, 2), n - 2 * i)
-    out *= Fraction(2) ** ((n - 1) * (n - 2) // 2)
-    out *= pochhammer(m, n + 1) * prod(_fact(2 * j - 1) for j in range(1, n + 1))
-    out /= _fact(n) * prod(pochhammer(2 * i, 2 * n - 4 * i + 1)
-                           for i in range(1, n // 2 + 1))
-    out *= sum(
-        (-1) ** e * binomial(n, e) * (n - 2 * e) * pochhammer(Fraction(1, 2), e)
-        / ((m + e) * (m + n - e) * pochhammer(Fraction(1, 2) - n, e))
-        for e in range(l))
-    return out
+    f = math.factorial
+    out = prod(chain(
+        ((f(n + m - i), f(m + i - 1) * f(2 * n - 2 * i + 1)) for i in range(1, n + 1)),
+        *((rising((m + i, 1), n - 2 * i + 1), rising((2 * (m + i) + 1, 2), n - 2 * i),
+           inv(rising((2 * i, 1), 2 * n - 4 * i + 1))) for i in range(1, n // 2 + 1)),
+        (f(2 * j - 1) for j in range(1, n + 1)),
+        [2 ** ((n - 1) * (n - 2) // 2), rising((m, 1), n + 1), (1, f(n))]))
+    # the sum over e < l of (-1)^e C(n, e) (n - 2e) (1/2)_e
+    # / ((m + e) (m + n - e) (1/2 - n)_e)
+    return out * sum(prod([(-1) ** e * math.comb(n, e) * (n - 2 * e), rising((1, 2), e),
+                           (1, (m + e) * (m + n - e)), inv(rising((1 - 2 * n, 2), e))])
+                     for e in range(l))
 
 
 det_record("fukr2", _sample_fukr2, _build_fukr2, _closed_fukr2, max_n=5)

@@ -4,12 +4,14 @@ absolute value only (their sign is not part of the closed form)."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import chain
 
-from ..exactnum import _binomial_pairs, binomial, pochhammer, rat
+from ..exactnum import _binomial_pairs, binomial, rat
 from ..linalg import MatrixR, det
-from .base import (IdentityRecord, Resample, _ceil, det_record, prod, rand_frac,
-                   register)
+from .base import (IdentityRecord, Resample, _ceil, add, det_record, inv, pair,
+                   prod, rand_frac, register, rising, sub)
 
 
 # ---------------------------------------------------------------------------
@@ -51,21 +53,22 @@ def _build_xbc(n, b, c, x):
 
 
 def _closed_xbc(n, b, c, x):
-    x = rat(x)
+    x = pair(x)
     if b % 2 == 0 and c % 2 == 1:
         return Fraction(0)
     half_b = _ceil(b, 2)
-    out = Fraction(-1) ** c * Fraction(2) ** c
-    for i in range(1, b - c + 1):
-        out *= pochhammer(i + Fraction(1, 2) - half_b, c) / pochhammer(i, c)
-    for i in range(1, c + 1):
-        e1 = b - c + _ceil(i, 2) - _ceil(c + i, 2)
-        e2 = _ceil(b + i, 2) - _ceil(b - c + i, 2)
-        out *= pochhammer(x + _ceil(c + i, 2), e1)
-        out *= pochhammer(x + _ceil(b - c + i, 2), e2)
-        out /= pochhammer(Fraction(1, 2) - half_b + _ceil(c + i, 2), e1)
-        out /= pochhammer(Fraction(1, 2) - half_b + _ceil(b - c + i, 2), e2)
-    return out
+
+    def factors(i):
+        # (x + s)_e / (1/2 - half_b + s)_e for the two (s, e) of row i
+        for s, e in ((_ceil(c + i, 2), b - c + _ceil(i, 2) - _ceil(c + i, 2)),
+                     (_ceil(b - c + i, 2), _ceil(b + i, 2) - _ceil(b - c + i, 2))):
+            yield rising(add(x, (s, 1)), e)
+            yield inv(rising((2 * (s - half_b) + 1, 2), e))
+
+    # (i + 1/2 - half_b)_c / (i)_c for i <= b - c
+    return prod(chain([(-2) ** c], *(
+        (rising((2 * (i - half_b) + 1, 2), c), inv(rising((i, 1), c)))
+        for i in range(1, b - c + 1)), *map(factors, range(1, c + 1))))
 
 
 det_record("bombieri-xbc", _sample_xbc, _build_xbc, _closed_xbc, max_n=5)
@@ -83,18 +86,24 @@ def _build_poorten(n, N, l, x):
     rows = [(i1, i2) for i2 in range(N) for i1 in range(2 * l * (N - i2))]
     cols = [(j1, j2) for j2 in range(N + 1) for j1 in range(l * N)]
     assert len(rows) == len(cols)
+    # one binomial(-x (N - j2), k) table per j2
+    tables = [_binomial_pairs(-x * (N - j2), 2 * l * N - 1) for j2 in range(N + 1)]
 
     def entry(r, c):
         i1, i2 = rows[r]
         j1, j2 = cols[c]
-        return (Fraction(-1) ** abs(i1 - j1)
-                * binomial(-x * (N - j2), i1 - j1) * binomial(j2, i2))
+        a, d = tables[j2](i1 - j1)
+        return Fraction((-a if (i1 - j1) & 1 else a) * math.comb(j2, i2), d)
     return MatrixR.build(len(rows), len(rows), entry)
 
 
 def _closed_poorten(n, N, l, x):
-    return prod(binomial(rat(x) + i - 1, 2 * i - 1) / binomial(l + i - 1, 2 * i - 1)
-                for i in range(1, l + 1)) ** binomial(N + 2, 3)
+    # binomial(x + i - 1, 2i - 1) / binomial(l + i - 1, 2i - 1)
+    # = (x - i + 1)_(2i-1) / (l - i + 1)_(2i-1)
+    x = pair(x)
+    return prod(chain.from_iterable(
+        (rising(sub(x, (i - 1, 1)), 2 * i - 1), inv(rising((l - i + 1, 1), 2 * i - 1)))
+        for i in range(1, l + 1))) ** math.comb(N + 2, 3)
 
 
 def _poorten_trial(rng, n):

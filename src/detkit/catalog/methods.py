@@ -9,10 +9,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 
-from ..exactnum import PolyQ, RatFn, binomial, factorial, pochhammer, rat
+from ..exactnum import PolyQ, RatFn, binomial, factorial, rat
 from ..guess import interpolate_det_poly, lagrange_interpolate, linear_factors
-from ..linalg import MatrixR, det
-from .base import Trial, VerifyReport, _vdm, pair, power, prod
+from ..linalg import MatrixR, det, lu_decompose
+from .base import Trial, VerifyReport, _vdm, pair, power, prod, rising
 from . import binomsum as _binomsum
 from .classical import _build_vandermonde, build_macmahon
 
@@ -63,7 +63,7 @@ def _ode_m_entry(n: int, b: int, i: int, j: int) -> PolyQ:
     p = PolyQ.constant(1)
     for s in range(i + 1, n + 1):
         p = p * PolyQ([s - j, 1])
-    return p * pochhammer(b + j - i + 1, i - 1)
+    return p * Fraction(*rising(pair(b + j - i + 1), i - 1))
 
 
 def _ode_t_entry(n: int, b: int, i: int, j: int) -> RatFn:
@@ -145,7 +145,9 @@ def elementary_symmetric(m: int, xs) -> Fraction:
 
 def lu_vandermonde_check(n: int, X) -> VerifyReport:
     """M.U = L with the guessed unitriangular U and triangular L, whose
-    diagonal multiplies out to the difference product."""
+    diagonal multiplies out to the difference product; U is unit upper
+    triangular, so the factorization is unique, and linalg.lu_decompose
+    must find the same U and L."""
     if n < 1:
         raise ValueError(f"lu-vandermonde: requires n >= 1, got {n}")
     X = [rat(x) for x in X]
@@ -175,6 +177,11 @@ def lu_vandermonde_check(n: int, X) -> VerifyReport:
     report.trials.append(Trial(
         {"n": n, "X": tuple(X), "check": "diagonal product"},
         diag, vdm, diag == vdm))
+    lower, upper = lu_decompose(m)
+    report.trials.append(Trial(
+        {"n": n, "X": tuple(X), "check": "lu_decompose"},
+        [lower.to_rows(), upper.to_rows()], [el.to_rows(), u.to_rows()],
+        (lower, upper) == (el, u)))
     return report
 
 

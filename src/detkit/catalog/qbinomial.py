@@ -8,11 +8,11 @@ from fractions import Fraction
 from itertools import chain
 
 from ..exactnum import (_binomial_pairs, _q_binomial_pairs, double_factorial,
-                        factorial, pochhammer, power_pairs, q_binomial, rat)
+                        factorial, power_pairs, rat)
 from ..linalg import MatrixR
 from .base import (ONE, _ceil, _sample_mu, add, decreasing_ints, det_record,
                    differences, inv, pair, pairs, power, prod, q_ratios,
-                   q_rows, rand_frac, rand_q)
+                   q_rows, rand_frac, rand_q, rising)
 
 
 def _inv_fact(m: int) -> Fraction:
@@ -87,9 +87,9 @@ def _build_pp3(n, L, A, B):
 
 def _closed_pp3(n, L, A, B):
     A, B = rat(A), rat(B)
-    return prod(chain(differences(pairs(L[::-1])), (
-        pochhammer((B - 1) * L[i] + A, L[i] + 1) * pochhammer(A - B * (i + 1) + 1, i)
-        / factorial(L[i] + n) for i in range(n))))
+    return prod(chain(differences(pairs(L[::-1])), *(
+        (rising(pair((B - 1) * L[i] + A), L[i] + 1), rising(pair(A - B * (i + 1) + 1), i),
+         (1, factorial(L[i] + n))) for i in range(n))))
 
 
 det_record("pp3", _sample_pp3, _build_pp3, _closed_pp3, max_n=5)
@@ -166,9 +166,12 @@ def _build_pp5(n, L, A, B, q):
     q = rat(q)
     alphas = {alpha for i in range(n) for j in range(n)
               for alpha in (L[i] + j + 1, L[i] + A - j - 1)}
-    binoms = {alpha: q_binomial(alpha, B, q) for alpha in alphas}
-    return MatrixR.build(
-        n, n, lambda i, j: binoms[L[i] + j + 1] * binoms[L[i] + A - j - 1])
+    binoms = {alpha: _q_binomial_pairs(alpha, q, B)(B) for alpha in alphas}
+
+    def entry(i, j):
+        (a, b), (c, d) = binoms[L[i] + j + 1], binoms[L[i] + A - j - 1]
+        return Fraction(a * c, b * d)
+    return MatrixR.build(n, n, entry)
 
 
 def _closed_pp5(n, L, A, B, q):
@@ -316,25 +319,22 @@ def _binomial_plus_diagonal(diag):
 
 
 def _closed_andrews(n, mu):
-    mu = rat(mu)
-    out = Fraction(2) ** _ceil(n, 2)
-    for i in range(1, n - 1):
-        out *= pochhammer(mu + _ceil(i, 2) + 1, (i + 3) // 4)
+    mu = pair(mu)
+    factors = [2 ** _ceil(n, 2)]
+    factors += (rising(add(mu, (_ceil(i, 2) + 1, 1)), (i + 3) // 4) for i in range(1, n - 1))
     if n % 2 == 0:
         for i in range(1, n // 2 + 1):
-            base = mu + Fraction(3 * n, 2) - _ceil(3 * i, 2) + Fraction(3, 2)
-            out *= pochhammer(base, _ceil(i, 2) - 1) * pochhammer(base, _ceil(i, 2))
-        for i in range(1, n // 2):
-            out /= double_factorial(2 * i - 1) * double_factorial(2 * i + 1)
+            base = add(mu, (3 * n - 2 * _ceil(3 * i, 2) + 3, 2))  # mu + 3n/2 - ceil(3i/2) + 3/2
+            factors += rising(base, _ceil(i, 2) - 1), rising(base, _ceil(i, 2))
+        factors += ((1, double_factorial(2 * i - 1) * double_factorial(2 * i + 1))
+                    for i in range(1, n // 2))
     else:
         for i in range(1, (n - 1) // 2 + 1):
-            out *= pochhammer(
-                mu + Fraction(3 * n, 2) - _ceil(3 * i - 1, 2) + 1, _ceil(i - 1, 2))
-            out *= pochhammer(
-                mu + Fraction(3 * n, 2) - _ceil(3 * i, 2), _ceil(i, 2))
-        for i in range(1, (n - 1) // 2 + 1):
-            out /= double_factorial(2 * i - 1) ** 2
-    return out
+            # (mu + 3n/2 - ceil((3i-1)/2) + 1)_ceil((i-1)/2) (mu + 3n/2 - ceil(3i/2))_ceil(i/2)
+            factors += (rising(add(mu, (3 * n - 2 * _ceil(3 * i - 1, 2) + 2, 2)), _ceil(i - 1, 2)),
+                        rising(add(mu, (3 * n - 2 * _ceil(3 * i, 2), 2)), _ceil(i, 2)),
+                        (1, double_factorial(2 * i - 1) ** 2))
+    return prod(factors)
 
 
 det_record("andrews", _sample_mu, _binomial_plus_diagonal(1), _closed_andrews, max_n=5)

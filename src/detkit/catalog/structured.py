@@ -17,13 +17,13 @@ from ..combinat import (PosetData, all_perms, enumerate_partitions,
                         partition_lattice, perm_compose, perm_invert,
                         perm_stat, poset_char_poly, reciprocal_poly,
                         six_vertex_sum)
-from ..exactnum import (PolyQ, TruncSeries, _one_minus_power, binomial,
-                        chebyshev_u, compose_each, q_binomial, q_pochhammer,
-                        rat, stirling2)
+from ..exactnum import (PolyQ, TruncSeries, _one_minus_power, _q_binomial_pairs,
+                        binomial, chebyshev_u, compose_each, rat, stirling2)
 from ..linalg import MatrixR, _det_laplace, char_poly, det
-from .base import (IdentityRecord, Resample, Trial, VerifyReport, _vdm,
-                   distinct_fracs, get_record, pair, power, prod, q_ratios,
-                   rand_frac, rand_nonzero, rand_q, register, run_trials)
+from .base import (ONE, IdentityRecord, Resample, Trial, VerifyReport, _vdm,
+                   add, distinct_fracs, get_record, mul, pair, power, prod,
+                   q_ratios, rand_frac, rand_nonzero, rand_q, register,
+                   run_trials, sub)
 
 
 def _int_exp(e) -> int:
@@ -116,13 +116,9 @@ register(IdentityRecord(id="zagier-maj", trial=_zagier_trial("maj"), max_n=4))
 def _maj_spectrum(n: int, q: Fraction) -> PolyQ:
     """prod over partitions mu of n of (lambda - e_mu)^(n!/z_mu) with
     e_mu = (q;q)_n / prod(1 - q^mu_i)."""
-    q = rat(q)
     out = PolyQ.constant(1)
     for mu in _int_partitions(n):
-        e_mu = q_pochhammer(q, q, n)
-        for part in mu:
-            e_mu /= 1 - q ** part
-        factor = PolyQ([-e_mu, 1])
+        factor = PolyQ([-q_ratios(q, [(range(1, n + 1), mu)]), 1])
         for _ in range(math.factorial(n) // _z_mu(mu)):
             out = out * factor
     return out
@@ -300,17 +296,19 @@ def verify_nc_suite(n: int, q) -> VerifyReport:
 
 
 def _build_okada(n, q):
-    q = rat(q)
+    # one [alpha choose k]_q table per alpha = i + j - 2, i + j - 1
+    tables = [_q_binomial_pairs(alpha, q, n) for alpha in range(2 * n)]
+    q = pair(q)
 
     def entry(i, j):
         i, j = i + 1, j + 1
-        t1 = q ** (i + j - 1) * (q_binomial(i + j - 2, i - 1, q)
-                                 + q * q_binomial(i + j - 1, i, q))
+        t1 = mul(power(q, i + j - 1),
+                 add(tables[i + j - 2](i - 1), mul(q, tables[i + j - 1](i))))
         if i == j:
-            t1 += 1 + q ** i
+            t1 = add(t1, add(ONE, power(q, i)))
         elif i == j + 1:
-            t1 += -1
-        return t1
+            t1 = sub(t1, ONE)
+        return Fraction(*t1)
     return MatrixR.build(n, n, entry)
 
 

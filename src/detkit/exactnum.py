@@ -96,9 +96,9 @@ def double_factorial(m: int) -> int:
     return math.prod(range(m, 0, -2))
 
 
-# The functions below keep an integer numerator and denominator and build
-# one Fraction at the end, so a k-factor product costs one gcd instead of
-# a few per factor.  Each is one read of a table of running products of
+# The tables below keep integer numerators and denominators, unreduced,
+# so that a k-factor product costs no gcd at all; the caller builds one
+# Fraction per value it reads.  Each is a table of running products of
 # integer pairs, built by _running.
 
 
@@ -146,63 +146,40 @@ def power_pairs(x, lo: int, hi: int):
 
 
 def binomial(x, k: int) -> Fraction:
-    """Generalized binomial coefficient x(x-1)...(x-k+1)/k!; 0 for k < 0."""
+    """The binomial coefficient x(x-1)...(x-k+1)/k! of an integer x; 0 for
+    k < 0.  A non-integer x raises ValueError (_binomial_pairs takes any
+    rational x)."""
     if k < 0:
         return Fraction(0)
     x = rat(x)
-    p, d = x.numerator, x.denominator
-    if d == 1:
-        if p >= 0:
-            return Fraction(math.comb(p, k))
-        # (-m choose k) = (-1)^k (m+k-1 choose k)
-        c = math.comb(k - p - 1, k)
-        return Fraction(-c if k & 1 else c)
-    return Fraction(*_binomial_pairs(x, k)(k))
+    p = x.numerator
+    if x.denominator != 1:
+        raise ValueError(f"binomial of non-integer {x}")
+    if p >= 0:
+        return Fraction(math.comb(p, k))
+    # (-m choose k) = (-1)^k (m+k-1 choose k)
+    c = math.comb(k - p - 1, k)
+    return Fraction(-c if k & 1 else c)
 
 
 def _binomial_pairs(x, hi: int):
-    """binomial(x, k) for k <= hi, as a function of k returning an integer
-    numerator and denominator: with x = p/d, x(x-1)...(x-k+1)/k! =
-    prod_{j<k} (p - j*d) / (d^k k!); (0, 1) for k < 0."""
+    """binomial(x, k) of any rational x for k <= hi, as a function of k
+    returning an integer numerator and denominator: with x = p/d,
+    x(x-1)...(x-k+1)/k! = prod_{j<k} (p - j*d) / (d^k k!); (0, 1) for
+    k < 0."""
     x = rat(x)
     p, d = x.numerator, x.denominator
     # the pairs (p - j*d, (j+1)*d), j < hi
     return _running(zip(range(p, p - hi * d, -d), range(d, (hi + 1) * d, d)), below=_zero)
 
 
-def pochhammer(a, k: int) -> Fraction:
-    """Shifted factorial (a)_k = a(a+1)...(a+k-1), with the reciprocal
-    convention (a)_{-m} = 1/((a-1)(a-2)...(a-m)) for negative k."""
-    return Fraction(*_pochhammer_pairs(a, min(k, 0), max(k, 0))(k))
-
-
-def _pochhammer_pairs(a, lo: int, hi: int):
-    """(a)_k for lo <= k <= hi, as a function of k returning an integer
-    numerator and denominator; reading a k <= -j at which the factor a - j
-    of the reciprocal product vanishes raises ZeroDivisionError."""
-    a = rat(a)
-    p, d = a.numerator, a.denominator
-
-    def below(k, j):
-        raise ZeroDivisionError(f"pochhammer({a}, {k}): factor a-{j} vanishes")
-
-    # the pairs (p + j*d, d), j < hi, and (d, p - j*d), 1 <= j <= -lo
-    return _running(zip(range(p, p + hi * d, d), repeat(d)),
-                    zip(repeat(d), range(p - d, p - (1 - lo) * d, -d)), below)
-
-
-def q_pochhammer(a, q, k: int) -> Fraction:
-    """q-shifted factorial (a;q)_k, with the reciprocal convention
-    (a;q)_{-m} = 1/((1-a/q)(1-a/q^2)...(1-a/q^m)) for negative k."""
-    return Fraction(*_q_pochhammer_pairs(a, q, min(k, 0), max(k, 0))(k))
-
-
 def _q_pochhammer_pairs(a, q, lo: int, hi: int):
-    """(a;q)_k for lo <= k <= hi, as a function of k returning an integer
-    numerator and denominator.  Reading a negative k at which a factor
-    1 - a*q^-j of the reciprocal product vanishes (or any negative k when
-    q = 0) raises ZeroDivisionError, as q_pochhammer does; building the
-    table never raises."""
+    """The q-shifted factorial (a;q)_k for lo <= k <= hi, with the
+    reciprocal convention (a;q)_{-m} = 1/((1-a/q)(1-a/q^2)...(1-a/q^m)),
+    as a function of k returning an integer numerator and denominator.
+    Reading a negative k at which a factor 1 - a*q^-j of the reciprocal
+    product vanishes (or any negative k when q = 0) raises
+    ZeroDivisionError; building the table never raises."""
     a, q = rat(a), rat(q)
     ap, ad = a.numerator, a.denominator
     qp, qd = q.numerator, q.denominator
@@ -232,8 +209,9 @@ def _q_ints(q):
 
 
 def _q_int_pairs(q, hi: int):
-    """[m]_q for -hi <= m <= hi, the values of q_int, as a function of m
-    returning an integer numerator and denominator; [-m]_q = -q^-m [m]_q."""
+    """The q-integers [m]_q = (1-q^m)/(1-q) for -hi <= m <= hi (m at
+    q = 1), as a function of m returning an integer numerator and
+    denominator; [-m]_q = -q^-m [m]_q."""
     q = rat(q)
     p, d = q.numerator, q.denominator
     ints = [(0, 1), *islice(_q_ints(q), hi)]
@@ -253,22 +231,11 @@ def _negative_q_factorial(m: int, j: int):
 
 
 def _q_factorial_pairs(q, hi: int):
-    """[m]_q! for 0 <= m <= hi, the values of q_factorial, by one running
-    product of q-integers, as a function of m returning an integer
-    numerator and denominator; a negative m raises ValueError, as
-    q_factorial does."""
+    """The q-factorials [m]_q! = [m]_q [m-1]_q ... [1]_q for 0 <= m <= hi,
+    by one running product of q-integers, as a function of m returning an
+    integer numerator and denominator; a negative m raises ValueError."""
     ints = _q_ints(q)  # q is read only if hi >= 1
     return _running((next(ints) for _ in range(hi)), below=_negative_q_factorial)
-
-
-def q_int(n: int, q) -> Fraction:
-    """[n]_q = (1-q^n)/(1-q)."""
-    return Fraction(*_q_int_pairs(q, abs(n))(n))
-
-
-def q_factorial(n: int, q) -> Fraction:
-    """[n]_q! = [n]_q [n-1]_q ... [1]_q."""
-    return Fraction(*_q_factorial_pairs(q, n)(n))
 
 
 def _one_minus_power(p: int, d: int, e: int) -> tuple[int, int]:
@@ -279,21 +246,13 @@ def _one_minus_power(p: int, d: int, e: int) -> tuple[int, int]:
     return de - p ** e, de
 
 
-def q_binomial(alpha: int, k: int, q) -> Fraction:
-    """Gaussian binomial [alpha choose k]_q; 0 for k < 0; binomial at q=1."""
-    if k < 0:
-        return Fraction(0)
-    return Fraction(*_q_binomial_pairs(alpha, q, k)(k))
-
-
 def _q_binomial_pairs(alpha: int, q, hi: int):
-    """[alpha choose k]_q for k <= hi, the values of q_binomial, by running
+    """The Gaussian binomial [alpha choose k]_q for k <= hi, by running
     products of (1 - q^(alpha-j)) / (1 - q^(j+1)), j < k, as a function of
     k returning an integer numerator and denominator; (0, 1) for k < 0,
     and binomial(alpha, k) at q = 1.  Reading k >= 0 at q = 0, or a k
     whose denominator vanishes (q = -1, k >= 2), raises
-    ZeroDivisionError, as q_binomial does; building the table never
-    raises."""
+    ZeroDivisionError; building the table never raises."""
     q = rat(q)
     if q == 1:
         return _binomial_pairs(alpha, hi)

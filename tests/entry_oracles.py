@@ -1,25 +1,118 @@
-"""Slow independent oracles for the integer evaluation paths: Horner's
-rule on Fractions for PolyQ and RatFn values, the per-entry formulas of
-the banded binomial-sum (tsscpp2), qflha1, factored-column (krat),
-q-shifted-factorial (anst, qkrat, qtsscpp1), q-binomial product (pp5) and
-chu2 matrices and of the binomial (mrr, rn, chu1, ab, andrews, zare1,
-pentagon, bombieri-xbc, pp3), q-binomial (pp1, pp2, pp4, pp4a, pp5a,
-pp6, pp6a, shifted, csp, descpp) and power (vandermonde, the Weyl
-denominators, flha1, flha2, qflha2, abel) matrices, each entry computed on
-its own with Fraction arithmetic, the closed forms of anst, pp5, qkrat and
-qtsscpp1 with every q-factorial, q-Pochhammer and q-binomial evaluated on
-its own, and the factor-product closed forms (Vandermonde, Weyl, Cauchy,
-the krat lemmas, pp1-pp6, abel, shifted, csp, descpp, flha, qflha,
-MacMahon, krat-xy, tsscpp1's product, tsscpp2, pentagon, zare1, mrr, rn,
-hankel-hermite, Okada and the symmetric-group determinants) multiplied
-factor by factor in Fraction arithmetic."""
+"""Slow independent oracles for the integer evaluation paths: the
+special functions (binomials, Pochhammer and q-Pochhammer symbols,
+q-integers, q-factorials and q-binomials) as plain Fraction loops,
+Horner's rule on Fractions for PolyQ and RatFn values, the per-entry
+formulas of the banded binomial-sum (tsscpp2), qflha1, factored-column
+(krat), q-shifted-factorial (anst, qkrat, qtsscpp1), q-binomial product
+(pp5) and chu2 matrices and of the binomial (mrr, rn, chu1, ab, andrews,
+zare1, pentagon, bombieri-xbc, pp3, poorten, mrr-factor's T and R),
+q-binomial (pp1, pp2, pp4, pp4a, pp5a, pp6, pp6a, shifted, csp, descpp,
+okada) and power (vandermonde, the Weyl denominators, flha1, flha2,
+qflha2, abel) matrices, each entry computed on its own with Fraction
+arithmetic, the closed forms of anst, pp5, qkrat and qtsscpp1 with every
+q-factorial, q-Pochhammer and q-binomial evaluated on its own, and the
+factor-product closed forms (Vandermonde, Weyl, Cauchy, the krat lemmas,
+pp1-pp6, abel, shifted, csp, descpp, flha, qflha, MacMahon, krat-xy,
+tsscpp1, tsscpp2, pentagon, zare1, mrr, rn, andrews, fukr2,
+bombieri-xbc, poorten, hankel-hermite, Okada and the symmetric-group
+determinants) multiplied factor by factor in Fraction arithmetic."""
 
 import math
 from fractions import Fraction
 
 from detkit.catalog.multiblock import _binom2, _n_exponent
-from detkit.exactnum import (PolyQ, binomial, double_factorial, pochhammer,
-                             q_binomial, q_factorial, q_int, q_pochhammer, rat)
+from detkit.exactnum import PolyQ, double_factorial, rat
+
+
+# ---------------------------------------------------------------------------
+# the special functions as plain Fraction loops, one factor at a time
+
+
+def _binomial_loop(x, k):
+    """binomial(x, k) = x(x-1)...(x-k+1)/k! of any rational x; 0 for k < 0."""
+    if k < 0:
+        return Fraction(0)
+    x = rat(x)
+    num = Fraction(1)
+    for j in range(k):
+        num *= x - j
+    return num / math.factorial(k)
+
+
+def _pochhammer_loop(a, k):
+    """(a)_k = a(a+1)...(a+k-1), and (a)_(-m) = 1/((a-1)...(a-m))."""
+    a = rat(a)
+    if k >= 0:
+        out = Fraction(1)
+        for j in range(k):
+            out *= a + j
+        return out
+    out = Fraction(1)
+    for j in range(1, -k + 1):
+        f = a - j
+        if f == 0:
+            raise ZeroDivisionError(f"pochhammer({a}, {k}): factor a-{j} vanishes")
+        out *= f
+    return 1 / out
+
+
+def _q_pochhammer_loop(a, q, k):
+    """(a;q)_k, and (a;q)_(-m) = 1/((1-a/q)...(1-a/q^m))."""
+    a, q = rat(a), rat(q)
+    if k >= 0:
+        out = Fraction(1)
+        pw = Fraction(1)
+        for _ in range(k):
+            out *= 1 - a * pw
+            pw *= q
+        return out
+    out = Fraction(1)
+    pw = Fraction(1)
+    for j in range(1, -k + 1):
+        pw /= q
+        f = 1 - a * pw
+        if f == 0:
+            raise ZeroDivisionError(f"q_pochhammer({a}, {q}, {k}): factor 1-a*q^-{j} vanishes")
+        out *= f
+    return 1 / out
+
+
+def _q_int_formula(n, q):
+    """[n]_q = (1-q^n)/(1-q), and n at q = 1."""
+    q = rat(q)
+    if q == 1:
+        return Fraction(n)
+    return (1 - q**n) / (1 - q)
+
+
+def _q_factorial_loop(n, q):
+    """[n]_q! = [1]_q [2]_q ... [n]_q."""
+    if n < 0:
+        raise ValueError(f"q-factorial of negative integer {n}")
+    out = Fraction(1)
+    for j in range(1, n + 1):
+        out *= _q_int_formula(j, q)
+    return out
+
+
+def _q_binomial_loop(alpha, k, q):
+    """[alpha choose k]_q; 0 for k < 0, binomial(alpha, k) at q = 1."""
+    if k < 0:
+        return Fraction(0)
+    q = rat(q)
+    if q == 1:
+        return _binomial_loop(alpha, k)
+    if q == 0:
+        raise ZeroDivisionError("q_binomial undefined at q = 0")
+    num = Fraction(1)
+    den = Fraction(1)
+    for j in range(k):
+        num *= 1 - q ** (alpha - j)
+        den *= 1 - q ** (j + 1)
+    if den == 0:
+        raise ZeroDivisionError(f"q_binomial({alpha}, {k}, {q}): denominator vanishes")
+    return num / den
+
 
 
 def poly_horner(p, x):
@@ -51,7 +144,7 @@ def banded_entry(m, x, i, j):
     if lo > hi:
         lo, hi, sign = hi, lo, -1
     top = 2 * x + m + i + j
-    return sign * sum(binomial(top, r) for r in range(lo + 1, hi + 1))
+    return sign * sum(_binomial_loop(top, r) for r in range(lo + 1, hi + 1))
 
 
 def qflha1_entry(i, k, s, X, C, q):
@@ -59,7 +152,7 @@ def qflha1_entry(i, k, s, X, C, q):
     qflha1 matrix: prod_{t=1}^{s-1} [C+i-t+1]_q * X_k^(i+1-s)."""
     coeff = Fraction(1)
     for t in range(1, s):
-        coeff *= q_int(C + i - t + 1, q)
+        coeff *= _q_int_formula(C + i - t + 1, q)
     return coeff * rat(X[k]) ** (i + 1 - s)
 
 
@@ -103,7 +196,7 @@ def krat_entry(identity_id, n, i, j, X, A, C=0, B=(), a=(), b=(), m=None, polys=
 
 
 def _qq(m, q):
-    return q_pochhammer(q, q, m)
+    return _q_pochhammer_loop(q, q, m)
 
 
 def anst_entry(i, j, x, E, q):
@@ -114,12 +207,12 @@ def anst_entry(i, j, x, E, q):
     k = i - j
     if 2 * i + 1 - j < 0:
         return Fraction(0)
-    num = (q_pochhammer(E / (x * q ** i), q2, k)
-           * q_pochhammer(q / (E * x * q ** i), q2, k)
-           * q_pochhammer(1 / (x * x * q ** (2 + 4 * i)), q2, k))
+    num = (_q_pochhammer_loop(E / (x * q ** i), q2, k)
+           * _q_pochhammer_loop(q / (E * x * q ** i), q2, k)
+           * _q_pochhammer_loop(1 / (x * x * q ** (2 + 4 * i)), q2, k))
     den = (_qq(2 * i + 1 - j, q)
-           * q_pochhammer(1 / (E * x * q ** (2 * i)), q, k)
-           * q_pochhammer(E / (x * q ** (1 + 2 * i)), q, k))
+           * _q_pochhammer_loop(1 / (E * x * q ** (2 * i)), q, k)
+           * _q_pochhammer_loop(E / (x * q ** (1 + 2 * i)), q, k))
     return num / den
 
 
@@ -131,7 +224,7 @@ def qkrat_entry(i, j, x, y, q):
         return Fraction(0)
     out = _qq(x + y + i + j - 1, q) / (_qq(a, q) * _qq(b, q))
     out *= q ** (-2 * i * j)
-    out /= q_pochhammer(-q ** (x + y + 1), q, i + j)
+    out /= _q_pochhammer_loop(-q ** (x + y + 1), q, i + j)
     return out
 
 
@@ -146,28 +239,29 @@ def qtsscpp1_entry(i, j, x, y, q):
         + q ** (x + y + i + j + 1))
     out /= _qq(a, q) * _qq(b, q)
     out *= q ** (-2 * i * j)
-    out /= q_pochhammer(-q ** (x + y + 2), q, i + j)
+    out /= _q_pochhammer_loop(-q ** (x + y + 2), q, i + j)
     return out
 
 
 def pp5_entry(i, j, L, A, B, q):
     """Entry (i, j), 0-based, of the pp5 matrix: two q-binomials."""
     q = rat(q)
-    return q_binomial(L[i] + j + 1, B, q) * q_binomial(L[i] + A - j - 1, B, q)
+    return _q_binomial_loop(L[i] + j + 1, B, q) * _q_binomial_loop(L[i] + A - j - 1, B, q)
 
 
 def mrr_entry(i, j, mu):
-    return binomial(rat(mu) + i + j, 2 * i - j)
+    return _binomial_loop(rat(mu) + i + j, 2 * i - j)
 
 
 def rn_entry(i, j, mu):
     mu = rat(mu)
-    return binomial(mu + i + j, 2 * i - j) + 2 * binomial(mu + i + j + 2, 2 * i - j + 1)
+    return (_binomial_loop(mu + i + j, 2 * i - j)
+            + 2 * _binomial_loop(mu + i + j + 2, 2 * i - j + 1))
 
 
 def chu1_entry(i, j, c, x):
     c, v = rat(c), rat(x[i])
-    return binomial(c + v + i + j, 2 * i - j) + binomial(c - v + i + j, 2 * i - j)
+    return _binomial_loop(c + v + i + j, 2 * i - j) + _binomial_loop(c - v + i + j, 2 * i - j)
 
 
 def ab_entry(i, j, x, y):
@@ -179,13 +273,13 @@ def ab_entry(i, j, x, y):
 def binomial_plus_diagonal_entry(diag):
     """andrews (diag = 1) and zare1 (diag = -1)."""
     def entry(i, j, mu):
-        return (diag if i == j else 0) + binomial(2 * rat(mu) + i + j, j)
+        return (diag if i == j else 0) + _binomial_loop(2 * rat(mu) + i + j, j)
     return entry
 
 
 def pentagon_entry(i0, j0, x, y):
-    return (binomial(x + y + j0 + 1, x - i0 + 2 * j0 + 1)
-            - binomial(x + y + j0 + 1, x + i0 + 2 * j0 + 3))
+    return (_binomial_loop(x + y + j0 + 1, x - i0 + 2 * j0 + 1)
+            - _binomial_loop(x + y + j0 + 1, x + i0 + 2 * j0 + 3))
 
 
 def xbc_entry(i, j, b, c, x):
@@ -193,41 +287,41 @@ def xbc_entry(i, j, b, c, x):
     x = rat(x)
     if j < c:
         if i < c:
-            return binomial(x + j, i)
+            return _binomial_loop(x + j, i)
         if i < b:
             return Fraction(0)
-        return 2 * binomial(x + j, i - b)
+        return 2 * _binomial_loop(x + j, i - b)
     if j < b:
         if i < b:
-            return binomial(x + j, i)
-        return binomial(x + j, i - b)
+            return _binomial_loop(x + j, i)
+        return _binomial_loop(x + j, i - b)
     if i < b:
-        return binomial(2 * x + j, i)
+        return _binomial_loop(2 * x + j, i)
     return Fraction(0)
 
 
 def pp3_entry(i, j, L, A, B):
-    return binomial(rat(B) * L[i] + rat(A), L[i] + j + 1)
+    return _binomial_loop(rat(B) * L[i] + rat(A), L[i] + j + 1)
 
 
 def pp1_entry(i, j, L, A, q):
-    return q_binomial(L[i] + A + j + 1, L[i] + j + 1, rat(q))
+    return _q_binomial_loop(L[i] + A + j + 1, L[i] + j + 1, rat(q))
 
 
 def pp2_entry(i, j, L, A, q):
     q = rat(q)
-    return q ** ((j + 1) * L[i]) * q_binomial(A, L[i] + j + 1, q)
+    return q ** ((j + 1) * L[i]) * _q_binomial_loop(A, L[i] + j + 1, q)
 
 
 def shifted_entry(i, j, L, A, q):
     q = rat(q)
-    return q ** ((j + 1) * L[i]) * q_binomial(L[i] + A - j - 1, L[i] + j + 1, q)
+    return q ** ((j + 1) * L[i]) * _q_binomial_loop(L[i] + A - j - 1, L[i] + j + 1, q)
 
 
 def pp5a_entry(i, j, X, Y, A, B, q):
     q = rat(q)
-    den = q_binomial(X[i] + B, j, q) * q_binomial(A + B - X[i], j, q)
-    num = q_binomial(X[i] + Y[j], j, q) * q_binomial(Y[j] + A - X[i], j, q)
+    den = _q_binomial_loop(X[i] + B, j, q) * _q_binomial_loop(A + B - X[i], j, q)
+    num = _q_binomial_loop(X[i] + Y[j], j, q) * _q_binomial_loop(Y[j] + A - X[i], j, q)
     return num / den
 
 
@@ -237,8 +331,8 @@ def pp4_entry(t):
         q = rat(q)
         j = j0 + 1
         return q ** (j * (L[j0] - L[i0])) * (
-            q_binomial(A, j - L[i0], q)
-            - q ** (j * (2 * L[i0] + A - t)) * q_binomial(A, -j - L[i0] + t, q))
+            _q_binomial_loop(A, j - L[i0], q)
+            - q ** (j * (2 * L[i0] + A - t)) * _q_binomial_loop(A, -j - L[i0] + t, q))
     return entry
 
 
@@ -249,19 +343,19 @@ def pp6_entry(t):
         q = r * r
         j = j0 + 1
         return r ** ((2 * j - 1) * (L[j0] - L[i0])) * (
-            q_binomial(A, j - L[i0], q)
-            + r ** ((2 * j - 1) * (2 * L[i0] + A - t)) * q_binomial(A, -j - L[i0] + t, q))
+            _q_binomial_loop(A, j - L[i0], q)
+            + r ** ((2 * j - 1) * (2 * L[i0] + A - t)) * _q_binomial_loop(A, -j - L[i0] + t, q))
     return entry
 
 
 def csp_entry(i, j, q):
     q = rat(q)
-    return (1 if i == j else 0) + q ** (3 * i + 1) * q_binomial(i + j, j, q ** 3)
+    return (1 if i == j else 0) + q ** (3 * i + 1) * _q_binomial_loop(i + j, j, q ** 3)
 
 
 def descpp_entry(i, j, q):
     q = rat(q)
-    return (1 if i == j else 0) + q ** (i + 2) * q_binomial(i + j + 2, j, q)
+    return (1 if i == j else 0) + q ** (i + 2) * _q_binomial_loop(i + j + 2, j, q)
 
 
 def vandermonde_entry(i, j, X):
@@ -308,7 +402,7 @@ def flha2_entry(i, jc, parts, X):
 
 def qflha2_entry(i, jc, parts, X, C, q):
     k, s = _block_column(parts, jc)
-    coeff = Fraction(1) if s == 1 else q_int(C + i, rat(q)) ** (s - 1)
+    coeff = Fraction(1) if s == 1 else _q_int_formula(C + i, rat(q)) ** (s - 1)
     return coeff * rat(X[k]) ** i
 
 
@@ -324,7 +418,7 @@ def chu2_entry(i, j, c):
     c = rat(c)
     num = (2 * i - j) + (2 * c + 3 * j + 1) * (2 * c + 3 * j - 1)
     den = (c + i + j + Fraction(1, 2)) * (c + i + j - Fraction(1, 2))
-    return num / den * binomial(c + i + j + Fraction(1, 2), 2 * i - j)
+    return num / den * _binomial_loop(c + i + j + Fraction(1, 2), 2 * i - j)
 
 
 # ---------------------------------------------------------------------------
@@ -336,15 +430,15 @@ def pp5_closed(n, L, A, B, q):
     q = rat(q)
     c3 = (n + 1) * n * (n - 1) // 6
     out = q ** (sum(i * L[i] for i in range(n)) - B * (n * (n - 1) // 2) + 2 * c3)
-    out *= _product(q_int(L[i] - L[j], q) * q_int(L[i] + L[j] + A - B + 1, q)
+    out *= _product(_q_int_formula(L[i] - L[j], q) * _q_int_formula(L[i] + L[j] + A - B + 1, q)
                     for i in range(n) for j in range(i + 1, n))
     for i0 in range(n):
         i = i0 + 1
-        out *= q_factorial(L[i0] + 1, q) * q_factorial(L[i0] + A - n, q) \
-            / (q_factorial(L[i0] - B + n, q) * q_factorial(L[i0] + A - B - 1, q))
-        out *= q_factorial(A - 2 * i - 1, q) \
-            / (q_factorial(A - i - n - 1, q) * q_factorial(B + i - n, q)
-               * q_factorial(B, q))
+        out *= _q_factorial_loop(L[i0] + 1, q) * _q_factorial_loop(L[i0] + A - n, q) \
+            / (_q_factorial_loop(L[i0] - B + n, q) * _q_factorial_loop(L[i0] + A - B - 1, q))
+        out *= _q_factorial_loop(A - 2 * i - 1, q) \
+            / (_q_factorial_loop(A - i - n - 1, q) * _q_factorial_loop(B + i - n, q)
+               * _q_factorial_loop(B, q))
     return out
 
 
@@ -354,13 +448,13 @@ def anst_closed(n, x, E, q):
     q2 = q * q
     out = Fraction(1)
     for i in range(n):
-        out *= q_pochhammer(x * x * q ** (2 * i + 1), q, i)
-        out *= q_pochhammer(x * q ** (3 + i) / E, q2, i)
-        out *= q_pochhammer(E * x * q ** (2 + i), q2, i)
-        out /= q_pochhammer(x * x * q ** (2 * i + 2), q2, i)
-        out /= q_pochhammer(q, q2, i + 1)
-        out /= q_pochhammer(E * x * q ** (1 + i), q, i)
-        out /= q_pochhammer(x * q ** (2 + i) / E, q, i)
+        out *= _q_pochhammer_loop(x * x * q ** (2 * i + 1), q, i)
+        out *= _q_pochhammer_loop(x * q ** (3 + i) / E, q2, i)
+        out *= _q_pochhammer_loop(E * x * q ** (2 + i), q2, i)
+        out /= _q_pochhammer_loop(x * x * q ** (2 * i + 2), q2, i)
+        out /= _q_pochhammer_loop(q, q2, i + 1)
+        out /= _q_pochhammer_loop(E * x * q ** (1 + i), q, i)
+        out /= _q_pochhammer_loop(x * q ** (2 + i) / E, q, i)
     return out
 
 
@@ -370,12 +464,12 @@ def q_ratio_product(n, x, y, q, shift):
     q = rat(q)
     out = Fraction(1)
     for i in range(n):
-        out *= q ** (-2 * i * i) * q_pochhammer(q * q, q * q, i)
+        out *= q ** (-2 * i * i) * _q_pochhammer_loop(q * q, q * q, i)
         out *= _qq(x + y + i - 1, q)
-        out *= q_pochhammer(q ** (2 * x + y + 2 * i + shift), q, i)
-        out *= q_pochhammer(q ** (x + 2 * y + 2 * i + shift), q, i)
+        out *= _q_pochhammer_loop(q ** (2 * x + y + 2 * i + shift), q, i)
+        out *= _q_pochhammer_loop(q ** (x + 2 * y + 2 * i + shift), q, i)
         out /= _qq(x + 2 * i + shift, q) * _qq(y + 2 * i + shift, q)
-        out /= q_pochhammer(-q ** (x + y + 1 + shift), q, n - 1 + i)
+        out /= _q_pochhammer_loop(-q ** (x + y + 1 + shift), q, n - 1 + i)
     return out
 
 
@@ -389,8 +483,8 @@ def qtsscpp1_closed(n, x, y, q):
     q = rat(q)
     out = q_ratio_product(n, x, y, q, 1)
     out *= sum(
-        (-1) ** k * q ** (n * k) * q_binomial(n, k, q) * q ** (y * k)
-        * q_pochhammer(q ** x, q, k) * q_pochhammer(q ** y, q, n - k)
+        (-1) ** k * q ** (n * k) * _q_binomial_loop(n, k, q) * q ** (y * k)
+        * _q_pochhammer_loop(q ** x, q, k) * _q_pochhammer_loop(q ** y, q, n - k)
         for k in range(n + 1))
     return out
 
@@ -428,8 +522,8 @@ def ratio_product_closed(shift):
         out = Fraction(1)
         for i in range(n):
             out *= _fact(i) * _fact(x + y + i - 1)
-            out *= pochhammer(2 * x + y + 2 * i + shift, i)
-            out *= pochhammer(x + 2 * y + 2 * i + shift, i)
+            out *= _pochhammer_loop(2 * x + y + 2 * i + shift, i)
+            out *= _pochhammer_loop(x + 2 * y + 2 * i + shift, i)
             out /= _fact(x + 2 * i + shift) * _fact(y + 2 * i + shift)
         return out
     return closed
@@ -437,7 +531,7 @@ def ratio_product_closed(shift):
 
 def tsscpp1_closed(n, x, y):
     return ratio_product_closed(1)(n, x, y) * sum(
-        (-1) ** k * binomial(n, k) * pochhammer(x, k) * pochhammer(y, n - k)
+        (-1) ** k * _binomial_loop(n, k) * _pochhammer_loop(x, k) * _pochhammer_loop(y, n - k)
         for k in range(n + 1))
 
 
@@ -449,8 +543,8 @@ def tsscpp2_closed(m):
         out = Fraction(1)
         for i in range(n):
             out *= _fact(i) * _fact(2 * x + i + m)
-            out *= pochhammer(3 * x + 2 * i + m + 2, i)
-            out *= pochhammer(3 * x + 2 * i + 2 * m + 2, i)
+            out *= _pochhammer_loop(3 * x + 2 * i + m + 2, i)
+            out *= _pochhammer_loop(3 * x + 2 * i + 2 * m + 2, i)
             out /= _fact(x + 2 * i) * _fact(x + 2 * i + m)
         shift = 1 if m == 0 else (3 if m in (1, 2) else 5)
         out *= _product(2 * x + 2 * i + shift for i in range(h))
@@ -473,8 +567,8 @@ def pentagon_closed(n, x, y):
     out = Fraction(1)
     for j in range(1, n + 1):
         out *= _fact(j - 1) * _fact(x + y + 2 * j)
-        out *= pochhammer(x - y + 2 * j + 1, j)
-        out *= pochhammer(x + 2 * y + 3 * j + 1, n - j)
+        out *= _pochhammer_loop(x - y + 2 * j + 1, j)
+        out *= _pochhammer_loop(x + 2 * y + 3 * j + 1, n - j)
         out /= _fact(x + n + 2 * j) * _fact(y + n - j)
     return out
 
@@ -609,22 +703,22 @@ def macmahon_closed(n, a, b):
 def pp1_closed(n, L, A, q):
     q = rat(q)
     out = q ** sum(i * (L[i] + i + 1) for i in range(n))
-    out *= _product(q_int(L[i] - L[j], q)
+    out *= _product(_q_int_formula(L[i] - L[j], q)
                     for i in range(n) for j in range(i + 1, n))
     for i in range(n):
-        out *= q_factorial(L[i] + A + 1, q) \
-            / (q_factorial(L[i] + n, q) * q_factorial(A - i, q))
+        out *= _q_factorial_loop(L[i] + A + 1, q) \
+            / (_q_factorial_loop(L[i] + n, q) * _q_factorial_loop(A - i, q))
     return out
 
 
 def pp2_closed(n, L, A, q):
     q = rat(q)
     out = q ** sum((i + 1) * L[i] for i in range(n))
-    out *= _product(q_int(L[i] - L[j], q)
+    out *= _product(_q_int_formula(L[i] - L[j], q)
                     for i in range(n) for j in range(i + 1, n))
     for i in range(n):
-        out *= q_factorial(A + i, q) \
-            / (q_factorial(L[i] + n, q) * q_factorial(A - L[i] - 1, q))
+        out *= _q_factorial_loop(A + i, q) \
+            / (_q_factorial_loop(L[i] + n, q) * _q_factorial_loop(A - L[i] - 1, q))
     return out
 
 
@@ -632,9 +726,9 @@ def shifted_closed(n, L, A, q):
     q = rat(q)
     out = q ** sum((i + 1) * L[i] for i in range(n))
     for i in range(n):
-        out *= q_factorial(L[i] + A - n, q) \
-            / (q_factorial(L[i] + n, q) * q_factorial(A - 2 * (i + 1), q))
-    out *= _product(q_int(L[i] - L[j], q) * q_int(L[i] + L[j] + A + 1, q)
+        out *= _q_factorial_loop(L[i] + A - n, q) \
+            / (_q_factorial_loop(L[i] + n, q) * _q_factorial_loop(A - 2 * (i + 1), q))
+    out *= _product(_q_int_formula(L[i] - L[j], q) * _q_int_formula(L[i] + L[j] + A + 1, q)
                     for i in range(n) for j in range(i + 1, n))
     return out
 
@@ -647,10 +741,10 @@ def pp5a_closed(n, X, Y, A, B, q):
     out *= _product((1 - q ** (X[i] - X[j])) * (1 - q ** (X[i] + X[j] - A))
                     for i in range(n) for j in range(i + 1, n))
     for i in range(n):
-        out *= q_pochhammer(q ** (B - Y[i] - i + 1), q, i)
-        out *= q_pochhammer(q ** (Y[i] + A + B + 2 - 2 * i), q, i)
-        out /= q_pochhammer(q ** (X[i] - A - B), q, n - 1)
-        out /= q_pochhammer(q ** (X[i] + B - n + 2), q, n - 1)
+        out *= _q_pochhammer_loop(q ** (B - Y[i] - i + 1), q, i)
+        out *= _q_pochhammer_loop(q ** (Y[i] + A + B + 2 - 2 * i), q, i)
+        out /= _q_pochhammer_loop(q ** (X[i] - A - B), q, n - 1)
+        out /= _q_pochhammer_loop(q ** (X[i] + B - n + 2), q, n - 1)
     return out
 
 
@@ -658,8 +752,8 @@ def pp3_closed(n, L, A, B):
     A, B = rat(A), rat(B)
     out = _vdm(L[::-1])
     for i in range(n):
-        out *= pochhammer((B - 1) * L[i] + A, L[i] + 1) / math.factorial(L[i] + n)
-        out *= pochhammer(A - B * (i + 1) + 1, i)
+        out *= _pochhammer_loop((B - 1) * L[i] + A, L[i] + 1) / math.factorial(L[i] + n)
+        out *= _pochhammer_loop(A - B * (i + 1) + 1, i)
     return out
 
 
@@ -696,9 +790,9 @@ def mrr_closed(n, mu):
     mu = rat(mu)
     out = Fraction(-1 if n % 4 == 3 else 1) * Fraction(2) ** ((n - 1) * (n - 2) // 2)
     for i in range(1, n):
-        out *= pochhammer(mu + i + 1, (i + 1) // 2)
-        out *= pochhammer(-mu - 3 * n + i + Fraction(3, 2), i // 2)
-        out /= pochhammer(i, i)
+        out *= _pochhammer_loop(mu + i + 1, (i + 1) // 2)
+        out *= _pochhammer_loop(-mu - 3 * n + i + Fraction(3, 2), i // 2)
+        out /= _pochhammer_loop(i, i)
     return out
 
 
@@ -706,9 +800,130 @@ def rn_closed(n, mu):
     mu = rat(mu)
     out = Fraction(2) ** n
     for i in range(1, n + 1):
-        out *= pochhammer(mu + i, i // 2)
-        out *= pochhammer(mu + 3 * n - (3 * i - 1) // 2 + Fraction(1, 2), (i + 1) // 2)
+        out *= _pochhammer_loop(mu + i, i // 2)
+        out *= _pochhammer_loop(mu + 3 * n - (3 * i - 1) // 2 + Fraction(1, 2), (i + 1) // 2)
         out /= double_factorial(2 * i - 1)
+    return out
+
+
+def _ceil(a, b):
+    return -(-a // b)
+
+
+def andrews_closed(n, mu):
+    mu = rat(mu)
+    out = Fraction(2) ** _ceil(n, 2)
+    for i in range(1, n - 1):
+        out *= _pochhammer_loop(mu + _ceil(i, 2) + 1, (i + 3) // 4)
+    if n % 2 == 0:
+        for i in range(1, n // 2 + 1):
+            base = mu + Fraction(3 * n, 2) - _ceil(3 * i, 2) + Fraction(3, 2)
+            out *= _pochhammer_loop(base, _ceil(i, 2) - 1) * _pochhammer_loop(base, _ceil(i, 2))
+        for i in range(1, n // 2):
+            out /= double_factorial(2 * i - 1) * double_factorial(2 * i + 1)
+    else:
+        for i in range(1, (n - 1) // 2 + 1):
+            out *= _pochhammer_loop(
+                mu + Fraction(3 * n, 2) - _ceil(3 * i - 1, 2) + 1, _ceil(i - 1, 2))
+            out *= _pochhammer_loop(mu + Fraction(3 * n, 2) - _ceil(3 * i, 2), _ceil(i, 2))
+        for i in range(1, (n - 1) // 2 + 1):
+            out /= double_factorial(2 * i - 1) ** 2
+    return out
+
+
+def fukr2_closed(n, m, l):
+    out = Fraction(1)
+    for i in range(1, n + 1):
+        out *= _fact(n + m - i) / (_fact(m + i - 1) * _fact(2 * n - 2 * i + 1))
+    for i in range(1, n // 2 + 1):
+        out *= _pochhammer_loop(m + i, n - 2 * i + 1)
+        out *= _pochhammer_loop(m + i + Fraction(1, 2), n - 2 * i)
+    out *= Fraction(2) ** ((n - 1) * (n - 2) // 2)
+    out *= _pochhammer_loop(m, n + 1) * _product(_fact(2 * j - 1) for j in range(1, n + 1))
+    out /= _fact(n) * _product(_pochhammer_loop(2 * i, 2 * n - 4 * i + 1)
+                               for i in range(1, n // 2 + 1))
+    out *= sum(
+        (-1) ** e * _binomial_loop(n, e) * (n - 2 * e) * _pochhammer_loop(Fraction(1, 2), e)
+        / ((m + e) * (m + n - e) * _pochhammer_loop(Fraction(1, 2) - n, e))
+        for e in range(l))
+    return out
+
+
+def xbc_closed(n, b, c, x):
+    """The bombieri-xbc closed form; Pochhammer symbols of negative index
+    (3c > 2b) divide by zero where a factor vanishes."""
+    x = rat(x)
+    if b % 2 == 0 and c % 2 == 1:
+        return Fraction(0)
+    half_b = _ceil(b, 2)
+    out = Fraction(-1) ** c * Fraction(2) ** c
+    for i in range(1, b - c + 1):
+        out *= _pochhammer_loop(i + Fraction(1, 2) - half_b, c) / _pochhammer_loop(i, c)
+    for i in range(1, c + 1):
+        e1 = b - c + _ceil(i, 2) - _ceil(c + i, 2)
+        e2 = _ceil(b + i, 2) - _ceil(b - c + i, 2)
+        out *= _pochhammer_loop(x + _ceil(c + i, 2), e1)
+        out *= _pochhammer_loop(x + _ceil(b - c + i, 2), e2)
+        out /= _pochhammer_loop(Fraction(1, 2) - half_b + _ceil(c + i, 2), e1)
+        out /= _pochhammer_loop(Fraction(1, 2) - half_b + _ceil(b - c + i, 2), e2)
+    return out
+
+
+def mrr_t_entry(i, j, x, mu, nu):
+    """Entry (i, j), 0-based, of the T factor of mrr-factor: the sum over
+    i <= t <= 2j of C(mu+i, t-i) C(nu+j, 2j-t) x^(2j-t)."""
+    x, mu, nu = rat(x), rat(mu), rat(nu)
+    return sum((_binomial_loop(mu + i, t - i) * _binomial_loop(nu + j, 2 * j - t)
+                * x ** (2 * j - t) for t in range(i, 2 * j + 1)), Fraction(0))
+
+
+def mrr_r_entry(i, j, x, mu, nu):
+    """Entry (i, j), 0-based, of the R factor of mrr-factor."""
+    x, mu, nu = rat(x), rat(mu), rat(nu)
+    return sum(((_binomial_loop(mu + i, t - i - 1) + _binomial_loop(mu + i + 1, t - i))
+                * (_binomial_loop(nu + j, 2 * j + 1 - t)
+                   + _binomial_loop(nu + j + 1, 2 * j + 1 - t))
+                * x ** (2 * j + 1 - t) for t in range(i, 2 * j + 2)), Fraction(0))
+
+
+def _poorten_indices(N, l):
+    rows = [(i1, i2) for i2 in range(N) for i1 in range(2 * l * (N - i2))]
+    cols = [(j1, j2) for j2 in range(N + 1) for j1 in range(l * N)]
+    return rows, cols
+
+
+def poorten_entry(r, c, N, l, x):
+    """Entry (r, c) of the poorten matrix: rows (i1, i2) and columns
+    (j1, j2) in the builder's order, (-1)^(i1-j1) C(-x(N-j2), i1-j1)
+    C(j2, i2)."""
+    rows, cols = _poorten_indices(N, l)
+    (i1, i2), (j1, j2) = rows[r], cols[c]
+    return (Fraction(-1) ** abs(i1 - j1)
+            * _binomial_loop(-rat(x) * (N - j2), i1 - j1) * _binomial_loop(j2, i2))
+
+
+def poorten_size(N, l):
+    return len(_poorten_indices(N, l)[0])
+
+
+def poorten_closed(n, N, l, x):
+    return _product(_binomial_loop(rat(x) + i - 1, 2 * i - 1)
+                    / _binomial_loop(l + i - 1, 2 * i - 1)
+                    for i in range(1, l + 1)) ** _binomial_loop(N + 2, 3)
+
+
+def okada_entry(i, j, q):
+    """Entry (i, j), 0-based, of the okada matrix: with 1-based i, j,
+    q^(i+j-1) ([i+j-2 choose i-1]_q + q [i+j-1 choose i]_q), plus
+    1 + q^i on the diagonal and -1 below it."""
+    q = rat(q)
+    i, j = i + 1, j + 1
+    out = q ** (i + j - 1) * (_q_binomial_loop(i + j - 2, i - 1, q)
+                              + q * _q_binomial_loop(i + j - 1, i, q))
+    if i == j:
+        out += 1 + q ** i
+    elif i == j + 1:
+        out -= 1
     return out
 
 
@@ -718,11 +933,11 @@ def pp4_closed(t):
         q = rat(q)
         out = Fraction(1)
         for i0 in range(n):
-            out *= q_factorial(A + 2 * (i0 + 1) - 1 - t, q) \
-                / (q_factorial(n - L[i0], q) * q_factorial(A + n - t + L[i0], q))
-        out *= _product(q_int(L[j] - L[i], q)
+            out *= _q_factorial_loop(A + 2 * (i0 + 1) - 1 - t, q) \
+                / (_q_factorial_loop(n - L[i0], q) * _q_factorial_loop(A + n - t + L[i0], q))
+        out *= _product(_q_int_formula(L[j] - L[i], q)
                         for i in range(n) for j in range(i + 1, n))
-        out *= _product(q_int(L[i] + L[j] + A - t, q)
+        out *= _product(_q_int_formula(L[i] + L[j] + A - t, q)
                         for i in range(n) for j in range(i, n))
         return out
     return closed
@@ -736,9 +951,9 @@ def pp6_closed(t):
         out = _product(1 + r ** (2 * L[i0] + A - t) for i0 in range(n))
         out /= _product(1 + r ** (2 * i + A - t) for i in range(t, n + 1))
         for i0 in range(n):
-            out *= q_factorial(A + 2 * (i0 + 1) - t, q) \
-                / (q_factorial(n - L[i0], q) * q_factorial(A + n + L[i0] - t, q))
-        out *= _product(q_int(L[j] - L[i], q) * q_int(L[i] + L[j] + A - t, q)
+            out *= _q_factorial_loop(A + 2 * (i0 + 1) - t, q) \
+                / (_q_factorial_loop(n - L[i0], q) * _q_factorial_loop(A + n + L[i0] - t, q))
+        out *= _product(_q_int_formula(L[j] - L[i], q) * _q_int_formula(L[i] + L[j] + A - t, q)
                         for i in range(n) for j in range(i + 1, n))
         return out
     return closed
@@ -770,7 +985,7 @@ def qflha1_closed(n, parts, X, C, q):
     q = rat(q)
     X = [rat(x) for x in X]
     out = q ** _n_exponent(parts, C, with_cubes=True)
-    out *= _product(q_factorial(j, q) for m in parts for j in range(1, m))
+    out *= _product(_q_factorial_loop(j, q) for m in parts for j in range(1, m))
     return out * _cross_q(parts, X, q)
 
 
@@ -779,7 +994,7 @@ def qflha2_closed(n, parts, X, C, q):
     X = [rat(x) for x in X]
     out = q ** _n_exponent(parts, C, with_cubes=False)
     out *= _product(X[k] ** _binom2(parts[k]) for k in range(len(parts)))
-    out *= _product(q_factorial(j, q) for m in parts for j in range(1, m))
+    out *= _product(_q_factorial_loop(j, q) for m in parts for j in range(1, m))
     return out * _cross_q(parts, X, q)
 
 
@@ -798,7 +1013,7 @@ def zagier_inv_closed(n, q):
     q = rat(q)
     out = Fraction(1)
     for i in range(2, n + 1):
-        e = (int(binomial(n, i)) * math.factorial(i - 2)
+        e = (int(_binomial_loop(n, i)) * math.factorial(i - 2)
              * math.factorial(n - i + 1))
         out *= (1 - q ** (i * (i - 1))) ** e
     return out

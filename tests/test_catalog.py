@@ -23,22 +23,27 @@ from detkit.catalog import (UnknownIdentityError, build_matrix, closed_form,
 from detkit.catalog.base import (ONE, IdentityRecord, Resample, Trial,
                                  VerifyReport, add, distinct_fracs, inv, mul,
                                  pair, power, prod, rand_frac, rand_nonzero,
-                                 rand_q, run_trial, run_trials, sub, trial_rng)
+                                 rand_q, rising, run_trial, run_trials, sub,
+                                 trial_rng)
 from detkit.catalog.sequences import _windows
 from detkit.exactnum import bell_poly, hermite_poly
 from detkit.linalg import MatrixR, det
-from entry_oracles import (ab_entry, abel_closed, abel_entry, anst_closed,
-                           anst_entry, banded_entry,
+from entry_oracles import (_binomial_loop, _pochhammer_loop,
+                           _q_factorial_loop, _q_int_formula, ab_entry,
+                           abel_closed, abel_entry, andrews_closed,
+                           anst_closed, anst_entry, banded_entry,
                            binomial_plus_diagonal_entry, cauchy_closed,
                            chu1_entry, chu2_entry, csp_closed, csp_entry,
                            descpp_closed, descpp_entry, flha1_closed,
                            flha1_entry, flha2_closed, flha2_entry,
-                           hermite_closed, krat1_closed, krat2_closed,
-                           krat2a_closed, krat3_closed, krat5_closed,
-                           krat6_closed, krat7_closed, krat_entry,
-                           macmahon_closed, mrr_closed, mrr_entry,
-                           okada_closed, pentagon_closed, pentagon_entry,
-                           poly_horner, pp1_closed, pp1_entry, pp2_closed,
+                           fukr2_closed, hermite_closed, krat1_closed,
+                           krat2_closed, krat2a_closed, krat3_closed,
+                           krat5_closed, krat6_closed, krat7_closed,
+                           krat_entry, macmahon_closed, mrr_closed,
+                           mrr_entry, mrr_r_entry, mrr_t_entry, okada_closed,
+                           okada_entry, pentagon_closed, pentagon_entry,
+                           poly_horner, poorten_closed, poorten_entry,
+                           poorten_size, pp1_closed, pp1_entry, pp2_closed,
                            pp2_entry, pp3_closed, pp3_entry, pp4_closed,
                            pp4_entry, pp5_closed, pp5_entry, pp5a_closed,
                            pp5a_entry, pp6_closed, pp6_entry, qflha1_closed,
@@ -49,7 +54,7 @@ from entry_oracles import (ab_entry, abel_closed, abel_entry, anst_closed,
                            tsscpp1_closed, tsscpp2_closed, vandermonde_closed,
                            vandermonde_entry, vdm_poly_closed, weyl_b_closed,
                            weyl_b_entry, weyl_c_closed, weyl_c_entry,
-                           weyl_d_closed, weyl_d_entry, xbc_entry,
+                           weyl_d_closed, weyl_d_entry, xbc_closed, xbc_entry,
                            zagier_inv_closed, zagier_maj_closed,
                            zare1_closed)
 from partition_oracles import (blocks_of, join_by_merging, labels_of,
@@ -663,7 +668,8 @@ CLOSED_FORM_ORACLES = {
     "flha1": flha1_closed, "flha2": flha2_closed, "qflha1": qflha1_closed,
     "qflha2": qflha2_closed, "macmahon": macmahon_closed,
     "krat-xy": ratio_product_closed(0), "tsscpp1": tsscpp1_closed,
-    "pentagon": pentagon_closed,
+    "pentagon": pentagon_closed, "andrews": andrews_closed, "fukr2": fukr2_closed,
+    "bombieri-xbc": xbc_closed,
     **{f"tsscpp2-m{m}": tsscpp2_closed(m) for m in range(5)},
 }
 
@@ -735,7 +741,7 @@ def test_prod_of_no_factors_ints_and_zeros():
 def test_factor_kinds_match_fraction_arithmetic():
     import math
     from detkit.catalog.base import differences, over_pairs, q_ratios, q_rows
-    from detkit.exactnum import _one_minus_power, q_factorial, q_int
+    from detkit.exactnum import _one_minus_power
     values = [Fraction(-7, 3), Fraction(5, 4), Fraction(2), Fraction(-1, 9),
               Fraction(0), 3, "-4/6"]
     for x, y in itertools.product(values, repeat=2):
@@ -760,8 +766,9 @@ def test_factor_kinds_match_fraction_arithmetic():
             assert prod([_one_minus_power(q.numerator, q.denominator, e)]) == 1 - q ** e
         rows = [([-3, 4], [5, 0], [2]), ([], [7], [1, 3])]
         assert _value_or_raised(lambda: q_rows(q, rows, (2, 3))) == _value_or_raised(
-            lambda: Fraction(2, 3) * q_int(-3, q) * q_int(4, q) * q_factorial(5, q)
-            * q_factorial(7, q) / (q_factorial(2, q) * q_factorial(3, q)))
+            lambda: Fraction(2, 3) * _q_int_formula(-3, q) * _q_int_formula(4, q)
+            * _q_factorial_loop(5, q) * _q_factorial_loop(7, q)
+            / (_q_factorial_loop(2, q) * _q_factorial_loop(3, q)))
         ratios = [([2, 5], [3]), ([4], [1, -2])]
         assert _value_or_raised(lambda: q_ratios(q, ratios, 5)) == _value_or_raised(
             lambda: 5 * (1 - q ** 2) * (1 - q ** 5) * (1 - q ** 4)
@@ -770,6 +777,30 @@ def test_factor_kinds_match_fraction_arithmetic():
         q_rows(Fraction(1, 2), [([], [], [-1])])
     with pytest.raises(ZeroDivisionError):
         q_ratios(Fraction(1), [([2], [3])])
+
+
+def test_rising_matches_fraction_loop():
+    # (a)_k for both signs of k against the loop: the same value, or
+    # ZeroDivisionError where the loop's reciprocal product has a vanishing
+    # factor (an integer a in 1..-k); the pair may be unreduced or carry its
+    # sign on the denominator, as the other factor kinds' pairs may
+    values = [Fraction(v, d) for v in range(-7, 8) for d in (1, 2, 3)]
+    raised = 0
+    for a in values:
+        p, d = pair(a)
+        for x in ((p, d), (3 * p, 3 * d), (-p, -d)):
+            for k in range(-7, 8):
+                try:
+                    want = _pochhammer_loop(a, k)
+                except ZeroDivisionError:
+                    raised += 1
+                    with pytest.raises(ZeroDivisionError):
+                        prod([rising(x, k)])
+                    continue
+                num, den = rising(x, k)
+                assert type(num) is int and type(den) is int
+                assert prod([(num, den)]) == want, (x, k)
+    assert raised
 
 
 @pytest.mark.parametrize("identity_id", ["krat6", "krat7"])
@@ -1012,7 +1043,16 @@ def test_ode_method_check():
 
 def test_lu_vandermonde_check():
     X = [Fraction(i + 1, 2) for i in range(5)]
-    assert lu_vandermonde_check(5, X).overall
+    report = lu_vandermonde_check(5, X)
+    assert report.overall
+    # linalg.lu_decompose finds the guessed L and U, and the trial says so
+    assert [t.params["check"] for t in report.trials] == [
+        "M.U = L", "diagonal product", "lu_decompose"]
+    lower, upper = report.trials[2].lhs
+    assert lower == report.trials[0].rhs
+    assert all(upper[i][i] == 1 and upper[i][0] == 0 for i in range(1, 5))
+    for n in range(1, 7):
+        assert lu_vandermonde_check(n, [Fraction(-3 * i + 1, i + 2) for i in range(n)]).overall
     with pytest.raises(ValueError):
         lu_vandermonde_check(2, [Fraction(1), Fraction(1)])
 
@@ -1020,15 +1060,13 @@ def test_lu_vandermonde_check():
 def _build_z_quadruple_sum(n, x, mu, nu):
     """Each entry of Z as the sum over t <= k of its binomial products:
     the oracle for the I + L R form."""
-    from detkit.exactnum import binomial
-
     def entry(i, j):
         out = Fraction(1) if i == j else Fraction(0)
         for t in range(n):
             for k in range(n):
                 if k >= t:
-                    out += (binomial(mu + i, t) * binomial(nu + k, k - t)
-                            * binomial(mu + j - k - 1, j - k) * x ** (k - t))
+                    out += (_binomial_loop(mu + i, t) * _binomial_loop(nu + k, k - t)
+                            * _binomial_loop(mu + j - k - 1, j - k) * x ** (k - t))
         return out
     return MatrixR.build(n, n, entry)
 
@@ -1044,6 +1082,50 @@ def test_build_z_matches_quadruple_sum(n, x, mu, nu):
     assert z == _build_z_quadruple_sum(n, x, mu, nu)
     if n > 1:
         assert z.submatrix(range(n - 1), range(n - 1)) == _build_z(n - 1, x, mu, nu)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_build_t_and_r_match_entry_oracles(n):
+    # mrr-factor's T and R factors on rational and integer parameters
+    from detkit.catalog.binomsum import _build_r, _build_t
+    values = (Fraction(2, 3), Fraction(-7, 4), Fraction(5, 2), Fraction(-3), Fraction(0))
+    for x, mu, nu in itertools.product(values, repeat=3):
+        for build, entry in ((_build_t, mrr_t_entry), (_build_r, mrr_r_entry)):
+            _assert_entries(build(n, x, mu, nu), n, lambda i, j: entry(i, j, x, mu, nu))
+
+
+def test_okada_builder_matches_entry_oracle():
+    # at q = 0 and q = -1 (for n >= 3) a q-binomial divides by zero, and
+    # then both raise ZeroDivisionError
+    from detkit.catalog.structured import _build_okada
+    for n in range(1, 8):
+        for q in (Fraction(1, 2), Fraction(-3, 5), Fraction(7, 3), 0, 1, -1, 2):
+            got = _built_or_raised(lambda: _build_okada(n, q))
+            want = _built_or_raised(
+                lambda: MatrixR.build(n, n, lambda i, j: okada_entry(i, j, q)))
+            assert (got is ZeroDivisionError) == (want is ZeroDivisionError), (n, q)
+            if want is not ZeroDivisionError:
+                _assert_entries(got, n, lambda i, j: want[i, j])
+
+
+def test_poorten_matches_entry_and_closed_oracles():
+    from detkit.catalog.lattice import _SMALL_PAIRS, _build_poorten, _closed_poorten
+    for (N, l), x in itertools.product(_SMALL_PAIRS, (
+            Fraction(2, 3), Fraction(-7, 4), Fraction(5), Fraction(-4), Fraction(0))):
+        _assert_entries(_build_poorten(2, N, l, x), poorten_size(N, l),
+                        lambda r, c: poorten_entry(r, c, N, l, x))
+        got, want = _closed_poorten(2, N, l, x), poorten_closed(2, N, l, x)
+        assert got == want and type(got) is type(want) is Fraction, (N, l, x)
+
+
+@pytest.mark.parametrize("identity_id", ["mrr", "rn", "andrews"])
+@pytest.mark.parametrize("mu", [-3, -5, 2])
+def test_closed_form_at_integer_mu_matches_det(identity_id, mu):
+    # at mu = -3 both sides of mrr, rn and andrews are 0 at n = 12: each
+    # shifted factorial is its own product, not a ratio of two from one
+    # table, which would read 0/0 there
+    lhs = det(build_matrix(identity_id, 12, mu=mu))
+    assert lhs == closed_form(identity_id, 12, mu=mu)
 
 
 def test_build_z_leading_blocks():

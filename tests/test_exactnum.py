@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from detkit.catalog.base import pair, prod, rising
 from detkit.exactnum import (PolyQ, RatFn, TruncSeries, _binomial_pairs,
                              _q_binomial_pairs, _q_factorial_pairs,
                              _q_int_pairs, _q_pochhammer_pairs,
@@ -15,11 +16,11 @@ from detkit.exactnum import (PolyQ, RatFn, TruncSeries, _binomial_pairs,
                              catalan, chebyshev_u, compose_each, cos_series,
                              double_factorial, euler_even, exp_series,
                              factorial, fmt_rat, hermite_poly,
-                             integer_numerators, parse_rat, pochhammer, poly_gcd,
-                             power_pairs, q_binomial, q_factorial, q_int,
-                             q_pochhammer, rat,
-                             stirling1_unsigned, stirling2)
-from entry_oracles import poly_horner, ratfn_value
+                             integer_numerators, parse_rat, poly_gcd,
+                             power_pairs, rat, stirling1_unsigned, stirling2)
+from entry_oracles import (_binomial_loop, _pochhammer_loop, _q_binomial_loop,
+                           _q_factorial_loop, _q_int_formula, _q_pochhammer_loop,
+                           poly_horner, ratfn_value)
 from series_oracles import (add_loop, compose_loop, div_scalar_loop, eq_loop,
                             inverse_loop, mul_loop)
 
@@ -36,17 +37,20 @@ def test_factorial_binomial_anchors():
     assert factorial(0) == 1 and factorial(5) == 120
     assert binomial(7, 3) == 35
     assert binomial(4, 7) == 0
-    # [DERIVED] generalized upper argument: (1/2 choose 2) = -1/8
-    assert binomial(Fraction(1, 2), 2) == Fraction(-1, 8)
+    # [DERIVED] generalized upper argument: (1/2 choose 2) = -1/8, read
+    # from the table; binomial itself takes integers only
+    assert _binomial_read(Fraction(1, 2), 2) == Fraction(-1, 8)
     assert binomial(-1, 3) == -1
+    with pytest.raises(ValueError, match="binomial of non-integer 1/2"):
+        binomial(Fraction(1, 2), 2)
 
 
 def test_pochhammer_anchors():
     # [TRIVIAL] (a)_0 = 1, (1)_n = n!
-    assert pochhammer(Fraction(3, 2), 0) == 1
-    assert pochhammer(1, 6) == factorial(6)
+    assert _rising_value(Fraction(3, 2), 0) == 1
+    assert _rising_value(1, 6) == factorial(6)
     # [DERIVED] (1/2)_3 = 1/2 * 3/2 * 5/2
-    assert pochhammer(Fraction(1, 2), 3) == Fraction(15, 8)
+    assert _rising_value(Fraction(1, 2), 3) == Fraction(15, 8)
 
 
 def test_bernoulli_euler_anchors():
@@ -89,15 +93,15 @@ def test_special_sequence_asm():
 def test_q_analogues():
     q = Fraction(1, 3)
     # [TRIVIAL] [n]_q = 1 + q + ... + q^{n-1}
-    assert q_int(3, q) == 1 + q + q * q
-    assert q_factorial(3, q) == q_int(1, q) * q_int(2, q) * q_int(3, q)
+    assert _q_int_read(3, q) == 1 + q + q * q
+    assert _q_factorial_read(3, q) == _q_int_read(1, q) * _q_int_read(2, q) * _q_int_read(3, q)
     # [DERIVED] q-binomial specializes to the binomial at q = 1
     for n in range(6):
         for k in range(n + 1):
-            assert q_binomial(n, k, Fraction(1)) == binomial(n, k)
+            assert _q_binomial_read(n, k, Fraction(1)) == binomial(n, k)
     # [TRIVIAL] (a;q)_2 = (1-a)(1-aq)
     a = Fraction(2, 5)
-    assert q_pochhammer(a, q, 2) == (1 - a) * (1 - a * q)
+    assert _q_pochhammer_read(a, q, 2) == (1 - a) * (1 - a * q)
 
 
 @given(st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=10))
@@ -106,81 +110,32 @@ def test_binomial_pascal(n, k):
 
 
 # ---------------------------------------------------------------------------
-# differential tests: the integer numerator/denominator evaluations against
-# the plain Fraction loops they replaced
+# differential tests: the integer numerator/denominator tables against the
+# plain Fraction loops of entry_oracles, each read once as a Fraction
 
 
-def _binomial_loop(x, k):
-    if k < 0:
-        return Fraction(0)
-    x = rat(x)
-    num = Fraction(1)
-    for j in range(k):
-        num *= x - j
-    return num / math.factorial(k)
+def _binomial_read(x, k):
+    return Fraction(*_binomial_pairs(x, k)(k))
 
 
-def _pochhammer_loop(a, k):
-    a = rat(a)
-    if k >= 0:
-        out = Fraction(1)
-        for j in range(k):
-            out *= a + j
-        return out
-    out = Fraction(1)
-    for j in range(1, -k + 1):
-        f = a - j
-        if f == 0:
-            raise ZeroDivisionError(f"pochhammer({a}, {k}): factor a-{j} vanishes")
-        out *= f
-    return 1 / out
+def _rising_value(a, k):
+    return prod([rising(pair(a), k)])
 
 
-def _q_pochhammer_loop(a, q, k):
-    a, q = rat(a), rat(q)
-    if k >= 0:
-        out = Fraction(1)
-        pw = Fraction(1)
-        for _ in range(k):
-            out *= 1 - a * pw
-            pw *= q
-        return out
-    out = Fraction(1)
-    pw = Fraction(1)
-    for j in range(1, -k + 1):
-        pw /= q
-        f = 1 - a * pw
-        if f == 0:
-            raise ZeroDivisionError(f"q_pochhammer({a}, {q}, {k}): factor 1-a*q^-{j} vanishes")
-        out *= f
-    return 1 / out
+def _q_pochhammer_read(a, q, k):
+    return Fraction(*_q_pochhammer_pairs(a, q, min(k, 0), max(k, 0))(k))
 
 
-def _q_factorial_loop(n, q):
-    if n < 0:
-        raise ValueError(f"q-factorial of negative integer {n}")
-    out = Fraction(1)
-    for j in range(1, n + 1):
-        out *= q_int(j, q)
-    return out
+def _q_int_read(n, q):
+    return Fraction(*_q_int_pairs(q, abs(n))(n))
 
 
-def _q_binomial_loop(alpha, k, q):
-    if k < 0:
-        return Fraction(0)
-    q = rat(q)
-    if q == 1:
-        return _binomial_loop(alpha, k)
-    if q == 0:
-        raise ZeroDivisionError("q_binomial undefined at q = 0")
-    num = Fraction(1)
-    den = Fraction(1)
-    for j in range(k):
-        num *= 1 - q ** (alpha - j)
-        den *= 1 - q ** (j + 1)
-    if den == 0:
-        raise ZeroDivisionError(f"q_binomial({alpha}, {k}, {q}): denominator vanishes")
-    return num / den
+def _q_factorial_read(n, q):
+    return Fraction(*_q_factorial_pairs(q, n)(n))
+
+
+def _q_binomial_read(alpha, k, q):
+    return Fraction(*_q_binomial_pairs(alpha, q, k)(k))
 
 
 def _outcome(f, *args):
@@ -205,14 +160,26 @@ qs = st.one_of(
 @settings(max_examples=400)
 @given(uppers, lowers)
 def test_binomial_matches_fraction_loop(x, k):
-    assert _outcome(binomial, x, k) == _outcome(_binomial_loop, x, k)
+    # any x through its table; binomial takes an integer x and raises
+    # ValueError for any other at k >= 0
+    want = _outcome(_binomial_loop, x, k)
+    assert _outcome(_binomial_read, x, k) == want
+    if Fraction(x).denominator == 1 or k < 0:
+        assert _outcome(binomial, x, k) == want
+    else:
+        assert _outcome(binomial, x, k) == (ValueError, f"binomial of non-integer {x}")
 
 
 @settings(max_examples=400)
 @given(uppers, st.integers(min_value=-8, max_value=10))
+@example(3, -5)
+@example(-4, 6)
 def test_pochhammer_matches_fraction_loop(a, k):
-    # integer a in 1..-k makes a factor of the reciprocal product vanish
-    assert _outcome(pochhammer, a, k) == _outcome(_pochhammer_loop, a, k)
+    # rising's pair multiplied out: the loop's value and type; an integer a
+    # in 1..-k makes a factor of the reciprocal product vanish, and then
+    # both raise ZeroDivisionError (prod with its own message)
+    got, want = _outcome(_rising_value, a, k), _outcome(_pochhammer_loop, a, k)
+    assert got == want or got[0] is want[0] is ZeroDivisionError
 
 
 @st.composite
@@ -228,7 +195,7 @@ def q_pochhammer_args(draw):
 @settings(max_examples=400)
 @given(q_pochhammer_args())
 def test_q_pochhammer_matches_fraction_loop(args):
-    assert _outcome(q_pochhammer, *args) == _outcome(_q_pochhammer_loop, *args)
+    assert _outcome(_q_pochhammer_read, *args) == _outcome(_q_pochhammer_loop, *args)
 
 
 def _pair_outcome(read, k):
@@ -257,14 +224,14 @@ def test_q_pochhammer_pairs_match_q_pochhammer(args, lo, width):
     hi = lo + width
     read = _q_pochhammer_pairs(a, q, lo, hi)
     for k in range(lo, hi + 1):
-        assert _pair_outcome(read, k) == _value_outcome(q_pochhammer, a, q, k)
+        assert _pair_outcome(read, k) == _value_outcome(_q_pochhammer_loop, a, q, k)
 
 
 def test_q_pochhammer_pairs_raise_only_where_read():
     q = Fraction(2, 3)
     read = _q_pochhammer_pairs(q ** 3, q, -6, 4)  # 1 - a/q^3 vanishes
     assert [Fraction(*read(k)) for k in range(-2, 5)] == [
-        q_pochhammer(q ** 3, q, k) for k in range(-2, 5)]
+        _q_pochhammer_loop(q ** 3, q, k) for k in range(-2, 5)]
     for k in range(-6, -2):
         with pytest.raises(ZeroDivisionError):
             read(k)
@@ -274,15 +241,8 @@ def test_q_pochhammer_pairs_raise_only_where_read():
         zero_q(-1)
     vanishing = _q_pochhammer_pairs(q ** -2, q, 0, 6)  # 1 - a*q^2 = 0
     assert [Fraction(*vanishing(k)) for k in range(7)] == [
-        q_pochhammer(q ** -2, q, k) for k in range(7)]
+        _q_pochhammer_loop(q ** -2, q, k) for k in range(7)]
     assert Fraction(*vanishing(3)) == 0 and Fraction(*vanishing(2)) != 0
-
-
-def _q_int_formula(n, q):
-    q = rat(q)
-    if q == 1:
-        return Fraction(n)
-    return (1 - q**n) / (1 - q)
 
 
 @settings(max_examples=300)
@@ -290,13 +250,13 @@ def _q_int_formula(n, q):
 @example(-3, Fraction(0))
 def test_q_int_matches_fraction_formula(n, q):
     # at q = 0 a negative n raises Fraction(0) ** n's ZeroDivisionError
-    assert _outcome(q_int, n, q) == _outcome(_q_int_formula, n, q)
+    assert _outcome(_q_int_read, n, q) == _outcome(_q_int_formula, n, q)
 
 
 @settings(max_examples=300)
 @given(st.integers(min_value=-3, max_value=12), qs)
 def test_q_factorial_matches_fraction_loop(n, q):
-    assert _outcome(q_factorial, n, q) == _outcome(_q_factorial_loop, n, q)
+    assert _outcome(_q_factorial_read, n, q) == _outcome(_q_factorial_loop, n, q)
 
 
 @settings(max_examples=300)
@@ -306,12 +266,12 @@ def test_q_factorial_matches_fraction_loop(n, q):
 @example(Fraction(-1))
 def test_q_int_and_q_factorial_tables_match_the_functions(q):
     # every m of both tables, negative q-integers included (at q = 0 they
-    # divide by zero, as q_int does)
+    # divide by zero, as the formula does)
     q_int_pair, fact = _q_int_pairs(q, 12), _q_factorial_pairs(q, 12)
     for m in range(-12, 13):
-        assert _pair_outcome(q_int_pair, m) == _value_outcome(q_int, m, q)
+        assert _pair_outcome(q_int_pair, m) == _value_outcome(_q_int_formula, m, q)
     for m in range(13):
-        assert Fraction(*fact(m)) == q_factorial(m, q)
+        assert Fraction(*fact(m)) == _q_factorial_loop(m, q)
     with pytest.raises(ValueError, match="negative integer -1"):
         fact(-1)
 
@@ -320,7 +280,7 @@ def test_q_int_and_q_factorial_tables_match_the_functions(q):
 @given(st.integers(min_value=-10, max_value=20), lowers, qs)
 def test_q_binomial_matches_fraction_loop(alpha, k, q):
     # q = -1 with k >= 2 makes the denominator vanish
-    assert _outcome(q_binomial, alpha, k, q) == _outcome(_q_binomial_loop, alpha, k, q)
+    assert _outcome(_q_binomial_read, alpha, k, q) == _outcome(_q_binomial_loop, alpha, k, q)
 
 
 @settings(max_examples=300)
@@ -331,7 +291,7 @@ def test_binomial_pairs_match_binomial(x, hi):
     for k in range(-3, hi + 1):
         num, den = read(k)
         assert type(num) is int and type(den) is int
-        assert Fraction(num, den) == binomial(x, k)
+        assert Fraction(num, den) == _binomial_loop(x, k)
 
 
 @settings(max_examples=300)
@@ -372,23 +332,25 @@ def test_entry_function_errors_unchanged():
     cases = [
         (binomial, _binomial_loop, (2, Fraction(2))),
         (binomial, _binomial_loop, (-3, 2.0)),
-        (binomial, _binomial_loop, (Fraction(1, 2), Fraction(2))),
+        (_binomial_read, _binomial_loop, (Fraction(1, 2), Fraction(2))),
         (binomial, _binomial_loop, ("zz", -1)),
         (binomial, _binomial_loop, ("zz", 2)),
-        (pochhammer, _pochhammer_loop, (3, -5)),
-        (pochhammer, _pochhammer_loop, (2, Fraction(-2))),
-        (q_pochhammer, _q_pochhammer_loop, (1, 0, -2)),
-        (q_pochhammer, _q_pochhammer_loop, (1, 0, Fraction(-2))),
-        (q_pochhammer, _q_pochhammer_loop, (Fraction(1, 4), Fraction(1, 2), -3)),
-        (q_factorial, _q_factorial_loop, (0, "not a number")),
-        (q_factorial, _q_factorial_loop, (-2, 1)),
-        (q_binomial, _q_binomial_loop, (5, 3, 0)),
-        (q_binomial, _q_binomial_loop, (5, 3, -1)),
+        (_rising_value, _pochhammer_loop, (2, Fraction(-2))),
+        (_q_pochhammer_read, _q_pochhammer_loop, (1, 0, -2)),
+        (_q_pochhammer_read, _q_pochhammer_loop, (1, 0, Fraction(-2))),
+        (_q_pochhammer_read, _q_pochhammer_loop, (Fraction(1, 4), Fraction(1, 2), -3)),
+        (_q_factorial_read, _q_factorial_loop, (0, "not a number")),
+        (_q_factorial_read, _q_factorial_loop, (-2, 1)),
+        (_q_binomial_read, _q_binomial_loop, (5, 3, 0)),
+        (_q_binomial_read, _q_binomial_loop, (5, 3, -1)),
     ]
     for new, old, args in cases:
         assert _outcome(new, *args) == _outcome(old, *args), (new.__name__, args)
-    assert _outcome(pochhammer, 3, -5)[0] is ZeroDivisionError
-    assert _outcome(q_pochhammer, 1, 0, -2) == (ZeroDivisionError, "Fraction(1, 0)")
+    # a vanishing factor of the reciprocal product: ZeroDivisionError, with
+    # prod's message
+    assert _outcome(_rising_value, 3, -5) == (ZeroDivisionError, "a factor's denominator is 0")
+    assert _outcome(_pochhammer_loop, 3, -5)[0] is ZeroDivisionError
+    assert _outcome(_q_pochhammer_read, 1, 0, -2) == (ZeroDivisionError, "Fraction(1, 0)")
 
 
 def test_factorials():
@@ -404,7 +366,7 @@ def test_factorials():
         factorial(-1)
     for q in (Fraction(1), Fraction(2, 3)):
         with pytest.raises(ValueError, match="q-factorial of negative integer -1"):
-            q_factorial(-1, q)
+            _q_factorial_read(-1, q)
 
 
 def test_fmt_rat():
