@@ -152,9 +152,9 @@ def binomial(x, k: int) -> Fraction:
     if k < 0:
         return Fraction(0)
     x = rat(x)
-    p = x.numerator
     if x.denominator != 1:
         raise ValueError(f"binomial of non-integer {x}")
+    p = x.numerator
     if p >= 0:
         return Fraction(math.comb(p, k))
     # (-m choose k) = (-1)^k (m+k-1 choose k)
