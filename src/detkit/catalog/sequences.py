@@ -9,9 +9,9 @@ from fractions import Fraction
 from itertools import chain
 
 from ..exactnum import (PolyQ, bell_poly, bernoulli, euler_even, factorial,
-                        rat, stirling1_unsigned, stirling2)
+                        hermite_values, rat, stirling1_unsigned, stirling2)
 from ..linalg import MatrixR, det, pfaffian, resultant
-from .base import IdentityRecord, det_record, pair, prod, rand_frac, register
+from .base import IdentityRecord, det_record, prod, rand_frac, register
 
 
 # ---------------------------------------------------------------------------
@@ -58,13 +58,7 @@ det_record("hankel-bell", _sample_x, _build_bell, _closed_bell, max_n=6)
 
 
 def _build_hermite(n, x):
-    # He_0 = 1, He_1 = x, He_(k+1) = x He_k - k He_(k-1); with x = p/d,
-    # He_k = h_k / d^k where h_(k+1) = p h_k - k d^2 h_(k-1)
-    p, d = pair(x)
-    hs = [1, p]
-    for k in range(1, 2 * n - 2):
-        hs.append(p * hs[k] - k * d * d * hs[k - 1])
-    return _hankel_matrix(n, [Fraction(hs[k], d ** k) for k in range(2 * n - 1)])
+    return _hankel_matrix(n, hermite_values(x, 2 * n - 1))
 
 
 def _closed_hermite(n, x):

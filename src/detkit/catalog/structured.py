@@ -18,7 +18,7 @@ from ..combinat import (PosetData, all_perms, enumerate_partitions,
                         perm_stat, poset_char_poly, reciprocal_poly,
                         six_vertex_sum)
 from ..exactnum import (PolyQ, TruncSeries, _one_minus_power, _q_binomial_pairs,
-                        binomial, chebyshev_u, compose_each, rat, stirling2)
+                        bell, binomial, chebyshev_u, compose_each, rat, stirling2)
 from ..linalg import MatrixR, _det_laplace, char_poly, det
 from .base import (ONE, IdentityRecord, Resample, Trial, VerifyReport, _vdm,
                    add, distinct_fracs, get_record, mul, pair, power, prod,
@@ -50,10 +50,6 @@ def _z_mu(mu) -> int:
     for part, mult in Counter(mu).items():
         out *= part ** mult * math.factorial(mult)
     return out
-
-
-def _bell(k: int) -> int:
-    return _int_exp(sum(stirling2(k, i) for i in range(k + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +221,7 @@ def _nc_suite_sides(n: int, q: Fraction):
     r2 = Fraction(1)
     for i in range(1, n + 1):
         r1 *= ((q * _chi_full_dual_tilde(i)(q))
-               ** (_int_exp(binomial(n, i)) * _bell(n - i)))
+               ** (_int_exp(binomial(n, i)) * bell(n - i)))
         r2 *= (q * _chi_full(i)(q)) ** _int_exp(stirling2(n, i))
     r3 = q ** _int_exp(binomial(2 * n - 1, n))
     r4 = q ** _int_exp(binomial(2 * n, n) / (n + 1))

@@ -16,7 +16,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, repeat, takewhile
+from itertools import accumulate, islice, repeat, takewhile
 from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
@@ -854,18 +854,6 @@ def compose_each(outers: Sequence[TruncSeries], inner: TruncSeries) -> list[Trun
     return out
 
 
-def exp_series(order: int) -> TruncSeries:
-    return TruncSeries(0, [Fraction(1, factorial(k)) for k in range(order)], order)
-
-
-def cos_series(order: int) -> TruncSeries:
-    return TruncSeries(
-        0,
-        [Fraction((-1) ** (k // 2), factorial(k)) if k % 2 == 0 else Fraction(0) for k in range(order)],
-        order,
-    )
-
-
 # ---------------------------------------------------------------------------
 # divided differences
 
@@ -897,64 +885,87 @@ def newton_coefficients(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> list[
 # special sequences and polynomials
 
 
-@lru_cache(maxsize=None)
-def _bernoulli_table(count: int) -> tuple[Fraction, ...]:
-    # z/(e^z - 1) = sum B_k z^k / k!
-    order = count
-    egf = exp_series(order + 1)
-    shifted = TruncSeries(0, [egf.coeff(k + 1) for k in range(order)], order)  # (e^z-1)/z
-    inv = shifted.inverse()
-    return tuple(inv.coeff(k) * factorial(k) for k in range(count))
-
-
 def _table_size(count: int) -> int:
     """Tables are built at power-of-two sizes (at least 16), so a process
-    builds O(log k) of them; a truncated series inverse is exact below its
-    order, so a larger table holds the same values."""
+    builds O(log k) of them; each entry of a table depends only on the
+    entries before it, so a larger table holds the same values."""
     if count < 1:
         raise ValueError("sequence index must be nonnegative")
     return max(16, 1 << (count - 1).bit_length())
 
 
-def bernoulli(k: int) -> Fraction:
-    return _bernoulli_table(_table_size(k + 1))[k]
-
-
 @lru_cache(maxsize=None)
-def _euler_even_table(count: int) -> tuple[Fraction, ...]:
-    # 1/cos z = sum E_{2k} z^{2k} / (2k)!
-    order = 2 * count + 1
-    sec = cos_series(order).inverse()
-    return tuple(sec.coeff(2 * k) * factorial(2 * k) for k in range(count))
+def _zigzag(count: int) -> tuple[int, ...]:
+    """The zigzag numbers A_0..A_(count-1), secant numbers at even and
+    tangent numbers at odd indices, from Seidel's boustrophedon: each row
+    is the running sum of the row before it read backwards, after a 0,
+    and A_m ends row m."""
+    out, row = [], [1]
+    for _ in range(count):
+        out.append(row[-1])
+        row = list(accumulate(reversed(row), initial=0))
+    return tuple(out)
+
+
+def bernoulli(k: int) -> Fraction:
+    """The Bernoulli number B_k (B_1 = -1/2), from the tangent numbers:
+    B_2m = (-1)^(m+1) 2m A_(2m-1) / (4^m (4^m - 1)), 0 at odd k > 1."""
+    zigzag = _zigzag(_table_size(k + 1))  # ValueError for k < 0
+    if k < 2:
+        return Fraction(1) if k == 0 else Fraction(-1, 2)
+    if k & 1:
+        return Fraction(0)
+    p = 4 ** (k // 2)
+    t = k * zigzag[k - 1]
+    return Fraction(t if k & 2 else -t, p * (p - 1))
 
 
 def euler_even(k: int) -> Fraction:
     """Secant number E_{2k}' indexed by the even subscript: euler_even(2m)."""
     if k % 2 != 0:
         raise ValueError("euler_even takes an even index")
-    return _euler_even_table(_table_size(k // 2 + 1))[k // 2]
+    return Fraction(_zigzag(_table_size(k + 1))[k])
 
 
-@lru_cache(maxsize=None)
+def _triangle(weight):
+    """The rows of the integer triangle T(0, 0) = 1,
+    T(m, k) = T(m-1, k-1) + weight(m, k) T(m-1, k), as a function of m;
+    a row m < 0 is empty.  Rows are built once, up to the largest m read."""
+    rows = [(1,)]
+
+    def row(m: int) -> tuple[int, ...]:
+        if m < 0:
+            return ()
+        while len(rows) <= m:
+            i, prev = len(rows), rows[-1]
+            rows.append((0, *(a + weight(i, k) * b
+                              for k, (a, b) in enumerate(zip(prev, prev[1:] + (0,)), 1))))
+        return rows[m]
+
+    return row
+
+
+_stirling2_row = _triangle(lambda m, k: k)
+_stirling1_row = _triangle(lambda m, k: m - 1)
+
+
 def stirling2(m: int, k: int) -> Fraction:
-    if m == 0 and k == 0:
-        return Fraction(1)
-    if m <= 0 or k <= 0 or k > m:
-        return Fraction(0)
-    return stirling2(m - 1, k - 1) + k * stirling2(m - 1, k)
+    """The Stirling number of the second kind S(m, k); 0 off 0 <= k <= m."""
+    row = _stirling2_row(m)
+    return Fraction(row[k] if 0 <= k < len(row) else 0)
 
 
-@lru_cache(maxsize=None)
 def stirling1_unsigned(m: int, k: int) -> Fraction:
-    if m == 0 and k == 0:
-        return Fraction(1)
-    if m <= 0 or k <= 0 or k > m:
-        return Fraction(0)
-    return stirling1_unsigned(m - 1, k - 1) + (m - 1) * stirling1_unsigned(m - 1, k)
+    """The unsigned Stirling number of the first kind c(m, k); 0 off
+    0 <= k <= m."""
+    row = _stirling1_row(m)
+    return Fraction(row[k] if 0 <= k < len(row) else 0)
 
 
-def catalan(n: int) -> Fraction:
-    return binomial(2 * n, n) / (n + 1)
+def bell(k: int) -> int:
+    """The Bell number B_k, the sum of row k of the second-kind table; 0
+    for k < 0."""
+    return sum(_stirling2_row(k))
 
 
 def asm_count(n: int) -> Fraction:
@@ -966,14 +977,18 @@ def asm_count(n: int) -> Fraction:
 
 
 def bell_poly(m: int) -> PolyQ:
-    return PolyQ([stirling2(m, k) for k in range(m + 1)])
+    return PolyQ(_stirling2_row(m))
 
 
-def hermite_poly(m: int) -> PolyQ:
-    coeffs = [Fraction(0)] * (m + 1)
-    for k in range(m // 2 + 1):
-        coeffs[m - 2 * k] = Fraction(factorial(m), factorial(k) * factorial(m - 2 * k)) * Fraction(-1, 2) ** k
-    return PolyQ(coeffs)
+def hermite_values(x, count: int) -> list[Fraction]:
+    """He_k(x) for k < count, by He_(k+1) = x He_k - k He_(k-1): with
+    x = p/d, He_k = h_k / d^k where h_(k+1) = p h_k - k d^2 h_(k-1)."""
+    x = rat(x)
+    p, d = x.numerator, x.denominator
+    hs = [1, p]
+    for k in range(1, count - 1):
+        hs.append(p * hs[k] - k * d * d * hs[k - 1])
+    return [Fraction(h, d ** k) for k, h in enumerate(hs[:count])]
 
 
 def chebyshev_u(m: int) -> PolyQ:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import (bernoulli, double_factorial, euler_even,
+from .exactnum import (bell, bernoulli, euler_even, hermite_values,
                        integer_numerators, rat)
 from .linalg import MatrixR, _eliminate, det
 
@@ -211,31 +211,10 @@ def bernoulli_shifted_moments(count: int, shift: int = 2) -> MomentSeq:
     return MomentSeq([bernoulli(k + shift) for k in range(count)])
 
 
-def _bell_moments(count: int) -> MomentSeq:
-    """The Bell numbers B_0..B_{count-1}, read off the integer Bell
-    triangle: each row starts with the last entry of the row above, and
-    each later entry adds the entry above-left to its left neighbour."""
-    out, row = [], [1]
-    for _ in range(count):
-        out.append(row[0])
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
-    return MomentSeq(out)
-
-
-def _hermite_moments(count: int) -> MomentSeq:
-    """He_k(0) for k < count: 0 for odd k and (-1)^(k/2) (k-1)!! for even
-    k, the moments of the standard Gaussian up to the sign."""
-    return MomentSeq([0 if k % 2 else (-1) ** (k // 2) * double_factorial(k - 1)
-                      for k in range(count)])
-
-
 # the built-in moment sequences, by name: count -> mu_0..mu_{count-1}
 NAMED_MOMENTS = {
     "bernoulli": lambda count: MomentSeq([bernoulli(k) for k in range(count)]),
     "euler": lambda count: MomentSeq([euler_even(2 * k) for k in range(count)]),
-    "bell": _bell_moments,
-    "hermite": _hermite_moments,
+    "bell": lambda count: MomentSeq([bell(k) for k in range(count)]),
+    "hermite": lambda count: MomentSeq(hermite_values(0, count)),
 }

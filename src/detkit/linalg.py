@@ -164,7 +164,8 @@ def _eliminate(a: list[list[int]]) -> tuple[int, list[int], int]:
     place: the one integer elimination behind `det` and
     `hankel.hankel_dets`.
 
-    Each row is divided by its content (the gcd of its entries).  With
+    Each row is divided by its content (the gcd of its entries) when
+    that is above 1, so a zero row is left as it is.  With
     pivot p, a row whose entry f below it is nonzero becomes
     (p/g) row - (f/g) pivot_row, g = gcd(p, f), and is divided by its
     content again: the linear-algebra analogue of the primitive PRS
@@ -190,9 +191,7 @@ def _eliminate(a: list[list[int]]) -> tuple[int, list[int], int]:
     num, den = [1] * n, [1] * n
     for i, row in enumerate(a):
         c = gcd(*row)
-        if c != 1:
-            if c == 0:
-                return sign, pivots, 0
+        if c > 1:
             a[i] = [x // c for x in row]
             num[i] = c
     for k in range(n):

@@ -26,7 +26,6 @@ from detkit.catalog.base import (ONE, IdentityRecord, Resample, Trial,
                                  rand_q, rising, run_trial, run_trials, sub,
                                  trial_rng)
 from detkit.catalog.sequences import _windows
-from detkit.exactnum import bell_poly, hermite_poly
 from detkit.linalg import MatrixR, det
 from entry_oracles import (_binomial_loop, _pochhammer_loop,
                            _q_factorial_loop, _q_int_formula, ab_entry,
@@ -61,6 +60,7 @@ from partition_oracles import (blocks_of, join_by_merging, labels_of,
                                meet_by_intersecting, refines)
 from sampler_oracles import distinct_fracs as distinct_fracs_oracle
 from sampler_oracles import sample_borchardt, sample_cauchy
+from sequence_oracles import bell_poly_rec, hermite_poly
 from series_oracles import compose_loop, inverse_loop, mul_loop, pow_loop
 
 
@@ -475,7 +475,7 @@ def test_tsscpp2_builder_matches_banded_entries(m):
     assert kinds == ({-1, 0, 1} if m % 3 == 0 else {-1, 1})
 
 
-@pytest.mark.parametrize("identity_id, poly", [("hankel-bell", bell_poly),
+@pytest.mark.parametrize("identity_id, poly", [("hankel-bell", bell_poly_rec),
                                                ("hankel-hermite", hermite_poly)])
 def test_moment_hankel_builders_match_per_entry(identity_id, poly):
     for x in (Fraction(0), Fraction(1), Fraction(-7, 3), Fraction(5, 4), Fraction(-9, 5)):

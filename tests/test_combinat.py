@@ -16,9 +16,10 @@ from detkit.combinat import (_all_partitions, all_perms, asm_enumerate,
                              nc_matchings, partition_lattice, perm_compose,
                              perm_invert, perm_stat, poset_char_poly,
                              reciprocal_poly, six_vertex_sum)
-from detkit.exactnum import PolyQ, asm_count, catalan
+from detkit.exactnum import PolyQ, asm_count
 from partition_oracles import (blocks_of, canonical, is_noncrossing,
                                labels_of, meet_by_intersecting, refines)
+from sequence_oracles import catalan
 
 
 # ---------------------------------------------------------------------------

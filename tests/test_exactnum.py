@@ -11,16 +11,21 @@ from hypothesis import strategies as st
 from detkit.catalog.base import pair, prod, rising
 from detkit.exactnum import (PolyQ, RatFn, TruncSeries, _binomial_pairs,
                              _q_binomial_pairs, _q_factorial_pairs,
-                             _q_int_pairs, _q_pochhammer_pairs,
-                             asm_count, bell_poly, bernoulli, binomial,
-                             catalan, chebyshev_u, compose_each, cos_series,
-                             double_factorial, euler_even, exp_series,
-                             factorial, fmt_rat, hermite_poly,
-                             integer_numerators, parse_rat, poly_gcd,
-                             power_pairs, rat, stirling1_unsigned, stirling2)
+                             _q_int_pairs, _q_pochhammer_pairs, _table_size,
+                             _zigzag, asm_count, bell, bell_poly, bernoulli,
+                             binomial, chebyshev_u, compose_each,
+                             double_factorial, euler_even, factorial,
+                             fmt_rat, hermite_values, integer_numerators,
+                             parse_rat, poly_gcd, power_pairs, rat,
+                             stirling1_unsigned, stirling2)
 from entry_oracles import (_binomial_loop, _pochhammer_loop, _q_binomial_loop,
                            _q_factorial_loop, _q_int_formula, _q_pochhammer_loop,
                            poly_horner, ratfn_value)
+from sequence_oracles import (bell_poly_rec, bell_triangle, bernoulli_series,
+                              bernoulli_table, catalan, cos_series,
+                              euler_even_series, euler_even_table, exp_series,
+                              hermite_poly, stirling1_unsigned_rec,
+                              stirling2_rec)
 from series_oracles import (add_loop, compose_loop, div_scalar_loop, eq_loop,
                             inverse_loop, mul_loop)
 
@@ -65,23 +70,71 @@ def test_bernoulli_euler_anchors():
 
 
 def test_bernoulli_euler_tables_match_exact_size_tables():
-    # the power-of-two tables hold the same values as a table built at
-    # exactly the size each index needs
-    from detkit.exactnum import _bernoulli_table, _euler_even_table
+    # the power-of-two boustrophedon holds the same values as one built at
+    # exactly the size each index needs, and those are the coefficients of
+    # series-inverse tables built at that size
     for k in range(120):
-        assert bernoulli(k) == _bernoulli_table.__wrapped__(k + 1)[k]
+        assert _zigzag(_table_size(k + 1))[k] == _zigzag.__wrapped__(k + 1)[k]
+        assert bernoulli(k) == bernoulli_table(k + 1)[k]
     for k in range(0, 120, 2):
-        assert euler_even(k) == _euler_even_table.__wrapped__(k // 2 + 1)[k // 2]
+        assert euler_even(k) == euler_even_table(k // 2 + 1)[k // 2]
     with pytest.raises(ValueError):
         bernoulli(-1)
     with pytest.raises(ValueError):
         euler_even(-2)
 
 
+def _same(got, want):
+    return got == want and type(got) is type(want)
+
+
+def test_bernoulli_and_euler_match_series_inverse_oracles():
+    assert all(_same(bernoulli(k), bernoulli_series(k)) for k in range(401))
+    assert all(_same(euler_even(k), euler_even_series(k)) for k in range(0, 401, 2))
+
+
+@pytest.mark.parametrize("fn, oracle, k", [
+    (bernoulli, bernoulli_series, -1), (bernoulli, bernoulli_series, -2),
+    (bernoulli, bernoulli_series, -7), (euler_even, euler_even_series, -2),
+    (euler_even, euler_even_series, -1), (euler_even, euler_even_series, 1),
+    (euler_even, euler_even_series, 7)])
+def test_sequence_index_errors_match_oracles(fn, oracle, k):
+    with pytest.raises(Exception) as want:
+        oracle(k)
+    with pytest.raises(type(want.value)):
+        fn(k)
+
+
+def test_stirling_and_bell_polys_match_recursion_oracles():
+    for m in range(-2, 121):
+        for k in range(-2, max(m, 0) + 3):
+            assert _same(stirling2(m, k), stirling2_rec(m, k)), (m, k)
+            assert _same(stirling1_unsigned(m, k), stirling1_unsigned_rec(m, k)), (m, k)
+    for m in range(-1, 61):
+        assert bell_poly(m) == bell_poly_rec(m), m
+        assert all(type(c) is Fraction for c in bell_poly(m).coeffs)
+
+
+def test_stirling_and_bell_far_past_the_recursion_limit():
+    # each of these raised RecursionError on a Fraction recursion
+    assert stirling2(600, 3) == (3 ** 600 - 3 * 2 ** 600 + 3) // 6
+    assert stirling1_unsigned(600, 599) == math.comb(600, 2)
+    assert bell(600) == bell_triangle(601)[600]
+    assert type(bell(600)) is int
+
+
+def test_bell_matches_the_bell_triangle():
+    assert [bell(k) for k in range(120)] == bell_triangle(120)
+    assert all(type(bell(k)) is int for k in range(-2, 5))
+    assert bell(-1) == 0
+
+
 def test_stirling_catalan_anchors():
-    # [TRIVIAL] S(4,2) = 7, c(4,2) = 11, Catalan 1,1,2,5,14,42
+    # [TRIVIAL] S(4,2) = 7, c(4,2) = 11, Bell 1,1,2,5,15,52,
+    # Catalan 1,1,2,5,14,42
     assert stirling2(4, 2) == 7
     assert stirling1_unsigned(4, 2) == 11
+    assert [bell(k) for k in range(6)] == [1, 1, 2, 5, 15, 52]
     assert [catalan(k) for k in range(6)] == [1, 1, 2, 5, 14, 42]
 
 
@@ -509,10 +562,19 @@ def test_special_polys():
     assert bell_poly(3) == PolyQ([0, 1, 3, 1])
     assert hermite_poly(2) == PolyQ([Fraction(-1), 0, 1])
     assert hermite_poly(3)(0) == 0
+    assert hermite_values(Fraction(1, 2), 4) == [1, Fraction(1, 2), Fraction(-3, 4), Fraction(-11, 8)]
+    assert hermite_values(3, 0) == [] and hermite_values(3, 1) == [1]
     assert chebyshev_u(2) == PolyQ([-1, 0, 4])
     # Chebyshev recurrence U_{m+1}(x) = 2x U_m(x) - U_{m-1}(x)
     for m in range(1, 6):
         assert chebyshev_u(m + 1) == PolyQ([0, 2]) * chebyshev_u(m) - chebyshev_u(m - 1)
+
+
+@given(rationals, st.integers(0, 12))
+def test_hermite_values_match_the_explicit_sum(x, count):
+    got = hermite_values(x, count)
+    assert got == [hermite_poly(k)(x) for k in range(count)]
+    assert all(type(v) is Fraction for v in got)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detkit.exactnum import (PolyQ, RatFn, asm_count, catalan, factorial,
+from detkit.exactnum import (PolyQ, RatFn, asm_count, factorial,
                              newton_coefficients)
 from detkit.guess import (GuessExpr, ZeroTermError, fit_rational,
                           lagrange_interpolate, linear_factors, rate_guess)
 from detkit.linalg import MatrixR, kernel_basis
+from sequence_oracles import catalan
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=5)
 nodes = st.one_of(st.integers(-12, 12).map(Fraction),

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from det_oracles import bareiss_int, det_condensation, det_gauss
 from detkit import hankel
 from detkit.exactnum import (TruncSeries, bell_poly, bernoulli, binomial,
-                             catalan, euler_even, hermite_poly)
+                             euler_even)
 from detkit.hankel import (NAMED_MOMENTS, DegenerateMomentsError, JFraction,
                            MomentSeq, bernoulli_shifted_moments,
                            hankel_det, hankel_dets,
@@ -22,6 +22,7 @@ from detkit.hankel import (NAMED_MOMENTS, DegenerateMomentsError, JFraction,
                            jfraction_from_moments,
                            moments_from_jfraction)
 from detkit.linalg import MatrixR, det
+from sequence_oracles import bell_triangle, catalan, hermite_poly
 from series_oracles import moments_from_jfraction_series
 
 
@@ -168,6 +169,21 @@ def test_hankel_dets_through_a_vanishing_minor():
     assert hankel_dets(s, 0) == []
 
 
+def test_hankel_dets_takes_the_first_order_before_a_zero_row():
+    # 1, 0, 0, 0, 0: rows 1 and 2 of the order-3 matrix are zero from the
+    # start; H_1 comes from the one pass, and only H_2 and H_3 are
+    # computed on their own
+    requested = []
+
+    def one_order(seq, k):
+        requested.append(k)
+        return det_gauss(hankel_matrix(seq, k))
+
+    with mock.patch.object(hankel, "hankel_det", one_order):
+        assert hankel_dets(MomentSeq([1, 0, 0, 0, 0]), 3) == [1, 0, 0]
+    assert requested == [2, 3]
+
+
 _small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
 
@@ -234,17 +250,19 @@ def _in_span(row, basis):
 def test_hankel_dets_when_a_row_becomes_zero(case):
     # mu_j = sum_t c_t r_t^j over k + 1 terms gives a Hankel matrix of
     # rank at most k + 1 < n, so some row becomes zero after a step s of
-    # the elimination; the orders before it still come from the one pass
-    # and only the later ones are computed on their own
+    # the elimination, or is zero from the start; the orders before it
+    # still come from the one pass and only the later ones are computed on
+    # their own
     n, terms = case
     s = MomentSeq([sum(c * r ** j for c, r in terms) for j in range(2 * n - 1)])
     rows = [s.values[i:i + n] for i in range(n)]
     minors = [det_gauss(hankel_matrix(s, k)) for k in range(1, n + 1)]
     # the pass stops at the first zero pivot, H_(k+1) = 0 at step k, or
-    # after the first step s at which a row i > s is in the span of rows
-    # 0..s (s = -1: a zero row)
+    # after the first step s at which a nonzero row i > s is in the span of
+    # rows 0..s; a row that is zero from the start is never updated, and
+    # at its own step i the minor H_(i+1) is already 0
     first_zero = next((k for k, h in enumerate(minors) if h == 0), n)
-    zero_row_step = min((st for i in range(n) for st in range(-1, i)
+    zero_row_step = min((st for i in range(n) if any(rows[i]) for st in range(i)
                          if _in_span(rows[i], rows[:st + 1])), default=n)
     passed = min(first_zero, zero_row_step + 1)
     requested = []
@@ -372,9 +390,10 @@ def test_heilermann_matches_hankel_dets_at_20(moment):
 
 
 def test_named_moments_match_polynomial_values():
-    # the integer formulas against evaluating the whole polynomial
+    # the integer recurrences against evaluating the whole polynomial, and
+    # the Bell numbers against the Bell triangle
     assert NAMED_MOMENTS["bell"](80).values == tuple(
-        bell_poly(k)(1) for k in range(80))
+        bell_poly(k)(1) for k in range(80)) == tuple(bell_triangle(80))
     assert NAMED_MOMENTS["hermite"](80).values == tuple(
         hermite_poly(k)(0) for k in range(80))
     assert all(type(v) is Fraction for name in NAMED_MOMENTS

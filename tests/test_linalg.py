@@ -16,8 +16,8 @@ from detkit.catalog import get_record
 from detkit.catalog.base import Resample, trial_rng
 from detkit.exactnum import PolyQ, RatFn, TruncSeries
 from detkit.linalg import (MatrixR, SingularMinorError, _det_laplace,
-                           char_poly, det, kernel_basis, lu_decompose,
-                           permanent, pfaffian, resultant)
+                           _eliminate, char_poly, det, kernel_basis,
+                           lu_decompose, permanent, pfaffian, resultant)
 from det_oracles import (char_poly_faddeev_leverrier, det_condensation,
                          det_gauss, det_permutation_expansion,
                          pfaffian_expansion, pfaffian_matching_sum)
@@ -282,6 +282,15 @@ def test_det_of_rank_deficient_and_zero_row_matrices(n, data):
                            min_size=n, max_size=n))
     a[data.draw(st.integers(0, n - 1))] = [Fraction(0)] * n
     _assert_det_matches_oracles(MatrixR.from_rows(a), 0)
+
+
+def test_eliminate_passes_a_zero_row_until_its_step():
+    # [DERIVED] a row that is zero from the start is not divided by its
+    # content 0: step 0 still gives the leading minor 1, and the pass stops
+    # at the zero pivot column of step 1
+    assert _eliminate([[1, 0, 0], [0, 0, 0], [0, 0, 1]]) == (1, [1], 1)
+    assert _eliminate([[0, 0], [0, 0]]) == (1, [], 0)
+    assert _eliminate([[2, 4], [0, 0]]) == (1, [2], 1)
 
 
 def test_det_swaps_rows_with_their_removed_factors():
