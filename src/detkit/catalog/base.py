@@ -11,8 +11,10 @@ from fractions import Fraction
 from itertools import chain
 from typing import Callable, Optional
 
-from ..exactnum import (PolyQ, _one_minus_power, _q_factorial_pairs,
-                        _q_int_pairs, fmt_rat, rat)
+from ..exactnum import (PolyQ, _homogeneous, _one_minus_power,
+                        _q_factorial_pairs, _q_int_pairs, fmt_rat,
+                        integer_numerators, rat)
+from ..linalg import MatrixR
 
 
 class Resample(Exception):
@@ -98,6 +100,7 @@ def _ceil(a: int, b: int) -> int:
 
 
 ONE = (1, 1)
+ZERO = (0, 1)
 
 
 def pair(value) -> tuple[int, int]:
@@ -157,6 +160,27 @@ def prod(factors) -> Fraction:
     if den == 0:  # Fraction's own message would print the numerator
         raise ZeroDivisionError("a factor's denominator is 0")
     return out if num == den == 1 else out * Fraction(num, den)
+
+
+def pair_matrix(n: int, entry) -> MatrixR:
+    """The n x n matrix of the integer pairs entry(i, j), by
+    `MatrixR.from_pairs`."""
+    return MatrixR.from_pairs([[entry(i, j) for j in range(n)] for i in range(n)])
+
+
+def int_poly(coeffs, top: int = 0):
+    """The polynomial sum coeffs[k] x^k as the triple (cs, d, bound): its
+    integer coefficients cs over their common denominator d, and a degree
+    bound of at least top; an empty tuple is the zero polynomial."""
+    cs, d = integer_numerators([rat(c) for c in coeffs])
+    return cs, d, max(len(cs) - 1, top)
+
+
+def poly_pair(p, x):
+    """The value of the `int_poly` p at the pair x = u/v, as the integer
+    pair (sum c_k u^k v^(top-k), d v^top), by Horner's rule."""
+    (cs, d, top), (u, v) = p, x
+    return _homogeneous(cs, u, v, top), d * v ** top
 
 
 def over_pairs(f, xs):

@@ -10,8 +10,9 @@ from itertools import chain
 
 from ..exactnum import _binomial_pairs, double_factorial, rat
 from ..linalg import MatrixR, det
-from .base import (IdentityRecord, Resample, _sample_mu, add, det_record, inv,
-                   pair, prod, rand_frac, register, rising, sub)
+from .base import (ZERO, IdentityRecord, Resample, _sample_mu, add,
+                   det_record, inv, pair, pair_matrix, prod, rand_frac,
+                   register, rising, sub)
 
 
 def _sign_mod4(n: int) -> int:
@@ -100,7 +101,7 @@ register(IdentityRecord(id="mrr-factor", trial=_mrr_factor_trial, max_n=2))
 def _build_mrr(n, mu):
     # entry (i, j) is binomial(mu + i + j, 2i - j), one table per i + j
     tables = _binomial_rows(rat(mu), range(2 * n - 1), 2 * n - 2)
-    return MatrixR.build(n, n, lambda i, j: Fraction(*tables[i + j](2 * i - j)))
+    return pair_matrix(n, lambda i, j: tables[i + j](2 * i - j))
 
 
 def _closed_mrr(n, mu):
@@ -122,8 +123,8 @@ def _build_rn(n, mu):
         # binomial(mu+i+j, 2i-j) + 2 binomial(mu+i+j+2, 2i-j+1), one table
         # per i + j and i + j + 2
         (n1, d1), (n2, d2) = tables[i + j](2 * i - j), tables[i + j + 2](2 * i - j + 1)
-        return Fraction(n1 * d2 + 2 * n2 * d1, d1 * d2)
-    return MatrixR.build(n, n, entry)
+        return n1 * d2 + 2 * n2 * d1, d1 * d2
+    return pair_matrix(n, entry)
 
 
 def _closed_rn(n, mu):
@@ -153,12 +154,12 @@ def _build_chu1(n, c, x):
     def entry(i, j):
         s, k = i + j, 2 * i - j
         if k < 0:
-            return Fraction(0)
+            return ZERO
         (p1, d1), (p2, d2) = rows[i]
         n1 = math.prod(range(p1 + s * d1, p1 + (s - k) * d1, -d1))
         n2 = math.prod(range(p2 + s * d2, p2 + (s - k) * d2, -d2))
-        return Fraction(n1 * d2 ** k + n2 * d1 ** k, (d1 * d2) ** k * math.factorial(k))
-    return MatrixR.build(n, n, entry)
+        return n1 * d2 ** k + n2 * d1 ** k, (d1 * d2) ** k * math.factorial(k)
+    return pair_matrix(n, entry)
 
 
 def _build_ab(n, x, y):
@@ -207,12 +208,12 @@ def _build_chu2(n, c):
     def entry(i, j):
         s, k = i + j, 2 * i - j
         if k < 0:
-            return Fraction(0)
+            return ZERO
         u = 2 * p + (2 * s + 1) * d
         num = (4 * ((k - 1) * d * d + (2 * p + 3 * j * d) ** 2)
                * math.prod(range(u, u - 2 * k * d, -2 * d)))
-        return Fraction(num, u * (u - 2 * d) * (2 * d) ** k * math.factorial(k))
-    return MatrixR.build(n, n, entry)
+        return num, u * (u - 2 * d) * (2 * d) ** k * math.factorial(k)
+    return pair_matrix(n, entry)
 
 
 def _closed_chu2(n, c):

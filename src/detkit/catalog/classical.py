@@ -4,15 +4,14 @@ partition product formula."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 
-from ..exactnum import (PolyQ, _homogeneous, binomial, integer_numerators,
-                        power_pairs, rat)
+from ..exactnum import PolyQ, binomial, power_pairs, rat
 from ..linalg import PERMANENT_MAX_N, MatrixR, permanent
 from .base import (ONE, Resample, _vdm, add, det_record, differences,
-                   distinct_fracs, inv, mul, over_pairs, pair, pairs, power,
-                   prod, rand_frac, rand_nonzero, sub)
+                   distinct_fracs, int_poly, inv, mul, over_pairs, pair,
+                   pair_matrix, pairs, poly_pair, power, prod, rand_frac,
+                   rand_nonzero, sub)
 
 
 # ---------------------------------------------------------------------------
@@ -25,7 +24,7 @@ def _sample_x(rng, n):
 
 def _build_vandermonde(n, X):
     rows = [power_pairs(x, 0, n - 1) for x in X]
-    return MatrixR.build(n, n, lambda i, j: Fraction(*rows[i](j)))
+    return pair_matrix(n, lambda i, j: rows[i](j))
 
 
 def _closed_vandermonde(n, X):
@@ -45,8 +44,8 @@ def _sample_vdm_poly(rng, n):
 
 
 def _build_vdm_poly(n, X, coeffs):
-    ps = [PolyQ(c) for c in coeffs]
-    return MatrixR.build(n, n, lambda i, j: ps[j](rat(X[i])))
+    ps, X = [int_poly(cs) for cs in coeffs], pairs(X)
+    return pair_matrix(n, lambda i, j: poly_pair(ps[j], X[i]))
 
 
 def _closed_vdm_poly(n, X, coeffs):
@@ -75,8 +74,8 @@ def _laurent_entries(n, X, s, step, offset):
     def entry(i, j):
         e = step * j + offset
         (a, b), (c, d) = rows[i](e), rows[i](-e)
-        return Fraction(a * d + s * c * b, b * d)
-    return MatrixR.build(n, n, entry)
+        return a * d + s * c * b, b * d
+    return pair_matrix(n, entry)
 
 
 def _build_weyl_c(n, X):
@@ -145,7 +144,8 @@ def _sample_cauchy(rng, n):
 
 
 def _build_cauchy(n, X, Y):
-    return MatrixR.build(n, n, lambda i, j: 1 / (rat(X[i]) + rat(Y[j])))
+    X, Y = pairs(X), pairs(Y)
+    return MatrixR.from_pairs([[inv(add(x, y)) for y in Y] for x in X])
 
 
 def _closed_cauchy(n, X, Y):
@@ -170,7 +170,8 @@ def _sample_borchardt(rng, n):
 
 
 def _build_borchardt(n, X, Y):
-    return MatrixR.build(n, n, lambda i, j: 1 / (rat(X[i]) - rat(Y[j])) ** 2)
+    X, Y = pairs(X), pairs(Y)
+    return MatrixR.from_pairs([[power(sub(x, y), -2) for y in Y] for x in X])
 
 
 def _closed_borchardt(n, X, Y):
@@ -202,7 +203,7 @@ def _factored_columns(n, X, forms, A, B=(), switch=None, col_factor=None):
 
     Each row keeps a running suffix product over the upper alphabet and a
     running prefix product over the lower one, on integer numerators and
-    denominators, and builds one Fraction per entry.
+    denominators, and hands one integer pair per entry to the matrix.
     """
     def running(fs, up, lo):
         sn, sd = [1] * n, [1] * n
@@ -231,8 +232,8 @@ def _factored_columns(n, X, forms, A, B=(), switch=None, col_factor=None):
             for j, (cn, cd) in enumerate(col_factor(x)):
                 nums[j] *= cn
                 dens[j] *= cd
-        rows.append([Fraction(u, v) for u, v in zip(nums, dens)])
-    return MatrixR.from_rows(rows)
+        rows.append(list(zip(nums, dens)))
+    return MatrixR.from_pairs(rows)
 
 
 def _int_forms(pairs):
@@ -359,15 +360,11 @@ def _sample_krat3a(rng, n):
 
 
 def _build_krat3a(n, X, A, polys):
-    # the integer coefficients, their denominator and the degree bound;
-    # an empty tuple is the zero polynomial, bounded by degree 0
-    ps = [(*integer_numerators([rat(c) for c in cs]), max(len(cs) - 1, 0))
-          for cs in polys]
+    ps = [int_poly(cs) for cs in polys]
 
     def col_factor(x):
-        # p_j(x) = sum c_k x^k / d by Horner's rule on x = u/v
-        u, v = x.numerator, x.denominator
-        return [(_homogeneous(cs, u, v, top), d * v ** top) for cs, d, top in ps]
+        x = x.numerator, x.denominator
+        return [poly_pair(p, x) for p in ps]
     return _factored_columns(n, X, lambda x: ((x, 1),), A, col_factor=col_factor)
 
 

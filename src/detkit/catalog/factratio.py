@@ -11,8 +11,8 @@ from itertools import accumulate, chain
 from ..exactnum import (_binomial_pairs, _one_minus_power, _q_pochhammer_pairs,
                         binomial, double_factorial, power_pairs, rat)
 from ..linalg import MatrixR
-from .base import (Resample, det_record, inv, pair, power, prod, rand_nonzero,
-                   rand_q, rising)
+from .base import (ZERO, Resample, det_record, inv, pair, pair_matrix, power,
+                   prod, rand_nonzero, rand_q, rising)
 
 
 # ---------------------------------------------------------------------------
@@ -35,9 +35,9 @@ def _ratio_entries(n, x, y, shift, extra):
     def entry(i, j):
         a, b = x + 2 * i - j + shift, y + 2 * j - i + shift
         if a < 0 or b < 0:
-            return Fraction(0)
-        return Fraction(f(x + y + i + j - 1) * extra(i, j), f(a) * f(b))
-    return MatrixR.build(n, n, entry)
+            return ZERO
+        return f(x + y + i + j - 1) * extra(i, j), f(a) * f(b)
+    return pair_matrix(n, entry)
 
 
 def _ratio_product(n, x, y, shift):
@@ -87,15 +87,14 @@ def _q_ratio_entries(n, x, y, q, shift, extra):
         for j in range(n):
             a, b = x + 2 * i - j + shift, y + 2 * j - i + shift
             if a < 0 or b < 0:
-                row.append(Fraction(0))
+                row.append(ZERO)
             else:
                 (n1, d1), (n2, d2), (n3, d3) = qq(s + i + j), qq(a), qq(b)
                 (n4, d4), (n5, d5) = neg(i + j), qpow(-2 * i * j)
                 en, ed = extra(i, j)
-                row.append(Fraction(n1 * d2 * d3 * n5 * d4 * en,
-                                    d1 * n2 * n3 * d5 * n4 * ed))
+                row.append((n1 * d2 * d3 * n5 * d4 * en, d1 * n2 * n3 * d5 * n4 * ed))
         rows.append(row)
-    return MatrixR.from_rows(rows)
+    return MatrixR.from_pairs(rows)
 
 
 def _q_ratio_product(n, x, y, q, shift):
@@ -170,13 +169,13 @@ def _build_anst(n, x, E, q):
         for j in range(n):
             k = i - j
             if k < lo:
-                row.append(Fraction(0))
+                row.append(ZERO)
                 continue
             (n1, d1), (n2, d2), (n3, d3) = p1(k), p2(k), p3(k)
             (n4, d4), (n5, d5), (n6, d6) = qq(2 * i + 1 - j), p4(k), p5(k)
-            row.append(Fraction(n1 * n2 * n3 * d4 * d5 * d6, d1 * d2 * d3 * n4 * n5 * n6))
+            row.append((n1 * n2 * n3 * d4 * d5 * d6, d1 * d2 * d3 * n4 * n5 * n6))
         rows.append(row)
-    return MatrixR.from_rows(rows)
+    return MatrixR.from_pairs(rows)
 
 
 def _closed_anst(n, x, E, q):
@@ -284,8 +283,8 @@ def _build_banded(n, m, x):
         last = len(row) - 1
         lo = min(max(x + 2 * i - j + 1, 0), last)
         hi = min(max(x + m + 2 * j - i + 1, 0), last)
-        return Fraction(row[hi] - row[lo])
-    return MatrixR.build(n, n, entry)
+        return row[hi] - row[lo], 1
+    return pair_matrix(n, entry)
 
 
 def _sample_x(rng, n):
@@ -344,8 +343,8 @@ def _build_pentagon(n, x, y):
 
     def entry(i0, j0):
         (a, b), (c, d) = cols[j0](x - i0 + 2 * j0 + 1), cols[j0](x + i0 + 2 * j0 + 3)
-        return Fraction(a * d - c * b, b * d)
-    return MatrixR.build(n, n, entry)
+        return a * d - c * b, b * d
+    return pair_matrix(n, entry)
 
 
 def _closed_pentagon(n, x, y):

@@ -10,8 +10,8 @@ from itertools import chain
 
 from ..exactnum import _binomial_pairs, binomial, rat
 from ..linalg import MatrixR, det
-from .base import (IdentityRecord, Resample, _ceil, add, det_record, inv, pair,
-                   prod, rand_frac, register, rising, sub)
+from .base import (ZERO, IdentityRecord, Resample, _ceil, add, det_record, inv,
+                   pair, pair_matrix, prod, rand_frac, register, rising, sub)
 
 
 # ---------------------------------------------------------------------------
@@ -39,17 +39,17 @@ def _build_xbc(n, b, c, x):
     def entry(i, j):
         if j < c:
             if i < c:
-                return Fraction(*cols[j](i))
+                return cols[j](i)
             if i < b:
-                return Fraction(0)
+                return ZERO
             a, d = cols[j](i - b)
-            return Fraction(2 * a, d)
+            return 2 * a, d
         if j < b:
-            return Fraction(*cols[j](i if i < b else i - b))
+            return cols[j](i if i < b else i - b)
         if i < b:
-            return Fraction(*cols[j](i))
-        return Fraction(0)
-    return MatrixR.build(b + c, b + c, entry)
+            return cols[j](i)
+        return ZERO
+    return pair_matrix(b + c, entry)
 
 
 def _closed_xbc(n, b, c, x):
@@ -93,8 +93,8 @@ def _build_poorten(n, N, l, x):
         i1, i2 = rows[r]
         j1, j2 = cols[c]
         a, d = tables[j2](i1 - j1)
-        return Fraction((-a if (i1 - j1) & 1 else a) * math.comb(j2, i2), d)
-    return MatrixR.build(len(rows), len(rows), entry)
+        return (-a if (i1 - j1) & 1 else a) * math.comb(j2, i2), d
+    return pair_matrix(len(rows), entry)
 
 
 def _closed_poorten(n, N, l, x):

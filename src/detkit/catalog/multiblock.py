@@ -5,14 +5,15 @@ divided differences, and their q-analogues."""
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 
-from ..exactnum import (PolyQ, _q_factorial_pairs, _q_int_pairs, _running,
-                        divided_differences, factorial, power_pairs, rat)
+from ..exactnum import (_homogeneous, _q_factorial_pairs, _q_int_pairs,
+                        _running, factorial, integer_numerators, power_pairs,
+                        rat)
 from ..linalg import MatrixR, det
-from .base import (_vdm, det_record, distinct_fracs, mul, pair, pairs, power,
-                   prod, rand_frac, rand_q, sub)
+from .base import (ZERO, det_record, differences, distinct_fracs, int_poly,
+                   mul, pair, pair_matrix, pairs, poly_pair, power, prod,
+                   rand_frac, rand_q, sub)
 
 
 def _binom2(m: int) -> int:
@@ -58,10 +59,10 @@ def _build_flha1(n, parts, X):
     def entry(i, jc):
         k, s = cols[jc]
         if i < s - 1:
-            return Fraction(0)
+            return ZERO
         a, b = rows[k](i - s + 1)
-        return Fraction(math.perm(i, s - 1) * a, b)
-    return MatrixR.build(n, n, entry)
+        return math.perm(i, s - 1) * a, b
+    return pair_matrix(n, entry)
 
 
 def _closed_flha1(n, parts, X):
@@ -91,8 +92,8 @@ def _build_flha2(n, parts, X):
     def entry(i, jc):
         k, s = cols[jc]
         a, b = rows[k](i)
-        return Fraction(i ** (s - 1) * a, b)
-    return MatrixR.build(n, n, entry)
+        return i ** (s - 1) * a, b
+    return pair_matrix(n, entry)
 
 
 def _closed_flha2(n, parts, X):
@@ -113,34 +114,45 @@ def _sample_wronski(rng, n):
     return {"parts": parts, "a": a, "polys": polys}
 
 
+def _newton_ints(p, us, v):
+    """The Newton divided-difference coefficients of the `int_poly` p
+    over the points us[j]/v, as integer pairs.
+
+    With p = sum c_t x^t / d, F(u) = sum c_t u^t v^(top-t) is an integer
+    polynomial, so its divided differences over the integer nodes us are
+    integers, each level's by exact division; p's of order l is F's over
+    d v^(top-l)."""
+    cs, d, top = p
+    table = [_homogeneous(cs, u, v, top) for u in us]
+    out = [(table[0], d * v ** top)] if table else []
+    for level in range(1, len(us)):
+        table = [(table[j + 1] - table[j]) // (us[j + level] - us[j])
+                 for j in range(len(table) - 1)]
+        out.append((table[0], d * v ** (top - level)))
+    return out
+
+
 def _build_wronski(n, parts, a, polys):
-    fs = [PolyQ(c) for c in polys]
-    # per block, the Newton divided-difference coefficients over the
-    # block's point prefix
+    # entry (i, (k, s)) is the divided difference of p_i over the first s
+    # points of block k, read from one Newton table per block and p_i
+    ps = [int_poly(cs, n - 1) for cs in polys]
     tables = []
-    off = 0
-    for m in parts:
-        pts = [rat(x) for x in a[off:off + m]]
-        tables.append([divided_differences(f, pts) for f in fs])
-        off += m
+    for m, end in zip(parts, accumulate(parts)):
+        us, v = integer_numerators([rat(x) for x in a[end - m:end]])
+        tables.append([_newton_ints(p, us, v) for p in ps])
     cols = _columns(parts)
 
     def entry(i, jc):
         k, s = cols[jc]
         return tables[k][i][s - 1]
-    return MatrixR.build(n, n, entry)
+    return pair_matrix(n, entry)
 
 
 def _closed_wronski(n, parts, a, polys):
-    fs = [PolyQ(c) for c in polys]
-    pts = [rat(x) for x in a]
-    plain = det(MatrixR.build(n, n, lambda i, j: fs[i](pts[j])))
-    denom = Fraction(1)
-    off = 0
-    for m in parts:
-        denom *= _vdm(pts[off:off + m])
-        off += m
-    return plain / denom
+    ps, pts = [int_poly(cs) for cs in polys], pairs(a)
+    plain = det(pair_matrix(n, lambda i, j: poly_pair(ps[i], pts[j])))
+    return plain / prod(chain.from_iterable(
+        differences(pts[end - m:end]) for m, end in zip(parts, accumulate(parts))))
 
 
 det_record("wronski", _sample_wronski, _build_wronski, _closed_wronski, max_n=5)
@@ -167,8 +179,8 @@ def _build_qflha1(n, parts, X, C, q):
     rows = []
     for i in range(n):
         coeffs = _running(q_int_pair(C + i - t + 1) for t in range(1, top))
-        rows.append([Fraction(*mul(coeffs(s - 1), powers[k](i + 1 - s))) for k, s in cols])
-    return MatrixR.from_rows(rows)
+        rows.append([mul(coeffs(s - 1), powers[k](i + 1 - s)) for k, s in cols])
+    return MatrixR.from_pairs(rows)
 
 
 def _cross_q(parts, X, q):
@@ -218,8 +230,8 @@ def _build_qflha2(n, parts, X, C, q):
     def entry(i, jc):
         k, s = cols[jc]
         (a, b), (c, d) = power(q_int_pair(C + i), s - 1), rows[k](i)
-        return Fraction(a * c, b * d)
-    return MatrixR.build(n, n, entry)
+        return a * c, b * d
+    return pair_matrix(n, entry)
 
 
 def _closed_qflha2(n, parts, X, C, q):

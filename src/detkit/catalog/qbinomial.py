@@ -9,10 +9,9 @@ from itertools import chain
 
 from ..exactnum import (_binomial_pairs, _q_binomial_pairs, double_factorial,
                         factorial, power_pairs, rat)
-from ..linalg import MatrixR
-from .base import (ONE, _ceil, _sample_mu, add, decreasing_ints, det_record,
-                   differences, inv, pair, pairs, power, prod, q_ratios,
-                   q_rows, rand_frac, rand_q, rising)
+from .base import (ONE, ZERO, _ceil, _sample_mu, add, decreasing_ints,
+                   det_record, differences, inv, pair, pair_matrix, pairs,
+                   power, prod, q_ratios, q_rows, rand_frac, rand_q, rising)
 
 
 def _inv_fact(m: int) -> Fraction:
@@ -37,8 +36,7 @@ def _sample_pp1(rng, n):
 def _build_pp1(n, L, A, q):
     # entry (i, j) is [L_i+A+j+1 choose L_i+j+1]_q
     tables = _q_binomial_tables((v + A + j + 1 for v in L for j in range(n)), q, max(L) + n)
-    return MatrixR.build(
-        n, n, lambda i, j: Fraction(*tables[L[i] + A + j + 1](L[i] + j + 1)))
+    return pair_matrix(n, lambda i, j: tables[L[i] + A + j + 1](L[i] + j + 1))
 
 
 def _closed_pp1(n, L, A, q):
@@ -61,8 +59,8 @@ def _build_pp2(n, L, A, q):
 
     def entry(i, j):
         (a, b), (c, e) = power(q, (j + 1) * L[i]), table(L[i] + j + 1)
-        return Fraction(a * c, b * e)
-    return MatrixR.build(n, n, entry)
+        return a * c, b * e
+    return pair_matrix(n, entry)
 
 
 def _closed_pp2(n, L, A, q):
@@ -82,7 +80,7 @@ def _build_pp3(n, L, A, B):
     # row i reads binomial(B L_i + A, L_i + j + 1) from one table
     A, B = rat(A), rat(B)
     rows = [_binomial_pairs(B * v + A, v + n) for v in L]
-    return MatrixR.build(n, n, lambda i, j: Fraction(*rows[i](L[i] + j + 1)))
+    return pair_matrix(n, lambda i, j: rows[i](L[i] + j + 1))
 
 
 def _closed_pp3(n, L, A, B):
@@ -108,10 +106,10 @@ def _build_abel(n, L, A, B):
     def entry(i, j):
         m = j + 1 - L[i]
         if m < 0:
-            return Fraction(0)
+            return ZERO
         a, b = rows[i](j)
-        return Fraction(a, b * factorial(m))
-    return MatrixR.build(n, n, entry)
+        return a, b * factorial(m)
+    return pair_matrix(n, entry)
 
 
 def _closed_abel(n, L, A, B):
@@ -135,8 +133,8 @@ def _build_shifted(n, L, A, q):
 
     def entry(i, j):
         (a, b), (c, e) = power(q, (j + 1) * L[i]), tables[L[i] + A - j - 1](L[i] + j + 1)
-        return Fraction(a * c, b * e)
-    return MatrixR.build(n, n, entry)
+        return a * c, b * e
+    return pair_matrix(n, entry)
 
 
 def _closed_shifted(n, L, A, q):
@@ -170,8 +168,8 @@ def _build_pp5(n, L, A, B, q):
 
     def entry(i, j):
         (a, b), (c, d) = binoms[L[i] + j + 1], binoms[L[i] + A - j - 1]
-        return Fraction(a * c, b * d)
-    return MatrixR.build(n, n, entry)
+        return a * c, b * d
+    return pair_matrix(n, entry)
 
 
 def _closed_pp5(n, L, A, B, q):
@@ -206,8 +204,8 @@ def _build_pp5a(n, X, Y, A, B, q):
     def entry(i, j):
         (n1, d1), (n2, d2) = tables[X[i] + B](j), tables[A + B - X[i]](j)
         (n3, d3), (n4, d4) = tables[X[i] + Y[j]](j), tables[Y[j] + A - X[i]](j)
-        return Fraction(n3 * n4 * d1 * d2, d3 * d4 * n1 * n2)
-    return MatrixR.build(n, n, entry)
+        return n3 * n4 * d1 * d2, d3 * d4 * n1 * n2
+    return pair_matrix(n, entry)
 
 
 def _closed_pp5a(n, X, Y, A, B, q):
@@ -245,8 +243,8 @@ def _make_pp4(identity_id, t):
             j = j0 + 1
             (a, b), (c, d) = table(j - L[i0]), table(-j - L[i0] + t)
             (e, f), (g, h) = power(q, j * (L[j0] - L[i0])), power(q, j * (2 * L[i0] + A - t))
-            return Fraction(e * (a * d * h - c * g * b), f * b * d * h)
-        return MatrixR.build(n, n, entry)
+            return e * (a * d * h - c * g * b), f * b * d * h
+        return pair_matrix(n, entry)
 
     def closed(n, L, A, q):
         return q_rows(q, [([L[j] - L[i] for j in range(i + 1, n)]
@@ -279,8 +277,8 @@ def _make_pp6(identity_id, t):
             (a, b), (c, d) = table(j - L[i0]), table(-j - L[i0] + t)
             (e, f) = power(r, (2 * j - 1) * (L[j0] - L[i0]))
             (g, h) = power(r, (2 * j - 1) * (2 * L[i0] + A - t))
-            return Fraction(e * (a * d * h + c * g * b), f * b * d * h)
-        return MatrixR.build(n, n, entry)
+            return e * (a * d * h + c * g * b), f * b * d * h
+        return pair_matrix(n, entry)
 
     def closed(n, L, A, r):
         # pp6a (t = 2) has no i = 1 denominator 1 + r^(2i+A-t)
@@ -313,8 +311,8 @@ def _binomial_plus_diagonal(diag):
 
         def entry(i, j):
             a, b = tables[i + j](j)
-            return Fraction(a + diag * b if i == j else a, b)
-        return MatrixR.build(n, n, entry)
+            return (a + diag * b if i == j else a), b
+        return pair_matrix(n, entry)
     return build
 
 
@@ -354,8 +352,8 @@ def _diagonal_plus_q_binomials(n, q, base, shift, step, offset):
 
     def entry(i, j):
         (a, b), (c, d) = power(q, step * i + offset), tables[i + j](j)
-        return Fraction(a * c + b * d if i == j else a * c, b * d)
-    return MatrixR.build(n, n, entry)
+        return (a * c + b * d if i == j else a * c), b * d
+    return pair_matrix(n, entry)
 
 
 def _build_csp(n, q):

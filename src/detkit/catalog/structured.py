@@ -21,9 +21,9 @@ from ..exactnum import (PolyQ, TruncSeries, _one_minus_power, _q_binomial_pairs,
                         bell, binomial, chebyshev_u, compose_each, rat, stirling2)
 from ..linalg import MatrixR, _det_laplace, char_poly, det
 from .base import (ONE, IdentityRecord, Resample, Trial, VerifyReport, _vdm,
-                   add, distinct_fracs, get_record, mul, pair, power, prod,
-                   q_ratios, rand_frac, rand_nonzero, rand_q, register,
-                   run_trials, sub)
+                   add, distinct_fracs, get_record, mul, pair, pair_matrix,
+                   power, prod, q_ratios, rand_frac, rand_nonzero, rand_q,
+                   register, run_trials, sub)
 
 
 def _int_exp(e) -> int:
@@ -304,8 +304,8 @@ def _build_okada(n, q):
             t1 = add(t1, add(ONE, power(q, i)))
         elif i == j + 1:
             t1 = sub(t1, ONE)
-        return Fraction(*t1)
-    return MatrixR.build(n, n, entry)
+        return t1
+    return pair_matrix(n, entry)
 
 
 def _closed_okada(n, q):

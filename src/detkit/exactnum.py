@@ -855,33 +855,6 @@ def compose_each(outers: Sequence[TruncSeries], inner: TruncSeries) -> list[Trun
 
 
 # ---------------------------------------------------------------------------
-# divided differences
-
-
-def divided_differences(f: PolyQ, points: Sequence) -> list[Fraction]:
-    """Newton divided-difference coefficients of f over distinct points."""
-    pts = [rat(p) for p in points]
-    if len(set(pts)) != len(pts):
-        raise ValueError("divided differences require pairwise distinct points")
-    return newton_coefficients(pts, [f(p) for p in pts])
-
-
-def newton_coefficients(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> list[Fraction]:
-    """Divided differences [y_0], [y_0, y_1], ... of the values ys at the
-    nodes xs: the coefficients of the interpolant in Newton form, in
-    O(m^2) operations.  A repeated node raises ZeroDivisionError."""
-    table = list(ys)
-    out = [table[0]] if table else []
-    for level in range(1, len(xs)):
-        table = [
-            (table[i + 1] - table[i]) / (xs[i + level] - xs[i])
-            for i in range(len(table) - 1)
-        ]
-        out.append(table[0])
-    return out
-
-
-# ---------------------------------------------------------------------------
 # special sequences and polynomials
 
 

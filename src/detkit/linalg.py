@@ -3,23 +3,27 @@ engine needs: the determinant, permanent, Pfaffian, LU in the M*U = L
 form, kernel bases, characteristic polynomial, and the Sylvester
 resultant.
 
-Entries are ints and Fractions.  One integer elimination, primitive-row
-elimination (`_eliminate`), gives `det` and the leading minors of
+Entries are ints and Fractions.  A `MatrixR` stores its entries or its
+integer rows (each row's numerators over the lcm of its denominators) or
+both; the entry builders hand integer pairs to `MatrixR.from_pairs`,
+which stores the integer rows alone and builds Fractions only when an
+entry is read.  One integer elimination, primitive-row elimination
+(`_eliminate`), gives `det` and the leading minors of
 `hankel.hankel_dets`; the Gauss and condensation determinants are test
 oracles in tests/det_oracles.py.  A determinant that is a polynomial in
 a parameter is interpolated from integer determinants at sample points
 by `guess.interpolate_det_poly`; the characteristic polynomial is found
 the same way, from det(x*I - M) at x = 0..n.  LU comes from one Gaussian
 elimination without pivoting.  Determinants, kernels and the Pfaffian
-(skew elimination, no size cap) run fraction-free on integer rows.  The
-Laplace expansion divides nowhere and shares its minors; stwi calls it
-directly on truncated series.
+(skew elimination, no size cap) run fraction-free on the integer rows.
+The Laplace expansion divides nowhere and shares its minors; stwi calls
+it directly on truncated series.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Callable, Sequence
 
 from .exactnum import PolyQ, integer_numerators, rat
@@ -27,9 +31,18 @@ from .guess import lagrange_interpolate
 
 
 class MatrixR:
-    """Immutable dense matrix; entries row-major."""
+    """Immutable dense matrix.
 
-    __slots__ = ("rows", "cols", "entries")
+    A matrix holds its entries (row-major), its integer rows, or both.
+    The integer rows are, per row, the numerators of its entries over the
+    lcm of their reduced denominators, with that lcm: the rows `det`,
+    `pfaffian` and `kernel_basis` eliminate.  `from_pairs` builds them
+    alone from integer pairs, and the entries are built as Fractions on
+    their first read; a matrix built from entries fills its integer rows
+    on their first use.
+    """
+
+    __slots__ = ("rows", "cols", "_entries", "_ints")
 
     def __init__(self, rows: int, cols: int, entries: Sequence):
         entries = tuple(entries)
@@ -37,7 +50,8 @@ class MatrixR:
             raise ValueError("entry count does not match shape")
         self.rows = rows
         self.cols = cols
-        self.entries = entries
+        self._entries = entries
+        self._ints = None
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "MatrixR":
@@ -49,6 +63,50 @@ class MatrixR:
                 raise ValueError("ragged rows")
             flat.extend(row)
         return MatrixR(r, c, flat)
+
+    @staticmethod
+    def from_pairs(rows: Sequence[Sequence[tuple[int, int]]]) -> "MatrixR":
+        """The matrix of the rational entries p/q given as integer pairs
+        (p, q), q nonzero of either sign; a zero q raises
+        ZeroDivisionError.  Each pair is reduced once by its gcd, so the
+        integer rows carry no factor the entries do not."""
+        r = len(rows)
+        c = len(rows[0]) if r else 0
+        ints = []
+        for row in rows:
+            if len(row) != c:
+                raise ValueError("ragged rows")
+            nums, dens, d = [], [], 1
+            for p, q in row:
+                g = gcd(p, q)
+                if q < 0:
+                    g = -g
+                elif not q:
+                    raise ZeroDivisionError("an entry's denominator is 0")
+                q //= g
+                nums.append(p // g)
+                dens.append(q)
+                d = lcm(d, q)
+            ints.append(([p * (d // q) for p, q in zip(nums, dens)], d))
+        m = MatrixR.__new__(MatrixR)
+        m.rows, m.cols, m._entries, m._ints = r, c, None, ints
+        return m
+
+    @property
+    def entries(self) -> tuple:
+        if self._entries is None:
+            self._entries = tuple(Fraction(p, d) for nums, d in self._ints for p in nums)
+        return self._entries
+
+    def _integer_rows(self) -> tuple[list[list[int]], list[int]]:
+        """Fresh copies of the integer rows, and each row's denominator;
+        TypeError for an entry that is not an int or a Fraction."""
+        if self._ints is None:
+            try:
+                self._ints = [integer_numerators(self.row(i)) for i in range(self.rows)]
+            except AttributeError:  # no denominator: PolyQ, RatFn, TruncSeries, float
+                raise TypeError("integer rows require int or Fraction entries") from None
+        return [list(nums) for nums, _ in self._ints], [d for _, d in self._ints]
 
     @staticmethod
     def build(rows: int, cols: int, fn: Callable[[int, int], object]) -> "MatrixR":
@@ -142,23 +200,6 @@ def _det_laplace(m: MatrixR):
     return minor(tuple(range(n))) if n else Fraction(1)
 
 
-def _int_rows(rows) -> tuple[list[list[int]], list[int]]:
-    """Scale each row of ints/Fractions by the lcm of its denominators.
-
-    Returns the integer rows and the scale of each row.
-    """
-    out, scales = [], []
-    for row in rows:
-        nums, d = integer_numerators(row)
-        out.append(nums)
-        scales.append(d)
-    return out, scales
-
-
-def _is_rational(m: MatrixR) -> bool:
-    return all(isinstance(e, (int, Fraction)) for e in m.entries)
-
-
 def _eliminate(a: list[list[int]]) -> tuple[int, list[int], int]:
     """Primitive-row elimination of the square integer matrix `a`, in
     place: the one integer elimination behind `det` and
@@ -230,8 +271,10 @@ def _eliminate(a: list[list[int]]) -> tuple[int, list[int], int]:
 
 def det(m: MatrixR) -> Fraction:
     """Determinant of a square matrix of ints and Fractions, as a Fraction,
-    by primitive-row elimination (`_eliminate`) on its rows scaled to
-    integers; any other entry raises TypeError.
+    by primitive-row elimination (`_eliminate`) on its integer rows (each
+    row's numerators over the lcm of its denominators); any other entry
+    raises TypeError.  A matrix built by `MatrixR.from_pairs` hands over
+    the rows it was built as.
 
     A determinant that is a polynomial in a parameter comes from
     `guess.interpolate_det_poly`: integer determinants at sample points,
@@ -239,11 +282,9 @@ def det(m: MatrixR) -> Fraction:
     """
     if m.rows != m.cols:
         raise ValueError("determinant of non-square matrix")
-    if not _is_rational(m):
-        raise TypeError("det requires int or Fraction entries")
+    a, scales = m._integer_rows()
     if m.rows == 0:
         return Fraction(1)
-    a, scales = _int_rows(m.to_rows())
     sign, pivots, _ = _eliminate(a)
     if len(pivots) < m.rows:
         return Fraction(0)
@@ -277,16 +318,6 @@ def permanent(m: MatrixR):
     return total
 
 
-def _check_skew(m: MatrixR):
-    if m.rows != m.cols:
-        raise ValueError("pfaffian of non-square matrix")
-    n = m.rows
-    for i in range(n):
-        for j in range(i, n):
-            if m[i, j] + m[j, i] != 0:
-                raise ValueError("pfaffian requires a skew-symmetric matrix")
-
-
 def pfaffian(m: MatrixR) -> Fraction:
     """Pfaffian of a skew-symmetric matrix of even dimension with int and
     Fraction entries, as a Fraction, by fraction-free skew elimination;
@@ -294,14 +325,17 @@ def pfaffian(m: MatrixR) -> Fraction:
 
     Sign convention: Pf([[0, 1], [-1, 0]]) = +1.
     """
-    if not _is_rational(m):
-        raise TypeError("pfaffian requires int or Fraction entries")
-    _check_skew(m)
-    if m.rows % 2:
-        raise ValueError("pfaffian requires even dimension")
-    # Pf(A) = Pf(D A D) / det(D) with D the row scales, and D A D is integer
-    rows, scales = _int_rows(m.to_rows())
+    rows, scales = m._integer_rows()
+    if m.rows != m.cols:
+        raise ValueError("pfaffian of non-square matrix")
+    # Pf(A) = Pf(D A D) / det(D) with D the row scales, and D A D is an
+    # integer matrix, skew exactly when A is
+    n = m.rows
     b = [[x * d for x, d in zip(row, scales)] for row in rows]
+    if any(b[i][j] != -b[j][i] for i in range(n) for j in range(i, n)):
+        raise ValueError("pfaffian requires a skew-symmetric matrix")
+    if n % 2:
+        raise ValueError("pfaffian requires even dimension")
     return Fraction(_pfaffian_int(b), prod(scales))
 
 
@@ -386,7 +420,7 @@ def kernel_basis(m: MatrixR) -> list[list[Fraction]]:
     basis vector has 1 at its own free column and 0 at the other free
     columns.
     """
-    rows, _ = _int_rows(m.to_rows())
+    rows, _ = m._integer_rows()
     ncols = m.cols
     pivots = []
     prev = 1

@@ -8,8 +8,9 @@ formulas of the banded binomial-sum (tsscpp2), qflha1, factored-column
 zare1, pentagon, bombieri-xbc, pp3, poorten, mrr-factor's T and R),
 q-binomial (pp1, pp2, pp4, pp4a, pp5a, pp6, pp6a, shifted, csp, descpp,
 okada) and power (vandermonde, the Weyl denominators, flha1, flha2,
-qflha2, abel) matrices, each entry computed on its own with Fraction
-arithmetic, the closed forms of anst, pp5, qkrat and qtsscpp1 with every
+qflha2, abel) matrices and of the discrete Wronskian (wronski, by
+Newton divided differences), each entry computed on its own with
+Fraction arithmetic, the closed forms of anst, pp5, qkrat and qtsscpp1 with every
 q-factorial, q-Pochhammer and q-binomial evaluated on its own, and the
 factor-product closed forms (Vandermonde, Weyl, Cauchy, the krat lemmas,
 pp1-pp6, abel, shifted, csp, descpp, flha, qflha, MacMahon, krat-xy,
@@ -404,6 +405,38 @@ def qflha2_entry(i, jc, parts, X, C, q):
     k, s = _block_column(parts, jc)
     coeff = Fraction(1) if s == 1 else _q_int_formula(C + i, rat(q)) ** (s - 1)
     return coeff * rat(X[k]) ** i
+
+
+def newton_coefficients(xs, ys):
+    """Divided differences [y_0], [y_0, y_1], ... of the values ys at the
+    nodes xs: the coefficients of the interpolant in Newton form, in
+    O(m^2) operations.  A repeated node raises ZeroDivisionError."""
+    table = list(ys)
+    out = [table[0]] if table else []
+    for level in range(1, len(xs)):
+        table = [
+            (table[i + 1] - table[i]) / (xs[i + level] - xs[i])
+            for i in range(len(table) - 1)
+        ]
+        out.append(table[0])
+    return out
+
+
+def divided_differences(f, points):
+    """Newton divided-difference coefficients of the PolyQ f over distinct
+    points."""
+    pts = [rat(p) for p in points]
+    if len(set(pts)) != len(pts):
+        raise ValueError("divided differences require pairwise distinct points")
+    return newton_coefficients(pts, [f(p) for p in pts])
+
+
+def wronski_entry(i, jc, parts, a, polys):
+    """The divided difference of the i-th polynomial over the first s
+    points of block k, for matrix column jc = (k, s)."""
+    k, s = _block_column(parts, jc)
+    off = sum(parts[:k])
+    return divided_differences(PolyQ(polys[i]), a[off:off + s])[s - 1]
 
 
 def abel_entry(i, j, L, A, B):

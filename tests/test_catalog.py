@@ -53,9 +53,9 @@ from entry_oracles import (_binomial_loop, _pochhammer_loop,
                            tsscpp1_closed, tsscpp2_closed, vandermonde_closed,
                            vandermonde_entry, vdm_poly_closed, weyl_b_closed,
                            weyl_b_entry, weyl_c_closed, weyl_c_entry,
-                           weyl_d_closed, weyl_d_entry, xbc_closed, xbc_entry,
-                           zagier_inv_closed, zagier_maj_closed,
-                           zare1_closed)
+                           weyl_d_closed, weyl_d_entry, wronski_entry,
+                           xbc_closed, xbc_entry, zagier_inv_closed,
+                           zagier_maj_closed, zare1_closed)
 from partition_oracles import (blocks_of, join_by_merging, labels_of,
                                meet_by_intersecting, refines)
 from sampler_oracles import distinct_fracs as distinct_fracs_oracle
@@ -497,6 +497,17 @@ def test_qflha1_builder_matches_per_entry():
             got = record.builder(n, **params)
             _assert_entries(got, n, lambda i, j: qflha1_entry(
                 i, *cols[j], params["X"], params["C"], params["q"]))
+
+
+def test_wronski_builder_matches_divided_differences():
+    # the integer Newton tables over each block's common denominator
+    # against Fraction divided differences of the PolyQ values
+    record = get_record("wronski")
+    for seed in range(10):
+        for n in range(1, 9):
+            params = record.sampler(trial_rng(seed, "wronski", 0), n)
+            want = MatrixR.build(n, n, lambda i, j: wronski_entry(i, j, **params))
+            _assert_entries(record.builder(n, **params), n, lambda i, j: want[i, j])
 
 
 ENTRY_ORACLES = {

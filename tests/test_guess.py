@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detkit.exactnum import (PolyQ, RatFn, asm_count, factorial,
-                             newton_coefficients)
+from detkit.exactnum import PolyQ, RatFn, asm_count, factorial
 from detkit.guess import (GuessExpr, ZeroTermError, fit_rational,
                           lagrange_interpolate, linear_factors, rate_guess)
 from detkit.linalg import MatrixR, kernel_basis
+from entry_oracles import newton_coefficients
 from sequence_oracles import catalan
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=5)

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from detkit.catalog import get_record
+from detkit.catalog import get_record, registry_ids
 from detkit.catalog.base import Resample, trial_rng
-from detkit.exactnum import PolyQ, RatFn, TruncSeries
+from detkit.exactnum import PolyQ, RatFn, TruncSeries, integer_numerators
 from detkit.linalg import (MatrixR, SingularMinorError, _det_laplace,
                            _eliminate, char_poly, det, kernel_basis,
                            lu_decompose, permanent, pfaffian, resultant)
@@ -320,6 +320,115 @@ def test_det_of_q_family_matrices_at_n12_matches_gauss(identity_id):
     assert det(m) == det_gauss(m)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_det_of_every_builder_matches_its_entries(seed):
+    # every det_record's builder at n = min_n..8: det of the matrix as
+    # built (integer rows from pairs for most) equals det of a matrix
+    # built from its Fraction entries and the Gauss oracle
+    for identity_id in registry_ids():
+        record = get_record(identity_id)
+        if record.sampler is None:
+            continue
+        for n in range(record.min_n, 9):
+            rng = trial_rng(seed, identity_id, 0)
+            try:
+                params = next(p for p in map(_draw_or_none, [record.sampler] * 200,
+                                             [rng] * 200, [n] * 200) if p is not None)
+            except ValueError:  # "range too small", "permanent capped"
+                continue
+            m = record.builder(n, **params)
+            want = det_gauss(m)
+            assert det(m) == det(MatrixR.from_rows(m.to_rows())) == want, (identity_id, n)
+
+
+def _draw_or_none(sampler, rng, n):
+    try:
+        return sampler(rng, n)
+    except Resample:
+        return None
+
+
+# ---------------------------------------------------------------------------
+# matrices from integer pairs
+
+
+@st.composite
+def pair_rows(draw, rows=None, cols=None):
+    """Rows of integer pairs (p, q), q nonzero of either sign, often
+    unreduced (both times a common factor), with zero entries and zero
+    rows; 0 x 0 and 1 x 1 among them."""
+    r = draw(st.integers(0, 5)) if rows is None else rows
+    c = (draw(st.integers(0, 5)) if cols is None else cols) if r else 0
+    out = []
+    for _ in range(r):
+        if draw(st.integers(0, 7)) == 0:
+            out.append([(0, draw(st.integers(1, 9))) for _ in range(c)])
+            continue
+        row = []
+        for _ in range(c):
+            p = draw(st.integers(-30, 30))
+            q = draw(st.integers(1, 12)) * draw(st.sampled_from((1, -1)))
+            k = draw(st.sampled_from((1, 1, 2, -3, 6, 2 ** 40)))
+            row.append((p * k, q * k))
+        out.append(row)
+    return out
+
+
+def _from_fractions(rows):
+    return MatrixR.from_rows([[Fraction(p, q) for p, q in row] for row in rows])
+
+
+@given(pair_rows())
+@settings(max_examples=200, deadline=None)
+def test_from_pairs_reads_as_the_fraction_matrix(rows):
+    m, f = MatrixR.from_pairs(rows), _from_fractions(rows)
+    assert (m.rows, m.cols) == (f.rows, f.cols)
+    assert m.entries == f.entries and all(type(e) is Fraction for e in m.entries)
+    assert m.to_rows() == f.to_rows()
+    assert m == f and f == m and m == MatrixR.from_pairs(rows)
+    assert all(m[i, j] == f[i, j] for i in range(m.rows) for j in range(m.cols))
+
+
+@given(pair_rows())
+@settings(max_examples=200, deadline=None)
+def test_from_pairs_integer_rows_are_the_reduced_ones(rows):
+    # each row's numerators over the lcm of its reduced denominators,
+    # whatever common factor the pairs carried: no bit growth
+    ints, scales = MatrixR.from_pairs(rows)._integer_rows()
+    want = [integer_numerators(row) for row in _from_fractions(rows).to_rows()]
+    assert list(zip(ints, scales)) == want
+
+
+@given(st.integers(0, 5).flatmap(lambda n: pair_rows(n, n)))
+@settings(max_examples=200, deadline=None)
+def test_from_pairs_det_matches_fraction_det(rows):
+    m = MatrixR.from_pairs(rows)
+    assert det(m) == det(_from_fractions(rows)) == det_gauss(m)
+
+
+@given(st.integers(0, 4).flatmap(lambda k: pair_rows(2 * k, 2 * k)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_from_pairs_pfaffian_matches_fraction_pfaffian(rows, data):
+    # the upper triangle as drawn, the lower one its negative with the
+    # sign on the numerator or on the denominator
+    n = len(rows)
+    for i in range(n):
+        rows[i][i] = (0, rows[i][i][1])
+        for j in range(i):
+            p, q = rows[j][i]
+            rows[i][j] = data.draw(st.sampled_from(((-p, q), (p, -q))))
+    m = MatrixR.from_pairs(rows)
+    assert pfaffian(m) == pfaffian(_from_fractions(rows)) == pfaffian_expansion(m)
+
+
+def test_from_pairs_zero_denominator_raises_when_built():
+    for rows in ([[(1, 0)]], [[(0, 0)]], [[(1, 2), (3, -4)], [(5, 6), (7, 0)]]):
+        with pytest.raises(ZeroDivisionError):
+            MatrixR.from_pairs(rows)
+    with pytest.raises(ValueError, match="ragged"):
+        MatrixR.from_pairs([[(1, 2)], [(1, 2), (3, 4)]])
+
+
 def _series_det(rows, mul=operator.mul, add=operator.add):
     """First-row Laplace expansion on nested lists, apart from MatrixR,
     with the given product and sum: the oracle for _det_laplace on
@@ -489,6 +598,32 @@ def test_pfaffian_rejects_non_rational_entries():
     m = MatrixR.from_rows([[Fraction(0), s], [-s, Fraction(0)]])
     with pytest.raises(TypeError, match="int or Fraction"):
         pfaffian(m)
+
+
+def test_kernel_basis_rejects_non_rational_entries():
+    # the TypeError of det and pfaffian, read from the same integer rows
+    x, s = PolyQ([0, 1]), TruncSeries(0, [1, 2, 3])
+    for m in (MatrixR.from_rows([[Fraction(1), x], [x, Fraction(2)]]),
+              MatrixR.from_rows([[s, s], [s, s * s]])):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            kernel_basis(m)
+
+
+def test_pfaffian_checks_entries_then_skewness_then_dimension():
+    # a non-skew matrix of odd dimension is refused as not skew, a
+    # non-rational one of either kind for its entries
+    x = PolyQ([0, 1])
+    with pytest.raises(TypeError, match="int or Fraction"):
+        pfaffian(MatrixR.from_rows([[x, 1, 0], [0, 0, 0], [0, 0, 0]]))
+    with pytest.raises(ValueError, match="non-square"):
+        pfaffian(MatrixR.from_rows([[0, 1, 2], [-1, 0, 3]]))
+    for rows in ([[1]], [[0, 1, 2], [-1, 0, 3], [-2, -3, Fraction(1, 7)]],
+                 [[0, Fraction(1, 3), 2], [Fraction(-1, 2), 0, 3], [-2, -3, 0]]):
+        with pytest.raises(ValueError, match="skew-symmetric"):
+            pfaffian(MatrixR.from_rows(rows))
+    with pytest.raises(ValueError, match="even dimension"):
+        pfaffian(MatrixR.from_rows([[0, Fraction(1, 3), 2], [Fraction(-1, 3), 0, 3],
+                                    [-2, -3, 0]]))
 
 
 def test_pfaffian_oracles_take_series():
