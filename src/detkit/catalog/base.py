@@ -6,14 +6,13 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from typing import Callable, Optional
 
-from ..exactnum import (PolyQ, _homogeneous, _one_minus_power,
-                        _q_factorial_pairs, _q_int_pairs, fmt_rat,
-                        integer_numerators, rat)
+from ..exactnum import (PolyQ, _homogeneous, _one_minus_power, _q_int_pairs,
+                        fmt_rat, integer_numerators, rat)
 from ..linalg import MatrixR
 
 
@@ -95,8 +94,8 @@ def _ceil(a: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 # closed forms as products of factors: the parameters become integer pairs
 # (numerator, denominator) once, the factor kinds below (and exactnum's
-# binomial, q-integer, q-factorial, q-Pochhammer and q-binomial tables)
-# build each factor as an unreduced pair, and `prod` multiplies them.
+# binomial, q-Pochhammer and q-binomial tables) build each factor as an
+# unreduced pair, and `prod` (`q_prod` for q-products) multiplies them.
 
 
 ONE = (1, 1)
@@ -188,25 +187,51 @@ def over_pairs(f, xs):
     return (f(xs[i], xs[j]) for i in range(len(xs)) for j in range(i + 1, len(xs)))
 
 
-def q_rows(q, rows, *factors) -> Fraction:
-    """The factors times, one Fraction per row (ints, ups, downs), the
-    q-integers [m]_q over ints and the q-factorials [m]_q! over ups,
-    divided by those over downs, read from running-product tables."""
-    hi = max((abs(m) for row in rows for ms in row for m in ms), default=0)
-    q_int_pair, fact = _q_int_pairs(q, hi), _q_factorial_pairs(q, hi)
-    return prod(chain(factors, (
-        prod(chain(map(q_int_pair, ints), map(fact, ups), (inv(fact(m)) for m in downs)))
-        for ints, ups, downs in rows)))
+def q_factorials(ms) -> list[int]:
+    """The `q_prod` keys of the q-factorials [m]_q!, m in ms: 1..m each."""
+    ms = list(ms)
+    if any(m < 0 for m in ms):
+        raise ValueError(f"q-factorial of negative integer {next(m for m in ms if m < 0)}")
+    return [k for m in ms for k in range(1, m + 1)]
 
 
-def q_ratios(q, rows, *factors) -> Fraction:
-    """The factors times, one Fraction per row (ups, downs), the product of
-    1 - q^e over ups divided by that over downs."""
+def one_minus(es, a=1) -> list[tuple]:
+    """The `q_prod` keys of 1 - a q^e, e in es, for a rational base a."""
+    a = pair(a)
+    return [(e, a) for e in es]
+
+
+def q_prod(q, over, under=(), *factors) -> Fraction:
+    """The factors times the q-factors keyed by over, over those keyed by
+    under: an int e is the q-integer [e]_q, a `one_minus` key 1 - a q^e.
+    Each distinct q-factor is built once, as an integer pair, and raised
+    to its net multiplicity (over less under).  One that is 0 at q is not
+    cancelled but enters as often as it occurs on each side, so that the
+    product is 0 or raises ZeroDivisionError as the plain product does;
+    one with a zero denominator (e < 0 at q = 0) raises ZeroDivisionError."""
+    up, down = Counter(over), Counter(under)
+    keys = up.keys() | down.keys()
+    if not keys:  # q is not read
+        return prod(factors)
     p, d = pair(q)
-    return prod(chain(factors, (
-        prod(chain((_one_minus_power(p, d, e) for e in ups),
-                   (inv(_one_minus_power(p, d, e)) for e in downs)))
-        for ups, downs in rows)))
+    q_int = _q_int_pairs(q, max((abs(k) for k in keys if k.__class__ is int), default=0))
+    # with q = p/d, each q-factor is f / v^k for an integer pair f and v = d
+    # (e >= 0) or p (e < 0); ks sums the powers of d and of p apart
+    out, ks = list(factors), [0, 0]
+    for key in keys:
+        if key.__class__ is int:  # [e]_q = h_e / d^(e-1), [-m]_q = h_m d / (-p^m)
+            e = key
+            f, k = (q_int(e)[0], 1 if e >= 0 else -1), (e - 1 if e > 0 else -e)
+        else:  # 1 - a q^e: _one_minus_power's numerator over ad v^|e|
+            e, a = key
+            f, k = (_one_minus_power(p, d, e, *a)[0], a[1]), abs(e)
+        if e < 0 and not p:
+            raise ZeroDivisionError(f"a q-factor's denominator is 0 at q = {fmt_rat(rat(q))}")
+        c = up[key] - down[key]
+        ks[e < 0] += k * c
+        out += [power(f, c)] if f[0] else [power(f, up[key]), power(inv(f), down[key])]
+    out += power((d, 1), -ks[0]), power((p, 1), -ks[1])
+    return prod(out)
 
 
 def differences(xs):

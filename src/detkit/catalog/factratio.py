@@ -8,11 +8,12 @@ import math
 from fractions import Fraction
 from itertools import accumulate, chain
 
-from ..exactnum import (_binomial_pairs, _one_minus_power, _q_pochhammer_pairs,
-                        binomial, double_factorial, power_pairs, rat)
+from ..exactnum import (_binomial_pairs, _q_pochhammer_pairs, double_factorial,
+                        power_pairs, rat)
 from ..linalg import MatrixR
-from .base import (ZERO, Resample, det_record, inv, pair, pair_matrix, power,
-                   prod, rand_nonzero, rand_q, rising)
+from .base import (ZERO, Resample, det_record, inv, one_minus, pair,
+                   pair_matrix, power, prod, q_prod, rand_nonzero, rand_q,
+                   rising)
 
 
 # ---------------------------------------------------------------------------
@@ -97,31 +98,28 @@ def _q_ratio_entries(n, x, y, q, shift, extra):
     return MatrixR.from_pairs(rows)
 
 
+def _one_minus_rows(n, es, a=1):
+    """The `q_prod` keys of 1 - a q^e for e in es(i), i < n."""
+    return one_minus((e for i in range(n) for e in es(i)), a)
+
+
 def _q_ratio_product(n, x, y, q, shift):
     """The product in the closed forms of qkrat (shift = 0) and qtsscpp1
     (shift = 1): with b = 2x+y+shift and c = x+2y+shift,
 
         prod_i q^(-2i^2) (q^2;q^2)_i (q;q)_(x+y+i-1)
             (q^(b+2i);q)_i (q^(c+2i);q)_i
-            / ((q;q)_(x+2i+shift) (q;q)_(y+2i+shift) (-q^(x+y+1+shift);q)_(n-1+i)).
+            / ((q;q)_(x+2i+shift) (q;q)_(y+2i+shift) (-q^(x+y+1+shift);q)_(n-1+i)),
 
-    One Fraction per i from integer pairs: (q;q)_m, (q^2;q^2)_i and the
-    Pochhammer in the denominator come from one running-product table
-    each, and (q^(b+2i);q)_i is the product of its i factors 1 - q^e,
-    b+2i <= e < b+3i."""
-    q = rat(q)
-    p, d = q.numerator, q.denominator
-    s = x + y - 1
-    qq = _q_pochhammer_pairs(q, q, min(s, x + shift, y + shift, 0),
-                             max(s + n - 1, x + shift + 2 * n - 2, y + shift + 2 * n - 2))
-    q2 = _q_pochhammer_pairs(q * q, q * q, 0, n - 1)
-    neg = _q_pochhammer_pairs(-q ** (x + y + 1 + shift), q, 0, 2 * n - 2)
-    return prod(prod(chain(
-        (power((p, d), -2 * i * i), q2(i), qq(s + i), inv(qq(x + 2 * i + shift)),
-         inv(qq(y + 2 * i + shift)), inv(neg(n - 1 + i))),
-        (_one_minus_power(p, d, e) for base in (2 * x + y + shift, x + 2 * y + shift)
-         for e in range(base + 2 * i, base + 3 * i))))
-        for i in range(n))
+    each q-shifted factorial as its factors 1 - q^e (1 + q^e in the last)."""
+    b, c, low = 2 * x + y + shift, x + 2 * y + shift, x + y + 1 + shift
+    return q_prod(q, _one_minus_rows(n, lambda i: chain(
+                      range(2, 2 * i + 1, 2), range(1, x + y + i),
+                      range(b + 2 * i, b + 3 * i), range(c + 2 * i, c + 3 * i))),
+                  _one_minus_rows(n, lambda i: chain(range(1, x + 2 * i + shift + 1),
+                                                     range(1, y + 2 * i + shift + 1)))
+                  + _one_minus_rows(n, lambda i: range(low, low + n - 1 + i), -1),
+                  power(pair(q), -2 * sum(i * i for i in range(n))))
 
 
 def _build_qkrat(n, x, y, q):
@@ -185,29 +183,17 @@ def _closed_anst(n, x, E, q):
             / ((x^2 q^(2i+2);q^2)_i (q;q^2)_(i+1) (E x q^(1+i);q)_i
                (x q^(2+i)/E;q)_i),
 
-    one Fraction per i from integer pairs: (q;q^2)_(i+1) comes from one
-    running-product table, and each other Pochhammer, whose base moves
-    with i, is the product of its factors 1 - a q^e, read from one table
-    of them for each of a = x^2, x/E and E x."""
-    x, E, q = rat(x), rat(E), rat(q)
-    p, d = q.numerator, q.denominator
-    odd = _q_pochhammer_pairs(q, q * q, 0, n)
-
-    def factors(a):
-        # e -> 1 - a q^e as an integer pair, for every exponent read below
-        an, ad = a.numerator, a.denominator
-        return [(ad * d ** e - an * p ** e, ad * d ** e) for e in range(4 * n)]
-
-    sq, xe, ex = factors(x * x), factors(x / E), factors(E * x)
-    return prod(prod(chain(
-        (inv(odd(i + 1)),),
-        (table[e] for table, es in ((sq, range(2 * i + 1, 3 * i + 1)),
-                                    (xe, range(3 + i, 3 + 3 * i, 2)),
-                                    (ex, range(2 + i, 2 + 3 * i, 2))) for e in es),
-        (inv(table[e]) for table, es in ((sq, range(2 * i + 2, 4 * i + 2, 2)),
-                                         (ex, range(1 + i, 1 + 2 * i)),
-                                         (xe, range(2 + i, 2 + 2 * i))) for e in es)))
-        for i in range(n))
+    each q-shifted factorial as its factors 1 - a q^e, a = x^2, x/E, E x
+    or 1."""
+    x, E = rat(x), rat(E)
+    sq, xe, ex = x * x, x / E, E * x
+    return q_prod(q, _one_minus_rows(n, lambda i: range(2 * i + 1, 3 * i + 1), sq)
+                  + _one_minus_rows(n, lambda i: range(3 + i, 3 + 3 * i, 2), xe)
+                  + _one_minus_rows(n, lambda i: range(2 + i, 2 + 3 * i, 2), ex),
+                  _one_minus_rows(n, lambda i: range(2 * i + 2, 4 * i + 2, 2), sq)
+                  + _one_minus_rows(n, lambda i: range(1, 2 * i + 2, 2))
+                  + _one_minus_rows(n, lambda i: range(1 + i, 1 + 2 * i), ex)
+                  + _one_minus_rows(n, lambda i: range(2 + i, 2 + 2 * i), xe))
 
 
 det_record("anst", _sample_anst, _build_anst, _closed_anst, max_n=4)
@@ -367,18 +353,20 @@ def _sample_fukr2(rng, n):
 
 
 def _build_fukr2(n, m, l):
+    # with 1-based i, j, k = m + i - j and w = m + (n - j + 1)/2, entry (i, j)
+    # off row l with k > 0 is w (n+m-i)...(n+m-i-k+2) / k! = w C(n+m-i, k-1) / k
     def entry(i0, j0):
         i, j = i0 + 1, j0 + 1
         k = m + i - j
-        if i == l:
-            return binomial(n + m - i, k)
         if k < 0:
-            return Fraction(0)
-        w = m + Fraction(n - j + 1, 2)
+            return ZERO
+        if i == l:
+            return math.comb(n + m - i, k), 1
+        w = 2 * m + n - j + 1  # 2w
         if k == 0:
-            return w / (n + j - 2 * i + 1)
-        return w * prod(Fraction(n + m - i - t) for t in range(k - 1)) / math.factorial(k)
-    return MatrixR.build(n, n, entry)
+            return w, 2 * (n + j - 2 * i + 1)
+        return w * math.comb(n + m - i, k - 1), 2 * k
+    return pair_matrix(n, entry)
 
 
 def _closed_fukr2(n, m, l):

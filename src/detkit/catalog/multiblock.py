@@ -7,13 +7,12 @@ from __future__ import annotations
 import math
 from itertools import accumulate, chain
 
-from ..exactnum import (_homogeneous, _q_factorial_pairs, _q_int_pairs,
-                        _running, factorial, integer_numerators, power_pairs,
-                        rat)
+from ..exactnum import (_homogeneous, _q_int_pairs, _running, factorial,
+                        integer_numerators, power_pairs, rat)
 from ..linalg import MatrixR, det
 from .base import (ZERO, det_record, differences, distinct_fracs, int_poly,
                    mul, pair, pair_matrix, pairs, poly_pair, power, prod,
-                   rand_frac, rand_q, sub)
+                   q_factorials, q_prod, rand_frac, rand_q, sub)
 
 
 def _binom2(m: int) -> int:
@@ -183,17 +182,15 @@ def _build_qflha1(n, parts, X, C, q):
     return MatrixR.from_pairs(rows)
 
 
-def _cross_q(parts, X, q):
-    """The factors shared by the qflha1 and qflha2 closed forms, for
-    integer pairs X: [j]_q! for 1 <= j < m over the parts m, and
-    q^(t-s) X_j - X_i for i < j, s < m_i and t < m_j."""
-    fact = _q_factorial_pairs(q, max(parts, default=0))
-    q = pair(q)
-    ell = len(parts)
-    return chain((fact(j) for m in parts for j in range(1, m)),
-                 (sub(mul(power(q, t - s), X[j]), X[i])
-                  for i in range(ell) for j in range(i + 1, ell)
-                  for s in range(parts[i]) for t in range(parts[j])))
+def _cross_q(parts, X, q, *factors):
+    """The qflha1 and qflha2 closed forms: the factors times, for integer
+    pairs X, [j]_q! for 1 <= j < m over the parts m, and q^(t-s) X_j - X_i
+    for i < j, s < m_i and t < m_j."""
+    ell, qp = len(parts), pair(q)
+    return q_prod(q, q_factorials(j for m in parts for j in range(1, m)), (), *factors,
+                  *(sub(mul(power(qp, t - s), X[j]), X[i])
+                    for i in range(ell) for j in range(i + 1, ell)
+                    for s in range(parts[i]) for t in range(parts[j])))
 
 
 def _n_exponent(parts, C, with_cubes: bool) -> int:
@@ -214,8 +211,7 @@ def _n_exponent(parts, C, with_cubes: bool) -> int:
 
 
 def _closed_qflha1(n, parts, X, C, q):
-    return prod(chain((power(pair(q), _n_exponent(parts, C, with_cubes=True)),),
-                      _cross_q(parts, pairs(X), q)))
+    return _cross_q(parts, pairs(X), q, power(pair(q), _n_exponent(parts, C, with_cubes=True)))
 
 
 det_record("qflha1", _sample_qflha1, _build_qflha1, _closed_qflha1, max_n=5)
@@ -236,9 +232,8 @@ def _build_qflha2(n, parts, X, C, q):
 
 def _closed_qflha2(n, parts, X, C, q):
     X = pairs(X)
-    return prod(chain((power(pair(q), _n_exponent(parts, C, with_cubes=False)),),
-                      (power(x, _binom2(m)) for x, m in zip(X, parts)),
-                      _cross_q(parts, X, q)))
+    return _cross_q(parts, X, q, power(pair(q), _n_exponent(parts, C, with_cubes=False)),
+                    *(power(x, _binom2(m)) for x, m in zip(X, parts)))
 
 
 det_record("qflha2", _sample_qflha1, _build_qflha2, _closed_qflha2, max_n=5)

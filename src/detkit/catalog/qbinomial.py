@@ -5,13 +5,14 @@ perturbed-identity family det(±I + binomial matrix)."""
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
 
 from ..exactnum import (_binomial_pairs, _q_binomial_pairs, double_factorial,
                         factorial, power_pairs, rat)
-from .base import (ONE, ZERO, _ceil, _sample_mu, add, decreasing_ints,
-                   det_record, differences, inv, pair, pair_matrix, pairs,
-                   power, prod, q_ratios, q_rows, rand_frac, rand_q, rising)
+from .base import (ZERO, _ceil, _sample_mu, add, decreasing_ints,
+                   det_record, differences, one_minus, pair,
+                   pair_matrix, pairs, power, prod, q_factorials, q_prod,
+                   rand_frac, rand_q, rising)
 
 
 def _inv_fact(m: int) -> Fraction:
@@ -41,8 +42,9 @@ def _build_pp1(n, L, A, q):
 
 def _closed_pp1(n, L, A, q):
     e = sum(i * (L[i] + i + 1) for i in range(n))
-    return q_rows(q, [([L[i] - L[j] for j in range(i + 1, n)], [L[i] + A + 1], [L[i] + n, A - i])
-                      for i in range(n)], power(pair(q), e))
+    return q_prod(q, [*(u - v for u, v in combinations(L, 2)),
+                      *q_factorials(v + A + 1 for v in L)],
+                  q_factorials(m for i in range(n) for m in (L[i] + n, A - i)), power(pair(q), e))
 
 
 det_record("pp1", _sample_pp1, _build_pp1, _closed_pp1, max_n=5)
@@ -64,8 +66,10 @@ def _build_pp2(n, L, A, q):
 
 
 def _closed_pp2(n, L, A, q):
-    return q_rows(q, [([L[i] - L[j] for j in range(i + 1, n)], [A + i], [L[i] + n, A - L[i] - 1])
-                      for i in range(n)], power(pair(q), sum((i + 1) * L[i] for i in range(n))))
+    return q_prod(q, [*(u - v for u, v in combinations(L, 2)),
+                      *q_factorials(A + i for i in range(n))],
+                  q_factorials(m for v in L for m in (v + n, A - v - 1)),
+                  power(pair(q), sum((i + 1) * L[i] for i in range(n))))
 
 
 det_record("pp2", _sample_pp2, _build_pp2, _closed_pp2, max_n=5)
@@ -138,8 +142,10 @@ def _build_shifted(n, L, A, q):
 
 
 def _closed_shifted(n, L, A, q):
-    return q_rows(q, [([m for j in range(i + 1, n) for m in (L[i] - L[j], L[i] + L[j] + A + 1)],
-                       [L[i] + A - n], [L[i] + n, A - 2 * (i + 1)]) for i in range(n)],
+    ij = list(combinations(L, 2))
+    return q_prod(q, [*(u - v for u, v in ij), *(u + v + A + 1 for u, v in ij),
+                      *q_factorials(v + A - n for v in L)],
+                  q_factorials(m for i in range(n) for m in (L[i] + n, A - 2 * (i + 1))),
                   power(pair(q), sum((i + 1) * L[i] for i in range(n))))
 
 
@@ -173,15 +179,16 @@ def _build_pp5(n, L, A, B, q):
 
 
 def _closed_pp5(n, L, A, B, q):
-    # row i0 (i = i0 + 1): the q-integers of the pairs (i0, j > i0), and the
-    # q-factorials over and under the fraction line
+    # the q-integers of the pairs i0 < j, the q-factorials of each row i0 (i = i0 + 1)
     c3 = (n + 1) * n * (n - 1) // 6
     e = sum(i * L[i] for i in range(n)) - B * (n * (n - 1) // 2) + 2 * c3
-    return q_rows(q, [([m for j in range(i0 + 1, n)
-                        for m in (L[i0] - L[j], L[i0] + L[j] + A - B + 1)],
-                       (L[i0] + 1, L[i0] + A - n, A - 2 * i0 - 3),
-                       (L[i0] - B + n, L[i0] + A - B - 1, A - i0 - n - 2, B + i0 + 1 - n, B))
-                      for i0 in range(n)], power(pair(q), e))
+    ij = list(combinations(L, 2))
+    return q_prod(q, [*(u - v for u, v in ij), *(u + v + A - B + 1 for u, v in ij),
+                      *q_factorials(m for i0 in range(n)
+                                    for m in (L[i0] + 1, L[i0] + A - n, A - 2 * i0 - 3))],
+                  q_factorials(m for i0 in range(n) for m in (
+                      L[i0] - B + n, L[i0] + A - B - 1, A - i0 - n - 2, B + i0 + 1 - n, B)),
+                  power(pair(q), e))
 
 
 det_record("pp5", _sample_pp5, _build_pp5, _closed_pp5, max_n=5)
@@ -217,7 +224,7 @@ def _closed_pp5a(n, X, Y, A, B, q):
             for k in range(i)]
     downs = [a + k for i in range(n) for a in (X[i] - A - B, X[i] + B - n + 2)
              for k in range(n - 1)]
-    return q_ratios(q, [(ups, downs)], power(pair(q), e))
+    return q_prod(q, one_minus(ups), one_minus(downs), power(pair(q), e))
 
 
 det_record("pp5a", _sample_pp5a, _build_pp5a, _closed_pp5a, max_n=4)
@@ -247,9 +254,10 @@ def _make_pp4(identity_id, t):
         return pair_matrix(n, entry)
 
     def closed(n, L, A, q):
-        return q_rows(q, [([L[j] - L[i] for j in range(i + 1, n)]
-                           + [L[i] + L[j] + A - t for j in range(i, n)],
-                           [A + 2 * i + 1 - t], [n - L[i], A + n - t + L[i]]) for i in range(n)])
+        return q_prod(q, [*(v - u for u, v in combinations(L, 2)),
+                          *(L[i] + L[j] + A - t for i in range(n) for j in range(i, n)),
+                          *q_factorials(A + 2 * i + 1 - t for i in range(n))],
+                      q_factorials(m for v in L for m in (n - v, A + n - t + v)))
 
     det_record(identity_id, _sample_incr, build, closed, max_n=5)
 
@@ -281,14 +289,14 @@ def _make_pp6(identity_id, t):
         return pair_matrix(n, entry)
 
     def closed(n, L, A, r):
-        # pp6a (t = 2) has no i = 1 denominator 1 + r^(2i+A-t)
-        r = rat(r)
-        return q_rows(r * r, [([m for j in range(i + 1, n)
-                                for m in (L[j] - L[i], L[i] + L[j] + A - t)],
-                               [A + 2 * i + 2 - t], [n - L[i], A + n + L[i] - t])
-                              for i in range(n)],
-                      *(add(ONE, power(pair(r), 2 * v + A - t)) for v in L),
-                      *(inv(add(ONE, power(pair(r), 2 * i + A - t))) for i in range(t, n + 1)))
+        # 1 + r^(2i+A-t) = 1 - a q^(i+(A-t)//2), a = -r^((A-t)%2); pp6a (t = 2) skips i = 1
+        r, ij = rat(r), list(combinations(L, 2))
+        a = -r ** ((A - t) % 2)
+        return q_prod(r * r, [*(v - u for u, v in ij), *(u + v + A - t for u, v in ij),
+                              *q_factorials(A + 2 * i + 2 - t for i in range(n)),
+                              *one_minus((v + (A - t) // 2 for v in L), a)],
+                      q_factorials(m for v in L for m in (n - v, A + n + v - t))
+                      + one_minus((i + (A - t) // 2 for i in range(t, n + 1)), a))
 
     det_record(identity_id, _sample_pp6, build, closed, max_n=5)
 
@@ -361,9 +369,11 @@ def _build_csp(n, q):
 
 
 def _closed_csp(n, q):
-    return q_ratios(q, [([3 * i - 1] + [3 * (n + i + j - 1) for j in range(i, n + 1)],
-                         [3 * i - 2] + [3 * (2 * i + j - 1) for j in range(i, n + 1)])
-                        for i in range(1, n + 1)])
+    ij = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    return q_prod(q, one_minus([3 * i - 1 for i in range(1, n + 1)]
+                               + [3 * (n + i + j - 1) for i, j in ij]),
+                  one_minus([3 * i - 2 for i in range(1, n + 1)]
+                            + [3 * (2 * i + j - 1) for i, j in ij]))
 
 
 det_record("csp", _sample_q_only, _build_csp, _closed_csp, max_n=5)
@@ -374,8 +384,9 @@ def _build_descpp(n, q):
 
 
 def _closed_descpp(n, q):
-    return q_ratios(q, [([n + i + j for j in range(i, n + 2)],
-                         [2 * i + j - 1 for j in range(i, n + 2)]) for i in range(1, n + 2)])
+    ij = [(i, j) for i in range(1, n + 2) for j in range(i, n + 2)]
+    return q_prod(q, one_minus(n + i + j for i, j in ij),
+                  one_minus(2 * i + j - 1 for i, j in ij))
 
 
 det_record("descpp", _sample_q_only, _build_descpp, _closed_descpp, max_n=5)

@@ -10,8 +10,9 @@ from itertools import chain
 
 from ..exactnum import (PolyQ, bell_poly, bernoulli, euler_even, factorial,
                         hermite_values, rat, stirling1_unsigned, stirling2)
+from ..hankel import MomentSeq, hankel_matrix
 from ..linalg import MatrixR, det, pfaffian, resultant
-from .base import IdentityRecord, det_record, prod, rand_frac, register
+from .base import IdentityRecord, det_record, pair, power, prod, rand_frac, register
 
 
 # ---------------------------------------------------------------------------
@@ -36,29 +37,20 @@ def _sample_x(rng, n):
     return {"x": rand_frac(rng)}
 
 
-def _hankel_matrix(n, moments):
-    """The n x n Hankel matrix of the moments m_0, ..., m_(2n-2)."""
-    return MatrixR.build(n, n, lambda i, j: moments[i + j])
-
-
 def _build_bell(n, x):
     x = rat(x)
-    return _hankel_matrix(n, [bell_poly(k)(x) for k in range(2 * n - 1)])
+    return hankel_matrix(MomentSeq([bell_poly(k)(x) for k in range(2 * n - 1)]), n)
 
 
 def _closed_bell(n, x):
-    x = rat(x)
-    out = x ** (n * (n - 1) // 2)
-    for i in range(n):
-        out *= factorial(i)
-    return out
+    return prod(chain([power(pair(x), n * (n - 1) // 2)], map(factorial, range(n))))
 
 
 det_record("hankel-bell", _sample_x, _build_bell, _closed_bell, max_n=6)
 
 
 def _build_hermite(n, x):
-    return _hankel_matrix(n, hermite_values(x, 2 * n - 1))
+    return hankel_matrix(MomentSeq(hermite_values(x, 2 * n - 1)), n)
 
 
 def _closed_hermite(n, x):

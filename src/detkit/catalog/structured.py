@@ -21,9 +21,9 @@ from ..exactnum import (PolyQ, TruncSeries, _one_minus_power, _q_binomial_pairs,
                         bell, binomial, chebyshev_u, compose_each, rat, stirling2)
 from ..linalg import MatrixR, _det_laplace, char_poly, det
 from .base import (ONE, IdentityRecord, Resample, Trial, VerifyReport, _vdm,
-                   add, distinct_fracs, get_record, mul, pair, pair_matrix,
-                   power, prod, q_ratios, rand_frac, rand_nonzero, rand_q,
-                   register, run_trials, sub)
+                   add, distinct_fracs, get_record, mul, one_minus, pair,
+                   pair_matrix, power, prod, q_prod, rand_frac, rand_nonzero,
+                   rand_q, register, run_trials, sub)
 
 
 def _int_exp(e) -> int:
@@ -114,7 +114,7 @@ def _maj_spectrum(n: int, q: Fraction) -> PolyQ:
     e_mu = (q;q)_n / prod(1 - q^mu_i)."""
     out = PolyQ.constant(1)
     for mu in _int_partitions(n):
-        factor = PolyQ([-q_ratios(q, [(range(1, n + 1), mu)]), 1])
+        factor = PolyQ([-q_prod(q, one_minus(range(1, n + 1)), one_minus(mu)), 1])
         for _ in range(math.factorial(n) // _z_mu(mu)):
             out = out * factor
     return out
@@ -309,11 +309,10 @@ def _build_okada(n, q):
 
 
 def _closed_okada(n, q):
-    # prod_{i<=j<=k} ((1 - q^(s-1)) / (1 - q^(s-2)))^2 with s = i+j+k,
-    # one Fraction per i
-    sums = [[s for j in range(i, n + 1) for s in range(i + 2 * j, i + j + n + 1)]
-            for i in range(1, n + 1)]
-    return q_ratios(q, [([s - 1 for s in row] * 2, [s - 2 for s in row] * 2) for row in sums])
+    # prod_{i<=j<=k} ((1 - q^(s-1)) / (1 - q^(s-2)))^2 with s = i+j+k
+    sums = [s for i in range(1, n + 1) for j in range(i, n + 1)
+            for s in range(i + 2 * j, i + j + n + 1)]
+    return q_prod(q, one_minus(s - 1 for s in sums * 2), one_minus(s - 2 for s in sums * 2))
 
 
 def _okada_sides(n, q):

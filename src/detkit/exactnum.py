@@ -226,24 +226,13 @@ def _q_int_pairs(q, hi: int):
     return read
 
 
-def _negative_q_factorial(m: int, j: int):
-    raise ValueError(f"q-factorial of negative integer {m}")
-
-
-def _q_factorial_pairs(q, hi: int):
-    """The q-factorials [m]_q! = [m]_q [m-1]_q ... [1]_q for 0 <= m <= hi,
-    by one running product of q-integers, as a function of m returning an
-    integer numerator and denominator; a negative m raises ValueError."""
-    ints = _q_ints(q)  # q is read only if hi >= 1
-    return _running((next(ints) for _ in range(hi)), below=_negative_q_factorial)
-
-
-def _one_minus_power(p: int, d: int, e: int) -> tuple[int, int]:
-    """1 - (p/d)^e as an integer numerator and denominator (p != 0)."""
+def _one_minus_power(p: int, d: int, e: int, an: int = 1, ad: int = 1) -> tuple[int, int]:
+    """1 - a (p/d)^e, a = an/ad, as an integer numerator and denominator
+    ad d^e (ad p^-e for e < 0, which is 0 at p = 0)."""
     if e < 0:
         p, d, e = d, p, -e
-    de = d ** e
-    return de - p ** e, de
+    de = ad * d ** e
+    return de - an * p ** e, de
 
 
 def _q_binomial_pairs(alpha: int, q, hi: int):

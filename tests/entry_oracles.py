@@ -4,19 +4,20 @@ q-integers, q-factorials and q-binomials) as plain Fraction loops,
 Horner's rule on Fractions for PolyQ and RatFn values, the per-entry
 formulas of the banded binomial-sum (tsscpp2), qflha1, factored-column
 (krat), q-shifted-factorial (anst, qkrat, qtsscpp1), q-binomial product
-(pp5) and chu2 matrices and of the binomial (mrr, rn, chu1, ab, andrews,
-zare1, pentagon, bombieri-xbc, pp3, poorten, mrr-factor's T and R),
-q-binomial (pp1, pp2, pp4, pp4a, pp5a, pp6, pp6a, shifted, csp, descpp,
-okada) and power (vandermonde, the Weyl denominators, flha1, flha2,
-qflha2, abel) matrices and of the discrete Wronskian (wronski, by
-Newton divided differences), each entry computed on its own with
-Fraction arithmetic, the closed forms of anst, pp5, qkrat and qtsscpp1 with every
-q-factorial, q-Pochhammer and q-binomial evaluated on its own, and the
-factor-product closed forms (Vandermonde, Weyl, Cauchy, the krat lemmas,
-pp1-pp6, abel, shifted, csp, descpp, flha, qflha, MacMahon, krat-xy,
-tsscpp1, tsscpp2, pentagon, zare1, mrr, rn, andrews, fukr2,
-bombieri-xbc, poorten, hankel-hermite, Okada and the symmetric-group
-determinants) multiplied factor by factor in Fraction arithmetic."""
+(pp5), chu2 and mixed-row (fukr2) matrices and of the binomial (mrr, rn,
+chu1, ab, andrews, zare1, pentagon, bombieri-xbc, pp3, poorten,
+mrr-factor's T and R), q-binomial (pp1, pp2, pp4, pp4a, pp5a, pp6, pp6a,
+shifted, csp, descpp, okada) and power (vandermonde, the Weyl
+denominators, flha1, flha2, qflha2, abel) matrices and of the discrete
+Wronskian (wronski, by Newton divided differences), each entry computed
+on its own with Fraction arithmetic, the closed forms of anst, pp5,
+qkrat and qtsscpp1 with every q-factorial, q-Pochhammer and q-binomial
+evaluated on its own, and the factor-product closed forms (Vandermonde,
+Weyl, Cauchy, the krat lemmas, pp1-pp6, abel, shifted, csp, descpp,
+flha, qflha, MacMahon, krat-xy, tsscpp1, tsscpp2, pentagon, zare1, mrr,
+rn, andrews, fukr2, bombieri-xbc, poorten, hankel-hermite, Okada and the
+symmetric-group determinants) multiplied factor by factor in Fraction
+arithmetic."""
 
 import math
 from fractions import Fraction
@@ -452,6 +453,23 @@ def chu2_entry(i, j, c):
     num = (2 * i - j) + (2 * c + 3 * j + 1) * (2 * c + 3 * j - 1)
     den = (c + i + j + Fraction(1, 2)) * (c + i + j - Fraction(1, 2))
     return num / den * _binomial_loop(c + i + j + Fraction(1, 2), 2 * i - j)
+
+
+def fukr2_entry(i0, j0, n, m, l):
+    """Entry (i0, j0), 0-based, of the fukr2 matrix: with 1-based i, j and
+    k = m + i - j, row l is binomial(n + m - i, k); elsewhere the entry is
+    0 for k < 0 and w (n+m-i)(n+m-i-1)...(n+m-i-k+2) / k! otherwise, with
+    w = m + (n - j + 1)/2, and w / (n + j - 2i + 1) for k = 0."""
+    i, j = i0 + 1, j0 + 1
+    k = m + i - j
+    if i == l:
+        return _binomial_loop(n + m - i, k)
+    if k < 0:
+        return Fraction(0)
+    w = m + Fraction(n - j + 1, 2)
+    if k == 0:
+        return w / (n + j - 2 * i + 1)
+    return w * _product(Fraction(n + m - i - t) for t in range(k - 1)) / math.factorial(k)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from entry_oracles import (_binomial_loop, _pochhammer_loop,
                            chu1_entry, chu2_entry, csp_closed, csp_entry,
                            descpp_closed, descpp_entry, flha1_closed,
                            flha1_entry, flha2_closed, flha2_entry,
-                           fukr2_closed, hermite_closed, krat1_closed,
+                           fukr2_closed, fukr2_entry, hermite_closed, krat1_closed,
                            krat2_closed, krat2a_closed, krat3_closed,
                            krat5_closed, krat6_closed, krat7_closed,
                            krat_entry, macmahon_closed, mrr_closed,
@@ -522,6 +522,7 @@ ENTRY_ORACLES = {
     "weyl-c": weyl_c_entry, "weyl-b": weyl_b_entry(-1), "weyl-b2": weyl_b_entry(1),
     "weyl-d": weyl_d_entry, "flha1": flha1_entry, "flha2": flha2_entry,
     "qflha2": qflha2_entry, "abel": abel_entry,
+    "fukr2": fukr2_entry,
 }
 ENTRY_ORACLE_IDS = ("krat1", "krat2", "krat2a", "krat3", "krat3a", "krat5",
                     "krat6", "krat7", *ENTRY_ORACLES)
@@ -538,6 +539,8 @@ def _oracle_matrix(identity_id, n, params):
     if identity_id.startswith("krat"):
         return MatrixR.build(
             n, n, lambda i, j: krat_entry(identity_id, n, i, j, **params))
+    if identity_id == "fukr2":  # its entries depend on n
+        params = {**params, "n": n}
     size, entry = _oracle_size(identity_id, n, params), ENTRY_ORACLES[identity_id]
     return MatrixR.build(size, size, lambda i, j: entry(i, j, **params))
 
@@ -751,7 +754,8 @@ def test_prod_of_no_factors_ints_and_zeros():
 
 def test_factor_kinds_match_fraction_arithmetic():
     import math
-    from detkit.catalog.base import differences, over_pairs, q_ratios, q_rows
+    from detkit.catalog.base import (differences, one_minus, over_pairs, q_factorials,
+                                     q_prod)
     from detkit.exactnum import _one_minus_power
     values = [Fraction(-7, 3), Fraction(5, 4), Fraction(2), Fraction(-1, 9),
               Fraction(0), 3, "-4/6"]
@@ -775,19 +779,84 @@ def test_factor_kinds_match_fraction_arithmetic():
     for q in (Fraction(2, 7), Fraction(-3, 5), Fraction(1), Fraction(-1), Fraction(4)):
         for e in range(-6, 7):
             assert prod([_one_minus_power(q.numerator, q.denominator, e)]) == 1 - q ** e
-        rows = [([-3, 4], [5, 0], [2]), ([], [7], [1, 3])]
-        assert _value_or_raised(lambda: q_rows(q, rows, (2, 3))) == _value_or_raised(
+        assert _value_or_raised(lambda: q_prod(
+            q, [-3, 4, *q_factorials([5, 0, 7])], q_factorials([2, 1, 3]), (2, 3))
+        ) == _value_or_raised(
             lambda: Fraction(2, 3) * _q_int_formula(-3, q) * _q_int_formula(4, q)
             * _q_factorial_loop(5, q) * _q_factorial_loop(7, q)
             / (_q_factorial_loop(2, q) * _q_factorial_loop(3, q)))
-        ratios = [([2, 5], [3]), ([4], [1, -2])]
-        assert _value_or_raised(lambda: q_ratios(q, ratios, 5)) == _value_or_raised(
+        assert _value_or_raised(lambda: q_prod(
+            q, one_minus([2, 5, 4]), one_minus([3, 1, -2]), 5)) == _value_or_raised(
             lambda: 5 * (1 - q ** 2) * (1 - q ** 5) * (1 - q ** 4)
             / ((1 - q ** 3) * (1 - q) * (1 - q ** -2)))
     with pytest.raises(ValueError, match="negative integer -1"):
-        q_rows(Fraction(1, 2), [([], [], [-1])])
+        q_prod(Fraction(1, 2), [], q_factorials([-1]))
     with pytest.raises(ZeroDivisionError):
-        q_ratios(Fraction(1), [([2], [3])])
+        q_prod(Fraction(1), one_minus([2]), one_minus([3]))
+
+
+def _q_factor(key, q):
+    """The q_prod factor of a test key, in Fraction arithmetic: an int e is
+    [e]_q, a pair (e, a) is 1 - a q^e."""
+    if isinstance(key, int):
+        return _q_int_formula(key, q)
+    e, a = key
+    return 1 - a * Fraction(q) ** e
+
+
+def _q_factor_loop(q, over, under):
+    out = Fraction(1)
+    for key in over:
+        out *= _q_factor(key, q)
+    for key in under:
+        out /= _q_factor(key, q)
+    return out
+
+
+_q_keys = st.one_of(
+    st.integers(min_value=-3, max_value=5),
+    st.tuples(st.integers(min_value=-3, max_value=5),
+              st.one_of(st.sampled_from([Fraction(1), Fraction(-1)]),
+                        st.fractions(min_value=-3, max_value=3, max_denominator=4))))
+
+
+@settings(max_examples=400)
+@given(st.lists(_q_keys, min_size=1, max_size=4).flatmap(lambda pool: st.tuples(
+           st.lists(st.sampled_from(pool), max_size=8),
+           st.lists(st.sampled_from(pool), max_size=8))),
+       st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+                 st.fractions(min_value=-3, max_value=3, max_denominator=5)))
+def test_q_prod_counts_factors_as_the_fraction_loop(sides, q):
+    # over and under draw from one small pool of keys, so that keys repeat
+    # and the two sides share exponents: the net multiplicities give the
+    # loop's value, a Fraction, or its exception type where a factor is 0
+    # (e = 0, q = 1, q = -1 with e even) or undefined (e < 0 at q = 0)
+    from detkit.catalog.base import one_minus, q_prod
+
+    def keys(side):
+        return [k if isinstance(k, int) else one_minus([k[0]], k[1])[0] for k in side]
+
+    over, under = sides
+    got = _value_or_raised(lambda: q_prod(q, keys(over), keys(under)))
+    want = _value_or_raised(lambda: _q_factor_loop(q, over, under))
+    assert got == want and type(got) is type(want)
+
+
+Q_ONE_IDS = ("pp1", "pp2", "shifted", "pp4", "pp4a", "pp5", "pp6", "pp6a", "qflha1",
+             "qflha2")
+
+
+@pytest.mark.parametrize("identity_id", Q_ONE_IDS)
+def test_q_families_match_their_determinants_at_q_1(identity_id):
+    # at q = 1 (r = 1 for pp6 and pp6a) the q-integers are the integers
+    # and the closed form is the classical one: det(builder) == closed on
+    # seeds 0-4 at n = min_n..5
+    record = get_record(identity_id)
+    for seed in range(5):
+        for n in range(record.min_n, 6):
+            params = record.sampler(trial_rng(seed, identity_id, 0), n)
+            params["r" if "r" in params else "q"] = Fraction(1)
+            assert det(record.builder(n, **params)) == record.closed(n, **params), (seed, n)
 
 
 def test_rising_matches_fraction_loop():

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from detkit.catalog.base import pair, prod, rising
+from detkit.catalog.base import pair, prod, q_factorials, q_prod, rising
 from detkit.exactnum import (PolyQ, RatFn, TruncSeries, _binomial_pairs,
-                             _q_binomial_pairs, _q_factorial_pairs,
-                             _q_int_pairs, _q_pochhammer_pairs, _table_size,
+                             _q_binomial_pairs, _q_int_pairs,
+                             _q_pochhammer_pairs, _table_size,
                              _zigzag, asm_count, bell, bell_poly, bernoulli,
                              binomial, chebyshev_u, compose_each,
                              double_factorial, euler_even, factorial,
@@ -184,7 +184,7 @@ def _q_int_read(n, q):
 
 
 def _q_factorial_read(n, q):
-    return Fraction(*_q_factorial_pairs(q, n)(n))
+    return q_prod(q, q_factorials([n]))
 
 
 def _q_binomial_read(alpha, k, q):
@@ -318,15 +318,15 @@ def test_q_factorial_matches_fraction_loop(n, q):
 @example(Fraction(1))
 @example(Fraction(-1))
 def test_q_int_and_q_factorial_tables_match_the_functions(q):
-    # every m of both tables, negative q-integers included (at q = 0 they
-    # divide by zero, as the formula does)
-    q_int_pair, fact = _q_int_pairs(q, 12), _q_factorial_pairs(q, 12)
+    # every m of the q-integer table, negative ones included (at q = 0 they
+    # divide by zero, as the formula does), and the evaluator's q-factorials
+    q_int_pair = _q_int_pairs(q, 12)
     for m in range(-12, 13):
         assert _pair_outcome(q_int_pair, m) == _value_outcome(_q_int_formula, m, q)
     for m in range(13):
-        assert Fraction(*fact(m)) == _q_factorial_loop(m, q)
+        assert _q_factorial_read(m, q) == _q_factorial_loop(m, q)
     with pytest.raises(ValueError, match="negative integer -1"):
-        fact(-1)
+        _q_factorial_read(-1, q)
 
 
 @settings(max_examples=400)
