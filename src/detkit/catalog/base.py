@@ -7,13 +7,13 @@ import math
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
 from ..exactnum import (PolyQ, _homogeneous, _one_minus_power, _q_int_pairs,
                         fmt_rat, integer_numerators, rat)
 from ..linalg import MatrixR
+from ..slotted import Slotted
 
 
 class Resample(Exception):
@@ -264,13 +264,12 @@ def _ser(value):
     return str(value)
 
 
-@dataclass
-class Trial:
-    params: dict
-    lhs: object
-    rhs: object
-    ok: bool
-    micros: Optional[int] = None
+class Trial(Slotted):
+    __slots__ = ("params", "lhs", "rhs", "ok", "micros")
+    __hash__ = None
+
+    def __init__(self, params: dict, lhs, rhs, ok: bool, micros: Optional[int] = None):
+        self.params, self.lhs, self.rhs, self.ok, self.micros = params, lhs, rhs, ok, micros
 
     def to_json_dict(self) -> dict:
         return {
@@ -282,11 +281,14 @@ class Trial:
         }
 
 
-@dataclass
-class VerifyReport:
-    id: str
-    trials: list[Trial] = field(default_factory=list)
-    notes: tuple[str, ...] = ()
+class VerifyReport(Slotted):
+    __slots__ = ("id", "trials", "notes")
+    __hash__ = None
+
+    def __init__(self, id: str, trials: Optional[list[Trial]] = None,
+                 notes: tuple[str, ...] = ()):
+        self.id, self.notes = id, notes
+        self.trials = [] if trials is None else trials
 
     @property
     def overall(self) -> bool:
@@ -307,8 +309,7 @@ class VerifyReport:
 # identity records
 
 
-@dataclass(frozen=True)
-class IdentityRecord:
+class IdentityRecord(Slotted):
     """One registry entry.
 
     `trial(rng, n) -> (params, lhs, rhs)` runs a single randomized check
@@ -321,13 +322,13 @@ class IdentityRecord:
     three. Each is None where it does not apply.
     """
 
-    id: str
-    trial: Callable
-    max_n: int
-    min_n: int = 1
-    builder: Optional[Callable] = None
-    closed: Optional[Callable] = None
-    sampler: Optional[Callable] = None
+    __slots__ = ("id", "trial", "max_n", "min_n", "builder", "closed", "sampler")
+
+    def __init__(self, id: str, trial: Callable, max_n: int, min_n: int = 1,
+                 builder: Optional[Callable] = None, closed: Optional[Callable] = None,
+                 sampler: Optional[Callable] = None):
+        self.id, self.trial, self.max_n, self.min_n = id, trial, max_n, min_n
+        self.builder, self.closed, self.sampler = builder, closed, sampler
 
 
 REGISTRY: dict[str, IdentityRecord] = {}

@@ -6,7 +6,6 @@ point returning a VerifyReport."""
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from collections import Counter
 from fractions import Fraction
@@ -207,8 +206,10 @@ def _lattice_det(n: int, q: Fraction, lattice: str) -> Fraction:
     "matchings", det(q^{components(a, b)}) over the noncrossing matchings
     of 2n points."""
     m, counts = _block_counts(n, lattice)
-    powers = [q ** k for k in range(n + 1)]
-    return det(MatrixR(m, m, [powers[k] for k in counts]))
+    q = pair(q)
+    powers = [power(q, k) for k in range(n + 1)]
+    return det(MatrixR.from_pairs([[powers[k] for k in counts[i:i + m]]
+                                   for i in range(0, m * m, m)]))
 
 
 _NC_SUITE_CHECKS = ("meet-full", "join-full", "meet-nc", "join-nc",
@@ -368,6 +369,13 @@ def _turnbull_sides(rng, n: int, m: int):
     return params, lhs, rhs
 
 
+def _with_trial(identity_id: str, trial) -> IdentityRecord:
+    """A one-off record: the registered record's id and sizes, with another
+    trial."""
+    record = get_record(identity_id)
+    return IdentityRecord(record.id, trial, record.max_n, record.min_n)
+
+
 def _turnbull_trial(rng, n):
     m = rng.randint(n, 5)
     return _turnbull_sides(rng, n, m)
@@ -379,8 +387,7 @@ register(IdentityRecord(id="turnbull", trial=_turnbull_trial, max_n=4))
 def verify_turnbull(n: int, m: int, seed: int = 0) -> VerifyReport:
     if not (1 <= n <= 4 and n <= m <= 5):
         raise ValueError("requires 1 <= n <= 4 and n <= m <= 5")
-    record = dataclasses.replace(
-        get_record("turnbull"), trial=lambda rng, n: _turnbull_sides(rng, n, m))
+    record = _with_trial("turnbull", lambda rng, n: _turnbull_sides(rng, n, m))
     return run_trials(record, n, 3, seed)
 
 
@@ -436,8 +443,7 @@ register(IdentityRecord(id="goja", trial=_goja_trial, max_n=4))
 def verify_goulden_jackson(n: int, trunc: int = 16, seed: int = 0) -> VerifyReport:
     if trunc < 4 * n:
         raise ValueError("trunc too small for exact constant terms")
-    record = dataclasses.replace(
-        get_record("goja"), trial=lambda rng, n: _goja_sides(rng, n, trunc))
+    record = _with_trial("goja", lambda rng, n: _goja_sides(rng, n, trunc))
     return run_trials(record, n, 3, seed)
 
 
@@ -478,8 +484,7 @@ def verify_strehl_wilf(n: int, trunc: int = 16, seed: int = 0) -> VerifyReport:
     if trunc < 3 * n:
         raise ValueError(f"stwi: trunc = {trunc} is below 3n = {3 * n}, which "
                          "leaves fewer than 2n + 1 compared coefficients")
-    record = dataclasses.replace(
-        get_record("stwi"), trial=lambda rng, n: _stwi_sides(rng, n, trunc))
+    record = _with_trial("stwi", lambda rng, n: _stwi_sides(rng, n, trunc))
     return run_trials(record, n, 3, seed)
 
 

@@ -6,12 +6,12 @@ six-vertex partition function by row transfer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
 from .exactnum import PolyQ, integer_numerators, rat
+from .slotted import Slotted
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +146,13 @@ def join_blocks(a: tuple[int, ...], b: tuple[int, ...],
 # posets and characteristic polynomials
 
 
-@dataclass(frozen=True)
-class PosetData:
-    elements: tuple
-    leq: tuple[tuple[bool, ...], ...]  # leq[i][j] == elements[i] <= elements[j]
-    rank: tuple[int, ...]
+class PosetData(Slotted):
+    __slots__ = ("elements", "leq", "rank")
+
+    def __init__(self, elements: tuple, leq: tuple[tuple[bool, ...], ...],
+                 rank: tuple[int, ...]):
+        # leq[i][j] == elements[i] <= elements[j]
+        self.elements, self.leq, self.rank = elements, leq, rank
 
     def minimum(self) -> int:
         for i in range(len(self.elements)):
@@ -289,9 +291,11 @@ def all_perms(n: int) -> list[tuple[int, ...]]:
 # alternating sign matrices and the six-vertex partition function
 
 
-@dataclass(frozen=True)
-class ASM:
-    entries: tuple[tuple[int, ...], ...]
+class ASM(Slotted):
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[int, ...], ...]):
+        self.entries = entries
 
     @property
     def n(self) -> int:

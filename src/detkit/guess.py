@@ -7,12 +7,12 @@ identification-of-factors workflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exactnum import (PolyQ, RatFn, _homogeneous, _terms_str, _trim, fmt_rat,
                        integer_numerators, rat)
+from .slotted import Slotted
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +144,7 @@ def _dilate(p: Sequence[int], e: int, scale: int) -> list[Fraction]:
 # the guessing cascade
 
 
-@dataclass(frozen=True)
-class GuessExpr:
+class GuessExpr(Slotted):
     """Nested-product closed form: `law` is the fitted rational law of the
     `level`-th successive-quotient sequence, and `initials[k]` is the
     first term of the k-th quotient sequence for k < level.
@@ -154,10 +153,11 @@ class GuessExpr:
     guess applies to the even-/odd-indexed subsequence only.
     """
 
-    level: int
-    initials: tuple[Fraction, ...]
-    law: RatFn
-    parity: Optional[int] = None
+    __slots__ = ("level", "initials", "law", "parity")
+
+    def __init__(self, level: int, initials: tuple[Fraction, ...], law: RatFn,
+                 parity: Optional[int] = None):
+        self.level, self.initials, self.law, self.parity = level, initials, law, parity
 
     def evaluate(self, n: int) -> Fraction:
         """Value of the guessed sequence at 1-based position n."""

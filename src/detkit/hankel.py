@@ -12,21 +12,20 @@ and the leading Hankel determinants factor through the b-coefficients:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .exactnum import (bell, bernoulli, euler_even, hermite_values,
                        integer_numerators, rat)
 from .linalg import MatrixR, _eliminate, det
+from .slotted import Slotted
 
 
-@dataclass(frozen=True)
-class MomentSeq:
-    values: tuple[Fraction, ...]
+class MomentSeq(Slotted):
+    __slots__ = ("values",)
 
     def __init__(self, values: Sequence):
-        object.__setattr__(self, "values", tuple(rat(v) for v in values))
+        self.values = tuple(rat(v) for v in values)
 
     def __len__(self):
         return len(self.values)
@@ -35,16 +34,13 @@ class MomentSeq:
         return self.values[k]
 
 
-@dataclass(frozen=True)
-class JFraction:
-    mu0: Fraction
-    a: tuple[Fraction, ...]
-    b: tuple[Fraction, ...]  # b[i] represents b_{i+1}
+class JFraction(Slotted):
+    __slots__ = ("mu0", "a", "b")
 
     def __init__(self, mu0, a: Sequence, b: Sequence):
-        object.__setattr__(self, "mu0", rat(mu0))
-        object.__setattr__(self, "a", tuple(rat(x) for x in a))
-        object.__setattr__(self, "b", tuple(rat(x) for x in b))
+        self.mu0 = rat(mu0)
+        self.a = tuple(rat(x) for x in a)
+        self.b = tuple(rat(x) for x in b)  # b[i] represents b_{i+1}
 
 
 class DegenerateMomentsError(ValueError):
@@ -68,7 +64,8 @@ def _check_length(s: MomentSeq, n: int):
 def hankel_matrix(s: MomentSeq, n: int) -> MatrixR:
     """n x n matrix with entry (i, j) = s[i + j]."""
     _check_length(s, n)
-    return MatrixR.build(n, n, lambda i, j: s[i + j])
+    terms = [(v.numerator, v.denominator) for v in s.values[:max(0, 2 * n - 1)]]
+    return MatrixR.from_pairs([terms[i:i + n] for i in range(n)])
 
 
 def hankel_det(s: MomentSeq, n: int) -> Fraction:

@@ -2,7 +2,6 @@
 determinism, a sample of hand-checked instances, and the structural
 verifiers."""
 
-import dataclasses
 import itertools
 import json
 from fractions import Fraction
@@ -126,8 +125,9 @@ def test_verify_identity_max_n_clamp():
 def test_run_trials_rejects_n_below_min_n(identity_id):
     # refused before any parameter draw; verify_identity clamps instead
     draws = []
-    record = dataclasses.replace(get_record(identity_id),
-                                 trial=lambda rng, n: draws.append(n))
+    old = get_record(identity_id)
+    record = IdentityRecord(old.id, lambda rng, n: draws.append(n), old.max_n, old.min_n,
+                            old.builder, old.closed, old.sampler)
     for run in (lambda r: run_trials(r, 1, 1, 0),
                 lambda r: run_trial(r, trial_rng(0, identity_id, 0), 1)):
         for r in (record, get_record(identity_id)):
@@ -1107,7 +1107,9 @@ def test_izergin_korepin_resampling_is_bounded(monkeypatch):
     def never_in_domain(rng, n):
         raise catalog.Resample
 
-    record = dataclasses.replace(get_record("izergin-korepin"), trial=never_in_domain)
+    old = get_record("izergin-korepin")
+    record = IdentityRecord(old.id, never_in_domain, old.max_n, old.min_n,
+                            old.builder, old.closed, old.sampler)
     monkeypatch.setitem(base.REGISTRY, "izergin-korepin", record)
     with pytest.raises(RuntimeError, match="after 200 samples"):
         verify_izergin_korepin(2, seed=0)
