@@ -294,6 +294,10 @@ class VerifyReport(Slotted):
     def overall(self) -> bool:
         return all(t.ok for t in self.trials)
 
+    def check(self, params: dict, lhs, rhs) -> None:
+        """Append the trial that compares lhs with rhs exactly."""
+        self.trials.append(Trial(params, lhs, rhs, lhs == rhs))
+
     def to_json_dict(self) -> dict:
         out = {
             "id": self.id,

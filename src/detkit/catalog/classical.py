@@ -6,9 +6,9 @@ from __future__ import annotations
 
 from itertools import chain
 
-from ..exactnum import PolyQ, binomial, power_pairs, rat
+from ..exactnum import binomial, power_pairs, rat
 from ..linalg import PERMANENT_MAX_N, MatrixR, permanent
-from .base import (ONE, Resample, _vdm, add, det_record, differences,
+from .base import (ONE, ZERO, Resample, _vdm, add, det_record, differences,
                    distinct_fracs, int_poly, inv, mul, over_pairs, pair,
                    pair_matrix, pairs, poly_pair, power, prod, rand_frac,
                    rand_nonzero, sub)
@@ -175,10 +175,11 @@ def _build_borchardt(n, X, Y):
 
 
 def _closed_borchardt(n, X, Y):
-    X, Y = [rat(x) for x in X], [rat(y) for y in Y]
-    per = permanent(MatrixR.build(n, n, lambda i, j: 1 / (X[i] - Y[j])))
-    pref = _vdm(X) * _vdm(Y) / prod(x - y for x in X for y in Y)
-    return (-1) ** (n * (n - 1) // 2) * pref * per
+    # the Cauchy product times the permanent of its factors 1/(x - y)
+    X, Y = pairs(X), pairs(Y)
+    cross = [[inv(sub(x, y)) for y in Y] for x in X]
+    return prod(chain([(-1) ** (n * (n - 1) // 2), permanent(MatrixR.from_pairs(cross))],
+                      differences(X), differences(Y), chain.from_iterable(cross)))
 
 
 det_record("borchardt", _sample_borchardt, _build_borchardt, _closed_borchardt, max_n=5)
@@ -369,13 +370,10 @@ def _build_krat3a(n, X, A, polys):
 
 
 def _closed_krat3a(n, X, A, polys):
-    ps = [PolyQ(c) for c in polys]
-    X = [rat(x) for x in X]
-    # p_0 is constant; the i >= 2 factors are evaluated at -A_i
-    out = _vdm(list(reversed(X))) * ps[0].coeff(0)
-    for i in range(2, n + 1):
-        out *= ps[i - 1](-rat(A[i - 2]))
-    return out
+    # p_0 is constant; p_(i-1) is evaluated at -A_i for i >= 2
+    return prod(chain(differences(pairs(reversed(X))), [pair(polys[0][0])],
+                      (poly_pair(int_poly(cs), sub(ZERO, a))
+                       for cs, a in zip(polys[1:], pairs(A)))))
 
 
 det_record("krat3a", _sample_krat3a, _build_krat3a, _closed_krat3a, max_n=5)

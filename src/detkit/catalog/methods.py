@@ -40,16 +40,13 @@ def condensation_recurrence_check(a: int, b: int, n: int) -> VerifyReport:
         ("rows 2..n-1, cols 2..n-1", all_idx[1:-1], all_idx[1:-1], (n - 2, a, b)),
     )
     for name, rows, cols, args in minors:
-        got, want = m.submatrix(rows, cols), build_macmahon(*args)
-        report.trials.append(Trial(
-            {"a": a, "b": b, "n": n, "minor": name},
-            got.to_rows(), want.to_rows(), got == want))
+        report.check({"a": a, "b": b, "n": n, "minor": name},
+                     m.submatrix(rows, cols).to_rows(), build_macmahon(*args).to_rows())
     lhs = det(m) * det(build_macmahon(n - 2, a, b))
     rhs = (det(build_macmahon(n - 1, a, b)) ** 2
            - det(build_macmahon(n - 1, a - 1, b + 1))
            * det(build_macmahon(n - 1, a + 1, b - 1)))
-    report.trials.append(Trial(
-        {"a": a, "b": b, "n": n, "check": "desnanot"}, lhs, rhs, lhs == rhs))
+    report.check({"a": a, "b": b, "n": n, "check": "desnanot"}, lhs, rhs)
     return report
 
 
@@ -99,16 +96,14 @@ def ode_method_check(n: int, b: int) -> VerifyReport:
                 tm = tm + t[i][k] * m[k][j]
             if dm != tm:
                 ok = False
-    report.trials.append(Trial(
-        {"n": n, "b": b, "check": "dM/da = T.M"}, ok, True, ok))
+    report.check({"n": n, "b": b, "check": "dM/da = T.M"}, ok, True)
     trace = RatFn(PolyQ.constant(0))
     for i in range(n):
         trace = trace + t[i][i]
     want = RatFn(PolyQ.constant(0))
     for el in range(1, n):
         want = want + RatFn(PolyQ.constant(n - el), PolyQ([b + el, 1]))
-    report.trials.append(Trial(
-        {"n": n, "b": b, "check": "trace"}, trace, want, trace == want))
+    report.check({"n": n, "b": b, "check": "trace"}, trace, want)
 
     def closed(av: Fraction) -> Fraction:
         return prod(chain(map(factorial, range(n)),
@@ -121,9 +116,7 @@ def ode_method_check(n: int, b: int) -> VerifyReport:
             lambda i, j: _ode_m_entry(n, b, i + 1, j + 1)(Fraction(av))))
         if got != closed(Fraction(av)):
             samples_ok = False
-    report.trials.append(Trial(
-        {"n": n, "b": b, "check": "determinant"},
-        samples_ok, True, samples_ok))
+    report.check({"n": n, "b": b, "check": "determinant"}, samples_ok, True)
     return report
 
 
@@ -167,21 +160,14 @@ def lu_vandermonde_check(n: int, X) -> VerifyReport:
     u = MatrixR.build(n, n, u_entry)
     el = MatrixR.build(n, n, l_entry)
     prod_mu = m * u
-    report.trials.append(Trial(
-        {"n": n, "X": tuple(X), "check": "M.U = L"},
-        prod_mu.to_rows(), el.to_rows(), prod_mu == el))
+    report.check({"n": n, "X": tuple(X), "check": "M.U = L"}, prod_mu.to_rows(), el.to_rows())
     diag = Fraction(1)
     for j in range(n):
         diag *= el[j, j]
-    vdm = _vdm(X)
-    report.trials.append(Trial(
-        {"n": n, "X": tuple(X), "check": "diagonal product"},
-        diag, vdm, diag == vdm))
+    report.check({"n": n, "X": tuple(X), "check": "diagonal product"}, diag, _vdm(X))
     lower, upper = lu_decompose(m)
-    report.trials.append(Trial(
-        {"n": n, "X": tuple(X), "check": "lu_decompose"},
-        [lower.to_rows(), upper.to_rows()], [el.to_rows(), u.to_rows()],
-        (lower, upper) == (el, u)))
+    report.check({"n": n, "X": tuple(X), "check": "lu_decompose"},
+                 [lower.to_rows(), upper.to_rows()], [el.to_rows(), u.to_rows()])
     return report
 
 
@@ -200,14 +186,10 @@ def identification_workflow_mrr(n: int) -> VerifyReport:
     v = [binomial(n - 2, j - 1) for j in range(n)]
     image = m.mul_vector(v)
     zero = [Fraction(0)] * n
-    report.trials.append(Trial(
-        {"n": n, "mu": -n, "vector": tuple(v), "check": "kernel"},
-        list(image), zero, list(image) == zero))
+    report.check({"n": n, "mu": -n, "vector": tuple(v), "check": "kernel"}, list(image), zero)
     sums = [sum((binomial(n - 2, j - 1) * binomial(-n + i + j, 2 * i - j)
                  for j in range(n)), Fraction(0)) for i in range(n)]
-    report.trials.append(Trial(
-        {"n": n, "check": "vanishing sum"},
-        sums, zero, sums == zero))
+    report.check({"n": n, "check": "vanishing sum"}, sums, zero)
     bound = n * (n - 1) // 2
     p = interpolate_det_poly("mrr", {}, "mu", n, bound)
     factors, _ = linear_factors(p, 3 * n + 3)

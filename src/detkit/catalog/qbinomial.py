@@ -10,14 +10,9 @@ from itertools import chain, combinations
 from ..exactnum import (_binomial_pairs, _q_binomial_pairs, double_factorial,
                         factorial, power_pairs, rat)
 from .base import (ZERO, _ceil, _sample_mu, add, decreasing_ints,
-                   det_record, differences, one_minus, pair,
+                   det_record, differences, mul, one_minus, pair,
                    pair_matrix, pairs, power, prod, q_factorials, q_prod,
                    rand_frac, rand_q, rising)
-
-
-def _inv_fact(m: int) -> Fraction:
-    """1/m!, with 1/(negative)! = 0."""
-    return Fraction(0) if m < 0 else Fraction(1, factorial(m))
 
 
 def _q_binomial_tables(alphas, q, hi):
@@ -117,9 +112,11 @@ def _build_abel(n, L, A, B):
 
 
 def _closed_abel(n, L, A, B):
-    A, B = rat(A), rat(B)
+    # prod_i (A + B (i+1))^i / (n - L_i)!, with 1/(negative)! = 0
+    A, B = pair(A), pair(B)
     return prod(chain(differences(pairs(L)),
-                      ((A + B * (i + 1)) ** i * _inv_fact(n - L[i]) for i in range(n))))
+                      (power(add(A, mul(B, (i + 1, 1))), i) for i in range(n)),
+                      ((1, factorial(n - v)) if v <= n else 0 for v in L)))
 
 
 det_record("abel", _sample_abel, _build_abel, _closed_abel, max_n=5)

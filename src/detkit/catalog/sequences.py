@@ -10,7 +10,7 @@ from itertools import chain
 
 from ..exactnum import (PolyQ, bell_poly, bernoulli, euler_even, factorial,
                         hermite_values, rat, stirling1_unsigned, stirling2)
-from ..hankel import MomentSeq, hankel_matrix
+from ..hankel import MomentSeq, hankel_det, hankel_matrix
 from ..linalg import MatrixR, det, pfaffian, resultant
 from .base import IdentityRecord, det_record, pair, power, prod, rand_frac, register
 
@@ -20,14 +20,10 @@ from .base import IdentityRecord, det_record, pair, power, prod, rand_frac, regi
 
 
 def _euler_trial(rng, n):
-    d0 = det(MatrixR.build(n, n, lambda i, j: euler_even(2 * i + 2 * j)))
-    d1 = det(MatrixR.build(n, n, lambda i, j: euler_even(2 * i + 2 * j + 2)))
-    r0 = Fraction(1)
-    r1 = Fraction(1)
-    for i in range(n):
-        r0 *= factorial(2 * i) ** 2
-        r1 *= factorial(2 * i + 1) ** 2
-    return {}, (d0, d1), (r0, r1)
+    # the moments E_0, E_2, ..., E_(4n-4) and E_2, ..., E_(4n-2)
+    e = [euler_even(2 * k) for k in range(2 * n)]
+    dets = hankel_det(MomentSeq(e[:-1]), n), hankel_det(MomentSeq(e[1:]), n)
+    return {}, dets, tuple(prod(factorial(2 * i + s) ** 2 for i in range(n)) for s in (0, 1))
 
 
 register(IdentityRecord(id="hankel-euler", trial=_euler_trial, max_n=6))
@@ -61,36 +57,26 @@ det_record("hankel-hermite", _sample_x, _build_hermite, _closed_hermite, max_n=6
 
 
 def _bernoulli_trial(rng, n):
-    dets = tuple(
-        det(MatrixR.build(n, n, entry))
-        for entry in (
-            lambda i, j: bernoulli(i + j),
-            lambda i, j: bernoulli(i + j + 1),
-            lambda i, j: bernoulli(i + j + 2),
-            lambda i, j: bernoulli(2 * i + 2 * j + 2),
-            lambda i, j: bernoulli(2 * i + 2 * j + 4),
-        ))
-    r1 = Fraction(-1) ** (n * (n - 1) // 2)
-    r2 = Fraction(-1) ** (n * (n + 1) // 2) * Fraction(1, 2)
-    r3 = Fraction(-1) ** (n * (n - 1) // 2) * Fraction(1, 6)
-    for i in range(1, n):
-        r1 *= Fraction(factorial(i) ** 6,
-                       factorial(2 * i) * factorial(2 * i + 1))
-        r2 *= Fraction(factorial(i) ** 3 * factorial(i + 1) ** 3,
-                       factorial(2 * i + 1) * factorial(2 * i + 2))
-        r3 *= Fraction(factorial(i) * factorial(i + 1) ** 4 * factorial(i + 2),
-                       factorial(2 * i + 2) * factorial(2 * i + 3))
-    r4 = Fraction(1)
-    for i in range(n):
-        r4 *= Fraction(
-            factorial(2 * i) * factorial(2 * i + 1) ** 4 * factorial(2 * i + 2),
-            factorial(4 * i + 2) * factorial(4 * i + 3))
-    r5 = Fraction(-1) ** n
-    for i in range(1, n + 1):
-        r5 *= Fraction(
-            factorial(2 * i - 1) * factorial(2 * i) ** 4 * factorial(2 * i + 1),
-            factorial(4 * i) * factorial(4 * i + 1))
-    return {}, dets, (r1, r2, r3, r4, r5)
+    # the moments B_(k+s), s = 0, 1, 2, and B_(2k+s), s = 2, 4, for k <= 2n - 2
+    b = [bernoulli(k) for k in range(4 * n + 1)]
+    moments = b[:2 * n - 1], b[1:2 * n], b[2:2 * n + 1], b[2:4 * n - 1:2], b[4::2]
+    dets = tuple(hankel_det(MomentSeq(s), n) for s in moments)
+    f, sign = factorial, (-1) ** (n * (n - 1) // 2)
+    rhs = (
+        prod(chain([sign], ((f(i) ** 6, f(2 * i) * f(2 * i + 1)) for i in range(1, n)))),
+        prod(chain([(-1) ** (n * (n + 1) // 2), (1, 2)],
+                   ((f(i) ** 3 * f(i + 1) ** 3, f(2 * i + 1) * f(2 * i + 2))
+                    for i in range(1, n)))),
+        prod(chain([sign, (1, 6)],
+                   ((f(i) * f(i + 1) ** 4 * f(i + 2), f(2 * i + 2) * f(2 * i + 3))
+                    for i in range(1, n)))),
+        prod((f(2 * i) * f(2 * i + 1) ** 4 * f(2 * i + 2), f(4 * i + 2) * f(4 * i + 3))
+             for i in range(n)),
+        prod(chain([(-1) ** n],
+                   ((f(2 * i - 1) * f(2 * i) ** 4 * f(2 * i + 1), f(4 * i) * f(4 * i + 1))
+                    for i in range(1, n + 1)))),
+    )
+    return {}, dets, rhs
 
 
 register(IdentityRecord(id="hankel-bernoulli", trial=_bernoulli_trial, max_n=6))

@@ -10,6 +10,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from ..combinat import (PosetData, all_perms, enumerate_partitions,
                         join_blocks, meet_blocks, nc_lattice, nc_matchings,
@@ -19,10 +20,10 @@ from ..combinat import (PosetData, all_perms, enumerate_partitions,
 from ..exactnum import (PolyQ, TruncSeries, _one_minus_power, _q_binomial_pairs,
                         bell, binomial, chebyshev_u, compose_each, rat, stirling2)
 from ..linalg import MatrixR, _det_laplace, char_poly, det
-from .base import (ONE, IdentityRecord, Resample, Trial, VerifyReport, _vdm,
-                   add, distinct_fracs, get_record, mul, one_minus, pair,
-                   pair_matrix, power, prod, q_prod, rand_frac, rand_nonzero,
-                   rand_q, register, run_trials, sub)
+from .base import (ONE, IdentityRecord, Resample, VerifyReport, _vdm,
+                   add, differences, distinct_fracs, get_record, inv, mul,
+                   one_minus, pair, pair_matrix, pairs, power, prod, q_prod,
+                   rand_frac, rand_nonzero, rand_q, register, run_trials, sub)
 
 
 def _int_exp(e) -> int:
@@ -132,12 +133,10 @@ def verify_group_determinant(kind: str, n: int, q, with_spectrum: bool = False) 
     q = rat(q)
     lhs, closed = _group_sides(n, q, kind)
     report = VerifyReport(f"group-{kind}")
-    report.trials.append(Trial({"n": n, "q": q}, lhs, closed, lhs == closed))
+    report.check({"n": n, "q": q}, lhs, closed)
     if with_spectrum:
         cp = char_poly(_perm_det_matrix(n, q, kind))
-        expected = _maj_spectrum(n, q)
-        report.trials.append(Trial({"n": n, "q": q, "check": "spectrum"},
-                                   cp, expected, cp == expected))
+        report.check({"n": n, "q": q, "check": "spectrum"}, cp, _maj_spectrum(n, q))
     return report
 
 
@@ -153,14 +152,17 @@ def _dual(p: PosetData) -> PosetData:
     return PosetData(p.elements, leq, rank)
 
 
+@lru_cache(maxsize=None)
 def _chi_full(i: int) -> PolyQ:
     return poset_char_poly(partition_lattice(i))
 
 
+@lru_cache(maxsize=None)
 def _chi_full_dual_tilde(i: int) -> PolyQ:
     return reciprocal_poly(poset_char_poly(_dual(partition_lattice(i))))
 
 
+@lru_cache(maxsize=None)
 def _chi_nc(i: int) -> PolyQ:
     return poset_char_poly(nc_lattice(i))
 
@@ -279,12 +281,9 @@ def verify_nc_suite(n: int, q) -> VerifyReport:
     lhs, rhs4 = _nc_suite_sides(n, q * q)
     rhs = rhs4 + (_tutte_rhs(n, q),)
     for name, left, right in zip(_NC_SUITE_CHECKS, lhs, rhs):
-        report.trials.append(Trial({"n": n, "q": q * q, "check": name},
-                                   left, right, left == right))
-    left = _lattice_det(n, q, "matchings")
-    right = _meander_rhs(n, q)
-    report.trials.append(Trial({"n": n, "q": q, "check": "matchings"},
-                               left, right, left == right))
+        report.check({"n": n, "q": q * q, "check": name}, left, right)
+    report.check({"n": n, "q": q, "check": "matchings"},
+                 _lattice_det(n, q, "matchings"), _meander_rhs(n, q))
     return report
 
 
@@ -335,7 +334,7 @@ def verify_okada(n: int, q) -> VerifyReport:
     q = rat(q)
     lhs, rhs = _okada_sides(n, q)
     report = VerifyReport("okada", notes=("conjecture-consistent",))
-    report.trials.append(Trial({"n": n, "q": q}, lhs, rhs, lhs == rhs))
+    report.check({"n": n, "q": q}, lhs, rhs)
     return report
 
 
@@ -500,11 +499,11 @@ def _izkor_sides(rng, n: int):
         raise Resample
     lhs = det(MatrixR.build(
         n, n, lambda i, j: 1 / ((x[i] - y[j]) * (q * x[i] - y[j]))))
-    pref = Fraction(-1) ** (n * (n - 1) // 2) * _vdm(x) * _vdm(y)
-    for v in x:
-        for w in y:
-            pref /= (v - w) * (q * v - w)
-    return {"q": q, "X": x, "Y": y}, lhs, pref * six_vertex_sum(x, y, q)
+    qp, xp, yp = pair(q), pairs(x), pairs(y)
+    rhs = prod(chain([(-1) ** (n * (n - 1) // 2), six_vertex_sum(x, y, q)],
+                     differences(xp), differences(yp),
+                     (inv(mul(sub(v, w), sub(mul(qp, v), w))) for v in xp for w in yp)))
+    return {"q": q, "X": x, "Y": y}, lhs, rhs
 
 
 register(IdentityRecord(id="izergin-korepin", trial=_izkor_sides, max_n=4))

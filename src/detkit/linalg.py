@@ -16,8 +16,9 @@ by `guess.interpolate_det_poly`; the characteristic polynomial is found
 the same way, from det(x*I - M) at x = 0..n.  LU comes from one Gaussian
 elimination without pivoting.  Determinants, kernels and the Pfaffian
 (skew elimination, no size cap) run fraction-free on the integer rows.
-The Laplace expansion divides nowhere and shares its minors; stwi calls
-it directly on truncated series.
+One first-row expansion, which divides nowhere and shares its minors,
+gives the permanent (unsigned) and the determinant stwi takes of
+truncated series (signed).
 """
 
 from __future__ import annotations
@@ -165,12 +166,12 @@ class MatrixR:
         return f"MatrixR({self.to_rows()!r})"
 
 
-def _det_laplace(m: MatrixR):
-    """First-row Laplace expansion over any commutative ring: stwi calls
-    it directly on TruncSeries, which has zero divisors.
+def _expand(m: MatrixR, signed: bool):
+    """First-row expansion of the square matrix m over any commutative
+    ring: the determinant when signed, else the permanent.
 
     The minor on the last k rows and a given set of k columns is expanded
-    once and shared, so an n x n determinant costs about n * 2^(n-1)
+    once and shared, so an n x n expansion costs about n * 2^(n-1)
     products instead of n!.  Each minor is the same expression the plain
     recursion builds, so series values and windows do not change.
     """
@@ -186,18 +187,25 @@ def _det_laplace(m: MatrixR):
             return got
         if len(cols) == 2:
             a, b = cols
-            got = m[r, a] * m[r + 1, b] - m[r, b] * m[r + 1, a]
+            x, y = m[r, a] * m[r + 1, b], m[r, b] * m[r + 1, a]
+            got = x - y if signed else x + y
         else:
             for pos, j in enumerate(cols):
                 # no zero-skip: a series 0 + O(x^k) still bounds the window
                 term = m[r, j] * minor(cols[:pos] + cols[pos + 1:])
-                if pos % 2:
+                if signed and pos % 2:
                     term = term * -1
                 got = term if pos == 0 else got + term
         memo[cols] = got
         return got
 
     return minor(tuple(range(n))) if n else Fraction(1)
+
+
+def _det_laplace(m: MatrixR):
+    """Determinant by the shared-minor first-row expansion: stwi calls it
+    directly on TruncSeries, which has zero divisors."""
+    return _expand(m, True)
 
 
 def _eliminate(a: list[list[int]]) -> tuple[int, list[int], int]:
@@ -291,31 +299,16 @@ def det(m: MatrixR) -> Fraction:
     return Fraction(sign * pivots[-1], prod(scales))
 
 
-PERMANENT_MAX_N = 9  # Ryser's sum runs over 2^n column subsets
+PERMANENT_MAX_N = 9  # the expansion runs over 2^n column subsets
 
 
 def permanent(m: MatrixR):
-    """Permanent by inclusion-exclusion over column subsets (Ryser)."""
+    """Permanent by the shared-minor first-row expansion without signs."""
     if m.rows != m.cols:
         raise ValueError("permanent of non-square matrix")
-    n = m.rows
-    if n > PERMANENT_MAX_N:
+    if m.rows > PERMANENT_MAX_N:
         raise ValueError(f"permanent capped at n <= {PERMANENT_MAX_N}")
-    if n == 0:
-        return Fraction(1)
-    total = None
-    for mask in range(1, 1 << n):
-        cols = [j for j in range(n) if mask >> j & 1]
-        prod = None
-        for i in range(n):
-            s = m[i, cols[0]]
-            for j in cols[1:]:
-                s = s + m[i, j]
-            prod = s if prod is None else prod * s
-        if (n - len(cols)) % 2:
-            prod = prod * -1
-        total = prod if total is None else total + prod
-    return total
+    return _expand(m, False)
 
 
 def pfaffian(m: MatrixR) -> Fraction:

@@ -1,10 +1,12 @@
 """Slow independent oracles for detkit.linalg: determinants by brute
 force over all permutations, by Gaussian elimination and by Dodgson
 condensation, for `det` and `_det_laplace`; leading minors by integer
-Bareiss elimination, for `hankel.hankel_dets`; Pfaffians by first-row
-expansion and by the signed sum over perfect matchings, for `pfaffian`;
-and the Faddeev-LeVerrier recursion, for `char_poly`.  The expansions
-take entries of any commutative ring, TruncSeries included."""
+Bareiss elimination, for `hankel.hankel_dets`; permanents by Ryser's
+inclusion-exclusion over column subsets and by the sum over all
+permutations, for `permanent`; Pfaffians by first-row expansion and by
+the signed sum over perfect matchings, for `pfaffian`; and the
+Faddeev-LeVerrier recursion, for `char_poly`.  The expansions take
+entries of any commutative ring, TruncSeries included."""
 
 from fractions import Fraction
 from itertools import permutations
@@ -123,6 +125,40 @@ def bareiss_int(a):
             row[k + 1:] = [(p * x - f * y) // prev for x, y in zip(row[k + 1:], tail)]
         prev = p
     return sign, pivots, first_swap
+
+
+def permanent_ryser(m):
+    """Permanent by inclusion-exclusion over column subsets (Ryser)."""
+    n = m.rows
+    if n == 0:
+        return Fraction(1)
+    total = None
+    for mask in range(1, 1 << n):
+        cols = [j for j in range(n) if mask >> j & 1]
+        prod = None
+        for i in range(n):
+            s = m[i, cols[0]]
+            for j in cols[1:]:
+                s = s + m[i, j]
+            prod = s if prod is None else prod * s
+        if (n - len(cols)) % 2:
+            prod = prod * -1
+        total = prod if total is None else total + prod
+    return total
+
+
+def permanent_permutation_sum(m):
+    """Permanent as the unsigned sum over all permutations (n <= 6)."""
+    n = m.rows
+    if n > 6:
+        raise ValueError("permutation sum capped at n <= 6")
+    acc = None
+    for perm in permutations(range(n)):
+        prod = None
+        for i in range(n):
+            prod = m[i, perm[i]] if prod is None else prod * m[i, perm[i]]
+        acc = prod if acc is None else acc + prod
+    return acc if acc is not None else Fraction(1)
 
 
 def pfaffian_expansion(m):

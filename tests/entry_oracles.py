@@ -17,13 +17,20 @@ Weyl, Cauchy, the krat lemmas, pp1-pp6, abel, shifted, csp, descpp,
 flha, qflha, MacMahon, krat-xy, tsscpp1, tsscpp2, pentagon, zare1, mrr,
 rn, andrews, fukr2, bombieri-xbc, poorten, hankel-hermite, Okada and the
 symmetric-group determinants) multiplied factor by factor in Fraction
-arithmetic."""
+arithmetic, with Borchardt's permanent by Ryser's sum (`permanent_ryser`).
+The trials of hankel-euler and hankel-bernoulli are kept with their
+matrices built entry by entry, and izergin-korepin's with its prefactor
+as a Fraction loop."""
 
 import math
 from fractions import Fraction
 
+from detkit.catalog.base import Resample, distinct_fracs, rand_q
 from detkit.catalog.multiblock import _binom2, _n_exponent
-from detkit.exactnum import PolyQ, double_factorial, rat
+from detkit.combinat import six_vertex_sum
+from detkit.exactnum import PolyQ, bernoulli, double_factorial, euler_even, rat
+from detkit.linalg import MatrixR, det
+from det_oracles import permanent_ryser
 
 
 # ---------------------------------------------------------------------------
@@ -665,6 +672,13 @@ def cauchy_closed(n, X, Y):
     return _vdm(X) * _vdm(Y) / _product(x + y for x in X for y in Y)
 
 
+def borchardt_closed(n, X, Y):
+    X, Y = [rat(x) for x in X], [rat(y) for y in Y]
+    per = permanent_ryser(MatrixR.build(n, n, lambda i, j: 1 / (X[i] - Y[j])))
+    pref = _vdm(X) * _vdm(Y) / _product(x - y for x in X for y in Y)
+    return (-1) ** (n * (n - 1) // 2) * pref * per
+
+
 def krat1_closed(n, X, A, B):
     X = [rat(x) for x in X]
     out = _vdm(list(reversed(X)))  # prod_{i<j} (X_i - X_j)
@@ -694,6 +708,16 @@ def krat3_closed(n, X, A, C, B):
     for i in range(2, n + 1):
         x = -rat(A[i - 2])
         out *= _product((x + rat(b)) * (C / x + rat(b)) for b in B[i - 1])
+    return out
+
+
+def krat3a_closed(n, X, A, polys):
+    ps = [PolyQ(c) for c in polys]
+    X = [rat(x) for x in X]
+    # p_0 is constant; the i >= 2 factors are evaluated at -A_i
+    out = _vdm(list(reversed(X))) * ps[0].coeff(0)
+    for i in range(2, n + 1):
+        out *= poly_horner(ps[i - 1], -rat(A[i - 2]))
     return out
 
 
@@ -1076,3 +1100,60 @@ def zagier_maj_closed(n, q):
     for i in range(2, n + 1):
         out *= (1 - q ** i) ** (math.factorial(n) * (i - 1) // i)
     return out
+
+
+# ---------------------------------------------------------------------------
+# whole trials: (params, lhs, rhs) from the same draws as the record's
+
+
+def hankel_euler_trial(rng, n):
+    d0 = det(MatrixR.build(n, n, lambda i, j: euler_even(2 * i + 2 * j)))
+    d1 = det(MatrixR.build(n, n, lambda i, j: euler_even(2 * i + 2 * j + 2)))
+    r0 = Fraction(1)
+    r1 = Fraction(1)
+    for i in range(n):
+        r0 *= math.factorial(2 * i) ** 2
+        r1 *= math.factorial(2 * i + 1) ** 2
+    return {}, (d0, d1), (r0, r1)
+
+
+def hankel_bernoulli_trial(rng, n):
+    f = math.factorial
+    dets = tuple(
+        det(MatrixR.build(n, n, entry))
+        for entry in (
+            lambda i, j: bernoulli(i + j),
+            lambda i, j: bernoulli(i + j + 1),
+            lambda i, j: bernoulli(i + j + 2),
+            lambda i, j: bernoulli(2 * i + 2 * j + 2),
+            lambda i, j: bernoulli(2 * i + 2 * j + 4),
+        ))
+    r1 = Fraction(-1) ** (n * (n - 1) // 2)
+    r2 = Fraction(-1) ** (n * (n + 1) // 2) * Fraction(1, 2)
+    r3 = Fraction(-1) ** (n * (n - 1) // 2) * Fraction(1, 6)
+    for i in range(1, n):
+        r1 *= Fraction(f(i) ** 6, f(2 * i) * f(2 * i + 1))
+        r2 *= Fraction(f(i) ** 3 * f(i + 1) ** 3, f(2 * i + 1) * f(2 * i + 2))
+        r3 *= Fraction(f(i) * f(i + 1) ** 4 * f(i + 2), f(2 * i + 2) * f(2 * i + 3))
+    r4 = Fraction(1)
+    for i in range(n):
+        r4 *= Fraction(f(2 * i) * f(2 * i + 1) ** 4 * f(2 * i + 2), f(4 * i + 2) * f(4 * i + 3))
+    r5 = Fraction(-1) ** n
+    for i in range(1, n + 1):
+        r5 *= Fraction(f(2 * i - 1) * f(2 * i) ** 4 * f(2 * i + 1), f(4 * i) * f(4 * i + 1))
+    return {}, dets, (r1, r2, r3, r4, r5)
+
+
+def izergin_korepin_trial(rng, n):
+    q = rand_q(rng)
+    vals = distinct_fracs(rng, 2 * n)
+    x, y = vals[:n], vals[n:]
+    if any(v == w or q * v == w for v in x for w in y):
+        raise Resample
+    lhs = det(MatrixR.build(
+        n, n, lambda i, j: 1 / ((x[i] - y[j]) * (q * x[i] - y[j]))))
+    pref = Fraction(-1) ** (n * (n - 1) // 2) * _vdm(x) * _vdm(y)
+    for v in x:
+        for w in y:
+            pref /= (v - w) * (q * v - w)
+    return {"q": q, "X": x, "Y": y}, lhs, pref * six_vertex_sum(x, y, q)

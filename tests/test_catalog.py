@@ -2,6 +2,7 @@
 determinism, a sample of hand-checked instances, and the structural
 verifiers."""
 
+import hashlib
 import itertools
 import json
 from fractions import Fraction
@@ -30,14 +31,17 @@ from entry_oracles import (_binomial_loop, _pochhammer_loop,
                            _q_factorial_loop, _q_int_formula, ab_entry,
                            abel_closed, abel_entry, andrews_closed,
                            anst_closed, anst_entry, banded_entry,
-                           binomial_plus_diagonal_entry, cauchy_closed,
-                           chu1_entry, chu2_entry, csp_closed, csp_entry,
-                           descpp_closed, descpp_entry, flha1_closed,
-                           flha1_entry, flha2_closed, flha2_entry,
-                           fukr2_closed, fukr2_entry, hermite_closed, krat1_closed,
+                           binomial_plus_diagonal_entry, borchardt_closed,
+                           cauchy_closed, chu1_entry, chu2_entry, csp_closed,
+                           csp_entry, descpp_closed, descpp_entry,
+                           flha1_closed, flha1_entry, flha2_closed,
+                           flha2_entry,
+                           fukr2_closed, fukr2_entry, hankel_bernoulli_trial,
+                           hankel_euler_trial, hermite_closed,
+                           izergin_korepin_trial, krat1_closed,
                            krat2_closed, krat2a_closed, krat3_closed,
-                           krat5_closed, krat6_closed, krat7_closed,
-                           krat_entry, macmahon_closed, mrr_closed,
+                           krat3a_closed, krat5_closed, krat6_closed,
+                           krat7_closed, krat_entry, macmahon_closed, mrr_closed,
                            mrr_entry, mrr_r_entry, mrr_t_entry, okada_closed,
                            okada_entry, pentagon_closed, pentagon_entry,
                            poly_horner, poorten_closed, poorten_entry,
@@ -146,6 +150,41 @@ def test_report_serialization_schema():
         assert set(t) == {"params", "lhs", "rhs", "pass", "micros"}
         assert t["micros"] is None  # deterministic serialization
     json.dumps(d)  # must be JSON-clean
+
+
+def test_report_check_compares_exactly():
+    report = VerifyReport("check")
+    report.check({"n": 1}, Fraction(2, 4), Fraction(1, 2))
+    report.check({"n": 2}, [1, 2], [1, 3])
+    assert [(t.params, t.lhs, t.rhs, t.ok, t.micros) for t in report.trials] == [
+        ({"n": 1}, Fraction(1, 2), Fraction(1, 2), True, None),
+        ({"n": 2}, [1, 2], [1, 3], False, None)]
+
+
+# sha256 of each report's sorted-key JSON, as its trials were built one by one
+HAND_BUILT_REPORTS = {
+    "group-maj": (lambda: verify_group_determinant("maj", 4, Fraction(2, 5), with_spectrum=True),
+                  "9930f23d35964cf1513454ed62bb39689753a2a1a51f9754192830d0d448cff9"),
+    "nc-suite": (lambda: verify_nc_suite(4, Fraction(1, 3)),
+                 "c0b663dc665573ce5bacb77e9e99af7f049548af64ffa2b0b694e34d43bf808e"),
+    "okada": (lambda: verify_okada(4, Fraction(1, 2)),
+              "a7b054be478126573006fa53597d4dc8ed42da769f9ce8a1825159fff1294862"),
+    "condensation": (lambda: condensation_recurrence_check(2, 3, 5),
+                     "56d6a709a12ee0e6cc70a30e02b7edc51add1ccd8e61646bf3385f6125b8dce1"),
+    "ode-method": (lambda: ode_method_check(4, 2),
+                   "b46b6d6e4cdef536e8c33582581cd42b5d5a527734f201d971ebe98e3acc49d8"),
+    "lu-vandermonde": (lambda: lu_vandermonde_check(6, [Fraction(i + 1, 2) for i in range(6)]),
+                       "769f603d0532c2e88691ec23f61d49079c23c70bc7c78debd179d54c056f333f"),
+    "identification-mrr": (lambda: identification_workflow_mrr(4),
+                           "555045ecd6a59f550ee2e2d7d598016971e33d64308c03c0db01aaa2f0ced276"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT_REPORTS))
+def test_structural_and_method_reports_are_pinned(name):
+    build, digest = HAND_BUILT_REPORTS[name]
+    text = json.dumps(build().to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("identity_id", [
@@ -673,7 +712,8 @@ CLOSED_FORM_ORACLES = {
     "weyl-b": weyl_b_closed(-1), "weyl-b2": weyl_b_closed(1),
     "weyl-d": weyl_d_closed, "cauchy": cauchy_closed, "krat1": krat1_closed,
     "krat2": krat2_closed, "krat2a": krat2a_closed, "krat3": krat3_closed,
-    "krat5": krat5_closed, "krat6": krat6_closed, "krat7": krat7_closed,
+    "krat3a": krat3a_closed, "krat5": krat5_closed, "krat6": krat6_closed,
+    "krat7": krat7_closed, "borchardt": borchardt_closed,
     "pp1": pp1_closed, "pp2": pp2_closed, "shifted": shifted_closed, "pp5a": pp5a_closed,
     "pp3": pp3_closed, "abel": abel_closed, "zare1": zare1_closed,
     "hankel-hermite": hermite_closed, "mrr": mrr_closed, "rn": rn_closed,
@@ -699,7 +739,8 @@ def _value_or_raised(evaluate):
 def test_closed_form_matches_per_factor_oracle(identity_id):
     # every draw of seeds 0-9 at n = min_n..12 (cauchy's and anst's
     # without their samplers' refusal; pp1's, pp2's, pp3's, shifted's and
-    # pp5a's up to the n at which their samplers' ranges end), a
+    # pp5a's up to the n at which their samplers' ranges end, borchardt's
+    # up to its permanent's cap and without the draws it refuses), a
     # q-family's also at q = 1 and q = -1 (pp6's at r = 1 and r = -1): the
     # same value and a Fraction, or the same exception type; and some draw
     # gives a nonzero value, so that no broken factor hides behind 0 = 0
@@ -710,8 +751,12 @@ def test_closed_form_matches_per_factor_oracle(identity_id):
     for seed in range(10):
         for n in range(record.min_n, 13):
             params = _value_or_raised(lambda: draw(trial_rng(seed, identity_id, 0), n))
-            if params is ValueError:  # "range too small"
-                assert identity_id in ("pp1", "pp2", "pp3", "shifted", "pp5a") and n > 6
+            if params is ValueError:  # "range too small", "permanent capped at n <= 9"
+                assert ((identity_id in ("pp1", "pp2", "pp3", "shifted", "pp5a") and n > 6)
+                        or (identity_id == "borchardt" and n > 9))
+                continue
+            if params is Resample:  # some x_i = y_j
+                assert identity_id == "borchardt"
                 continue
             key = next((k for k in ("q", "r") if k in params), None)
             variants = [params] if key is None else [
@@ -723,6 +768,35 @@ def test_closed_form_matches_per_factor_oracle(identity_id):
                 assert isinstance(want, type) or type(want) is Fraction
                 nonzero = nonzero or (type(want) is Fraction and want != 0)
     assert nonzero
+
+
+TRIAL_ORACLES = {"hankel-euler": hankel_euler_trial,
+                 "hankel-bernoulli": hankel_bernoulli_trial,
+                 "izergin-korepin": izergin_korepin_trial}
+
+
+def _types(sides):
+    return [[type(v) for v in side] if isinstance(side, tuple) else type(side)
+            for side in sides]
+
+
+@pytest.mark.parametrize("identity_id", sorted(TRIAL_ORACLES))
+def test_trial_matches_oracle(identity_id):
+    # seeds 0-9 at n = min_n..max_n + 2: the same params, and each side the
+    # same in value and in type, or the same exception type
+    record = get_record(identity_id)
+    oracle = TRIAL_ORACLES[identity_id]
+    drawn = False
+    for seed in range(10):
+        for n in range(record.min_n, record.max_n + 3):
+            want = _value_or_raised(lambda: oracle(trial_rng(seed, identity_id, 0), n))
+            got = _value_or_raised(lambda: record.trial(trial_rng(seed, identity_id, 0), n))
+            if isinstance(want, type):
+                assert got is want, (seed, n)
+                continue
+            assert got == want and _types(got) == _types(want), (seed, n)
+            drawn = True
+    assert drawn
 
 
 @pytest.mark.parametrize("name", ["zagier-inv", "zagier-maj", "okada"])

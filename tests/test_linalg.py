@@ -20,6 +20,7 @@ from detkit.linalg import (MatrixR, SingularMinorError, _det_laplace,
                            lu_decompose, permanent, pfaffian, resultant)
 from det_oracles import (char_poly_faddeev_leverrier, det_condensation,
                          det_gauss, det_permutation_expansion,
+                         permanent_permutation_sum, permanent_ryser,
                          pfaffian_expansion, pfaffian_matching_sum)
 from series_oracles import add_loop, mul_loop
 
@@ -33,8 +34,8 @@ def _rand_matrix(rng, n, lo=-9, hi=9):
         [[Fraction(rng.randint(lo, hi)) for _ in range(n)] for _ in range(n)])
 
 
-def square(n):
-    return st.lists(st.lists(rationals, min_size=n, max_size=n),
+def square(n, entries=rationals):
+    return st.lists(st.lists(entries, min_size=n, max_size=n),
                     min_size=n, max_size=n).map(MatrixR.from_rows)
 
 
@@ -510,6 +511,39 @@ def test_permanent_anchor():
     # [TRIVIAL] per [[1,2],[3,4]] = 10; per(J_3) = 3! = 6
     assert permanent(MatrixR.from_rows([[1, 2], [3, 4]])) == 10
     assert permanent(MatrixR.build(3, 3, lambda i, j: Fraction(1))) == 6
+
+
+def _same_permanent(m, oracles):
+    got = permanent(m)
+    for oracle in oracles:
+        want = oracle(m)
+        assert got == want and type(got) is type(want), oracle.__name__
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.tuples(st.integers(0, 6), st.sampled_from([st.integers(-9, 9), rationals]))
+       .flatmap(lambda spec: square(*spec)))
+def test_permanent_matches_oracles(m):
+    # int matrices give ints and Fraction matrices Fractions, as the oracles do
+    _same_permanent(m, (permanent_ryser, permanent_permutation_sum))
+
+
+def test_permanent_matches_ryser_at_cap():
+    rng = random.Random(9)
+    for entry in (lambda: rng.randint(-9, 9),
+                  lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6))):
+        for _ in range(2):
+            _same_permanent(MatrixR.build(9, 9, lambda i, j: entry()), (permanent_ryser,))
+
+
+def test_permanent_empty_shape_and_cap():
+    empty = permanent(MatrixR(0, 0, []))
+    assert empty == 1 and type(empty) is Fraction
+    # the shape is checked before the cap
+    with pytest.raises(ValueError, match="^permanent of non-square matrix$"):
+        permanent(MatrixR.build(10, 11, lambda i, j: 1))
+    with pytest.raises(ValueError, match=r"^permanent capped at n <= 9$"):
+        permanent(MatrixR.build(10, 10, lambda i, j: 1))
 
 
 def test_pfaffian_anchors():
